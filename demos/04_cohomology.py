@@ -6,17 +6,12 @@ Run:  python demos/04_cohomology.py
 from rrbgroups import (
     OneCochain,
     RRBModule,
-    b2_group,
     classical_h2_check,
-    coboundary_1,
     cochain_complex,
     cyclic_group,
-    h2_group,
     trivial_action,
     trivial_rrb,
     validate_rrb,
-    z1_group,
-    z2_group,
 )
 
 # The smallest interesting module: every ingredient is Z2 and every action
@@ -25,15 +20,16 @@ Z2 = cyclic_group(2)
 quot = trivial_rrb(Z2, Z2)
 kern = trivial_rrb(Z2, Z2)
 module = RRBModule(quot, kern, trivial_action(quot, kern))
-print("derivations:", z1_group(module).order)
-print("cocycles:", z2_group(module).order,
-      " coboundaries:", b2_group(module).order,
-      " H2 factors:", h2_group(module).factors)
+trivial_cx = cochain_complex(module)
+print("derivations:", trivial_cx.z1().order)
+print("cocycles:", trivial_cx.z2().order,
+      " coboundaries:", trivial_cx.b2().order,
+      " H2 factors:", trivial_cx.h2().factors)
 
 # Coboundaries are the defect quadruples of one-cochains; over this module
 # every defect vanishes, so the sixteen cocycles split into sixteen classes.
 kappa = OneCochain([0, 1], [0, 1])
-print("defect of kappa:", coboundary_1(kappa, module))
+print("defect of kappa:", trivial_cx.coboundary(kappa))
 
 # A quotient with a twisted product: Z2 negates Z4 and the operator reads
 # parity, so the circle product on the quotient is non-cyclic and the fifth
@@ -51,7 +47,8 @@ bad = cx.fs_from_coords([1] + [0] * (cx.c2_dim - 1))
 ok, witness = cx.z2_contains(bad)
 print("single nonzero tau1 entry a cocycle?", ok, "- first violation:", witness)
 
-# The tau1 block alone reproduces classical group cohomology.
+# Over a one-point (B, L) only the tau1 block survives, and it reproduces
+# classical group cohomology.
 Z3 = cyclic_group(3)
 print("H2(Z2, Z2) =", classical_h2_check(Z2, Z2, [[0, 1], [0, 1]]))
 print("H2(Z3, Z3) =", classical_h2_check(Z3, Z3, [[0, 1, 2]] * 3))

@@ -15,21 +15,12 @@ import numpy as np
 
 from .groups import FiniteGroup, GroupError
 from .intlinalg import (
+    SmithForm,
     as_int_matrix,
-    identity_matrix,
-    kernel_basis,
     smith_normal_form,
     solve_with_snf,
     zeros_matrix,
 )
-
-
-def _moduli_diag(moduli: Sequence[int]) -> np.ndarray:
-    n = len(moduli)
-    D = zeros_matrix(n, n)
-    for i, m in enumerate(moduli):
-        D[i, i] = int(m)
-    return D
 
 
 def reduce_vec(vec: Sequence[int], moduli: Sequence[int]) -> Tuple[int, ...]:
@@ -71,7 +62,11 @@ class QuotientPresentation(NamedTuple):
 
 def present_quotient(n: int, relation_cols: np.ndarray) -> QuotientPresentation:
     """Present ``Z^n / colspan(relation_cols)`` (must be finite)."""
-    snf = smith_normal_form(relation_cols)
+    return _quotient_of_snf(n, smith_normal_form(relation_cols))
+
+
+def _quotient_of_snf(n: int, snf: SmithForm) -> QuotientPresentation:
+    """``Z^n`` modulo the column span of a matrix with n rows, from its Smith form."""
     diag = snf.diagonal + [0] * (n - len(snf.diagonal))
     keep = [i for i in range(n) if diag[i] != 1]
     if any(diag[i] == 0 for i in keep):
@@ -82,21 +77,42 @@ def present_quotient(n: int, relation_cols: np.ndarray) -> QuotientPresentation:
     return QuotientPresentation(factors, to_coords, lift)
 
 
+def _stack_moduli(cols: np.ndarray, moduli: Sequence[int]) -> np.ndarray:
+    """``[cols | diag(moduli)]``: its column span is the lattice of cols plus
+    every vector that vanishes modulo the moduli."""
+    diag = zeros_matrix(len(moduli), len(moduli))
+    for i, m in enumerate(moduli):
+        diag[i, i] = int(m)
+    return np.concatenate([cols, diag], axis=1)
+
+
+def _kernel_head(snf: SmithForm, r: int) -> np.ndarray:
+    """First r coordinates of a kernel basis of the factored matrix."""
+    return snf.V[:r, snf.rank:]
+
+
+def kernel_mod(matrix: np.ndarray, moduli: Sequence[int]) -> np.ndarray:
+    """Generators (columns) of {x : matrix @ x == 0 modulo moduli}."""
+    return _kernel_head(smith_normal_form(_stack_moduli(matrix, moduli)), matrix.shape[1])
+
+
 class SubgroupPresentation:
-    """A subgroup of ``prod Z/moduli`` generated by given coordinate vectors."""
+    """A subgroup of ``prod Z/moduli`` generated by given coordinate vectors.
+
+    ``relations`` holds, as columns, generators of the coefficient vectors c
+    with ``generator_cols @ c == 0`` in the ambient group.
+    """
 
     def __init__(self, moduli: Sequence[int], generator_cols: np.ndarray):
         self.ambient_moduli = tuple(int(m) for m in moduli)
         n = len(self.ambient_moduli)
         r = generator_cols.shape[1]
         self._gens = generator_cols
-        stacked = np.concatenate([generator_cols, _moduli_diag(self.ambient_moduli)], axis=1)
-        self._member_snf = smith_normal_form(stacked)
-        # Relations among the generators: coefficient vectors c with W@c = 0
-        # in the ambient group.
-        ker = kernel_basis(stacked)
-        rel = ker[:r, :] if ker.shape[1] else zeros_matrix(r, 0)
-        self._pres = present_quotient(r, rel)
+        # The one factorization of this lattice: membership, relations and
+        # (through SubquotientPresentation) the class map all read it.
+        self._member_snf = smith_normal_form(_stack_moduli(generator_cols, self.ambient_moduli))
+        self.relations = _kernel_head(self._member_snf, r)
+        self._pres = present_quotient(r, self.relations)
         self.factors = self._pres.factors
         self.order = self._pres.order
         # Images in ambient coordinates of the presentation's generators.
@@ -129,37 +145,44 @@ class SubgroupPresentation:
 
 
 class SubquotientPresentation:
-    """Quotient of one presented subgroup by a smaller one, with class map."""
+    """Quotient of a presented subgroup by a smaller one, with class map.
 
-    def __init__(self, moduli: Sequence[int], big_cols: np.ndarray, small_cols: np.ndarray):
-        self.ambient_moduli = tuple(int(m) for m in moduli)
+    The numerator lattice, spanned by S = [generators | diag(moduli)], is
+    read off the numerator's own Smith form U S V = D: it has the basis
+    ``Uinv diag(d)``, so the coordinates of v in that basis are
+    ``(U v)_i / d_i``.  The denominator is given by generator columns.
+    """
+
+    def __init__(self, numerator: SubgroupPresentation, small_cols: np.ndarray):
+        self.ambient_moduli = numerator.ambient_moduli
         n = len(self.ambient_moduli)
-        diag = _moduli_diag(self.ambient_moduli)
-        big_lattice = np.concatenate([big_cols, diag], axis=1)
-        snf = smith_normal_form(big_lattice)
+        snf = numerator._member_snf
         if snf.rank != n:
             raise ValueError("numerator lattice is not full rank")
-        # Basis of the numerator lattice: columns d_i * Uinv[:, i].
-        basis = snf.Uinv[:, :n].copy()
-        for i in range(n):
-            basis[:, i] = basis[:, i] * snf.D[i, i]
-        self._basis_snf = smith_normal_form(basis)
-        small_lattice = np.concatenate([small_cols, diag], axis=1)
+        self._U = snf.U
+        self._d = snf.diagonal
+        self._basis = snf.Uinv * np.asarray(self._d, dtype=object)
         rel_cols = []
-        for j in range(small_lattice.shape[1]):
-            c = solve_with_snf(self._basis_snf, small_lattice[:, j])
+        for col in _stack_moduli(small_cols, self.ambient_moduli).T:
+            c = self._basis_coords(col)
             if c is None:
                 raise ValueError("denominator lattice not contained in numerator")
-            rel_cols.append(list(c))
-        rel = as_int_matrix(rel_cols, ncols=n).T if rel_cols else zeros_matrix(n, 0)
+            rel_cols.append(c)
+        rel = as_int_matrix(rel_cols, ncols=n).T
         self._pres = present_quotient(n, rel)
-        self._basis = basis
         self.factors = self._pres.factors
         self.order = self._pres.order
 
+    def _basis_coords(self, vec: Sequence[int]) -> Optional[List[int]]:
+        """Coordinates of vec in the numerator basis; None outside the lattice."""
+        c = self._U @ np.asarray(vec, dtype=object)
+        if any(x % d for x, d in zip(c, self._d)):
+            return None
+        return [x // d for x, d in zip(c, self._d)]
+
     def class_coords(self, vec: Sequence[int]) -> Optional[Tuple[int, ...]]:
         """Class of an ambient vector; None if it is not in the numerator."""
-        c = solve_with_snf(self._basis_snf, np.asarray(vec, dtype=object))
+        c = self._basis_coords(vec)
         if c is None:
             return None
         return self._pres.coords(c)
@@ -315,19 +338,14 @@ def hom_kernel_image_quotient(h: FinAbHom) -> KernelImageCokernel:
     cokernel comes with a class-of map on codomain coordinate vectors.
     """
     dom, cod = h.domain, h.codomain
-    # Kernel: x with M@x = 0 in the codomain, i.e. M@x + diag(cod)*y = 0.
-    stacked = np.concatenate([h.matrix, _moduli_diag(cod.factors)], axis=1)
-    ker = kernel_basis(stacked)
-    xpart = ker[: dom.rank, :] if ker.shape[1] else zeros_matrix(dom.rank, 0)
-    kernel_sub = SubgroupPresentation(dom.factors, xpart)
+    # The image lattice [M | diag(cod)] is factored once.  The relations
+    # among the columns of M are the kernel (x with M@x = 0 in the codomain),
+    # and the same Smith form presents the cokernel.
     image_sub = SubgroupPresentation(cod.factors, h.matrix)
-    coker = present_quotient(len(cod.factors), stacked)
-
-    def class_of(vec: Sequence[int]) -> Tuple[int, ...]:
-        return coker.coords(vec)
-
+    kernel_sub = SubgroupPresentation(dom.factors, image_sub.relations)
+    coker = _quotient_of_snf(cod.rank, image_sub._member_snf)
     return KernelImageCokernel(
         kernel_sub.factors, kernel_sub.embedding,
         image_sub.factors, image_sub.embedding,
-        coker.factors, class_of,
+        coker.factors, coker.coords,
     )

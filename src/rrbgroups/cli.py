@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from typing import List, Optional
 
 from . import serialize
@@ -30,25 +29,16 @@ EXIT_BUDGET = 3
 DEFAULT_BUDGET = 10 ** 6
 
 
-@dataclass
-class JobConfig:
-    command: str
-    format: str = "text"
-    max_order: int = 64
-    budget: int = DEFAULT_BUDGET
-    seed: int = 0
-
-
-def _emit(config: JobConfig, payload: dict, text_lines: List[str]) -> None:
-    if config.format == "json":
+def _emit(args: argparse.Namespace, payload: dict, text_lines: List[str]) -> None:
+    if args.format == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         for line in text_lines:
             print(line)
 
 
-def cmd_validate(config: JobConfig, path: str) -> int:
-    obj, base = _load_json(path)
+def cmd_validate(args: argparse.Namespace) -> int:
+    obj, base = _load_json(args.path)
     kind = serialize.detect_payload(obj)
     loader = {"group": serialize.load_group, "structure": serialize.load_rrb,
               "module": serialize.load_module, "extension": serialize.load_extension}[kind]
@@ -57,26 +47,26 @@ def cmd_validate(config: JobConfig, path: str) -> int:
     except (GroupError, RRBError) as exc:
         payload = {"kind": kind, "valid": False, "code": exc.code,
                    "witness": list(getattr(exc, "witness", ()))}
-        _emit(config, payload, [f"{kind}: INVALID", f"  {exc}"])
+        _emit(args, payload, [f"{kind}: INVALID", f"  {exc}"])
         return EXIT_INVALID
-    _emit(config, {"kind": kind, "valid": True}, [f"{kind}: valid"])
+    _emit(args, {"kind": kind, "valid": True}, [f"{kind}: valid"])
     return EXIT_OK
 
 
-def cmd_enumerate(config: JobConfig, h_path: str, g_path: str, phi_path: str) -> int:
-    H = serialize.load_group(*_load_json(h_path))
-    G = serialize.load_group(*_load_json(g_path))
-    phi, _ = _load_json(phi_path)
-    operators = enumerate_rrb_operators(H, G, phi, budget=config.budget)
+def cmd_enumerate(args: argparse.Namespace) -> int:
+    H = serialize.load_group(*_load_json(args.H))
+    G = serialize.load_group(*_load_json(args.G))
+    phi = serialize.strict_ints(_load_json(args.phi)[0], "phi", 2)
+    operators = enumerate_rrb_operators(H, G, phi, budget=args.budget)
     payload = {"count": len(operators), "operators": [op.tolist() for op in operators]}
     lines = [f"operators: {len(operators)}"]
     lines += ["  " + " ".join(str(x) for x in op.tolist()) for op in operators]
-    _emit(config, payload, lines)
+    _emit(args, payload, lines)
     return EXIT_OK
 
 
-def cmd_cohomology(config: JobConfig, module_path: str, show_reps: bool = False) -> int:
-    module = serialize.load_module(*_load_json(module_path))
+def cmd_cohomology(args: argparse.Namespace) -> int:
+    module = serialize.load_module(*_load_json(args.module))
     cx = cochain_complex(module)
     payload = {
         "z1": list(cx.z1().factors),
@@ -92,7 +82,7 @@ def cmd_cohomology(config: JobConfig, module_path: str, show_reps: bool = False)
         f"b2: factors {list(cx.b2().factors)} order {cx.b2().order}",
         f"h2: factors {list(cx.h2().factors)} order {cx.h2().order}",
     ]
-    if show_reps:
+    if args.reps:
         reps = []
         for cls in cx.h2_classes():
             fs = cx.class_representative(cls)
@@ -103,13 +93,13 @@ def cmd_cohomology(config: JobConfig, module_path: str, show_reps: bool = False)
                          f"tau1 {fs.tau1.tolist()} tau2 {fs.tau2.tolist()} "
                          f"rho {fs.rho.tolist()} chi {fs.chi.tolist()}")
         payload["witnesses"] = reps
-    _emit(config, payload, lines)
+    _emit(args, payload, lines)
     return EXIT_OK
 
 
-def cmd_wells(config: JobConfig, ext_path: str) -> int:
-    ext = serialize.load_extension(*_load_json(ext_path))
-    report = verify_wells_exactness(ext, max_order=config.max_order)
+def cmd_wells(args: argparse.Namespace) -> int:
+    ext = serialize.load_extension(*_load_json(args.extension))
+    report = verify_wells_exactness(ext, max_order=args.max_order)
     pair_objs = []
     lines = []
     for rec in report.pairs:
@@ -128,23 +118,23 @@ def cmd_wells(config: JobConfig, ext_path: str) -> int:
     lines.append("exactness: " + " ".join(
         f"{k}={v}" for k, v in sorted(report.exactness.items())))
     lines.append(f"omega_is_homomorphism: {report.omega_is_homomorphism}")
-    _emit(config, payload, lines)
+    _emit(args, payload, lines)
     return EXIT_OK
 
 
-def cmd_inducible(config: JobConfig, ext_path: str, pair_path: str) -> int:
-    ext = serialize.load_extension(*_load_json(ext_path))
-    pair_obj, base = _load_json(pair_path)
+def cmd_inducible(args: argparse.Namespace) -> int:
+    ext = serialize.load_extension(*_load_json(args.extension))
+    pair_obj, base = _load_json(args.pair)
     try:
         pair = serialize.load_pair(pair_obj, ext.quotient, ext.kernel, base)
     except (GroupError, RRBError) as exc:
-        _emit(config, {"error": str(exc)}, [f"pair invalid: {exc}"])
+        _emit(args, {"error": str(exc)}, [f"pair invalid: {exc}"])
         return EXIT_INVALID
     if not (pair.psi.is_bijective() and pair.theta.is_bijective()):
-        _emit(config, {"error": "pair is not a pair of automorphisms"},
+        _emit(args, {"error": "pair is not a pair of automorphisms"},
               ["pair invalid: components are not bijective"])
         return EXIT_INVALID
-    ctx = WellsContext(ext, max_order=config.max_order)
+    ctx = WellsContext(ext, max_order=args.max_order)
     verdict, witness = is_inducible(ext, pair, ctx)
     by_module = inducible_by_module_criterion(ext, pair, ctx)
     in_c = pair_is_compatible(ctx.module, pair)
@@ -164,7 +154,7 @@ def cmd_inducible(config: JobConfig, ext_path: str, pair_path: str) -> int:
     if witness is not None:
         lines.append(f"witness psi: {witness.psi.image.tolist()}")
         lines.append(f"witness eta: {witness.eta.image.tolist()}")
-    _emit(config, payload, lines)
+    _emit(args, payload, lines)
     return EXIT_OK
 
 
@@ -176,8 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--budget", type=int, default=None,
                         help="evaluation cap for operator enumeration "
                              "(RRB_BUDGET overrides the default)")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed recorded in the job config")
     parser = argparse.ArgumentParser(
         prog="rrbgroups",
         description="Validate, enumerate, and analyze operator-group data.")
@@ -186,51 +174,43 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", parents=[common],
                        help="validate a group/structure/module/extension file")
     p.add_argument("path")
+    p.set_defaults(run=cmd_validate)
 
     p = sub.add_parser("enumerate", parents=[common],
                        help="enumerate operators for (H, G, phi)")
     p.add_argument("H")
     p.add_argument("G")
     p.add_argument("phi")
+    p.set_defaults(run=cmd_enumerate)
 
     p = sub.add_parser("cohomology", parents=[common],
                        help="cochain groups of a module file")
     p.add_argument("module")
     p.add_argument("--reps", action="store_true", help="dump class representatives")
+    p.set_defaults(run=cmd_cohomology)
 
     p = sub.add_parser("wells", parents=[common],
                        help="full lifting/exactness report for an extension")
     p.add_argument("extension")
+    p.set_defaults(run=cmd_wells)
 
     p = sub.add_parser("inducible", parents=[common],
                        help="decide liftability of an automorphism pair")
     p.add_argument("extension")
     p.add_argument("pair")
+    p.set_defaults(run=cmd_inducible)
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    budget = args.budget
-    if budget is None:
-        budget = int(os.environ.get("RRB_BUDGET", DEFAULT_BUDGET))
-    config = JobConfig(command=args.command, format=args.format,
-                       max_order=args.max_order, budget=budget, seed=args.seed)
-    if config.max_order <= 0 or config.budget <= 0:
+    if args.budget is None:
+        args.budget = int(os.environ.get("RRB_BUDGET", DEFAULT_BUDGET))
+    if args.max_order <= 0 or args.budget <= 0:
         print("bounds must be positive", file=sys.stderr)
         return EXIT_PARSE
     try:
-        if args.command == "validate":
-            return cmd_validate(config, args.path)
-        if args.command == "enumerate":
-            return cmd_enumerate(config, args.H, args.G, args.phi)
-        if args.command == "cohomology":
-            return cmd_cohomology(config, args.module, show_reps=args.reps)
-        if args.command == "wells":
-            return cmd_wells(config, args.extension)
-        if args.command == "inducible":
-            return cmd_inducible(config, args.extension, args.pair)
-        raise AssertionError(f"unknown command {args.command}")
+        return args.run(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -42,12 +42,13 @@ from .abelian import (
     SubgroupPresentation,
     SubquotientPresentation,
     iter_vectors,
+    kernel_mod,
     reduce_vec,
 )
-from .groups import FiniteGroup, GroupError, is_homomorphism
-from .intlinalg import identity_matrix, kernel_basis, smith_normal_form, solve_with_snf, zeros_matrix
-from .modules import FactorSystem, OneCochain, RRBModule
-from .rrb import RRBError, descended_operation
+from .groups import FiniteGroup, trivial_group
+from .intlinalg import identity_matrix, zeros_matrix
+from .modules import ActionQuadruple, FactorSystem, OneCochain, RRBModule
+from .rrb import RRBError, descended_operation, trivial_rrb
 
 
 class CohomologyClass:
@@ -364,28 +365,23 @@ class CochainComplex:
 
     def solve_coboundary(self, fs: FactorSystem) -> Optional[OneCochain]:
         """A one-cochain whose coboundary is fs, or None."""
-        sol = solve_with_snf(self._coboundary_snf(), self.fs_to_coords(fs))
+        sol = self.b2().membership_coefficients(self.fs_to_coords(fs))
         if sol is None:
             return None
-        return self.kappa_from_coords(sol[: self.c1_dim])
-
-    @functools.lru_cache(maxsize=None)
-    def _coboundary_snf(self):
-        stacked = np.concatenate(
-            [self.coboundary_matrix, _diag(self.c2_moduli)], axis=1)
-        return smith_normal_form(stacked)
+        return self.kappa_from_coords(sol)
 
     # -- the four groups -----------------------------------------------------
+    # Each lattice is factored once.  The relations of b2 among the columns
+    # of D are the derivations, so z1 takes them as its generators; h2 reads
+    # the factorization of z2.
 
     @functools.lru_cache(maxsize=None)
     def z1(self) -> SubgroupPresentation:
-        gens = _kernel_subgroup_cols(self.coboundary_matrix, self.c1_dim, self.c2_moduli)
-        return SubgroupPresentation(self.c1_moduli, gens)
+        return SubgroupPresentation(self.c1_moduli, self.b2().relations)
 
     @functools.lru_cache(maxsize=None)
     def z2(self) -> SubgroupPresentation:
-        gens = _kernel_subgroup_cols(self.constraint_matrix, self.c2_dim,
-                                     self.constraint_moduli)
+        gens = kernel_mod(self.constraint_matrix, self.constraint_moduli)
         return SubgroupPresentation(self.c2_moduli, gens)
 
     @functools.lru_cache(maxsize=None)
@@ -394,9 +390,7 @@ class CochainComplex:
 
     @functools.lru_cache(maxsize=None)
     def h2(self) -> SubquotientPresentation:
-        gens = _kernel_subgroup_cols(self.constraint_matrix, self.c2_dim,
-                                     self.constraint_moduli)
-        return SubquotientPresentation(self.c2_moduli, gens, self.coboundary_matrix)
+        return SubquotientPresentation(self.z2(), self.coboundary_matrix)
 
     def class_of(self, fs: FactorSystem) -> CohomologyClass:
         coords = self.h2().class_coords(self.fs_to_coords(fs))
@@ -427,22 +421,6 @@ class CochainComplex:
             yield self.kappa_from_coords(vec)
 
 
-def _diag(moduli: Sequence[int]) -> np.ndarray:
-    n = len(moduli)
-    D = zeros_matrix(n, n)
-    for i, m in enumerate(moduli):
-        D[i, i] = int(m)
-    return D
-
-
-def _kernel_subgroup_cols(matrix: np.ndarray, src_dim: int,
-                          dst_moduli: Sequence[int]) -> np.ndarray:
-    """Generators of {x : matrix @ x == 0 modulo dst_moduli}."""
-    stacked = np.concatenate([matrix, _diag(dst_moduli)], axis=1)
-    ker = kernel_basis(stacked)
-    return ker[:src_dim, :] if ker.shape[1] else zeros_matrix(src_dim, 0)
-
-
 @functools.lru_cache(maxsize=None)
 def cochain_complex(module: RRBModule) -> CochainComplex:
     return CochainComplex(module)
@@ -465,95 +443,18 @@ def delta1_sigma(chi: Sequence[int], module: RRBModule) -> np.ndarray:
     return out
 
 
-def z1_group(module: RRBModule) -> SubgroupPresentation:
-    return cochain_complex(module).z1()
-
-
-def z2_group(module: RRBModule) -> SubgroupPresentation:
-    return cochain_complex(module).z2()
-
-
-def b2_group(module: RRBModule) -> SubgroupPresentation:
-    return cochain_complex(module).b2()
-
-
-def h2_group(module: RRBModule) -> SubquotientPresentation:
-    return cochain_complex(module).h2()
-
-
-def coboundary_1(kappa: OneCochain, module: RRBModule) -> FactorSystem:
-    return cochain_complex(module).coboundary(kappa)
-
-
-def z2_contains(module: RRBModule, fs: FactorSystem) -> Tuple[bool, Optional[Tuple[str, tuple]]]:
-    return cochain_complex(module).z2_contains(fs)
-
-
 def classical_h2_check(A_group: FiniteGroup, K_group: FiniteGroup,
                        mu: Sequence[Sequence[int]]) -> Tuple[int, ...]:
-    """Second cohomology of a plain group pair through the tau1 block alone.
+    """Second cohomology of a plain group pair, as a module over one-point (B, L).
 
-    ``mu`` acts on the right: mu_{a1 a2} = mu_{a2} o mu_{a1}.  Returns the
-    invariant factors of cocycles-mod-coboundaries for the single condition
+    ``mu`` acts on the right: mu_{a1 a2} = mu_{a2} o mu_{a1}.  With B and L
+    trivial only the tau1 block survives, so this returns the invariant
+    factors of cocycles-mod-coboundaries for the single condition
 
         tau(a2,a3) + tau(a1, a2 a3) = tau(a1 a2, a3) + mu_{a3} tau(a1,a2).
     """
-    Kp = AbelianPresentation(K_group)
-    A = A_group
-    mu = np.asarray(mu, dtype=np.int64)
-    if mu.shape != (A.order, K_group.order):
-        raise GroupError("LengthMismatch", "mu has the wrong shape")
-    for a in A.elements():
-        if not is_homomorphism(mu[a], K_group, K_group):
-            raise GroupError("NotHomomorphism", f"mu[{a}] is not an endomorphism")
-    for a1 in A.elements():
-        for a2 in A.elements():
-            if not np.array_equal(mu[A.mul(a1, a2)], mu[a2][mu[a1]]):
-                raise GroupError("NotHomomorphism", "mu is not an anti-action")
-    kK = Kp.rank
-    nd = range(1, A.order)
-    blocks = [(a1, a2) for a1 in nd for a2 in nd]
-    offset = {blk: i * kK for i, blk in enumerate(blocks)}
-    dim = kK * len(blocks)
-    moduli = tuple(Kp.factors) * len(blocks)
-    mu_mat = [Kp.perm_matrix(mu[a]) for a in A.elements()]
-    IK = identity_matrix(kK)
-
-    rows = []
-    for a1 in nd:
-        for a2 in nd:
-            for a3 in nd:
-                block_rows = zeros_matrix(kK, dim)
-
-                def put(sign, coeff, pair):
-                    if 0 in pair:
-                        return
-                    off = offset[pair]
-                    block_rows[:, off:off + kK] += sign * coeff
-
-                put(+1, IK, (a2, a3))
-                put(+1, IK, (a1, A.mul(a2, a3)))
-                put(-1, IK, (A.mul(a1, a2), a3))
-                put(-1, mu_mat[a3], (a1, a2))
-                rows.append(block_rows)
-    C = np.concatenate(rows, axis=0) if rows else zeros_matrix(0, dim)
-    con_moduli = tuple(Kp.factors) * (len(nd) ** 3)
-
-    # Coboundaries of kappa: A -> K.
-    kdim = kK * len(list(nd))
-    koffset = {a: i * kK for i, a in enumerate(nd)}
-    D = zeros_matrix(dim, kdim)
-    for a1 in nd:
-        for a2 in nd:
-            row = offset[(a1, a2)]
-
-            def put_d(sign, coeff, a):
-                if a == 0:
-                    return
-                D[row:row + kK, koffset[a]:koffset[a] + kK] += sign * coeff
-
-            put_d(+1, IK, a2)
-            put_d(+1, mu_mat[a2], a1)
-            put_d(-1, IK, A.mul(a1, a2))
-    zgens = _kernel_subgroup_cols(C, dim, con_moduli)
-    return SubquotientPresentation(moduli, zgens, D).factors
+    one = trivial_group()
+    quotient = trivial_rrb(A_group, one)
+    kernel = trivial_rrb(K_group, one)
+    action = ActionQuadruple([list(range(K_group.order))], mu, [[0]], [[0] * A_group.order])
+    return CochainComplex(RRBModule(quotient, kernel, action)).h2().factors

@@ -236,9 +236,9 @@ def build_extension(quotient: RRBGroup, kernel: RRBGroup,
     module = RRBModule(quotient, kernel, action)
     if fs.shapes != (module.A.order, module.B.order):
         raise RRBError("NotACocycle", "factor system shape mismatch")
-    from .cohomology import z2_contains  # local import; cohomology builds on modules
+    from .cohomology import cochain_complex  # local import; cohomology builds on modules
 
-    member, witness = z2_contains(module, fs)
+    member, witness = cochain_complex(module).z2_contains(fs)
     if not member:
         raise RRBError("NotACocycle", f"cocycle condition {witness[0]} fails at {witness[1]}",
                        witness)

@@ -6,7 +6,6 @@ Element 0 is always the identity.  Tables are numpy int arrays with
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterable, List, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -365,20 +364,9 @@ def _saturate_partial(G: FiniteGroup, H: FiniteGroup, partial: dict) -> Optional
 
 
 def _isomorphism_search(G: FiniteGroup, H: FiniteGroup, first_only: bool) -> List[GroupHom]:
+    """Generator-image backtracking with multiplicative saturation."""
     if G.order != H.order:
         return []
-    if G.order <= 8:
-        # Full bijection scan; the hom check is vectorized so 7! candidates
-        # stay cheap.
-        found = []
-        for perm in itertools.permutations(range(1, G.order)):
-            img = np.asarray((0,) + perm, dtype=np.int64)
-            if np.array_equal(img[G.table], H.table[img[:, None], img[None, :]]):
-                found.append(GroupHom(G, H, img, check=False))
-                if first_only:
-                    return found
-        return found
-
     orders_G = _element_order_table(G)
     orders_H = _element_order_table(H)
     by_order: dict = {}
@@ -410,8 +398,8 @@ def _isomorphism_search(G: FiniteGroup, H: FiniteGroup, first_only: bool) -> Lis
 def automorphism_group(G: FiniteGroup, max_order: int = DEFAULT_MAX_ORDER) -> List[GroupHom]:
     """All automorphisms, sorted by image array.
 
-    Orders up to 8 use a full bijection scan; larger groups use
-    generator-image backtracking with multiplicative saturation.
+    Each generator of G is sent to every element of the same order, and the
+    partial map is saturated multiplicatively, backtracking on conflicts.
     """
     if G.order > max_order:
         raise GroupError("OrderTooLarge",
@@ -423,7 +411,7 @@ def automorphism_group(G: FiniteGroup, max_order: int = DEFAULT_MAX_ORDER) -> Li
 
 def find_isomorphism(G: FiniteGroup, H: FiniteGroup,
                      max_order: int = DEFAULT_MAX_ORDER) -> Optional[GroupHom]:
-    """Some isomorphism G -> H, or None.  Brute force at desk scale."""
+    """Some isomorphism G -> H, or None."""
     if G.order > max_order or H.order > max_order:
         raise GroupError("OrderTooLarge", "order exceeds enumeration bound")
     found = _isomorphism_search(G, H, first_only=True)

@@ -9,6 +9,10 @@ file.  Group objects come in two forms:
 
 Factor systems are flat row-major arrays over nondegenerate tuples only,
 together with the shape list [|A|, |B|, |K|, |L|].
+
+Every integer field and array passes through ``strict_ints``: a bool, float
+or string entry, a missing nesting level or a ragged array is a ParseError
+naming its JSON path, never a silent coercion.
 """
 
 from __future__ import annotations
@@ -50,9 +54,33 @@ def _resolve(value, base: Optional[Path]):
 
 
 def _require(obj: dict, key: str, where: str):
+    if type(obj) is not dict:
+        raise ParseError(f"{where}: expected an object, got {obj!r}")
     if key not in obj:
         raise ParseError(f"{where}: missing key {key!r}")
     return obj[key]
+
+
+def strict_ints(value, path: str, depth: int):
+    """value checked as an integer (depth 0) or as a rectangular array of
+    integers nested ``depth`` levels deep; raises ParseError at the first
+    entry that is not one, naming it by its JSON path, e.g. ``table[2][2]``."""
+
+    def walk(v, where: str, d: int):
+        if d == 0:
+            if type(v) is not int:  # a bool's type is bool, not int
+                raise ParseError(f"{where}: expected an integer, got {v!r}")
+        elif type(v) is not list:
+            raise ParseError(f"{where}: expected an array, got {v!r}")
+        elif d > 1 or not all(type(x) is int for x in v):
+            # Paths are built only here, off the common all-integer row.
+            for i, x in enumerate(v):
+                walk(x, f"{where}[{i}]", d - 1)
+            if d > 1 and len({len(row) for row in v}) > 1:
+                raise ParseError(f"{where}: rows differ in length")
+
+    walk(value, path, depth)
+    return value
 
 
 def load_group(value, base: Optional[Path] = None) -> FiniteGroup:
@@ -61,13 +89,14 @@ def load_group(value, base: Optional[Path] = None) -> FiniteGroup:
         raise ParseError("group payload must be an object")
     name = obj.get("name")
     if "table" in obj:
-        table = obj["table"]
-        if "order" in obj and len(table) != obj["order"]:
+        table = strict_ints(obj["table"], "table", 2)
+        if "order" in obj and len(table) != strict_ints(obj["order"], "order", 0):
             raise ParseError(f"group {name or ''}: order does not match table size")
         return validate_group(table, name=name)
     if "generators" in obj:
-        degree = _require(obj, "degree", "permutation group")
-        return group_from_permutations(degree, obj["generators"], name=name)
+        degree = strict_ints(_require(obj, "degree", "permutation group"), "degree", 0)
+        generators = strict_ints(obj["generators"], "generators", 2)
+        return group_from_permutations(degree, generators, name=name)
     raise ParseError("group payload needs a 'table' or 'generators' key")
 
 
@@ -80,12 +109,10 @@ def group_to_json(G: FiniteGroup) -> dict:
 
 def load_rrb(value, base: Optional[Path] = None) -> RRBGroup:
     obj, base = _resolve(value, base)
-    if not isinstance(obj, dict):
-        raise ParseError("structure payload must be an object")
     H = load_group(_require(obj, "H", "structure"), base)
     G = load_group(_require(obj, "G", "structure"), base)
-    phi = _require(obj, "phi", "structure")
-    R = _require(obj, "R", "structure")
+    phi = strict_ints(_require(obj, "phi", "structure"), "phi", 2)
+    R = strict_ints(_require(obj, "R", "structure"), "R", 1)
     return validate_rrb(H, G, phi, R, name=obj.get("name"))
 
 
@@ -97,25 +124,26 @@ def rrb_to_json(rrb: RRBGroup) -> dict:
     return out
 
 
+def _load_morphism(obj: dict, key: str, where: str,
+                   domain: RRBGroup, codomain: RRBGroup) -> RRBMorphism:
+    """The morphism {"psi": [...], "eta": [...]} stored under obj[key]."""
+    mor = _require(obj, key, where)
+    psi, eta = (strict_ints(_require(mor, part, key), f"{key}.{part}", 1)
+                for part in ("psi", "eta"))
+    return validate_morphism(domain, codomain, psi, eta)
+
+
 def morphism_to_json(m: RRBMorphism) -> dict:
     return {"psi": m.psi.image.tolist(), "eta": m.eta.image.tolist()}
 
 
 def load_extension(value, base: Optional[Path] = None) -> Extension:
     obj, base = _resolve(value, base)
-    if not isinstance(obj, dict):
-        raise ParseError("extension payload must be an object")
     kernel = load_rrb(_require(obj, "kernel", "extension"), base)
     total = load_rrb(_require(obj, "total", "extension"), base)
     quotient = load_rrb(_require(obj, "quotient", "extension"), base)
-    incl_obj = _require(obj, "incl", "extension")
-    proj_obj = _require(obj, "proj", "extension")
-    incl = validate_morphism(kernel, total,
-                             _require(incl_obj, "psi", "incl"),
-                             _require(incl_obj, "eta", "incl"))
-    proj = validate_morphism(total, quotient,
-                             _require(proj_obj, "psi", "proj"),
-                             _require(proj_obj, "eta", "proj"))
+    incl = _load_morphism(obj, "incl", "extension", kernel, total)
+    proj = _load_morphism(obj, "proj", "extension", total, quotient)
     return validate_extension(kernel, total, quotient, incl, proj)
 
 
@@ -127,12 +155,10 @@ def extension_to_json(ext: Extension) -> dict:
 
 def load_module(value, base: Optional[Path] = None) -> RRBModule:
     obj, base = _resolve(value, base)
-    if not isinstance(obj, dict):
-        raise ParseError("module payload must be an object")
     quotient = load_rrb(_require(obj, "quotient", "module"), base)
     kernel = load_rrb(_require(obj, "kernel", "module"), base)
-    action = ActionQuadruple(_require(obj, "nu", "module"), _require(obj, "mu", "module"),
-                             _require(obj, "sigma", "module"), _require(obj, "f", "module"))
+    action = ActionQuadruple(*(strict_ints(_require(obj, key, "module"), key, 2)
+                               for key in ("nu", "mu", "sigma", "f")))
     return RRBModule(quotient, kernel, action)
 
 
@@ -156,25 +182,29 @@ def factor_system_to_json(fs: FactorSystem, nK: int, nL: int) -> dict:
 def load_factor_system(value, module: RRBModule, base: Optional[Path] = None) -> FactorSystem:
     obj, base = _resolve(value, base)
     nA, nB = module.A.order, module.B.order
-    shapes = _require(obj, "shapes", "factor system")
-    if list(shapes) != [nA, nB, module.K.order, module.L.order]:
+
+    def flat(key):
+        return strict_ints(_require(obj, key, "factor system"), key, 1)
+
+    shapes = flat("shapes")
+    if shapes != [nA, nB, module.K.order, module.L.order]:
         raise ParseError(f"factor system shapes {shapes} do not match the module")
 
-    def unflatten(flat, rows, cols, where):
-        flat = list(flat)
-        if len(flat) != (rows - 1) * (cols - 1):
-            raise ParseError(f"{where}: expected {(rows - 1) * (cols - 1)} entries")
+    def unflatten(key, rows, cols):
+        values = flat(key)
+        if len(values) != (rows - 1) * (cols - 1):
+            raise ParseError(f"{key}: expected {(rows - 1) * (cols - 1)} entries")
         out = np.zeros((rows, cols), dtype=np.int64)
-        it = iter(flat)
+        it = iter(values)
         for i in range(1, rows):
             for j in range(1, cols):
                 out[i, j] = next(it)
         return out
 
-    tau1 = unflatten(_require(obj, "tau1", "factor system"), nA, nA, "tau1")
-    tau2 = unflatten(_require(obj, "tau2", "factor system"), nB, nB, "tau2")
-    rho = unflatten(_require(obj, "rho", "factor system"), nA, nB, "rho")
-    chi_flat = list(_require(obj, "chi", "factor system"))
+    tau1 = unflatten("tau1", nA, nA)
+    tau2 = unflatten("tau2", nB, nB)
+    rho = unflatten("rho", nA, nB)
+    chi_flat = flat("chi")
     if len(chi_flat) != nA - 1:
         raise ParseError(f"chi: expected {nA - 1} entries")
     chi = np.zeros(nA, dtype=np.int64)
@@ -196,11 +226,10 @@ def load_one_cochain(value, module: RRBModule, base: Optional[Path] = None):
 
     obj, base = _resolve(value, base)
     nA, nB = module.A.order, module.B.order
-    shapes = _require(obj, "shapes", "one-cochain")
-    if list(shapes) != [nA, nB]:
+    shapes, k1, k2 = (strict_ints(_require(obj, key, "one-cochain"), key, 1)
+                      for key in ("shapes", "kappa1", "kappa2"))
+    if shapes != [nA, nB]:
         raise ParseError(f"one-cochain shapes {shapes} do not match the module")
-    k1 = list(_require(obj, "kappa1", "one-cochain"))
-    k2 = list(_require(obj, "kappa2", "one-cochain"))
     if len(k1) != nA - 1 or len(k2) != nB - 1:
         raise ParseError("one-cochain arrays have the wrong length")
     return OneCochain([0] + k1, [0] + k2)
@@ -212,14 +241,8 @@ def load_pair(value, quotient: RRBGroup, kernel: RRBGroup,
     from .wells import CompatiblePair
 
     obj, base = _resolve(value, base)
-    psi_obj = _require(obj, "psi", "pair")
-    theta_obj = _require(obj, "theta", "pair")
-    psi = validate_morphism(quotient, quotient,
-                            _require(psi_obj, "psi", "pair.psi"),
-                            _require(psi_obj, "eta", "pair.psi"))
-    theta = validate_morphism(kernel, kernel,
-                              _require(theta_obj, "psi", "pair.theta"),
-                              _require(theta_obj, "eta", "pair.theta"))
+    psi = _load_morphism(obj, "psi", "pair", quotient, quotient)
+    theta = _load_morphism(obj, "theta", "pair", kernel, kernel)
     return CompatiblePair(psi, theta)
 
 

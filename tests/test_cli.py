@@ -67,6 +67,44 @@ class TestExitCodes:
         assert proc.returncode == 3
 
 
+class TestStrictIntegers:
+    """A JSON value that is not an integer is a parse error naming its path."""
+
+    @pytest.mark.parametrize("entry", [1.5, True, "x"])
+    def test_group_table_entry(self, tmp_path, entry):
+        # 1.5 and true would truncate to 1, which completes a valid Z3 table.
+        group = tmp_path / "group.json"
+        group.write_text(json.dumps({"table": [[0, 1, 2], [1, 2, 0], [2, 0, entry]]}))
+        proc = run_cli("validate", group)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert "table[2][2]" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_ragged_table(self, tmp_path):
+        group = tmp_path / "group.json"
+        group.write_text(json.dumps({"table": [[0, 1], [1]]}))
+        proc = run_cli("validate", group)
+        assert proc.returncode == 1
+        assert "rows differ in length" in proc.stderr
+
+    def test_nested_value_that_is_not_an_object(self, tmp_path):
+        ext = json.loads((F / "ext_z9.json").read_text())
+        ext["incl"] = 5
+        path = tmp_path / "ext.json"
+        path.write_text(json.dumps(ext))
+        proc = run_cli("validate", path)
+        assert proc.returncode == 1
+        assert "incl: expected an object" in proc.stderr
+
+    def test_enumerate_phi_entry(self, tmp_path):
+        phi = tmp_path / "phi.json"
+        phi.write_text(json.dumps([[0, 1, 2], [0, 2, 1.0]]))
+        proc = run_cli("enumerate", F / "group_z3.json", F / "group_z2.json", phi)
+        assert proc.returncode == 1
+        assert "phi[1][2]" in proc.stderr
+
+
 class TestValidateCommand:
     def test_all_valid_fixtures(self):
         for name in ("group_z2.json", "group_klein_perm.json", "group_s3_perm.json",

@@ -3,25 +3,23 @@
 import itertools
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rrbgroups import (
     OneCochain,
+    RRBError,
     RRBModule,
-    b2_group,
     classical_h2_check,
-    coboundary_1,
     cochain_complex,
     cyclic_group,
     delta1_sigma,
-    h2_group,
+    direct_product,
+    group_from_permutations,
     one_point_rrb,
     trivial_action,
     trivial_rrb,
-    z1_group,
-    z2_contains,
-    z2_group,
     zero_factor_system,
 )
 from rrbgroups.extensions import extract_factor_system, extract_module
@@ -91,7 +89,7 @@ class TestZ1:
         module = module_corpus["trivial_z2"]
         oracle = exhaustive_z1(module)
         assert len(oracle) == 4
-        assert z1_group(module).order == 4
+        assert cochain_complex(module).z1().order == 4
 
     def test_zero_cochain_is_member(self, module_corpus):
         for module in module_corpus.values():
@@ -105,7 +103,7 @@ class TestZ1:
             module = module_corpus[name]
             cx = cochain_complex(module)
             oracle = exhaustive_z1(module)
-            assert z1_group(module).order == len(oracle)
+            assert cx.z1().order == len(oracle)
             member_keys = {(tuple(k.kappa1.tolist()), tuple(k.kappa2.tolist()))
                            for k in oracle}
             lib_keys = {(tuple(k.kappa1.tolist()), tuple(k.kappa2.tolist()))
@@ -119,19 +117,19 @@ class TestZ1:
 class TestZ2:
     def test_zero_is_cocycle(self, module_corpus):
         for module in module_corpus.values():
-            ok, _ = z2_contains(module, zero_factor_system(module))
+            ok, _ = cochain_complex(module).z2_contains(zero_factor_system(module))
             assert ok
 
     def test_trivial_z2_module_counts(self, module_corpus):
         module = module_corpus["trivial_z2"]
-        assert z2_group(module).order == 16
+        assert cochain_complex(module).z2().order == 16
         assert len(exhaustive_z2_keys(module)) == 16
 
     def test_extracted_factor_systems_are_members(self, ext_corpus):
         for name in ("z4_carry", "z9", "z4_z4_diag", "parity_twisted", "z3_triv"):
             ext = ext_corpus[name]
             module = extract_module(ext)
-            ok, witness = z2_contains(module, extract_factor_system(ext))
+            ok, witness = cochain_complex(module).z2_contains(extract_factor_system(ext))
             assert ok, witness
 
     def test_membership_witness_names_condition(self, module_corpus):
@@ -141,7 +139,7 @@ class TestZ2:
         tau1[1, 1] = 1
         from rrbgroups import FactorSystem
         bad = FactorSystem(tau1, fs.tau2, fs.rho, fs.chi)
-        ok, witness = z2_contains(module, bad)
+        ok, witness = cochain_complex(module).z2_contains(bad)
         assert not ok and witness[0] == "cocycle1"
         assert cocycle_violations(module, bad)[0][0] == "cocycle1"
 
@@ -150,26 +148,28 @@ class TestCoboundaries:
     def test_zero_cochain_maps_to_zero(self, module_corpus):
         for module in module_corpus.values():
             zero = OneCochain([0] * module.A.order, [0] * module.B.order)
-            assert coboundary_1(zero, module) == zero_factor_system(module)
+            assert cochain_complex(module).coboundary(zero) == zero_factor_system(module)
 
     def test_trivial_z2_module_all_coboundaries_vanish(self, module_corpus):
         module = module_corpus["trivial_z2"]
+        cx = cochain_complex(module)
         for kappa in iter_one_cochains(module):
-            assert coboundary_1(kappa, module) == zero_factor_system(module)
+            assert cx.coboundary(kappa) == zero_factor_system(module)
 
     def test_matches_direct_formulas_and_lands_in_z2(self, module_corpus):
         for name in ALL_MODULES:
             module = module_corpus[name]
+            cx = cochain_complex(module)
             for kappa in itertools.islice(iter_one_cochains(module), 40):
-                fs = coboundary_1(kappa, module)
+                fs = cx.coboundary(kappa)
                 assert fs == coboundary_direct(module, kappa)
                 assert cocycle_violations(module, fs) == []
 
     def test_b2_orders(self, module_corpus):
-        assert b2_group(module_corpus["trivial_z2"]).order == 1
+        assert cochain_complex(module_corpus["trivial_z2"]).b2().order == 1
         # Trivial kernel group forces trivial coboundaries.
-        assert b2_group(module_corpus["from_z2_z4_image"]).order == 1
-        assert b2_group(module_corpus["from_z9"]).order == 3
+        assert cochain_complex(module_corpus["from_z2_z4_image"]).b2().order == 1
+        assert cochain_complex(module_corpus["from_z9"]).b2().order == 3
 
     def test_b2_contained_in_z2(self, module_corpus):
         for name in ALL_MODULES:
@@ -182,14 +182,14 @@ class TestCoboundaries:
 
 class TestH2:
     def test_trivial_z2_module_is_rank_four_exponent_two(self, module_corpus):
-        h2 = h2_group(module_corpus["trivial_z2"])
+        h2 = cochain_complex(module_corpus["trivial_z2"]).h2()
         assert h2.factors == (2, 2, 2, 2)
 
     def test_one_point_quotient_trivial(self, groups):
         quot = one_point_rrb()
         kern = trivial_rrb(groups["z2"], groups["z2"])
         module = RRBModule(quot, kern, trivial_action(quot, kern))
-        assert h2_group(module).order == 1
+        assert cochain_complex(module).h2().order == 1
 
     def test_zero_class_is_identity(self, module_corpus):
         for name in ALL_MODULES:
@@ -226,6 +226,34 @@ class TestClassicalRegression:
     def test_h2_z3_z3(self):
         Z3 = cyclic_group(3)
         assert classical_h2_check(Z3, Z3, [[0, 1, 2]] * 3) == (3,)
+
+    @pytest.mark.parametrize("name, expected", [
+        ("z2_on_z3_inverting", ()),
+        ("z2_on_z4_inverting", (2,)),
+        ("z4_on_z2", (2,)),
+        ("klein_on_z2", (2, 2, 2)),
+        ("s3_on_z3_by_sign", (3,)),
+    ])
+    def test_known_values(self, name, expected):
+        Z2, Z3, Z4 = cyclic_group(2), cyclic_group(3), cyclic_group(4)
+        S3 = group_from_permutations(3, [[1, 0, 2], [1, 2, 0]])
+        # The sign of S3 is -1 exactly on its elements of order 2.
+        sign_on_z3 = [[0, 2, 1] if S3.element_order(a) == 2 else [0, 1, 2]
+                      for a in S3.elements()]
+        A, K, mu = {
+            "z2_on_z3_inverting": (Z2, Z3, [[0, 1, 2], [0, 2, 1]]),
+            "z2_on_z4_inverting": (Z2, Z4, [[0, 1, 2, 3], [0, 3, 2, 1]]),
+            "z4_on_z2": (Z4, Z2, [[0, 1]] * 4),
+            "klein_on_z2": (direct_product(Z2, Z2).group, Z2, [[0, 1]] * 4),
+            "s3_on_z3_by_sign": (S3, Z3, sign_on_z3),
+        }[name]
+        assert classical_h2_check(A, K, mu) == expected
+
+    def test_rejects_a_non_action(self):
+        Z2, Z3 = cyclic_group(2), cyclic_group(3)
+        with pytest.raises(RRBError) as info:
+            classical_h2_check(Z2, Z3, [[0, 1, 2], [0, 1, 1]])
+        assert info.value.code == "ModuleInvalid"
 
     def test_h2_z2_z2_exhaustive_oracle(self):
         # Normalized 2-cochains Z2 x Z2 -> Z2: one free value; every one is a

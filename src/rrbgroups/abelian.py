@@ -8,6 +8,7 @@ presented through Smith normal form.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -100,23 +101,36 @@ class SubgroupPresentation:
     """A subgroup of ``prod Z/moduli`` generated by given coordinate vectors.
 
     ``relations`` holds, as columns, generators of the coefficient vectors c
-    with ``generator_cols @ c == 0`` in the ambient group.
+    with ``generator_cols @ c == 0`` in the ambient group.  The relation
+    lattice is presented (one more Smith form) only when ``factors``,
+    ``order``, ``coords``, ``embedding`` or ``elements`` is first read, so a
+    caller that only tests membership never pays for it.
     """
 
     def __init__(self, moduli: Sequence[int], generator_cols: np.ndarray):
         self.ambient_moduli = tuple(int(m) for m in moduli)
-        n = len(self.ambient_moduli)
-        r = generator_cols.shape[1]
         self._gens = generator_cols
         # The one factorization of this lattice: membership, relations and
         # (through SubquotientPresentation) the class map all read it.
         self._member_snf = smith_normal_form(_stack_moduli(generator_cols, self.ambient_moduli))
-        self.relations = _kernel_head(self._member_snf, r)
-        self._pres = present_quotient(r, self.relations)
-        self.factors = self._pres.factors
-        self.order = self._pres.order
-        # Images in ambient coordinates of the presentation's generators.
-        self.embedding = generator_cols @ self._pres.lift if r else zeros_matrix(n, 0)
+        self.relations = _kernel_head(self._member_snf, generator_cols.shape[1])
+
+    @functools.cached_property
+    def _pres(self) -> QuotientPresentation:
+        return present_quotient(self._gens.shape[1], self.relations)
+
+    @property
+    def factors(self) -> Tuple[int, ...]:
+        return self._pres.factors
+
+    @property
+    def order(self) -> int:
+        return self._pres.order
+
+    @functools.cached_property
+    def embedding(self) -> np.ndarray:
+        """Images in ambient coordinates of the presentation's generators."""
+        return self._gens @ self._pres.lift
 
     def membership_coefficients(self, vec: Sequence[int]) -> Optional[np.ndarray]:
         """Generator coefficients expressing vec, or None if not a member."""

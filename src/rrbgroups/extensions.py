@@ -28,10 +28,7 @@ from .groups import FiniteGroup
 from .modules import (
     ActionQuadruple,
     FactorSystem,
-    OneCochain,
     RRBModule,
-    trivial_action,
-    validate_module,
 )
 from .rrb import (
     RRBError,
@@ -230,9 +227,6 @@ def build_extension(quotient: RRBGroup, kernel: RRBGroup,
         phi_{(b,l)}(a,k) = (beta_b(a), rho(a,b) + nu_b(f(l,a) + k))
         R(a,k)           = (T(a), chi(a) + S(nu^-1_{T(a)}(k)))
     """
-    ok, why = validate_module(quotient, kernel, action)
-    if not ok:
-        raise RRBError("ModuleInvalid", why or "module conditions fail")
     module = RRBModule(quotient, kernel, action)
     if fs.shapes != (module.A.order, module.B.order):
         raise RRBError("NotACocycle", "factor system shape mismatch")

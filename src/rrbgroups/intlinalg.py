@@ -1,4 +1,4 @@
-"""Exact integer linear algebra: Smith normal form, kernels, solvers.
+"""Exact integer linear algebra: Smith normal form and the solver that reads it.
 
 All matrices are numpy arrays with ``dtype=object`` holding Python ints, so
 arithmetic never overflows.  Vectors are 1-d arrays, matrices act on column
@@ -48,14 +48,13 @@ class SmithForm(NamedTuple):
     """Decomposition U @ A @ V == D with U, V unimodular.
 
     D is diagonal with nonnegative entries d_1 | d_2 | ... | d_r followed by
-    zeros.  Uinv and Vinv are the exact inverses of U and V.
+    zeros.  Uinv is the exact inverse of U.
     """
 
     D: np.ndarray
     U: np.ndarray
     V: np.ndarray
     Uinv: np.ndarray
-    Vinv: np.ndarray
 
     @property
     def diagonal(self) -> list:
@@ -69,11 +68,10 @@ class SmithForm(NamedTuple):
 
 def smith_normal_form(mat: np.ndarray) -> SmithForm:
     """Smith normal form over the integers with transformation matrices."""
-    A = as_int_matrix(mat.tolist() if isinstance(mat, np.ndarray) else mat,
-                      ncols=mat.shape[1] if isinstance(mat, np.ndarray) else None)
+    A = np.array(mat, dtype=object)
     n, m = A.shape
     U, Uinv = identity_matrix(n), identity_matrix(n)
-    V, Vinv = identity_matrix(m), identity_matrix(m)
+    V = identity_matrix(m)
 
     def row_swap(i, j):
         if i == j:
@@ -87,7 +85,6 @@ def smith_normal_form(mat: np.ndarray) -> SmithForm:
             return
         A[:, [i, j]] = A[:, [j, i]]
         V[:, [i, j]] = V[:, [j, i]]
-        Vinv[[i, j], :] = Vinv[[j, i], :]
 
     def row_addmul(i, j, c):
         # row_i += c * row_j
@@ -103,7 +100,6 @@ def smith_normal_form(mat: np.ndarray) -> SmithForm:
             return
         A[:, i] += c * A[:, j]
         V[:, i] += c * V[:, j]
-        Vinv[j, :] -= c * Vinv[i, :]
 
     def row_negate(i):
         A[i, :] = -A[i, :]
@@ -111,13 +107,14 @@ def smith_normal_form(mat: np.ndarray) -> SmithForm:
         Uinv[:, i] = -Uinv[:, i]
 
     def smallest_nonzero(t):
-        best = None
-        for i in range(t, n):
-            for j in range(t, m):
-                v = A[i, j]
-                if v != 0 and (best is None or abs(v) < abs(A[best[0], best[1]])):
-                    best = (i, j)
-        return best
+        # np.argmin returns the first of equal minima: the pivot is the first
+        # entry of least absolute value in row-major order.
+        block = np.abs(A[t:, t:]).ravel()
+        nonzero = np.flatnonzero(block)
+        if not nonzero.size:
+            return None
+        i, j = divmod(int(nonzero[np.argmin(block[nonzero])]), m - t)
+        return t + i, t + j
 
     t = 0
     while t < min(n, m):
@@ -154,38 +151,19 @@ def smith_normal_form(mat: np.ndarray) -> SmithForm:
                 continue
             # Pivot now clears its row and column; force it to divide the
             # rest of the block so the diagonal comes out in a chain.
-            witness = None
-            for i in range(t + 1, n):
-                for j in range(t + 1, m):
-                    if A[i, j] % A[t, t] != 0:
-                        witness = i
-                        break
-                if witness is not None:
-                    break
-            if witness is None:
+            witness = np.flatnonzero((A[t + 1:, t + 1:] % A[t, t] != 0).any(axis=1))
+            if not witness.size:
                 break
-            row_addmul(t, witness, 1)
+            row_addmul(t, t + 1 + int(witness[0]), 1)
         if A[t, t] < 0:
             row_negate(t)
         t += 1
 
-    return SmithForm(A, U, V, Uinv, Vinv)
-
-
-def kernel_basis(mat: np.ndarray) -> np.ndarray:
-    """Columns form a basis of the integer kernel {x : mat @ x == 0}."""
-    snf = smith_normal_form(mat)
-    return snf.V[:, snf.rank:]
-
-
-def solve_int(mat: np.ndarray, rhs: np.ndarray) -> Optional[np.ndarray]:
-    """One integer solution x of ``mat @ x == rhs``, or None."""
-    snf = smith_normal_form(mat)
-    return solve_with_snf(snf, rhs)
+    return SmithForm(A, U, V, Uinv)
 
 
 def solve_with_snf(snf: SmithForm, rhs: np.ndarray) -> Optional[np.ndarray]:
-    """Solve using a precomputed Smith form (for repeated right-hand sides)."""
+    """One integer solution x of ``A @ x == rhs`` from the Smith form of A, or None."""
     n, m = snf.D.shape
     c = snf.U @ np.asarray(rhs, dtype=object)
     y = np.zeros(m, dtype=object)

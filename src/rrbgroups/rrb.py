@@ -24,7 +24,6 @@ from .groups import (
     is_normal,
     is_subgroup,
     quotient_group,
-    subgroup_closure,
 )
 
 

@@ -23,7 +23,6 @@ from .extensions import Extension, canonical_section, extract_actions, \
     extract_factor_system
 from .groups import DEFAULT_MAX_ORDER, GroupHom
 from .modules import (
-    ActionQuadruple,
     FactorSystem,
     OneCochain,
     RRBModule,
@@ -86,10 +85,20 @@ def pair_is_compatible(module: RRBModule, pair: CompatiblePair) -> bool:
 def compatible_pairs(module: RRBModule,
                      max_order: int = DEFAULT_MAX_ORDER) -> List[CompatiblePair]:
     """All compatible pairs, sorted; checked to be closed under the group ops."""
-    pairs = [CompatiblePair(psi, theta)
-             for psi in rrb_automorphism_group(module.quotient, max_order)
-             for theta in rrb_automorphism_group(module.kernel, max_order)
-             if pair_is_compatible(module, CompatiblePair(psi, theta))]
+    return _compatible_among(module, _all_pairs(module, max_order))
+
+
+def _all_pairs(module: RRBModule, max_order: int) -> List[CompatiblePair]:
+    """Aut(quotient) x Aut(kernel), from one automorphism search of each."""
+    thetas = rrb_automorphism_group(module.kernel, max_order)
+    return [CompatiblePair(psi, theta)
+            for psi in rrb_automorphism_group(module.quotient, max_order)
+            for theta in thetas]
+
+
+def _compatible_among(module: RRBModule,
+                      candidates: List[CompatiblePair]) -> List[CompatiblePair]:
+    pairs = [pair for pair in candidates if pair_is_compatible(module, pair)]
     keys = {_pair_key(p) for p in pairs}
     for p in pairs:
         if _pair_key(p.inverse()) not in keys:  # pragma: no cover - theorem
@@ -156,16 +165,12 @@ class WellsContext:
 
     def compatible(self) -> List[CompatiblePair]:
         if not hasattr(self, "_compatible"):
-            self._compatible = compatible_pairs(self.module, self.max_order)
+            self._compatible = _compatible_among(self.module, self.all_pairs())
         return self._compatible
 
     def all_pairs(self) -> List[CompatiblePair]:
         if not hasattr(self, "_all_pairs"):
-            self._all_pairs = [
-                CompatiblePair(psi, theta)
-                for psi in rrb_automorphism_group(self.module.quotient, self.max_order)
-                for theta in rrb_automorphism_group(self.module.kernel, self.max_order)
-            ]
+            self._all_pairs = _all_pairs(self.module, self.max_order)
         return self._all_pairs
 
 
@@ -393,7 +398,10 @@ def verify_wells_exactness(ext: Extension,
     eta_images = [z1_to_aut(kappa, ext, ctx) for kappa in z1_list]
     keys = [_morphism_key(g) for g in eta_images]
     injective = len(set(keys)) == len(keys)
-    autAK = aut_AK_H(ext, ctx, max_order)
+    # One search of Aut(total); each automorphism is restricted once.
+    autK = aut_K_H(ext, max_order)
+    induced = [restrict_and_induce(g, ext, ctx) for g in autK]
+    autAK = [g for g, pair in zip(autK, induced) if pair.is_identity()]
     lands = set(keys) <= {_morphism_key(g) for g in autAK}
     additive = True
     for k1, g1 in zip(z1_list, eta_images):
@@ -421,8 +429,7 @@ def verify_wells_exactness(ext: Extension,
         witnesses["ker_rho_eq_im_eta"] = "kernel of restriction differs from derivation image"
 
     C = ctx.compatible()
-    autK = aut_K_H(ext, max_order)
-    im_rho = {_pair_key(restrict_and_induce(g, ext, ctx)) for g in autK}
+    im_rho = {_pair_key(pair) for pair in induced}
     omega = {_pair_key(c): wells_map(ext, c, ctx) for c in C}
     ker_omega = {k for k, cls in omega.items() if cls.is_zero()}
     exactness["ker_omega_eq_im_rho"] = im_rho == ker_omega

@@ -1,10 +1,11 @@
 """Invariant factors, coordinate isomorphisms, and exact linear algebra."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rrbgroups import (
@@ -15,12 +16,12 @@ from rrbgroups import (
     direct_product,
     hom_kernel_image_quotient,
 )
+from rrbgroups.abelian import kernel_mod
 from rrbgroups.intlinalg import (
     as_int_matrix,
     identity_matrix,
-    kernel_basis,
     smith_normal_form,
-    solve_int,
+    solve_with_snf,
 )
 
 
@@ -51,6 +52,98 @@ def invariant_factors_oracle(orders):
     return tuple(f for f in factors if f > 1)
 
 
+def bareiss_det(mat):
+    """Exact determinant of a square matrix by fraction-free elimination."""
+    M = [list(row) for row in mat]
+    n, sign, prev = len(M), 1, 1
+    for k in range(n - 1):
+        if M[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if M[i][k] != 0), None)
+            if swap is None:
+                return 0
+            M[k], M[swap] = M[swap], M[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
+        prev = M[k][k]
+    return sign * M[-1][-1] if n else 1
+
+
+def lattice_index(cols):
+    """Index in Z^r of the lattice spanned by the columns; 0 if not full rank."""
+    snf = smith_normal_form(cols)
+    if snf.rank < cols.shape[0]:
+        return 0
+    return math.prod(snf.diagonal[: snf.rank])
+
+
+def smith_by_cell_scans(rows):
+    """Reference Smith form: the same elimination, with the pivot (first entry
+    of least absolute value, row-major) and the divisibility witness (first
+    row holding a non-multiple) found by cell-by-cell loops."""
+    A = as_int_matrix(rows)
+    n, m = A.shape
+    U, Uinv, V = identity_matrix(n), identity_matrix(n), identity_matrix(m)
+
+    def row_swap(i, j):
+        A[[i, j], :], U[[i, j], :] = A[[j, i], :], U[[j, i], :]
+        Uinv[:, [i, j]] = Uinv[:, [j, i]]
+
+    def col_swap(i, j):
+        A[:, [i, j]], V[:, [i, j]] = A[:, [j, i]], V[:, [j, i]]
+
+    def row_addmul(i, j, c):
+        A[i, :] += c * A[j, :]
+        U[i, :] += c * U[j, :]
+        Uinv[:, j] -= c * Uinv[:, i]
+
+    def col_addmul(i, j, c):
+        A[:, i] += c * A[:, j]
+        V[:, i] += c * V[:, j]
+
+    for t in range(min(n, m)):
+        cells = [(i, j) for i in range(t, n) for j in range(t, m) if A[i, j] != 0]
+        if not cells:
+            break
+        best = cells[0]
+        for i, j in cells:
+            if abs(A[i, j]) < abs(A[best]):
+                best = (i, j)
+        row_swap(t, best[0])
+        col_swap(t, best[1])
+        while True:
+            # Clear the pivot column, then its row; a remainder becomes the
+            # new pivot and the clearing starts over.
+            remainder = None
+            for i in range(t + 1, n):
+                if A[i, t]:
+                    row_addmul(i, t, -(A[i, t] // A[t, t]))
+                    if A[i, t]:
+                        remainder = i
+                        break
+            if remainder is not None:
+                row_swap(t, remainder)
+                continue
+            for j in range(t + 1, m):
+                if A[t, j]:
+                    col_addmul(j, t, -(A[t, j] // A[t, t]))
+                    if A[t, j]:
+                        remainder = j
+                        break
+            if remainder is not None:
+                col_swap(t, remainder)
+                continue
+            witness = next((i for i in range(t + 1, n) for j in range(t + 1, m)
+                            if A[i, j] % A[t, t]), None)
+            if witness is None:
+                break
+            row_addmul(t, witness, 1)
+        if A[t, t] < 0:
+            A[t, :], U[t, :], Uinv[:, t] = -A[t, :], -U[t, :], -Uinv[:, t]
+    return A, U, V, Uinv
+
+
 matrices = st.lists(
     st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=4),
     min_size=1, max_size=4,
@@ -71,7 +164,8 @@ class TestSmithNormalForm:
         n, m = A.shape
         assert (snf.U @ A @ snf.V == snf.D).all()
         assert (snf.U @ snf.Uinv == identity_matrix(n)).all()
-        assert (snf.V @ snf.Vinv == identity_matrix(m)).all()
+        assert abs(bareiss_det(snf.V)) == 1
+        assert all(type(x) is int for f in snf for x in f.flat)
         diag = snf.diagonal
         for i in range(len(diag) - 1):
             assert diag[i] >= 0
@@ -81,21 +175,39 @@ class TestSmithNormalForm:
         assert not off.any()
 
     @given(matrices)
+    @example([[2, 0, 0], [0, 3, 0], [0, 0, 5]])  # two rows hold a witness
+    @settings(max_examples=100, deadline=None)
+    def test_matches_cell_scan_reference(self, rows):
+        snf = smith_normal_form(as_int_matrix(rows))
+        for got, want in zip(snf, smith_by_cell_scans(rows)):
+            assert got.shape == want.shape and (got == want).all()
+
+    @given(matrices, st.data())
     @settings(max_examples=40, deadline=None)
-    def test_kernel_annihilates(self, rows):
+    def test_kernel_annihilates(self, rows, data):
+        # kernel_mod spans exactly {x : A x == 0 mod moduli}: every column is
+        # a solution, and the spanned lattice has the kernel's index, which
+        # is the number of values A x takes modulo the moduli.
         A = as_int_matrix(rows)
-        ker = kernel_basis(A)
-        if ker.shape[1]:
-            assert not (A @ ker).any()
+        n, m = A.shape
+        moduli = data.draw(st.lists(st.sampled_from([1, 2, 3]), min_size=n, max_size=n))
+        ker = kernel_mod(A, moduli)
+        assert ker.shape[0] == m
+        assert not any(x % q for row, q in zip(A @ ker, moduli) for x in row)
+        period = math.lcm(*moduli)
+        image = {tuple(int(v) % q for v, q in zip(A @ np.array(x, dtype=object), moduli))
+                 for x in itertools.product(range(period), repeat=m)}
+        assert lattice_index(ker) == len(image)
 
     def test_kernel_of_row(self):
-        ker = kernel_basis(as_int_matrix([[1, 2, 3]]))
-        assert ker.shape == (3, 2)
+        ker = kernel_mod(as_int_matrix([[1, 2, 3]]), [5])
+        assert ker.shape == (3, 3)
+        assert lattice_index(ker) == 5
 
     def test_solve(self):
-        A = as_int_matrix([[2, 0], [0, 3]])
-        assert solve_int(A, np.array([4, 9], dtype=object)).tolist() == [2, 3]
-        assert solve_int(A, np.array([1, 0], dtype=object)) is None
+        snf = smith_normal_form(as_int_matrix([[2, 0], [0, 3]]))
+        assert solve_with_snf(snf, np.array([4, 9], dtype=object)).tolist() == [2, 3]
+        assert solve_with_snf(snf, np.array([1, 0], dtype=object)) is None
 
     @given(matrices, st.lists(st.integers(min_value=-3, max_value=3), min_size=1, max_size=4))
     @settings(max_examples=40, deadline=None)
@@ -103,7 +215,7 @@ class TestSmithNormalForm:
         A = as_int_matrix(rows)
         x = np.array((xs * 4)[: A.shape[1]], dtype=object)
         b = A @ x
-        sol = solve_int(A, b)
+        sol = solve_with_snf(smith_normal_form(A), b)
         assert sol is not None
         assert (A @ sol == b).all()
 

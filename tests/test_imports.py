@@ -1,0 +1,30 @@
+"""Every module-level import in the library is read somewhere in its module."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "rrbgroups"
+
+
+def imported_names(tree: ast.Module) -> dict:
+    """Binding name -> line of each module-level import."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                out[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                out[alias.asname or alias.name] = node.lineno
+    return out
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")
+                                          if p.name != "__init__.py"))
+def test_no_unused_imports(module):
+    tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = {name: line for name, line in imported_names(tree).items() if name not in used}
+    assert not unused, f"{module}: imported but never read: {unused}"

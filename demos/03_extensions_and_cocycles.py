@@ -43,8 +43,8 @@ for row in fs.tau1.tolist():
 # The module's cohomology classifies all extensions with this action: here
 # H2 is Z/3, so there are three inequivalent ones (Z9 twice, Z3 x Z3 once).
 cx = cochain_complex(module)
-print("cocycles:", cx.z2().order, " coboundaries:", cx.b2().order,
-      " classes:", cx.h2().order)
+print("cocycles:", cx.z2.order, " coboundaries:", cx.b2.order,
+      " classes:", cx.h2.order)
 
 built = {}
 for cls in cx.h2_classes():

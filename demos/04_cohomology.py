@@ -21,10 +21,10 @@ quot = trivial_rrb(Z2, Z2)
 kern = trivial_rrb(Z2, Z2)
 module = RRBModule(quot, kern, trivial_action(quot, kern))
 trivial_cx = cochain_complex(module)
-print("derivations:", trivial_cx.z1().order)
-print("cocycles:", trivial_cx.z2().order,
-      " coboundaries:", trivial_cx.b2().order,
-      " H2 factors:", trivial_cx.h2().factors)
+print("derivations:", trivial_cx.z1.order)
+print("cocycles:", trivial_cx.z2.order,
+      " coboundaries:", trivial_cx.b2.order,
+      " H2 factors:", trivial_cx.h2.factors)
 
 # Coboundaries are the defect quadruples of one-cochains; over this module
 # every defect vanishes, so the sixteen cocycles split into sixteen classes.
@@ -39,8 +39,8 @@ parity = validate_rrb(Z4, Z2, [[0, 1, 2, 3], [0, 3, 2, 1]], [0, 1, 0, 1])
 kern_id = trivial_rrb(Z2, Z2, R=[0, 1])
 twisted = RRBModule(parity, kern_id, trivial_action(parity, kern_id))
 cx = cochain_complex(twisted)
-print("twisted module: |C2| = 2^16, cocycles:", cx.z2().order,
-      " coboundaries:", cx.b2().order, " H2:", cx.h2().factors)
+print("twisted module: |C2| = 2^16, cocycles:", cx.z2.order,
+      " coboundaries:", cx.b2.order, " H2:", cx.h2.factors)
 
 # Membership tests name the first violated condition with its tuple.
 bad = cx.fs_from_coords([1] + [0] * (cx.c2_dim - 1))

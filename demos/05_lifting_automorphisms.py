@@ -28,13 +28,13 @@ quot = quotient_rrb(total, RRBIdeal(tuple(K), (0,)))
 ext = validate_extension(kernel, total, quot.rrb, incl, quot.projection)
 
 ctx = WellsContext(ext)
-print("compatible pairs:", len(ctx.compatible()),
-      "of", len(ctx.all_pairs()), "automorphism pairs")
+print("compatible pairs:", len(ctx.compatible),
+      "of", len(ctx.all_pairs), "automorphism pairs")
 
-for pair in ctx.all_pairs():
-    omega = wells_map(ext, pair, ctx)
-    ok, witness = is_inducible(ext, pair, ctx)
-    both = inducible_by_module_criterion(ext, pair, ctx)
+for pair in ctx.all_pairs:
+    omega = wells_map(ctx, pair)
+    ok, witness = is_inducible(ctx, pair)
+    both = inducible_by_module_criterion(ctx, pair)
     label = (pair.psi.psi.image.tolist(), pair.theta.psi.image.tolist())
     print(f"  pair {label}: obstruction {omega.coords} "
           f"liftable={ok} (module criterion agrees: {both == ok})")
@@ -61,8 +61,8 @@ k3, i3 = restrict(tot3, A3, [0])
 q3 = quotient_rrb(tot3, RRBIdeal(tuple(A3), (0,)))
 ext3 = validate_extension(k3, tot3, q3.rrb, i3, q3.projection)
 ctx3 = WellsContext(ext3)
-print("S3 extension: H2 order", ctx3.complex.h2().order)
-for pair in ctx3.compatible():
-    ok, witness = is_inducible(ext3, pair, ctx3)
+print("S3 extension: H2 order", ctx3.complex.h2.order)
+for pair in ctx3.compatible:
+    ok, witness = is_inducible(ctx3, pair)
     print("  kernel map", pair.theta.psi.image.tolist(), "lifts:", ok,
           "witness:", witness.psi.image.tolist())

@@ -68,20 +68,11 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 def cmd_cohomology(args: argparse.Namespace) -> int:
     module = serialize.load_module(*_load_json(args.module))
     cx = cochain_complex(module)
-    payload = {
-        "z1": list(cx.z1().factors),
-        "z2": list(cx.z2().factors),
-        "b2": list(cx.b2().factors),
-        "h2": list(cx.h2().factors),
-        "orders": {"z1": cx.z1().order, "z2": cx.z2().order,
-                   "b2": cx.b2().order, "h2": cx.h2().order},
-    }
-    lines = [
-        f"z1: factors {list(cx.z1().factors)} order {cx.z1().order}",
-        f"z2: factors {list(cx.z2().factors)} order {cx.z2().order}",
-        f"b2: factors {list(cx.b2().factors)} order {cx.b2().order}",
-        f"h2: factors {list(cx.h2().factors)} order {cx.h2().order}",
-    ]
+    groups = {"z1": cx.z1, "z2": cx.z2, "b2": cx.b2, "h2": cx.h2}
+    payload = {name: list(g.factors) for name, g in groups.items()}
+    payload["orders"] = {name: g.order for name, g in groups.items()}
+    lines = [f"{name}: factors {list(g.factors)} order {g.order}"
+             for name, g in groups.items()]
     if args.reps:
         reps = []
         for cls in cx.h2_classes():
@@ -135,12 +126,12 @@ def cmd_inducible(args: argparse.Namespace) -> int:
               ["pair invalid: components are not bijective"])
         return EXIT_INVALID
     ctx = WellsContext(ext, max_order=args.max_order)
-    verdict, witness = is_inducible(ext, pair, ctx)
-    by_module = inducible_by_module_criterion(ext, pair, ctx)
+    verdict, witness = is_inducible(ctx, pair)
+    by_module = inducible_by_module_criterion(ctx, pair)
     in_c = pair_is_compatible(ctx.module, pair)
     payload = {
         "in_C": in_c,
-        "omega": list(wells_map(ext, pair, ctx).coords) if in_c else None,
+        "omega": list(wells_map(ctx, pair).coords) if in_c else None,
         "inducible": verdict,
         "inducible_by_module_criterion": by_module,
         "deciders_agree": verdict == by_module,
@@ -205,7 +196,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if args.budget is None:
-        args.budget = int(os.environ.get("RRB_BUDGET", DEFAULT_BUDGET))
+        env = os.environ.get("RRB_BUDGET", str(DEFAULT_BUDGET))
+        try:
+            args.budget = int(env)
+        except ValueError:
+            print(f"RRB_BUDGET must be an integer, got {env!r}", file=sys.stderr)
+            return EXIT_PARSE
     if args.max_order <= 0 or args.budget <= 0:
         print("bounds must be positive", file=sys.stderr)
         return EXIT_PARSE

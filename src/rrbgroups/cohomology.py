@@ -60,7 +60,7 @@ class CohomologyClass:
 
     @property
     def factors(self) -> Tuple[int, ...]:
-        return self.complex.h2().factors
+        return self.complex.h2.factors
 
     def is_zero(self) -> bool:
         return not any(self.coords)
@@ -365,7 +365,7 @@ class CochainComplex:
 
     def solve_coboundary(self, fs: FactorSystem) -> Optional[OneCochain]:
         """A one-cochain whose coboundary is fs, or None."""
-        sol = self.b2().membership_coefficients(self.fs_to_coords(fs))
+        sol = self.b2.membership_coefficients(self.fs_to_coords(fs))
         if sol is None:
             return None
         return self.kappa_from_coords(sol)
@@ -375,25 +375,25 @@ class CochainComplex:
     # of D are the derivations, so z1 takes them as its generators; h2 reads
     # the factorization of z2.
 
-    @functools.lru_cache(maxsize=None)
+    @functools.cached_property
     def z1(self) -> SubgroupPresentation:
-        return SubgroupPresentation(self.c1_moduli, self.b2().relations)
+        return SubgroupPresentation(self.c1_moduli, self.b2.relations)
 
-    @functools.lru_cache(maxsize=None)
+    @functools.cached_property
     def z2(self) -> SubgroupPresentation:
         gens = kernel_mod(self.constraint_matrix, self.constraint_moduli)
         return SubgroupPresentation(self.c2_moduli, gens)
 
-    @functools.lru_cache(maxsize=None)
+    @functools.cached_property
     def b2(self) -> SubgroupPresentation:
         return SubgroupPresentation(self.c2_moduli, self.coboundary_matrix)
 
-    @functools.lru_cache(maxsize=None)
+    @functools.cached_property
     def h2(self) -> SubquotientPresentation:
-        return SubquotientPresentation(self.z2(), self.coboundary_matrix)
+        return SubquotientPresentation(self.z2, self.coboundary_matrix)
 
     def class_of(self, fs: FactorSystem) -> CohomologyClass:
-        coords = self.h2().class_coords(self.fs_to_coords(fs))
+        coords = self.h2.class_coords(self.fs_to_coords(fs))
         if coords is None:
             member, witness = self.z2_contains(fs)
             raise RRBError("NotACocycle",
@@ -402,22 +402,22 @@ class CochainComplex:
         return CohomologyClass(self, coords)
 
     def zero_class(self) -> CohomologyClass:
-        return CohomologyClass(self, tuple(0 for _ in self.h2().factors))
+        return CohomologyClass(self, tuple(0 for _ in self.h2.factors))
 
     def class_representative(self, cls: CohomologyClass) -> FactorSystem:
-        return self.fs_from_coords(self.h2().representative(cls.coords))
+        return self.fs_from_coords(self.h2.representative(cls.coords))
 
     def h2_classes(self) -> Iterator[CohomologyClass]:
-        for v in iter_vectors(self.h2().factors):
+        for v in iter_vectors(self.h2.factors):
             yield CohomologyClass(self, v)
 
     def z2_elements(self) -> Iterator[FactorSystem]:
         """All cocycles (desk scale only)."""
-        for vec in self.z2().elements():
+        for vec in self.z2.elements():
             yield self.fs_from_coords(vec)
 
     def z1_elements(self) -> Iterator[OneCochain]:
-        for vec in self.z1().elements():
+        for vec in self.z1.elements():
             yield self.kappa_from_coords(vec)
 
 
@@ -427,21 +427,6 @@ def cochain_complex(module: RRBModule) -> CochainComplex:
 
 
 # -- spec-level operations ---------------------------------------------------
-
-def delta1_sigma(chi: Sequence[int], module: RRBModule) -> np.ndarray:
-    """delta(chi)(a1, a2) = chi(a2) - chi(a1 o a2) + sigma_{T(a2)}(chi(a1))."""
-    descended_operation(module.quotient)  # the twisted product must be a group
-    A, L = module.A, module.L
-    chi = np.asarray(chi, dtype=np.int64)
-    sigma = module.action.sigma
-    out = np.zeros((A.order, A.order), dtype=np.int64)
-    for a1 in A.elements():
-        for a2 in A.elements():
-            circ = module.circ(a1, a2)
-            val = L.mul(int(chi[a2]), L.inv(int(chi[circ])))
-            out[a1, a2] = L.mul(val, int(sigma[module.T[a2], chi[a1]]))
-    return out
-
 
 def classical_h2_check(A_group: FiniteGroup, K_group: FiniteGroup,
                        mu: Sequence[Sequence[int]]) -> Tuple[int, ...]:
@@ -457,4 +442,4 @@ def classical_h2_check(A_group: FiniteGroup, K_group: FiniteGroup,
     quotient = trivial_rrb(A_group, one)
     kernel = trivial_rrb(K_group, one)
     action = ActionQuadruple([list(range(K_group.order))], mu, [[0]], [[0] * A_group.order])
-    return CochainComplex(RRBModule(quotient, kernel, action)).h2().factors
+    return CochainComplex(RRBModule(quotient, kernel, action)).h2.factors

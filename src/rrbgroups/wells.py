@@ -14,11 +14,12 @@ translation action: [E(fs)]^c = [E(fs^c)] and [E(fs)]^[t] = [E(fs + t)].
 
 from __future__ import annotations
 
+import functools
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .cohomology import CohomologyClass, CochainComplex, cochain_complex
+from .cohomology import CohomologyClass, cochain_complex
 from .extensions import Extension, canonical_section, extract_actions, \
     extract_factor_system
 from .groups import DEFAULT_MAX_ORDER, GroupHom
@@ -133,20 +134,11 @@ def act_on_factor_system(pair: CompatiblePair, fs: FactorSystem,
     return FactorSystem(tau1, tau2, rho, chi)
 
 
-def act_on_class(pair: CompatiblePair, cls: CohomologyClass,
-                 complex_: Optional[CochainComplex] = None) -> CohomologyClass:
+def act_on_class(pair: CompatiblePair, cls: CohomologyClass) -> CohomologyClass:
     """[fs]^pair = [fs^pair]; independent of the representative."""
-    cx = complex_ if complex_ is not None else cls.complex
-    if cx is not cls.complex:
-        raise RRBError("ModuleMismatch", "class belongs to a different module")
+    cx = cls.complex
     rep = cx.class_representative(cls)
     return cx.class_of(act_on_factor_system(pair, rep, cx.module))
-
-
-def gamma_act(pair: CompatiblePair, h_class: CohomologyClass,
-              ext_class: CohomologyClass) -> CohomologyClass:
-    """Semidirect action: first the pair, then translation by h_class."""
-    return act_on_class(pair, ext_class) + h_class
 
 
 class WellsContext:
@@ -163,52 +155,75 @@ class WellsContext:
         self.base_class = self.complex.class_of(self.fs)
         self.max_order = max_order
 
-    def compatible(self) -> List[CompatiblePair]:
-        if not hasattr(self, "_compatible"):
-            self._compatible = _compatible_among(self.module, self.all_pairs())
-        return self._compatible
-
+    @functools.cached_property
     def all_pairs(self) -> List[CompatiblePair]:
-        if not hasattr(self, "_all_pairs"):
-            self._all_pairs = _all_pairs(self.module, self.max_order)
-        return self._all_pairs
+        return _all_pairs(self.module, self.max_order)
+
+    @functools.cached_property
+    def compatible(self) -> List[CompatiblePair]:
+        return _compatible_among(self.module, self.all_pairs)
 
 
-def wells_map(ext: Extension, pair: CompatiblePair,
-              context: Optional[WellsContext] = None) -> CohomologyClass:
+# A lift is stored as three pairs of images: psi on (A, B), kappa on (A, B)
+# and theta on (K, L).  It is the automorphism of the total structure with
+#     gamma(s(a) k) = s(psi1(a)) kappa1(a) theta1(k),
+# and likewise on G with (psi2, kappa2, theta2).
+
+def _lift(ctx: WellsContext, psi, kappa, theta) -> RRBMorphism:
+    ext, sec = ctx.ext, ctx.section
+    sides = ((ext.total.H, ext.decompose_h, sec.s_H, ext.incl.psi),
+             (ext.total.G, ext.decompose_g, sec.s_G, ext.incl.eta))
+    homs = []
+    for (group, decompose, s, incl), p, kap, th in zip(sides, psi, kappa, theta):
+        img = np.zeros(group.order, dtype=np.int64)
+        for x in group.elements():
+            a, k = decompose(sec, x)
+            img[x] = group.mul(group.mul(int(s[p[a]]), incl(int(kap[a]))), incl(int(th[k])))
+        homs.append(GroupHom(group, group, img))
+    gamma = RRBMorphism(ext.total, ext.total, *homs)
+    if not gamma.is_bijective():  # pragma: no cover - theorem
+        raise RRBError("InternalError", "lift is not bijective")
+    return gamma
+
+
+def _unlift(ctx: WellsContext, gamma: RRBMorphism) -> tuple:
+    """(psi, kappa, theta) of an automorphism carrying the kernel into itself."""
+    ext, sec = ctx.ext, ctx.section
+    psi1, kappa1 = zip(*(ext.decompose_h(sec, gamma.psi(int(x))) for x in sec.s_H))
+    psi2, kappa2 = zip(*(ext.decompose_g(sec, gamma.eta(int(y))) for y in sec.s_G))
+    theta1 = [ext.k_index(gamma.psi(ext.incl.psi(k))) for k in ext.kernel.H.elements()]
+    theta2 = [ext.l_index(gamma.eta(ext.incl.eta(l))) for l in ext.kernel.G.elements()]
+    return (psi1, psi2), (kappa1, kappa2), (theta1, theta2)
+
+
+def wells_map(ctx: WellsContext, pair: CompatiblePair) -> CohomologyClass:
     """Obstruction class [fs^pair] - [fs] of a compatible pair."""
-    ctx = context if context is not None else WellsContext(ext)
     if not pair_is_compatible(ctx.module, pair):
         raise RRBError("PairNotCompatible", "pair does not stabilize the action")
     twisted = act_on_factor_system(pair, ctx.fs, ctx.module, check=False)
     return ctx.complex.class_of(twisted) - ctx.base_class
 
 
-def aut_K_H(ext: Extension, max_order: int = DEFAULT_MAX_ORDER) -> List[RRBMorphism]:
+def aut_K_H(ctx: WellsContext) -> List[RRBMorphism]:
     """Automorphisms of the total structure carrying the kernel into itself."""
+    ext = ctx.ext
     K_img = set(ext.incl.psi.image_elements())
     L_img = set(ext.incl.eta.image_elements())
     out = []
-    for gamma in rrb_automorphism_group(ext.total, max_order):
+    for gamma in rrb_automorphism_group(ext.total, ctx.max_order):
         if all(int(gamma.psi(h)) in K_img for h in K_img) and \
            all(int(gamma.eta(g)) in L_img for g in L_img):
             out.append(gamma)
     return out
 
 
-def restrict_and_induce(gamma: RRBMorphism, ext: Extension,
-                        context: Optional[WellsContext] = None) -> CompatiblePair:
+def restrict_and_induce(ctx: WellsContext, gamma: RRBMorphism) -> CompatiblePair:
     """(induced automorphism of the quotient, restriction to the kernel)."""
-    ctx = context if context is not None else WellsContext(ext)
-    sec = ctx.section
-    kernel, quotient = ext.kernel, ext.quotient
-    theta1 = [ext.k_index(gamma.psi(ext.incl.psi(k))) for k in kernel.H.elements()]
-    theta2 = [ext.l_index(gamma.eta(ext.incl.eta(l))) for l in kernel.G.elements()]
+    (psi1, psi2), _, (theta1, theta2) = _unlift(ctx, gamma)
+    kernel, quotient = ctx.ext.kernel, ctx.ext.quotient
     theta = RRBMorphism(kernel, kernel,
                         GroupHom(kernel.H, kernel.H, theta1),
                         GroupHom(kernel.G, kernel.G, theta2))
-    psi1 = [ext.proj.psi(gamma.psi(int(sec.s_H[a]))) for a in quotient.H.elements()]
-    psi2 = [ext.proj.eta(gamma.eta(int(sec.s_G[b]))) for b in quotient.G.elements()]
     psi = RRBMorphism(quotient, quotient,
                       GroupHom(quotient.H, quotient.H, psi1),
                       GroupHom(quotient.G, quotient.G, psi2))
@@ -220,70 +235,40 @@ def restrict_and_induce(gamma: RRBMorphism, ext: Extension,
     return pair
 
 
-def aut_AK_H(ext: Extension, context: Optional[WellsContext] = None,
-             max_order: int = DEFAULT_MAX_ORDER) -> List[RRBMorphism]:
+def aut_AK_H(ctx: WellsContext) -> List[RRBMorphism]:
     """Automorphisms inducing the identity on both kernel and quotient."""
-    ctx = context if context is not None else WellsContext(ext)
-    out = []
-    for gamma in aut_K_H(ext, max_order):
-        pair = restrict_and_induce(gamma, ext, ctx)
-        if pair.is_identity():
-            out.append(gamma)
-    return out
+    return [gamma for gamma in aut_K_H(ctx) if restrict_and_induce(ctx, gamma).is_identity()]
 
 
-def z1_to_aut(kappa: OneCochain, ext: Extension,
-              context: Optional[WellsContext] = None) -> RRBMorphism:
+def z1_to_aut(ctx: WellsContext, kappa: OneCochain) -> RRBMorphism:
     """gamma with gamma(s(a) k) = s(a) kappa1(a) k, and likewise on G."""
-    ctx = context if context is not None else WellsContext(ext)
     ok, witness = ctx.complex.z1_contains(kappa)
     if not ok:
         raise RRBError("NotInZ1", f"defect {witness[0]} at {witness[1]} is nonzero")
-    H, G = ext.total.H, ext.total.G
-    sec = ctx.section
-    img_h = np.zeros(H.order, dtype=np.int64)
-    for h in H.elements():
-        a, k = ext.decompose_h(sec, h)
-        shifted = H.mul(int(sec.s_H[a]), ext.incl.psi(int(kappa.kappa1[a])))
-        img_h[h] = H.mul(shifted, ext.incl.psi(k))
-    img_g = np.zeros(G.order, dtype=np.int64)
-    for g in G.elements():
-        b, l = ext.decompose_g(sec, g)
-        shifted = G.mul(int(sec.s_G[b]), ext.incl.eta(int(kappa.kappa2[b])))
-        img_g[g] = G.mul(shifted, ext.incl.eta(l))
-    gamma = RRBMorphism(ext.total, ext.total,
-                        GroupHom(H, H, img_h), GroupHom(G, G, img_g))
-    if not gamma.is_bijective():  # pragma: no cover - theorem
-        raise RRBError("InternalError", "derivation automorphism is not bijective")
-    return gamma
+    m = ctx.module
+    return _lift(ctx, (range(m.A.order), range(m.B.order)), (kappa.kappa1, kappa.kappa2),
+                 (range(m.K.order), range(m.L.order)))
 
 
-def aut_to_z1(gamma: RRBMorphism, ext: Extension,
-              context: Optional[WellsContext] = None) -> OneCochain:
-    """kappa1(a) = s(a)^-1 gamma(s(a)); the inverse of z1_to_aut."""
-    ctx = context if context is not None else WellsContext(ext)
-    sec = ctx.section
-    H, G = ext.total.H, ext.total.G
-    kappa1 = [ext.k_index(H.mul(H.inv(int(sec.s_H[a])), gamma.psi(int(sec.s_H[a]))))
-              for a in ext.quotient.H.elements()]
-    kappa2 = [ext.l_index(G.mul(G.inv(int(sec.s_G[b])), gamma.eta(int(sec.s_G[b]))))
-              for b in ext.quotient.G.elements()]
-    kappa = OneCochain(kappa1, kappa2)
+def aut_to_z1(ctx: WellsContext, gamma: RRBMorphism) -> OneCochain:
+    """kappa1(a) = s(a)^-1 gamma(s(a)); the inverse of z1_to_aut on Aut^{A,K}."""
+    psi, kappa, theta = _unlift(ctx, gamma)
+    if any(list(img) != list(range(len(img))) for img in (*psi, *theta)):
+        raise RRBError("NotInAutAK", "gamma does not induce the identity on kernel and quotient")
+    kappa = OneCochain(*kappa)
     ok, witness = ctx.complex.z1_contains(kappa)
     if not ok:  # pragma: no cover - theorem for gamma in Aut^{A,K}
         raise RRBError("NotInZ1", f"extracted cochain fails {witness[0]} at {witness[1]}")
     return kappa
 
 
-def is_inducible(ext: Extension, pair: CompatiblePair,
-                 context: Optional[WellsContext] = None
+def is_inducible(ctx: WellsContext, pair: CompatiblePair
                  ) -> Tuple[bool, Optional[RRBMorphism]]:
     """Decide liftability of the pair; on success return a lifting witness.
 
     The witness is gamma(s(a) k) = s(psi1(a)) kappa1(a) theta1(k) where kappa
     solves the coboundary equation for fs^pair - fs, pushed through theta.
     """
-    ctx = context if context is not None else WellsContext(ext)
     if not pair_is_compatible(ctx.module, pair):
         return False, None
     twisted = act_on_factor_system(pair, ctx.fs, ctx.module, check=False)
@@ -295,26 +280,8 @@ def is_inducible(ext: Extension, pair: CompatiblePair,
     th1, th2 = pair.theta.psi.image, pair.theta.eta.image
     kappa1 = [int(th1[K.inv(int(lam.kappa1[a]))]) for a in ctx.module.A.elements()]
     kappa2 = [int(th2[L.inv(int(lam.kappa2[b]))]) for b in ctx.module.B.elements()]
-    H, G = ext.total.H, ext.total.G
-    sec = ctx.section
-    psi1, psi2 = pair.psi.psi.image, pair.psi.eta.image
-    img_h = np.zeros(H.order, dtype=np.int64)
-    for h in H.elements():
-        a, k = ext.decompose_h(sec, h)
-        val = H.mul(int(sec.s_H[psi1[a]]), ext.incl.psi(kappa1[a]))
-        img_h[h] = H.mul(val, ext.incl.psi(int(th1[k])))
-    img_g = np.zeros(G.order, dtype=np.int64)
-    for g in G.elements():
-        b, l = ext.decompose_g(sec, g)
-        val = G.mul(int(sec.s_G[psi2[b]]), ext.incl.eta(kappa2[b]))
-        img_g[g] = G.mul(val, ext.incl.eta(int(th2[l])))
-    try:
-        gamma = RRBMorphism(ext.total, ext.total,
-                            GroupHom(H, H, img_h), GroupHom(G, G, img_g))
-    except Exception as exc:  # pragma: no cover - sign conventions proven above
-        raise RRBError("InternalError", f"witness construction failed: {exc}")
-    induced = restrict_and_induce(gamma, ext, ctx)
-    if _pair_key(induced) != _pair_key(pair):  # pragma: no cover
+    gamma = _lift(ctx, (pair.psi.psi.image, pair.psi.eta.image), (kappa1, kappa2), (th1, th2))
+    if _pair_key(restrict_and_induce(ctx, gamma)) != _pair_key(pair):  # pragma: no cover
         raise RRBError("InternalError", "witness does not induce the requested pair")
     return True, gamma
 
@@ -328,36 +295,19 @@ def twisted_module(module: RRBModule, psi: RRBMorphism) -> RRBModule:
     return RRBModule(module.quotient, module.kernel, action)
 
 
-def inducible_by_module_criterion(ext: Extension, pair: CompatiblePair,
-                                  context: Optional[WellsContext] = None) -> bool:
+def inducible_by_module_criterion(ctx: WellsContext, pair: CompatiblePair) -> bool:
     """Module-theoretic decision: theta must identify the kernel module with
     its psi-twist, and the twist of the class by psi alone must match the
     twist by theta alone inside the twisted module's cohomology."""
-    ctx = context if context is not None else WellsContext(ext)
     module = ctx.module
     if not (pair.psi.domain == module.quotient and pair.psi.is_bijective()):
         raise RRBError("PsiNotAutomorphism", "pair does not start with a quotient automorphism")
-    twisted = twisted_module(module, pair.psi)
-    # (1) theta: module -> twisted module is an isomorphism of modules.
-    th1, th2 = pair.theta.psi.image, pair.theta.eta.image
-    act, t_act = module.action, twisted.action
-    cond1 = True
-    for b in module.B.elements():
-        if not np.array_equal(th1[act.nu[b]], t_act.nu[b][th1]):
-            cond1 = False
-        if not np.array_equal(th2[act.sigma[b]], t_act.sigma[b][th2]):
-            cond1 = False
-    for a in module.A.elements():
-        if not np.array_equal(th1[act.mu[a]], t_act.mu[a][th1]):
-            cond1 = False
-    for l in module.L.elements():
-        for a in module.A.elements():
-            if int(th1[act.f[l, a]]) != int(t_act.f[th2[l], a]):
-                cond1 = False
-    if not cond1:
+    # (1) theta: module -> twisted module is an isomorphism of modules; these
+    # are the stabilizer conditions of the pair.
+    if not pair_is_compatible(module, pair):
         return False
     # (2) psi^*[fs] == theta^*[fs] in the twisted module's cohomology.
-    cx_t = cochain_complex(twisted)
+    cx_t = cochain_complex(twisted_module(module, pair.psi))
     ident = identity_pair(module)
     psi_star = act_on_factor_system(CompatiblePair(pair.psi, ident.theta),
                                     ctx.fs, module, check=False)
@@ -395,12 +345,12 @@ def verify_wells_exactness(ext: Extension,
     witnesses: Dict[str, str] = {}
 
     z1_list = list(ctx.complex.z1_elements())
-    eta_images = [z1_to_aut(kappa, ext, ctx) for kappa in z1_list]
+    eta_images = [z1_to_aut(ctx, kappa) for kappa in z1_list]
     keys = [_morphism_key(g) for g in eta_images]
     injective = len(set(keys)) == len(keys)
     # One search of Aut(total); each automorphism is restricted once.
-    autK = aut_K_H(ext, max_order)
-    induced = [restrict_and_induce(g, ext, ctx) for g in autK]
+    autK = aut_K_H(ctx)
+    induced = [restrict_and_induce(ctx, g) for g in autK]
     autAK = [g for g, pair in zip(autK, induced) if pair.is_identity()]
     lands = set(keys) <= {_morphism_key(g) for g in autAK}
     additive = True
@@ -408,7 +358,7 @@ def verify_wells_exactness(ext: Extension,
         for k2, g2 in zip(z1_list, eta_images):
             s = ctx.complex.kappa_from_coords(
                 ctx.complex.kappa_to_coords(k1) + ctx.complex.kappa_to_coords(k2))
-            if _morphism_key(z1_to_aut(s, ext, ctx)) != _morphism_key(g1.compose(g2)):
+            if _morphism_key(z1_to_aut(ctx, s)) != _morphism_key(g1.compose(g2)):
                 additive = False
                 witnesses["eta_injective"] = f"eta not multiplicative at {k1}, {k2}"
     exactness["eta_injective"] = injective and lands and additive
@@ -416,9 +366,9 @@ def verify_wells_exactness(ext: Extension,
         witnesses["eta_injective"] = "distinct derivations with equal automorphisms"
 
     roundtrip = all(
-        aut_to_z1(z1_to_aut(kappa, ext, ctx), ext, ctx) == kappa for kappa in z1_list
+        aut_to_z1(ctx, z1_to_aut(ctx, kappa)) == kappa for kappa in z1_list
     ) and all(
-        _morphism_key(z1_to_aut(aut_to_z1(g, ext, ctx), ext, ctx)) == _morphism_key(g)
+        _morphism_key(z1_to_aut(ctx, aut_to_z1(ctx, g))) == _morphism_key(g)
         for g in autAK
     )
     ker_rho = {_morphism_key(g) for g in autAK}
@@ -428,9 +378,9 @@ def verify_wells_exactness(ext: Extension,
     if ker_rho != im_eta:
         witnesses["ker_rho_eq_im_eta"] = "kernel of restriction differs from derivation image"
 
-    C = ctx.compatible()
+    C = ctx.compatible
     im_rho = {_pair_key(pair) for pair in induced}
-    omega = {_pair_key(c): wells_map(ext, c, ctx) for c in C}
+    omega = {_pair_key(c): wells_map(ctx, c) for c in C}
     ker_omega = {k for k, cls in omega.items() if cls.is_zero()}
     exactness["ker_omega_eq_im_rho"] = im_rho == ker_omega
     if im_rho != ker_omega:
@@ -451,11 +401,11 @@ def verify_wells_exactness(ext: Extension,
 
     records = []
     c_keys = {_pair_key(c) for c in C}
-    for pair in ctx.all_pairs():
+    for pair in ctx.all_pairs:
         key = _pair_key(pair)
         in_c = key in c_keys
         om = omega[key].coords if in_c else None
-        ok, witness = is_inducible(ext, pair, ctx)
+        ok, witness = is_inducible(ctx, pair)
         records.append(PairRecord(pair, in_c, om, ok, witness))
     return WellsReport(records, exactness, witnesses, homomorphism)
 

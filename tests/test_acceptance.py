@@ -67,16 +67,16 @@ def test_criterion_01_cohomology_matches_exhaustive_enumeration(module_corpus):
         lib_z2 = {fs_key(module, fs) for fs in cx.z2_elements()}
         assert lib_z2 == oracle_z2, name
         oracle_b2 = exhaustive_b2_keys(module)
-        lib_b2 = {fs_key(module, cx.fs_from_coords(v)) for v in cx.b2().elements()}
+        lib_b2 = {fs_key(module, cx.fs_from_coords(v)) for v in cx.b2.elements()}
         assert lib_b2 == oracle_b2, name
-        assert cx.z2().order == len(oracle_z2)
-        assert cx.b2().order == len(oracle_b2)
-        assert cx.h2().order == len(oracle_z2) // len(oracle_b2)
+        assert cx.z2.order == len(oracle_z2)
+        assert cx.b2.order == len(oracle_b2)
+        assert cx.h2.order == len(oracle_z2) // len(oracle_b2)
         checked += 1
     # Pinned instance: the all-trivial module on four copies of Z2.
     cx = cochain_complex(module_corpus["trivial_z2"])
-    assert cx.z2().order == 16 and cx.b2().order == 1
-    assert cx.h2().factors == (2, 2, 2, 2)
+    assert cx.z2.order == 16 and cx.b2.order == 1
+    assert cx.h2.factors == (2, 2, 2, 2)
     eligible = sum(1 for name in ORACLE_MODULES
                    if c2_size(module_corpus[name]) <= 2 ** 20)
     verdict(1, checked == eligible and checked >= 10,
@@ -89,7 +89,7 @@ def test_criterion_02_extension_class_bijection(module_corpus):
     for name in ORACLE_MODULES:
         module = module_corpus[name]
         cx = cochain_complex(module)
-        if cx.z2().order > BUILD_ALL_BOUND:
+        if cx.z2.order > BUILD_ALL_BOUND:
             continue
         exts, classes = [], []
         for fs in cx.z2_elements():
@@ -103,7 +103,7 @@ def test_criterion_02_extension_class_bijection(module_corpus):
                 found = find_equivalence_morphism(e1, exts[j]) is not None
                 assert found == same_class, (name, i, j)
         distinct = len({cls.coords for cls in classes})
-        assert distinct == cx.h2().order, name
+        assert distinct == cx.h2.order, name
         audited += 1
     verdict(2, audited >= 8,
             f"equivalence <=> equal class (search-verified) and "
@@ -128,7 +128,7 @@ def test_criterion_04_roundtrip_identities(ext_corpus, module_corpus):
     for name in ORACLE_MODULES:
         module = module_corpus[name]
         cx = cochain_complex(module)
-        if cx.z2().order > BUILD_ALL_BOUND:
+        if cx.z2.order > BUILD_ALL_BOUND:
             continue
         for fs in cx.z2_elements():
             ext = build_extension(module.quotient, module.kernel, module.action, fs)
@@ -153,8 +153,8 @@ def test_criterion_05_obstruction_derivation_law(ext_corpus):
     total_pairs = 0
     for name in ABELIAN_EXTS:
         ctx = WellsContext(ext_corpus[name])
-        C = ctx.compatible()
-        omega = {_pair_key(c): wells_map(ctx.ext, c, ctx) for c in C}
+        C = ctx.compatible
+        omega = {_pair_key(c): wells_map(ctx, c) for c in C}
         for c1 in C:
             for c2 in C:
                 lhs = omega[_pair_key(c1.compose(c2))]
@@ -172,12 +172,12 @@ def test_criterion_06_exact_sequence(ext_corpus):
         assert all(report.exactness.values()), (name, report.exactness)
         ctx = WellsContext(ext)
         z1 = list(ctx.complex.z1_elements())
-        stable = aut_AK_H(ext, ctx)
+        stable = aut_AK_H(ctx)
         assert len(stable) == len(z1), name
         for kappa in z1:
-            assert aut_to_z1(z1_to_aut(kappa, ext, ctx), ext, ctx) == kappa
+            assert aut_to_z1(ctx, z1_to_aut(ctx, kappa)) == kappa
         for gamma in stable:
-            back = z1_to_aut(aut_to_z1(gamma, ext, ctx), ext, ctx)
+            back = z1_to_aut(ctx, aut_to_z1(ctx, gamma))
             assert _morphism_key(back) == _morphism_key(gamma)
     verdict(6, True,
             f"kernel/image equalities, |stable autos| == |Z1|, and the two "
@@ -189,9 +189,9 @@ def test_criterion_07_decider_agreement_and_witnesses(ext_corpus):
     positives = 0
     for name in ABELIAN_EXTS:
         ctx = WellsContext(ext_corpus[name])
-        for pair in ctx.all_pairs():
-            direct, witness = is_inducible(ctx.ext, pair, ctx)
-            module_route = inducible_by_module_criterion(ctx.ext, pair, ctx)
+        for pair in ctx.all_pairs:
+            direct, witness = is_inducible(ctx, pair)
+            module_route = inducible_by_module_criterion(ctx, pair)
             assert direct == module_route, name
             agreements += 1
             if direct:
@@ -201,7 +201,7 @@ def test_criterion_07_decider_agreement_and_witnesses(ext_corpus):
                 L_img = set(ctx.ext.incl.eta.image_elements())
                 assert all(int(witness.psi(h)) in K_img for h in K_img)
                 assert all(int(witness.eta(g)) in L_img for g in L_img)
-                induced = restrict_and_induce(witness, ctx.ext, ctx)
+                induced = restrict_and_induce(ctx, witness)
                 assert _pair_key(induced) == _pair_key(pair)
     verdict(7, agreements > 0,
             f"both deciders agree on {agreements} (extension, pair) inputs; "
@@ -210,11 +210,11 @@ def test_criterion_07_decider_agreement_and_witnesses(ext_corpus):
 
 def test_criterion_08_trivial_obstruction_group_lifts_everything(ext_corpus):
     ctx = WellsContext(ext_corpus["s3"])
-    assert ctx.complex.h2().order == 1
-    C = ctx.compatible()
+    assert ctx.complex.h2.order == 1
+    C = ctx.compatible
     assert len(C) >= 2
     for pair in C:
-        ok, witness = is_inducible(ctx.ext, pair, ctx)
+        ok, witness = is_inducible(ctx, pair)
         assert ok and witness is not None
     verdict(8, True,
             f"vanishing obstruction group: all {len(C)} compatible pairs lift "

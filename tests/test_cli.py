@@ -66,6 +66,19 @@ class TestExitCodes:
             capture_output=True, text=True, env=env)
         assert proc.returncode == 3
 
+    @pytest.mark.parametrize("value", ["abc", "1.5", ""])
+    def test_budget_env_not_an_integer(self, value):
+        import os
+        env = dict(os.environ, RRB_BUDGET=value)
+        proc = subprocess.run(
+            [sys.executable, "-m", "rrbgroups", "validate", str(F / "group_z2.json")],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert "RRB_BUDGET" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1
+
 
 class TestStrictIntegers:
     """A JSON value that is not an integer is a parse error naming its path."""

@@ -1,20 +1,22 @@
 """Cochain complex: derivations, cocycles, coboundaries, quotient groups."""
 
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rrbgroups import (
+    CochainComplex,
     OneCochain,
     RRBError,
     RRBModule,
     classical_h2_check,
     cochain_complex,
     cyclic_group,
-    delta1_sigma,
     direct_product,
     group_from_permutations,
     one_point_rrb,
@@ -55,41 +57,12 @@ def random_cochain(module, rng):
     return OneCochain(k1, k2)
 
 
-class TestDeltaSigma:
-    def test_zero_map(self, module_corpus):
-        for module in module_corpus.values():
-            out = delta1_sigma([0] * module.A.order, module)
-            assert not out.any()
-
-    def test_homomorphism_with_trivial_twist_vanishes(self, module_corpus):
-        # With trivial sigma, operator, and twist, the defect of a
-        # homomorphism A -> L is zero.
-        module = module_corpus["trivial_z3"]
-        chi = [0, 1, 2]
-        assert not delta1_sigma(chi, module).any()
-
-    def test_matches_direct_formula(self, module_corpus):
-        rng = random.Random(7)
-        for name in ("trivial_z2", "from_parity_zero", "from_z4_z4_diag"):
-            module = module_corpus[name]
-            L, sigma = module.L, module.action.sigma
-            for _ in range(5):
-                chi = [rng.randrange(L.order) for _ in module.A.elements()]
-                out = delta1_sigma(chi, module)
-                for a1 in module.A.elements():
-                    for a2 in module.A.elements():
-                        circ = module.circ(a1, a2)
-                        want = L.mul(L.mul(chi[a2], L.inv(chi[circ])),
-                                     int(sigma[module.T[a2], chi[a1]]))
-                        assert int(out[a1, a2]) == want
-
-
 class TestZ1:
     def test_trivial_z2_module_by_enumeration(self, module_corpus):
         module = module_corpus["trivial_z2"]
         oracle = exhaustive_z1(module)
         assert len(oracle) == 4
-        assert cochain_complex(module).z1().order == 4
+        assert cochain_complex(module).z1.order == 4
 
     def test_zero_cochain_is_member(self, module_corpus):
         for module in module_corpus.values():
@@ -103,7 +76,7 @@ class TestZ1:
             module = module_corpus[name]
             cx = cochain_complex(module)
             oracle = exhaustive_z1(module)
-            assert cx.z1().order == len(oracle)
+            assert cx.z1.order == len(oracle)
             member_keys = {(tuple(k.kappa1.tolist()), tuple(k.kappa2.tolist()))
                            for k in oracle}
             lib_keys = {(tuple(k.kappa1.tolist()), tuple(k.kappa2.tolist()))
@@ -122,7 +95,7 @@ class TestZ2:
 
     def test_trivial_z2_module_counts(self, module_corpus):
         module = module_corpus["trivial_z2"]
-        assert cochain_complex(module).z2().order == 16
+        assert cochain_complex(module).z2.order == 16
         assert len(exhaustive_z2_keys(module)) == 16
 
     def test_extracted_factor_systems_are_members(self, ext_corpus):
@@ -166,30 +139,30 @@ class TestCoboundaries:
                 assert cocycle_violations(module, fs) == []
 
     def test_b2_orders(self, module_corpus):
-        assert cochain_complex(module_corpus["trivial_z2"]).b2().order == 1
+        assert cochain_complex(module_corpus["trivial_z2"]).b2.order == 1
         # Trivial kernel group forces trivial coboundaries.
-        assert cochain_complex(module_corpus["from_z2_z4_image"]).b2().order == 1
-        assert cochain_complex(module_corpus["from_z9"]).b2().order == 3
+        assert cochain_complex(module_corpus["from_z2_z4_image"]).b2.order == 1
+        assert cochain_complex(module_corpus["from_z9"]).b2.order == 3
 
     def test_b2_contained_in_z2(self, module_corpus):
         for name in ALL_MODULES:
             module = module_corpus[name]
             cx = cochain_complex(module)
-            z2 = cx.z2()
-            for vec in itertools.islice(cx.b2().elements(), 50):
+            z2 = cx.z2
+            for vec in itertools.islice(cx.b2.elements(), 50):
                 assert z2.contains(vec)
 
 
 class TestH2:
     def test_trivial_z2_module_is_rank_four_exponent_two(self, module_corpus):
-        h2 = cochain_complex(module_corpus["trivial_z2"]).h2()
+        h2 = cochain_complex(module_corpus["trivial_z2"]).h2
         assert h2.factors == (2, 2, 2, 2)
 
     def test_one_point_quotient_trivial(self, groups):
         quot = one_point_rrb()
         kern = trivial_rrb(groups["z2"], groups["z2"])
         module = RRBModule(quot, kern, trivial_action(quot, kern))
-        assert cochain_complex(module).h2().order == 1
+        assert cochain_complex(module).h2.order == 1
 
     def test_zero_class_is_identity(self, module_corpus):
         for name in ALL_MODULES:
@@ -201,7 +174,7 @@ class TestH2:
         for name in ALL_MODULES:
             module = module_corpus[name]
             cx = cochain_complex(module)
-            assert cx.z2().order == cx.b2().order * cx.h2().order
+            assert cx.z2.order == cx.b2.order * cx.h2.order
 
     def test_representative_roundtrip(self, module_corpus):
         for name in ("trivial_z2", "from_z9", "from_parity_zero"):
@@ -211,6 +184,16 @@ class TestH2:
                 rep = cx.class_representative(cls)
                 assert cocycle_violations(module, rep) == []
                 assert cx.class_of(rep) == cls
+
+
+    def test_dropped_complex_is_collected(self, module_corpus):
+        # The cached groups live on the complex, so they do not pin it.
+        cx = CochainComplex(module_corpus["from_z9"])
+        assert cx.z1.order * cx.h2.order > 0
+        ref = weakref.ref(cx)
+        del cx
+        gc.collect()
+        assert ref() is None
 
 
 class TestClassicalRegression:

@@ -1,0 +1,60 @@
+"""CLI stdout on the fixtures matches the stored golden files byte for byte.
+
+The commands run in-process through ``cli.main``.  To rewrite the golden
+files after an intended output change, run ``python tests/test_golden.py``
+with ``src`` on ``PYTHONPATH`` and review the diff.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+from pathlib import Path
+
+import pytest
+
+from rrbgroups import cli
+
+FIXTURES = Path(__file__).resolve().parent.parent / "src" / "rrbgroups" / "fixtures"
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+
+
+def _commands():
+    """(golden name, argv without --format) for every stored command."""
+    cmds = [(f"validate__{p.stem}", ["validate", str(p)])
+            for p in sorted(FIXTURES.glob("*.json"))]
+    cmds += [(f"cohomology__{p.stem}", ["cohomology", str(p), "--reps"])
+             for p in sorted(FIXTURES.glob("module_*.json"))]
+    cmds += [(f"wells__{p.stem}", ["wells", str(p)])
+             for p in sorted(FIXTURES.glob("ext_*.json"))]
+    cmds += [(f"inducible__ext_z9__{p.stem}",
+              ["inducible", str(FIXTURES / "ext_z9.json"), str(p)])
+             for p in sorted(FIXTURES.glob("pair_z9_*.json"))]
+    return [(f"{name}.{fmt}", [*argv, "--format", fmt])
+            for name, argv in cmds for fmt in ("text", "json")]
+
+
+COMMANDS = _commands()
+
+
+def _stdout(argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        cli.main(argv)
+    return buf.getvalue()
+
+
+def test_command_set():
+    # 23 validate, 3 cohomology, 7 wells and 3 inducible runs, in two formats.
+    assert len(COMMANDS) == 2 * (23 + 3 + 7 + 3)
+
+
+@pytest.mark.parametrize("name,argv", COMMANDS, ids=[name for name, _ in COMMANDS])
+def test_stdout_matches_golden(name, argv):
+    assert _stdout(argv) == (GOLDEN_DIR / name).read_text()
+
+
+if __name__ == "__main__":
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    for name, argv in COMMANDS:
+        (GOLDEN_DIR / name).write_text(_stdout(argv))

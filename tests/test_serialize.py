@@ -149,7 +149,7 @@ class TestExtensionAndModuleSchema:
 
         ext = ext_corpus["z9"]
         ctx = WellsContext(ext)
-        for pair in ctx.all_pairs():
+        for pair in ctx.all_pairs:
             again = load_pair(pair_to_json(pair), ext.quotient, ext.kernel)
             assert _pair_key(again) == _pair_key(pair)
 

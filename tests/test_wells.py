@@ -15,7 +15,6 @@ from rrbgroups import (
     compatible_pairs,
     extract_factor_system,
     extract_module,
-    gamma_act,
     identity_pair,
     inducible_by_module_criterion,
     is_inducible,
@@ -43,24 +42,24 @@ def contexts(ext_corpus):
 class TestCompatiblePairs:
     def test_trivial_module_admits_every_pair(self, contexts):
         ctx = contexts["z3_triv"]
-        assert len(ctx.compatible()) == len(ctx.all_pairs()) == 16
+        assert len(ctx.compatible) == len(ctx.all_pairs) == 16
 
     def test_identity_always_compatible(self, contexts):
         for ctx in contexts.values():
             ident = identity_pair(ctx.module)
             assert pair_is_compatible(ctx.module, ident)
-            assert _pair_key(ident) in {_pair_key(c) for c in ctx.compatible()}
+            assert _pair_key(ident) in {_pair_key(c) for c in ctx.compatible}
 
     def test_nontrivial_action_filters_pairs(self, contexts):
         # The bridging map f(l, a) = l*a forces theta1 = theta2 * psi1, so
         # only half of the automorphism pairs are compatible.
         ctx = contexts["z9_mul4"]
-        assert len(ctx.compatible()) == 4
-        assert len(ctx.all_pairs()) == 8
+        assert len(ctx.compatible) == 4
+        assert len(ctx.all_pairs) == 8
         module = ctx.module
         nu, mu, sigma, f = (module.action.nu, module.action.mu,
                             module.action.sigma, module.action.f)
-        for pair in ctx.all_pairs():
+        for pair in ctx.all_pairs:
             psi1, psi2 = pair.psi.psi.image, pair.psi.eta.image
             th1, th2 = pair.theta.psi.image, pair.theta.eta.image
             ok = True
@@ -82,7 +81,7 @@ class TestCompatiblePairs:
 
     def test_group_structure(self, contexts):
         for name in ("z9", "z3_triv", "parity_zero"):
-            C = contexts[name].compatible()
+            C = contexts[name].compatible
             keys = {_pair_key(c) for c in C}
             for c in C:
                 assert _pair_key(c.inverse()) in keys
@@ -99,12 +98,12 @@ class TestCochainAction:
     def test_zero_goes_to_zero(self, contexts):
         for ctx in contexts.values():
             zero = zero_factor_system(ctx.module)
-            for pair in ctx.compatible():
+            for pair in ctx.compatible:
                 assert act_on_factor_system(pair, zero, ctx.module) == zero
 
     def test_incompatible_pair_rejected(self, contexts):
         ctx = contexts["z9_mul4"]
-        bad = next(p for p in ctx.all_pairs()
+        bad = next(p for p in ctx.all_pairs
                    if not pair_is_compatible(ctx.module, p))
         with pytest.raises(RRBError) as err:
             act_on_factor_system(bad, ctx.fs, ctx.module)
@@ -115,19 +114,19 @@ class TestCochainAction:
             ctx = contexts[name]
             cx = ctx.complex
             import itertools
-            for pair in ctx.compatible():
+            for pair in ctx.compatible:
                 for fs in itertools.islice(cx.z2_elements(), 10):
                     moved = act_on_factor_system(pair, fs, ctx.module)
                     assert cocycle_violations(ctx.module, moved) == []
-                for vec in itertools.islice(cx.b2().elements(), 10):
+                for vec in itertools.islice(cx.b2.elements(), 10):
                     fs = cx.fs_from_coords(vec)
                     moved = act_on_factor_system(pair, fs, ctx.module)
-                    assert cx.b2().contains(cx.fs_to_coords(moved))
+                    assert cx.b2.contains(cx.fs_to_coords(moved))
 
     def test_action_on_classes_is_well_defined(self, contexts):
         ctx = contexts["z9"]
         cx = ctx.complex
-        for pair in ctx.compatible():
+        for pair in ctx.compatible:
             for cls in cx.h2_classes():
                 rep = cx.class_representative(cls)
                 got1 = cx.class_of(act_on_factor_system(pair, rep, ctx.module))
@@ -138,37 +137,30 @@ class TestCochainAction:
         for name in ("z9", "z3_triv"):
             ctx = contexts[name]
             cx = ctx.complex
-            for c in ctx.compatible():
+            for c in ctx.compatible:
                 for h in cx.h2_classes():
                     lhs = act_on_class(c, ctx.base_class + h)
                     rhs = act_on_class(c, ctx.base_class) + act_on_class(c, h)
                     assert lhs == rhs
 
-    def test_gamma_act_matches_composition(self, contexts):
-        ctx = contexts["z9"]
-        cx = ctx.complex
-        for c in ctx.compatible():
-            for h in cx.h2_classes():
-                assert gamma_act(c, h, ctx.base_class) == act_on_class(c, ctx.base_class) + h
-
 
 class TestWellsMap:
     def test_identity_pair_maps_to_zero(self, contexts):
         for ctx in contexts.values():
-            assert wells_map(ctx.ext, identity_pair(ctx.module), ctx).is_zero()
+            assert wells_map(ctx, identity_pair(ctx.module)).is_zero()
 
     def test_split_extension_has_zero_obstruction(self, contexts):
         for name in ("product_z2", "parity_zero"):
             ctx = contexts[name]
             assert fs_key(ctx.module, ctx.fs) == fs_key(ctx.module,
                                                         zero_factor_system(ctx.module))
-            for pair in ctx.compatible():
-                assert wells_map(ctx.ext, pair, ctx).is_zero()
+            for pair in ctx.compatible:
+                assert wells_map(ctx, pair).is_zero()
 
     def test_derivation_law(self, contexts):
         for ctx in contexts.values():
-            C = ctx.compatible()
-            omega = {_pair_key(c): wells_map(ctx.ext, c, ctx) for c in C}
+            C = ctx.compatible
+            omega = {_pair_key(c): wells_map(ctx, c) for c in C}
             for c1 in C:
                 for c2 in C:
                     lhs = omega[_pair_key(c1.compose(c2))]
@@ -181,7 +173,7 @@ class TestRestrictionAndDerivations:
         from rrbgroups import identity_morphism
 
         for ctx in contexts.values():
-            pair = restrict_and_induce(identity_morphism(ctx.ext.total), ctx.ext, ctx)
+            pair = restrict_and_induce(ctx, identity_morphism(ctx.ext.total))
             assert pair.is_identity()
 
     def test_induced_pair_independent_of_section(self, ext_corpus):
@@ -191,8 +183,8 @@ class TestRestrictionAndDerivations:
             ext = ext_corpus[name]
             ctx = WellsContext(ext)
             sec2 = perturbed_section(ext)
-            for gamma in aut_K_H(ext):
-                pair = restrict_and_induce(gamma, ext, ctx)
+            for gamma in aut_K_H(ctx):
+                pair = restrict_and_induce(ctx, gamma)
                 psi1 = [ext.proj.psi(gamma.psi(int(sec2.s_H[a])))
                         for a in ext.quotient.H.elements()]
                 psi2 = [ext.proj.eta(gamma.eta(int(sec2.s_G[b])))
@@ -202,28 +194,40 @@ class TestRestrictionAndDerivations:
 
     def test_image_of_restriction_inside_obstruction_kernel(self, contexts):
         for ctx in contexts.values():
-            for gamma in aut_K_H(ctx.ext, ctx.max_order):
-                pair = restrict_and_induce(gamma, ctx.ext, ctx)
-                assert wells_map(ctx.ext, pair, ctx).is_zero()
+            for gamma in aut_K_H(ctx):
+                pair = restrict_and_induce(ctx, gamma)
+                assert wells_map(ctx, pair).is_zero()
 
     def test_derivations_biject_with_stable_automorphisms(self, contexts):
         for ctx in contexts.values():
             z1 = list(ctx.complex.z1_elements())
-            autAK = aut_AK_H(ctx.ext, ctx)
+            autAK = aut_AK_H(ctx)
             assert len(z1) == len(autAK)
             for kappa in z1:
-                gamma = z1_to_aut(kappa, ctx.ext, ctx)
-                assert aut_to_z1(gamma, ctx.ext, ctx) == kappa
+                gamma = z1_to_aut(ctx, kappa)
+                assert aut_to_z1(ctx, gamma) == kappa
             for gamma in autAK:
-                kappa = aut_to_z1(gamma, ctx.ext, ctx)
-                assert _morphism_key(z1_to_aut(kappa, ctx.ext, ctx)) == _morphism_key(gamma)
+                kappa = aut_to_z1(ctx, gamma)
+                assert _morphism_key(z1_to_aut(ctx, kappa)) == _morphism_key(gamma)
+
+    def test_non_stable_automorphism_rejected(self, contexts):
+        ctx = contexts["z9"]
+        gamma = next(g for g in aut_K_H(ctx) if not restrict_and_induce(ctx, g).is_identity())
+        with pytest.raises(RRBError) as err:
+            aut_to_z1(ctx, gamma)
+        assert err.value.code == "NotInAutAK"
+
+    def test_search_bound_comes_from_the_context(self, ext_corpus):
+        with pytest.raises(RRBError) as err:
+            aut_AK_H(WellsContext(ext_corpus["z9"], max_order=2))
+        assert err.value.code == "OrderTooLarge"
 
     def test_zero_derivation_is_identity(self, contexts):
         from rrbgroups import OneCochain
 
         ctx = contexts["z9"]
         zero = OneCochain([0] * ctx.module.A.order, [0] * ctx.module.B.order)
-        gamma = z1_to_aut(zero, ctx.ext, ctx)
+        gamma = z1_to_aut(ctx, zero)
         assert _morphism_key(gamma) == (tuple(ctx.ext.total.H.elements()),
                                         tuple(ctx.ext.total.G.elements()))
 
@@ -234,30 +238,30 @@ class TestRestrictionAndDerivations:
         kappa = OneCochain([0, 1, 0], [0])  # kappa(2) != 2 kappa(1)
         assert not ctx.complex.z1_contains(kappa)[0]
         with pytest.raises(RRBError) as err:
-            z1_to_aut(kappa, ctx.ext, ctx)
+            z1_to_aut(ctx, kappa)
         assert err.value.code == "NotInZ1"
 
 
 class TestInducibility:
     def test_identity_inducible_with_identity_witness(self, contexts):
         for ctx in contexts.values():
-            ok, witness = is_inducible(ctx.ext, identity_pair(ctx.module), ctx)
+            ok, witness = is_inducible(ctx, identity_pair(ctx.module))
             assert ok
             assert _morphism_key(witness) == (tuple(ctx.ext.total.H.elements()),
                                               tuple(ctx.ext.total.G.elements()))
 
     def test_incompatible_pair_not_inducible(self, contexts):
         ctx = contexts["z9_mul4"]
-        bad = next(p for p in ctx.all_pairs()
+        bad = next(p for p in ctx.all_pairs
                    if not pair_is_compatible(ctx.module, p))
-        ok, witness = is_inducible(ctx.ext, bad, ctx)
+        ok, witness = is_inducible(ctx, bad)
         assert not ok and witness is None
 
     def test_z9_obstructed_pairs(self, contexts):
         ctx = contexts["z9"]
         verdicts = {}
-        for pair in ctx.all_pairs():
-            ok, _ = is_inducible(ctx.ext, pair, ctx)
+        for pair in ctx.all_pairs:
+            ok, _ = is_inducible(ctx, pair)
             verdicts[(tuple(pair.psi.psi.image.tolist()),
                       tuple(pair.theta.psi.image.tolist()))] = ok
         assert verdicts == {
@@ -269,31 +273,31 @@ class TestInducibility:
 
     def test_witnesses_are_lifts(self, contexts):
         for ctx in contexts.values():
-            for pair in ctx.all_pairs():
-                ok, witness = is_inducible(ctx.ext, pair, ctx)
+            for pair in ctx.all_pairs:
+                ok, witness = is_inducible(ctx, pair)
                 if not ok:
                     assert witness is None
                     continue
                 assert witness.is_bijective()
                 K_img = set(ctx.ext.incl.psi.image_elements())
                 assert all(int(witness.psi(h)) in K_img for h in K_img)
-                induced = restrict_and_induce(witness, ctx.ext, ctx)
+                induced = restrict_and_induce(ctx, witness)
                 assert _pair_key(induced) == _pair_key(pair)
 
     def test_trivial_obstruction_group_makes_everything_inducible(self, contexts):
         ctx = contexts["s3"]
-        assert ctx.complex.h2().order == 1
-        C = ctx.compatible()
+        assert ctx.complex.h2.order == 1
+        C = ctx.compatible
         assert len(C) == 2
         for pair in C:
-            ok, witness = is_inducible(ctx.ext, pair, ctx)
+            ok, witness = is_inducible(ctx, pair)
             assert ok and witness is not None
 
     def test_module_criterion_agrees_everywhere(self, contexts):
         for ctx in contexts.values():
-            for pair in ctx.all_pairs():
-                direct, _ = is_inducible(ctx.ext, pair, ctx)
-                assert inducible_by_module_criterion(ctx.ext, pair, ctx) == direct
+            for pair in ctx.all_pairs:
+                direct, _ = is_inducible(ctx, pair)
+                assert inducible_by_module_criterion(ctx, pair) == direct
 
 
 class TestTwistedModule:
@@ -305,7 +309,7 @@ class TestTwistedModule:
     def test_twisted_module_validates(self, contexts):
         for name in ("z9", "parity_twisted", "z3_triv", "z9_mul4", "z4_klein_f"):
             ctx = contexts[name]
-            for pair in ctx.compatible():
+            for pair in ctx.compatible:
                 twisted = twisted_module(ctx.module, pair.psi)
                 assert twisted.quotient == ctx.module.quotient
 
@@ -339,8 +343,8 @@ class TestExactnessReport:
         ext = ext_corpus["z9"]
         real = wells_map
 
-        def skewed(ext_arg, pair, context=None):
-            cls = real(ext_arg, pair, context)
+        def skewed(ctx, pair):
+            cls = real(ctx, pair)
             shift = tuple((c + 1) % f for c, f in zip(cls.coords, cls.factors))
             from rrbgroups.cohomology import CohomologyClass
             return CohomologyClass(cls.complex, shift)

@@ -144,7 +144,7 @@ def main() -> None:
 
     # Automorphism pairs for the Z9 extension.
     ctx9 = WellsContext(ext9)
-    pairs = ctx9.all_pairs()
+    pairs = ctx9.all_pairs
     ident = next(p for p in pairs if p.is_identity())
     dump("pair_z9_identity.json", pair_to_json(ident))
     twist = next(p for p in pairs

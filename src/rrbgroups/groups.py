@@ -91,7 +91,8 @@ class FiniteGroup:
         return self._abelian
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, FiniteGroup) and np.array_equal(self.table, other.table)
+        return other is self or (isinstance(other, FiniteGroup)
+                                 and np.array_equal(self.table, other.table))
 
     def __hash__(self):
         return hash(self.table.tobytes())

@@ -155,16 +155,18 @@ class RRBMorphism:
             raise RRBError("LengthMismatch", "psi does not map H1 -> H2")
         if eta.domain != domain.G or eta.codomain != codomain.G:
             raise RRBError("LengthMismatch", "eta does not map G1 -> G2")
-        for h in domain.H.elements():
-            if eta(int(domain.R[h])) != int(codomain.R[psi(h)]):
-                raise RRBError("EtaRNeqSPsi",
-                               f"eta(R(h)) != R'(psi(h)) at h={h}", (h,))
-        for g in domain.G.elements():
-            for h in domain.H.elements():
-                if psi(domain.act(g, h)) != codomain.act(eta(g), psi(h)):
-                    raise RRBError("EquivarianceFails",
-                                   f"psi(phi_g(h)) != phi'_{{eta(g)}}(psi(h)) at (g,h)=({g},{h})",
-                                   (g, h))
+        # The first failure in element order, as a loop over h (and g, h)
+        # would find it.
+        bad = eta.image[domain.R] != codomain.R[psi.image]
+        if bad.any():
+            h = int(np.argmax(bad))
+            raise RRBError("EtaRNeqSPsi", f"eta(R(h)) != R'(psi(h)) at h={h}", (h,))
+        bad = psi.image[domain.phi] != codomain.phi[eta.image][:, psi.image]
+        if bad.any():
+            g, h = (int(x) for x in np.argwhere(bad)[0])
+            raise RRBError("EquivarianceFails",
+                           f"psi(phi_g(h)) != phi'_{{eta(g)}}(psi(h)) at (g,h)=({g},{h})",
+                           (g, h))
         self.domain = domain
         self.codomain = codomain
         self.psi = psi
@@ -373,6 +375,7 @@ def rrb_automorphism_group(rrb: RRBGroup,
     auts_H = automorphism_group(rrb.H, max_order)
     auts_G = automorphism_group(rrb.G, max_order)
     out: List[RRBMorphism] = []
+    # Both automorphism lists are sorted, so the pairs come out sorted.
     for psi in auts_H:
         # R-compatibility only constrains psi and eta together, but
         # equivariance can reject (psi, eta) cheaply inside the constructor.
@@ -381,7 +384,6 @@ def rrb_automorphism_group(rrb: RRBGroup,
                 out.append(RRBMorphism(rrb, rrb, psi, eta))
             except RRBError:
                 continue
-    out.sort(key=lambda m: (tuple(m.psi.image.tolist()), tuple(m.eta.image.tolist())))
     return out
 
 

@@ -86,7 +86,7 @@ def pair_is_compatible(module: RRBModule, pair: CompatiblePair) -> bool:
 def compatible_pairs(module: RRBModule,
                      max_order: int = DEFAULT_MAX_ORDER) -> List[CompatiblePair]:
     """All compatible pairs, sorted; checked to be closed under the group ops."""
-    return _compatible_among(module, _all_pairs(module, max_order))
+    return _compatible_among(module, _all_pairs(module, max_order))[0]
 
 
 def _all_pairs(module: RRBModule, max_order: int) -> List[CompatiblePair]:
@@ -97,23 +97,49 @@ def _all_pairs(module: RRBModule, max_order: int) -> List[CompatiblePair]:
             for theta in thetas]
 
 
-def _compatible_among(module: RRBModule,
-                      candidates: List[CompatiblePair]) -> List[CompatiblePair]:
-    pairs = [pair for pair in candidates if pair_is_compatible(module, pair)]
-    keys = {_pair_key(p) for p in pairs}
-    for p in pairs:
-        if _pair_key(p.inverse()) not in keys:  # pragma: no cover - theorem
-            raise RRBError("InternalError", "compatible pairs not closed under inverse")
-        for q in pairs:
-            if _pair_key(p.compose(q)) not in keys:  # pragma: no cover
-                raise RRBError("InternalError", "compatible pairs not closed under product")
-    pairs.sort(key=_pair_key)
-    return pairs
+def _compatible_among(module: RRBModule, candidates: List[CompatiblePair]
+                      ) -> Tuple[List[CompatiblePair], np.ndarray]:
+    """The compatible candidates, sorted, with their product table."""
+    pairs = sorted((pair for pair in candidates if pair_is_compatible(module, pair)),
+                   key=_pair_key)
+    return pairs, _pair_table(pairs)
+
+
+def _pair_table(pairs: List[CompatiblePair]) -> np.ndarray:
+    """products[i, j] is the index of pairs[i] after pairs[j]; raises
+    InternalError if a product or an inverse leaves the list.
+
+    A pair acts as one permutation of the disjoint union A + B + K + L, so a
+    product is a gather of two such rows and an inverse is a scatter.
+    """
+    images = [(p.psi.psi.image, p.psi.eta.image, p.theta.psi.image, p.theta.eta.image)
+              for p in pairs]
+    offsets = np.cumsum([0] + [len(img) for img in images[0][:-1]])
+    rows = np.stack([np.concatenate([img + off for img, off in zip(imgs, offsets)])
+                     for imgs in images])
+    index = {row.tobytes(): i for i, row in enumerate(rows)}
+
+    def lookup(row: np.ndarray, closed_under: str) -> int:
+        i = index.get(row.tobytes())
+        if i is None:  # pragma: no cover - theorem
+            raise RRBError("InternalError", f"compatible pairs not closed under {closed_under}")
+        return i
+
+    # A scatter rather than np.argsort, which would page numpy's sort
+    # kernels into the memory of every job that audits C.
+    inverse_rows = np.empty_like(rows)
+    np.put_along_axis(inverse_rows, rows, np.arange(rows.shape[1]), axis=1)
+    for row in inverse_rows:
+        lookup(row, "inverse")
+    return np.array([[lookup(prod, "product") for prod in row[rows]] for row in rows])
+
+
+def _morphism_key(m: RRBMorphism) -> tuple:
+    return (tuple(m.psi.image.tolist()), tuple(m.eta.image.tolist()))
 
 
 def _pair_key(pair: CompatiblePair) -> tuple:
-    return (tuple(pair.psi.psi.image.tolist()), tuple(pair.psi.eta.image.tolist()),
-            tuple(pair.theta.psi.image.tolist()), tuple(pair.theta.eta.image.tolist()))
+    return _morphism_key(pair.psi) + _morphism_key(pair.theta)
 
 
 def act_on_factor_system(pair: CompatiblePair, fs: FactorSystem,
@@ -160,8 +186,13 @@ class WellsContext:
         return _all_pairs(self.module, self.max_order)
 
     @functools.cached_property
-    def compatible(self) -> List[CompatiblePair]:
+    def compatible_table(self) -> Tuple[List[CompatiblePair], np.ndarray]:
+        """C, sorted, with products[i, j] the index of C[i] after C[j]."""
         return _compatible_among(self.module, self.all_pairs)
+
+    @property
+    def compatible(self) -> List[CompatiblePair]:
+        return self.compatible_table[0]
 
 
 # A lift is stored as three pairs of images: psi on (A, B), kappa on (A, B)
@@ -207,14 +238,13 @@ def wells_map(ctx: WellsContext, pair: CompatiblePair) -> CohomologyClass:
 def aut_K_H(ctx: WellsContext) -> List[RRBMorphism]:
     """Automorphisms of the total structure carrying the kernel into itself."""
     ext = ctx.ext
-    K_img = set(ext.incl.psi.image_elements())
-    L_img = set(ext.incl.eta.image_elements())
-    out = []
-    for gamma in rrb_automorphism_group(ext.total, ctx.max_order):
-        if all(int(gamma.psi(h)) in K_img for h in K_img) and \
-           all(int(gamma.eta(g)) in L_img for g in L_img):
-            out.append(gamma)
-    return out
+    K_img = np.asarray(ext.incl.psi.image_elements())
+    L_img = np.asarray(ext.incl.eta.image_elements())
+    auts = rrb_automorphism_group(ext.total, ctx.max_order)
+    on_H = np.stack([gamma.psi.image for gamma in auts])
+    on_G = np.stack([gamma.eta.image for gamma in auts])
+    stable = np.isin(on_H[:, K_img], K_img).all(1) & np.isin(on_G[:, L_img], L_img).all(1)
+    return [gamma for gamma, ok in zip(auts, stable) if ok]
 
 
 def restrict_and_induce(ctx: WellsContext, gamma: RRBMorphism) -> CompatiblePair:
@@ -378,10 +408,11 @@ def verify_wells_exactness(ext: Extension,
     if ker_rho != im_eta:
         witnesses["ker_rho_eq_im_eta"] = "kernel of restriction differs from derivation image"
 
-    C = ctx.compatible
+    C, products = ctx.compatible_table
+    c_index = {_pair_key(c): i for i, c in enumerate(C)}
     im_rho = {_pair_key(pair) for pair in induced}
-    omega = {_pair_key(c): wells_map(ctx, c) for c in C}
-    ker_omega = {k for k, cls in omega.items() if cls.is_zero()}
+    omega = [wells_map(ctx, c) for c in C]
+    ker_omega = {k for k, i in c_index.items() if omega[i].is_zero()}
     exactness["ker_omega_eq_im_rho"] = im_rho == ker_omega
     if im_rho != ker_omega:
         witnesses["ker_omega_eq_im_rho"] = (
@@ -389,26 +420,25 @@ def verify_wells_exactness(ext: Extension,
 
     derivation = True
     homomorphism = True
-    for c1 in C:
-        for c2 in C:
-            lhs = omega[_pair_key(c1.compose(c2))]
-            if lhs != act_on_class(c2, omega[_pair_key(c1)]) + omega[_pair_key(c2)]:
+    # omega takes few distinct values, so each (c2, omega(c1)) is acted on once.
+    acted: Dict[tuple, CohomologyClass] = {}
+    for i, c1 in enumerate(C):
+        for j, c2 in enumerate(C):
+            lhs = omega[products[i, j]]
+            if (j, omega[i]) not in acted:
+                acted[j, omega[i]] = act_on_class(c2, omega[i])
+            if lhs != acted[j, omega[i]] + omega[j]:
                 derivation = False
                 witnesses["omega_derivation"] = f"law fails at {_pair_key(c1)}, {_pair_key(c2)}"
-            if lhs != omega[_pair_key(c1)] + omega[_pair_key(c2)]:
+            if lhs != omega[i] + omega[j]:
                 homomorphism = False
     exactness["omega_derivation"] = derivation
 
     records = []
-    c_keys = {_pair_key(c) for c in C}
     for pair in ctx.all_pairs:
         key = _pair_key(pair)
-        in_c = key in c_keys
-        om = omega[key].coords if in_c else None
+        in_c = key in c_index
+        om = omega[c_index[key]].coords if in_c else None
         ok, witness = is_inducible(ctx, pair)
         records.append(PairRecord(pair, in_c, om, ok, witness))
     return WellsReport(records, exactness, witnesses, homomorphism)
-
-
-def _morphism_key(m: RRBMorphism) -> tuple:
-    return (tuple(m.psi.image.tolist()), tuple(m.eta.image.tolist()))

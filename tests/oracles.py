@@ -13,7 +13,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from rrbgroups import FactorSystem, OneCochain, RRBModule
+from rrbgroups import FactorSystem, OneCochain, RRBGroup, RRBModule, automorphism_group
 from rrbgroups.extensions import Extension
 
 
@@ -255,6 +255,38 @@ def exhaustive_b2_keys(module: RRBModule) -> set:
 def exhaustive_z1(module: RRBModule) -> List[OneCochain]:
     return [kappa for kappa in iter_one_cochains(module)
             if not any(derivation_defects(module, kappa).values())]
+
+
+# -- morphisms ----------------------------------------------------------------
+
+def morphism_violation(dom: RRBGroup, cod: RRBGroup, psi: Sequence[int],
+                       eta: Sequence[int]) -> Optional[Tuple[str, tuple]]:
+    """The first failing (code, witness) of the maps psi: H -> H', eta: G -> G'.
+
+    R-compatibility is checked over h, then equivariance over (g, h) with g
+    outermost; None when both hold.
+    """
+    psi = [int(x) for x in psi]
+    eta = [int(x) for x in eta]
+    R1, R2 = dom.R.tolist(), cod.R.tolist()
+    phi1, phi2 = dom.phi.tolist(), cod.phi.tolist()
+    for h in dom.H.elements():
+        if eta[R1[h]] != R2[psi[h]]:
+            return "EtaRNeqSPsi", (h,)
+    for g in dom.G.elements():
+        for h in dom.H.elements():
+            if psi[phi1[g][h]] != phi2[eta[g]][psi[h]]:
+                return "EquivarianceFails", (g, h)
+    return None
+
+
+def automorphism_pairs(rrb: RRBGroup) -> List[Tuple[tuple, tuple]]:
+    """Sorted (psi, eta) images of the pairs in Aut(H) x Aut(G) that pass
+    morphism_violation: the full product, filtered pair by pair."""
+    auts_H = [psi.image.tolist() for psi in automorphism_group(rrb.H)]
+    auts_G = [eta.image.tolist() for eta in automorphism_group(rrb.G)]
+    return sorted((tuple(psi), tuple(eta)) for psi in auts_H for eta in auts_G
+                  if morphism_violation(rrb, rrb, psi, eta) is None)
 
 
 # -- operators and equivalences ----------------------------------------------

@@ -16,6 +16,7 @@ import pytest
 from rrbgroups import cli
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "rrbgroups" / "fixtures"
+INPUTS = Path(__file__).resolve().parent / "inputs"
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 
@@ -27,6 +28,10 @@ def _commands():
              for p in sorted(FIXTURES.glob("module_*.json"))]
     cmds += [(f"wells__{p.stem}", ["wells", str(p)])
              for p in sorted(FIXTURES.glob("ext_*.json"))]
+    # Trivial product extension of Z2 by Z2^2: all 36 pairs are compatible,
+    # so both C x C loops of the exactness audit run over 1296 products.
+    cmds += [(f"wells__{p.stem}", ["wells", str(p)])
+             for p in sorted(INPUTS.glob("ext_*.json"))]
     cmds += [(f"inducible__ext_z9__{p.stem}",
               ["inducible", str(FIXTURES / "ext_z9.json"), str(p)])
              for p in sorted(FIXTURES.glob("pair_z9_*.json"))]
@@ -45,8 +50,8 @@ def _stdout(argv):
 
 
 def test_command_set():
-    # 23 validate, 3 cohomology, 7 wells and 3 inducible runs, in two formats.
-    assert len(COMMANDS) == 2 * (23 + 3 + 7 + 3)
+    # 23 validate, 3 cohomology, 8 wells and 3 inducible runs, in two formats.
+    assert len(COMMANDS) == 2 * (23 + 3 + 8 + 3)
 
 
 @pytest.mark.parametrize("name,argv", COMMANDS, ids=[name for name, _ in COMMANDS])

@@ -1,18 +1,28 @@
 """Operator-group structures: validation, quotients, centers, enumeration."""
 
+import functools
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rrbgroups import (
+    GroupHom,
     RRBError,
     RRBGroup,
     RRBIdeal,
+    RRBMorphism,
     all_isomorphisms,
+    automorphism_group,
     center,
     cyclic_group,
     descended_operation,
+    direct_product,
     direct_product_rrb,
     enumerate_rrb_operators,
+    identity_hom,
     identity_morphism,
     is_bijective,
     is_homomorphism,
@@ -29,9 +39,47 @@ from rrbgroups import (
     validate_morphism,
     validate_rrb,
 )
-from oracles import naive_operators
+from rrbgroups.groups import FiniteGroup, group_from_permutations
+from rrbgroups.serialize import load_extension, load_rrb
+from oracles import automorphism_pairs, morphism_violation, naive_operators
 
 INV3 = [[0, 1, 2], [0, 2, 1]]
+FIXTURE_DIR = Path(__file__).parent.parent / "src" / "rrbgroups" / "fixtures"
+
+
+def _structure_fixtures() -> dict:
+    """Every valid structure shipped as a fixture: the rrb files and the
+    kernel, total and quotient of each extension file."""
+    out = {path.stem: load_rrb(str(path)) for path in sorted(FIXTURE_DIR.glob("rrb_*.json"))
+           if path.stem != "rrb_bad_axiom"}
+    for path in sorted(FIXTURE_DIR.glob("ext_*.json")):
+        ext = load_extension(str(path))
+        for part in ("kernel", "total", "quotient"):
+            out[f"{path.stem}.{part}"] = getattr(ext, part)
+    return out
+
+
+def _d4_conjugation() -> RRBGroup:
+    """D4 acting on itself by conjugation, with R(h) = h^-1."""
+    d4 = group_from_permutations(4, [[1, 2, 3, 0], [0, 3, 2, 1]], name="D4")
+    phi = [[d4.mul(d4.mul(g, h), d4.inv(g)) for h in d4.elements()] for g in d4.elements()]
+    return validate_rrb(d4, d4, phi, [d4.inv(h) for h in d4.elements()])
+
+
+def _z2_cubed_trivial() -> RRBGroup:
+    z2 = cyclic_group(2)
+    cube = direct_product(direct_product(z2, z2).group, z2).group
+    return trivial_rrb(cube, cube)
+
+
+STRUCTURES = _structure_fixtures()
+SEARCH_CASES = {**STRUCTURES, "d4_conjugation": _d4_conjugation(),
+                "z2_cubed_trivial": _z2_cubed_trivial()}
+
+
+@functools.lru_cache(maxsize=None)
+def _auts(G: FiniteGroup):
+    return automorphism_group(G)
 
 
 def rrb_isomorphic(r1: RRBGroup, r2: RRBGroup) -> bool:
@@ -168,6 +216,81 @@ class TestMorphisms:
             assert ok
 
 
+def _check_against_loops(dom: RRBGroup, cod: RRBGroup, psi: GroupHom, eta: GroupHom):
+    """The constructor raises the oracle's first (code, witness), or accepts."""
+    expected = morphism_violation(dom, cod, psi.image, eta.image)
+    if expected is None:
+        RRBMorphism(dom, cod, psi, eta)
+        return
+    with pytest.raises(RRBError) as err:
+        RRBMorphism(dom, cod, psi, eta)
+    assert (err.value.code, err.value.witness) == expected
+
+
+class TestMorphismChecks:
+    """The array checks of RRBMorphism against the element loops."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_automorphism_pairs_match_element_loops(self, data):
+        rrb = SEARCH_CASES[data.draw(st.sampled_from(sorted(SEARCH_CASES)))]
+        psi = data.draw(st.sampled_from(_auts(rrb.H)))
+        eta = data.draw(st.sampled_from(_auts(rrb.G)))
+        _check_against_loops(rrb, rrb, psi, eta)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_arbitrary_maps_match_element_loops(self, data):
+        # Maps that need not be homomorphisms fail at many places at once,
+        # so this pins which witness comes first.
+        names = sorted(SEARCH_CASES)
+        dom = SEARCH_CASES[data.draw(st.sampled_from(names))]
+        cod = SEARCH_CASES[data.draw(st.sampled_from(names))]
+        psi = data.draw(st.lists(st.integers(0, cod.H.order - 1),
+                                 min_size=dom.H.order, max_size=dom.H.order))
+        eta = data.draw(st.lists(st.integers(0, cod.G.order - 1),
+                                 min_size=dom.G.order, max_size=dom.G.order))
+        _check_against_loops(dom, cod, GroupHom(dom.H, cod.H, psi, check=False),
+                             GroupHom(dom.G, cod.G, eta, check=False))
+
+    @pytest.mark.parametrize("dom,cod,psi,eta,witness", [
+        ("ext_z9_mul4.total", "ext_z9_mul4.quotient",
+         [1, 0, 2, 1, 0, 0, 0, 1, 0], [0, 0, 0], (1, 2)),
+        ("d4_conjugation", "ext_s3.kernel",
+         [2, 2, 0, 2, 0, 2, 0, 0], [0] * 8, (1, 3)),
+    ])
+    def test_equivariance_witness_is_first_in_row_major_order(self, dom, cod, psi, eta,
+                                                               witness):
+        # R-compatible maps whose first failing (g, h) differs when scanned
+        # with h outermost, which random draws rarely produce.
+        dom, cod = SEARCH_CASES[dom], SEARCH_CASES[cod]
+        assert morphism_violation(dom, cod, psi, eta) == ("EquivarianceFails", witness)
+        _check_against_loops(dom, cod, GroupHom(dom.H, cod.H, psi, check=False),
+                             GroupHom(dom.G, cod.G, eta, check=False))
+
+    def test_length_mismatch(self, groups):
+        z2, z3, z4 = groups["z2"], groups["z3"], groups["z4"]
+        r22, r24, r32 = trivial_rrb(z2, z2), trivial_rrb(z2, z4), trivial_rrb(z3, z2)
+        cases = [
+            (r22, r32, identity_hom(z2), identity_hom(z2), "psi"),  # psi codomain
+            (r32, r22, identity_hom(z2), identity_hom(z2), "psi"),  # psi domain
+            (r22, r24, identity_hom(z2), identity_hom(z2), "eta"),  # eta codomain
+            (r24, r22, identity_hom(z2), identity_hom(z2), "eta"),  # eta domain
+        ]
+        for dom, cod, psi, eta, part in cases:
+            with pytest.raises(RRBError) as err:
+                RRBMorphism(dom, cod, psi, eta)
+            assert err.value.code == "LengthMismatch"
+            assert str(err.value).startswith(f"LengthMismatch: {part} ")
+
+    def test_equal_groups_need_not_be_the_same_object(self, groups):
+        z2 = groups["z2"]
+        copy = FiniteGroup(z2.table.tolist())
+        m = RRBMorphism(trivial_rrb(z2, z2), trivial_rrb(copy, copy),
+                        identity_hom(z2), identity_hom(z2))
+        assert m.is_bijective()
+
+
 class TestIdealsAndQuotients:
     def test_trivial_and_full_ideals(self, ext_corpus):
         for ext in ext_corpus.values():
@@ -284,6 +407,13 @@ class TestAutomorphismGroups:
             if ok:
                 expected.append(psi)
         assert len(auts) == len(expected) == 2
+
+    @pytest.mark.parametrize("name", sorted(SEARCH_CASES))
+    def test_matches_filtered_product(self, name):
+        rrb = SEARCH_CASES[name]
+        got = [(tuple(m.psi.image.tolist()), tuple(m.eta.image.tolist()))
+               for m in rrb_automorphism_group(rrb)]
+        assert got == automorphism_pairs(rrb)
 
     def test_closed_under_composition_and_inverse(self, groups):
         inv4 = [0, 3, 2, 1]

@@ -1,5 +1,8 @@
 """Automorphism lifting: compatible pairs, obstruction map, exactness."""
 
+from pathlib import Path
+
+import numpy as np
 import pytest
 
 import rrbgroups.wells as wells_mod
@@ -26,8 +29,13 @@ from rrbgroups import (
     z1_to_aut,
     zero_factor_system,
 )
+from rrbgroups.serialize import load_extension
 from rrbgroups.wells import CompatiblePair, _morphism_key, _pair_key
 from oracles import cocycle_violations, fs_key
+
+TESTS_DIR = Path(__file__).parent
+EXT_FILES = sorted([*(TESTS_DIR.parent / "src" / "rrbgroups" / "fixtures").glob("ext_*.json"),
+                    *(TESTS_DIR / "inputs").glob("ext_*.json")])
 
 WELLS_EXTS = ("product_z2", "built_z2", "z4_carry", "z9", "s3", "z3_z4_twist",
               "z2_z4_image", "z2_z4_kernel", "z4_z4_diag", "parity_zero",
@@ -78,6 +86,18 @@ class TestCompatiblePairs:
                     if int(th1[f[l, a]]) != int(f[th2[l], psi1[a]]):
                         ok = False
             assert pair_is_compatible(module, pair) == ok
+
+    @pytest.mark.parametrize("path", EXT_FILES, ids=lambda p: p.stem)
+    def test_pair_table_matches_compose_and_inverse(self, path):
+        ctx = WellsContext(load_extension(str(path)))
+        C, products = ctx.compatible_table
+        ident = [_pair_key(c) for c in C].index(_pair_key(identity_pair(ctx.module)))
+        for i, p in enumerate(C):
+            # The inverse is read off the table as the j with p after q = 1.
+            j = int(np.flatnonzero(products[i] == ident)[0])
+            assert _pair_key(C[j]) == _pair_key(p.inverse())
+            for j, q in enumerate(C):
+                assert _pair_key(C[products[i, j]]) == _pair_key(p.compose(q))
 
     def test_group_structure(self, contexts):
         for name in ("z9", "z3_triv", "parity_zero"):

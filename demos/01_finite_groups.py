@@ -12,15 +12,15 @@ from rrbgroups import (
     hom_kernel_image_quotient,
     quotient_group,
     subgroup_closure,
-    validate_group,
     FinAbHom,
+    FiniteGroup,
 )
 from rrbgroups.groups import group_from_permutations
 
 # Groups live on {0..n-1} with element 0 the identity; the constructor
 # checks the whole axiom list and names the first violation.
-Z4 = validate_group([[0, 1, 2, 3], [1, 2, 3, 0], [2, 3, 0, 1], [3, 0, 1, 2]],
-                    name="Z4")
+Z4 = FiniteGroup([[0, 1, 2, 3], [1, 2, 3, 0], [2, 3, 0, 1], [3, 0, 1, 2]],
+                 name="Z4")
 print("validated", Z4, "abelian:", Z4.is_abelian)
 
 # Permutation generators are closed into a table; S3 from a transposition

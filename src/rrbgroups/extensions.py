@@ -71,32 +71,6 @@ class Extension:
         self.proj = proj
         self.is_abelian = (is_trivial(kernel)
                            and kernel.H.is_abelian and kernel.G.is_abelian)
-        self._k_of_h = {int(incl.psi(k)): k for k in kernel.H.elements()}
-        self._l_of_g = {int(incl.eta(l)): l for l in kernel.G.elements()}
-
-    def k_index(self, h: int) -> int:
-        """Kernel index of a total element lying in the embedded K."""
-        idx = self._k_of_h.get(int(h))
-        if idx is None:
-            raise RRBError("ImageKernelMismatch", f"element {h} is not in the kernel image")
-        return idx
-
-    def l_index(self, g: int) -> int:
-        idx = self._l_of_g.get(int(g))
-        if idx is None:
-            raise RRBError("ImageKernelMismatch", f"element {g} is not in the kernel image")
-        return idx
-
-    def decompose_h(self, section: Section, h: int) -> Tuple[int, int]:
-        """(a, k) with h = s_H(a) * incl(k)."""
-        a = self.proj.psi(h)
-        rem = self.total.H.mul(self.total.H.inv(int(section.s_H[a])), h)
-        return a, self.k_index(rem)
-
-    def decompose_g(self, section: Section, g: int) -> Tuple[int, int]:
-        b = self.proj.eta(g)
-        rem = self.total.G.mul(self.total.G.inv(int(section.s_G[b])), g)
-        return b, self.l_index(rem)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Extension)
@@ -124,45 +98,65 @@ def product_extension(quotient: RRBGroup, kernel: RRBGroup) -> Extension:
     """The direct product as an extension, pairs encoded quotient-first."""
     total = direct_product_rrb(quotient, kernel)
     nK, nL = kernel.H.order, kernel.G.order
-    incl = validate_morphism(kernel, total,
-                             list(range(nK)), list(range(nL)))
-    proj = validate_morphism(total, quotient,
-                             [x // nK for x in range(total.H.order)],
-                             [x // nL for x in range(total.G.order)])
+    incl = validate_morphism(kernel, total, np.arange(nK), np.arange(nL))
+    proj = validate_morphism(total, quotient, np.arange(total.H.order) // nK,
+                             np.arange(total.G.order) // nL)
     return Extension(kernel, total, quotient, incl, proj)
 
 
 def canonical_section(ext: Extension) -> Section:
     """Minimum-index coset representatives; normalized by construction."""
-    s_H = np.full(ext.quotient.H.order, -1, dtype=np.int64)
-    for h in ext.total.H.elements():
-        a = ext.proj.psi(h)
-        if s_H[a] < 0:
-            s_H[a] = h
-    s_G = np.full(ext.quotient.G.order, -1, dtype=np.int64)
-    for g in ext.total.G.elements():
-        b = ext.proj.eta(g)
-        if s_G[b] < 0:
-            s_G[b] = g
-    return Section(s_H, s_G)
+    nA, nB = ext.quotient.H.order, ext.quotient.G.order
+    return Section(np.argmax(ext.proj.psi.image == np.arange(nA)[:, None], axis=1),
+                   np.argmax(ext.proj.eta.image == np.arange(nB)[:, None], axis=1))
 
 
-def _check_section(ext: Extension, section: Optional[Section]) -> Section:
+class Chart(NamedTuple):
+    """A section with every total element split once in its coordinates:
+    h == s_H[a[h]] * incl(k[h]) for each h in H, g == s_G[b[g]] * incl(l[g])."""
+
+    section: Section
+    a: np.ndarray
+    k: np.ndarray
+    b: np.ndarray
+    l: np.ndarray
+
+
+def _split(table: np.ndarray, s: np.ndarray, incl: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Coordinates of the products s[a] * incl[k], scattered over the total;
+    they cover it once when s meets every coset of the image."""
+    cells = table[s[:, None], incl]
+    outer = np.empty(len(table), dtype=np.int64)
+    inner = np.empty(len(table), dtype=np.int64)
+    outer[cells] = np.arange(len(s))[:, None]
+    inner[cells] = np.arange(len(incl))
+    return outer, inner
+
+
+def chart(ext: Extension, section: Optional[Section] = None) -> Chart:
+    """The chart of a normalized section, the canonical one by default.
+
+    A given section is checked first: SectionNotNormalized if it has the
+    wrong shape, misses the identity or puts a representative in the wrong
+    coset."""
     if section is None:
-        return canonical_section(ext)
-    s_H = np.asarray(section.s_H, dtype=np.int64)
-    s_G = np.asarray(section.s_G, dtype=np.int64)
-    if s_H.shape != (ext.quotient.H.order,) or s_G.shape != (ext.quotient.G.order,):
-        raise RRBError("SectionNotNormalized", "section has the wrong shape")
-    if s_H[0] != 0 or s_G[0] != 0:
-        raise RRBError("SectionNotNormalized", "section does not preserve the identity")
-    for a in ext.quotient.H.elements():
-        if ext.proj.psi(int(s_H[a])) != a:
-            raise RRBError("SectionNotNormalized", f"s_H({a}) is in the wrong coset")
-    for b in ext.quotient.G.elements():
-        if ext.proj.eta(int(s_G[b])) != b:
-            raise RRBError("SectionNotNormalized", f"s_G({b}) is in the wrong coset")
-    return Section(s_H, s_G)
+        section = canonical_section(ext)
+    else:
+        s_H = np.asarray(section.s_H, dtype=np.int64)
+        s_G = np.asarray(section.s_G, dtype=np.int64)
+        if s_H.shape != (ext.quotient.H.order,) or s_G.shape != (ext.quotient.G.order,):
+            raise RRBError("SectionNotNormalized", "section has the wrong shape")
+        if s_H[0] != 0 or s_G[0] != 0:
+            raise RRBError("SectionNotNormalized", "section does not preserve the identity")
+        for side, s, proj in (("H", s_H, ext.proj.psi), ("G", s_G, ext.proj.eta)):
+            wrong = proj.image[s] != np.arange(len(s))
+            if wrong.any():
+                raise RRBError("SectionNotNormalized",
+                               f"s_{side}({int(np.argmax(wrong))}) is in the wrong coset")
+        section = Section(s_H, s_G)
+    a, k = _split(ext.total.H.table, section.s_H, ext.incl.psi.image)
+    b, l = _split(ext.total.G.table, section.s_G, ext.incl.eta.image)
+    return Chart(section, a, k, b, l)
 
 
 def extract_actions(ext: Extension, section: Optional[Section] = None) -> ActionQuadruple:
@@ -174,21 +168,13 @@ def extract_actions(ext: Extension, section: Optional[Section] = None) -> Action
     """
     if not ext.is_abelian:
         raise RRBError("NotAbelianExtension", "action extraction needs an abelian kernel datum")
-    sec = _check_section(ext, section)
-    H, G = ext.total.H, ext.total.G
-    A, B = ext.quotient.H, ext.quotient.G
-    K, L = ext.kernel.H, ext.kernel.G
-    inc_h, inc_g = ext.incl.psi, ext.incl.eta
-    nu = [[ext.k_index(ext.total.act(int(sec.s_G[b]), inc_h(k))) for k in K.elements()]
-          for b in B.elements()]
-    mu = [[ext.k_index(H.conj(inc_h(k), int(sec.s_H[a]))) for k in K.elements()]
-          for a in A.elements()]
-    sigma = [[ext.l_index(G.conj(inc_g(l), int(sec.s_G[b]))) for l in L.elements()]
-             for b in B.elements()]
-    f = [[ext.k_index(H.mul(H.inv(int(sec.s_H[a])),
-                            ext.total.act(inc_g(l), int(sec.s_H[a]))))
-          for a in A.elements()] for l in L.elements()]
-    return ActionQuadruple(nu, mu, sigma, f)
+    ch = chart(ext, section)
+    s_H, s_G = ch.section
+    iK, iL = ext.incl.psi.image, ext.incl.eta.image
+    phi = ext.total.phi
+    # incl(k) s(a) = s(a) mu_a(k), phi_l(s(a)) = s(a) f(l, a), and the same for sigma.
+    return ActionQuadruple(ch.k[phi[s_G][:, iK]], ch.k[ext.total.H.table[iK][:, s_H]].T,
+                           ch.l[ext.total.G.table[iL][:, s_G]].T, ch.k[phi[iL][:, s_H]])
 
 
 def extract_module(ext: Extension, section: Optional[Section] = None) -> RRBModule:
@@ -200,22 +186,12 @@ def extract_factor_system(ext: Extension, section: Optional[Section] = None) -> 
     """The factor system of a normalized section of an abelian extension."""
     if not ext.is_abelian:
         raise RRBError("NotAbelianExtension", "factor systems need an abelian kernel datum")
-    sec = _check_section(ext, section)
-    H, G = ext.total.H, ext.total.G
-    A, B = ext.quotient.H, ext.quotient.G
-    tau1 = [[ext.k_index(H.mul(H.inv(int(sec.s_H[A.mul(a1, a2)])),
-                               H.mul(int(sec.s_H[a1]), int(sec.s_H[a2]))))
-             for a2 in A.elements()] for a1 in A.elements()]
-    tau2 = [[ext.l_index(G.mul(G.inv(int(sec.s_G[B.mul(b1, b2)])),
-                               G.mul(int(sec.s_G[b1]), int(sec.s_G[b2]))))
-             for b2 in B.elements()] for b1 in B.elements()]
-    rho = [[ext.k_index(H.mul(H.inv(int(sec.s_H[ext.quotient.act(b, a)])),
-                              ext.total.act(int(sec.s_G[b]), int(sec.s_H[a]))))
-            for b in B.elements()] for a in A.elements()]
-    chi = [ext.l_index(G.mul(G.inv(int(sec.s_G[int(ext.quotient.R[a])])),
-                             int(ext.total.R[int(sec.s_H[a])])))
-           for a in A.elements()]
-    return FactorSystem(tau1, tau2, rho, chi)
+    ch = chart(ext, section)
+    s_H, s_G = ch.section
+    # s(a1) s(a2) = s(a1 a2) tau1(a1, a2), and likewise for tau2, rho and chi.
+    return FactorSystem(ch.k[ext.total.H.table[s_H][:, s_H]],
+                        ch.l[ext.total.G.table[s_G][:, s_G]],
+                        ch.k[ext.total.phi[s_G][:, s_H]].T, ch.l[ext.total.R[s_H]])
 
 
 def build_extension(quotient: RRBGroup, kernel: RRBGroup,
@@ -237,60 +213,31 @@ def build_extension(quotient: RRBGroup, kernel: RRBGroup,
         raise RRBError("NotACocycle", f"cocycle condition {witness[0]} fails at {witness[1]}",
                        witness)
 
-    A, B, K, L = module.A, module.B, module.K, module.L
+    K, L = module.K.table, module.L.table
     nu, mu, sigma, f = action.nu, action.mu, action.sigma, action.f
-    nA, nB, nK, nL = A.order, B.order, K.order, L.order
-
-    tableH = np.zeros((nA * nK, nA * nK), dtype=np.int64)
-    for a1 in range(nA):
-        for k1 in range(nK):
-            for a2 in range(nA):
-                base = int(fs.tau1[a1, a2])
-                moved = int(mu[a2, k1])
-                for k2 in range(nK):
-                    val = K.mul(K.mul(base, moved), k2)
-                    tableH[a1 * nK + k1, a2 * nK + k2] = A.mul(a1, a2) * nK + val
-    tableG = np.zeros((nB * nL, nB * nL), dtype=np.int64)
-    for b1 in range(nB):
-        for l1 in range(nL):
-            for b2 in range(nB):
-                base = int(fs.tau2[b1, b2])
-                moved = int(sigma[b2, l1])
-                for l2 in range(nL):
-                    val = L.mul(L.mul(base, moved), l2)
-                    tableG[b1 * nL + l1, b2 * nL + l2] = B.mul(b1, b2) * nL + val
+    nA, nB, nK, nL = module.A.order, module.B.order, module.K.order, module.L.order
+    # Index grids over the encodings a * nK + k and b * nL + l: [a1, k1, a2, k2].
+    a1, k1, a2, k2 = np.ix_(*map(np.arange, (nA, nK, nA, nK)))
+    b1, l1, b2, l2 = np.ix_(*map(np.arange, (nB, nL, nB, nL)))
+    b, l, a, k = np.ix_(*map(np.arange, (nB, nL, nA, nK)))
+    tableH = module.A.table[a1, a2] * nK + K[K[fs.tau1[a1, a2], mu[a2, k1]], k2]
+    tableG = module.B.table[b1, b2] * nL + L[L[fs.tau2[b1, b2], sigma[b2, l1]], l2]
+    phi = quotient.phi[b, a] * nK + K[fs.rho[a, b], nu[b, K[f[l, a], k]]]
+    T = module.T
+    R = T[:, None] * nL + L[fs.chi[:, None], module.S[action.nu_inv(T)]]
     try:
-        totH = FiniteGroup(tableH)
-        totG = FiniteGroup(tableG)
+        totH = FiniteGroup(tableH.reshape(nA * nK, -1))
+        totG = FiniteGroup(tableG.reshape(nB * nL, -1))
     except Exception as exc:  # pragma: no cover - blocked by the cocycle check
         raise RRBError("InternalError", f"built table is not a group: {exc}")
-
-    phi = np.zeros((nB * nL, nA * nK), dtype=np.int64)
-    for b in range(nB):
-        for l in range(nL):
-            for a in range(nA):
-                ba = module.beta(b, a)
-                r = int(fs.rho[a, b])
-                fla = int(f[l, a])
-                for k in range(nK):
-                    val = K.mul(r, int(nu[b, K.mul(fla, k)]))
-                    phi[b * nL + l, a * nK + k] = ba * nK + val
-    R = np.zeros(nA * nK, dtype=np.int64)
-    S, T = module.S, module.T
-    for a in range(nA):
-        ninv = action.nu_inv(int(T[a]))
-        for k in range(nK):
-            val = L.mul(int(fs.chi[a]), int(S[ninv[k]]))
-            R[a * nK + k] = int(T[a]) * nL + val
     try:
-        total = RRBGroup(totH, totG, phi, R)
+        total = RRBGroup(totH, totG, phi.reshape(nB * nL, -1), R.reshape(-1))
     except RRBError as exc:  # pragma: no cover - blocked by the cocycle check
         raise RRBError("InternalError", f"built structure fails validation: {exc}")
 
-    incl = validate_morphism(kernel, total, list(range(nK)), list(range(nL)))
+    incl = validate_morphism(kernel, total, np.arange(nK), np.arange(nL))
     proj = validate_morphism(total, quotient,
-                             [x // nK for x in range(nA * nK)],
-                             [x // nL for x in range(nB * nL)])
+                             np.arange(nA * nK) // nK, np.arange(nB * nL) // nL)
     return Extension(kernel, total, quotient, incl, proj)
 
 

@@ -38,8 +38,8 @@ class FiniteGroup:
         if n == 0:
             raise GroupError("NotClosed", "empty table")
         if tab.min() < 0 or tab.max() >= n:
-            bad = np.argwhere((tab < 0) | (tab >= n))[0]
-            raise GroupError("NotClosed", f"entry at {tuple(bad)} out of range", tuple(bad))
+            bad = tuple(int(x) for x in np.argwhere((tab < 0) | (tab >= n))[0])
+            raise GroupError("NotClosed", f"entry at {bad} out of range", bad)
         if not (np.array_equal(tab[0], np.arange(n)) and np.array_equal(tab[:, 0], np.arange(n))):
             raise GroupError("NoIdentityAtZero", "element 0 is not a two-sided identity")
         # table[table[i, j], k] == table[i, table[j, k]], vectorized over k.
@@ -60,15 +60,15 @@ class FiniteGroup:
         self.table.setflags(write=False)
         self.order = n
         self.name = name
-        self._inv = inv
-        self._inv.setflags(write=False)
+        self.inverses = inv
+        self.inverses.setflags(write=False)
         self._abelian: Optional[bool] = None
 
     def mul(self, a: int, b: int) -> int:
         return int(self.table[a, b])
 
     def inv(self, a: int) -> int:
-        return int(self._inv[a])
+        return int(self.inverses[a])
 
     def conj(self, a: int, g: int) -> int:
         """g^-1 * a * g"""
@@ -100,11 +100,6 @@ class FiniteGroup:
     def __repr__(self):
         label = self.name or f"order {self.order}"
         return f"FiniteGroup({label})"
-
-
-def validate_group(table: Sequence[Sequence[int]], name: Optional[str] = None) -> FiniteGroup:
-    """Validate a Cayley table, raising GroupError on the first broken axiom."""
-    return FiniteGroup(table, name=name)
 
 
 def cyclic_group(n: int) -> FiniteGroup:

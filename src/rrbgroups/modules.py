@@ -23,8 +23,9 @@ from .rrb import RRBError, RRBGroup, circle_op, is_trivial
 
 
 def _inverse_perm(perm: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(perm)
-    out[perm] = np.arange(len(perm))
+    """Inverse of each permutation along the last axis, as a scatter."""
+    out = np.empty_like(perm)
+    np.put_along_axis(out, perm, np.arange(perm.shape[-1]), axis=-1)
     return out
 
 
@@ -40,7 +41,8 @@ class ActionQuadruple:
         for arr in (self.nu, self.mu, self.sigma, self.f):
             arr.setflags(write=False)
 
-    def nu_inv(self, b: int) -> np.ndarray:
+    def nu_inv(self, b) -> np.ndarray:
+        """nu_b^-1, for one b or along an array of them."""
         return _inverse_perm(self.nu[b])
 
     def __eq__(self, other) -> bool:
@@ -261,8 +263,7 @@ def add_factor_systems(module: RRBModule, x: FactorSystem, y: FactorSystem) -> F
 
 
 def negate_factor_system(module: RRBModule, x: FactorSystem) -> FactorSystem:
-    kinv = np.asarray([module.K.inv(k) for k in module.K.elements()], dtype=np.int64)
-    linv = np.asarray([module.L.inv(l) for l in module.L.elements()], dtype=np.int64)
+    kinv, linv = module.K.inverses, module.L.inverses
     return FactorSystem(kinv[x.tau1], linv[x.tau2], kinv[x.rho], linv[x.chi])
 
 

@@ -24,7 +24,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .extensions import Extension, validate_extension
-from .groups import FiniteGroup, group_from_permutations, validate_group
+from .groups import FiniteGroup, group_from_permutations
 from .modules import ActionQuadruple, FactorSystem, RRBModule
 from .rrb import RRBGroup, RRBMorphism, validate_morphism, validate_rrb
 
@@ -92,7 +92,7 @@ def load_group(value, base: Optional[Path] = None) -> FiniteGroup:
         table = strict_ints(obj["table"], "table", 2)
         if "order" in obj and len(table) != strict_ints(obj["order"], "order", 0):
             raise ParseError(f"group {name or ''}: order does not match table size")
-        return validate_group(table, name=name)
+        return FiniteGroup(table, name=name)
     if "generators" in obj:
         degree = strict_ints(_require(obj, "degree", "permutation group"), "degree", 0)
         generators = strict_ints(obj["generators"], "generators", 2)

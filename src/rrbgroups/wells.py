@@ -20,8 +20,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .cohomology import CohomologyClass, cochain_complex
-from .extensions import Extension, canonical_section, extract_actions, \
-    extract_factor_system
+from .extensions import Extension, chart, extract_actions, extract_factor_system
 from .groups import DEFAULT_MAX_ORDER, GroupHom
 from .modules import (
     FactorSystem,
@@ -66,21 +65,11 @@ def pair_is_compatible(module: RRBModule, pair: CompatiblePair) -> bool:
     """The four stabilizer conditions tying (psi, theta) to (nu, mu, sigma, f)."""
     psi1, psi2 = pair.psi.psi.image, pair.psi.eta.image
     th1, th2 = pair.theta.psi.image, pair.theta.eta.image
-    nu, mu, sigma, f = (module.action.nu, module.action.mu,
-                        module.action.sigma, module.action.f)
-    for b in module.B.elements():
-        if not np.array_equal(th1[nu[b]], nu[psi2[b]][th1]):
-            return False
-        if not np.array_equal(th2[sigma[b]], sigma[psi2[b]][th2]):
-            return False
-    for a in module.A.elements():
-        if not np.array_equal(th1[mu[a]], mu[psi1[a]][th1]):
-            return False
-    for l in module.L.elements():
-        for a in module.A.elements():
-            if int(th1[f[l, a]]) != int(f[th2[l], psi1[a]]):
-                return False
-    return True
+    act = module.action
+    return (np.array_equal(th1[act.nu], act.nu[psi2][:, th1])
+            and np.array_equal(th2[act.sigma], act.sigma[psi2][:, th2])
+            and np.array_equal(th1[act.mu], act.mu[psi1][:, th1])
+            and np.array_equal(th1[act.f], act.f[th2][:, psi1]))
 
 
 def compatible_pairs(module: RRBModule,
@@ -150,14 +139,8 @@ def act_on_factor_system(pair: CompatiblePair, fs: FactorSystem,
     psi1, psi2 = pair.psi.psi.image, pair.psi.eta.image
     th1inv = pair.theta.psi.inverse().image
     th2inv = pair.theta.eta.inverse().image
-    nA, nB = module.A.order, module.B.order
-    tau1 = [[int(th1inv[fs.tau1[psi1[a1], psi1[a2]]]) for a2 in range(nA)]
-            for a1 in range(nA)]
-    tau2 = [[int(th2inv[fs.tau2[psi2[b1], psi2[b2]]]) for b2 in range(nB)]
-            for b1 in range(nB)]
-    rho = [[int(th1inv[fs.rho[psi1[a], psi2[b]]]) for b in range(nB)] for a in range(nA)]
-    chi = [int(th2inv[fs.chi[psi1[a]]]) for a in range(nA)]
-    return FactorSystem(tau1, tau2, rho, chi)
+    return FactorSystem(th1inv[fs.tau1[psi1][:, psi1]], th2inv[fs.tau2[psi2][:, psi2]],
+                        th1inv[fs.rho[psi1][:, psi2]], th2inv[fs.chi[psi1]])
 
 
 def act_on_class(pair: CompatiblePair, cls: CohomologyClass) -> CohomologyClass:
@@ -174,10 +157,11 @@ class WellsContext:
         if not ext.is_abelian:
             raise RRBError("NotAbelianExtension", "lifting theory needs an abelian kernel datum")
         self.ext = ext
-        self.section = canonical_section(ext)
-        self.module = RRBModule(ext.quotient, ext.kernel, extract_actions(ext, self.section))
+        self.chart = chart(ext)
+        self.module = RRBModule(ext.quotient, ext.kernel,
+                                extract_actions(ext, self.chart.section))
         self.complex = cochain_complex(self.module)
-        self.fs = extract_factor_system(ext, self.section)
+        self.fs = extract_factor_system(ext, self.chart.section)
         self.base_class = self.complex.class_of(self.fs)
         self.max_order = max_order
 
@@ -200,31 +184,38 @@ class WellsContext:
 #     gamma(s(a) k) = s(psi1(a)) kappa1(a) theta1(k),
 # and likewise on G with (psi2, kappa2, theta2).
 
+def _sides(ctx: WellsContext) -> tuple:
+    """Per component: total group, kernel group, inclusion image, section
+    and the chart's two coordinate arrays."""
+    ext, ch = ctx.ext, ctx.chart
+    return ((ext.total.H, ext.kernel.H, ext.incl.psi.image, ch.section.s_H, ch.a, ch.k),
+            (ext.total.G, ext.kernel.G, ext.incl.eta.image, ch.section.s_G, ch.b, ch.l))
+
+
 def _lift(ctx: WellsContext, psi, kappa, theta) -> RRBMorphism:
-    ext, sec = ctx.ext, ctx.section
-    sides = ((ext.total.H, ext.decompose_h, sec.s_H, ext.incl.psi),
-             (ext.total.G, ext.decompose_g, sec.s_G, ext.incl.eta))
     homs = []
-    for (group, decompose, s, incl), p, kap, th in zip(sides, psi, kappa, theta):
-        img = np.zeros(group.order, dtype=np.int64)
-        for x in group.elements():
-            a, k = decompose(sec, x)
-            img[x] = group.mul(group.mul(int(s[p[a]]), incl(int(kap[a]))), incl(int(th[k])))
+    for (group, kernel, incl, s, outer, inner), p, kap, th in zip(
+            _sides(ctx), psi, kappa, theta):
+        img = group.table[s[p[outer]], incl[kernel.table[kap[outer], th[inner]]]]
         homs.append(GroupHom(group, group, img))
-    gamma = RRBMorphism(ext.total, ext.total, *homs)
+    gamma = RRBMorphism(ctx.ext.total, ctx.ext.total, *homs)
     if not gamma.is_bijective():  # pragma: no cover - theorem
         raise RRBError("InternalError", "lift is not bijective")
     return gamma
 
 
 def _unlift(ctx: WellsContext, gamma: RRBMorphism) -> tuple:
-    """(psi, kappa, theta) of an automorphism carrying the kernel into itself."""
-    ext, sec = ctx.ext, ctx.section
-    psi1, kappa1 = zip(*(ext.decompose_h(sec, gamma.psi(int(x))) for x in sec.s_H))
-    psi2, kappa2 = zip(*(ext.decompose_g(sec, gamma.eta(int(y))) for y in sec.s_G))
-    theta1 = [ext.k_index(gamma.psi(ext.incl.psi(k))) for k in ext.kernel.H.elements()]
-    theta2 = [ext.l_index(gamma.eta(ext.incl.eta(l))) for l in ext.kernel.G.elements()]
-    return (psi1, psi2), (kappa1, kappa2), (theta1, theta2)
+    """(psi, kappa, theta) of an automorphism carrying the kernel into itself;
+    ImageKernelMismatch names the first kernel element's image outside it."""
+    parts = []
+    for (_, _, incl, s, outer, inner), hom in zip(_sides(ctx), (gamma.psi, gamma.eta)):
+        moved = hom.image[incl]
+        off = outer[moved] != 0
+        if off.any():
+            raise RRBError("ImageKernelMismatch",
+                           f"element {int(moved[np.argmax(off)])} is not in the kernel image")
+        parts.append((outer[hom.image[s]], inner[hom.image[s]], inner[moved]))
+    return tuple(zip(*parts))
 
 
 def wells_map(ctx: WellsContext, pair: CompatiblePair) -> CohomologyClass:
@@ -276,14 +267,14 @@ def z1_to_aut(ctx: WellsContext, kappa: OneCochain) -> RRBMorphism:
     if not ok:
         raise RRBError("NotInZ1", f"defect {witness[0]} at {witness[1]} is nonzero")
     m = ctx.module
-    return _lift(ctx, (range(m.A.order), range(m.B.order)), (kappa.kappa1, kappa.kappa2),
-                 (range(m.K.order), range(m.L.order)))
+    return _lift(ctx, (np.arange(m.A.order), np.arange(m.B.order)),
+                 (kappa.kappa1, kappa.kappa2), (np.arange(m.K.order), np.arange(m.L.order)))
 
 
 def aut_to_z1(ctx: WellsContext, gamma: RRBMorphism) -> OneCochain:
     """kappa1(a) = s(a)^-1 gamma(s(a)); the inverse of z1_to_aut on Aut^{A,K}."""
     psi, kappa, theta = _unlift(ctx, gamma)
-    if any(list(img) != list(range(len(img))) for img in (*psi, *theta)):
+    if not all(np.array_equal(img, np.arange(len(img))) for img in (*psi, *theta)):
         raise RRBError("NotInAutAK", "gamma does not induce the identity on kernel and quotient")
     kappa = OneCochain(*kappa)
     ok, witness = ctx.complex.z1_contains(kappa)
@@ -306,10 +297,9 @@ def is_inducible(ctx: WellsContext, pair: CompatiblePair
     lam = ctx.complex.solve_coboundary(diff)
     if lam is None:
         return False, None
-    K, L = ctx.module.K, ctx.module.L
     th1, th2 = pair.theta.psi.image, pair.theta.eta.image
-    kappa1 = [int(th1[K.inv(int(lam.kappa1[a]))]) for a in ctx.module.A.elements()]
-    kappa2 = [int(th2[L.inv(int(lam.kappa2[b]))]) for b in ctx.module.B.elements()]
+    kappa1 = th1[ctx.module.K.inverses[lam.kappa1]]
+    kappa2 = th2[ctx.module.L.inverses[lam.kappa2]]
     gamma = _lift(ctx, (pair.psi.psi.image, pair.psi.eta.image), (kappa1, kappa2), (th1, th2))
     if _pair_key(restrict_and_induce(ctx, gamma)) != _pair_key(pair):  # pragma: no cover
         raise RRBError("InternalError", "witness does not induce the requested pair")

@@ -116,6 +116,19 @@ def coboundary_direct(module: RRBModule, kappa: OneCochain) -> FactorSystem:
     return FactorSystem(tau1, tau2, rho, chi)
 
 
+def act_direct(pair, fs: FactorSystem) -> FactorSystem:
+    """fs^(psi, theta), one entry at a time: the preimage under theta of fs
+    at the psi-images of the arguments."""
+    psi1, psi2 = pair.psi.psi.image, pair.psi.eta.image
+    th1, th2 = pair.theta.psi.image.tolist(), pair.theta.eta.image.tolist()
+    nA, nB = len(psi1), len(psi2)
+    tau1 = [[th1.index(fs.tau1[psi1[a1], psi1[a2]]) for a2 in range(nA)] for a1 in range(nA)]
+    tau2 = [[th2.index(fs.tau2[psi2[b1], psi2[b2]]) for b2 in range(nB)] for b1 in range(nB)]
+    rho = [[th1.index(fs.rho[psi1[a], psi2[b]]) for b in range(nB)] for a in range(nA)]
+    chi = [th2.index(fs.chi[psi1[a]]) for a in range(nA)]
+    return FactorSystem(tau1, tau2, rho, chi)
+
+
 def add_fs(module: RRBModule, x: FactorSystem, y: FactorSystem) -> FactorSystem:
     K, L = module.K, module.L
     return FactorSystem(K.table[x.tau1, y.tau1], L.table[x.tau2, y.tau2],
@@ -303,6 +316,66 @@ def naive_operators(H, G, phi) -> List[List[int]]:
     return sorted(out)
 
 
+def build_total_direct(module: RRBModule, fs: FactorSystem
+                       ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Tables of H and G, phi and R of the total built from a cocycle, one
+    encoded pair at a time (a * |K| + k, b * |L| + l):
+
+        (a1,k1)(a2,k2)   = (a1 a2, tau1(a1,a2) + mu_{a2}(k1) + k2)
+        (b1,l1)(b2,l2)   = (b1 b2, tau2(b1,b2) + sigma_{b2}(l1) + l2)
+        phi_{(b,l)}(a,k) = (beta_b(a), rho(a,b) + nu_b(f(l,a) + k))
+        R(a,k)           = (T(a), chi(a) + S(nu^-1_{T(a)}(k)))
+    """
+    A, B, K, L = module.A, module.B, module.K, module.L
+    act = module.action
+    nu, mu, sigma, f = act.nu, act.mu, act.sigma, act.f
+    nA, nB, nK, nL = A.order, B.order, K.order, L.order
+
+    tableH = np.zeros((nA * nK, nA * nK), dtype=np.int64)
+    for a1 in range(nA):
+        for k1 in range(nK):
+            for a2 in range(nA):
+                base = int(fs.tau1[a1, a2])
+                moved = int(mu[a2, k1])
+                for k2 in range(nK):
+                    val = K.mul(K.mul(base, moved), k2)
+                    tableH[a1 * nK + k1, a2 * nK + k2] = A.mul(a1, a2) * nK + val
+    tableG = np.zeros((nB * nL, nB * nL), dtype=np.int64)
+    for b1 in range(nB):
+        for l1 in range(nL):
+            for b2 in range(nB):
+                base = int(fs.tau2[b1, b2])
+                moved = int(sigma[b2, l1])
+                for l2 in range(nL):
+                    val = L.mul(L.mul(base, moved), l2)
+                    tableG[b1 * nL + l1, b2 * nL + l2] = B.mul(b1, b2) * nL + val
+    phi = np.zeros((nB * nL, nA * nK), dtype=np.int64)
+    for b in range(nB):
+        for l in range(nL):
+            for a in range(nA):
+                ba = module.beta(b, a)
+                r = int(fs.rho[a, b])
+                fla = int(f[l, a])
+                for k in range(nK):
+                    val = K.mul(r, int(nu[b, K.mul(fla, k)]))
+                    phi[b * nL + l, a * nK + k] = ba * nK + val
+    R = np.zeros(nA * nK, dtype=np.int64)
+    S, T = module.S, module.T
+    for a in range(nA):
+        ninv = [next(x for x in K.elements() if nu[int(T[a]), x] == k) for k in K.elements()]
+        for k in range(nK):
+            val = L.mul(int(fs.chi[a]), int(S[ninv[k]]))
+            R[a * nK + k] = int(T[a]) * nL + val
+    return tableH, tableG, phi, R
+
+
+def _split_element(group, proj, incl, s, x) -> Tuple[int, int]:
+    """(a, k) with x = s(a) * incl(k), found by search over the kernel."""
+    a = proj(x)
+    rem = group.mul(group.inv(int(s[a])), x)
+    return a, next(k for k in incl.domain.elements() if incl(k) == rem)
+
+
 def find_equivalence_morphism(e1: Extension, e2: Extension) -> Optional[Tuple[np.ndarray, np.ndarray]]:
     """Brute-force search for an equivalence between two extensions.
 
@@ -323,7 +396,7 @@ def find_equivalence_morphism(e1: Extension, e2: Extension) -> Optional[Tuple[np
     def build_h(lam) -> Optional[np.ndarray]:
         img = np.zeros(H1.order, dtype=np.int64)
         for h in H1.elements():
-            a, k = e1.decompose_h(s1, h)
+            a, k = _split_element(H1, e1.proj.psi, e1.incl.psi, s1.s_H, h)
             val = H2.mul(int(s2.s_H[a]), e2.incl.psi(int(lam[a])))
             img[h] = H2.mul(val, e2.incl.psi(k))
         good = np.array_equal(img[H1.table], H2.table[img[:, None], img[None, :]])
@@ -332,7 +405,7 @@ def find_equivalence_morphism(e1: Extension, e2: Extension) -> Optional[Tuple[np
     def build_g(kap) -> Optional[np.ndarray]:
         img = np.zeros(G1.order, dtype=np.int64)
         for g in G1.elements():
-            b, l = e1.decompose_g(s1, g)
+            b, l = _split_element(G1, e1.proj.eta, e1.incl.eta, s1.s_G, g)
             val = G2.mul(int(s2.s_G[b]), e2.incl.eta(int(kap[b])))
             img[g] = G2.mul(val, e2.incl.eta(l))
         good = np.array_equal(img[G1.table], G2.table[img[:, None], img[None, :]])

@@ -27,6 +27,19 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert "NoInverse" in proc.stdout
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_out_of_range_entry_has_int_witness(self, tmp_path, fmt):
+        bad = tmp_path / "group_out_of_range.json"
+        bad.write_text(json.dumps({"order": 2, "table": [[0, 1], [1, 5]]}))
+        proc = run_cli("validate", bad, "--format", fmt)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        if fmt == "json":
+            out = json.loads(proc.stdout)
+            assert out["code"] == "NotClosed" and out["witness"] == [1, 1]
+        else:
+            assert "NotClosed: entry at (1, 1) out of range" in proc.stdout
+
     def test_invalid_operator(self):
         proc = run_cli("validate", F / "rrb_bad_axiom.json")
         assert proc.returncode == 2

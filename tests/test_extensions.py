@@ -1,5 +1,7 @@
 """Abelian extensions: sections, extraction, construction, equivalence."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from rrbgroups import (
     are_equivalent,
     build_extension,
     canonical_section,
+    chart,
     cochain_complex,
     cyclic_group,
     extract_actions,
@@ -24,7 +27,7 @@ from rrbgroups import (
     validate_module,
     zero_factor_system,
 )
-from oracles import cocycle_violations, find_equivalence_morphism
+from oracles import build_total_direct, cocycle_violations, find_equivalence_morphism
 
 ABELIAN = ("product_z2", "built_z2", "z4_carry", "z9", "s3", "z3_z4_twist",
            "z2_z4_image", "z2_z4_kernel", "z4_z4_diag", "parity_zero",
@@ -115,6 +118,16 @@ class TestSections:
                 assert ext.proj.eta(int(sec.s_G[b])) == b
             assert sec.s_H[0] == 0 and sec.s_G[0] == 0
 
+    def test_chart_splits_every_total_element(self, ext_corpus):
+        for ext in ext_corpus.values():
+            for sec in (canonical_section(ext), perturbed_section(ext)):
+                ch = chart(ext, sec)
+                H, G = ext.total.H, ext.total.G
+                for h in H.elements():
+                    assert H.mul(int(sec.s_H[ch.a[h]]), ext.incl.psi(int(ch.k[h]))) == h
+                for g in G.elements():
+                    assert G.mul(int(sec.s_G[ch.b[g]]), ext.incl.eta(int(ch.l[g]))) == g
+
     def test_unnormalized_section_rejected(self, ext_corpus):
         ext = ext_corpus["z9"]
         sec = canonical_section(ext)
@@ -123,6 +136,11 @@ class TestSections:
         with pytest.raises(RRBError) as err:
             extract_factor_system(ext, bad)
         assert err.value.code == "SectionNotNormalized"
+        bad = Section(sec.s_H.copy(), sec.s_G.copy())
+        bad.s_H[2] = sec.s_H[1]
+        with pytest.raises(RRBError) as err:
+            chart(ext, bad)
+        assert str(err.value) == "SectionNotNormalized: s_H(2) is in the wrong coset"
 
 
 class TestExtraction:
@@ -308,6 +326,25 @@ class TestBuildExtension:
                 count += 1
                 if count >= 12:
                     break
+
+    def test_matches_direct_loops(self, groups, module_corpus):
+        # Z3 acting on Z7 by doubling, with S = id and T = id: nu_1 has order
+        # 3, so R reads nu^-1 where nu would give another total.
+        z3, z7 = groups["z3"], cyclic_group(7)
+        quot = trivial_rrb(z3, z3, R=[0, 1, 2])
+        kern = trivial_rrb(z7, z7, R=list(range(7)))
+        double = [[pow(2, b) * k % 7 for k in range(7)] for b in range(3)]
+        halve = [[pow(4, b) * k % 7 for k in range(7)] for b in range(3)]
+        order3 = RRBModule(quot, kern, ActionQuadruple(double, [list(range(7))] * 3,
+                                                       halve, [[0] * 3] * 7))
+        for module in [*module_corpus.values(), order3]:
+            for fs in itertools.islice(cochain_complex(module).z2_elements(), 12):
+                ext = build_extension(module.quotient, module.kernel, module.action, fs)
+                tableH, tableG, phi, R = build_total_direct(module, fs)
+                assert np.array_equal(ext.total.H.table, tableH)
+                assert np.array_equal(ext.total.G.table, tableG)
+                assert np.array_equal(ext.total.phi, phi)
+                assert np.array_equal(ext.total.R, R)
 
     def test_build_of_extract_is_equivalent(self, ext_corpus):
         for name in ABELIAN:

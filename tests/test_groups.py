@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from rrbgroups import (
+    FiniteGroup,
     GroupError,
     GroupHom,
     all_isomorphisms,
@@ -19,19 +20,18 @@ from rrbgroups import (
     quotient_group,
     subgroup_closure,
     trivial_group,
-    validate_group,
 )
 from rrbgroups.groups import group_from_permutations
 
 
 class TestValidateGroup:
     def test_z4_table(self):
-        G = validate_group([[0, 1, 2, 3], [1, 2, 3, 0], [2, 3, 0, 1], [3, 0, 1, 2]])
+        G = FiniteGroup([[0, 1, 2, 3], [1, 2, 3, 0], [2, 3, 0, 1], [3, 0, 1, 2]])
         assert G.order == 4 and G.is_abelian
 
     def test_no_inverse(self):
         with pytest.raises(GroupError) as err:
-            validate_group([[0, 1], [1, 1]])
+            FiniteGroup([[0, 1], [1, 1]])
         assert err.value.code == "NoInverse" and err.value.witness == (1,)
 
     def test_s3_from_composed_permutations(self):
@@ -39,19 +39,21 @@ class TestValidateGroup:
         perms = sorted(itertools.permutations(range(3)))
         index = {p: i for i, p in enumerate(perms)}
         table = [[index[tuple(p[q[x]] for x in range(3))] for q in perms] for p in perms]
-        oracle = validate_group(table)
+        oracle = FiniteGroup(table)
         built = group_from_permutations(3, [[1, 0, 2], [0, 2, 1]], name="S3")
         assert oracle.order == 6 and built == oracle
 
     def test_identity_not_at_zero(self):
         with pytest.raises(GroupError) as err:
-            validate_group([[1, 0], [0, 1]])
+            FiniteGroup([[1, 0], [0, 1]])
         assert err.value.code == "NoIdentityAtZero"
 
     def test_out_of_range(self):
         with pytest.raises(GroupError) as err:
-            validate_group([[0, 1], [1, 7]])
+            FiniteGroup([[0, 1], [1, 7]])
         assert err.value.code == "NotClosed"
+        assert err.value.witness == (1, 1)
+        assert all(type(x) is int for x in err.value.witness)
 
     def test_not_associative(self):
         # A unital magma with two-sided inverses that fails associativity:
@@ -62,7 +64,7 @@ class TestValidateGroup:
                  [3, 2, 4, 0, 1],
                  [4, 3, 1, 2, 0]]
         with pytest.raises(GroupError) as err:
-            validate_group(table)
+            FiniteGroup(table)
         assert err.value.code == "NotAssociative"
 
     def test_cancellation_rows_and_columns(self, groups):

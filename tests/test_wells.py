@@ -31,7 +31,7 @@ from rrbgroups import (
 )
 from rrbgroups.serialize import load_extension
 from rrbgroups.wells import CompatiblePair, _morphism_key, _pair_key
-from oracles import cocycle_violations, fs_key
+from oracles import act_direct, cocycle_violations, fs_from_key, fs_key, fs_positions
 
 TESTS_DIR = Path(__file__).parent
 EXT_FILES = sorted([*(TESTS_DIR.parent / "src" / "rrbgroups" / "fixtures").glob("ext_*.json"),
@@ -120,6 +120,17 @@ class TestCochainAction:
             zero = zero_factor_system(ctx.module)
             for pair in ctx.compatible:
                 assert act_on_factor_system(pair, zero, ctx.module) == zero
+
+    def test_matches_direct_loops(self, contexts):
+        # The action is defined on every normalized cochain; random ones reach
+        # entries that the corpus cocycles leave at zero.
+        rng = np.random.default_rng(6)
+        for ctx in contexts.values():
+            positions = fs_positions(ctx.module)
+            for _ in range(4):
+                fs = fs_from_key(ctx.module, [rng.integers(size) for *_, size in positions])
+                for pair in ctx.compatible:
+                    assert act_on_factor_system(pair, fs, ctx.module) == act_direct(pair, fs)
 
     def test_incompatible_pair_rejected(self, contexts):
         ctx = contexts["z9_mul4"]
@@ -236,6 +247,24 @@ class TestRestrictionAndDerivations:
         with pytest.raises(RRBError) as err:
             aut_to_z1(ctx, gamma)
         assert err.value.code == "NotInAutAK"
+
+    def test_automorphism_moving_the_kernel_rejected(self, groups):
+        # On the trivial product Z2 x Z2 every pair of automorphisms of the
+        # total is one of the structure; swapping the two factors moves K
+        # (on H) or L (on G) off itself.
+        from rrbgroups import product_extension, trivial_rrb, validate_morphism
+
+        z2 = groups["z2"]
+        ext = product_extension(trivial_rrb(z2, z2), trivial_rrb(z2, z2))
+        ctx = WellsContext(ext)
+        swap, ident = [0, 2, 1, 3], [0, 1, 2, 3]
+        for psi, eta in ((swap, ident), (ident, swap)):
+            gamma = validate_morphism(ext.total, ext.total, psi, eta)
+            for reader in (restrict_and_induce, aut_to_z1):
+                with pytest.raises(RRBError) as err:
+                    reader(ctx, gamma)
+                assert err.value.code == "ImageKernelMismatch"
+                assert "element 2 is not in the kernel image" in str(err.value)
 
     def test_search_bound_comes_from_the_context(self, ext_corpus):
         with pytest.raises(RRBError) as err:

@@ -155,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--max-order", type=int, default=64,
                         help="enumeration bound on component group orders")
     common.add_argument("--budget", type=int, default=None,
-                        help="evaluation cap for operator enumeration "
+                        help="closure-product cap for operator enumeration "
                              "(RRB_BUDGET overrides the default)")
     parser = argparse.ArgumentParser(
         prog="rrbgroups",

@@ -42,20 +42,21 @@ class FiniteGroup:
             raise GroupError("NotClosed", f"entry at {bad} out of range", bad)
         if not (np.array_equal(tab[0], np.arange(n)) and np.array_equal(tab[:, 0], np.arange(n))):
             raise GroupError("NoIdentityAtZero", "element 0 is not a two-sided identity")
-        # table[table[i, j], k] == table[i, table[j, k]], vectorized over k.
+        # table[table[i, j], k] == table[i, table[j, k]], one (j, k) plane per i.
         for i in range(n):
-            for j in range(n):
-                if not np.array_equal(tab[tab[i, j]], tab[i, tab[j]]):
-                    k = int(np.flatnonzero(tab[tab[i, j]] != tab[i, tab[j]])[0])
-                    raise GroupError(
-                        "NotAssociative", f"(a*b)*c != a*(b*c) at (a,b,c)=({i},{j},{k})", (i, j, k)
-                    )
-        inv = np.full(n, -1, dtype=np.int64)
-        for i in range(n):
-            hits = [int(j) for j in np.flatnonzero(tab[i] == 0) if tab[j, i] == 0]
-            if not hits:
-                raise GroupError("NoInverse", f"element {i} has no two-sided inverse", (i,))
-            inv[i] = hits[0]
+            bad = tab[tab[i]] != tab[i][tab]
+            if bad.any():
+                j, k = (int(x) for x in np.argwhere(bad)[0])
+                raise GroupError(
+                    "NotAssociative", f"(a*b)*c != a*(b*c) at (a,b,c)=({i},{j},{k})", (i, j, k)
+                )
+        # inv[i] is the least j with i*j == j*i == 0.
+        two_sided = (tab == 0) & (tab.T == 0)
+        missing = ~two_sided.any(axis=1)
+        if missing.any():
+            i = int(np.argmax(missing))
+            raise GroupError("NoInverse", f"element {i} has no two-sided inverse", (i,))
+        inv = np.argmax(two_sided, axis=1).astype(np.int64)
         self.table = tab
         self.table.setflags(write=False)
         self.order = n

@@ -56,19 +56,21 @@ class RRBGroup:
                                f"phi[{g}] is not an automorphism of H", (g,))
         if not np.array_equal(phi_arr[0], np.arange(H.order)):
             raise RRBError("PhiNotAction", "phi[identity] is not the identity map", (0, 0))
+        # One row of g2 at a time: phi[g1*g2] against phi[g1] o phi[g2].
         for g1 in G.elements():
-            for g2 in G.elements():
-                if not np.array_equal(phi_arr[G.mul(g1, g2)], phi_arr[g1][phi_arr[g2]]):
-                    raise RRBError("PhiNotAction",
-                                   f"phi[{g1}*{g2}] != phi[{g1}] o phi[{g2}]", (g1, g2))
-        for h1 in H.elements():
-            lhs_g = int(R_arr[h1])
-            for h2 in H.elements():
-                lhs = G.mul(lhs_g, int(R_arr[h2]))
-                rhs = int(R_arr[H.mul(h1, int(phi_arr[lhs_g, h2]))])
-                if lhs != rhs:
-                    raise RRBError("RRBAxiomFails",
-                                   f"operator axiom fails at (h1,h2)=({h1},{h2})", (h1, h2))
+            bad = (phi_arr[G.table[g1]] != phi_arr[g1][phi_arr]).any(axis=1)
+            if bad.any():
+                g2 = int(np.argmax(bad))
+                raise RRBError("PhiNotAction",
+                               f"phi[{g1}*{g2}] != phi[{g1}] o phi[{g2}]", (g1, g2))
+        # R(h1) R(h2) against R(h1 phi_{R(h1)}(h2)) over all (h1, h2) at once.
+        lhs = G.table[R_arr[:, None], R_arr[None, :]]
+        rhs = R_arr[H.table[np.arange(H.order)[:, None], phi_arr[R_arr]]]
+        bad = lhs != rhs
+        if bad.any():
+            h1, h2 = (int(x) for x in np.argwhere(bad)[0])
+            raise RRBError("RRBAxiomFails",
+                           f"operator axiom fails at (h1,h2)=({h1},{h2})", (h1, h2))
         if R_arr[0] != 0:
             # Forced by the axiom at (0, 0); reaching this means H or G is broken.
             raise RRBError("RRBAxiomFails", "R(identity) != identity", (0, 0))
@@ -390,62 +392,73 @@ def rrb_automorphism_group(rrb: RRBGroup,
 def enumerate_rrb_operators(H: FiniteGroup, G: FiniteGroup,
                             phi: Sequence[Sequence[int]],
                             budget: int = 10 ** 6) -> List[np.ndarray]:
-    """All operators R for the given action, by pruned backtracking.
+    """All operators R for the given action, as closed graphs in H x_phi G.
 
-    Fixes R(0) = 0 and fills values in element order, checking every axiom
-    instance whose three participating values are already assigned.  The
-    budget caps axiom evaluations.
+    R is an operator exactly when its graph {(h, R(h))} is closed under
+    (h1, g1)(h2, g2) = (h1 phi_{g1}(h2), g1 g2): closure of two graph points
+    is the axiom at (h1, h2).  The search keeps the assigned points closed:
+    each new point is multiplied with itself and every earlier point, in
+    both orders; a product on an unassigned h forces R(h), and one on an
+    assigned h with another value prunes.  It branches only on the least
+    unassigned h, so its leaves are exactly the operators.  The budget caps
+    closure products.
     """
     phi_arr = np.asarray(phi, dtype=np.int64)
     probe = RRBGroup(H, G, phi_arr, [0] * H.order)  # validates phi, R=0 always works
     del probe
     n = H.order
-    R = np.full(n, -1, dtype=np.int64)
+    htab, gtab, act = H.table.tolist(), G.table.tolist(), phi_arr.tolist()
+    R = [-1] * n
     R[0] = 0
+    points = [0]  # assigned h in assignment order, the graph points (h, R[h])
     results: List[np.ndarray] = []
     spent = 0
 
-    def check_pair(h1: int, h2: int) -> Optional[bool]:
-        """True/False when decidable with current assignments, else None."""
-        g1 = R[h1]
-        if g1 < 0 or R[h2] < 0:
-            return None
-        target = H.mul(h1, int(phi_arr[g1, h2]))
-        if R[target] < 0:
-            return None
-        return G.mul(int(g1), int(R[h2])) == int(R[target])
-
-    def consistent() -> bool:
-        # Re-scan every assigned pair: a fresh assignment can decide an axiom
-        # instance in which it appears only as the right-hand-side target.
+    def close(i: int) -> bool:
+        """Multiply out points[i:], which grows as values are forced."""
         nonlocal spent
-        for h1 in range(n):
-            if R[h1] < 0:
-                continue
-            for h2 in range(n):
-                if R[h2] < 0:
-                    continue
-                spent += 1
-                if spent > budget:
-                    raise RRBError("BudgetExceeded",
-                                   f"operator search exceeded budget {budget}")
-                if check_pair(h1, h2) is False:
-                    return False
+        while i < len(points):
+            h1 = points[i]
+            g1 = R[h1]
+            row, act1, grow = htab[h1], act[g1], gtab[g1]
+            ok = True
+            for j in range(i + 1):
+                h2 = points[j]
+                g2 = R[h2]
+                for h, g in ((row[act1[h2]], grow[g2]),
+                             (htab[h2][act[g2][h1]], gtab[g2][g1])):
+                    if R[h] < 0:
+                        R[h] = g
+                        points.append(h)
+                    elif R[h] != g:
+                        ok = False
+                if not ok:
+                    break
+            spent += 2 * (j + 1)
+            if spent > budget:
+                raise RRBError("BudgetExceeded",
+                               f"operator search exceeded budget {budget}")
+            if not ok:
+                return False
+            i += 1
         return True
 
-    def recurse(h: int):
+    def branch(h: int):
+        while h < n and R[h] >= 0:
+            h += 1
         if h == n:
-            results.append(R.copy())
+            results.append(np.asarray(R, dtype=np.int64))
             return
+        mark = len(points)
         for g in G.elements():
             R[h] = g
-            if consistent():
-                recurse(h + 1)
-            R[h] = -1
+            points.append(h)
+            if close(mark):
+                branch(h + 1)
+            for x in points[mark:]:
+                R[x] = -1
+            del points[mark:]
 
-    if n == 1:
-        results.append(R.copy())
-    else:
-        recurse(1)
+    branch(1)
     results.sort(key=lambda r: tuple(r.tolist()))
     return results

@@ -19,6 +19,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
+from .abelian import reduce_vec
 from .cohomology import CohomologyClass, cochain_complex
 from .extensions import Extension, chart, extract_actions, extract_factor_system
 from .groups import DEFAULT_MAX_ORDER, GroupHom
@@ -373,12 +374,19 @@ def verify_wells_exactness(ext: Extension,
     induced = [restrict_and_induce(ctx, g) for g in autK]
     autAK = [g for g, pair in zip(autK, induced) if pair.is_identity()]
     lands = set(keys) <= {_morphism_key(g) for g in autAK}
+    # eta(k1 + k2) is looked up among the images already built, by the
+    # reduced coordinates of the sum.
+    cx = ctx.complex
+    coords = [cx.kappa_to_coords(kappa) for kappa in z1_list]
+    z1_index = {reduce_vec(c, cx.c1_moduli): i for i, c in enumerate(coords)}
     additive = True
-    for k1, g1 in zip(z1_list, eta_images):
-        for k2, g2 in zip(z1_list, eta_images):
-            s = ctx.complex.kappa_from_coords(
-                ctx.complex.kappa_to_coords(k1) + ctx.complex.kappa_to_coords(k2))
-            if _morphism_key(z1_to_aut(ctx, s)) != _morphism_key(g1.compose(g2)):
+    for k1, c1, g1 in zip(z1_list, coords, eta_images):
+        for k2, c2, g2 in zip(z1_list, coords, eta_images):
+            s = z1_index.get(reduce_vec(c1 + c2, cx.c1_moduli))
+            if s is None:
+                additive = False
+                witnesses["eta_injective"] = f"{k1} + {k2} is not in Z1"
+            elif keys[s] != _morphism_key(g1.compose(g2)):
                 additive = False
                 witnesses["eta_injective"] = f"eta not multiplicative at {k1}, {k2}"
     exactness["eta_injective"] = injective and lands and additive

@@ -270,6 +270,64 @@ def exhaustive_z1(module: RRBModule) -> List[OneCochain]:
             if not any(derivation_defects(module, kappa).values())]
 
 
+# -- tables and structures ---------------------------------------------------
+
+def group_table_violation(table) -> Optional[Tuple[str, str, tuple]]:
+    """The first failure of a square table as (code, message, witness), by
+    element loops in the order FiniteGroup checks: entries in range, the
+    identity at 0, associativity over (a, b, c), then a two-sided inverse of
+    each element.  None for a group table."""
+    tab = [[int(x) for x in row] for row in table]
+    n = len(tab)
+    for a in range(n):
+        for b in range(n):
+            if not 0 <= tab[a][b] < n:
+                return "NotClosed", f"entry at {(a, b)} out of range", (a, b)
+    if tab[0] != list(range(n)) or [row[0] for row in tab] != list(range(n)):
+        return "NoIdentityAtZero", "element 0 is not a two-sided identity", ()
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if tab[tab[a][b]][c] != tab[a][tab[b][c]]:
+                    return ("NotAssociative",
+                            f"(a*b)*c != a*(b*c) at (a,b,c)=({a},{b},{c})", (a, b, c))
+    for a in range(n):
+        if not any(tab[a][b] == 0 and tab[b][a] == 0 for b in range(n)):
+            return "NoInverse", f"element {a} has no two-sided inverse", (a,)
+    return None
+
+
+def rrb_violation(H, G, phi, R) -> Optional[Tuple[str, str, tuple]]:
+    """The first failure of (phi, R) over groups H and G as (code, message,
+    witness), by element loops in the order RRBGroup checks: each phi[g] an
+    automorphism, phi[0] the identity, the action law over (g1, g2), the
+    operator axiom over (h1, h2), R(0) = 0.  Shapes and the range of R are
+    taken as checked.  None for a structure."""
+    phi = [[int(x) for x in row] for row in phi]
+    R = [int(x) for x in R]
+    hs, gs = list(H.elements()), list(G.elements())
+    for g in gs:
+        row = phi[g]
+        if sorted(row) != hs or any(row[H.mul(a, b)] != H.mul(row[a], row[b])
+                                    for a in hs for b in hs):
+            return "PhiNotAutomorphism", f"phi[{g}] is not an automorphism of H", (g,)
+    if phi[0] != hs:
+        return "PhiNotAction", "phi[identity] is not the identity map", (0, 0)
+    for g1 in gs:
+        for g2 in gs:
+            if phi[G.mul(g1, g2)] != [phi[g1][x] for x in phi[g2]]:
+                return ("PhiNotAction", f"phi[{g1}*{g2}] != phi[{g1}] o phi[{g2}]",
+                        (g1, g2))
+    for h1 in hs:
+        for h2 in hs:
+            if G.mul(R[h1], R[h2]) != R[H.mul(h1, phi[R[h1]][h2])]:
+                return ("RRBAxiomFails", f"operator axiom fails at (h1,h2)=({h1},{h2})",
+                        (h1, h2))
+    if R[0] != 0:
+        return "RRBAxiomFails", "R(identity) != identity", (0, 0)
+    return None
+
+
 # -- morphisms ----------------------------------------------------------------
 
 def morphism_violation(dom: RRBGroup, cod: RRBGroup, psi: Sequence[int],

@@ -1,9 +1,13 @@
 """Cayley-table groups: validation, homs, automorphisms, quotients, products."""
 
 import itertools
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rrbgroups import (
     FiniteGroup,
@@ -22,6 +26,54 @@ from rrbgroups import (
     trivial_group,
 )
 from rrbgroups.groups import group_from_permutations
+from oracles import group_table_violation
+
+OPERATORS_CATALOGUE = Path(__file__).parent.parent / "perfbench" / "catalogue" / "operators.json"
+
+
+def _table_corpus() -> dict:
+    z2 = cyclic_group(2)
+    v4 = direct_product(z2, z2).group
+    return {
+        **{f"z{n}": cyclic_group(n).table.tolist() for n in (1, 2, 3, 4, 5, 6, 8)},
+        "z2^3": direct_product(v4, z2).group.table.tolist(),
+        "z2xz4": direct_product(z2, cyclic_group(4)).group.table.tolist(),
+        "s3": group_from_permutations(3, [[1, 0, 2], [0, 2, 1]]).table.tolist(),
+        "d4": group_from_permutations(4, [[1, 2, 3, 0], [0, 3, 2, 1]]).table.tolist(),
+        "a4": group_from_permutations(4, [[1, 2, 0, 3], [0, 2, 3, 1]]).table.tolist(),
+    }
+
+
+TABLES = _table_corpus()
+
+
+def _relabel(table, perm):
+    """The table of the same operation with element x renamed perm[x]."""
+    n = len(table)
+    out = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            out[perm[a]][perm[b]] = perm[table[a][b]]
+    return out
+
+
+def _check_against_loops(table):
+    """FiniteGroup raises the oracle's first (code, message, witness), or
+    accepts with the least two-sided inverses."""
+    expected = group_table_violation(table)
+    if expected is None:
+        G = FiniteGroup(table)
+        n = len(table)
+        assert G.inverses.tolist() == [
+            min(b for b in range(n) if table[a][b] == 0 and table[b][a] == 0)
+            for a in range(n)]
+        return
+    with pytest.raises(GroupError) as err:
+        FiniteGroup(table)
+    code, message, witness = expected
+    assert (err.value.code, str(err.value), err.value.witness) == (
+        code, f"{code}: {message}", witness)
+    assert all(type(x) is int for x in err.value.witness)
 
 
 class TestValidateGroup:
@@ -72,6 +124,40 @@ class TestValidateGroup:
             for i in G.elements():
                 assert sorted(G.table[i].tolist()) == list(G.elements())
                 assert sorted(G.table[:, i].tolist()) == list(G.elements())
+
+
+class TestTableChecksMatchLoops:
+    """The row gathers of FiniteGroup against the element loops."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_corrupted_tables(self, data):
+        table = TABLES[data.draw(st.sampled_from(sorted(TABLES)))]
+        n = len(table)
+        rest = data.draw(st.permutations(range(1, n))) if n > 1 else []
+        table = _relabel(table, [0, *rest])
+        kind = data.draw(st.sampled_from(["none", "swap", "entry", "monoid"]))
+        if kind == "swap":
+            # Rows stay permutations, so associativity or inverses fail.
+            i, j, k = (data.draw(st.integers(0, n - 1)) for _ in range(3))
+            table[i][j], table[i][k] = table[i][k], table[i][j]
+        elif kind == "entry":
+            i, j, x = (data.draw(st.integers(0, n - 1)) for _ in range(3))
+            table[i][j] = x
+        elif kind == "monoid":
+            # G x {1, z} with z*z = z: associative with an identity, and
+            # every (g, z) lacks an inverse.
+            table = [[2 * table[a // 2][b // 2] + (a % 2 | b % 2) for b in range(2 * n)]
+                     for a in range(2 * n)]
+        _check_against_loops(table)
+
+    @pytest.mark.parametrize("name", ["group_Z4^3_broken", "group_D16_broken"])
+    def test_catalogue_non_associative_payloads(self, name):
+        with open(OPERATORS_CATALOGUE, encoding="utf-8") as fh:
+            entries = json.load(fh)["validate"]
+        table = next(e["payload"]["table"] for e in entries if e["name"] == name)
+        assert group_table_violation(table)[0] == "NotAssociative"
+        _check_against_loops(table)
 
 
 class TestHomomorphisms:

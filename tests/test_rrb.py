@@ -1,6 +1,7 @@
 """Operator-group structures: validation, quotients, centers, enumeration."""
 
 import functools
+import json
 from pathlib import Path
 
 import numpy as np
@@ -41,10 +42,11 @@ from rrbgroups import (
 )
 from rrbgroups.groups import FiniteGroup, group_from_permutations
 from rrbgroups.serialize import load_extension, load_rrb
-from oracles import automorphism_pairs, morphism_violation, naive_operators
+from oracles import automorphism_pairs, morphism_violation, naive_operators, rrb_violation
 
 INV3 = [[0, 1, 2], [0, 2, 1]]
 FIXTURE_DIR = Path(__file__).parent.parent / "src" / "rrbgroups" / "fixtures"
+OPERATORS_CATALOGUE = Path(__file__).parent.parent / "perfbench" / "catalogue" / "operators.json"
 
 
 def _structure_fixtures() -> dict:
@@ -75,6 +77,42 @@ def _z2_cubed_trivial() -> RRBGroup:
 STRUCTURES = _structure_fixtures()
 SEARCH_CASES = {**STRUCTURES, "d4_conjugation": _d4_conjugation(),
                 "z2_cubed_trivial": _z2_cubed_trivial()}
+
+
+def _operators_catalogue() -> dict:
+    with open(OPERATORS_CATALOGUE, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def _relabel(H, G, phi, R, p, q):
+    """(H, G, phi, R) with h renamed p[h] and g renamed q[g]."""
+    def table(K, perm):
+        out = np.empty((K.order, K.order), dtype=np.int64)
+        out[np.ix_(perm, perm)] = perm[K.table]
+        return FiniteGroup(out)
+    p, q = np.asarray(p), np.asarray(q)
+    new_phi = np.empty((G.order, H.order), dtype=np.int64)
+    new_phi[np.ix_(q, p)] = p[np.asarray(phi)]
+    new_R = np.empty(H.order, dtype=np.int64)
+    new_R[p] = q[np.asarray(R)]
+    return table(H, p), table(G, q), new_phi.tolist(), new_R.tolist()
+
+
+def _relabel_draw(data, H, G, phi, R):
+    """A random relabeling that keeps each identity at 0."""
+    p = [0, *data.draw(st.permutations(range(1, H.order)))] if H.order > 1 else [0]
+    q = [0, *data.draw(st.permutations(range(1, G.order)))] if G.order > 1 else [0]
+    return _relabel(H, G, phi, R, p, q)
+
+
+# Small enough for the unrestricted search over every map H -> G.
+NAIVE_CASES = {
+    **{name: (r.H, r.G, r.phi.tolist()) for name, r in SEARCH_CASES.items()},
+    **{e["name"]: (FiniteGroup(e["H"]["table"]), FiniteGroup(e["G"]["table"]), e["phi"])
+       for e in _operators_catalogue()["enumerate"]},
+}
+NAIVE_CASES = {name: case for name, case in NAIVE_CASES.items()
+               if case[1].order ** case[0].order <= 20_000}
 
 
 @functools.lru_cache(maxsize=None)
@@ -135,6 +173,57 @@ class TestValidate:
         for ext in ext_corpus.values():
             for rrb in (ext.kernel, ext.total, ext.quotient):
                 assert rrb.R[0] == 0
+
+
+def _check_structure_against_loops(H, G, phi, R):
+    """RRBGroup raises the oracle's first (code, message, witness), or accepts."""
+    expected = rrb_violation(H, G, phi, R)
+    if expected is None:
+        RRBGroup(H, G, phi, R)
+        return
+    with pytest.raises(RRBError) as err:
+        RRBGroup(H, G, phi, R)
+    code, message, witness = expected
+    assert (err.value.code, str(err.value), err.value.witness) == (
+        code, f"{code}: {message}", witness)
+    assert all(type(x) is int for x in err.value.witness)
+
+
+class TestStructureChecksMatchLoops:
+    """The gathered action law and operator axiom against the element loops."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_corrupted_structures(self, data):
+        rrb = SEARCH_CASES[data.draw(st.sampled_from(sorted(SEARCH_CASES)))]
+        phi, R = rrb.phi.tolist(), rrb.R.tolist()
+        nH, nG = rrb.H.order, rrb.G.order
+        kind = data.draw(st.sampled_from(["none", "phi_entries", "phi_row", "R_entry",
+                                          "R_swap"]))
+        if kind == "phi_entries":
+            g, a, b = (data.draw(st.integers(0, n - 1)) for n in (nG, nH, nH))
+            phi[g][a], phi[g][b] = phi[g][b], phi[g][a]
+        elif kind == "phi_row":
+            # Every row stays an automorphism, so the action law is what fails.
+            g = data.draw(st.integers(0, nG - 1))
+            phi[g] = data.draw(st.sampled_from(_auts(rrb.H))).image.tolist()
+        elif kind == "R_entry":
+            R[data.draw(st.integers(0, nH - 1))] = data.draw(st.integers(0, nG - 1))
+        elif kind == "R_swap":
+            a, b = (data.draw(st.integers(0, nH - 1)) for _ in range(2))
+            R[a], R[b] = R[b], R[a]
+        _check_structure_against_loops(*_relabel_draw(data, rrb.H, rrb.G, phi, R))
+
+    @pytest.mark.parametrize("name", [
+        "structure_Z4xZ4_inv", "structure_Z2^6_parity", "structure_D16",
+        "structure_Z2^5_Z2", "structure_Z4xZ4_broken_R", "structure_Z2^6_broken_phi"])
+    def test_catalogue_structure_payloads(self, name):
+        entry = next(e for e in _operators_catalogue()["validate"] if e["name"] == name)
+        payload = entry["payload"]
+        H, G = FiniteGroup(payload["H"]["table"]), FiniteGroup(payload["G"]["table"])
+        expected = rrb_violation(H, G, payload["phi"], payload["R"])
+        assert (expected[0] if expected else None) == entry["code"]
+        _check_structure_against_loops(H, G, payload["phi"], payload["R"])
 
 
 class TestDescendedOperation:
@@ -489,3 +578,30 @@ class TestOperatorEnumeration:
             enumerate_rrb_operators(groups["z4"], groups["z4"],
                                     [[0, 1, 2, 3]] * 4, budget=3)
         assert err.value.code == "BudgetExceeded"
+
+    def test_budget_counts_closure_products(self, groups):
+        # Each of the four branches R(1) = g closes {(h, hg)} in 4 + 6 + 8
+        # products: 72 in all, so a budget of 71 is too small.
+        z4, phi = groups["z4"], [[0, 1, 2, 3]] * 4
+        assert len(enumerate_rrb_operators(z4, z4, phi, budget=72)) == 4
+        with pytest.raises(RRBError) as err:
+            enumerate_rrb_operators(z4, z4, phi, budget=71)
+        assert err.value.code == "BudgetExceeded"
+
+    def test_catalogue_operator_lists(self):
+        entries = _operators_catalogue()["enumerate"]
+        assert len(entries) == 13
+        for e in entries:
+            H, G = FiniteGroup(e["H"]["table"]), FiniteGroup(e["G"]["table"])
+            got = [o.tolist() for o in enumerate_rrb_operators(H, G, e["phi"])]
+            assert got == e["operators"], e["name"]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_relabeled_corpus_matches_naive(self, data):
+        # The search order follows the labels, so relabeling changes which
+        # values are branched on and which are forced.
+        H, G, phi = NAIVE_CASES[data.draw(st.sampled_from(sorted(NAIVE_CASES)))]
+        H, G, phi, _ = _relabel_draw(data, H, G, phi, [0] * H.order)
+        got = [o.tolist() for o in enumerate_rrb_operators(H, G, phi)]
+        assert got == naive_operators(H, G, phi)

@@ -89,7 +89,7 @@ def _stack_moduli(cols: np.ndarray, moduli: Sequence[int]) -> np.ndarray:
 
 def _kernel_head(snf: SmithForm, r: int) -> np.ndarray:
     """First r coordinates of a kernel basis of the factored matrix."""
-    return snf.V[:r, snf.rank:]
+    return snf.v_head(r)[:, snf.rank:]
 
 
 def kernel_mod(matrix: np.ndarray, moduli: Sequence[int]) -> np.ndarray:

@@ -1,13 +1,21 @@
 """Exact integer linear algebra: Smith normal form and the solver that reads it.
 
-All matrices are numpy arrays with ``dtype=object`` holding Python ints, so
-arithmetic never overflows.  Vectors are 1-d arrays, matrices act on column
-vectors from the left.
+Every matrix taken or returned is a numpy array with ``dtype=object`` holding
+Python ints, so results never overflow.  Vectors are 1-d arrays, matrices act
+on column vectors from the left.
+
+``smith_normal_form`` eliminates in exact int64 while every entry stays below
+2**31 in absolute value, and moves to Python ints (``astype(object)``) once an
+entry reaches that bound; there is no floating point anywhere.  It logs its
+row and column operations and replays the transforms U, U^-1 and V from the
+log only when they are first read, and a kernel head replays only the rows of
+V it needs.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Sequence
+import functools
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -34,27 +42,41 @@ def as_int_matrix(rows: Sequence[Sequence[int]], ncols: Optional[int] = None) ->
 
 
 def identity_matrix(n: int) -> np.ndarray:
-    out = np.zeros((n, n), dtype=object)
-    for i in range(n):
-        out[i, i] = 1
-    return out
+    return np.eye(n, dtype=object)
 
 
 def zeros_matrix(n: int, m: int) -> np.ndarray:
     return np.zeros((n, m), dtype=object)
 
 
-class SmithForm(NamedTuple):
+_SWAP, _ADD, _NEGATE = range(3)
+
+# With every entry below 2**31 in absolute value, a multiplier c = -(x // p)
+# has |c| < 2**31, so each x + c*y of the elimination stays inside int64.
+_INT64_EXACT = 2 ** 31
+
+
+class SmithForm:
     """Decomposition U @ A @ V == D with U, V unimodular.
 
     D is diagonal with nonnegative entries d_1 | d_2 | ... | d_r followed by
-    zeros.  Uinv is the exact inverse of U.
+    zeros.  Uinv is the exact inverse of U.  A is taken and all four are
+    returned as object-dtype matrices of Python ints, and a SmithForm unpacks
+    as ``D, U, V, Uinv``.  The elimination behind it works in int64 while
+    every entry stays below 2**31 in absolute value and in Python ints from
+    the first entry that reaches it.  D comes out of the elimination; U,
+    Uinv and V are replayed from its log of row and column operations when
+    first read, and ``v_head(r)`` replays only the first r rows of V, which
+    is all a kernel head reads.
     """
 
-    D: np.ndarray
-    U: np.ndarray
-    V: np.ndarray
-    Uinv: np.ndarray
+    def __init__(self, D: np.ndarray, row_ops: list, col_ops: list):
+        self.D = D
+        self._row_ops = row_ops
+        self._col_ops = col_ops
+
+    def __iter__(self):
+        return iter((self.D, self.U, self.V, self.Uinv))
 
     @property
     def diagonal(self) -> list:
@@ -65,101 +87,222 @@ class SmithForm(NamedTuple):
     def rank(self) -> int:
         return sum(1 for d in self.diagonal if d != 0)
 
+    @functools.cached_property
+    def U(self) -> np.ndarray:
+        U = identity_matrix(self.D.shape[0])
+        for kind, i, j, c in self._row_ops:
+            if kind == _SWAP:
+                U[[i, j]] = U[[j, i]]
+            elif kind == _ADD:
+                U[i] += c[:, None] * U[j]
+            else:
+                U[i] = -U[i]
+        return U
+
+    @functools.cached_property
+    def Uinv(self) -> np.ndarray:
+        # Each row operation on U is undone by a column operation on Uinv.
+        Uinv = identity_matrix(self.D.shape[0])
+        for kind, i, j, c in self._row_ops:
+            if kind == _SWAP:
+                Uinv[:, [i, j]] = Uinv[:, [j, i]]
+            elif kind == _ADD:
+                Uinv[:, j] -= Uinv[:, i] @ c
+            else:
+                Uinv[:, i] = -Uinv[:, i]
+        return Uinv
+
+    @functools.cached_property
+    def V(self) -> np.ndarray:
+        return self.v_head(self.D.shape[1])
+
+    def v_head(self, r: int) -> np.ndarray:
+        """The first r rows of V; column operations act on each row alone.
+
+        Replayed in int64 like the elimination, and in Python ints from the
+        first multiplier or entry that reaches 2**31.
+        """
+        V = np.eye(r, self.D.shape[1], dtype=np.int64)
+        for kind, i, j, c in self._col_ops:
+            if kind == _SWAP:
+                V[:, [i, j]] = V[:, [j, i]]
+                continue
+            if c.dtype == object and V.dtype != object:
+                V = V.astype(object)
+            V[:, i] += V[:, [j]] * c
+            if V.dtype != object and np.abs(V[:, i]).max(initial=0) >= _INT64_EXACT:
+                V = V.astype(object)
+        return V.astype(object)
+
+
+def _working_copy(mat: np.ndarray) -> np.ndarray:
+    """An int64 copy of mat if every entry is below 2**31 in absolute value,
+    else a copy in Python ints.  The conversion itself is the range check:
+    it raises for entries beyond int64, and min and max bound the rest."""
+    A = np.asarray(mat, dtype=object)
+    try:
+        small = A.astype(np.int64)
+    except OverflowError:
+        return A.copy()
+    if small.size and (small.min() <= -_INT64_EXACT or small.max() >= _INT64_EXACT):
+        return A.copy()
+    return small
+
 
 def smith_normal_form(mat: np.ndarray) -> SmithForm:
-    """Smith normal form over the integers with transformation matrices."""
-    A = np.array(mat, dtype=object)
+    """Smith normal form over the integers; transforms replayed on first read.
+
+    Step t works on the active block A[t:, t:] only: every entry of rows and
+    columns below t outside it is already zero.  The pivot is the first entry
+    of least absolute value in row-major order.  Its column, then its row, is
+    cleared in index order, and the first entry the pivot does not divide
+    leaves a remainder that becomes the new pivot; once both are clear, the
+    first row holding a non-multiple of the pivot is added to the pivot row,
+    so the diagonal comes out in a divisibility chain.
+    """
+    A = _working_copy(mat)
     n, m = A.shape
-    U, Uinv = identity_matrix(n), identity_matrix(n)
-    V = identity_matrix(m)
+    row_ops: list = []
+    col_ops: list = []
+    # Row summaries over the active block, so that neither the pivot nor the
+    # divisibility witness needs a scan of the block.  S[i, 0] is 0 exactly
+    # when row i is zero, else at most its least nonzero absolute value, and
+    # equal to it unless the row is stale; S[i, 1] divides the gcd of the
+    # row's entries.  Column swaps keep both.  A stale row is summarized
+    # again only when its bound could decide the pivot, and a row whose gcd
+    # bound the pivot does not divide only when it could be the witness.
+    S = np.zeros((n, 2), dtype=A.dtype)
+    stale = np.zeros(n, dtype=bool)
 
-    def row_swap(i, j):
-        if i == j:
+    def summarize(rows):
+        if not rows.size:
             return
-        A[[i, j], :] = A[[j, i], :]
-        U[[i, j], :] = U[[j, i], :]
-        Uinv[:, [i, j]] = Uinv[:, [j, i]]
+        block = A[rows, t:]
+        nonzero = block != 0
+        counts = nonzero.sum(axis=1)
+        live = counts > 0
+        S[rows] = 0
+        if live.any():
+            mag = np.abs(block[nonzero])
+            seg = (np.cumsum(counts) - counts)[live]
+            S[rows[live], 0] = np.minimum.reduceat(mag, seg)
+            S[rows[live], 1] = np.gcd.reduceat(mag, seg)
+        stale[rows] = False
 
-    def col_swap(i, j):
-        if i == j:
-            return
-        A[:, [i, j]] = A[:, [j, i]]
-        V[:, [i, j]] = V[:, [j, i]]
+    def loosen(rows, mag):
+        # Nonzero rows had some entries changed to magnitudes ``mag``.  The
+        # new bound min(old bound, least nonzero of mag) is exact when one of
+        # the new entries attains it.
+        old = S[rows]
+        low = np.minimum(old[:, 0], np.where(mag == 0, old[:, :1], mag).min(axis=1))
+        S[rows] = np.stack([low, np.gcd(old[:, 1], np.gcd.reduce(mag, axis=1))], axis=1)
+        stale[rows] = (mag != low[:, None]).all(axis=1)
 
-    def row_addmul(i, j, c):
-        # row_i += c * row_j
-        if c == 0:
-            return
-        A[i, :] += c * A[j, :]
-        U[i, :] += c * U[j, :]
-        Uinv[:, j] -= c * Uinv[:, i]
+    def row_swap(i):
+        if i != t:
+            A[[t, i], t:] = A[[i, t], t:]
+            S[[t, i]] = S[[i, t]]
+            stale[[t, i]] = stale[[i, t]]
+            row_ops.append((_SWAP, t, i, None))
 
-    def col_addmul(i, j, c):
-        # col_i += c * col_j
-        if c == 0:
-            return
-        A[:, i] += c * A[:, j]
-        V[:, i] += c * V[:, j]
+    def col_swap(j):
+        if j != t:
+            A[t:, [t, j]] = A[t:, [j, t]]
+            col_ops.append((_SWAP, t, j, None))
 
-    def row_negate(i):
-        A[i, :] = -A[i, :]
-        U[i, :] = -U[i, :]
-        Uinv[:, i] = -Uinv[:, i]
+    def row_add(rows, src, c):
+        # rows += c * row src in one update over the source row's support:
+        # the source row is read unchanged and the targets are distinct, so
+        # the ops commute.
+        nonlocal A, S
+        grid = rows[:, None], t + A[src, t:].nonzero()[0]
+        new = A[grid] + c[:, None] * A[src, grid[1]]
+        A[grid] = new
+        row_ops.append((_ADD, rows, src, c))
+        mag = np.abs(new)
+        if A.dtype != object and mag.max() >= _INT64_EXACT:
+            A, S, mag = A.astype(object), S.astype(object), mag.astype(object)
+        loosen(rows, mag)
 
-    def smallest_nonzero(t):
-        # np.argmin returns the first of equal minima: the pivot is the first
-        # entry of least absolute value in row-major order.
-        block = np.abs(A[t:, t:]).ravel()
-        nonzero = np.flatnonzero(block)
-        if not nonzero.size:
-            return None
-        i, j = divmod(int(nonzero[np.argmin(block[nonzero])]), m - t)
-        return t + i, t + j
+    def reductions(line):
+        """Clearing ops for ``line`` (the rest of the pivot's column or row):
+        the indices up to and including the first entry the pivot does not
+        divide, their nonzero multipliers, and that entry's index or None."""
+        idx = line.nonzero()[0]
+        q = line[idx] // A[t, t]
+        left = (line[idx] % A[t, t]).nonzero()[0]
+        if left.size:
+            idx, q = idx[:left[0] + 1], q[:left[0] + 1]
+        idx = t + 1 + idx
+        keep = q != 0
+        return idx[keep], -q[keep], int(idx[-1]) if left.size else None
+
+    def pivot():
+        # The first row at the least bound holds the pivot once it is exact:
+        # no row has a smaller entry and no earlier row one as small.  Stale
+        # rows at that bound ahead of the first exact one are summarized
+        # again until the first is exact.  The pivot is then the row's first
+        # entry of that value (argmax keeps the first of equal maxima).
+        while True:
+            live = t + S[t:, 0].nonzero()[0]
+            if not live.size:
+                return None
+            bounds = S[live, 0]
+            least = live[bounds == bounds.min()]
+            exact = (~stale[least]).nonzero()[0]
+            loose = least[:exact[0]] if exact.size else least
+            if not loose.size:
+                break
+            summarize(loose)
+        i = int(least[0])
+        return i, t + int((np.abs(A[i, t:]) == S[i, 0]).argmax())
 
     t = 0
+    if A.size:
+        summarize(np.arange(n))
     while t < min(n, m):
-        pos = smallest_nonzero(t)
+        pos = pivot()
         if pos is None:
             break
-        row_swap(t, pos[0])
-        col_swap(t, pos[1])
+        row_swap(pos[0])
+        col_swap(pos[1])
         while True:
-            # Reduce the pivot column, restarting with a smaller pivot when a
-            # division leaves a remainder.
-            restart = False
-            for i in range(t + 1, n):
-                if A[i, t] == 0:
-                    continue
-                q = A[i, t] // A[t, t]
-                row_addmul(i, t, -q)
-                if A[i, t] != 0:
-                    row_swap(t, i)
-                    restart = True
-                    break
-            if restart:
+            rows, c, i = reductions(A[t + 1:, t])
+            if rows.size:
+                row_add(rows, t, c)
+            if i is not None:
+                row_swap(i)
                 continue
-            for j in range(t + 1, m):
-                if A[t, j] == 0:
-                    continue
-                q = A[t, j] // A[t, t]
-                col_addmul(j, t, -q)
-                if A[t, j] != 0:
-                    col_swap(t, j)
-                    restart = True
-                    break
-            if restart:
+            cols, c, j = reductions(A[t, t + 1:])
+            if cols.size:
+                # Column t is clear below the pivot, so these column ops
+                # change row t only, to remainders smaller than the pivot.
+                A[t, cols] += c * A[t, t]
+                col_ops.append((_ADD, cols, t, c))
+                # Row t is read again only if a remainder swaps it down: a
+                # bound of 1 and a divisor of 1 hold for any nonzero row.
+                S[t], stale[t] = 1, True
+            if j is not None:
+                col_swap(j)
                 continue
-            # Pivot now clears its row and column; force it to divide the
-            # rest of the block so the diagonal comes out in a chain.
-            witness = np.flatnonzero((A[t + 1:, t + 1:] % A[t, t] != 0).any(axis=1))
+            if abs(A[t, t]) == 1:
+                break
+            # A row whose gcd bound the pivot divides holds only multiples.
+            suspects = t + 1 + (S[t + 1:, 1] % A[t, t]).nonzero()[0]
+            summarize(suspects)
+            witness = suspects[S[suspects, 1] % A[t, t] != 0]
             if not witness.size:
                 break
-            row_addmul(t, t + 1 + int(witness[0]), 1)
+            row_add(np.array([t]), int(witness[0]), np.ones(1, dtype=np.int64))
         if A[t, t] < 0:
-            row_negate(t)
+            A[t, t] = -A[t, t]
+            row_ops.append((_NEGATE, t, None, None))
         t += 1
 
-    return SmithForm(A, U, V, Uinv)
+    D = np.zeros((n, m), dtype=object)
+    diag = np.arange(min(n, m))
+    D[diag, diag] = A[diag, diag]
+    return SmithForm(D, row_ops, col_ops)
 
 
 def solve_with_snf(snf: SmithForm, rhs: np.ndarray) -> Optional[np.ndarray]:

@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,11 +14,12 @@ from rrbgroups import (
     FinAbHom,
     GroupError,
     abelian_presentation,
+    cochain_complex,
     cyclic_group,
     direct_product,
     hom_kernel_image_quotient,
 )
-from rrbgroups.abelian import kernel_mod
+from rrbgroups.abelian import SubgroupPresentation, _stack_moduli, kernel_mod
 from rrbgroups.intlinalg import (
     as_int_matrix,
     identity_matrix,
@@ -218,6 +221,98 @@ class TestSmithNormalForm:
         sol = solve_with_snf(smith_normal_form(A), b)
         assert sol is not None
         assert (A @ sol == b).all()
+
+
+def assert_matches_reference(rows):
+    """All four transforms equal the cell-scan reference and hold Python ints."""
+    snf = smith_normal_form(as_int_matrix(rows))
+    for got, want in zip(snf, smith_by_cell_scans(rows)):
+        assert got.shape == want.shape and (got == want).all()
+        assert all(type(x) is int for x in got.flat)
+
+
+# Whole matrices below 2**31 start in int64 and mostly cross the bound during
+# elimination; matrices with larger entries run on Python ints throughout.
+wide_matrices = st.tuples(st.integers(1, 8), st.integers(1, 8),
+                          st.sampled_from([9, 2 ** 30, 2 ** 40])).flatmap(
+    lambda shape: st.lists(
+        st.lists(st.integers(-shape[2], shape[2]), min_size=shape[1], max_size=shape[1]),
+        min_size=shape[0], max_size=shape[0]))
+
+
+class TestSmithPromotion:
+    @given(wide_matrices)
+    @settings(max_examples=60, deadline=None)
+    def test_wide_entries_match_reference(self, rows):
+        assert_matches_reference(rows)
+
+    def test_entries_crossing_the_int64_bound(self):
+        # Every entry starts below 2**31; clearing the first column writes
+        # 1 - 2**60, past the range the int64 elimination keeps.
+        rows = [[1, 2 ** 30, 3], [2 ** 30, 1, 5], [7, 11, 2 ** 30 - 1]]
+        assert max(smith_normal_form(as_int_matrix(rows)).diagonal) > 2 ** 62
+        assert_matches_reference(rows)
+
+
+class TestSmithReplay:
+    @given(matrices, st.permutations(["U", "V", "Uinv"]))
+    @settings(max_examples=40, deadline=None)
+    def test_read_order_does_not_matter(self, rows, order):
+        A = as_int_matrix(rows)
+        first = smith_normal_form(A)
+        for name in order:
+            getattr(first, name)
+        for got, want in zip(first, smith_normal_form(A)):
+            assert (got == want).all()
+
+    @given(matrices)
+    @settings(max_examples=40, deadline=None)
+    def test_v_head_is_the_leading_rows_of_v(self, rows):
+        snf = smith_normal_form(as_int_matrix(rows))
+        V = smith_by_cell_scans(rows)[2]
+        for r in range(V.shape[0] + 1):
+            head = snf.v_head(r)
+            assert head.shape == (r, V.shape[1]) and (head == V[:r]).all()
+            assert all(type(x) is int for x in head.flat)
+
+    def test_kernel_heads_on_cochain_complexes(self, module_corpus):
+        for module in module_corpus.values():
+            cx = cochain_complex(module)
+            stacked = _stack_moduli(cx.constraint_matrix, cx.constraint_moduli)
+            D, _, V, _ = smith_by_cell_scans(stacked.tolist())
+            rank = sum(1 for i in range(min(D.shape)) if D[i, i])
+            r = cx.constraint_matrix.shape[1]
+            ker = kernel_mod(cx.constraint_matrix, cx.constraint_moduli)
+            assert ker.shape == V[:r, rank:].shape and (ker == V[:r, rank:]).all()
+
+    def test_solutions_on_cochain_complexes(self, module_corpus):
+        # The solver gives the same solutions from the replayed transforms
+        # as from the cell-scan reference's.
+        rng = random.Random(0)
+        for module in module_corpus.values():
+            cx = cochain_complex(module)
+            lattices = [(cx.coboundary_matrix, cx.c2_moduli),
+                        (kernel_mod(cx.constraint_matrix, cx.constraint_moduli), cx.c2_moduli),
+                        (cx.b2.relations, cx.c1_moduli)]
+            for gens, moduli in lattices:
+                stacked = _stack_moduli(gens, moduli)
+                D, U, V, _ = smith_by_cell_scans(stacked.tolist())
+                reference = SimpleNamespace(D=D, U=U, V=V)
+                snf = smith_normal_form(stacked)
+                sub = SubgroupPresentation(moduli, gens)
+                r = gens.shape[1]
+                for _ in range(6):
+                    coeffs = np.array([rng.randrange(-3, 4) for _ in range(r)], dtype=object)
+                    member = gens @ coeffs
+                    other = np.array([rng.randrange(m) for m in moduli], dtype=object)
+                    for vec in (member, other):
+                        want = solve_with_snf(reference, vec)
+                        got = solve_with_snf(snf, vec)
+                        coeffs_got = sub.membership_coefficients(vec)
+                        if want is None:
+                            assert got is None and coeffs_got is None
+                        else:
+                            assert (got == want).all() and (coeffs_got == want[:r]).all()
 
 
 class TestAbelianPresentation:

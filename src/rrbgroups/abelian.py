@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -18,6 +19,9 @@ from .groups import FiniteGroup, GroupError
 from .intlinalg import (
     SmithForm,
     as_int_matrix,
+    exact_matmul,
+    identity_matrix,
+    kernel_mod_prime_power,
     smith_normal_form,
     solve_with_snf,
     zeros_matrix,
@@ -92,9 +96,35 @@ def _kernel_head(snf: SmithForm, r: int) -> np.ndarray:
     return snf.v_head(r)[:, snf.rank:]
 
 
+def _prime_powers(n: int) -> List[Tuple[int, int]]:
+    """(p, k) for each prime power p**k exactly dividing n."""
+    out, p = [], 2
+    while n > 1:
+        if p * p > n:
+            p = n
+        k = 0
+        while n % p == 0:
+            n //= p
+            k += 1
+        if k:
+            out.append((p, k))
+        p += 1
+    return out
+
+
 def kernel_mod(matrix: np.ndarray, moduli: Sequence[int]) -> np.ndarray:
-    """Generators (columns) of {x : matrix @ x == 0 modulo moduli}."""
-    return _kernel_head(smith_normal_form(_stack_moduli(matrix, moduli)), matrix.shape[1])
+    """Generators (columns) of {x : matrix @ x == 0 modulo moduli}.
+
+    The lattice contains E Z^m for E = lcm(moduli).  It is solved modulo
+    each prime power q = p**k exactly dividing E, and by CRT it is the sum
+    over q of E/q times the m-column basis for q; so a prime-power E gives
+    exactly m columns, and E = 1 the identity.
+    """
+    m = matrix.shape[1]
+    E = math.lcm(*(int(x) for x in moduli))
+    parts = [kernel_mod_prime_power(matrix, moduli, p, k) * (E // p ** k)
+             for p, k in _prime_powers(E)]
+    return np.concatenate(parts, axis=1) if parts else identity_matrix(m)
 
 
 class SubgroupPresentation:
@@ -176,14 +206,14 @@ class SubquotientPresentation:
         self._U = snf.U
         self._d = snf.diagonal
         self._basis = snf.Uinv * np.asarray(self._d, dtype=object)
-        rel_cols = []
-        for col in _stack_moduli(small_cols, self.ambient_moduli).T:
-            c = self._basis_coords(col)
-            if c is None:
-                raise ValueError("denominator lattice not contained in numerator")
-            rel_cols.append(c)
-        rel = as_int_matrix(rel_cols, ncols=n).T
-        self._pres = present_quotient(n, rel)
+        # Coordinates in that basis of the columns of [small_cols | diag(moduli)]:
+        # U @ small_cols, and U @ diag(moduli) is U with its columns scaled.
+        d = np.asarray(self._d, dtype=object).reshape(-1, 1)
+        coords = np.concatenate([exact_matmul(self._U, small_cols),
+                                 self._U * np.asarray(self.ambient_moduli, dtype=object)], axis=1)
+        if (coords % d).any():
+            raise ValueError("denominator lattice not contained in numerator")
+        self._pres = present_quotient(n, coords // d)
         self.factors = self._pres.factors
         self.order = self._pres.order
 
@@ -278,12 +308,13 @@ class AbelianPresentation:
         return self.hom_matrix(self, perm)
 
     def hom_matrix(self, codomain: "AbelianPresentation", mapping: Sequence[int]) -> np.ndarray:
-        """Matrix (codomain.rank x rank) of a homomorphism given elementwise."""
-        M = zeros_matrix(codomain.rank, self.rank)
+        """Matrix (codomain.rank x rank) of a homomorphism given elementwise.
+
+        Its entries are coordinates below the codomain's factors, so it is
+        int64."""
+        M = np.zeros((codomain.rank, self.rank), dtype=np.int64)
         for j, g in enumerate(self.generators):
-            img = codomain.vec(int(mapping[g]))
-            for i in range(codomain.rank):
-                M[i, j] = img[i]
+            M[:, j] = codomain.vec(int(mapping[g]))
         return M
 
     def __repr__(self):

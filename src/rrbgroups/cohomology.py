@@ -5,8 +5,9 @@ cochains are quadruples (tau1, tau2, rho, chi) as in
 :class:`rrbgroups.modules.FactorSystem`.  Everything vanishing on degenerate
 tuples is encoded in invariant-factor coordinates, one block per
 nondegenerate tuple, and the five cocycle conditions plus the coboundary map
-become integer matrices between those coordinate spaces.  Kernels, images,
-and quotients then come from Smith normal form.
+become integer matrices between those coordinate spaces.  The cocycles are
+solved modulo each prime power of the moduli (``kernel_mod``); images and
+quotients come from Smith normal form.
 
 Additive transcriptions used throughout (K, L abelian, written additively;
 ``o`` is the twisted product a1 o a2 = a1 * beta_{T(a1)}(a2)):
@@ -33,6 +34,7 @@ defect quadruple is exactly the coboundary landing in the cocycle group.
 from __future__ import annotations
 
 import functools
+import weakref
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -46,7 +48,7 @@ from .abelian import (
     reduce_vec,
 )
 from .groups import FiniteGroup, trivial_group
-from .intlinalg import identity_matrix, zeros_matrix
+from .intlinalg import exact_matmul
 from .modules import ActionQuadruple, FactorSystem, OneCochain, RRBModule
 from .rrb import RRBError, descended_operation, trivial_rrb
 
@@ -125,7 +127,9 @@ class CochainComplex:
         self._c2_offset, self.c2_moduli = widths(self._c2_blocks)
         self._kK, self._kL = kK, kL
 
-        # Matrices of the structure maps in coordinates.
+        # Matrices of the structure maps in coordinates.  Their entries are
+        # coordinates below the group orders, so the integer matrices built
+        # from them are int64 with small entries.
         act = module.action
         self._nu = [self.Kp.perm_matrix(act.nu[b]) for b in B.elements()]
         self._nu_inv = [self.Kp.perm_matrix(act.nu_inv(b)) for b in B.elements()]
@@ -133,8 +137,8 @@ class CochainComplex:
         self._sigma = [self.Lp.perm_matrix(act.sigma[b]) for b in B.elements()]
         self._f = [self.Lp.hom_matrix(self.Kp, act.f[:, a]) for a in A.elements()]
         self._S = self.Kp.hom_matrix(self.Lp, module.S)
-        self._IK = identity_matrix(kK)
-        self._IL = identity_matrix(kL)
+        self._IK = np.eye(kK, dtype=np.int64)
+        self._IL = np.eye(kL, dtype=np.int64)
 
         # The twisted product must descend T to a homomorphism; the cocycle
         # conditions rely on T(a1 o a2) = T(a1) T(a2).
@@ -226,7 +230,7 @@ class CochainComplex:
     def _build_coboundary(self) -> np.ndarray:
         m = self.module
         A, B = m.A, m.B
-        D = zeros_matrix(self.c2_dim, self.c1_dim)
+        D = np.zeros((self.c2_dim, self.c1_dim), dtype=np.int64)
         for kind, idx in self._c2_blocks:
             row = self._c2_offset[(kind, idx)]
             add = functools.partial(self._add_term, D, row,
@@ -270,7 +274,7 @@ class CochainComplex:
         instances += [("cocycle5", (a1, a2), self.Lp) for a1 in nd_a for a2 in nd_a]
 
         total_rows = sum(p.rank for _, _, p in instances)
-        C = zeros_matrix(total_rows, self.c2_dim)
+        C = np.zeros((total_rows, self.c2_dim), dtype=np.int64)
         blocks = []
         moduli: List[int] = []
         row = 0
@@ -321,22 +325,22 @@ class CochainComplex:
     def _assert_linearization(self):
         # Multiplying a column by its source modulus must vanish against the
         # target moduli; anything else means a condition failed to linearize.
-        for j, mod in enumerate(self.c1_moduli):
-            if any(reduce_vec(self.coboundary_matrix[:, j] * mod, self.c2_moduli)):
-                raise AssertionError("coboundary column breaks generator order")
-        for j, mod in enumerate(self.c2_moduli):
-            if any(reduce_vec(self.constraint_matrix[:, j] * mod, self.constraint_moduli)):
-                raise AssertionError("constraint column breaks generator order")
-        if self.c1_dim and self.c2_dim and len(self.constraint_moduli):
-            comp = self.constraint_matrix @ self.coboundary_matrix
-            for j in range(self.c1_dim):
-                if any(reduce_vec(comp[:, j], self.constraint_moduli)):
-                    raise AssertionError("coboundary image violates a cocycle condition")
+        # Entry (i, j) times modulus j vanishes modulo modulus i exactly when
+        # the entry is a multiple of modulus i / gcd(modulus i, modulus j).
+        c1, c2, con = (np.array(m, dtype=np.int64).reshape(-1, 1) for m in
+                       (self.c1_moduli, self.c2_moduli, self.constraint_moduli))
+        D, C = self.coboundary_matrix, self.constraint_matrix
+        if (D % (c2 // np.gcd(c2, c1.T))).any():
+            raise AssertionError("coboundary column breaks generator order")
+        if (C % (con // np.gcd(con, c2.T))).any():
+            raise AssertionError("constraint column breaks generator order")
+        if (exact_matmul(C, D) % con).any():
+            raise AssertionError("coboundary image violates a cocycle condition")
 
     # -- membership and evaluation ------------------------------------------
 
     def z2_violations(self, fs: FactorSystem) -> List[Tuple[str, tuple]]:
-        vec = self.constraint_matrix @ self.fs_to_coords(fs)
+        vec = exact_matmul(self.constraint_matrix, self.fs_to_coords(fs))
         vec = reduce_vec(vec, self.constraint_moduli)
         out = []
         for label, idx, row, width, _ in self._con_blocks:
@@ -349,7 +353,7 @@ class CochainComplex:
         return (False, bad[0]) if bad else (True, None)
 
     def z1_contains(self, kappa: OneCochain) -> Tuple[bool, Optional[Tuple[str, tuple]]]:
-        vec = self.coboundary_matrix @ self.kappa_to_coords(kappa)
+        vec = exact_matmul(self.coboundary_matrix, self.kappa_to_coords(kappa))
         vec = reduce_vec(vec, self.c2_moduli)
         for kind, idx in self._c2_blocks:
             off = self._c2_offset[(kind, idx)]
@@ -360,7 +364,7 @@ class CochainComplex:
 
     def coboundary(self, kappa: OneCochain) -> FactorSystem:
         """The defect quadruple of a one-cochain; always a cocycle."""
-        vec = self.coboundary_matrix @ self.kappa_to_coords(kappa)
+        vec = exact_matmul(self.coboundary_matrix, self.kappa_to_coords(kappa))
         return self.fs_from_coords(vec)
 
     def solve_coboundary(self, fs: FactorSystem) -> Optional[OneCochain]:
@@ -421,9 +425,17 @@ class CochainComplex:
             yield self.kappa_from_coords(vec)
 
 
-@functools.lru_cache(maxsize=None)
+# One complex per module (modules compare by value) while anything holds it.
+# The values are weak: a complex holds its module, so the entry goes once the
+# complex is dropped, and the cache pins neither.
+_complexes: "weakref.WeakValueDictionary[RRBModule, CochainComplex]" = weakref.WeakValueDictionary()
+
+
 def cochain_complex(module: RRBModule) -> CochainComplex:
-    return CochainComplex(module)
+    cx = _complexes.get(module)
+    if cx is None:
+        cx = _complexes[module] = CochainComplex(module)
+    return cx
 
 
 # -- spec-level operations ---------------------------------------------------

@@ -1,20 +1,23 @@
-"""Exact integer linear algebra: Smith normal form and the solver that reads it.
+"""Exact integer linear algebra: Smith normal form, the solver that reads it,
+and kernels modulo a prime power.
 
-Every matrix taken or returned is a numpy array with ``dtype=object`` holding
-Python ints, so results never overflow.  Vectors are 1-d arrays, matrices act
-on column vectors from the left.
+Every matrix returned is a numpy array with ``dtype=object`` holding Python
+ints, so results never overflow; matrices taken may also be int64.  Vectors
+are 1-d arrays, matrices act on column vectors from the left.
 
 ``smith_normal_form`` eliminates in exact int64 while every entry stays below
 2**31 in absolute value, and moves to Python ints (``astype(object)``) once an
 entry reaches that bound; there is no floating point anywhere.  It logs its
 row and column operations and replays the transforms U, U^-1 and V from the
 log only when they are first read, and a kernel head replays only the rows of
-V it needs.
+V it needs.  ``kernel_mod_prime_power`` solves a system over Z/p^k by row
+operations on entries below p^k, with no Smith form.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from typing import Optional, Sequence
 
 import numpy as np
@@ -47,6 +50,20 @@ def identity_matrix(n: int) -> np.ndarray:
 
 def zeros_matrix(n: int, m: int) -> np.ndarray:
     return np.zeros((n, m), dtype=object)
+
+
+def exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b in Python ints; computed in int64 when no sum can leave it."""
+    try:
+        a64, b64 = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+    except OverflowError:
+        a64 = None
+    if a64 is not None:
+        bound = max(-int(a64.min(initial=0)), int(a64.max(initial=0))) \
+            * max(-int(b64.min(initial=0)), int(b64.max(initial=0))) * a64.shape[-1]
+        if bound < 2 ** 63:
+            return (a64 @ b64).astype(object)
+    return np.asarray(a, dtype=object) @ np.asarray(b, dtype=object)
 
 
 _SWAP, _ADD, _NEGATE = range(3)
@@ -89,50 +106,53 @@ class SmithForm:
 
     @functools.cached_property
     def U(self) -> np.ndarray:
-        U = identity_matrix(self.D.shape[0])
-        for kind, i, j, c in self._row_ops:
-            if kind == _SWAP:
-                U[[i, j]] = U[[j, i]]
-            elif kind == _ADD:
-                U[i] += c[:, None] * U[j]
-            else:
-                U[i] = -U[i]
-        return U
+        return _replay(self._row_ops, np.eye(self.D.shape[0], dtype=np.int64))
 
     @functools.cached_property
     def Uinv(self) -> np.ndarray:
-        # Each row operation on U is undone by a column operation on Uinv.
-        Uinv = identity_matrix(self.D.shape[0])
-        for kind, i, j, c in self._row_ops:
-            if kind == _SWAP:
-                Uinv[:, [i, j]] = Uinv[:, [j, i]]
-            elif kind == _ADD:
-                Uinv[:, j] -= Uinv[:, i] @ c
-            else:
-                Uinv[:, i] = -Uinv[:, i]
-        return Uinv
+        # Each row operation on U is undone by a column operation on Uinv,
+        # that is by a row operation on its transpose.
+        eye = np.eye(self.D.shape[0], dtype=np.int64)
+        return _replay(self._row_ops, eye, inverse=True).T
 
     @functools.cached_property
     def V(self) -> np.ndarray:
         return self.v_head(self.D.shape[1])
 
     def v_head(self, r: int) -> np.ndarray:
-        """The first r rows of V; column operations act on each row alone.
+        """The first r rows of V; column operations act on each row alone."""
+        return _replay(self._col_ops, np.eye(self.D.shape[1], r, dtype=np.int64)).T
 
-        Replayed in int64 like the elimination, and in Python ints from the
-        first multiplier or entry that reaches 2**31.
-        """
-        V = np.eye(r, self.D.shape[1], dtype=np.int64)
-        for kind, i, j, c in self._col_ops:
-            if kind == _SWAP:
-                V[:, [i, j]] = V[:, [j, i]]
-                continue
-            if c.dtype == object and V.dtype != object:
-                V = V.astype(object)
-            V[:, i] += V[:, [j]] * c
-            if V.dtype != object and np.abs(V[:, i]).max(initial=0) >= _INT64_EXACT:
-                V = V.astype(object)
-        return V.astype(object)
+
+def _replay(ops: list, M: np.ndarray, inverse: bool = False) -> np.ndarray:
+    """Apply logged row operations to the rows of M, or (``inverse``) the
+    transposed inverse of each, and return the result in Python ints.
+
+    Works in int64 like the elimination, and in Python ints from the first
+    multiplier or entry that reaches 2**31, or the first combination whose
+    sum could leave int64.
+    """
+    for kind, i, j, c in ops:
+        if kind == _SWAP:
+            M[[i, j]] = M[[j, i]]
+            continue
+        if kind == _NEGATE:
+            M[i] = -M[i]
+            continue
+        # With entries below 2**31, the inverse's sum of len(c) products stays
+        # below 2**62 while max|c| * len(c) < 2**31.
+        if M.dtype != object and (c.dtype == object or inverse
+                                  and int(np.abs(c).max()) * len(c) >= _INT64_EXACT):
+            M = M.astype(object)
+        if inverse:
+            M[j] -= c @ M[i]
+            changed = M[j]
+        else:
+            M[i] += c[:, None] * M[j]
+            changed = M[i]
+        if M.dtype != object and np.abs(changed).max(initial=0) >= _INT64_EXACT:
+            M = M.astype(object)
+    return M.astype(object)
 
 
 def _working_copy(mat: np.ndarray) -> np.ndarray:
@@ -303,6 +323,77 @@ def smith_normal_form(mat: np.ndarray) -> SmithForm:
     diag = np.arange(min(n, m))
     D[diag, diag] = A[diag, diag]
     return SmithForm(D, row_ops, col_ops)
+
+
+def kernel_mod_prime_power(matrix: np.ndarray, moduli: Sequence[int], p: int, k: int) -> np.ndarray:
+    """A basis (m columns) of {x in Z^m : matrix @ x == 0 mod p-parts of moduli}.
+
+    With q = p**k, row i holds modulo gcd(moduli[i], q) exactly when row i
+    scaled by q / gcd(moduli[i], q) holds modulo q, so the scaled rows are
+    solved over Z/q.  Row operations there do not change the solutions.
+    Each column in turn takes as pivot an active row holding a unit, then,
+    once no column has one, an entry of the lowest valuation v; every
+    active entry is then a multiple of p**v, so the pivot clears its column
+    on the rows nonzero there, and its row leaves the active set.  With the
+    pivot columns first, pivot t asks x_t == -u_t^-1 (its row beyond the
+    pivot, over p**v_t) modulo p**(k - v_t), and the other columns are
+    free.  The basis is upper triangular in that order, with p**(k - v_t)
+    or 1 on the diagonal and every entry below q.
+
+    Works in int64 when q*q*m fits, else in Python ints; returned in
+    Python ints.
+    """
+    q = p ** k
+    m = matrix.shape[1]
+    scale = np.array([q // math.gcd(int(mi), q) for mi in moduli], dtype=object)
+    W = np.asarray(matrix).T
+    if q * q * max(m, 1) < 2 ** 62:
+        try:
+            W = W.astype(np.int64)
+        except OverflowError:
+            W = (W % q).astype(np.int64)
+        scale = scale.astype(np.int64)
+    else:
+        W = W.astype(object)
+    # W[j] is column j of the scaled matrix: one contiguous row per column.
+    W = np.ascontiguousarray(W % q * scale % q)
+    pivots = []
+    free = np.ones(m, dtype=bool)
+    for v in range(k):
+        pv = p ** v
+        found = True
+        while found:
+            found = False
+            for c in np.flatnonzero(free):
+                rows = W[c].nonzero()[0]
+                units = rows[W[c, rows] // pv % p != 0]
+                if not units.size:
+                    continue
+                row = units[0]
+                support = W[:, row].nonzero()[0]
+                entries = W[support, row]
+                inv = pow(int(W[c, row] // pv), -1, q // pv)
+                rows = rows[rows != row]
+                mult = W[c, rows] // pv * inv % (q // pv)
+                grid = np.ix_(support, rows)
+                W[grid] = (W[grid] - entries[:, None] * mult) % q
+                W[support, row] = 0
+                free[c] = False
+                pivots.append((c, pv, inv, support, entries))
+                found = True
+    order = [c for c, *_ in pivots] + np.flatnonzero(free).tolist()
+    at = np.empty(m, dtype=np.int64)
+    at[order] = np.arange(m)
+    B = np.eye(m, dtype=W.dtype)
+    for t in range(len(pivots) - 1, -1, -1):
+        c, pv, inv, support, entries = pivots[t]
+        d = q // pv
+        beyond = support != c
+        B[t] = -(entries[beyond] // pv @ B[at[support[beyond]]] % d) * inv % d
+        B[t, t] = d
+    X = np.empty_like(B)
+    X[order] = B
+    return X.astype(object)
 
 
 def solve_with_snf(snf: SmithForm, rhs: np.ndarray) -> Optional[np.ndarray]:

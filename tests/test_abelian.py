@@ -1,6 +1,5 @@
 """Invariant factors, coordinate isomorphisms, and exact linear algebra."""
 
-import itertools
 import math
 import random
 from types import SimpleNamespace
@@ -22,6 +21,7 @@ from rrbgroups import (
 from rrbgroups.abelian import SubgroupPresentation, _stack_moduli, kernel_mod
 from rrbgroups.intlinalg import (
     as_int_matrix,
+    exact_matmul,
     identity_matrix,
     smith_normal_form,
     solve_with_snf,
@@ -79,6 +79,31 @@ def lattice_index(cols):
     if snf.rank < cols.shape[0]:
         return 0
     return math.prod(snf.diagonal[: snf.rank])
+
+
+def generated_subgroup(gens, moduli):
+    """The subgroup of prod Z/moduli generated by gens, by closure."""
+    seen = {tuple(0 for _ in moduli)}
+    frontier = list(seen)
+    while frontier:
+        fresh = []
+        for x in frontier:
+            for g in gens:
+                y = tuple((a + b) % q for a, b, q in zip(x, g, moduli))
+                if y not in seen:
+                    seen.add(y)
+                    fresh.append(y)
+        frontier = fresh
+    return seen
+
+
+def same_lattice(cols, other):
+    """Mutual containment of two full-rank column lattices, and equal index."""
+    for a, b in ((cols, other), (other, cols)):
+        snf = smith_normal_form(a)
+        if any(solve_with_snf(snf, col) is None for col in b.T):
+            return False
+    return lattice_index(cols) == lattice_index(other) != 0
 
 
 def smith_by_cell_scans(rows):
@@ -186,26 +211,36 @@ class TestSmithNormalForm:
             assert got.shape == want.shape and (got == want).all()
 
     @given(matrices, st.data())
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     def test_kernel_annihilates(self, rows, data):
         # kernel_mod spans exactly {x : A x == 0 mod moduli}: every column is
         # a solution, and the spanned lattice has the kernel's index, which
-        # is the number of values A x takes modulo the moduli.
+        # is the order of the subgroup the columns of A generate modulo the
+        # moduli.  Moduli with k > 1 and with mixed primes are included.
         A = as_int_matrix(rows)
         n, m = A.shape
-        moduli = data.draw(st.lists(st.sampled_from([1, 2, 3]), min_size=n, max_size=n))
+        moduli = data.draw(st.lists(st.sampled_from([1, 2, 3, 4, 8, 9, 6, 12]),
+                                    min_size=n, max_size=n))
         ker = kernel_mod(A, moduli)
         assert ker.shape[0] == m
         assert not any(x % q for row, q in zip(A @ ker, moduli) for x in row)
-        period = math.lcm(*moduli)
-        image = {tuple(int(v) % q for v, q in zip(A @ np.array(x, dtype=object), moduli))
-                 for x in itertools.product(range(period), repeat=m)}
-        assert lattice_index(ker) == len(image)
+        assert lattice_index(ker) == len(generated_subgroup(A.T.tolist(), moduli))
 
     def test_kernel_of_row(self):
         ker = kernel_mod(as_int_matrix([[1, 2, 3]]), [5])
         assert ker.shape == (3, 3)
         assert lattice_index(ker) == 5
+
+    @pytest.mark.parametrize("rows, moduli, index", [
+        ([[1, 2, 3]], [2 ** 31 - 1], 2 ** 31 - 1),       # q * q * m past int64
+        ([[2 ** 70 + 1, 2], [3, 2 ** 65]], [4, 9], 36),  # entries past int64
+    ])
+    def test_kernel_past_int64(self, rows, moduli, index):
+        A = as_int_matrix(rows)
+        ker = kernel_mod(A, moduli)
+        assert all(type(x) is int for x in ker.flat)
+        assert not any(x % q for row, q in zip(A @ ker, moduli) for x in row)
+        assert lattice_index(ker) == index
 
     def test_solve(self):
         snf = smith_normal_form(as_int_matrix([[2, 0], [0, 3]]))
@@ -246,6 +281,13 @@ class TestSmithPromotion:
     def test_wide_entries_match_reference(self, rows):
         assert_matches_reference(rows)
 
+    def test_exact_matmul_past_int64(self):
+        a = as_int_matrix([[2 ** 40, 1], [3, 2 ** 62]])
+        b = as_int_matrix([[2 ** 40], [5]])
+        got = exact_matmul(a, b)
+        assert got.tolist() == [[2 ** 80 + 5], [3 * 2 ** 40 + 5 * 2 ** 62]]
+        assert all(type(x) is int for x in got.flat)
+
     def test_entries_crossing_the_int64_bound(self):
         # Every entry starts below 2**31; clearing the first column writes
         # 1 - 2**60, past the range the int64 elimination keeps.
@@ -276,6 +318,8 @@ class TestSmithReplay:
             assert all(type(x) is int for x in head.flat)
 
     def test_kernel_heads_on_cochain_complexes(self, module_corpus):
+        # The modular kernel spans the lattice of the cell-scan reference's
+        # kernel head: each contains the other and both have one index.
         for module in module_corpus.values():
             cx = cochain_complex(module)
             stacked = _stack_moduli(cx.constraint_matrix, cx.constraint_moduli)
@@ -283,7 +327,7 @@ class TestSmithReplay:
             rank = sum(1 for i in range(min(D.shape)) if D[i, i])
             r = cx.constraint_matrix.shape[1]
             ker = kernel_mod(cx.constraint_matrix, cx.constraint_moduli)
-            assert ker.shape == V[:r, rank:].shape and (ker == V[:r, rank:]).all()
+            assert same_lattice(ker, V[:r, rank:])
 
     def test_solutions_on_cochain_complexes(self, module_corpus):
         # The solver gives the same solutions from the replayed transforms

@@ -2,8 +2,10 @@
 
 import gc
 import itertools
+import json
 import random
 import weakref
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -40,6 +42,8 @@ from oracles import (
     iter_one_cochains,
     sub_fs,
 )
+
+LADDER_ANSWERS = Path(__file__).resolve().parent.parent / "perfbench" / "catalogue" / "ladder.json"
 
 ALL_MODULES = ("trivial_z2", "trivial_z3", "from_z4_carry", "from_z9", "from_s3",
                "from_z3_z4_twist", "from_z2_z4_image", "from_z2_z4_kernel",
@@ -194,6 +198,44 @@ class TestH2:
         del cx
         gc.collect()
         assert ref() is None
+
+    def test_cache_does_not_pin_modules(self, groups):
+        # While a complex is held, equal modules share it; once it is
+        # dropped, its module can be collected.
+        def fresh_module():
+            quot = trivial_rrb(groups["z3"], groups["z2"])
+            kern = trivial_rrb(groups["z2"], groups["z2"])
+            return RRBModule(quot, kern, trivial_action(quot, kern))
+
+        module = fresh_module()
+        cx = cochain_complex(module)
+        assert cochain_complex(fresh_module()) is cx
+        ref = weakref.ref(module)
+        del cx, module
+        gc.collect()
+        assert ref() is None
+
+
+class TestLadder:
+    """The benchmark's h2 ladder: A = B = Z_n, K = L = Z2, everything trivial."""
+
+    ANSWERS = json.loads(LADDER_ANSWERS.read_text())["answers"]
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_rung(self, n):
+        quot = trivial_rrb(cyclic_group(n), cyclic_group(n))
+        kern = trivial_rrb(cyclic_group(2), cyclic_group(2))
+        cx = CochainComplex(RRBModule(quot, kern, trivial_action(quot, kern)))
+        groups = {"z1": cx.z1, "z2": cx.z2, "b2": cx.b2, "h2": cx.h2}
+        orders = {name: g.order for name, g in groups.items()}
+        if str(n) in self.ANSWERS:
+            want = self.ANSWERS[str(n)]
+            assert {name: list(g.factors) for name, g in groups.items()} == \
+                {name: want[name] for name in groups}
+            assert orders == want["orders"]
+        # The one-cochains form (Z2)^(2(n-1)), and B2 is their image in Z2.
+        assert orders["z1"] * orders["b2"] == 4 ** (n - 1)
+        assert orders["h2"] * orders["b2"] == orders["z2"]
 
 
 class TestClassicalRegression:

@@ -9,11 +9,13 @@ from __future__ import annotations
 
 import contextlib
 import io
+import json
 from pathlib import Path
 
 import pytest
 
 from rrbgroups import cli
+from rrbgroups.serialize import load_factor_system, load_module
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "rrbgroups" / "fixtures"
 INPUTS = Path(__file__).resolve().parent / "inputs"
@@ -57,6 +59,21 @@ def test_command_set():
 @pytest.mark.parametrize("name,argv", COMMANDS, ids=[name for name, _ in COMMANDS])
 def test_stdout_matches_golden(name, argv):
     assert _stdout(argv) == (GOLDEN_DIR / name).read_text()
+
+
+@pytest.mark.parametrize("path", sorted(GOLDEN_DIR.glob("cohomology__*.json")),
+                         ids=lambda path: path.stem)
+def test_golden_representatives_are_cocycles(path):
+    # The stored representatives depend on the basis the solver picks; each
+    # must still satisfy the five conditions, checked by the direct oracle.
+    from oracles import cocycle_violations
+
+    module = load_module(str(FIXTURES / (path.stem.split("__")[1] + ".json")))
+    witnesses = json.loads(path.read_text())["witnesses"]
+    assert witnesses
+    for witness in witnesses:
+        fs = load_factor_system(witness["representative"], module)
+        assert cocycle_violations(module, fs) == []
 
 
 if __name__ == "__main__":

@@ -280,42 +280,51 @@ class AbelianPresentation:
         pres = present_quotient(k, rel)
         self.group = group
         self.factors = pres.factors
-        self._to_vec: List[Tuple[int, ...]] = [pres.coords(words[x]) for x in range(n)]
-        self._elem_of = {}
-        for x, v in enumerate(self._to_vec):
-            if v in self._elem_of:
-                raise AssertionError("coordinate map is not injective")
-            self._elem_of[v] = x
-        if len(self._elem_of) != space_order(self.factors):
+        # coord_table[x] is the coordinate vector of x; elem_index[i] is the
+        # element whose coordinates have mixed-radix index i over the factor
+        # product (last coordinate fastest).
+        self.coord_table = np.array([pres.coords(words[x]) for x in range(n)],
+                                    dtype=np.int64).reshape(n, len(self.factors))
+        self._strides = np.array([math.prod(self.factors[j + 1:])
+                                  for j in range(len(self.factors))], dtype=np.int64)
+        flat = self.coord_table @ self._strides
+        if len(set(flat.tolist())) != n:
+            raise AssertionError("coordinate map is not injective")
+        if n != space_order(self.factors):
             raise AssertionError("coordinate map is not onto the factor product")
-        k = len(self.factors)
+        self.elem_index = np.empty(n, dtype=np.int64)
+        self.elem_index[flat] = np.arange(n)
+        for arr in (self.coord_table, self.elem_index):
+            arr.setflags(write=False)
         # Elements realizing the unit coordinate vectors.
-        self.generators = [self._elem_of[tuple(1 if i == j else 0 for i in range(k))]
-                           for j in range(k)]
+        self.generators = [int(x) for x in self.elem_index[self._strides]]
 
     @property
     def rank(self) -> int:
         return len(self.factors)
 
     def vec(self, x: int) -> Tuple[int, ...]:
-        return self._to_vec[x]
+        return tuple(self.coord_table[x].tolist())
 
     def elem(self, vec: Sequence[int]) -> int:
-        return self._elem_of[reduce_vec(vec, self.factors)]
+        return int(self.elems(reduce_vec(vec, self.factors)))
 
-    def perm_matrix(self, perm: Sequence[int]) -> np.ndarray:
+    def elems(self, coords: np.ndarray) -> np.ndarray:
+        """Elements of reduced coordinate vectors, along the last axis."""
+        return self.elem_index[np.asarray(coords, dtype=np.int64) @ self._strides]
+
+    def perm_matrix(self, perm: np.ndarray) -> np.ndarray:
         """Matrix of an automorphism given as an element permutation."""
         return self.hom_matrix(self, perm)
 
-    def hom_matrix(self, codomain: "AbelianPresentation", mapping: Sequence[int]) -> np.ndarray:
-        """Matrix (codomain.rank x rank) of a homomorphism given elementwise.
+    def hom_matrix(self, codomain: "AbelianPresentation", mapping: np.ndarray) -> np.ndarray:
+        """Matrix (codomain.rank x rank) of a homomorphism given elementwise;
+        for a stack of mappings along leading axes, the stack of matrices.
 
         Its entries are coordinates below the codomain's factors, so it is
         int64."""
-        M = np.zeros((codomain.rank, self.rank), dtype=np.int64)
-        for j, g in enumerate(self.generators):
-            M[:, j] = codomain.vec(int(mapping[g]))
-        return M
+        images = np.asarray(mapping, dtype=np.int64)[..., self.generators]
+        return np.swapaxes(codomain.coord_table[images], -1, -2)
 
     def __repr__(self):
         return f"AbelianPresentation(factors={list(self.factors)})"

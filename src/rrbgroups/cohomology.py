@@ -34,8 +34,9 @@ defect quadruple is exactly the coboundary landing in the cocycle group.
 from __future__ import annotations
 
 import functools
+import math
 import weakref
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -50,7 +51,7 @@ from .abelian import (
 from .groups import FiniteGroup, trivial_group
 from .intlinalg import exact_matmul
 from .modules import ActionQuadruple, FactorSystem, OneCochain, RRBModule
-from .rrb import RRBError, descended_operation, trivial_rrb
+from .rrb import RRBError, trivial_rrb
 
 
 class CohomologyClass:
@@ -92,6 +93,103 @@ class CohomologyClass:
         return f"CohomologyClass{self.coords}"
 
 
+class _Block(NamedTuple):
+    """One kind of cochain or condition: a coordinate block of ``pres`` per
+    nondegenerate tuple of element indices, the tuples in row-major order
+    over ``orders`` with each index running over 1..n-1 (``grid``)."""
+
+    name: str
+    pres: AbelianPresentation
+    orders: Tuple[int, ...]
+    grid: Tuple[int, ...]
+    offset: int
+    size: int
+
+    def axes(self) -> Tuple[np.ndarray, ...]:
+        """The nondegenerate element indices along each axis, as an open grid."""
+        return np.ix_(*(np.arange(1, n) for n in self.orders))
+
+
+class _Layout:
+    """Coordinates of a direct sum of blocks, laid out one after another."""
+
+    def __init__(self, spec: Sequence[Tuple[str, AbelianPresentation, Tuple[int, ...]]]):
+        self.block = {}
+        self.dim = 0
+        moduli: List[int] = []
+        for name, pres, orders in spec:
+            grid = tuple(n - 1 for n in orders)
+            self.block[name] = _Block(name, pres, orders, grid, self.dim,
+                                      math.prod(grid) * pres.rank)
+            self.dim += self.block[name].size
+            moduli.extend(pres.factors * math.prod(grid))
+        self.moduli = tuple(moduli)
+        self._moduli = np.array(moduli, dtype=np.int64)
+        # Where the coordinates of each tuple start.  Degenerate tuples point
+        # past the end, at spare columns that _assemble cuts off.
+        self.start = {}
+        for b in self.block.values():
+            start = self.start[b.name] = np.full(b.orders, self.dim, dtype=np.int64)
+            start[(slice(1, None),) * len(b.orders)] = \
+                b.offset + b.pres.rank * np.arange(math.prod(b.grid)).reshape(b.grid)
+
+    def pack(self, arrays: Sequence[np.ndarray]) -> np.ndarray:
+        """Coordinates of element arrays over full tuples, one per block."""
+        return np.concatenate(
+            [b.pres.coord_table[arr[(slice(1, None),) * len(b.orders)]].reshape(-1)
+             for b, arr in zip(self.block.values(), arrays)])
+
+    def unpack(self, coords: Sequence[int]) -> List[np.ndarray]:
+        """Element arrays over full tuples (zero on degenerate ones), one per block."""
+        vec = self.reduce(coords)
+        out = []
+        for b in self.block.values():
+            arr = np.zeros(b.orders, dtype=np.int64)
+            chunk = vec[b.offset:b.offset + b.size].reshape(b.grid + (b.pres.rank,))
+            arr[(slice(1, None),) * len(b.orders)] = b.pres.elems(chunk)
+            out.append(arr)
+        return out
+
+    def reduce(self, coords: Sequence[int]) -> np.ndarray:
+        """coords (Python ints of any size) modulo the moduli, as int64."""
+        return (np.asarray(coords, dtype=object) % self._moduli).astype(np.int64)
+
+    def first_nonzero(self, coords: Sequence[int]) -> Optional[Tuple[str, tuple]]:
+        """(block name, tuple) of the first coordinate not zero modulo its
+        modulus, or None."""
+        bad = np.flatnonzero(self.reduce(coords))
+        if not bad.size:
+            return None
+        pos = int(bad[0])
+        b = next(b for b in self.block.values() if pos < b.offset + b.size)
+        at = np.unravel_index((pos - b.offset) // b.pres.rank, b.grid)
+        return b.name, tuple(int(i) + 1 for i in at)
+
+
+def _assemble(rows: _Layout, cols: _Layout, conditions) -> np.ndarray:
+    """The matrix of linear conditions from ``cols`` to ``rows``.
+
+    ``conditions`` lists, per row block, its terms ``(sign, coefficient,
+    column block, index arrays)`` over the block's instance grid: the
+    coefficient is one matrix or a stack broadcasting to the grid, and the
+    index arrays (broadcasting to the grid) name the column tuple of each
+    instance.  Instances whose column tuple is degenerate add nothing (the
+    cochain vanishes there).  Every instance owns its rows, so no position
+    repeats within a term and each term is one scatter.
+    """
+    spare = max(b.pres.rank for b in cols.block.values())
+    M = np.zeros((rows.dim, cols.dim + spare), dtype=np.int64)
+    for name, terms in conditions:
+        block = rows.block[name]
+        if not block.size:
+            continue  # no rows: no tuple, or a component of rank 0
+        row = block.offset + np.arange(block.size).reshape(block.grid + (block.pres.rank, 1))
+        for sign, coeff, target, idx in terms:
+            col = cols.start[target][idx][..., None, None] + np.arange(cols.block[target].pres.rank)
+            M[row, col] += sign * coeff
+    return M[:, :cols.dim]
+
+
 class CochainComplex:
     """Coordinates, coboundary, and cocycle conditions for one module."""
 
@@ -99,228 +197,96 @@ class CochainComplex:
         self.module = module
         self.Kp = AbelianPresentation(module.K)
         self.Lp = AbelianPresentation(module.L)
-        A, B = module.A, module.B
-        kK, kL = self.Kp.rank, self.Lp.rank
+        Kp, Lp = self.Kp, self.Lp
+        nA, nB = module.A.order, module.B.order
+        self._c1 = _Layout([("kappa1", Kp, (nA,)), ("kappa2", Lp, (nB,))])
+        self._c2 = _Layout([("tau1", Kp, (nA, nA)), ("tau2", Lp, (nB, nB)),
+                            ("rho", Kp, (nA, nB)), ("chi", Lp, (nA,))])
+        self._con = _Layout([("cocycle1", Kp, (nA, nA, nA)), ("cocycle2", Lp, (nB, nB, nB)),
+                             ("cocycle3", Kp, (nA, nB, nB)), ("cocycle4", Kp, (nA, nA, nB)),
+                             ("cocycle5", Lp, (nA, nA))])
+        self.c1_moduli = self._c1.moduli
+        self.c2_moduli = self._c2.moduli
+        self.constraint_moduli = self._con.moduli
 
-        self._c1_blocks: List[Tuple[str, tuple]] = []
-        self._c1_blocks += [("kappa1", (a,)) for a in range(1, A.order)]
-        self._c1_blocks += [("kappa2", (b,)) for b in range(1, B.order)]
-        self._c2_blocks: List[Tuple[str, tuple]] = []
-        self._c2_blocks += [("tau1", (a1, a2))
-                            for a1 in range(1, A.order) for a2 in range(1, A.order)]
-        self._c2_blocks += [("tau2", (b1, b2))
-                            for b1 in range(1, B.order) for b2 in range(1, B.order)]
-        self._c2_blocks += [("rho", (a, b))
-                            for a in range(1, A.order) for b in range(1, B.order)]
-        self._c2_blocks += [("chi", (a,)) for a in range(1, A.order)]
+        # The twisted product a1 o a2 = a1 beta_{T(a1)}(a2) must descend T to
+        # a homomorphism; the cocycle conditions rely on T(a1 o a2) = T(a1) T(a2).
+        A, B, T = module.A, module.B, module.T
+        self._circ = A.table[np.arange(nA)[:, None], module.quotient.phi[T]]
+        if (T[self._circ] != B.table[T[:, None], T[None, :]]).any():
+            raise RRBError("InternalError", "operator is not a twisted-product hom")
 
-        def widths(blocks):
-            offsets, moduli, pos = {}, [], 0
-            for kind, idx in blocks:
-                pres = self.Kp if kind in ("tau1", "rho", "kappa1") else self.Lp
-                offsets[(kind, idx)] = pos
-                moduli.extend(pres.factors)
-                pos += pres.rank
-            return offsets, tuple(moduli)
-
-        self._c1_offset, self.c1_moduli = widths(self._c1_blocks)
-        self._c2_offset, self.c2_moduli = widths(self._c2_blocks)
-        self._kK, self._kL = kK, kL
-
-        # Matrices of the structure maps in coordinates.  Their entries are
-        # coordinates below the group orders, so the integer matrices built
-        # from them are int64 with small entries.
-        act = module.action
-        self._nu = [self.Kp.perm_matrix(act.nu[b]) for b in B.elements()]
-        self._nu_inv = [self.Kp.perm_matrix(act.nu_inv(b)) for b in B.elements()]
-        self._mu = [self.Kp.perm_matrix(act.mu[a]) for a in A.elements()]
-        self._sigma = [self.Lp.perm_matrix(act.sigma[b]) for b in B.elements()]
-        self._f = [self.Lp.hom_matrix(self.Kp, act.f[:, a]) for a in A.elements()]
-        self._S = self.Kp.hom_matrix(self.Lp, module.S)
-        self._IK = np.eye(kK, dtype=np.int64)
-        self._IL = np.eye(kL, dtype=np.int64)
-
-        # The twisted product must descend T to a homomorphism; the cocycle
-        # conditions rely on T(a1 o a2) = T(a1) T(a2).
-        descended_operation(module.quotient)
-        for a1 in A.elements():
-            for a2 in A.elements():
-                circ = module.circ(a1, a2)
-                if int(module.T[circ]) != B.mul(int(module.T[a1]), int(module.T[a2])):
-                    raise RRBError("InternalError", "operator is not a twisted-product hom")
-
-        self.coboundary_matrix = self._build_coboundary()
-        self.constraint_matrix, self._con_blocks, self.constraint_moduli = \
-            self._build_constraints()
+        coboundary, constraints = self._formulas()
+        self.coboundary_matrix = _assemble(self._c2, self._c1, coboundary)
+        self.constraint_matrix = _assemble(self._con, self._c2, constraints)
         self._assert_linearization()
 
-    # -- coordinate packing ------------------------------------------------
+    def _formulas(self):
+        """The defects (z1)-(z4) of a one-cochain and the cocycle conditions
+        (c1)-(c5), as term lists over their instance grids for ``_assemble``.
 
-    @property
-    def c1_dim(self) -> int:
-        return len(self.c1_moduli)
+        The structure maps are stacks of coordinate matrices over element
+        indices.  Their entries are coordinates below the group orders, so
+        the integer matrices built from them are int64 with small entries.
+        """
+        m, Kp, Lp = self.module, self.Kp, self.Lp
+        act = m.action
+        NU, MU = Kp.perm_matrix(act.nu), Kp.perm_matrix(act.mu)
+        NU_INV = Kp.perm_matrix(act.nu_inv(np.arange(m.B.order)))
+        SIGMA, F, S = Lp.perm_matrix(act.sigma), Lp.hom_matrix(Kp, act.f.T), Kp.hom_matrix(Lp, m.S)
+        IK, IL = np.eye(Kp.rank, dtype=np.int64), np.eye(Lp.rank, dtype=np.int64)
+        At, Bt, beta, T = m.A.table, m.B.table, m.quotient.phi, m.T
+        c2, con = self._c2.block, self._con.block
+        D, C = [], []
 
-    @property
-    def c2_dim(self) -> int:
-        return len(self.c2_moduli)
+        a1, a2 = c2["tau1"].axes()
+        D.append(("tau1", [(+1, IK, "kappa1", (a2,)),
+                           (+1, MU[a2], "kappa1", (a1,)),
+                           (-1, IK, "kappa1", (At[a1, a2],))]))
+        b1, b2 = c2["tau2"].axes()
+        D.append(("tau2", [(+1, IL, "kappa2", (b2,)),
+                           (+1, SIGMA[b2], "kappa2", (b1,)),
+                           (-1, IL, "kappa2", (Bt[b1, b2],))]))
+        a, b = c2["rho"].axes()
+        D.append(("rho", [(+1, NU[b] @ F[a], "kappa2", (b,)),
+                          (+1, NU[b], "kappa1", (a,)),
+                          (-1, IK, "kappa1", (beta[b, a],))]))
+        a, = c2["chi"].axes()
+        D.append(("chi", [(+1, S @ NU_INV[T[a]], "kappa1", (a,)),
+                          (-1, IL, "kappa2", (T[a],))]))
 
-    def fs_to_coords(self, fs: FactorSystem) -> np.ndarray:
-        if fs.shapes != (self.module.A.order, self.module.B.order):
-            raise ValueError("factor system shape does not match the module")
-        out: List[int] = []
-        arrays = {"tau1": fs.tau1, "tau2": fs.tau2, "rho": fs.rho, "chi": fs.chi}
-        for kind, idx in self._c2_blocks:
-            pres = self.Kp if kind in ("tau1", "rho") else self.Lp
-            value = arrays[kind][idx] if len(idx) == 2 else arrays[kind][idx[0]]
-            out.extend(pres.vec(int(value)))
-        return np.asarray(out, dtype=object)
-
-    def fs_from_coords(self, coords: Sequence[int]) -> FactorSystem:
-        coords = reduce_vec(coords, self.c2_moduli)
-        A, B = self.module.A, self.module.B
-        tau1 = np.zeros((A.order, A.order), dtype=np.int64)
-        tau2 = np.zeros((B.order, B.order), dtype=np.int64)
-        rho = np.zeros((A.order, B.order), dtype=np.int64)
-        chi = np.zeros(A.order, dtype=np.int64)
-        target = {"tau1": tau1, "tau2": tau2, "rho": rho, "chi": chi}
-        for kind, idx in self._c2_blocks:
-            pres = self.Kp if kind in ("tau1", "rho") else self.Lp
-            off = self._c2_offset[(kind, idx)]
-            value = pres.elem(coords[off:off + pres.rank])
-            if len(idx) == 2:
-                target[kind][idx] = value
-            else:
-                target[kind][idx[0]] = value
-        return FactorSystem(tau1, tau2, rho, chi)
-
-    def kappa_to_coords(self, kappa: OneCochain) -> np.ndarray:
-        if (kappa.kappa1.shape != (self.module.A.order,)
-                or kappa.kappa2.shape != (self.module.B.order,)):
-            raise ValueError("one-cochain shape does not match the module")
-        out: List[int] = []
-        for kind, idx in self._c1_blocks:
-            if kind == "kappa1":
-                out.extend(self.Kp.vec(int(kappa.kappa1[idx[0]])))
-            else:
-                out.extend(self.Lp.vec(int(kappa.kappa2[idx[0]])))
-        return np.asarray(out, dtype=object)
-
-    def kappa_from_coords(self, coords: Sequence[int]) -> OneCochain:
-        coords = reduce_vec(coords, self.c1_moduli)
-        kappa1 = np.zeros(self.module.A.order, dtype=np.int64)
-        kappa2 = np.zeros(self.module.B.order, dtype=np.int64)
-        for kind, idx in self._c1_blocks:
-            off = self._c1_offset[(kind, idx)]
-            if kind == "kappa1":
-                kappa1[idx[0]] = self.Kp.elem(coords[off:off + self._kK])
-            else:
-                kappa2[idx[0]] = self.Lp.elem(coords[off:off + self._kL])
-        return OneCochain(kappa1, kappa2)
-
-    # -- matrix assembly ---------------------------------------------------
-
-    def _add_term(self, matrix: np.ndarray, row: int, sign: int,
-                  coeff: np.ndarray, kind: str, idx: tuple, offsets: dict):
-        if any(i == 0 for i in idx):
-            return  # the cochain vanishes there; no coordinates exist
-        off = offsets[(kind, idx)]
-        h, w = coeff.shape
-        matrix[row:row + h, off:off + w] += sign * coeff
-
-    def _build_coboundary(self) -> np.ndarray:
-        m = self.module
-        A, B = m.A, m.B
-        D = np.zeros((self.c2_dim, self.c1_dim), dtype=np.int64)
-        for kind, idx in self._c2_blocks:
-            row = self._c2_offset[(kind, idx)]
-            add = functools.partial(self._add_term, D, row,
-                                    offsets=self._c1_offset)
-            if kind == "tau1":
-                a1, a2 = idx
-                add(+1, self._IK, "kappa1", (a2,))
-                add(+1, self._mu[a2], "kappa1", (a1,))
-                add(-1, self._IK, "kappa1", (A.mul(a1, a2),))
-            elif kind == "tau2":
-                b1, b2 = idx
-                add(+1, self._IL, "kappa2", (b2,))
-                add(+1, self._sigma[b2], "kappa2", (b1,))
-                add(-1, self._IL, "kappa2", (B.mul(b1, b2),))
-            elif kind == "rho":
-                a, b = idx
-                add(+1, self._nu[b] @ self._f[a], "kappa2", (b,))
-                add(+1, self._nu[b], "kappa1", (a,))
-                add(-1, self._IK, "kappa1", (m.beta(b, a),))
-            else:  # chi
-                a = idx[0]
-                Ta = int(m.T[a])
-                add(+1, self._S @ self._nu_inv[Ta], "kappa1", (a,))
-                add(-1, self._IL, "kappa2", (Ta,))
-        return D
-
-    def _build_constraints(self) -> Tuple[np.ndarray, list, tuple]:
-        m = self.module
-        A, B = m.A, m.B
-        instances: List[Tuple[str, tuple, AbelianPresentation]] = []
-        nd_a = range(1, A.order)
-        nd_b = range(1, B.order)
-        instances += [("cocycle1", (a1, a2, a3), self.Kp)
-                      for a1 in nd_a for a2 in nd_a for a3 in nd_a]
-        instances += [("cocycle2", (b1, b2, b3), self.Lp)
-                      for b1 in nd_b for b2 in nd_b for b3 in nd_b]
-        instances += [("cocycle3", (a, b1, b2), self.Kp)
-                      for a in nd_a for b1 in nd_b for b2 in nd_b]
-        instances += [("cocycle4", (a1, a2, b), self.Kp)
-                      for a1 in nd_a for a2 in nd_a for b in nd_b]
-        instances += [("cocycle5", (a1, a2), self.Lp) for a1 in nd_a for a2 in nd_a]
-
-        total_rows = sum(p.rank for _, _, p in instances)
-        C = np.zeros((total_rows, self.c2_dim), dtype=np.int64)
-        blocks = []
-        moduli: List[int] = []
-        row = 0
-        for label, idx, pres in instances:
-            add = functools.partial(self._add_term, C, row, offsets=self._c2_offset)
-            if label == "cocycle1":
-                a1, a2, a3 = idx
-                add(+1, self._IK, "tau1", (a2, a3))
-                add(+1, self._IK, "tau1", (a1, A.mul(a2, a3)))
-                add(-1, self._IK, "tau1", (A.mul(a1, a2), a3))
-                add(-1, self._mu[a3], "tau1", (a1, a2))
-            elif label == "cocycle2":
-                b1, b2, b3 = idx
-                add(+1, self._IL, "tau2", (b2, b3))
-                add(+1, self._IL, "tau2", (b1, B.mul(b2, b3)))
-                add(-1, self._IL, "tau2", (B.mul(b1, b2), b3))
-                add(-1, self._sigma[b3], "tau2", (b1, b2))
-            elif label == "cocycle3":
-                a, b1, b2 = idx
-                add(+1, self._IK, "rho", (m.beta(b2, a), b1))
-                add(+1, self._nu[b1], "rho", (a, b2))
-                add(-1, self._IK, "rho", (a, B.mul(b1, b2)))
-                add(-1, self._nu[B.mul(b1, b2)] @ self._f[a], "tau2", (b1, b2))
-            elif label == "cocycle4":
-                a1, a2, b = idx
-                add(+1, self._IK, "rho", (A.mul(a1, a2), b))
-                add(+1, self._nu[b], "tau1", (a1, a2))
-                add(-1, self._mu[m.beta(b, a2)], "rho", (a1, b))
-                add(-1, self._IK, "rho", (a2, b))
-                add(-1, self._IK, "tau1", (m.beta(b, a1), m.beta(b, a2)))
-            else:  # cocycle5
-                a1, a2 = idx
-                circ = m.circ(a1, a2)
-                T1, T2 = int(m.T[a1]), int(m.T[a2])
-                lift = self._S @ self._nu_inv[int(m.T[circ])]
-                add(+1, self._IL, "tau2", (T1, T2))
-                add(+1, self._IL, "chi", (a2,))
-                add(-1, self._IL, "chi", (circ,))
-                add(+1, self._sigma[T2], "chi", (a1,))
-                add(-1, lift, "rho", (a2, T1))
-                add(-1, lift, "tau1", (a1, m.beta(T1, a2)))
-                add(-1, lift @ self._nu[T1] @ self._f[a2], "chi", (a1,))
-            blocks.append((label, idx, row, pres.rank, pres.factors))
-            moduli.extend(pres.factors)
-            row += pres.rank
-        return C, blocks, tuple(moduli)
+        a1, a2, a3 = con["cocycle1"].axes()
+        C.append(("cocycle1", [(+1, IK, "tau1", (a2, a3)),
+                               (+1, IK, "tau1", (a1, At[a2, a3])),
+                               (-1, IK, "tau1", (At[a1, a2], a3)),
+                               (-1, MU[a3], "tau1", (a1, a2))]))
+        b1, b2, b3 = con["cocycle2"].axes()
+        C.append(("cocycle2", [(+1, IL, "tau2", (b2, b3)),
+                               (+1, IL, "tau2", (b1, Bt[b2, b3])),
+                               (-1, IL, "tau2", (Bt[b1, b2], b3)),
+                               (-1, SIGMA[b3], "tau2", (b1, b2))]))
+        a, b1, b2 = con["cocycle3"].axes()
+        C.append(("cocycle3", [(+1, IK, "rho", (beta[b2, a], b1)),
+                               (+1, NU[b1], "rho", (a, b2)),
+                               (-1, IK, "rho", (a, Bt[b1, b2])),
+                               (-1, NU[Bt[b1, b2]] @ F[a], "tau2", (b1, b2))]))
+        a1, a2, b = con["cocycle4"].axes()
+        C.append(("cocycle4", [(+1, IK, "rho", (At[a1, a2], b)),
+                               (+1, NU[b], "tau1", (a1, a2)),
+                               (-1, MU[beta[b, a2]], "rho", (a1, b)),
+                               (-1, IK, "rho", (a2, b)),
+                               (-1, IK, "tau1", (beta[b, a1], beta[b, a2]))]))
+        a1, a2 = con["cocycle5"].axes()
+        circ, T1, T2 = self._circ[a1, a2], T[a1], T[a2]
+        lift = S @ NU_INV[T[circ]]
+        C.append(("cocycle5", [(+1, IL, "tau2", (T1, T2)),
+                               (+1, IL, "chi", (a2,)),
+                               (-1, IL, "chi", (circ,)),
+                               (+1, SIGMA[T2], "chi", (a1,)),
+                               (-1, lift, "rho", (a2, T1)),
+                               (-1, lift, "tau1", (a1, beta[T1, a2])),
+                               (-1, lift @ NU[T1] @ F[a2], "chi", (a1,))]))
+        return D, C
 
     def _assert_linearization(self):
         # Multiplying a column by its source modulus must vanish against the
@@ -337,30 +303,40 @@ class CochainComplex:
         if (exact_matmul(C, D) % con).any():
             raise AssertionError("coboundary image violates a cocycle condition")
 
+    # -- coordinate packing ------------------------------------------------
+
+    @property
+    def c2_dim(self) -> int:
+        return len(self.c2_moduli)
+
+    def fs_to_coords(self, fs: FactorSystem) -> np.ndarray:
+        if fs.shapes != (self.module.A.order, self.module.B.order):
+            raise ValueError("factor system shape does not match the module")
+        return self._c2.pack((fs.tau1, fs.tau2, fs.rho, fs.chi))
+
+    def fs_from_coords(self, coords: Sequence[int]) -> FactorSystem:
+        return FactorSystem(*self._c2.unpack(coords))
+
+    def kappa_to_coords(self, kappa: OneCochain) -> np.ndarray:
+        if (kappa.kappa1.shape != (self.module.A.order,)
+                or kappa.kappa2.shape != (self.module.B.order,)):
+            raise ValueError("one-cochain shape does not match the module")
+        return self._c1.pack((kappa.kappa1, kappa.kappa2))
+
+    def kappa_from_coords(self, coords: Sequence[int]) -> OneCochain:
+        return OneCochain(*self._c1.unpack(coords))
+
     # -- membership and evaluation ------------------------------------------
 
-    def z2_violations(self, fs: FactorSystem) -> List[Tuple[str, tuple]]:
-        vec = exact_matmul(self.constraint_matrix, self.fs_to_coords(fs))
-        vec = reduce_vec(vec, self.constraint_moduli)
-        out = []
-        for label, idx, row, width, _ in self._con_blocks:
-            if any(vec[row:row + width]):
-                out.append((label, idx))
-        return out
-
     def z2_contains(self, fs: FactorSystem) -> Tuple[bool, Optional[Tuple[str, tuple]]]:
-        bad = self.z2_violations(fs)
-        return (False, bad[0]) if bad else (True, None)
+        """Membership, with the first failing condition (label, tuple) in row order."""
+        bad = self._con.first_nonzero(exact_matmul(self.constraint_matrix, self.fs_to_coords(fs)))
+        return bad is None, bad
 
     def z1_contains(self, kappa: OneCochain) -> Tuple[bool, Optional[Tuple[str, tuple]]]:
-        vec = exact_matmul(self.coboundary_matrix, self.kappa_to_coords(kappa))
-        vec = reduce_vec(vec, self.c2_moduli)
-        for kind, idx in self._c2_blocks:
-            off = self._c2_offset[(kind, idx)]
-            width = self._kK if kind in ("tau1", "rho") else self._kL
-            if any(vec[off:off + width]):
-                return False, (kind, idx)
-        return True, None
+        """Membership, with the first nonzero defect (block, tuple) in row order."""
+        bad = self._c2.first_nonzero(exact_matmul(self.coboundary_matrix, self.kappa_to_coords(kappa)))
+        return bad is None, bad
 
     def coboundary(self, kappa: OneCochain) -> FactorSystem:
         """The defect quadruple of a one-cochain; always a cocycle."""
@@ -404,9 +380,6 @@ class CochainComplex:
                            f"not a cocycle: condition {witness[0]} fails at {witness[1]}"
                            if not member else "lattice membership failed")
         return CohomologyClass(self, coords)
-
-    def zero_class(self) -> CohomologyClass:
-        return CohomologyClass(self, tuple(0 for _ in self.h2.factors))
 
     def class_representative(self, cls: CohomologyClass) -> FactorSystem:
         return self.fs_from_coords(self.h2.representative(cls.coords))

@@ -147,12 +147,19 @@ def group_from_permutations(degree: int, generators: Sequence[Sequence[int]],
     Elements are the closure's permutations sorted lexicographically, which
     puts the identity at index 0.  Product convention: ``(p*q)(x) = p(q(x))``.
     """
-    perms = {tuple(range(degree))}
+    if degree < 0:
+        raise GroupError("NotClosed", f"degree {degree} is negative")
+    # A generator of the wrong length fails before anything of size degree is
+    # built, and without generators the group is trivial at any degree.
+    perms = set()
     for gen in generators:
         p = tuple(int(x) for x in gen)
-        if sorted(p) != list(range(degree)):
+        if len(p) != degree or sorted(p) != list(range(degree)):
             raise GroupError("NotClosed", f"generator {gen} is not a permutation of 0..{degree - 1}")
         perms.add(p)
+    if not perms:
+        return FiniteGroup([[0]], name=name)
+    perms.add(tuple(range(degree)))
     frontier = list(perms)
     while frontier:
         fresh = []

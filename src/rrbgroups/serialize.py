@@ -91,10 +91,12 @@ def load_group(value, base: Optional[Path] = None) -> FiniteGroup:
     if "table" in obj:
         table = strict_ints(obj["table"], "table", 2)
         if "order" in obj and len(table) != strict_ints(obj["order"], "order", 0):
-            raise ParseError(f"group {name or ''}: order does not match table size")
+            raise ParseError(f"order: {obj['order']} does not match the table size {len(table)}")
         return FiniteGroup(table, name=name)
     if "generators" in obj:
         degree = strict_ints(_require(obj, "degree", "permutation group"), "degree", 0)
+        if degree < 0:
+            raise ParseError(f"degree: expected a nonnegative integer, got {degree}")
         generators = strict_ints(obj["generators"], "generators", 2)
         return group_from_permutations(degree, generators, name=name)
     raise ParseError("group payload needs a 'table' or 'generators' key")

@@ -3,7 +3,9 @@
 Everything here works directly on Cayley tables and action arrays with
 elementwise group arithmetic: no coordinate systems, no matrices, no Smith
 normal form.  The exhaustive enumerators are vectorized over candidates with
-plain numpy gathers so that spaces up to ~2^20 stay cheap.
+plain numpy gathers so that spaces up to ~2^20 stay cheap.  The one exception
+is ``ReferenceAssembly``: it builds the cochain complex's coordinate matrices
+one tuple at a time, as the entry-for-entry reference for their assembly.
 """
 
 from __future__ import annotations
@@ -13,7 +15,9 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from rrbgroups import FactorSystem, OneCochain, RRBGroup, RRBModule, automorphism_group
+from rrbgroups import (ActionQuadruple, FactorSystem, FiniteGroup, OneCochain, RRBGroup,
+                       RRBModule, automorphism_group)
+from rrbgroups.abelian import AbelianPresentation
 from rrbgroups.extensions import Extension
 
 
@@ -490,3 +494,221 @@ def find_equivalence_morphism(e1: Extension, e2: Extension) -> Optional[Tuple[np
             if ok:
                 return img_h, img_g
     return None
+
+
+# -- reference cochain layout and assembly --------------------------------------
+
+class ReferenceAssembly:
+    """The coordinate blocks and the coboundary and constraint matrices of a
+    module, built one tuple at a time.
+
+    One block of invariant-factor coordinates per nondegenerate tuple, in
+    the order of ``fs_positions`` (kappa1 then kappa2 for one-cochains, the
+    five conditions in order for the constraint rows), and one small matrix
+    added per term of each formula.  The cochain complex builds the same
+    matrices as array scatters; this is the entry-for-entry reference.
+    """
+
+    def __init__(self, module: RRBModule):
+        self.module = module
+        A, B = module.A, module.B
+        Kp, Lp = AbelianPresentation(module.K), AbelianPresentation(module.L)
+        self.pres = {"kappa1": Kp, "tau1": Kp, "rho": Kp, "cocycle1": Kp, "cocycle3": Kp,
+                     "cocycle4": Kp, "kappa2": Lp, "tau2": Lp, "chi": Lp, "cocycle2": Lp,
+                     "cocycle5": Lp}
+        nd_a, nd_b = range(1, A.order), range(1, B.order)
+        self.c1_blocks = ([("kappa1", (a,)) for a in nd_a]
+                          + [("kappa2", (b,)) for b in nd_b])
+        self.c2_blocks = [(kind, idx) for kind, idx, _ in fs_positions(module)]
+        self.con_blocks = ([("cocycle1", t) for t in itertools.product(nd_a, nd_a, nd_a)]
+                           + [("cocycle2", t) for t in itertools.product(nd_b, nd_b, nd_b)]
+                           + [("cocycle3", t) for t in itertools.product(nd_a, nd_b, nd_b)]
+                           + [("cocycle4", t) for t in itertools.product(nd_a, nd_a, nd_b)]
+                           + [("cocycle5", t) for t in itertools.product(nd_a, nd_a)])
+        self.c1_offset, self.c1_moduli = self._widths(self.c1_blocks)
+        self.c2_offset, self.c2_moduli = self._widths(self.c2_blocks)
+        self.con_offset, self.constraint_moduli = self._widths(self.con_blocks)
+
+        act = module.action
+        nu_inv = [_inverse_map(act.nu[b]) for b in B.elements()]
+        self.nu = [_hom(Kp, Kp, act.nu[b]) for b in B.elements()]
+        self.nu_inv = [_hom(Kp, Kp, nu_inv[b]) for b in B.elements()]
+        self.mu = [_hom(Kp, Kp, act.mu[a]) for a in A.elements()]
+        self.sigma = [_hom(Lp, Lp, act.sigma[b]) for b in B.elements()]
+        self.f = [_hom(Lp, Kp, act.f[:, a]) for a in A.elements()]
+        self.S = _hom(Kp, Lp, module.S)
+        self.IK = np.eye(Kp.rank, dtype=np.int64)
+        self.IL = np.eye(Lp.rank, dtype=np.int64)
+        self.coboundary_matrix = self._coboundary()
+        self.constraint_matrix = self._constraints()
+
+    def _widths(self, blocks):
+        offsets, moduli, pos = {}, [], 0
+        for kind, idx in blocks:
+            pres = self.pres[kind]
+            offsets[(kind, idx)] = pos
+            moduli.extend(pres.factors)
+            pos += pres.rank
+        return offsets, tuple(moduli)
+
+    @staticmethod
+    def _add(matrix, row, offsets, sign, coeff, kind, idx):
+        if any(i == 0 for i in idx):
+            return  # the cochain vanishes there; no coordinates exist
+        off = offsets[(kind, idx)]
+        h, w = coeff.shape
+        matrix[row:row + h, off:off + w] += sign * coeff
+
+    def _coboundary(self) -> np.ndarray:
+        m = self.module
+        A, B = m.A, m.B
+        D = np.zeros((len(self.c2_moduli), len(self.c1_moduli)), dtype=np.int64)
+        for kind, idx in self.c2_blocks:
+            def add(sign, coeff, target, tidx):
+                self._add(D, self.c2_offset[(kind, idx)], self.c1_offset,
+                          sign, coeff, target, tidx)
+            if kind == "tau1":
+                a1, a2 = idx
+                add(+1, self.IK, "kappa1", (a2,))
+                add(+1, self.mu[a2], "kappa1", (a1,))
+                add(-1, self.IK, "kappa1", (A.mul(a1, a2),))
+            elif kind == "tau2":
+                b1, b2 = idx
+                add(+1, self.IL, "kappa2", (b2,))
+                add(+1, self.sigma[b2], "kappa2", (b1,))
+                add(-1, self.IL, "kappa2", (B.mul(b1, b2),))
+            elif kind == "rho":
+                a, b = idx
+                add(+1, self.nu[b] @ self.f[a], "kappa2", (b,))
+                add(+1, self.nu[b], "kappa1", (a,))
+                add(-1, self.IK, "kappa1", (m.beta(b, a),))
+            else:  # chi
+                a = idx[0]
+                Ta = int(m.T[a])
+                add(+1, self.S @ self.nu_inv[Ta], "kappa1", (a,))
+                add(-1, self.IL, "kappa2", (Ta,))
+        return D
+
+    def _constraints(self) -> np.ndarray:
+        m = self.module
+        A, B = m.A, m.B
+        C = np.zeros((len(self.constraint_moduli), len(self.c2_moduli)), dtype=np.int64)
+        for label, idx in self.con_blocks:
+            def add(sign, coeff, target, tidx):
+                self._add(C, self.con_offset[(label, idx)], self.c2_offset,
+                          sign, coeff, target, tidx)
+            if label == "cocycle1":
+                a1, a2, a3 = idx
+                add(+1, self.IK, "tau1", (a2, a3))
+                add(+1, self.IK, "tau1", (a1, A.mul(a2, a3)))
+                add(-1, self.IK, "tau1", (A.mul(a1, a2), a3))
+                add(-1, self.mu[a3], "tau1", (a1, a2))
+            elif label == "cocycle2":
+                b1, b2, b3 = idx
+                add(+1, self.IL, "tau2", (b2, b3))
+                add(+1, self.IL, "tau2", (b1, B.mul(b2, b3)))
+                add(-1, self.IL, "tau2", (B.mul(b1, b2), b3))
+                add(-1, self.sigma[b3], "tau2", (b1, b2))
+            elif label == "cocycle3":
+                a, b1, b2 = idx
+                add(+1, self.IK, "rho", (m.beta(b2, a), b1))
+                add(+1, self.nu[b1], "rho", (a, b2))
+                add(-1, self.IK, "rho", (a, B.mul(b1, b2)))
+                add(-1, self.nu[B.mul(b1, b2)] @ self.f[a], "tau2", (b1, b2))
+            elif label == "cocycle4":
+                a1, a2, b = idx
+                add(+1, self.IK, "rho", (A.mul(a1, a2), b))
+                add(+1, self.nu[b], "tau1", (a1, a2))
+                add(-1, self.mu[m.beta(b, a2)], "rho", (a1, b))
+                add(-1, self.IK, "rho", (a2, b))
+                add(-1, self.IK, "tau1", (m.beta(b, a1), m.beta(b, a2)))
+            else:  # cocycle5
+                a1, a2 = idx
+                circ = m.circ(a1, a2)
+                T1, T2 = int(m.T[a1]), int(m.T[a2])
+                lift = self.S @ self.nu_inv[int(m.T[circ])]
+                add(+1, self.IL, "tau2", (T1, T2))
+                add(+1, self.IL, "chi", (a2,))
+                add(-1, self.IL, "chi", (circ,))
+                add(+1, self.sigma[T2], "chi", (a1,))
+                add(-1, lift, "rho", (a2, T1))
+                add(-1, lift, "tau1", (a1, m.beta(T1, a2)))
+                add(-1, lift @ self.nu[T1] @ self.f[a2], "chi", (a1,))
+        return C
+
+    def fs_to_coords(self, fs: FactorSystem) -> List[int]:
+        arrays = {"tau1": fs.tau1, "tau2": fs.tau2, "rho": fs.rho, "chi": fs.chi}
+        out: List[int] = []
+        for kind, idx in self.c2_blocks:
+            out.extend(self.pres[kind].vec(int(arrays[kind][idx])))
+        return out
+
+    def kappa_to_coords(self, kappa: OneCochain) -> List[int]:
+        arrays = {"kappa1": kappa.kappa1, "kappa2": kappa.kappa2}
+        out: List[int] = []
+        for kind, idx in self.c1_blocks:
+            out.extend(self.pres[kind].vec(int(arrays[kind][idx])))
+        return out
+
+    @staticmethod
+    def _first_witness(matrix, vec, blocks, offsets, moduli, pres):
+        values = [int(x) % m for x, m in zip(matrix.astype(object) @ np.asarray(vec, dtype=object),
+                                             moduli)]
+        for kind, idx in blocks:
+            off = offsets[(kind, idx)]
+            if any(values[off:off + pres[kind].rank]):
+                return False, (kind, idx)
+        return True, None
+
+    def z2_contains(self, fs: FactorSystem):
+        return self._first_witness(self.constraint_matrix, self.fs_to_coords(fs),
+                                   self.con_blocks, self.con_offset,
+                                   self.constraint_moduli, self.pres)
+
+    def z1_contains(self, kappa: OneCochain):
+        return self._first_witness(self.coboundary_matrix, self.kappa_to_coords(kappa),
+                                   self.c2_blocks, self.c2_offset, self.c2_moduli, self.pres)
+
+
+def _inverse_map(perm: Sequence[int]) -> List[int]:
+    out = [0] * len(perm)
+    for x, y in enumerate(perm):
+        out[int(y)] = x
+    return out
+
+
+def _hom(dom, cod, mapping) -> np.ndarray:
+    """Coordinate matrix of a homomorphism, one generator image per column."""
+    M = np.zeros((cod.rank, dom.rank), dtype=np.int64)
+    for j, g in enumerate(dom.generators):
+        M[:, j] = cod.vec(int(mapping[g]))
+    return M
+
+
+def relabel_module(module: RRBModule, rng) -> RRBModule:
+    """An isomorphic module with the non-identity elements of A, B, K and L
+    renamed at random (each identity stays at 0)."""
+    def perm(n):
+        rest = list(range(1, n))
+        rng.shuffle(rest)
+        return np.array([0] + rest, dtype=np.int64)
+
+    def push(table, p_row, p_col, p_val):
+        out = np.zeros_like(table)
+        out[np.ix_(p_row, p_col)] = p_val[table]
+        return out
+
+    pA, pB, pK, pL = (perm(G.order) for G in (module.A, module.B, module.K, module.L))
+
+    def structure(rrb, pH, pG):
+        H = FiniteGroup(push(rrb.H.table, pH, pH, pH))
+        G = FiniteGroup(push(rrb.G.table, pG, pG, pG))
+        R = np.zeros_like(rrb.R)
+        R[pH] = pG[rrb.R]
+        return RRBGroup(H, G, push(rrb.phi, pG, pH, pH), R)
+
+    act = module.action
+    action = ActionQuadruple(push(act.nu, pB, pK, pK), push(act.mu, pA, pK, pK),
+                             push(act.sigma, pB, pL, pL), push(act.f, pL, pA, pK))
+    return RRBModule(structure(module.quotient, pA, pB),
+                     structure(module.kernel, pK, pL), action)

@@ -131,6 +131,51 @@ class TestStrictIntegers:
         assert "phi[1][2]" in proc.stderr
 
 
+class TestGroupPayloadChecks:
+    """Permutation degrees are checked before any permutation is built."""
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_negative_degree_is_parse_error(self, tmp_path, fmt):
+        group = tmp_path / "group.json"
+        group.write_text(json.dumps({"degree": -1, "generators": []}))
+        proc = run_cli("validate", group, "--format", fmt)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert "parse error: degree:" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_no_generators_is_trivial_at_any_degree(self, tmp_path, fmt):
+        group = tmp_path / "group.json"
+        group.write_text(json.dumps({"degree": 10_000_000, "generators": []}))
+        proc = run_cli("validate", group, "--format", fmt)
+        assert proc.returncode == 0
+        if fmt == "json":
+            assert json.loads(proc.stdout) == {"kind": "group", "valid": True}
+        else:
+            assert proc.stdout == "group: valid\n"
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_generator_of_wrong_length_is_not_closed(self, tmp_path, fmt):
+        group = tmp_path / "group.json"
+        group.write_text(json.dumps({"degree": 10_000_000, "generators": [[1, 0]]}))
+        proc = run_cli("validate", group, "--format", fmt)
+        assert proc.returncode == 2
+        if fmt == "json":
+            assert json.loads(proc.stdout)["code"] == "NotClosed"
+        else:
+            assert "NotClosed: generator [1, 0]" in proc.stdout
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_order_mismatch_names_order(self, tmp_path, fmt):
+        group = tmp_path / "group.json"
+        group.write_text(json.dumps({"name": "Z2", "order": 3, "table": [[0, 1], [1, 0]]}))
+        proc = run_cli("validate", group, "--format", fmt)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert "parse error: order: 3 does not match the table size 2" in proc.stderr
+
+
 class TestValidateCommand:
     def test_all_valid_fixtures(self):
         for name in ("group_z2.json", "group_klein_perm.json", "group_s3_perm.json",

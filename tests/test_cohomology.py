@@ -7,11 +7,13 @@ import random
 import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rrbgroups import (
+    ActionQuadruple,
     CochainComplex,
     OneCochain,
     RRBError,
@@ -24,10 +26,12 @@ from rrbgroups import (
     one_point_rrb,
     trivial_action,
     trivial_rrb,
+    validate_rrb,
     zero_factor_system,
 )
 from rrbgroups.extensions import extract_factor_system, extract_module
 from oracles import (
+    ReferenceAssembly,
     c2_size,
     coboundary_direct,
     cocycle_defects,
@@ -40,6 +44,7 @@ from oracles import (
     fs_key,
     fs_positions,
     iter_one_cochains,
+    relabel_module,
     sub_fs,
 )
 
@@ -216,6 +221,12 @@ class TestH2:
         assert ref() is None
 
 
+def ladder_module(n):
+    quot = trivial_rrb(cyclic_group(n), cyclic_group(n))
+    kern = trivial_rrb(cyclic_group(2), cyclic_group(2))
+    return RRBModule(quot, kern, trivial_action(quot, kern))
+
+
 class TestLadder:
     """The benchmark's h2 ladder: A = B = Z_n, K = L = Z2, everything trivial."""
 
@@ -223,9 +234,7 @@ class TestLadder:
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_rung(self, n):
-        quot = trivial_rrb(cyclic_group(n), cyclic_group(n))
-        kern = trivial_rrb(cyclic_group(2), cyclic_group(2))
-        cx = CochainComplex(RRBModule(quot, kern, trivial_action(quot, kern)))
+        cx = CochainComplex(ladder_module(n))
         groups = {"z1": cx.z1, "z2": cx.z2, "b2": cx.b2, "h2": cx.h2}
         orders = {name: g.order for name, g in groups.items()}
         if str(n) in self.ANSWERS:
@@ -236,6 +245,133 @@ class TestLadder:
         # The one-cochains form (Z2)^(2(n-1)), and B2 is their image in Z2.
         assert orders["z1"] * orders["b2"] == 4 ** (n - 1)
         assert orders["h2"] * orders["b2"] == orders["z2"]
+
+
+def twisted_mu_module(operator):
+    """A = Z4 acting on K = Z3 through its parity (mu nontrivial) and B = Z2
+    by inversion (nu = sigma), L = Z3 with S = id and f(l, a) = l - mu_a(l);
+    the quotient is Z4 -> Z2 with the given operator and beta_1 the
+    inversion, so every term of (c1)-(c5) has a nontrivial map."""
+    z4, z3, z2 = cyclic_group(4), cyclic_group(3), cyclic_group(2)
+    quot = validate_rrb(z4, z2, [[0, 1, 2, 3], [0, 3, 2, 1]], operator)
+    inversion = [[0, 1, 2], [0, 2, 1]]
+    mu = inversion * 2
+    f = [[(l - mu[a][l]) % 3 for a in range(4)] for l in range(3)]
+    action = ActionQuadruple(inversion, mu, inversion, f)
+    return RRBModule(quot, trivial_rrb(z3, z3, R=[0, 1, 2]), action)
+
+
+TWISTED_MU = {"twisted_mu_zero": [0, 0, 0, 0], "twisted_mu_parity": [0, 1, 0, 1]}
+
+
+def assert_same_assembly(cx, ref):
+    assert cx.c1_moduli == ref.c1_moduli
+    assert cx.c2_moduli == ref.c2_moduli
+    assert cx.constraint_moduli == ref.constraint_moduli
+    for mine, theirs in ((cx.coboundary_matrix, ref.coboundary_matrix),
+                         (cx.constraint_matrix, ref.constraint_matrix)):
+        assert mine.dtype == np.int64
+        assert mine.shape == theirs.shape
+        assert np.array_equal(mine, theirs)
+
+
+class TestLayout:
+    """The array assembly and packing against the per-tuple reference."""
+
+    @pytest.mark.parametrize("name", ALL_MODULES)
+    def test_matrices_match_reference(self, module_corpus, name):
+        module = module_corpus[name]
+        assert_same_assembly(cochain_complex(module), ReferenceAssembly(module))
+
+    @pytest.mark.parametrize("name", TWISTED_MU)
+    def test_twisted_mu_matrices_match_reference(self, name):
+        rng = random.Random(name)
+        for module in (twisted_mu_module(TWISTED_MU[name]),
+                       relabel_module(twisted_mu_module(TWISTED_MU[name]), rng)):
+            cx, ref = CochainComplex(module), ReferenceAssembly(module)
+            assert_same_assembly(cx, ref)
+            for _ in range(12):
+                fs = random_factor_system(module, rng)
+                assert cx.z2_contains(fs) == ref.z2_contains(fs)
+                assert cx.fs_from_coords(cx.fs_to_coords(fs)) == fs
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_ladder_matrices_match_reference(self, n):
+        module = ladder_module(n)
+        assert_same_assembly(CochainComplex(module), ReferenceAssembly(module))
+
+    @pytest.mark.parametrize("name", ALL_MODULES)
+    def test_relabeled_matrices_and_witnesses_match_reference(self, module_corpus, name):
+        rng = random.Random(name)
+        module = relabel_module(module_corpus[name], rng)
+        cx, ref = CochainComplex(module), ReferenceAssembly(module)
+        assert_same_assembly(cx, ref)
+        for _ in range(12):
+            fs = random_factor_system(module, rng)
+            assert cx.z2_contains(fs) == ref.z2_contains(fs)
+            kappa = random_cochain(module, rng)
+            assert cx.z1_contains(kappa) == ref.z1_contains(kappa)
+        # One nonzero value, in each position in turn: the first failing
+        # condition then lies anywhere in the row order, not just in cocycle1.
+        for kind, idx, size in fs_positions(module):
+            if size == 1:
+                continue
+            fs = fs_from_key(module, [rng.randrange(1, size) if (k, i) == (kind, idx) else 0
+                                      for k, i, _ in fs_positions(module)])
+            assert cx.z2_contains(fs) == ref.z2_contains(fs)
+        for a in range(1, module.A.order):
+            k1 = [0] * module.A.order
+            k1[a] = rng.randrange(module.K.order)
+            kappa = OneCochain(k1, [0] * module.B.order)
+            assert cx.z1_contains(kappa) == ref.z1_contains(kappa)
+
+    @pytest.mark.parametrize("name", ALL_MODULES)
+    def test_fs_to_coords_follows_fs_key_order(self, module_corpus, name):
+        module = module_corpus[name]
+        cx = cochain_complex(module)
+        rng = random.Random(7)
+        for _ in range(10):
+            fs = random_factor_system(module, rng)
+            want = []
+            for (kind, _, _), value in zip(fs_positions(module), fs_key(module, fs)):
+                pres = cx.Kp if kind in ("tau1", "rho") else cx.Lp
+                want.extend(pres.vec(value))
+            assert cx.fs_to_coords(fs).tolist() == want
+
+    @pytest.mark.parametrize("name", ALL_MODULES)
+    def test_round_trips(self, module_corpus, name):
+        module = module_corpus[name]
+        cx = cochain_complex(module)
+        rng = random.Random(11)
+        for _ in range(10):
+            fs = random_factor_system(module, rng)
+            assert cx.fs_from_coords(cx.fs_to_coords(fs)) == fs
+            kappa = random_cochain(module, rng)
+            assert cx.kappa_from_coords(cx.kappa_to_coords(kappa)) == kappa
+            # Coordinates of any size come back reduced.
+            coords = [rng.randrange(-3 * m, 2 ** 70) for m in cx.c2_moduli]
+            reduced = [c % m for c, m in zip(coords, cx.c2_moduli)]
+            assert cx.fs_to_coords(cx.fs_from_coords(coords)).tolist() == reduced
+            coords = [rng.randrange(-3 * m, 2 ** 70) for m in cx.c1_moduli]
+            reduced = [c % m for c, m in zip(coords, cx.c1_moduli)]
+            assert cx.kappa_to_coords(cx.kappa_from_coords(coords)).tolist() == reduced
+
+    @pytest.mark.parametrize("name, trivial", [
+        ("from_z4_carry", "L"), ("from_z9", "L"), ("from_s3", "L"), ("from_z3_z4_twist", "A")])
+    def test_components_of_order_one(self, module_corpus, name, trivial):
+        # The tests above run these modules with a component of order 1:
+        # its blocks have rank 0 (L) or no nondegenerate tuple (A).
+        module = module_corpus[name]
+        cx = cochain_complex(module)
+        assert getattr(module, trivial).order == 1
+        nA, nB, kK, kL = module.A.order - 1, module.B.order - 1, cx.Kp.rank, cx.Lp.rank
+        assert (kL == 0) if trivial == "L" else (nA == 0)
+        assert len(cx.c1_moduli) == kK * nA + kL * nB
+        assert cx.c2_dim == kK * (nA * nA + nA * nB) + kL * (nB * nB + nA)
+        assert len(cx.constraint_moduli) == (kK * (nA ** 3 + nA * nB * nB + nA * nA * nB)
+                                             + kL * (nB ** 3 + nA * nA))
+        assert cx.coboundary_matrix.shape == (cx.c2_dim, len(cx.c1_moduli))
+        assert cx.constraint_matrix.shape == (len(cx.constraint_moduli), cx.c2_dim)
 
 
 class TestClassicalRegression:
@@ -329,8 +465,6 @@ class TestLinearityAudit:
     @given(st.integers(min_value=0, max_value=10 ** 6))
     @settings(max_examples=15, deadline=None)
     def test_difference_of_cocycles_is_cocycle(self, seed):
-        from rrbgroups import validate_rrb
-
         rng = random.Random(seed)
         z2g, z4 = cyclic_group(2), cyclic_group(4)
         parity = validate_rrb(z4, z2g, [[0, 1, 2, 3], [0, 3, 2, 1]], [0, 1, 0, 1])

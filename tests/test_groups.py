@@ -95,6 +95,14 @@ class TestValidateGroup:
         built = group_from_permutations(3, [[1, 0, 2], [0, 2, 1]], name="S3")
         assert oracle.order == 6 and built == oracle
 
+    def test_permutation_degree_checks(self):
+        # No generators: the trivial group, whatever the degree.
+        assert group_from_permutations(10 ** 6, []).order == 1
+        for degree, gens in ((-1, []), (10 ** 6, [[1, 0]]), (3, [[0, 1, 1]])):
+            with pytest.raises(GroupError) as err:
+                group_from_permutations(degree, gens)
+            assert err.value.code == "NotClosed"
+
     def test_identity_not_at_zero(self):
         with pytest.raises(GroupError) as err:
             FiniteGroup([[1, 0], [0, 1]])

@@ -4,7 +4,7 @@ Run:  python demos/01_finite_groups.py
 """
 
 from rrbgroups import (
-    abelian_presentation,
+    AbelianPresentation,
     automorphism_group,
     cyclic_group,
     direct_product,
@@ -47,9 +47,9 @@ iso = find_isomorphism(P, cyclic_group(6))
 print("Z2 x Z3 ~ Z6 via", iso.image.tolist())
 
 # Abelian groups get invariant-factor coordinates for exact linear algebra.
-pres = abelian_presentation(P)
+pres = AbelianPresentation(P)
 print("invariant factors of Z2 x Z3:", pres.factors)
-p4 = abelian_presentation(Z4)
+p4 = AbelianPresentation(Z4)
 doubling = FinAbHom(p4, p4, [[2]])
 parts = hom_kernel_image_quotient(doubling)
 print("x2 on Z/4: kernel", parts.kernel_factors, "image", parts.image_factors,

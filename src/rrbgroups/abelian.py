@@ -2,8 +2,14 @@
 
 The bridge between Cayley-table groups and exact linear algebra: every
 abelian group gets a coordinate isomorphism onto ``Z/d_1 + ... + Z/d_k``
-(written additively), and subgroups / quotients of coordinate spaces are
-presented through Smith normal form.
+(written additively), and subgroups, quotients and subquotients of
+coordinate spaces are presented prime by prime.  Each lattice met here
+contains E Z^n for a known E, so it is the sum of its p-parts for the prime
+powers p^k exactly dividing E; each p-part is put in reduced Howell form
+over Z/p^k (``intlinalg.howell``), and the parts are merged by CRT into one
+chain of invariant factors.  Every basis, coordinate map and representative
+is read off the Howell forms, so it depends on the lattices only, not on
+the generators that span them, and every returned vector is reduced.
 """
 
 from __future__ import annotations
@@ -17,14 +23,13 @@ import numpy as np
 
 from .groups import FiniteGroup, GroupError
 from .intlinalg import (
-    SmithForm,
     as_int_matrix,
     exact_matmul,
-    identity_matrix,
+    howell,
     kernel_mod_prime_power,
-    smith_normal_form,
-    solve_with_snf,
-    zeros_matrix,
+    present_mod_prime_power,
+    prime_power_scale,
+    scale_rows,
 )
 
 
@@ -44,13 +49,13 @@ def iter_vectors(moduli: Sequence[int]) -> Iterator[Tuple[int, ...]]:
 
 
 class QuotientPresentation(NamedTuple):
-    """Z^n modulo the column span of a relation matrix, canonicalized.
+    """Z^n modulo a lattice containing E Z^n, canonicalized.
 
     factors: invariant factors (each >= 2, divisibility chain).
     to_coords: k x n matrix mapping an ambient vector to class coordinates
-        (reduce mod factors after applying).
+        (reduce mod factors after applying); row i is reduced mod factor i.
     lift: n x k matrix sending a class coordinate vector to an ambient
-        representative.
+        representative; reduced mod E.
     """
 
     factors: Tuple[int, ...]
@@ -63,37 +68,6 @@ class QuotientPresentation(NamedTuple):
     @property
     def order(self) -> int:
         return space_order(self.factors)
-
-
-def present_quotient(n: int, relation_cols: np.ndarray) -> QuotientPresentation:
-    """Present ``Z^n / colspan(relation_cols)`` (must be finite)."""
-    return _quotient_of_snf(n, smith_normal_form(relation_cols))
-
-
-def _quotient_of_snf(n: int, snf: SmithForm) -> QuotientPresentation:
-    """``Z^n`` modulo the column span of a matrix with n rows, from its Smith form."""
-    diag = snf.diagonal + [0] * (n - len(snf.diagonal))
-    keep = [i for i in range(n) if diag[i] != 1]
-    if any(diag[i] == 0 for i in keep):
-        raise ValueError("quotient is infinite; relation matrix has deficient rank")
-    factors = tuple(int(diag[i]) for i in keep)
-    to_coords = snf.U[keep, :] if keep else zeros_matrix(0, n)
-    lift = snf.Uinv[:, keep] if keep else zeros_matrix(n, 0)
-    return QuotientPresentation(factors, to_coords, lift)
-
-
-def _stack_moduli(cols: np.ndarray, moduli: Sequence[int]) -> np.ndarray:
-    """``[cols | diag(moduli)]``: its column span is the lattice of cols plus
-    every vector that vanishes modulo the moduli."""
-    diag = zeros_matrix(len(moduli), len(moduli))
-    for i, m in enumerate(moduli):
-        diag[i, i] = int(m)
-    return np.concatenate([cols, diag], axis=1)
-
-
-def _kernel_head(snf: SmithForm, r: int) -> np.ndarray:
-    """First r coordinates of a kernel basis of the factored matrix."""
-    return snf.v_head(r)[:, snf.rank:]
 
 
 def _prime_powers(n: int) -> List[Tuple[int, int]]:
@@ -112,42 +86,148 @@ def _prime_powers(n: int) -> List[Tuple[int, int]]:
     return out
 
 
+def _idempotent(n: int, q: int) -> int:
+    """The element of Z/n that is 1 modulo q and 0 modulo n / q, for q a
+    prime power exactly dividing n."""
+    return n // q * pow(n // q, -1, q)
+
+
+def _merge(parts, size: int, E: int) -> QuotientPresentation:
+    """One presentation over Z^size from its p-parts ``(p, k, offset, exps,
+    to, lift)``, one for each prime power p**k exactly dividing E: a part is
+    ``present_mod_prime_power`` output over the coordinates from ``offset``.
+
+    The i-th largest cyclic factors of all parts make one invariant factor
+    d.  Its coordinate is the CRT combination of theirs: each part's row
+    times the idempotent of Z/d that is 1 on its p-power and 0 on the rest.
+    A part's lift is taken by the idempotent of Z/E that is 1 modulo p**k
+    and 0 modulo E / p**k, which clears what it holds in the other parts.
+    """
+    count = max((len(part[3]) for part in parts), default=0)
+    factors = np.ones(count, dtype=object)
+    for p, _, _, exps, _, _ in parts:
+        factors[count - len(exps):] *= np.array([p ** int(e) for e in exps], dtype=object)
+    to_coords = np.zeros((count, size), dtype=object)
+    lift = np.zeros((size, count), dtype=object)
+    for p, k, offset, exps, to, lf in parts:
+        at = np.arange(count - len(exps), count)
+        cols = slice(offset, offset + to.shape[1])
+        for row, i, e in zip(to, at, exps):
+            to_coords[i, cols] += _idempotent(int(factors[i]), p ** int(e)) * row.astype(object)
+        lift[cols, at] += _idempotent(E, p ** k) * lf.astype(object)
+    return QuotientPresentation(tuple(int(d) for d in factors),
+                                to_coords % factors[:, None], lift % E)
+
+
+def present_quotient(relation_cols: np.ndarray, E: int) -> QuotientPresentation:
+    """Present ``Z^n / colspan(relation_cols)``, where E Z^n lies in the span."""
+    n = relation_cols.shape[0]
+    parts = [(p, k, 0, *present_mod_prime_power(relation_cols.T, p, k))
+             for p, k in _prime_powers(E)]
+    return _merge(parts, n, E)
+
+
+def _stack_moduli(cols: np.ndarray, moduli: Sequence[int]) -> np.ndarray:
+    """``[cols | diag(moduli)]``: its column span is the lattice of cols plus
+    every vector that vanishes modulo the moduli."""
+    return np.concatenate([cols, np.diag(np.array(moduli, dtype=object))], axis=1)
+
+
 def kernel_mod(matrix: np.ndarray, moduli: Sequence[int]) -> np.ndarray:
     """Generators (columns) of {x : matrix @ x == 0 modulo moduli}.
 
     The lattice contains E Z^m for E = lcm(moduli).  It is solved modulo
     each prime power q = p**k exactly dividing E, and by CRT it is the sum
     over q of E/q times the m-column basis for q; so a prime-power E gives
-    exactly m columns, and E = 1 the identity.
+    exactly m columns, and E = 1 the identity.  Entries lie in [0, E).
     """
     m = matrix.shape[1]
     E = math.lcm(*(int(x) for x in moduli))
     parts = [kernel_mod_prime_power(matrix, moduli, p, k) * (E // p ** k)
              for p, k in _prime_powers(E)]
-    return np.concatenate(parts, axis=1) if parts else identity_matrix(m)
+    return np.concatenate(parts, axis=1) if parts else np.eye(m, dtype=object)
 
 
 class SubgroupPresentation:
     """A subgroup of ``prod Z/moduli`` generated by given coordinate vectors.
 
+    For each prime power q = p**k exactly dividing E = lcm(moduli), the
+    p-part of the ambient group embeds in (Z/q)^n by scaling coordinate i by
+    q / gcd(moduli[i], q), and the subgroup's p-part is the span of the
+    scaled generators, put in reduced Howell form once (tracking each row's
+    coefficients over the given generators).  The rows of the forms, scaled
+    back and taken by the CRT idempotents of E, are the columns of
+    ``generators``, a generating set that depends on the subgroup only.
+    Elements and subquotients are read over them.
     ``relations`` holds, as columns, generators of the coefficient vectors c
-    with ``generator_cols @ c == 0`` in the ambient group.  The relation
-    lattice is presented (one more Smith form) only when ``factors``,
-    ``order``, ``coords``, ``embedding`` or ``elements`` is first read, so a
-    caller that only tests membership never pays for it.
+    with ``generator_cols @ c == 0`` in the ambient group; it is solved only
+    when first read.
     """
 
     def __init__(self, moduli: Sequence[int], generator_cols: np.ndarray):
         self.ambient_moduli = tuple(int(m) for m in moduli)
         self._gens = generator_cols
-        # The one factorization of this lattice: membership, relations and
-        # (through SubquotientPresentation) the class map all read it.
-        self._member_snf = smith_normal_form(_stack_moduli(generator_cols, self.ambient_moduli))
-        self.relations = _kernel_head(self._member_snf, generator_cols.shape[1])
+        self._E = math.lcm(*self.ambient_moduli)
+        r = generator_cols.shape[1]
+        # Per prime power: the scaling into (Z/q)^n, and the Howell form.
+        self._forms = []
+        for p, k in _prime_powers(self._E):
+            scale = prime_power_scale(self.ambient_moduli, p ** k)
+            form = howell(scale_rows(generator_cols, scale, p ** k).T, p, k,
+                          carry=np.eye(r, dtype=np.int64))
+            self._forms.append((scale, form))
+
+    @functools.cached_property
+    def relations(self) -> np.ndarray:
+        return kernel_mod(self._gens, self.ambient_moduli)
+
+    @functools.cached_property
+    def generators(self) -> np.ndarray:
+        cols = [(form.rows // scale).T.astype(object) * _idempotent(self._E, form.p ** form.k)
+                for scale, form in self._forms]
+        moduli = np.array(self.ambient_moduli, dtype=object).reshape(-1, 1)
+        return np.concatenate([np.zeros((len(moduli), 0), dtype=object), *cols], axis=1) % moduli
+
+    def _solve(self, vec: Sequence[int]):
+        """Per prime power, the coefficients of vec over the form's rows, or
+        None if vec is not in the subgroup."""
+        vec = np.asarray(vec)
+        out = []
+        for scale, form in self._forms:
+            q = form.p ** form.k
+            y, member = form.solve((vec % q * scale % q)[None])
+            if not member[0]:
+                return None
+            out.append(y[0])
+        return out
+
+    def _coefficients(self, vec: Sequence[int]) -> Optional[np.ndarray]:
+        """Coefficients of vec over ``generators``, or None if not a member."""
+        parts = self._solve(vec)
+        if parts is None:
+            return None
+        return np.concatenate([np.zeros(0, dtype=object), *parts])
+
+    def _present(self, denominator_cols: Optional[np.ndarray] = None) -> QuotientPresentation:
+        """This subgroup, modulo the one ``denominator_cols`` generate, over
+        the coefficients of ``generators``: per prime power, the relations
+        among the form's rows plus the coefficients of the denominator."""
+        parts, offset = [], 0
+        for scale, form in self._forms:
+            p, k = form.p, form.k
+            rel = form.relations()
+            if denominator_cols is not None:
+                Y, member = form.solve(scale_rows(denominator_cols, scale, p ** k).T)
+                if not member.all():
+                    raise ValueError("denominator lattice not contained in numerator")
+                rel = np.concatenate([rel, Y])
+            parts.append((p, k, offset, *present_mod_prime_power(rel, p, k)))
+            offset += len(form.rows)
+        return _merge(parts, offset, self._E)
 
     @functools.cached_property
     def _pres(self) -> QuotientPresentation:
-        return present_quotient(self._gens.shape[1], self.relations)
+        return self._present()
 
     @property
     def factors(self) -> Tuple[int, ...]:
@@ -160,23 +240,23 @@ class SubgroupPresentation:
     @functools.cached_property
     def embedding(self) -> np.ndarray:
         """Images in ambient coordinates of the presentation's generators."""
-        return self._gens @ self._pres.lift
+        moduli = np.array(self.ambient_moduli, dtype=object).reshape(-1, 1)
+        return exact_matmul(self.generators, self._pres.lift) % moduli
 
     def membership_coefficients(self, vec: Sequence[int]) -> Optional[np.ndarray]:
-        """Generator coefficients expressing vec, or None if not a member."""
-        sol = solve_with_snf(self._member_snf, np.asarray(vec, dtype=object))
-        if sol is None:
+        """Coefficients (in [0, E)) over the given generator columns that
+        express vec, or None if not a member."""
+        parts = self._solve(vec)
+        if parts is None:
             return None
-        return sol[: self._gens.shape[1]]
+        out = np.zeros(self._gens.shape[1], dtype=object)
+        for (_, form), y in zip(self._forms, parts):
+            q = form.p ** form.k
+            out += _idempotent(self._E, q) * (y @ form.carry % q).astype(object)
+        return out % self._E
 
     def contains(self, vec: Sequence[int]) -> bool:
-        return self.membership_coefficients(vec) is not None
-
-    def coords(self, vec: Sequence[int]) -> Optional[Tuple[int, ...]]:
-        c = self.membership_coefficients(vec)
-        if c is None:
-            return None
-        return self._pres.coords(c)
+        return self._solve(vec) is not None
 
     def element_from_coords(self, coords: Sequence[int]) -> Tuple[int, ...]:
         vec = self.embedding @ np.asarray(coords, dtype=object)
@@ -191,49 +271,30 @@ class SubgroupPresentation:
 class SubquotientPresentation:
     """Quotient of a presented subgroup by a smaller one, with class map.
 
-    The numerator lattice, spanned by S = [generators | diag(moduli)], is
-    read off the numerator's own Smith form U S V = D: it has the basis
-    ``Uinv diag(d)``, so the coordinates of v in that basis are
-    ``(U v)_i / d_i``.  The denominator is given by generator columns.
+    Presented over the numerator's ``generators``: their coefficients
+    modulo the numerator's relations and the coefficients of the
+    denominator's columns, prime by prime.  Both lattices enter only
+    through their Howell forms, so the class coordinates and
+    representatives depend on the two lattices only.
     """
 
     def __init__(self, numerator: SubgroupPresentation, small_cols: np.ndarray):
         self.ambient_moduli = numerator.ambient_moduli
-        n = len(self.ambient_moduli)
-        snf = numerator._member_snf
-        if snf.rank != n:
-            raise ValueError("numerator lattice is not full rank")
-        self._U = snf.U
-        self._d = snf.diagonal
-        self._basis = snf.Uinv * np.asarray(self._d, dtype=object)
-        # Coordinates in that basis of the columns of [small_cols | diag(moduli)]:
-        # U @ small_cols, and U @ diag(moduli) is U with its columns scaled.
-        d = np.asarray(self._d, dtype=object).reshape(-1, 1)
-        coords = np.concatenate([exact_matmul(self._U, small_cols),
-                                 self._U * np.asarray(self.ambient_moduli, dtype=object)], axis=1)
-        if (coords % d).any():
-            raise ValueError("denominator lattice not contained in numerator")
-        self._pres = present_quotient(n, coords // d)
+        self._numerator = numerator
+        self._pres = numerator._present(small_cols)
         self.factors = self._pres.factors
         self.order = self._pres.order
 
-    def _basis_coords(self, vec: Sequence[int]) -> Optional[List[int]]:
-        """Coordinates of vec in the numerator basis; None outside the lattice."""
-        c = self._U @ np.asarray(vec, dtype=object)
-        if any(x % d for x, d in zip(c, self._d)):
-            return None
-        return [x // d for x, d in zip(c, self._d)]
-
     def class_coords(self, vec: Sequence[int]) -> Optional[Tuple[int, ...]]:
         """Class of an ambient vector; None if it is not in the numerator."""
-        c = self._basis_coords(vec)
+        c = self._numerator._coefficients(vec)
         if c is None:
             return None
         return self._pres.coords(c)
 
     def representative(self, coords: Sequence[int]) -> Tuple[int, ...]:
-        vec = self._basis @ (self._pres.lift @ np.asarray(coords, dtype=object))
-        return reduce_vec(vec, self.ambient_moduli)
+        coeffs = self._pres.lift @ np.asarray(coords, dtype=object)
+        return reduce_vec(self._numerator.generators @ coeffs, self.ambient_moduli)
 
 
 class AbelianPresentation:
@@ -277,7 +338,7 @@ class AbelianPresentation:
                 col[i] += 1
                 cols.append(col)
         rel = as_int_matrix(cols, ncols=k).T
-        pres = present_quotient(k, rel)
+        pres = present_quotient(rel, n)
         self.group = group
         self.factors = pres.factors
         # coord_table[x] is the coordinate vector of x; elem_index[i] is the
@@ -330,11 +391,6 @@ class AbelianPresentation:
         return f"AbelianPresentation(factors={list(self.factors)})"
 
 
-def abelian_presentation(G: FiniteGroup) -> AbelianPresentation:
-    """Invariant-factor decomposition with explicit coordinate isomorphism."""
-    return AbelianPresentation(G)
-
-
 class FinAbHom:
     """Homomorphism between presented finite abelian groups, as a matrix."""
 
@@ -385,19 +441,19 @@ class KernelImageCokernel(NamedTuple):
 
 
 def hom_kernel_image_quotient(h: FinAbHom) -> KernelImageCokernel:
-    """Kernel, image, and cokernel of a FinAbHom via Smith normal form.
+    """Kernel, image, and cokernel of a FinAbHom.
 
     Kernel and image come as canonical factor lists plus embedding matrices
     (columns are generator images in domain / codomain coordinates); the
     cokernel comes with a class-of map on codomain coordinate vectors.
     """
     dom, cod = h.domain, h.codomain
-    # The image lattice [M | diag(cod)] is factored once.  The relations
-    # among the columns of M are the kernel (x with M@x = 0 in the codomain),
-    # and the same Smith form presents the cokernel.
+    # The relations among the columns of M are the kernel (x with M@x = 0
+    # in the codomain); the cokernel is Z^n modulo [M | diag(cod)], which
+    # holds the codomain's exponent times Z^n.
     image_sub = SubgroupPresentation(cod.factors, h.matrix)
     kernel_sub = SubgroupPresentation(dom.factors, image_sub.relations)
-    coker = _quotient_of_snf(cod.rank, image_sub._member_snf)
+    coker = present_quotient(_stack_moduli(h.matrix, cod.factors), math.lcm(*cod.factors))
     return KernelImageCokernel(
         kernel_sub.factors, kernel_sub.embedding,
         image_sub.factors, image_sub.embedding,

@@ -6,8 +6,9 @@ cochains are quadruples (tau1, tau2, rho, chi) as in
 tuples is encoded in invariant-factor coordinates, one block per
 nondegenerate tuple, and the five cocycle conditions plus the coboundary map
 become integer matrices between those coordinate spaces.  The cocycles are
-solved modulo each prime power of the moduli (``kernel_mod``); images and
-quotients come from Smith normal form.
+solved modulo each prime power of the moduli (``kernel_mod``), and every
+group and quotient is read off the reduced Howell forms of its lattices
+(``abelian``), so the H2 basis depends on Z2 and B2 only.
 
 Additive transcriptions used throughout (K, L abelian, written additively;
 ``o`` is the twisted product a1 o a2 = a1 * beta_{T(a1)}(a2)):

@@ -1,24 +1,29 @@
-"""Exact integer linear algebra: Smith normal form, the solver that reads it,
-and kernels modulo a prime power.
+"""Exact linear algebra over Z/p^k: one eliminator for every lattice.
 
-Every matrix returned is a numpy array with ``dtype=object`` holding Python
-ints, so results never overflow; matrices taken may also be int64.  Vectors
-are 1-d arrays, matrices act on column vectors from the left.
+Every lattice the package meets contains E Z^n for some E, so it is known
+from its images modulo the prime powers q = p^k exactly dividing E, and each
+image is a submodule of (Z/q)^n.  ``howell`` puts a generating set of such a
+submodule into its reduced Howell form (Howell, "Spans in the module
+(Z_m)^s", 1986; Storjohann and Mulders, "Fast algorithms for linear algebra
+modulo N", 1998), which depends on the submodule only.  Over Z/p^k a pivot
+is an entry of least valuation in its column, so it divides every entry it
+clears: elimination needs no gcd steps, no remainders and no entry past q.
+The form gives kernels (``kernel_mod_prime_power``), membership with
+coefficients (``Howell.solve``), the relations among its rows
+(``Howell.relations``) and presentations of quotients
+(``present_mod_prime_power``).
 
-``smith_normal_form`` eliminates in exact int64 while every entry stays below
-2**31 in absolute value, and moves to Python ints (``astype(object)``) once an
-entry reaches that bound; there is no floating point anywhere.  It logs its
-row and column operations and replays the transforms U, U^-1 and V from the
-log only when they are first read, and a kernel head replays only the rows of
-V it needs.  ``kernel_mod_prime_power`` solves a system over Z/p^k by row
-operations on entries below p^k, with no Smith form.
+Matrices are numpy arrays.  Entries are reduced into [0, q) and held in
+int64 while q*q*width < 2**62, so that no sum of products of entries can
+leave int64; otherwise the same code runs on Python ints (object dtype).
+Results of ``exact_matmul`` and ``kernel_mod_prime_power`` are in Python
+ints.  There is no floating point anywhere.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -44,14 +49,6 @@ def as_int_matrix(rows: Sequence[Sequence[int]], ncols: Optional[int] = None) ->
     return out
 
 
-def identity_matrix(n: int) -> np.ndarray:
-    return np.eye(n, dtype=object)
-
-
-def zeros_matrix(n: int, m: int) -> np.ndarray:
-    return np.zeros((n, m), dtype=object)
-
-
 def exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b in Python ints; computed in int64 when no sum can leave it."""
     try:
@@ -66,348 +63,240 @@ def exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.asarray(a, dtype=object) @ np.asarray(b, dtype=object)
 
 
-_SWAP, _ADD, _NEGATE = range(3)
-
-# With every entry below 2**31 in absolute value, a multiplier c = -(x // p)
-# has |c| < 2**31, so each x + c*y of the elimination stays inside int64.
-_INT64_EXACT = 2 ** 31
+def _dtype(q: int, width: int):
+    return np.int64 if q * q * max(width, 1) < 2 ** 62 else object
 
 
-class SmithForm:
-    """Decomposition U @ A @ V == D with U, V unimodular.
+def _reduce(matrix, q: int, dtype) -> np.ndarray:
+    """matrix with entries reduced into [0, q), as ``dtype``."""
+    A = np.asarray(matrix)
+    if A.dtype == object or dtype is object:
+        return (A.astype(object) % q).astype(dtype)
+    return (A % q).astype(dtype, copy=False)
 
-    D is diagonal with nonnegative entries d_1 | d_2 | ... | d_r followed by
-    zeros.  Uinv is the exact inverse of U.  A is taken and all four are
-    returned as object-dtype matrices of Python ints, and a SmithForm unpacks
-    as ``D, U, V, Uinv``.  The elimination behind it works in int64 while
-    every entry stays below 2**31 in absolute value and in Python ints from
-    the first entry that reaches it.  D comes out of the elimination; U,
-    Uinv and V are replayed from its log of row and column operations when
-    first read, and ``v_head(r)`` replays only the first r rows of V, which
-    is all a kernel head reads.
+
+def _valuation(x: np.ndarray, p: int, k: int) -> np.ndarray:
+    """The p-adic valuation of each entry of x, capped at k - 1 (k for 0 is
+    left to the caller)."""
+    v = np.zeros(x.shape, dtype=np.int64)
+    for j in range(1, k):
+        v += x % p ** j == 0
+    return v
+
+
+def _other_columns(n: int, cols: np.ndarray) -> np.ndarray:
+    """The columns of range(n) outside cols, in order.  (np.setdiff1d
+    imports numpy.ma on its first call, some 15 ms of every fresh job.)"""
+    rest = np.ones(n, dtype=bool)
+    rest[cols] = False
+    return np.flatnonzero(rest)
+
+
+def prime_power_scale(moduli: Sequence[int], q: int) -> np.ndarray:
+    """q / gcd(m, q) for each modulus m: multiplying by it embeds the p-part
+    Z/gcd(m, q) of Z/m in Z/q, and a congruence holds modulo gcd(m, q)
+    exactly when its multiple by it holds modulo q.  In int64 when q * q
+    fits, so that a scaled entry can be formed there."""
+    return np.array([q // math.gcd(int(m), q) for m in moduli], dtype=_dtype(q, 1))
+
+
+def scale_rows(matrix: np.ndarray, scale: np.ndarray, q: int) -> np.ndarray:
+    """Row i of matrix, reduced modulo q and multiplied by scale[i] modulo q."""
+    return _reduce(matrix, q, scale.dtype) * scale[:, None] % q
+
+
+class Howell(NamedTuple):
+    """The reduced Howell form over Z/p^k of the span of some rows.
+
+    ``rows`` (r x n) are nonzero and in echelon form: row i is zero before
+    column ``cols[i]`` and holds p**vals[i] there, later rows hold zero in
+    that column and earlier rows an entry below p**vals[i].  The Howell
+    property holds: p**(k - vals[i]) * rows[i] lies in the span of the later
+    rows.  So membership is decided by reducing against the rows in order,
+    and ``rows`` depends on the span only.  ``carry`` (r x t) holds extra
+    columns that took every row operation but held no pivot.
     """
 
-    def __init__(self, D: np.ndarray, row_ops: list, col_ops: list):
-        self.D = D
-        self._row_ops = row_ops
-        self._col_ops = col_ops
+    rows: np.ndarray
+    carry: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    p: int
+    k: int
 
-    def __iter__(self):
-        return iter((self.D, self.U, self.V, self.Uinv))
+    def solve(self, vecs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Coefficients Y with Y @ rows == vecs modulo q, one row of Y per
+        row of vecs (reduced modulo q), and a mask of the vectors that lie
+        in the span; the rows of Y outside the span are meaningless."""
+        q = self.p ** self.k
+        # A unit pivot is the only nonzero entry of its column, so its
+        # coefficient is the vector's entry there.
+        Y = vecs[:, self.cols] * (self.vals == 0)
+        R = (vecs - Y @ self.rows) % q
+        for i in np.flatnonzero(self.vals):
+            Y[:, i] = R[:, self.cols[i]] // self.p ** int(self.vals[i])
+            R = (R - Y[:, i:i + 1] * self.rows[i]) % q
+        return Y, ~R.any(axis=1)
 
-    @property
-    def diagonal(self) -> list:
-        n, m = self.D.shape
-        return [self.D[i, i] for i in range(min(n, m))]
-
-    @property
-    def rank(self) -> int:
-        return sum(1 for d in self.diagonal if d != 0)
-
-    @functools.cached_property
-    def U(self) -> np.ndarray:
-        return _replay(self._row_ops, np.eye(self.D.shape[0], dtype=np.int64))
-
-    @functools.cached_property
-    def Uinv(self) -> np.ndarray:
-        # Each row operation on U is undone by a column operation on Uinv,
-        # that is by a row operation on its transpose.
-        eye = np.eye(self.D.shape[0], dtype=np.int64)
-        return _replay(self._row_ops, eye, inverse=True).T
-
-    @functools.cached_property
-    def V(self) -> np.ndarray:
-        return self.v_head(self.D.shape[1])
-
-    def v_head(self, r: int) -> np.ndarray:
-        """The first r rows of V; column operations act on each row alone."""
-        return _replay(self._col_ops, np.eye(self.D.shape[1], r, dtype=np.int64)).T
+    def relations(self) -> np.ndarray:
+        """Rows generating {y : y @ rows == 0 modulo q}, besides q Z^r: for
+        each row whose pivot is not a unit, p**(k - vals[i]) e_i minus the
+        coefficients of p**(k - vals[i]) * rows[i] over the later rows."""
+        q = self.p ** self.k
+        i = np.flatnonzero(self.vals)
+        mult = np.array([self.p ** (self.k - int(v)) for v in self.vals[i]], dtype=self.rows.dtype)
+        Y, _ = self.solve(self.rows[i] * mult[:, None] % q)
+        Y = -Y % q
+        Y[np.arange(len(i)), i] = mult
+        return Y
 
 
-def _replay(ops: list, M: np.ndarray, inverse: bool = False) -> np.ndarray:
-    """Apply logged row operations to the rows of M, or (``inverse``) the
-    transposed inverse of each, and return the result in Python ints.
+def howell(matrix: np.ndarray, p: int, k: int, carry: Optional[np.ndarray] = None) -> Howell:
+    """The reduced Howell form of the row span of ``matrix`` over Z/p^k.
 
-    Works in int64 like the elimination, and in Python ints from the first
-    multiplier or entry that reaches 2**31, or the first combination whose
-    sum could leave int64.
+    Columns are taken in order.  The pivot of a column is its first active
+    row of least valuation v, scaled by a unit to hold p**v; it clears the
+    column on the other active rows nonzero there and leaves the active set,
+    and for v > 0 its multiple by p**(k - v), zero in this column, joins the
+    active set (Howell's closure).  Last, each pivot reduces its column in
+    the earlier pivot rows into [0, p**v).  ``carry`` takes the same row
+    operations.
     """
-    for kind, i, j, c in ops:
-        if kind == _SWAP:
-            M[[i, j]] = M[[j, i]]
+    q = p ** k
+    s, n = matrix.shape
+    t = 0 if carry is None else carry.shape[1]
+    dtype = _dtype(q, n + t)
+    # W[j] is column j over all rows: one contiguous row per column.  Slots
+    # past s hold closure rows, at most one per pivot.
+    W = np.zeros((n + t, s + (n if k > 1 else 0)), dtype=dtype)
+    W[:n, :s] = _reduce(matrix, q, dtype).T
+    if t:
+        W[n:, :s] = _reduce(carry, q, dtype).T
+    spare = s
+    pivots, cols, vals = [], [], []
+    for c in range(n):
+        active = W[c].nonzero()[0]
+        if not active.size:
             continue
-        if kind == _NEGATE:
-            M[i] = -M[i]
-            continue
-        # With entries below 2**31, the inverse's sum of len(c) products stays
-        # below 2**62 while max|c| * len(c) < 2**31.
-        if M.dtype != object and (c.dtype == object or inverse
-                                  and int(np.abs(c).max()) * len(c) >= _INT64_EXACT):
-            M = M.astype(object)
-        if inverse:
-            M[j] -= c @ M[i]
-            changed = M[j]
-        else:
-            M[i] += c[:, None] * M[j]
-            changed = M[i]
-        if M.dtype != object and np.abs(changed).max(initial=0) >= _INT64_EXACT:
-            M = M.astype(object)
-    return M.astype(object)
-
-
-def _working_copy(mat: np.ndarray) -> np.ndarray:
-    """An int64 copy of mat if every entry is below 2**31 in absolute value,
-    else a copy in Python ints.  The conversion itself is the range check:
-    it raises for entries beyond int64, and min and max bound the rest."""
-    A = np.asarray(mat, dtype=object)
-    try:
-        small = A.astype(np.int64)
-    except OverflowError:
-        return A.copy()
-    if small.size and (small.min() <= -_INT64_EXACT or small.max() >= _INT64_EXACT):
-        return A.copy()
-    return small
-
-
-def smith_normal_form(mat: np.ndarray) -> SmithForm:
-    """Smith normal form over the integers; transforms replayed on first read.
-
-    Step t works on the active block A[t:, t:] only: every entry of rows and
-    columns below t outside it is already zero.  The pivot is the first entry
-    of least absolute value in row-major order.  Its column, then its row, is
-    cleared in index order, and the first entry the pivot does not divide
-    leaves a remainder that becomes the new pivot; once both are clear, the
-    first row holding a non-multiple of the pivot is added to the pivot row,
-    so the diagonal comes out in a divisibility chain.
-    """
-    A = _working_copy(mat)
-    n, m = A.shape
-    row_ops: list = []
-    col_ops: list = []
-    # Row summaries over the active block, so that neither the pivot nor the
-    # divisibility witness needs a scan of the block.  S[i, 0] is 0 exactly
-    # when row i is zero, else at most its least nonzero absolute value, and
-    # equal to it unless the row is stale; S[i, 1] divides the gcd of the
-    # row's entries.  Column swaps keep both.  A stale row is summarized
-    # again only when its bound could decide the pivot, and a row whose gcd
-    # bound the pivot does not divide only when it could be the witness.
-    S = np.zeros((n, 2), dtype=A.dtype)
-    stale = np.zeros(n, dtype=bool)
-
-    def summarize(rows):
-        if not rows.size:
-            return
-        block = A[rows, t:]
-        nonzero = block != 0
-        counts = nonzero.sum(axis=1)
-        live = counts > 0
-        S[rows] = 0
-        if live.any():
-            mag = np.abs(block[nonzero])
-            seg = (np.cumsum(counts) - counts)[live]
-            S[rows[live], 0] = np.minimum.reduceat(mag, seg)
-            S[rows[live], 1] = np.gcd.reduceat(mag, seg)
-        stale[rows] = False
-
-    def loosen(rows, mag):
-        # Nonzero rows had some entries changed to magnitudes ``mag``.  The
-        # new bound min(old bound, least nonzero of mag) is exact when one of
-        # the new entries attains it.
-        old = S[rows]
-        low = np.minimum(old[:, 0], np.where(mag == 0, old[:, :1], mag).min(axis=1))
-        S[rows] = np.stack([low, np.gcd(old[:, 1], np.gcd.reduce(mag, axis=1))], axis=1)
-        stale[rows] = (mag != low[:, None]).all(axis=1)
-
-    def row_swap(i):
-        if i != t:
-            A[[t, i], t:] = A[[i, t], t:]
-            S[[t, i]] = S[[i, t]]
-            stale[[t, i]] = stale[[i, t]]
-            row_ops.append((_SWAP, t, i, None))
-
-    def col_swap(j):
-        if j != t:
-            A[t:, [t, j]] = A[t:, [j, t]]
-            col_ops.append((_SWAP, t, j, None))
-
-    def row_add(rows, src, c):
-        # rows += c * row src in one update over the source row's support:
-        # the source row is read unchanged and the targets are distinct, so
-        # the ops commute.
-        nonlocal A, S
-        grid = rows[:, None], t + A[src, t:].nonzero()[0]
-        new = A[grid] + c[:, None] * A[src, grid[1]]
-        A[grid] = new
-        row_ops.append((_ADD, rows, src, c))
-        mag = np.abs(new)
-        if A.dtype != object and mag.max() >= _INT64_EXACT:
-            A, S, mag = A.astype(object), S.astype(object), mag.astype(object)
-        loosen(rows, mag)
-
-    def reductions(line):
-        """Clearing ops for ``line`` (the rest of the pivot's column or row):
-        the indices up to and including the first entry the pivot does not
-        divide, their nonzero multipliers, and that entry's index or None."""
-        idx = line.nonzero()[0]
-        q = line[idx] // A[t, t]
-        left = (line[idx] % A[t, t]).nonzero()[0]
-        if left.size:
-            idx, q = idx[:left[0] + 1], q[:left[0] + 1]
-        idx = t + 1 + idx
-        keep = q != 0
-        return idx[keep], -q[keep], int(idx[-1]) if left.size else None
-
-    def pivot():
-        # The first row at the least bound holds the pivot once it is exact:
-        # no row has a smaller entry and no earlier row one as small.  Stale
-        # rows at that bound ahead of the first exact one are summarized
-        # again until the first is exact.  The pivot is then the row's first
-        # entry of that value (argmax keeps the first of equal maxima).
-        while True:
-            live = t + S[t:, 0].nonzero()[0]
-            if not live.size:
-                return None
-            bounds = S[live, 0]
-            least = live[bounds == bounds.min()]
-            exact = (~stale[least]).nonzero()[0]
-            loose = least[:exact[0]] if exact.size else least
-            if not loose.size:
-                break
-            summarize(loose)
-        i = int(least[0])
-        return i, t + int((np.abs(A[i, t:]) == S[i, 0]).argmax())
-
-    t = 0
-    if A.size:
-        summarize(np.arange(n))
-    while t < min(n, m):
-        pos = pivot()
-        if pos is None:
-            break
-        row_swap(pos[0])
-        col_swap(pos[1])
-        while True:
-            rows, c, i = reductions(A[t + 1:, t])
-            if rows.size:
-                row_add(rows, t, c)
-            if i is not None:
-                row_swap(i)
-                continue
-            cols, c, j = reductions(A[t, t + 1:])
-            if cols.size:
-                # Column t is clear below the pivot, so these column ops
-                # change row t only, to remainders smaller than the pivot.
-                A[t, cols] += c * A[t, t]
-                col_ops.append((_ADD, cols, t, c))
-                # Row t is read again only if a remainder swaps it down: a
-                # bound of 1 and a divisor of 1 hold for any nonzero row.
-                S[t], stale[t] = 1, True
-            if j is not None:
-                col_swap(j)
-                continue
-            if abs(A[t, t]) == 1:
-                break
-            # A row whose gcd bound the pivot divides holds only multiples.
-            suspects = t + 1 + (S[t + 1:, 1] % A[t, t]).nonzero()[0]
-            summarize(suspects)
-            witness = suspects[S[suspects, 1] % A[t, t] != 0]
-            if not witness.size:
-                break
-            row_add(np.array([t]), int(witness[0]), np.ones(1, dtype=np.int64))
-        if A[t, t] < 0:
-            A[t, t] = -A[t, t]
-            row_ops.append((_NEGATE, t, None, None))
-        t += 1
-
-    D = np.zeros((n, m), dtype=object)
-    diag = np.arange(min(n, m))
-    D[diag, diag] = A[diag, diag]
-    return SmithForm(D, row_ops, col_ops)
+        val = _valuation(W[c, active], p, k)
+        at = int(val.argmin())
+        row, v = active[at], int(val[at])
+        pv = p ** v
+        support = W[:, row].nonzero()[0]
+        piv = W[support, row] * pow(int(W[c, row]) // pv, -1, q) % q
+        others = active[active != row]
+        if others.size:
+            grid = support[:, None], others
+            W[grid] = (W[grid] - piv[:, None] * (W[c, others] // pv)) % q
+        W[support, row] = 0
+        full = np.zeros(n + t, dtype=dtype)
+        full[support] = piv
+        pivots.append(full)
+        cols.append(c)
+        vals.append(v)
+        if v:
+            W[support, spare] = piv * p ** (k - v) % q
+            spare += 1
+    H = np.array(pivots, dtype=dtype).reshape(len(pivots), n + t)
+    for i in range(1, len(H)):
+        f = H[:i, cols[i]] // p ** vals[i]
+        hit = f.nonzero()[0]
+        if hit.size:
+            H[hit] = (H[hit] - f[hit, None] * H[i]) % q
+    return Howell(H[:, :n], H[:, n:], np.array(cols, dtype=np.int64),
+                  np.array(vals, dtype=np.int64), p, k)
 
 
 def kernel_mod_prime_power(matrix: np.ndarray, moduli: Sequence[int], p: int, k: int) -> np.ndarray:
     """A basis (m columns) of {x in Z^m : matrix @ x == 0 mod p-parts of moduli}.
 
-    With q = p**k, row i holds modulo gcd(moduli[i], q) exactly when row i
-    scaled by q / gcd(moduli[i], q) holds modulo q, so the scaled rows are
-    solved over Z/q.  Row operations there do not change the solutions.
-    Each column in turn takes as pivot an active row holding a unit, then,
-    once no column has one, an entry of the lowest valuation v; every
-    active entry is then a multiple of p**v, so the pivot clears its column
-    on the rows nonzero there, and its row leaves the active set.  With the
-    pivot columns first, pivot t asks x_t == -u_t^-1 (its row beyond the
-    pivot, over p**v_t) modulo p**(k - v_t), and the other columns are
-    free.  The basis is upper triangular in that order, with p**(k - v_t)
-    or 1 on the diagonal and every entry below q.
-
-    Works in int64 when q*q*m fits, else in Python ints; returned in
-    Python ints.
+    Row i holds modulo gcd(moduli[i], q) exactly when row i scaled by
+    q / gcd(moduli[i], q) holds modulo q, so the kernel is that of the
+    Howell form of the scaled rows over Z/q.  With the pivot columns first,
+    pivot t asks that x_t be minus its row beyond the pivot, applied to x,
+    over p**v_t, modulo p**(k - v_t); the Howell property makes the
+    division exact for every x that satisfies the later rows.  The other
+    columns are free.  The basis
+    is upper triangular in that order, with p**(k - v_t) or 1 on the
+    diagonal and every entry below q.
     """
     q = p ** k
     m = matrix.shape[1]
-    scale = np.array([q // math.gcd(int(mi), q) for mi in moduli], dtype=object)
-    W = np.asarray(matrix).T
-    if q * q * max(m, 1) < 2 ** 62:
-        try:
-            W = W.astype(np.int64)
-        except OverflowError:
-            W = (W % q).astype(np.int64)
-        scale = scale.astype(np.int64)
-    else:
-        W = W.astype(object)
-    # W[j] is column j of the scaled matrix: one contiguous row per column.
-    W = np.ascontiguousarray(W % q * scale % q)
-    pivots = []
-    free = np.ones(m, dtype=bool)
-    for v in range(k):
-        pv = p ** v
-        found = True
-        while found:
-            found = False
-            for c in np.flatnonzero(free):
-                rows = W[c].nonzero()[0]
-                units = rows[W[c, rows] // pv % p != 0]
-                if not units.size:
-                    continue
-                row = units[0]
-                support = W[:, row].nonzero()[0]
-                entries = W[support, row]
-                inv = pow(int(W[c, row] // pv), -1, q // pv)
-                rows = rows[rows != row]
-                mult = W[c, rows] // pv * inv % (q // pv)
-                grid = np.ix_(support, rows)
-                W[grid] = (W[grid] - entries[:, None] * mult) % q
-                W[support, row] = 0
-                free[c] = False
-                pivots.append((c, pv, inv, support, entries))
-                found = True
-    order = [c for c, *_ in pivots] + np.flatnonzero(free).tolist()
+    h = howell(scale_rows(matrix, prime_power_scale(moduli, q), q), p, k)
+    order = np.concatenate([h.cols, _other_columns(m, h.cols)])
     at = np.empty(m, dtype=np.int64)
     at[order] = np.arange(m)
-    B = np.eye(m, dtype=W.dtype)
-    for t in range(len(pivots) - 1, -1, -1):
-        c, pv, inv, support, entries = pivots[t]
-        d = q // pv
-        beyond = support != c
-        B[t] = -(entries[beyond] // pv @ B[at[support[beyond]]] % d) * inv % d
-        B[t, t] = d
+    B = np.eye(m, dtype=h.rows.dtype)
+    for t in range(len(h.cols) - 1, -1, -1):
+        c, pv = h.cols[t], p ** int(h.vals[t])
+        beyond = c + 1 + h.rows[t, c + 1:].nonzero()[0]
+        B[t] = -(h.rows[t, beyond] @ B[at[beyond]] % q // pv) % (q // pv)
+        B[t, t] = q // pv
     X = np.empty_like(B)
     X[order] = B
     return X.astype(object)
 
 
-def solve_with_snf(snf: SmithForm, rhs: np.ndarray) -> Optional[np.ndarray]:
-    """One integer solution x of ``A @ x == rhs`` from the Smith form of A, or None."""
-    n, m = snf.D.shape
-    c = snf.U @ np.asarray(rhs, dtype=object)
-    y = np.zeros(m, dtype=object)
-    for i in range(n):
-        d = snf.D[i, i] if i < min(n, m) else 0
-        if d == 0:
-            if c[i] != 0:
-                return None
-        else:
-            if c[i] % d != 0:
-                return None
-            y[i] = c[i] // d
-    return snf.V @ y
+def _local_smith(A: np.ndarray, p: int, k: int):
+    """Diagonalize A over Z/p^k by row operations and tracked column ones.
+
+    The pivot is the first entry of least valuation in the active block, so
+    it divides its row and column.  Returns the exponent of each diagonal
+    entry in order (k past the last pivot), the column transform V and its
+    inverse: the span of the rows of A @ V is that of the diagonal.
+    """
+    q = p ** k
+    A = A.copy()
+    r, n = A.shape
+    V, Vinv = np.eye(n, dtype=A.dtype), np.eye(n, dtype=A.dtype)
+    exps = np.full(n, k, dtype=np.int64)
+    for t in range(min(r, n)):
+        block = A[t:, t:]
+        val = np.where(block != 0, _valuation(block, p, k), k)
+        i, j = divmod(int(val.argmin()), n - t)
+        v = int(val[i, j])
+        if v == k:
+            break
+        i, j, pv = i + t, j + t, p ** v
+        A[[t, i]] = A[[i, t]]
+        A[:, [t, j]] = A[:, [j, t]]
+        V[:, [t, j]] = V[:, [j, t]]
+        Vinv[[t, j]] = Vinv[[j, t]]
+        A[t] = A[t] * pow(int(A[t, t]) // pv, -1, q) % q
+        A[t + 1:] = (A[t + 1:] - (A[t + 1:, t] // pv)[:, None] * A[t]) % q
+        # Column t is clear below the pivot, so clearing row t changes
+        # nothing else in A.
+        f = A[t, t + 1:] // pv
+        A[t, t + 1:] = 0
+        V[:, t + 1:] = (V[:, t + 1:] - V[:, t:t + 1] * f) % q
+        Vinv[t] = (Vinv[t] + f @ Vinv[t + 1:]) % q
+        exps[t] = v
+    return exps, V, Vinv
+
+
+def present_mod_prime_power(rows: np.ndarray, p: int, k: int):
+    """(Z/q)^n modulo the span of ``rows``, q = p**k, read off its reduced
+    Howell form.
+
+    Returns (exps, to, lift): the quotient is the sum of Z/p**e over
+    ``exps`` (ascending, each > 0); coordinate j of a vector x is
+    ``to[j] @ x`` modulo p**exps[j], and column j of ``lift`` represents the
+    j-th unit coordinate vector.  A unit pivot's row solves for its column,
+    so x is congruent to x minus x_c times that row, which vanishes on every
+    unit pivot column.  On the remaining columns, at most log_p of the
+    quotient's order of them, the rest of the form is diagonalized by
+    ``_local_smith``.
+    """
+    q = p ** k
+    n = rows.shape[1]
+    h = howell(rows, p, k)
+    unit = h.vals == 0
+    rest = _other_columns(n, h.cols[unit])
+    exps, V, Vinv = _local_smith(h.rows[~unit][:, rest], p, k)
+    keep = exps > 0
+    to = np.zeros((int(keep.sum()), n), dtype=h.rows.dtype)
+    to[:, rest] = V[:, keep].T
+    to[:, h.cols[unit]] = -(V[:, keep].T @ h.rows[unit][:, rest].T) % q
+    lift = np.zeros((n, len(to)), dtype=h.rows.dtype)
+    lift[rest] = Vinv[keep].T
+    return exps[keep], to, lift

@@ -375,7 +375,8 @@ def verify_wells_exactness(ext: Extension,
     autAK = [g for g, pair in zip(autK, induced) if pair.is_identity()]
     lands = set(keys) <= {_morphism_key(g) for g in autAK}
     # eta(k1 + k2) is looked up among the images already built, by the
-    # reduced coordinates of the sum.
+    # reduced coordinates of the sum, and compared with eta(k1) eta(k2)
+    # composed on the image arrays; each image is a validated morphism.
     cx = ctx.complex
     coords = [cx.kappa_to_coords(kappa) for kappa in z1_list]
     z1_index = {reduce_vec(c, cx.c1_moduli): i for i, c in enumerate(coords)}
@@ -386,7 +387,8 @@ def verify_wells_exactness(ext: Extension,
             if s is None:
                 additive = False
                 witnesses["eta_injective"] = f"{k1} + {k2} is not in Z1"
-            elif keys[s] != _morphism_key(g1.compose(g2)):
+            elif keys[s] != (tuple(g1.psi.image[g2.psi.image].tolist()),
+                             tuple(g1.eta.image[g2.eta.image].tolist())):
                 additive = False
                 witnesses["eta_injective"] = f"eta not multiplicative at {k1}, {k2}"
     exactness["eta_injective"] = injective and lands and additive

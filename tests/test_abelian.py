@@ -2,7 +2,6 @@
 
 import math
 import random
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,22 +9,22 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rrbgroups import (
+    AbelianPresentation,
     FinAbHom,
     GroupError,
-    abelian_presentation,
     cochain_complex,
     cyclic_group,
     direct_product,
     hom_kernel_image_quotient,
 )
-from rrbgroups.abelian import SubgroupPresentation, _stack_moduli, kernel_mod
-from rrbgroups.intlinalg import (
-    as_int_matrix,
-    exact_matmul,
-    identity_matrix,
-    smith_normal_form,
-    solve_with_snf,
+from rrbgroups.abelian import (
+    SubgroupPresentation,
+    SubquotientPresentation,
+    _stack_moduli,
+    kernel_mod,
+    present_quotient,
 )
+from rrbgroups.intlinalg import as_int_matrix, exact_matmul, howell
 
 
 def invariant_factors_oracle(orders):
@@ -55,64 +54,13 @@ def invariant_factors_oracle(orders):
     return tuple(f for f in factors if f > 1)
 
 
-def bareiss_det(mat):
-    """Exact determinant of a square matrix by fraction-free elimination."""
-    M = [list(row) for row in mat]
-    n, sign, prev = len(M), 1, 1
-    for k in range(n - 1):
-        if M[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if M[i][k] != 0), None)
-            if swap is None:
-                return 0
-            M[k], M[swap] = M[swap], M[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
-        prev = M[k][k]
-    return sign * M[-1][-1] if n else 1
-
-
-def lattice_index(cols):
-    """Index in Z^r of the lattice spanned by the columns; 0 if not full rank."""
-    snf = smith_normal_form(cols)
-    if snf.rank < cols.shape[0]:
-        return 0
-    return math.prod(snf.diagonal[: snf.rank])
-
-
-def generated_subgroup(gens, moduli):
-    """The subgroup of prod Z/moduli generated by gens, by closure."""
-    seen = {tuple(0 for _ in moduli)}
-    frontier = list(seen)
-    while frontier:
-        fresh = []
-        for x in frontier:
-            for g in gens:
-                y = tuple((a + b) % q for a, b, q in zip(x, g, moduli))
-                if y not in seen:
-                    seen.add(y)
-                    fresh.append(y)
-        frontier = fresh
-    return seen
-
-
-def same_lattice(cols, other):
-    """Mutual containment of two full-rank column lattices, and equal index."""
-    for a, b in ((cols, other), (other, cols)):
-        snf = smith_normal_form(a)
-        if any(solve_with_snf(snf, col) is None for col in b.T):
-            return False
-    return lattice_index(cols) == lattice_index(other) != 0
-
-
 def smith_by_cell_scans(rows):
-    """Reference Smith form: the same elimination, with the pivot (first entry
-    of least absolute value, row-major) and the divisibility witness (first
-    row holding a non-multiple) found by cell-by-cell loops."""
+    """Reference Smith form U A V = D over the integers: the pivot (first
+    entry of least absolute value, row-major) and the divisibility witness
+    (first row holding a non-multiple) are found by cell-by-cell loops."""
     A = as_int_matrix(rows)
     n, m = A.shape
-    U, Uinv, V = identity_matrix(n), identity_matrix(n), identity_matrix(m)
+    U, Uinv, V = np.eye(n, dtype=object), np.eye(n, dtype=object), np.eye(m, dtype=object)
 
     def row_swap(i, j):
         A[[i, j], :], U[[i, j], :] = A[[j, i], :], U[[j, i], :]
@@ -172,55 +120,163 @@ def smith_by_cell_scans(rows):
     return A, U, V, Uinv
 
 
+def reference_diagonal(cols):
+    """The reference's diagonal of a matrix, zeros included."""
+    D = smith_by_cell_scans(np.asarray(cols, dtype=object).tolist())[0]
+    return [D[i, i] for i in range(min(D.shape))]
+
+
+def reference_solve(cols, rhs):
+    """One integer x with cols @ x == rhs, from the reference, or None."""
+    D, U, V, _ = smith_by_cell_scans(np.asarray(cols, dtype=object).tolist())
+    c = U @ np.asarray(rhs, dtype=object)
+    y = np.zeros(D.shape[1], dtype=object)
+    for i in range(D.shape[0]):
+        d = D[i, i] if i < min(D.shape) else 0
+        if (c[i] % d if d else c[i]) != 0:
+            return None
+        if d:
+            y[i] = c[i] // d
+    return V @ y
+
+
+def lattice_index(cols):
+    """Index in Z^r of the lattice spanned by the columns; 0 if not full rank."""
+    diag = reference_diagonal(cols)
+    if len(diag) < cols.shape[0] or 0 in diag:
+        return 0
+    return math.prod(diag)
+
+
+def generated_subgroup(gens, moduli):
+    """The subgroup of prod Z/moduli generated by gens, by closure."""
+    seen = {tuple(0 for _ in moduli)}
+    frontier = list(seen)
+    while frontier:
+        fresh = []
+        for x in frontier:
+            for g in gens:
+                y = tuple((a + b) % q for a, b, q in zip(x, g, moduli))
+                if y not in seen:
+                    seen.add(y)
+                    fresh.append(y)
+        frontier = fresh
+    return seen
+
+
+def same_lattice(cols, other):
+    """Mutual containment of two full-rank column lattices, and equal index."""
+    for a, b in ((cols, other), (other, cols)):
+        if any(reference_solve(a, col) is None for col in b.T):
+            return False
+    return lattice_index(cols) == lattice_index(other) != 0
+
+
+def reference_quotient_factors(relation_cols):
+    """Invariant factors (those above 1) of Z^n modulo a full-rank lattice."""
+    return tuple(int(d) for d in reference_diagonal(relation_cols) if d != 1)
+
+
+def reference_subgroup_factors(gens, moduli):
+    """Invariant factors of the subgroup of prod Z/moduli the columns of
+    gens generate: Z^r modulo the relations, read off the reference's
+    kernel of [gens | diag(moduli)]."""
+    r = gens.shape[1]
+    if not r:
+        return ()
+    D, _, V, _ = smith_by_cell_scans(_stack_moduli(gens, moduli).tolist())
+    rank = sum(1 for i in range(min(D.shape)) if D[i, i])
+    return reference_quotient_factors(V[:r, rank:])
+
+
+def is_member(gens, moduli, vec):
+    return reference_solve(_stack_moduli(gens, moduli), vec) is not None
+
+
+def assert_valid_coefficients(gens, moduli, vec, coeffs):
+    """coeffs is reduced into [0, lcm(moduli)) and gens @ coeffs == vec."""
+    assert all(type(x) is int and 0 <= x < math.lcm(*moduli) for x in coeffs)
+    assert not any((x - v) % m for x, v, m in zip(gens @ coeffs, vec, moduli))
+
+
+MODULI = [1, 2, 3, 4, 6, 8, 9, 12, 36]
+
 matrices = st.lists(
     st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=4),
     min_size=1, max_size=4,
 ).filter(lambda rows: len({len(r) for r in rows}) == 1)
 
 
+# Enough moduli for any matrix drawn here; each test takes one per row.
+moduli_lists = st.lists(st.sampled_from(MODULI), min_size=8, max_size=8)
+
+
+def assert_subgroup_matches_reference(gens, moduli, rng):
+    """Factors and order against the reference, and membership with
+    coefficients for members and for random vectors."""
+    sub = SubgroupPresentation(moduli, gens)
+    want = reference_subgroup_factors(gens, moduli)
+    assert sub.factors == want and sub.order == math.prod(want)
+    for _ in range(4):
+        member = gens @ np.array([rng.randrange(-3, 4) for _ in range(gens.shape[1])], dtype=object)
+        other = np.array([rng.randrange(m) for m in moduli], dtype=object)
+        for vec in (member, other):
+            coeffs = sub.membership_coefficients(vec)
+            assert (coeffs is not None) == is_member(gens, moduli, vec) == sub.contains(vec)
+            if coeffs is not None:
+                assert_valid_coefficients(gens, moduli, vec, coeffs)
+
+
 class TestSmithNormalForm:
+    """present_quotient and SubgroupPresentation against the reference."""
+
     def test_classic_example(self):
         A = as_int_matrix([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
-        snf = smith_normal_form(A)
-        assert snf.diagonal == [2, 2, 156]
+        assert present_quotient(A, 156).factors == (2, 2, 156)
 
-    @given(matrices)
+    @given(matrices, moduli_lists)
     @settings(max_examples=60, deadline=None)
-    def test_decomposition_properties(self, rows):
+    def test_decomposition_properties(self, rows, moduli):
+        # Z^n modulo [A | diag(moduli)]: the coordinates kill every relation,
+        # lift is a section of them, the order is the lattice's index, so
+        # the coordinate map is an isomorphism; every entry is reduced.
         A = as_int_matrix(rows)
-        snf = smith_normal_form(A)
-        n, m = A.shape
-        assert (snf.U @ A @ snf.V == snf.D).all()
-        assert (snf.U @ snf.Uinv == identity_matrix(n)).all()
-        assert abs(bareiss_det(snf.V)) == 1
-        assert all(type(x) is int for f in snf for x in f.flat)
-        diag = snf.diagonal
-        for i in range(len(diag) - 1):
-            assert diag[i] >= 0
-            if diag[i + 1] != 0:
-                assert diag[i] != 0 and diag[i + 1] % diag[i] == 0
-        off = snf.D * (1 - np.eye(*snf.D.shape, dtype=object))
-        assert not off.any()
+        moduli = moduli[:A.shape[0]]
+        E = math.lcm(*moduli)
+        stacked = _stack_moduli(A, moduli)
+        pres = present_quotient(stacked, E)
+        factors = np.array(pres.factors, dtype=object).reshape(-1, 1)
+        assert all(d >= 2 for d in pres.factors)
+        assert all(b % a == 0 for a, b in zip(pres.factors, pres.factors[1:]))
+        assert not ((pres.to_coords @ stacked) % factors).any()
+        k = len(pres.factors)
+        assert not ((pres.to_coords @ pres.lift - np.eye(k, dtype=object)) % factors).any()
+        assert pres.order == lattice_index(stacked)
+        assert all(type(x) is int for x in [*pres.to_coords.flat, *pres.lift.flat])
+        assert ((0 <= pres.to_coords) & (pres.to_coords < factors)).all()
+        assert ((0 <= pres.lift) & (pres.lift < E)).all()
 
-    @given(matrices)
-    @example([[2, 0, 0], [0, 3, 0], [0, 0, 5]])  # two rows hold a witness
+    @given(matrices, moduli_lists)
+    @example([[2, 0, 0], [0, 3, 0], [0, 0, 5]], [36] * 8)
     @settings(max_examples=100, deadline=None)
-    def test_matches_cell_scan_reference(self, rows):
-        snf = smith_normal_form(as_int_matrix(rows))
-        for got, want in zip(snf, smith_by_cell_scans(rows)):
-            assert got.shape == want.shape and (got == want).all()
+    def test_matches_cell_scan_reference(self, rows, moduli):
+        A = as_int_matrix(rows)
+        moduli = moduli[:A.shape[0]]
+        stacked = _stack_moduli(A, moduli)
+        assert present_quotient(stacked, math.lcm(*moduli)).factors \
+            == reference_quotient_factors(stacked)
+        assert_subgroup_matches_reference(A, moduli, random.Random(str(rows)))
 
-    @given(matrices, st.data())
+    @given(matrices, moduli_lists)
     @settings(max_examples=60, deadline=None)
-    def test_kernel_annihilates(self, rows, data):
+    def test_kernel_annihilates(self, rows, moduli):
         # kernel_mod spans exactly {x : A x == 0 mod moduli}: every column is
         # a solution, and the spanned lattice has the kernel's index, which
         # is the order of the subgroup the columns of A generate modulo the
         # moduli.  Moduli with k > 1 and with mixed primes are included.
         A = as_int_matrix(rows)
         n, m = A.shape
-        moduli = data.draw(st.lists(st.sampled_from([1, 2, 3, 4, 8, 9, 6, 12]),
-                                    min_size=n, max_size=n))
+        moduli = moduli[:n]
         ker = kernel_mod(A, moduli)
         assert ker.shape[0] == m
         assert not any(x % q for row, q in zip(A @ ker, moduli) for x in row)
@@ -243,32 +299,28 @@ class TestSmithNormalForm:
         assert lattice_index(ker) == index
 
     def test_solve(self):
-        snf = smith_normal_form(as_int_matrix([[2, 0], [0, 3]]))
-        assert solve_with_snf(snf, np.array([4, 9], dtype=object)).tolist() == [2, 3]
-        assert solve_with_snf(snf, np.array([1, 0], dtype=object)) is None
+        gens = as_int_matrix([[2, 0], [0, 3]])
+        sub = SubgroupPresentation([4, 9], gens)
+        vec = np.array([2, 3], dtype=object)
+        assert_valid_coefficients(gens, [4, 9], vec, sub.membership_coefficients(vec))
+        assert sub.membership_coefficients(np.array([1, 0], dtype=object)) is None
 
-    @given(matrices, st.lists(st.integers(min_value=-3, max_value=3), min_size=1, max_size=4))
+    @given(matrices, st.lists(st.integers(min_value=-3, max_value=3), min_size=1, max_size=4),
+           moduli_lists)
     @settings(max_examples=40, deadline=None)
-    def test_solve_consistent_system(self, rows, xs):
+    def test_solve_consistent_system(self, rows, xs, moduli):
         A = as_int_matrix(rows)
+        moduli = moduli[:A.shape[0]]
         x = np.array((xs * 4)[: A.shape[1]], dtype=object)
         b = A @ x
-        sol = solve_with_snf(smith_normal_form(A), b)
-        assert sol is not None
-        assert (A @ sol == b).all()
+        coeffs = SubgroupPresentation(moduli, A).membership_coefficients(b)
+        assert coeffs is not None
+        assert_valid_coefficients(A, moduli, b, coeffs)
 
 
-def assert_matches_reference(rows):
-    """All four transforms equal the cell-scan reference and hold Python ints."""
-    snf = smith_normal_form(as_int_matrix(rows))
-    for got, want in zip(snf, smith_by_cell_scans(rows)):
-        assert got.shape == want.shape and (got == want).all()
-        assert all(type(x) is int for x in got.flat)
-
-
-# Whole matrices below 2**31 start in int64 and mostly cross the bound during
-# elimination; matrices with larger entries run on Python ints throughout.
-wide_matrices = st.tuples(st.integers(1, 8), st.integers(1, 8),
+# Entries up to 2**40: the generators are reduced modulo each prime power
+# before any elimination.
+wide_matrices = st.tuples(st.integers(1, 6), st.integers(1, 6),
                           st.sampled_from([9, 2 ** 30, 2 ** 40])).flatmap(
     lambda shape: st.lists(
         st.lists(st.integers(-shape[2], shape[2]), min_size=shape[1], max_size=shape[1]),
@@ -276,10 +328,13 @@ wide_matrices = st.tuples(st.integers(1, 8), st.integers(1, 8),
 
 
 class TestSmithPromotion:
-    @given(wide_matrices)
-    @settings(max_examples=60, deadline=None)
-    def test_wide_entries_match_reference(self, rows):
-        assert_matches_reference(rows)
+    """Entries and moduli past int64, where the same code runs on Python ints."""
+
+    @given(wide_matrices, moduli_lists)
+    @settings(max_examples=40, deadline=None)
+    def test_wide_entries_match_reference(self, rows, moduli):
+        A = as_int_matrix(rows)
+        assert_subgroup_matches_reference(A, moduli[:A.shape[0]], random.Random(str(rows)))
 
     def test_exact_matmul_past_int64(self):
         a = as_int_matrix([[2 ** 40, 1], [3, 2 ** 62]])
@@ -289,33 +344,31 @@ class TestSmithPromotion:
         assert all(type(x) is int for x in got.flat)
 
     def test_entries_crossing_the_int64_bound(self):
-        # Every entry starts below 2**31; clearing the first column writes
-        # 1 - 2**60, past the range the int64 elimination keeps.
+        # Modulo 2**31, q * q reaches 2**62, so the elimination runs on
+        # Python ints; the reference agrees on factors and membership.
         rows = [[1, 2 ** 30, 3], [2 ** 30, 1, 5], [7, 11, 2 ** 30 - 1]]
-        assert max(smith_normal_form(as_int_matrix(rows)).diagonal) > 2 ** 62
-        assert_matches_reference(rows)
+        moduli = [2 ** 31, 2 ** 31, 2 ** 30]
+        A = as_int_matrix(rows)
+        assert max(SubgroupPresentation(moduli, A).factors) == 2 ** 31
+        assert_subgroup_matches_reference(A, moduli, random.Random(0))
 
 
 class TestSmithReplay:
-    @given(matrices, st.permutations(["U", "V", "Uinv"]))
+    """Lazily read lattices, and the cochain complexes, against the reference."""
+
+    @given(matrices, st.permutations(["relations", "generators", "embedding", "factors"]),
+           moduli_lists)
     @settings(max_examples=40, deadline=None)
-    def test_read_order_does_not_matter(self, rows, order):
+    def test_read_order_does_not_matter(self, rows, order, moduli):
         A = as_int_matrix(rows)
-        first = smith_normal_form(A)
+        moduli = moduli[:A.shape[0]]
+        first = SubgroupPresentation(moduli, A)
         for name in order:
             getattr(first, name)
-        for got, want in zip(first, smith_normal_form(A)):
-            assert (got == want).all()
-
-    @given(matrices)
-    @settings(max_examples=40, deadline=None)
-    def test_v_head_is_the_leading_rows_of_v(self, rows):
-        snf = smith_normal_form(as_int_matrix(rows))
-        V = smith_by_cell_scans(rows)[2]
-        for r in range(V.shape[0] + 1):
-            head = snf.v_head(r)
-            assert head.shape == (r, V.shape[1]) and (head == V[:r]).all()
-            assert all(type(x) is int for x in head.flat)
+        fresh = SubgroupPresentation(moduli, A)
+        for name in order:
+            got, want = getattr(first, name), getattr(fresh, name)
+            assert np.array_equal(np.asarray(got), np.asarray(want))
 
     def test_kernel_heads_on_cochain_complexes(self, module_corpus):
         # The modular kernel spans the lattice of the cell-scan reference's
@@ -330,8 +383,9 @@ class TestSmithReplay:
             assert same_lattice(ker, V[:r, rank:])
 
     def test_solutions_on_cochain_complexes(self, module_corpus):
-        # The solver gives the same solutions from the replayed transforms
-        # as from the cell-scan reference's.
+        # On the lattices of every complex: subgroup and quotient factors
+        # equal the reference's, membership agrees with it, and every
+        # coefficient vector returned solves its system.
         rng = random.Random(0)
         for module in module_corpus.values():
             cx = cochain_complex(module)
@@ -339,51 +393,87 @@ class TestSmithReplay:
                         (kernel_mod(cx.constraint_matrix, cx.constraint_moduli), cx.c2_moduli),
                         (cx.b2.relations, cx.c1_moduli)]
             for gens, moduli in lattices:
+                assert_subgroup_matches_reference(gens, moduli, rng)
                 stacked = _stack_moduli(gens, moduli)
-                D, U, V, _ = smith_by_cell_scans(stacked.tolist())
-                reference = SimpleNamespace(D=D, U=U, V=V)
-                snf = smith_normal_form(stacked)
-                sub = SubgroupPresentation(moduli, gens)
-                r = gens.shape[1]
-                for _ in range(6):
-                    coeffs = np.array([rng.randrange(-3, 4) for _ in range(r)], dtype=object)
-                    member = gens @ coeffs
-                    other = np.array([rng.randrange(m) for m in moduli], dtype=object)
-                    for vec in (member, other):
-                        want = solve_with_snf(reference, vec)
-                        got = solve_with_snf(snf, vec)
-                        coeffs_got = sub.membership_coefficients(vec)
-                        if want is None:
-                            assert got is None and coeffs_got is None
-                        else:
-                            assert (got == want).all() and (coeffs_got == want[:r]).all()
+                assert present_quotient(stacked, math.lcm(*moduli)).factors \
+                    == reference_quotient_factors(stacked)
+
+
+def permuted_generators(gens, moduli, rng):
+    """The same lattice from other generators: the columns shuffled, some
+    repeated, each multiplied by a unit modulo lcm(moduli)."""
+    E = math.lcm(*moduli)
+    units = [u for u in range(1, max(E, 2)) if math.gcd(u, E) == 1]
+    picks = list(range(gens.shape[1])) + [rng.randrange(gens.shape[1]) for _ in range(3)]
+    rng.shuffle(picks)
+    return np.stack([gens[:, j] * rng.choice(units) for j in picks], axis=1)
+
+
+class TestCanonicalForms:
+    """Howell forms, and everything read off them, depend on the lattice only."""
+
+    @given(matrices, st.sampled_from([(2, 1), (2, 3), (3, 2)]))
+    @settings(max_examples=60, deadline=None)
+    def test_howell_form_of_the_same_span(self, rows, prime_power):
+        p, k = prime_power
+        moduli = [p ** k] * len(rows[0])
+        gens = as_int_matrix(rows).T
+        other = permuted_generators(gens, moduli, random.Random(str(rows)))
+        form = howell(gens.T, p, k)
+        assert np.array_equal(form.rows, howell(other.T, p, k).rows)
+        # The form's rows span exactly the generators' span.
+        assert form.solve(gens.T)[1].all()
+        assert all(is_member(gens, moduli, row) for row in form.rows)
+
+    def test_subquotient_from_other_generators(self, module_corpus):
+        # H2 from Z2's kernel generators and D, and from shuffled, repeated
+        # and unit-scaled copies of both: the same factors, class
+        # coordinates and representatives.
+        rng = random.Random(1)
+        for name, module in module_corpus.items():
+            cx = cochain_complex(module)
+            gens = kernel_mod(cx.constraint_matrix, cx.constraint_moduli)
+            D, moduli = cx.coboundary_matrix.astype(object), cx.c2_moduli
+            first = SubquotientPresentation(SubgroupPresentation(moduli, gens), D)
+            second = SubquotientPresentation(
+                SubgroupPresentation(moduli, permuted_generators(gens, moduli, rng)),
+                permuted_generators(D, moduli, rng))
+            assert first.factors == second.factors, name
+            for coords in cx.h2_classes():
+                rep = first.representative(coords.coords)
+                assert rep == second.representative(coords.coords), name
+                assert first.class_coords(rep) == second.class_coords(rep) == coords.coords
+            for _ in range(5):
+                cocycle = gens @ np.array([rng.randrange(6) for _ in range(gens.shape[1])],
+                                          dtype=object)
+                assert first.class_coords(cocycle) == second.class_coords(cocycle), name
 
 
 class TestAbelianPresentation:
     def test_z4(self):
-        assert abelian_presentation(cyclic_group(4)).factors == (4,)
+        assert AbelianPresentation(cyclic_group(4)).factors == (4,)
 
     def test_klein(self):
         V = direct_product(cyclic_group(2), cyclic_group(2)).group
-        assert abelian_presentation(V).factors == (2, 2)
+        assert AbelianPresentation(V).factors == (2, 2)
 
     def test_z6_canonicalized_from_z2_x_z3(self):
         P = direct_product(cyclic_group(2), cyclic_group(3)).group
-        assert abelian_presentation(P).factors == (6,)
-        assert abelian_presentation(cyclic_group(6)).factors == (6,)
+        assert AbelianPresentation(P).factors == (6,)
+        assert AbelianPresentation(cyclic_group(6)).factors == (6,)
 
     def test_trivial(self):
-        assert abelian_presentation(cyclic_group(1)).factors == ()
+        assert AbelianPresentation(cyclic_group(1)).factors == ()
 
     def test_rejects_nonabelian(self, groups):
         with pytest.raises(GroupError) as err:
-            abelian_presentation(groups["s3"])
+            AbelianPresentation(groups["s3"])
         assert err.value.code == "NotAbelian"
 
     def test_coordinates_bijective_and_additive(self, groups):
         for name in ("z2", "z4", "z6", "z9"):
             G = groups[name]
-            pres = abelian_presentation(G)
+            pres = AbelianPresentation(G)
             seen = set()
             for x in G.elements():
                 v = pres.vec(x)
@@ -402,7 +492,7 @@ class TestAbelianPresentation:
         G = cyclic_group(orders[0])
         for n in orders[1:]:
             G = direct_product(G, cyclic_group(n)).group
-        pres = abelian_presentation(G)
+        pres = AbelianPresentation(G)
         assert pres.factors == invariant_factors_oracle(orders)
         for i in range(len(pres.factors) - 1):
             assert pres.factors[i + 1] % pres.factors[i] == 0
@@ -410,20 +500,20 @@ class TestAbelianPresentation:
 
 class TestFinAbHom:
     def test_rejects_order_breaking_matrix(self):
-        p2 = abelian_presentation(cyclic_group(2))
-        p4 = abelian_presentation(cyclic_group(4))
+        p2 = AbelianPresentation(cyclic_group(2))
+        p4 = AbelianPresentation(cyclic_group(4))
         with pytest.raises(ValueError):
             FinAbHom(p2, p4, [[1]])  # 2 * 1 != 0 in Z/4
 
     def test_zero_map_on_z2(self):
-        p2 = abelian_presentation(cyclic_group(2))
+        p2 = AbelianPresentation(cyclic_group(2))
         kic = hom_kernel_image_quotient(FinAbHom(p2, p2, [[0]]))
         assert kic.kernel_factors == (2,)
         assert kic.image_factors == ()
         assert kic.cokernel_factors == (2,)
 
     def test_identity_on_z4(self):
-        p4 = abelian_presentation(cyclic_group(4))
+        p4 = AbelianPresentation(cyclic_group(4))
         kic = hom_kernel_image_quotient(FinAbHom(p4, p4, [[1]]))
         assert kic.kernel_factors == ()
         assert kic.cokernel_factors == ()
@@ -431,7 +521,7 @@ class TestFinAbHom:
 
     def test_times_two_on_z4_with_enumeration_oracle(self):
         Z4 = cyclic_group(4)
-        p4 = abelian_presentation(Z4)
+        p4 = AbelianPresentation(Z4)
         h = FinAbHom(p4, p4, [[2]])
         # Oracle: walk all four elements.
         images = {h.apply_elem(x) for x in Z4.elements()}
@@ -450,7 +540,7 @@ class TestFinAbHom:
             (cyclic_group(6), cyclic_group(2), [[1]]),
         ]
         for dom_g, cod_g, mat in cases:
-            dom, cod = abelian_presentation(dom_g), abelian_presentation(cod_g)
+            dom, cod = AbelianPresentation(dom_g), AbelianPresentation(cod_g)
             h = FinAbHom(dom, cod, mat)
             kic = hom_kernel_image_quotient(h)
             assert kic.kernel_order * kic.image_order == dom_g.order
@@ -458,9 +548,20 @@ class TestFinAbHom:
             for x in dom_g.elements():
                 cls = kic.cokernel_class_of(cod.vec(h.apply_elem(x)))
                 assert not any(cls)
+            for emb, pres in ((kic.kernel_embedding, dom), (kic.image_embedding, cod)):
+                bound = np.array(pres.factors, dtype=object).reshape(-1, 1)
+                assert ((0 <= emb) & (emb < bound)).all()
+
+    def test_zero_map_to_trivial_group(self):
+        # The kernel of Z4 -> 1 is all of Z4, embedded by the reduced
+        # coordinate 1: an unreduced -1 would name a wrong element.
+        p4, one = AbelianPresentation(cyclic_group(4)), AbelianPresentation(cyclic_group(1))
+        kic = hom_kernel_image_quotient(FinAbHom(p4, one, []))
+        assert kic.kernel_factors == (4,) and kic.kernel_embedding.tolist() == [[1]]
+        assert kic.image_factors == kic.cokernel_factors == ()
 
     def test_embeddings_land_in_subobjects(self):
-        p4 = abelian_presentation(cyclic_group(4))
+        p4 = AbelianPresentation(cyclic_group(4))
         h = FinAbHom(p4, p4, [[2]])
         kic = hom_kernel_image_quotient(h)
         # kernel embedding columns are genuine kernel elements

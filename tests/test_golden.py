@@ -76,6 +76,25 @@ def test_golden_representatives_are_cocycles(path):
         assert cocycle_violations(module, fs) == []
 
 
+@pytest.mark.parametrize("path", sorted(GOLDEN_DIR.glob("cohomology__*.json")),
+                         ids=lambda path: path.stem)
+def test_golden_classes_are_distinct(path):
+    # Whatever the basis, one representative per class of H2.
+    stored = json.loads(path.read_text())
+    classes = {tuple(witness["class"]) for witness in stored["witnesses"]}
+    assert len(classes) == len(stored["witnesses"]) == stored["orders"]["h2"]
+
+
+@pytest.mark.parametrize("path", sorted(GOLDEN_DIR.glob("wells__*.json")),
+                         ids=lambda path: path.stem)
+def test_golden_omega_matches_verdicts(path):
+    # Whatever the basis, omega is set exactly on the compatible pairs and
+    # is zero exactly on the inducible ones.
+    for pair in json.loads(path.read_text())["pairs"]:
+        assert (pair["omega"] is None) == (not pair["in_C"])
+        assert (pair["omega"] is not None and not any(pair["omega"])) == pair["inducible"]
+
+
 if __name__ == "__main__":
     GOLDEN_DIR.mkdir(exist_ok=True)
     for name, argv in COMMANDS:

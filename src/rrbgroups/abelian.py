@@ -62,8 +62,12 @@ class QuotientPresentation(NamedTuple):
     to_coords: np.ndarray
     lift: np.ndarray
 
-    def coords(self, vec: Sequence[int]) -> Tuple[int, ...]:
-        return reduce_vec(self.to_coords @ np.asarray(vec, dtype=object), self.factors)
+    def coords(self, vecs: Sequence[int]):
+        """Class coordinates of a vector, or of each row of a stack."""
+        stack = np.asarray(vecs, dtype=object)
+        if stack.ndim == 1:
+            return reduce_vec(self.to_coords @ stack, self.factors)
+        return stack @ self.to_coords.T % np.array(self.factors, dtype=object)
 
     @property
     def order(self) -> int:
@@ -188,25 +192,23 @@ class SubgroupPresentation:
         moduli = np.array(self.ambient_moduli, dtype=object).reshape(-1, 1)
         return np.concatenate([np.zeros((len(moduli), 0), dtype=object), *cols], axis=1) % moduli
 
-    def _solve(self, vec: Sequence[int]):
-        """Per prime power, the coefficients of vec over the form's rows, or
-        None if vec is not in the subgroup."""
-        vec = np.asarray(vec)
-        out = []
+    def _solve(self, vecs: np.ndarray) -> Tuple[List[np.ndarray], np.ndarray]:
+        """Per prime power, the coefficients of each row of vecs over the
+        form's rows, and a mask of the rows in the subgroup (the others'
+        coefficients are meaningless)."""
+        out, member = [], np.ones(len(vecs), dtype=bool)
         for scale, form in self._forms:
             q = form.p ** form.k
-            y, member = form.solve((vec % q * scale % q)[None])
-            if not member[0]:
-                return None
-            out.append(y[0])
-        return out
+            y, ok = form.solve((vecs % q * scale % q).astype(form.rows.dtype, copy=False))
+            out.append(y)
+            member &= ok
+        return out, member
 
-    def _coefficients(self, vec: Sequence[int]) -> Optional[np.ndarray]:
-        """Coefficients of vec over ``generators``, or None if not a member."""
-        parts = self._solve(vec)
-        if parts is None:
-            return None
-        return np.concatenate([np.zeros(0, dtype=object), *parts])
+    def _coefficients(self, vecs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Coefficients of each row of vecs over ``generators``, and the mask
+        of members."""
+        parts, member = self._solve(vecs)
+        return np.concatenate([np.zeros((len(vecs), 0), dtype=object), *parts], axis=1), member
 
     def _present(self, denominator_cols: Optional[np.ndarray] = None) -> QuotientPresentation:
         """This subgroup, modulo the one ``denominator_cols`` generate, over
@@ -243,20 +245,25 @@ class SubgroupPresentation:
         moduli = np.array(self.ambient_moduli, dtype=object).reshape(-1, 1)
         return exact_matmul(self.generators, self._pres.lift) % moduli
 
-    def membership_coefficients(self, vec: Sequence[int]) -> Optional[np.ndarray]:
+    def membership_coefficients(self, vecs: Sequence[int]):
         """Coefficients (in [0, E)) over the given generator columns that
-        express vec, or None if not a member."""
-        parts = self._solve(vec)
-        if parts is None:
+        express a vector, or None if it is not a member.  For a stack of
+        vectors as rows: the coefficient rows and a mask of the members."""
+        stack = np.asarray(vecs)
+        parts, member = self._solve(np.atleast_2d(stack))
+        if stack.ndim == 1 and not member[0]:
             return None
-        out = np.zeros(self._gens.shape[1], dtype=object)
+        out = np.zeros((len(member), self._gens.shape[1]), dtype=object)
         for (_, form), y in zip(self._forms, parts):
             q = form.p ** form.k
             out += _idempotent(self._E, q) * (y @ form.carry % q).astype(object)
-        return out % self._E
+        out %= self._E
+        if stack.ndim == 2:
+            return out, member
+        return out[0] if member[0] else None
 
     def contains(self, vec: Sequence[int]) -> bool:
-        return self._solve(vec) is not None
+        return bool(self._solve(np.asarray(vec)[None])[1][0])
 
     def element_from_coords(self, coords: Sequence[int]) -> Tuple[int, ...]:
         vec = self.embedding @ np.asarray(coords, dtype=object)
@@ -285,12 +292,15 @@ class SubquotientPresentation:
         self.factors = self._pres.factors
         self.order = self._pres.order
 
-    def class_coords(self, vec: Sequence[int]) -> Optional[Tuple[int, ...]]:
-        """Class of an ambient vector; None if it is not in the numerator."""
-        c = self._numerator._coefficients(vec)
-        if c is None:
-            return None
-        return self._pres.coords(c)
+    def class_coords(self, vecs: Sequence[int]):
+        """Class of an ambient vector, or None if it is not in the numerator.
+        For a stack of vectors as rows: the class rows (int64) and a mask of
+        the rows in the numerator."""
+        stack = np.asarray(vecs)
+        c, member = self._numerator._coefficients(np.atleast_2d(stack))
+        if stack.ndim == 2:
+            return self._pres.coords(c).astype(np.int64), member
+        return self._pres.coords(c[0]) if member[0] else None
 
     def representative(self, coords: Sequence[int]) -> Tuple[int, ...]:
         coeffs = self._pres.lift @ np.asarray(coords, dtype=object)

@@ -135,19 +135,25 @@ class _Layout:
                 b.offset + b.pres.rank * np.arange(math.prod(b.grid)).reshape(b.grid)
 
     def pack(self, arrays: Sequence[np.ndarray]) -> np.ndarray:
-        """Coordinates of element arrays over full tuples, one per block."""
-        return np.concatenate(
-            [b.pres.coord_table[arr[(slice(1, None),) * len(b.orders)]].reshape(-1)
-             for b, arr in zip(self.block.values(), arrays)])
+        """Coordinates of element arrays over full tuples, one per block.
+        Leading axes beyond a block's tuple axes are a stack, kept in front."""
+        parts = []
+        for b, arr in zip(self.block.values(), arrays):
+            lead = arr.shape[:arr.ndim - len(b.orders)]
+            cells = arr[(Ellipsis,) + (slice(1, None),) * len(b.orders)]
+            parts.append(b.pres.coord_table[cells].reshape(lead + (b.size,)))
+        return np.concatenate(parts, axis=-1)
 
     def unpack(self, coords: Sequence[int]) -> List[np.ndarray]:
-        """Element arrays over full tuples (zero on degenerate ones), one per block."""
+        """Element arrays over full tuples (zero on degenerate ones), one per
+        block; the leading axes of a stack of coordinate rows are kept."""
         vec = self.reduce(coords)
+        lead = vec.shape[:-1]
         out = []
         for b in self.block.values():
-            arr = np.zeros(b.orders, dtype=np.int64)
-            chunk = vec[b.offset:b.offset + b.size].reshape(b.grid + (b.pres.rank,))
-            arr[(slice(1, None),) * len(b.orders)] = b.pres.elems(chunk)
+            arr = np.zeros(lead + b.orders, dtype=np.int64)
+            chunk = vec[..., b.offset:b.offset + b.size].reshape(lead + b.grid + (b.pres.rank,))
+            arr[(Ellipsis,) + (slice(1, None),) * len(b.orders)] = b.pres.elems(chunk)
             out.append(arr)
         return out
 
@@ -170,9 +176,10 @@ class _Layout:
 def _assemble(rows: _Layout, cols: _Layout, conditions) -> np.ndarray:
     """The matrix of linear conditions from ``cols`` to ``rows``.
 
-    ``conditions`` lists, per row block, its terms ``(sign, coefficient,
-    column block, index arrays)`` over the block's instance grid: the
-    coefficient is one matrix or a stack broadcasting to the grid, and the
+    ``conditions`` lists, per row block, a function of the block's axes
+    returning its terms ``(sign, coefficient, column block, index arrays)``
+    over the block's instance grid; it is called only for blocks with rows.
+    The coefficient is one matrix or a stack broadcasting to the grid, and the
     index arrays (broadcasting to the grid) name the column tuple of each
     instance.  Instances whose column tuple is degenerate add nothing (the
     cochain vanishes there).  Every instance owns its rows, so no position
@@ -185,7 +192,7 @@ def _assemble(rows: _Layout, cols: _Layout, conditions) -> np.ndarray:
         if not block.size:
             continue  # no rows: no tuple, or a component of rank 0
         row = block.offset + np.arange(block.size).reshape(block.grid + (block.pres.rank, 1))
-        for sign, coeff, target, idx in terms:
+        for sign, coeff, target, idx in terms(*block.axes()):
             col = cols.start[target][idx][..., None, None] + np.arange(cols.block[target].pres.rank)
             M[row, col] += sign * coeff
     return M[:, :cols.dim]
@@ -224,7 +231,8 @@ class CochainComplex:
 
     def _formulas(self):
         """The defects (z1)-(z4) of a one-cochain and the cocycle conditions
-        (c1)-(c5), as term lists over their instance grids for ``_assemble``.
+        (c1)-(c5), as functions of their instance grids returning term
+        lists, for ``_assemble``.
 
         The structure maps are stacks of coordinate matrices over element
         indices.  Their entries are coordinates below the group orders, so
@@ -237,56 +245,49 @@ class CochainComplex:
         SIGMA, F, S = Lp.perm_matrix(act.sigma), Lp.hom_matrix(Kp, act.f.T), Kp.hom_matrix(Lp, m.S)
         IK, IL = np.eye(Kp.rank, dtype=np.int64), np.eye(Lp.rank, dtype=np.int64)
         At, Bt, beta, T = m.A.table, m.B.table, m.quotient.phi, m.T
-        c2, con = self._c2.block, self._con.block
-        D, C = [], []
 
-        a1, a2 = c2["tau1"].axes()
-        D.append(("tau1", [(+1, IK, "kappa1", (a2,)),
-                           (+1, MU[a2], "kappa1", (a1,)),
-                           (-1, IK, "kappa1", (At[a1, a2],))]))
-        b1, b2 = c2["tau2"].axes()
-        D.append(("tau2", [(+1, IL, "kappa2", (b2,)),
-                           (+1, SIGMA[b2], "kappa2", (b1,)),
-                           (-1, IL, "kappa2", (Bt[b1, b2],))]))
-        a, b = c2["rho"].axes()
-        D.append(("rho", [(+1, NU[b] @ F[a], "kappa2", (b,)),
-                          (+1, NU[b], "kappa1", (a,)),
-                          (-1, IK, "kappa1", (beta[b, a],))]))
-        a, = c2["chi"].axes()
-        D.append(("chi", [(+1, S @ NU_INV[T[a]], "kappa1", (a,)),
-                          (-1, IL, "kappa2", (T[a],))]))
+        # Each block's terms are a function of its instance grid, built
+        # only for blocks that have rows.
+        def cocycle5(a1, a2):
+            circ, T1, T2 = self._circ[a1, a2], T[a1], T[a2]
+            lift = S @ NU_INV[T[circ]]
+            return [(+1, IL, "tau2", (T1, T2)),
+                    (+1, IL, "chi", (a2,)),
+                    (-1, IL, "chi", (circ,)),
+                    (+1, SIGMA[T2], "chi", (a1,)),
+                    (-1, lift, "rho", (a2, T1)),
+                    (-1, lift, "tau1", (a1, beta[T1, a2])),
+                    (-1, lift @ NU[T1] @ F[a2], "chi", (a1,))]
 
-        a1, a2, a3 = con["cocycle1"].axes()
-        C.append(("cocycle1", [(+1, IK, "tau1", (a2, a3)),
-                               (+1, IK, "tau1", (a1, At[a2, a3])),
-                               (-1, IK, "tau1", (At[a1, a2], a3)),
-                               (-1, MU[a3], "tau1", (a1, a2))]))
-        b1, b2, b3 = con["cocycle2"].axes()
-        C.append(("cocycle2", [(+1, IL, "tau2", (b2, b3)),
-                               (+1, IL, "tau2", (b1, Bt[b2, b3])),
-                               (-1, IL, "tau2", (Bt[b1, b2], b3)),
-                               (-1, SIGMA[b3], "tau2", (b1, b2))]))
-        a, b1, b2 = con["cocycle3"].axes()
-        C.append(("cocycle3", [(+1, IK, "rho", (beta[b2, a], b1)),
-                               (+1, NU[b1], "rho", (a, b2)),
-                               (-1, IK, "rho", (a, Bt[b1, b2])),
-                               (-1, NU[Bt[b1, b2]] @ F[a], "tau2", (b1, b2))]))
-        a1, a2, b = con["cocycle4"].axes()
-        C.append(("cocycle4", [(+1, IK, "rho", (At[a1, a2], b)),
-                               (+1, NU[b], "tau1", (a1, a2)),
-                               (-1, MU[beta[b, a2]], "rho", (a1, b)),
-                               (-1, IK, "rho", (a2, b)),
-                               (-1, IK, "tau1", (beta[b, a1], beta[b, a2]))]))
-        a1, a2 = con["cocycle5"].axes()
-        circ, T1, T2 = self._circ[a1, a2], T[a1], T[a2]
-        lift = S @ NU_INV[T[circ]]
-        C.append(("cocycle5", [(+1, IL, "tau2", (T1, T2)),
-                               (+1, IL, "chi", (a2,)),
-                               (-1, IL, "chi", (circ,)),
-                               (+1, SIGMA[T2], "chi", (a1,)),
-                               (-1, lift, "rho", (a2, T1)),
-                               (-1, lift, "tau1", (a1, beta[T1, a2])),
-                               (-1, lift @ NU[T1] @ F[a2], "chi", (a1,))]))
+        D = [("tau1", lambda a1, a2: [(+1, IK, "kappa1", (a2,)),
+                                      (+1, MU[a2], "kappa1", (a1,)),
+                                      (-1, IK, "kappa1", (At[a1, a2],))]),
+             ("tau2", lambda b1, b2: [(+1, IL, "kappa2", (b2,)),
+                                      (+1, SIGMA[b2], "kappa2", (b1,)),
+                                      (-1, IL, "kappa2", (Bt[b1, b2],))]),
+             ("rho", lambda a, b: [(+1, NU[b] @ F[a], "kappa2", (b,)),
+                                   (+1, NU[b], "kappa1", (a,)),
+                                   (-1, IK, "kappa1", (beta[b, a],))]),
+             ("chi", lambda a: [(+1, S @ NU_INV[T[a]], "kappa1", (a,)),
+                                (-1, IL, "kappa2", (T[a],))])]
+        C = [("cocycle1", lambda a1, a2, a3: [(+1, IK, "tau1", (a2, a3)),
+                                              (+1, IK, "tau1", (a1, At[a2, a3])),
+                                              (-1, IK, "tau1", (At[a1, a2], a3)),
+                                              (-1, MU[a3], "tau1", (a1, a2))]),
+             ("cocycle2", lambda b1, b2, b3: [(+1, IL, "tau2", (b2, b3)),
+                                              (+1, IL, "tau2", (b1, Bt[b2, b3])),
+                                              (-1, IL, "tau2", (Bt[b1, b2], b3)),
+                                              (-1, SIGMA[b3], "tau2", (b1, b2))]),
+             ("cocycle3", lambda a, b1, b2: [(+1, IK, "rho", (beta[b2, a], b1)),
+                                             (+1, NU[b1], "rho", (a, b2)),
+                                             (-1, IK, "rho", (a, Bt[b1, b2])),
+                                             (-1, NU[Bt[b1, b2]] @ F[a], "tau2", (b1, b2))]),
+             ("cocycle4", lambda a1, a2, b: [(+1, IK, "rho", (At[a1, a2], b)),
+                                             (+1, NU[b], "tau1", (a1, a2)),
+                                             (-1, MU[beta[b, a2]], "rho", (a1, b)),
+                                             (-1, IK, "rho", (a2, b)),
+                                             (-1, IK, "tau1", (beta[b, a1], beta[b, a2]))]),
+             ("cocycle5", cocycle5)]
         return D, C
 
     def _assert_linearization(self):
@@ -327,6 +328,15 @@ class CochainComplex:
     def kappa_from_coords(self, coords: Sequence[int]) -> OneCochain:
         return OneCochain(*self._c1.unpack(coords))
 
+    def c2_coords(self, arrays: Sequence[np.ndarray]) -> np.ndarray:
+        """Coordinates of 2-cochains given as arrays (tau1, tau2, rho, chi)
+        with leading stack axes, one coordinate row per cochain."""
+        return self._c2.pack(arrays)
+
+    def kappas_from_coords(self, coords: np.ndarray) -> List[np.ndarray]:
+        """(kappa1, kappa2) stacks of a stack of 1-cochain coordinate rows."""
+        return self._c1.unpack(coords)
+
     # -- membership and evaluation ------------------------------------------
 
     def z2_contains(self, fs: FactorSystem) -> Tuple[bool, Optional[Tuple[str, tuple]]]:
@@ -338,6 +348,11 @@ class CochainComplex:
         """Membership, with the first nonzero defect (block, tuple) in row order."""
         bad = self._c2.first_nonzero(exact_matmul(self.coboundary_matrix, self.kappa_to_coords(kappa)))
         return bad is None, bad
+
+    def z1_failures(self, kappa1: np.ndarray, kappa2: np.ndarray) -> np.ndarray:
+        """Which 1-cochains of the stacks (kappa1, kappa2) are not derivations."""
+        defects = exact_matmul(self._c1.pack((kappa1, kappa2)), self.coboundary_matrix.T)
+        return self._c2.reduce(defects).any(axis=1)
 
     def coboundary(self, kappa: OneCochain) -> FactorSystem:
         """The defect quadruple of a one-cochain; always a cocycle."""
@@ -394,9 +409,18 @@ class CochainComplex:
         for vec in self.z2.elements():
             yield self.fs_from_coords(vec)
 
+    def z1_stack(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every derivation: its coordinates over Z1's invariant factors (all
+        vectors, last coordinate fastest) and the stacks kappa1, kappa2."""
+        coords = np.array(list(iter_vectors(self.z1.factors)), dtype=object)
+        coords = coords.reshape(len(coords), len(self.z1.factors))
+        return (coords.astype(np.int64),
+                *self._c1.unpack(coords @ self.z1.embedding.T))
+
     def z1_elements(self) -> Iterator[OneCochain]:
-        for vec in self.z1.elements():
-            yield self.kappa_from_coords(vec)
+        _, kappa1, kappa2 = self.z1_stack()
+        for k1, k2 in zip(kappa1, kappa2):
+            yield OneCochain(k1, k2)
 
 
 # One complex per module (modules compare by value) while anything holds it.

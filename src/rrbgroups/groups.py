@@ -6,7 +6,7 @@ Element 0 is always the identity.  Tables are numpy int arrays with
 
 from __future__ import annotations
 
-from typing import Iterable, List, NamedTuple, Optional, Sequence
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -256,6 +256,33 @@ def is_homomorphism(image: Sequence[int], G: FiniteGroup, H: FiniteGroup) -> boo
     return bool(np.array_equal(img[G.table], H.table[img[:, None], img[None, :]]))
 
 
+def homomorphism_rows(images: np.ndarray, G: FiniteGroup, H: FiniteGroup) -> np.ndarray:
+    """is_homomorphism for each row of a stack of image arrays."""
+    law = images[:, G.table] == H.table[images[:, :, None], images[:, None, :]]
+    return law.all(axis=(1, 2))
+
+
+def injective_rows(images: np.ndarray, n: int) -> np.ndarray:
+    """Which rows of a stack of arrays with entries in range(n) repeat no
+    entry: each row is scattered into a row of n flags, and counts as many
+    as it has entries when none repeats."""
+    seen = np.zeros((len(images), n), dtype=bool)
+    seen[np.arange(len(images))[:, None], images] = True
+    return seen.sum(axis=1) == images.shape[1]
+
+
+def row_index(rows: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """The position of each query (along the last axis) among ``rows``, or
+    -1; exact, through one dict over the bytes of the rows."""
+    def keys(a: np.ndarray) -> list:
+        a = np.ascontiguousarray(a, dtype=np.int64).reshape(-1, a.shape[-1])
+        return a.view(np.dtype((np.void, 8 * a.shape[1]))).ravel().tolist()
+
+    where = dict(zip(keys(rows), range(len(rows))))
+    found = [where.get(key, -1) for key in keys(queries)]
+    return np.array(found, dtype=np.int64).reshape(queries.shape[:-1])
+
+
 def subgroup_closure(G: FiniteGroup, generators: Iterable[int]) -> List[int]:
     """Smallest subgroup containing the generators, as a sorted element list."""
     elems = {0}
@@ -326,106 +353,138 @@ def quotient_group(G: FiniteGroup, normal_elements: Sequence[int]) -> Quotient:
     return Quotient(Q, GroupHom(G, Q, proj), np.asarray(reps, dtype=np.int64))
 
 
-def _element_order_table(G: FiniteGroup) -> List[int]:
-    return [G.element_order(x) for x in G.elements()]
+def _element_orders(G: FiniteGroup) -> np.ndarray:
+    """order[x] for every element, from one power walk over all of them."""
+    order = np.zeros(G.order, dtype=np.int64)
+    power, k = np.arange(G.order), 1
+    while not order.all():
+        order[(power == 0) & (order == 0)] = k
+        power = G.table[power, np.arange(G.order)]
+        k += 1
+    return order
 
 
-def _generating_sequence(G: FiniteGroup) -> List[int]:
+# Cells one stacked pass over automorphisms may hold, checked before it is
+# built: a level of the generator-image search holds candidate maps times
+# group order.  Aut(Z2^4) needs 604,800 at its last level; Z2^5 would need
+# 25.8 million at its fourth, and |GL(5,2)| rows at its fifth.
+CELL_CAP = 1 << 20
+
+
+def check_cells(cells: int, what: str) -> None:
+    if cells > CELL_CAP:
+        raise GroupError("OrderTooLarge", f"{what} needs {cells} cells, over the cap of {CELL_CAP}")
+
+
+class _Level(NamedTuple):
+    """One generator of a search and the subgroup it completes: each new
+    element is parent * gen, parents in earlier waves, one (elements,
+    parents, gens) triple per wave."""
+
+    gen: int
+    pool: int
+    waves: List[Tuple[np.ndarray, np.ndarray, np.ndarray]]
+    subgroup: np.ndarray
+
+
+def _levels(G: FiniteGroup, pools: Sequence[np.ndarray]) -> List[_Level]:
+    """Generators taken greedily, for each ascending pool in turn the least
+    of its elements outside the subgroup generated so far, until the pool is
+    inside it; each new element is written once as a word, parent * gen_i."""
+    known = np.zeros(G.order, dtype=bool)
+    known[0] = True
     gens: List[int] = []
-    have = {0}
-    while len(have) < G.order:
-        g = min(x for x in G.elements() if x not in have)
-        gens.append(g)
-        have = set(subgroup_closure(G, gens))
-    return gens
+    levels = []
+    for p, pool in enumerate(pools):
+        while not known[pool].all():
+            g = int(pool[np.argmin(known[pool])])
+            gens.append(g)
+            known[g] = True
+            waves = []
+            frontier = np.flatnonzero(known)
+            while frontier.size:
+                prod = G.table[frontier][:, gens]
+                wave: List[Tuple[int, int, int]] = []
+                for f, j in zip(*np.nonzero(~known[prod])):
+                    x = int(prod[f, j])
+                    if not known[x]:
+                        known[x] = True
+                        wave.append((x, int(frontier[f]), gens[j]))
+                if wave:
+                    waves.append(tuple(np.array(col, dtype=np.int64) for col in zip(*wave)))
+                frontier = np.array([x for x, _, _ in wave], dtype=np.int64)
+            levels.append(_Level(g, p, waves, np.flatnonzero(known)))
+    return levels
 
 
-def _saturate_partial(G: FiniteGroup, H: FiniteGroup, partial: dict) -> Optional[dict]:
-    """Extend a partial map multiplicatively; None on conflict or collision."""
-    known = dict(partial)
-    used = set(known.values())
-    if len(used) != len(known):
-        return None
-    frontier = list(known)
-    while frontier:
-        fresh = []
-        for a in frontier:
-            for b in list(known):
-                for x, y in ((a, b), (b, a)):
-                    g = G.mul(x, y)
-                    img = H.mul(known[x], known[y])
-                    old = known.get(g)
-                    if old is None:
-                        if img in used:
-                            return None
-                        known[g] = img
-                        used.add(img)
-                        fresh.append(g)
-                    elif old != img:
-                        return None
-        frontier = fresh
-    return known
+def _image_search(G: FiniteGroup, H: FiniteGroup, levels: List[_Level],
+                  targets: Sequence[np.ndarray]) -> np.ndarray:
+    """Every injective homomorphism G -> H sending each generator to an
+    element of its order in ``targets[level.pool]``, as rows of images.
+
+    The rows grow one generator at a time: each row is repeated once per
+    candidate image of the next generator, the new elements are filled in
+    along their words, and rows that are not injective (a flag scatter)
+    or break the law on the subgroup reached so far are dropped.  The law is
+    checked on the edges x -> x * gen_j, which holds it on all products.
+    Rows come out in the lexicographic order of the generator images.
+    """
+    orders_G, orders_H = _element_orders(G), _element_orders(H)
+    img = np.zeros((1, G.order), dtype=np.int64)
+    gens: List[int] = []
+    for level in levels:
+        target = targets[level.pool]
+        cands = target[orders_H[target] == orders_G[level.gen]]
+        check_cells(len(img) * len(cands) * G.order,
+                    f"a level of {len(img) * len(cands)} maps on order {G.order}")
+        img = np.repeat(img, len(cands), axis=0)
+        img[:, level.gen] = np.tile(cands, len(img) // max(len(cands), 1))
+        gens.append(level.gen)
+        for elems, parents, via in level.waves:
+            img[:, elems] = H.table[img[:, parents], img[:, via]]
+        S = level.subgroup
+        img = img[injective_rows(img[:, S], H.order)]
+        lhs = img[:, G.table[S][:, gens]]
+        rhs = H.table[img[:, S][:, :, None], img[:, gens][:, None, :]]
+        img = img[(lhs == rhs).all(axis=(1, 2))]
+    return img
 
 
-def _isomorphism_search(G: FiniteGroup, H: FiniteGroup, first_only: bool) -> List[GroupHom]:
-    """Generator-image backtracking with multiplicative saturation."""
+def isomorphism_images(G: FiniteGroup, H: FiniteGroup,
+                       stabilizing: Optional[Sequence[int]] = None) -> np.ndarray:
+    """The image arrays of every isomorphism G -> H, one sorted row each.
+
+    With ``stabilizing`` (a subgroup, for G == H) only the automorphisms
+    carrying it onto itself: its generators come first and are sent into it.
+    Otherwise the generators are the least elements outside the subgroup
+    generated so far, so every element before gen_i lies in that subgroup,
+    and the lexicographic order of generator images is that of the rows.
+    """
     if G.order != H.order:
-        return []
-    orders_G = _element_order_table(G)
-    orders_H = _element_order_table(H)
-    by_order: dict = {}
-    for y, o in enumerate(orders_H):
-        by_order.setdefault(o, []).append(y)
-    gens = _generating_sequence(G)
-    results: List[GroupHom] = []
-
-    def recurse(i: int, partial: dict):
-        if results and first_only:
-            return
-        if i == len(gens):
-            if len(partial) == G.order:
-                img = np.zeros(G.order, dtype=np.int64)
-                for g, y in partial.items():
-                    img[g] = y
-                results.append(GroupHom(G, H, img, check=False))
-            return
-        g = gens[i]
-        for y in by_order.get(orders_G[g], []):
-            ext = _saturate_partial(G, H, {**partial, g: y})
-            if ext is not None:
-                recurse(i + 1, ext)
-
-    recurse(0, {0: 0})
-    return results
+        return np.zeros((0, G.order), dtype=np.int64)
+    everything = np.arange(G.order)
+    if stabilizing is None:
+        return _image_search(G, H, _levels(G, [everything]), [everything])
+    sub = np.array(sorted(set(int(x) for x in stabilizing)), dtype=np.int64)
+    img = _image_search(G, H, _levels(G, [sub, everything]), [sub, everything])
+    return img[sorted(range(len(img)), key=img.tolist().__getitem__)]
 
 
 def automorphism_group(G: FiniteGroup, max_order: int = DEFAULT_MAX_ORDER) -> List[GroupHom]:
-    """All automorphisms, sorted by image array.
-
-    Each generator of G is sent to every element of the same order, and the
-    partial map is saturated multiplicatively, backtracking on conflicts.
-    """
-    if G.order > max_order:
-        raise GroupError("OrderTooLarge",
-                         f"order {G.order} exceeds enumeration bound {max_order}")
-    auts = _isomorphism_search(G, G, first_only=False)
-    auts.sort(key=lambda h: tuple(h.image.tolist()))
-    return auts
+    """All automorphisms, sorted by image array (see isomorphism_images)."""
+    return all_isomorphisms(G, G, max_order)
 
 
 def find_isomorphism(G: FiniteGroup, H: FiniteGroup,
                      max_order: int = DEFAULT_MAX_ORDER) -> Optional[GroupHom]:
-    """Some isomorphism G -> H, or None."""
-    if G.order > max_order or H.order > max_order:
-        raise GroupError("OrderTooLarge", "order exceeds enumeration bound")
-    found = _isomorphism_search(G, H, first_only=True)
+    """Some isomorphism G -> H (the least by image array), or None."""
+    found = all_isomorphisms(G, H, max_order)
     return found[0] if found else None
 
 
 def all_isomorphisms(G: FiniteGroup, H: FiniteGroup,
                      max_order: int = DEFAULT_MAX_ORDER) -> List[GroupHom]:
-    if G.order > max_order or H.order > max_order:
-        raise GroupError("OrderTooLarge", "order exceeds enumeration bound")
-    found = _isomorphism_search(G, H, first_only=False)
-    found.sort(key=lambda h: tuple(h.image.tolist()))
-    return found
+    if max(G.order, H.order) > max_order:
+        raise GroupError("OrderTooLarge",
+                         f"order {max(G.order, H.order)} exceeds enumeration bound {max_order}")
+    return [GroupHom(G, H, img, check=False) for img in isomorphism_images(G, H)]

@@ -18,11 +18,11 @@ from .groups import (
     GroupError,
     GroupHom,
     Quotient,
-    automorphism_group,
     direct_product,
     is_homomorphism,
     is_normal,
     is_subgroup,
+    isomorphism_images,
     quotient_group,
 )
 
@@ -149,26 +149,18 @@ def circle_op(rrb: RRBGroup, h1: int, h2: int) -> int:
 
 
 class RRBMorphism:
-    """Pair of group homs (psi: H1->H2, eta: G1->G2) compatible with R and phi."""
+    """Pair of group homs (psi: H1->H2, eta: G1->G2) compatible with R and phi.
+
+    ``check=False`` skips the checks, for pairs already checked as a stack."""
 
     def __init__(self, domain: RRBGroup, codomain: RRBGroup,
-                 psi: GroupHom, eta: GroupHom):
-        if psi.domain != domain.H or psi.codomain != codomain.H:
-            raise RRBError("LengthMismatch", "psi does not map H1 -> H2")
-        if eta.domain != domain.G or eta.codomain != codomain.G:
-            raise RRBError("LengthMismatch", "eta does not map G1 -> G2")
-        # The first failure in element order, as a loop over h (and g, h)
-        # would find it.
-        bad = eta.image[domain.R] != codomain.R[psi.image]
-        if bad.any():
-            h = int(np.argmax(bad))
-            raise RRBError("EtaRNeqSPsi", f"eta(R(h)) != R'(psi(h)) at h={h}", (h,))
-        bad = psi.image[domain.phi] != codomain.phi[eta.image][:, psi.image]
-        if bad.any():
-            g, h = (int(x) for x in np.argwhere(bad)[0])
-            raise RRBError("EquivarianceFails",
-                           f"psi(phi_g(h)) != phi'_{{eta(g)}}(psi(h)) at (g,h)=({g},{h})",
-                           (g, h))
+                 psi: GroupHom, eta: GroupHom, check: bool = True):
+        if check:
+            if psi.domain != domain.H or psi.codomain != codomain.H:
+                raise RRBError("LengthMismatch", "psi does not map H1 -> H2")
+            if eta.domain != domain.G or eta.codomain != codomain.G:
+                raise RRBError("LengthMismatch", "eta does not map G1 -> G2")
+            check_morphisms(domain, codomain, psi.image[None], eta.image[None])
         self.domain = domain
         self.codomain = codomain
         self.psi = psi
@@ -202,6 +194,34 @@ def validate_morphism(rrb1: RRBGroup, rrb2: RRBGroup,
                       psi: Sequence[int], eta: Sequence[int]) -> RRBMorphism:
     return RRBMorphism(rrb1, rrb2,
                        GroupHom(rrb1.H, rrb2.H, psi), GroupHom(rrb1.G, rrb2.G, eta))
+
+
+def morphism_defects(domain: RRBGroup, codomain: RRBGroup, psi: np.ndarray,
+                     eta: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Where stacks of maps (psi: H1 -> H2 along the last axis, eta: G1 -> G2
+    likewise, leading axes broadcasting) break R-compatibility, over h, and
+    equivariance, over (g, h)."""
+    bad_R = eta[..., domain.R] != codomain.R[psi]
+    bad_eq = psi[..., domain.phi] != codomain.phi[eta[..., :, None], psi[..., None, :]]
+    return bad_R, bad_eq
+
+
+def check_morphisms(domain: RRBGroup, codomain: RRBGroup,
+                    psi: np.ndarray, eta: np.ndarray) -> None:
+    """The constructor's check on stacks of maps (n x |H1|, n x |G1|): the
+    first failing pair raises, with the first failure in element order, as
+    a loop over h (and g, h) would find it."""
+    bad_R, bad_eq = morphism_defects(domain, codomain, psi, eta)
+    failing = bad_R.any(axis=1) | bad_eq.any(axis=(1, 2))
+    if not failing.any():
+        return
+    row = int(np.argmax(failing))
+    if bad_R[row].any():
+        h = int(np.argmax(bad_R[row]))
+        raise RRBError("EtaRNeqSPsi", f"eta(R(h)) != R'(psi(h)) at h={h}", (h,))
+    g, h = (int(x) for x in np.argwhere(bad_eq[row])[0])
+    raise RRBError("EquivarianceFails",
+                   f"psi(phi_g(h)) != phi'_{{eta(g)}}(psi(h)) at (g,h)=({g},{h})", (g, h))
 
 
 def identity_morphism(rrb: RRBGroup) -> RRBMorphism:
@@ -369,24 +389,31 @@ def direct_product_rrb(rrb1: RRBGroup, rrb2: RRBGroup,
     return RRBGroup(pH.group, pG.group, phi, R, name=name)
 
 
+def rrb_automorphism_images(rrb: RRBGroup, max_order: int = DEFAULT_MAX_ORDER,
+                            stabilizing: Optional[Tuple[Sequence[int], Sequence[int]]] = None
+                            ) -> Tuple[np.ndarray, np.ndarray]:
+    """The automorphisms of the structure as two stacks of image rows (psi
+    on H, eta on G), sorted by (psi, eta).
+
+    Aut(H) x Aut(G) is filtered psi-major with one check of all pairs at
+    once.  With ``stabilizing`` = (K, L) only the automorphisms carrying K
+    and L onto themselves, from stabilizer searches on H and G."""
+    if rrb.H.order > max_order or rrb.G.order > max_order:
+        raise RRBError("OrderTooLarge", "component order exceeds enumeration bound")
+    K, L = stabilizing if stabilizing is not None else (None, None)
+    auts_H = isomorphism_images(rrb.H, rrb.H, K)
+    auts_G = isomorphism_images(rrb.G, rrb.G, L)
+    bad_R, bad_eq = morphism_defects(rrb, rrb, auts_H[:, None], auts_G[None])
+    i, j = np.nonzero(~(bad_R.any(axis=2) | bad_eq.any(axis=(2, 3))))
+    return auts_H[i], auts_G[j]
+
+
 def rrb_automorphism_group(rrb: RRBGroup,
                            max_order: int = DEFAULT_MAX_ORDER) -> List[RRBMorphism]:
     """All pairs in Aut(H) x Aut(G) compatible with phi and R, sorted."""
-    if rrb.H.order > max_order or rrb.G.order > max_order:
-        raise RRBError("OrderTooLarge", "component order exceeds enumeration bound")
-    auts_H = automorphism_group(rrb.H, max_order)
-    auts_G = automorphism_group(rrb.G, max_order)
-    out: List[RRBMorphism] = []
-    # Both automorphism lists are sorted, so the pairs come out sorted.
-    for psi in auts_H:
-        # R-compatibility only constrains psi and eta together, but
-        # equivariance can reject (psi, eta) cheaply inside the constructor.
-        for eta in auts_G:
-            try:
-                out.append(RRBMorphism(rrb, rrb, psi, eta))
-            except RRBError:
-                continue
-    return out
+    return [RRBMorphism(rrb, rrb, GroupHom(rrb.H, rrb.H, psi, check=False),
+                        GroupHom(rrb.G, rrb.G, eta, check=False), check=False)
+            for psi, eta in zip(*rrb_automorphism_images(rrb, max_order))]
 
 
 def enumerate_rrb_operators(H: FiniteGroup, G: FiniteGroup,

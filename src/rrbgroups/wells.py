@@ -10,28 +10,33 @@ The obstruction map sends a compatible pair c to [fs^c] - [fs]; its kernel is
 exactly the set of pairs induced by automorphisms of the total structure that
 normalize the kernel.  The sign convention follows from the faithful
 translation action: [E(fs)]^c = [E(fs^c)] and [E(fs)]^[t] = [E(fs + t)].
+
+Pairs, automorphisms, lifts and classes are handled as stacks of image rows,
+so the exactness audit is a fixed number of array passes per extension; the
+single-pair functions are the one-row case of the same code.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Dict, List, NamedTuple, Optional, Tuple
+import math
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .abelian import reduce_vec
 from .cohomology import CohomologyClass, cochain_complex
 from .extensions import Extension, chart, extract_actions, extract_factor_system
-from .groups import DEFAULT_MAX_ORDER, GroupHom
-from .modules import (
-    FactorSystem,
-    OneCochain,
-    RRBModule,
-    add_factor_systems,
-    negate_factor_system,
-    twisted_action,
+from .groups import (
+    DEFAULT_MAX_ORDER,
+    GroupError,
+    GroupHom,
+    check_cells,
+    homomorphism_rows,
+    injective_rows,
+    row_index,
 )
-from .rrb import RRBError, RRBMorphism, rrb_automorphism_group
+from .modules import FactorSystem, OneCochain, RRBModule, _inverse_perm, twisted_action
+from .rrb import RRBError, RRBGroup, RRBMorphism, check_morphisms, rrb_automorphism_images
 
 
 class CompatiblePair(NamedTuple):
@@ -49,79 +54,7 @@ class CompatiblePair(NamedTuple):
         return CompatiblePair(self.psi.inverse(), self.theta.inverse())
 
     def is_identity(self) -> bool:
-        return (np.array_equal(self.psi.psi.image, np.arange(len(self.psi.psi.image)))
-                and np.array_equal(self.psi.eta.image, np.arange(len(self.psi.eta.image)))
-                and np.array_equal(self.theta.psi.image, np.arange(len(self.theta.psi.image)))
-                and np.array_equal(self.theta.eta.image, np.arange(len(self.theta.eta.image))))
-
-
-def identity_pair(module: RRBModule) -> CompatiblePair:
-    from .rrb import identity_morphism
-
-    return CompatiblePair(identity_morphism(module.quotient),
-                          identity_morphism(module.kernel))
-
-
-def pair_is_compatible(module: RRBModule, pair: CompatiblePair) -> bool:
-    """The four stabilizer conditions tying (psi, theta) to (nu, mu, sigma, f)."""
-    psi1, psi2 = pair.psi.psi.image, pair.psi.eta.image
-    th1, th2 = pair.theta.psi.image, pair.theta.eta.image
-    act = module.action
-    return (np.array_equal(th1[act.nu], act.nu[psi2][:, th1])
-            and np.array_equal(th2[act.sigma], act.sigma[psi2][:, th2])
-            and np.array_equal(th1[act.mu], act.mu[psi1][:, th1])
-            and np.array_equal(th1[act.f], act.f[th2][:, psi1]))
-
-
-def compatible_pairs(module: RRBModule,
-                     max_order: int = DEFAULT_MAX_ORDER) -> List[CompatiblePair]:
-    """All compatible pairs, sorted; checked to be closed under the group ops."""
-    return _compatible_among(module, _all_pairs(module, max_order))[0]
-
-
-def _all_pairs(module: RRBModule, max_order: int) -> List[CompatiblePair]:
-    """Aut(quotient) x Aut(kernel), from one automorphism search of each."""
-    thetas = rrb_automorphism_group(module.kernel, max_order)
-    return [CompatiblePair(psi, theta)
-            for psi in rrb_automorphism_group(module.quotient, max_order)
-            for theta in thetas]
-
-
-def _compatible_among(module: RRBModule, candidates: List[CompatiblePair]
-                      ) -> Tuple[List[CompatiblePair], np.ndarray]:
-    """The compatible candidates, sorted, with their product table."""
-    pairs = sorted((pair for pair in candidates if pair_is_compatible(module, pair)),
-                   key=_pair_key)
-    return pairs, _pair_table(pairs)
-
-
-def _pair_table(pairs: List[CompatiblePair]) -> np.ndarray:
-    """products[i, j] is the index of pairs[i] after pairs[j]; raises
-    InternalError if a product or an inverse leaves the list.
-
-    A pair acts as one permutation of the disjoint union A + B + K + L, so a
-    product is a gather of two such rows and an inverse is a scatter.
-    """
-    images = [(p.psi.psi.image, p.psi.eta.image, p.theta.psi.image, p.theta.eta.image)
-              for p in pairs]
-    offsets = np.cumsum([0] + [len(img) for img in images[0][:-1]])
-    rows = np.stack([np.concatenate([img + off for img, off in zip(imgs, offsets)])
-                     for imgs in images])
-    index = {row.tobytes(): i for i, row in enumerate(rows)}
-
-    def lookup(row: np.ndarray, closed_under: str) -> int:
-        i = index.get(row.tobytes())
-        if i is None:  # pragma: no cover - theorem
-            raise RRBError("InternalError", f"compatible pairs not closed under {closed_under}")
-        return i
-
-    # A scatter rather than np.argsort, which would page numpy's sort
-    # kernels into the memory of every job that audits C.
-    inverse_rows = np.empty_like(rows)
-    np.put_along_axis(inverse_rows, rows, np.arange(rows.shape[1]), axis=1)
-    for row in inverse_rows:
-        lookup(row, "inverse")
-    return np.array([[lookup(prod, "product") for prod in row[rows]] for row in rows])
+        return bool(_identity_rows(_stack_of(self))[0])
 
 
 def _morphism_key(m: RRBMorphism) -> tuple:
@@ -132,16 +65,153 @@ def _pair_key(pair: CompatiblePair) -> tuple:
     return _morphism_key(pair.psi) + _morphism_key(pair.theta)
 
 
+class _Pairs(NamedTuple):
+    """A stack of pairs as image rows: psi1 on A, psi2 on B, theta1 on K,
+    theta2 on L, one row per pair."""
+
+    psi1: np.ndarray
+    psi2: np.ndarray
+    theta1: np.ndarray
+    theta2: np.ndarray
+
+    def take(self, which) -> "_Pairs":
+        return _Pairs(*(x[which] for x in self))
+
+
+def _stack_of(pair: CompatiblePair) -> _Pairs:
+    return _Pairs(pair.psi.psi.image[None], pair.psi.eta.image[None],
+                  pair.theta.psi.image[None], pair.theta.eta.image[None])
+
+
+def _identity_rows(P: _Pairs) -> np.ndarray:
+    return np.logical_and.reduce([(x == np.arange(x.shape[1])).all(axis=1) for x in P])
+
+
+def _morphisms(rrb: RRBGroup, psi: np.ndarray, eta: np.ndarray) -> List[RRBMorphism]:
+    """Automorphisms of rrb from image stacks already checked as stacks."""
+    return [RRBMorphism(rrb, rrb, GroupHom(rrb.H, rrb.H, p, check=False),
+                        GroupHom(rrb.G, rrb.G, e, check=False), check=False)
+            for p, e in zip(psi, eta)]
+
+
+def identity_pair(module: RRBModule) -> CompatiblePair:
+    from .rrb import identity_morphism
+
+    return CompatiblePair(identity_morphism(module.quotient),
+                          identity_morphism(module.kernel))
+
+
+def _compatible(module: RRBModule, P: _Pairs) -> np.ndarray:
+    """Which pairs satisfy the four stabilizer conditions tying (psi, theta)
+    to (nu, mu, sigma, f), each one gather over the stack."""
+    act = module.action
+    th1, th2, psi1, psi2 = P.theta1, P.theta2, P.psi1, P.psi2
+    conditions = ((th1[:, act.nu], act.nu[psi2[:, :, None], th1[:, None, :]]),
+                  (th2[:, act.sigma], act.sigma[psi2[:, :, None], th2[:, None, :]]),
+                  (th1[:, act.mu], act.mu[psi1[:, :, None], th1[:, None, :]]),
+                  (th1[:, act.f], act.f[th2[:, :, None], psi1[:, None, :]]))
+    return np.logical_and.reduce([(lhs == rhs).all(axis=(1, 2)) for lhs, rhs in conditions])
+
+
+def pair_is_compatible(module: RRBModule, pair: CompatiblePair) -> bool:
+    """The four stabilizer conditions tying (psi, theta) to (nu, mu, sigma, f)."""
+    return bool(_compatible(module, _stack_of(pair))[0])
+
+
+def _product_table(psi: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """products[i, j] is the index of automorphism i after j in the sorted
+    stacks (psi, eta), one composition gather and one row lookup."""
+    check_cells(len(psi) ** 2 * (psi.shape[1] + eta.shape[1]), "an automorphism product table")
+    first = np.arange(len(psi))[:, None, None]
+    composed = np.concatenate([psi[first, psi[None]], eta[first, eta[None]]], axis=2)
+    products = row_index(np.concatenate([psi, eta], axis=1), composed)
+    if (products < 0).any():  # pragma: no cover - theorem
+        raise RRBError("InternalError", "automorphisms not closed under composition")
+    return products
+
+
+class _PairGroup:
+    """Aut(quotient) x Aut(kernel) of a module as image stacks, psi-major,
+    the compatible pairs C among them and C's product table.
+
+    Both automorphism stacks are sorted, so the pairs are sorted by
+    ``_pair_key`` and so is C.  A product of pairs is the product of their
+    components, so C's table is read off the two automorphism tables; the
+    identity, the least image array, is row 0 of each.
+    """
+
+    def __init__(self, module: RRBModule, max_order: int):
+        self.quotient = rrb_automorphism_images(module.quotient, max_order)
+        self.kernel = rrb_automorphism_images(module.kernel, max_order)
+        nq, nk = len(self.quotient[0]), len(self.kernel[0])
+        self.nk = nk
+        self.all = _Pairs(*(np.repeat(x, nk, axis=0) for x in self.quotient),
+                          *(np.tile(x, (nq, 1)) for x in self.kernel))
+        self.C = np.flatnonzero(_compatible(module, self.all))
+        # position[p] is the index in C of pair p, or -1.
+        self.position = np.full(nq * nk, -1, dtype=np.int64)
+        self.position[self.C] = np.arange(len(self.C))
+        check_cells(len(self.C) ** 2, "the product table of the compatible pairs")
+        q, k = np.divmod(self.C, nk)
+        qprod, kprod = _product_table(*self.quotient), _product_table(*self.kernel)
+        inverses = self.position[np.argmin(qprod, axis=1)[q] * nk + np.argmin(kprod, axis=1)[k]]
+        if (inverses < 0).any():  # pragma: no cover - theorem
+            raise RRBError("InternalError", "compatible pairs not closed under inverse")
+        self.products = self.position[qprod[q[:, None], q] * nk + kprod[k[:, None], k]]
+        if (self.products < 0).any():  # pragma: no cover - theorem
+            raise RRBError("InternalError", "compatible pairs not closed under product")
+
+    def index(self, P: _Pairs) -> np.ndarray:
+        """The index among all pairs of each pair of a stack, or -1."""
+        q = row_index(np.concatenate(self.quotient, axis=1), np.concatenate([P.psi1, P.psi2], 1))
+        k = row_index(np.concatenate(self.kernel, axis=1), np.concatenate([P.theta1, P.theta2], 1))
+        return np.where((q >= 0) & (k >= 0), q * self.nk + k, -1)
+
+    def objects(self, module: RRBModule, which: np.ndarray) -> List[CompatiblePair]:
+        """The pairs at the given indices, as objects sharing their components."""
+        q, k = np.divmod(which, self.nk)
+        psis = _morphisms(module.quotient, *self.quotient)
+        thetas = _morphisms(module.kernel, *self.kernel)
+        return [CompatiblePair(psis[i], thetas[j]) for i, j in zip(q.tolist(), k.tolist())]
+
+
+def compatible_pairs(module: RRBModule,
+                     max_order: int = DEFAULT_MAX_ORDER) -> List[CompatiblePair]:
+    """All compatible pairs, sorted; checked to be closed under the group ops."""
+    pairs = _PairGroup(module, max_order)
+    return pairs.objects(module, pairs.C)
+
+
+def _act(P: _Pairs, th1inv: np.ndarray, th2inv: np.ndarray,
+         fs: Sequence[np.ndarray]) -> List[np.ndarray]:
+    """fs^(psi, theta) for every pair of P and every 2-cochain of a stack
+    fs = (tau1, tau2, rho, chi) with one leading axis, as the four arrays
+    with axes (pair, cochain, ...):
+
+        tau1 -> theta1^-1 o tau1 o (psi1 x psi1),  tau2 likewise,
+        rho -> theta1^-1 o rho o (psi1 x psi2),    chi -> theta2^-1 o chi o psi1.
+    """
+    tau1, tau2, rho, chi = fs
+    c = np.arange(len(P.psi1))[:, None, None, None]
+    s = np.arange(len(tau1))[None, :, None, None]
+    a1, a2 = P.psi1[:, None, :, None], P.psi1[:, None, None, :]
+    b1, b2 = P.psi2[:, None, :, None], P.psi2[:, None, None, :]
+    return [th1inv[c, tau1[s, a1, a2]], th2inv[c, tau2[s, b1, b2]], th1inv[c, rho[s, a1, b2]],
+            th2inv[c[..., 0], chi[s[..., 0], a1[..., 0]]]]
+
+
+def _arrays(fs: FactorSystem) -> List[np.ndarray]:
+    return [fs.tau1, fs.tau2, fs.rho, fs.chi]
+
+
 def act_on_factor_system(pair: CompatiblePair, fs: FactorSystem,
                          module: RRBModule, check: bool = True) -> FactorSystem:
     """Twisted factor system fs^(psi, theta)."""
     if check and not pair_is_compatible(module, pair):
         raise RRBError("PairNotCompatible", "pair does not stabilize the action")
-    psi1, psi2 = pair.psi.psi.image, pair.psi.eta.image
-    th1inv = pair.theta.psi.inverse().image
-    th2inv = pair.theta.eta.inverse().image
-    return FactorSystem(th1inv[fs.tau1[psi1][:, psi1]], th2inv[fs.tau2[psi2][:, psi2]],
-                        th1inv[fs.rho[psi1][:, psi2]], th2inv[fs.chi[psi1]])
+    moved = _act(_stack_of(pair), pair.theta.psi.inverse().image[None],
+                 pair.theta.eta.inverse().image[None], [x[None] for x in _arrays(fs)])
+    return FactorSystem(*(x[0, 0] for x in moved))
 
 
 def act_on_class(pair: CompatiblePair, cls: CohomologyClass) -> CohomologyClass:
@@ -167,23 +237,37 @@ class WellsContext:
         self.max_order = max_order
 
     @functools.cached_property
+    def pair_group(self) -> _PairGroup:
+        return _PairGroup(self.module, self.max_order)
+
+    @functools.cached_property
     def all_pairs(self) -> List[CompatiblePair]:
-        return _all_pairs(self.module, self.max_order)
+        """Aut(quotient) x Aut(kernel), psi-major."""
+        return self.pair_group.objects(self.module, np.arange(len(self.pair_group.position)))
 
     @functools.cached_property
     def compatible_table(self) -> Tuple[List[CompatiblePair], np.ndarray]:
         """C, sorted, with products[i, j] the index of C[i] after C[j]."""
-        return _compatible_among(self.module, self.all_pairs)
+        return [self.all_pairs[p] for p in self.pair_group.C], self.pair_group.products
 
     @property
     def compatible(self) -> List[CompatiblePair]:
         return self.compatible_table[0]
 
+    @functools.cached_property
+    def aut_K(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Automorphisms of the total structure carrying the kernel onto
+        itself, as sorted image stacks, from one stabilizer search a side."""
+        incl = self.ext.incl
+        return rrb_automorphism_images(self.ext.total, self.max_order,
+                                       stabilizing=(incl.psi.image, incl.eta.image))
+
 
 # A lift is stored as three pairs of images: psi on (A, B), kappa on (A, B)
 # and theta on (K, L).  It is the automorphism of the total structure with
 #     gamma(s(a) k) = s(psi1(a)) kappa1(a) theta1(k),
-# and likewise on G with (psi2, kappa2, theta2).
+# and likewise on G with (psi2, kappa2, theta2).  Lifts and their inverse
+# readings run on stacks: one row per automorphism or pair.
 
 def _sides(ctx: WellsContext) -> tuple:
     """Per component: total group, kernel group, inclusion image, section
@@ -193,95 +277,188 @@ def _sides(ctx: WellsContext) -> tuple:
             (ext.total.G, ext.kernel.G, ext.incl.eta.image, ch.section.s_G, ch.b, ch.l))
 
 
-def _lift(ctx: WellsContext, psi, kappa, theta) -> RRBMorphism:
-    homs = []
+def _lift(ctx: WellsContext, psi, kappa, theta) -> Tuple[np.ndarray, np.ndarray]:
+    """Image stacks of the lifts, checked as GroupHom and RRBMorphism check
+    one map: homomorphisms, then morphisms of the total structure; and
+    bijective."""
+    imgs = []
     for (group, kernel, incl, s, outer, inner), p, kap, th in zip(
             _sides(ctx), psi, kappa, theta):
-        img = group.table[s[p[outer]], incl[kernel.table[kap[outer], th[inner]]]]
-        homs.append(GroupHom(group, group, img))
-    gamma = RRBMorphism(ctx.ext.total, ctx.ext.total, *homs)
-    if not gamma.is_bijective():  # pragma: no cover - theorem
+        img = group.table[s[p[:, outer]], incl[kernel.table[kap[:, outer], th[:, inner]]]]
+        if not homomorphism_rows(img, group, group).all():
+            raise GroupError("NotHomomorphism", "map does not respect multiplication")
+        imgs.append(img)
+    total = ctx.ext.total
+    check_morphisms(total, total, *imgs)
+    if not (injective_rows(imgs[0], total.H.order)
+            & injective_rows(imgs[1], total.G.order)).all():  # pragma: no cover - theorem
         raise RRBError("InternalError", "lift is not bijective")
-    return gamma
+    return imgs[0], imgs[1]
 
 
-def _unlift(ctx: WellsContext, gamma: RRBMorphism) -> tuple:
-    """(psi, kappa, theta) of an automorphism carrying the kernel into itself;
-    ImageKernelMismatch names the first kernel element's image outside it."""
+def _unlift(ctx: WellsContext, on_H: np.ndarray, on_G: np.ndarray) -> tuple:
+    """(psi, kappa, theta) stacks of automorphisms carrying the kernel into
+    itself; ImageKernelMismatch names, in the first row that has one, the
+    first kernel element's image outside it."""
     parts = []
-    for (_, _, incl, s, outer, inner), hom in zip(_sides(ctx), (gamma.psi, gamma.eta)):
-        moved = hom.image[incl]
+    for (_, _, incl, s, outer, inner), img in zip(_sides(ctx), (on_H, on_G)):
+        moved = img[:, incl]
         off = outer[moved] != 0
         if off.any():
-            raise RRBError("ImageKernelMismatch",
-                           f"element {int(moved[np.argmax(off)])} is not in the kernel image")
-        parts.append((outer[hom.image[s]], inner[hom.image[s]], inner[moved]))
+            row = int(np.argmax(off.any(axis=1)))
+            raise RRBError("ImageKernelMismatch", f"element {int(moved[row, np.argmax(off[row])])} "
+                                                  "is not in the kernel image")
+        parts.append((outer[img[:, s]], inner[img[:, s]], inner[moved]))
     return tuple(zip(*parts))
+
+
+def _restrict(ctx: WellsContext, on_H: np.ndarray, on_G: np.ndarray) -> _Pairs:
+    """(induced automorphism of the quotient, restriction to the kernel) of
+    each automorphism of a stack, checked as the constructors check them."""
+    (psi1, psi2), _, (theta1, theta2) = _unlift(ctx, on_H, on_G)
+    P = _Pairs(psi1, psi2, theta1, theta2)
+    m = ctx.module
+    for img, group in zip((theta1, theta2, psi1, psi2), (m.K, m.L, m.A, m.B)):
+        if not homomorphism_rows(img, group, group).all():
+            raise GroupError("NotHomomorphism", "map does not respect multiplication")
+    check_morphisms(m.kernel, m.kernel, theta1, theta2)
+    check_morphisms(m.quotient, m.quotient, psi1, psi2)
+    bijective = np.logical_and.reduce([injective_rows(img, img.shape[1]) for img in P])
+    if not bijective.all():  # pragma: no cover
+        raise RRBError("InternalError", "induced pair is not bijective")
+    if not _compatible(m, P).all():  # pragma: no cover - theorem
+        raise RRBError("InternalError", "induced pair fails the stabilizer conditions")
+    return P
+
+
+def _z1_to_aut(ctx: WellsContext, kappa1: np.ndarray,
+               kappa2: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Stacked z1_to_aut: NotInZ1 for the first cochain that is not a derivation."""
+    bad = ctx.complex.z1_failures(kappa1, kappa2)
+    if bad.any():
+        r = int(np.argmax(bad))
+        _, witness = ctx.complex.z1_contains(OneCochain(kappa1[r], kappa2[r]))
+        raise RRBError("NotInZ1", f"defect {witness[0]} at {witness[1]} is nonzero")
+    m, n = ctx.module, len(kappa1)
+    ident = [np.broadcast_to(np.arange(g.order), (n, g.order)) for g in (m.A, m.B, m.K, m.L)]
+    return _lift(ctx, ident[:2], (kappa1, kappa2), ident[2:])
+
+
+def _aut_to_z1(ctx: WellsContext, on_H: np.ndarray,
+               on_G: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Stacked aut_to_z1: NotInAutAK for the first automorphism that does
+    not induce the identity on kernel and quotient."""
+    psi, kappa, theta = _unlift(ctx, on_H, on_G)
+    if not _identity_rows(_Pairs(*psi, *theta)).all():
+        raise RRBError("NotInAutAK", "gamma does not induce the identity on kernel and quotient")
+    bad = ctx.complex.z1_failures(*kappa)
+    if bad.any():  # pragma: no cover - theorem for gamma in Aut^{A,K}
+        r = int(np.argmax(bad))
+        _, witness = ctx.complex.z1_contains(OneCochain(kappa[0][r], kappa[1][r]))
+        raise RRBError("NotInZ1", f"extracted cochain fails {witness[0]} at {witness[1]}")
+    return kappa
+
+
+def _classes(ctx: WellsContext, cochains: Sequence[np.ndarray]) -> np.ndarray:
+    """Class rows of a stack of cocycles; NotACocycle, as class_of raises
+    it, for the first one that is not."""
+    cx = ctx.complex
+    coords, member = cx.h2.class_coords(cx.c2_coords(cochains))
+    if not member.all():  # pragma: no cover - theorem for twists of cocycles
+        cx.class_of(FactorSystem(*(x[np.argmin(member)] for x in cochains)))
+    return coords
+
+
+def _twist(P: _Pairs, fs: Sequence[np.ndarray]) -> List[np.ndarray]:
+    """_act for pairs of automorphisms, theta inverted by a scatter."""
+    return _act(P, _inverse_perm(P.theta1), _inverse_perm(P.theta2), fs)
+
+
+def _omega(ctx: WellsContext, P: _Pairs) -> np.ndarray:
+    """Rows of [fs^c] - [fs] for a stack of compatible pairs c."""
+    twisted = [x[:, 0] for x in _twist(P, [x[None] for x in _arrays(ctx.fs)])]
+    base = np.array(ctx.base_class.coords, dtype=np.int64)
+    return (_classes(ctx, twisted) - base) % np.array(ctx.base_class.factors, dtype=np.int64)
+
+
+def _action_matrices(ctx: WellsContext, P: _Pairs) -> np.ndarray:
+    """For each compatible pair c, the matrix of its action on H2: column i
+    is the class of c acting on the representative of the unit class e_i.
+    The action is additive, so it sends a class x to M x modulo the factors."""
+    cx = ctx.complex
+    r = len(cx.h2.factors)
+    if not r:
+        return np.zeros((len(P.psi1), 0, 0), dtype=np.int64)
+    reps = [_arrays(cx.class_representative(CohomologyClass(cx, e)))
+            for e in np.eye(r, dtype=np.int64)]
+    moved = _twist(P, [np.stack(x) for x in zip(*reps)])
+    flat = [x.reshape((-1,) + x.shape[2:]) for x in moved]
+    return _classes(ctx, flat).reshape(len(P.psi1), r, r).transpose(0, 2, 1)
 
 
 def wells_map(ctx: WellsContext, pair: CompatiblePair) -> CohomologyClass:
     """Obstruction class [fs^pair] - [fs] of a compatible pair."""
     if not pair_is_compatible(ctx.module, pair):
         raise RRBError("PairNotCompatible", "pair does not stabilize the action")
-    twisted = act_on_factor_system(pair, ctx.fs, ctx.module, check=False)
-    return ctx.complex.class_of(twisted) - ctx.base_class
+    return CohomologyClass(ctx.complex, _omega(ctx, _stack_of(pair))[0])
 
 
 def aut_K_H(ctx: WellsContext) -> List[RRBMorphism]:
     """Automorphisms of the total structure carrying the kernel into itself."""
-    ext = ctx.ext
-    K_img = np.asarray(ext.incl.psi.image_elements())
-    L_img = np.asarray(ext.incl.eta.image_elements())
-    auts = rrb_automorphism_group(ext.total, ctx.max_order)
-    on_H = np.stack([gamma.psi.image for gamma in auts])
-    on_G = np.stack([gamma.eta.image for gamma in auts])
-    stable = np.isin(on_H[:, K_img], K_img).all(1) & np.isin(on_G[:, L_img], L_img).all(1)
-    return [gamma for gamma, ok in zip(auts, stable) if ok]
+    return _morphisms(ctx.ext.total, *ctx.aut_K)
 
 
 def restrict_and_induce(ctx: WellsContext, gamma: RRBMorphism) -> CompatiblePair:
     """(induced automorphism of the quotient, restriction to the kernel)."""
-    (psi1, psi2), _, (theta1, theta2) = _unlift(ctx, gamma)
-    kernel, quotient = ctx.ext.kernel, ctx.ext.quotient
-    theta = RRBMorphism(kernel, kernel,
-                        GroupHom(kernel.H, kernel.H, theta1),
-                        GroupHom(kernel.G, kernel.G, theta2))
-    psi = RRBMorphism(quotient, quotient,
-                      GroupHom(quotient.H, quotient.H, psi1),
-                      GroupHom(quotient.G, quotient.G, psi2))
-    pair = CompatiblePair(psi, theta)
-    if not (psi.is_bijective() and theta.is_bijective()):  # pragma: no cover
-        raise RRBError("InternalError", "induced pair is not bijective")
-    if not pair_is_compatible(ctx.module, pair):  # pragma: no cover - theorem
-        raise RRBError("InternalError", "induced pair fails the stabilizer conditions")
-    return pair
+    P = _restrict(ctx, gamma.psi.image[None], gamma.eta.image[None])
+    m = ctx.module
+    return CompatiblePair(_morphisms(m.quotient, P.psi1, P.psi2)[0],
+                          _morphisms(m.kernel, P.theta1, P.theta2)[0])
 
 
 def aut_AK_H(ctx: WellsContext) -> List[RRBMorphism]:
     """Automorphisms inducing the identity on both kernel and quotient."""
-    return [gamma for gamma in aut_K_H(ctx) if restrict_and_induce(ctx, gamma).is_identity()]
+    on_H, on_G = ctx.aut_K
+    identity = _identity_rows(_restrict(ctx, on_H, on_G))
+    return _morphisms(ctx.ext.total, on_H[identity], on_G[identity])
 
 
 def z1_to_aut(ctx: WellsContext, kappa: OneCochain) -> RRBMorphism:
     """gamma with gamma(s(a) k) = s(a) kappa1(a) k, and likewise on G."""
-    ok, witness = ctx.complex.z1_contains(kappa)
-    if not ok:
-        raise RRBError("NotInZ1", f"defect {witness[0]} at {witness[1]} is nonzero")
-    m = ctx.module
-    return _lift(ctx, (np.arange(m.A.order), np.arange(m.B.order)),
-                 (kappa.kappa1, kappa.kappa2), (np.arange(m.K.order), np.arange(m.L.order)))
+    on_H, on_G = _z1_to_aut(ctx, kappa.kappa1[None], kappa.kappa2[None])
+    return _morphisms(ctx.ext.total, on_H, on_G)[0]
 
 
 def aut_to_z1(ctx: WellsContext, gamma: RRBMorphism) -> OneCochain:
     """kappa1(a) = s(a)^-1 gamma(s(a)); the inverse of z1_to_aut on Aut^{A,K}."""
-    psi, kappa, theta = _unlift(ctx, gamma)
-    if not all(np.array_equal(img, np.arange(len(img))) for img in (*psi, *theta)):
-        raise RRBError("NotInAutAK", "gamma does not induce the identity on kernel and quotient")
-    kappa = OneCochain(*kappa)
-    ok, witness = ctx.complex.z1_contains(kappa)
-    if not ok:  # pragma: no cover - theorem for gamma in Aut^{A,K}
-        raise RRBError("NotInZ1", f"extracted cochain fails {witness[0]} at {witness[1]}")
-    return kappa
+    kappa1, kappa2 = _aut_to_z1(ctx, gamma.psi.image[None], gamma.eta.image[None])
+    return OneCochain(kappa1[0], kappa2[0])
+
+
+def _inducible(ctx: WellsContext, P: _Pairs) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For a stack of compatible pairs: which lift, and the lifts of those.
+
+    One coboundary solve for all the differences fs^pair - fs; a solution
+    lambda gives the lift gamma(s(a) k) = s(psi1(a)) kappa1(a) theta1(k)
+    with kappa = -lambda pushed through theta, and every lift must induce
+    its pair back.
+    """
+    m, cx, fs = ctx.module, ctx.complex, _arrays(ctx.fs)
+    twisted = [x[:, 0] for x in _twist(P, [x[None] for x in fs])]
+    diff = [group.table[moved, group.inverses[base]]
+            for moved, base, group in zip(twisted, fs, (m.K, m.L, m.K, m.L))]
+    solution, member = cx.b2.membership_coefficients(cx.c2_coords(diff))
+    lam1, lam2 = cx.kappas_from_coords(solution[member])
+    Q = P.take(member)
+    rows = np.arange(len(Q.psi1))[:, None]
+    kappa = (Q.theta1[rows, m.K.inverses[lam1]], Q.theta2[rows, m.L.inverses[lam2]])
+    on_H, on_G = _lift(ctx, (Q.psi1, Q.psi2), kappa, (Q.theta1, Q.theta2))
+    # Each lift must induce its own pair; that pair is already checked, so
+    # the induced one needs no checks of its own.
+    psi, _, theta = _unlift(ctx, on_H, on_G)
+    if not all(np.array_equal(x, y) for x, y in zip((*psi, *theta), Q)):  # pragma: no cover
+        raise RRBError("InternalError", "witness does not induce the requested pair")
+    return member, on_H, on_G
 
 
 def is_inducible(ctx: WellsContext, pair: CompatiblePair
@@ -293,18 +470,10 @@ def is_inducible(ctx: WellsContext, pair: CompatiblePair
     """
     if not pair_is_compatible(ctx.module, pair):
         return False, None
-    twisted = act_on_factor_system(pair, ctx.fs, ctx.module, check=False)
-    diff = add_factor_systems(ctx.module, twisted, negate_factor_system(ctx.module, ctx.fs))
-    lam = ctx.complex.solve_coboundary(diff)
-    if lam is None:
+    member, on_H, on_G = _inducible(ctx, _stack_of(pair))
+    if not member[0]:
         return False, None
-    th1, th2 = pair.theta.psi.image, pair.theta.eta.image
-    kappa1 = th1[ctx.module.K.inverses[lam.kappa1]]
-    kappa2 = th2[ctx.module.L.inverses[lam.kappa2]]
-    gamma = _lift(ctx, (pair.psi.psi.image, pair.psi.eta.image), (kappa1, kappa2), (th1, th2))
-    if _pair_key(restrict_and_induce(ctx, gamma)) != _pair_key(pair):  # pragma: no cover
-        raise RRBError("InternalError", "witness does not induce the requested pair")
-    return True, gamma
+    return True, _morphisms(ctx.ext.total, on_H, on_G)[0]
 
 
 def twisted_module(module: RRBModule, psi: RRBMorphism) -> RRBModule:
@@ -359,86 +528,86 @@ def verify_wells_exactness(ext: Extension,
     Checks: the derivation group embeds in the total automorphisms; its image
     is exactly the automorphisms inducing the identity on kernel and
     quotient; the restriction map hits exactly the obstruction kernel; the
-    obstruction map satisfies the derivation law.
+    obstruction map satisfies the derivation law.  Each check is a fixed
+    number of passes over stacks: of derivations, of automorphisms of the
+    total, of compatible pairs and of their products.
     """
     ctx = WellsContext(ext, max_order)
+    cx = ctx.complex
     exactness: Dict[str, bool] = {}
     witnesses: Dict[str, str] = {}
 
-    z1_list = list(ctx.complex.z1_elements())
-    eta_images = [z1_to_aut(ctx, kappa) for kappa in z1_list]
-    keys = [_morphism_key(g) for g in eta_images]
-    injective = len(set(keys)) == len(keys)
-    # One search of Aut(total); each automorphism is restricted once.
-    autK = aut_K_H(ctx)
-    induced = [restrict_and_induce(ctx, g) for g in autK]
-    autAK = [g for g, pair in zip(autK, induced) if pair.is_identity()]
-    lands = set(keys) <= {_morphism_key(g) for g in autAK}
-    # eta(k1 + k2) is looked up among the images already built, by the
-    # reduced coordinates of the sum, and compared with eta(k1) eta(k2)
-    # composed on the image arrays; each image is a validated morphism.
-    cx = ctx.complex
-    coords = [cx.kappa_to_coords(kappa) for kappa in z1_list]
-    z1_index = {reduce_vec(c, cx.c1_moduli): i for i, c in enumerate(coords)}
-    additive = True
-    for k1, c1, g1 in zip(z1_list, coords, eta_images):
-        for k2, c2, g2 in zip(z1_list, coords, eta_images):
-            s = z1_index.get(reduce_vec(c1 + c2, cx.c1_moduli))
-            if s is None:
-                additive = False
-                witnesses["eta_injective"] = f"{k1} + {k2} is not in Z1"
-            elif keys[s] != (tuple(g1.psi.image[g2.psi.image].tolist()),
-                             tuple(g1.eta.image[g2.eta.image].tolist())):
-                additive = False
-                witnesses["eta_injective"] = f"eta not multiplicative at {k1}, {k2}"
-    exactness["eta_injective"] = injective and lands and additive
+    z1, kappa1, kappa2 = cx.z1_stack()
+    eta_H, eta_G = _z1_to_aut(ctx, kappa1, kappa2)
+    eta_rows = np.concatenate([eta_H, eta_G], axis=1)
+    injective = bool((row_index(eta_rows, eta_rows) == np.arange(len(eta_rows))).all())
+    # One stabilizer search of Aut(total); each automorphism is restricted once.
+    aut_H, aut_G = ctx.aut_K
+    induced = _restrict(ctx, aut_H, aut_G)
+    stable = _identity_rows(induced)
+    ak_H, ak_G = aut_H[stable], aut_G[stable]
+    ak_rows = np.concatenate([ak_H, ak_G], axis=1)
+    lands = bool((row_index(ak_rows, eta_rows) >= 0).all())
+    # The stack lists Z1 by its coordinates, last one fastest, so eta(k1 +
+    # k2) is the row at the mixed-radix index of their sum; it is compared
+    # with eta(k1) eta(k2) composed on the image arrays.
+    check_cells(len(z1) ** 2 * eta_rows.shape[1], "the products of the derivation automorphisms")
+    factors = cx.z1.factors
+    strides = np.array([math.prod(factors[j + 1:]) for j in range(len(factors))], dtype=np.int64)
+    at_sum = (z1[:, None] + z1[None]) % np.array(factors, dtype=np.int64) @ strides
+    first = np.arange(len(z1))[:, None, None]
+    multiplicative = ((eta_H[at_sum] == eta_H[first, eta_H[None]]).all(axis=2)
+                      & (eta_G[at_sum] == eta_G[first, eta_G[None]]).all(axis=2))
+    if not multiplicative.all():
+        i, j = np.argwhere(~multiplicative)[-1]
+        witnesses["eta_injective"] = (f"eta not multiplicative at {OneCochain(kappa1[i], kappa2[i])}, "
+                                      f"{OneCochain(kappa1[j], kappa2[j])}")
+    exactness["eta_injective"] = injective and lands and bool(multiplicative.all())
     if not injective:
         witnesses["eta_injective"] = "distinct derivations with equal automorphisms"
 
-    roundtrip = all(
-        aut_to_z1(ctx, z1_to_aut(ctx, kappa)) == kappa for kappa in z1_list
-    ) and all(
-        _morphism_key(z1_to_aut(ctx, aut_to_z1(ctx, g))) == _morphism_key(g)
-        for g in autAK
-    )
-    ker_rho = {_morphism_key(g) for g in autAK}
-    im_eta = set(keys)
-    exactness["ker_rho_eq_im_eta"] = (ker_rho == im_eta and roundtrip
-                                      and len(autAK) == len(z1_list))
-    if ker_rho != im_eta:
+    back = _aut_to_z1(ctx, eta_H, eta_G)
+    roundtrip = (np.array_equal(back[0], kappa1) and np.array_equal(back[1], kappa2)
+                 and np.array_equal(np.concatenate(_z1_to_aut(ctx, *_aut_to_z1(ctx, ak_H, ak_G)),
+                                                   axis=1), ak_rows))
+    same = lands and bool((row_index(eta_rows, ak_rows) >= 0).all())
+    exactness["ker_rho_eq_im_eta"] = same and roundtrip and len(ak_rows) == len(z1)
+    if not same:
         witnesses["ker_rho_eq_im_eta"] = "kernel of restriction differs from derivation image"
 
-    C, products = ctx.compatible_table
-    c_index = {_pair_key(c): i for i, c in enumerate(C)}
-    im_rho = {_pair_key(pair) for pair in induced}
-    omega = [wells_map(ctx, c) for c in C]
-    ker_omega = {k for k, i in c_index.items() if omega[i].is_zero()}
-    exactness["ker_omega_eq_im_rho"] = im_rho == ker_omega
-    if im_rho != ker_omega:
+    pg = ctx.pair_group
+    C = pg.all.take(pg.C)
+    omega = _omega(ctx, C)
+    im_rho = np.zeros(len(pg.position), dtype=bool)
+    induced_at = pg.index(induced)
+    if (induced_at < 0).any():  # pragma: no cover - theorem
+        raise RRBError("InternalError", "an induced pair is not a pair of automorphisms")
+    im_rho[induced_at] = True
+    ker_omega = np.zeros(len(pg.position), dtype=bool)
+    ker_omega[pg.C[~omega.any(axis=1)]] = True
+    exactness["ker_omega_eq_im_rho"] = bool(np.array_equal(im_rho, ker_omega))
+    if not exactness["ker_omega_eq_im_rho"]:
         witnesses["ker_omega_eq_im_rho"] = (
-            f"im(rho) has {len(im_rho)} pairs, ker(omega) has {len(ker_omega)}")
+            f"im(rho) has {im_rho.sum()} pairs, ker(omega) has {ker_omega.sum()}")
 
-    derivation = True
-    homomorphism = True
-    # omega takes few distinct values, so each (c2, omega(c1)) is acted on once.
-    acted: Dict[tuple, CohomologyClass] = {}
-    for i, c1 in enumerate(C):
-        for j, c2 in enumerate(C):
-            lhs = omega[products[i, j]]
-            if (j, omega[i]) not in acted:
-                acted[j, omega[i]] = act_on_class(c2, omega[i])
-            if lhs != acted[j, omega[i]] + omega[j]:
-                derivation = False
-                witnesses["omega_derivation"] = f"law fails at {_pair_key(c1)}, {_pair_key(c2)}"
-            if lhs != omega[i] + omega[j]:
-                homomorphism = False
-    exactness["omega_derivation"] = derivation
+    # omega(c1 c2) against omega(c1)^c2 + omega(c2) and omega(c1) + omega(c2)
+    # over all of C x C, the action through each c2's matrix.
+    h2 = np.array(cx.h2.factors, dtype=np.int64)
+    lhs = omega[pg.products]
+    acted = np.einsum("jab,ib->ija", _action_matrices(ctx, C), omega)
+    derivation = ((acted + omega[None]) % h2 == lhs).all(axis=2)
+    exactness["omega_derivation"] = bool(derivation.all())
+    if not derivation.all():
+        i, j = np.argwhere(~derivation)[-1]
+        C_objs = ctx.compatible
+        witnesses["omega_derivation"] = f"law fails at {_pair_key(C_objs[i])}, {_pair_key(C_objs[j])}"
+    homomorphism = bool(((omega[:, None] + omega[None]) % h2 == lhs).all())
 
+    inducible, lift_H, lift_G = _inducible(ctx, C)
+    lifts = iter(_morphisms(ext.total, lift_H, lift_G))
     records = []
-    for pair in ctx.all_pairs:
-        key = _pair_key(pair)
-        in_c = key in c_index
-        om = omega[c_index[key]].coords if in_c else None
-        ok, witness = is_inducible(ctx, pair)
-        records.append(PairRecord(pair, in_c, om, ok, witness))
+    for pair, c in zip(ctx.all_pairs, pg.position.tolist()):
+        ok = c >= 0 and bool(inducible[c])
+        records.append(PairRecord(pair, c >= 0, tuple(omega[c].tolist()) if c >= 0 else None,
+                                  ok, next(lifts) if ok else None))
     return WellsReport(records, exactness, witnesses, homomorphism)

@@ -3,9 +3,12 @@
 Everything here works directly on Cayley tables and action arrays with
 elementwise group arithmetic: no coordinate systems, no matrices, no Smith
 normal form.  The exhaustive enumerators are vectorized over candidates with
-plain numpy gathers so that spaces up to ~2^20 stay cheap.  The one exception
-is ``ReferenceAssembly``: it builds the cochain complex's coordinate matrices
-one tuple at a time, as the entry-for-entry reference for their assembly.
+plain numpy gathers so that spaces up to ~2^20 stay cheap.  Two exceptions:
+``ReferenceAssembly`` builds the cochain complex's coordinate matrices one
+tuple at a time, as the entry-for-entry reference for their assembly, and
+``reference_wells_report`` takes single class maps and coboundary solves from
+the library's complex (checked against exhaustive enumeration elsewhere) and
+does everything else one object at a time.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from rrbgroups import (ActionQuadruple, FactorSystem, FiniteGroup, OneCochain, RRBGroup,
-                       RRBModule, automorphism_group)
+                       RRBModule, subgroup_closure)
 from rrbgroups.abelian import AbelianPresentation
 from rrbgroups.extensions import Extension
 
@@ -123,8 +126,14 @@ def coboundary_direct(module: RRBModule, kappa: OneCochain) -> FactorSystem:
 def act_direct(pair, fs: FactorSystem) -> FactorSystem:
     """fs^(psi, theta), one entry at a time: the preimage under theta of fs
     at the psi-images of the arguments."""
-    psi1, psi2 = pair.psi.psi.image, pair.psi.eta.image
-    th1, th2 = pair.theta.psi.image.tolist(), pair.theta.eta.image.tolist()
+    return act_images((pair.psi.psi.image, pair.psi.eta.image,
+                       pair.theta.psi.image, pair.theta.eta.image), fs)
+
+
+def act_images(pair: Sequence[Sequence[int]], fs: FactorSystem) -> FactorSystem:
+    """act_direct for a pair given as its images (psi1, psi2, theta1, theta2)."""
+    psi1, psi2 = list(pair[0]), list(pair[1])
+    th1, th2 = list(pair[2]), list(pair[3])
     nA, nB = len(psi1), len(psi2)
     tau1 = [[th1.index(fs.tau1[psi1[a1], psi1[a2]]) for a2 in range(nA)] for a1 in range(nA)]
     tau2 = [[th2.index(fs.tau2[psi2[b1], psi2[b2]]) for b2 in range(nB)] for b1 in range(nB)]
@@ -358,10 +367,183 @@ def morphism_violation(dom: RRBGroup, cod: RRBGroup, psi: Sequence[int],
 def automorphism_pairs(rrb: RRBGroup) -> List[Tuple[tuple, tuple]]:
     """Sorted (psi, eta) images of the pairs in Aut(H) x Aut(G) that pass
     morphism_violation: the full product, filtered pair by pair."""
-    auts_H = [psi.image.tolist() for psi in automorphism_group(rrb.H)]
-    auts_G = [eta.image.tolist() for eta in automorphism_group(rrb.G)]
-    return sorted((tuple(psi), tuple(eta)) for psi in auts_H for eta in auts_G
+    auts_H = saturation_isomorphisms(rrb.H, rrb.H)
+    auts_G = saturation_isomorphisms(rrb.G, rrb.G)
+    return sorted((psi, eta) for psi in auts_H for eta in auts_G
                   if morphism_violation(rrb, rrb, psi, eta) is None)
+
+
+# -- automorphism search by saturation ---------------------------------------
+
+def _saturate(G, H, partial: dict) -> Optional[dict]:
+    """Extend a partial map multiplicatively; None on conflict or collision."""
+    known = dict(partial)
+    used = set(known.values())
+    if len(used) != len(known):
+        return None
+    frontier = list(known)
+    while frontier:
+        fresh = []
+        for a in frontier:
+            for b in list(known):
+                for x, y in ((a, b), (b, a)):
+                    g = G.mul(x, y)
+                    img = H.mul(known[x], known[y])
+                    old = known.get(g)
+                    if old is None:
+                        if img in used:
+                            return None
+                        known[g] = img
+                        used.add(img)
+                        fresh.append(g)
+                    elif old != img:
+                        return None
+        frontier = fresh
+    return known
+
+
+def saturation_isomorphisms(G, H) -> List[tuple]:
+    """Every isomorphism G -> H as a sorted list of image tuples, by
+    backtracking over generator images with each partial map saturated
+    multiplicatively in dicts: the library's search before its image stacks."""
+    if G.order != H.order:
+        return []
+    by_order: dict = {}
+    for y in H.elements():
+        by_order.setdefault(H.element_order(y), []).append(y)
+    gens, have = [], {0}
+    while len(have) < G.order:
+        gens.append(min(x for x in G.elements() if x not in have))
+        have = set(subgroup_closure(G, gens))
+    found = []
+
+    def recurse(i: int, partial: dict):
+        if i == len(gens):
+            if len(partial) == G.order:
+                found.append(tuple(partial[g] for g in G.elements()))
+            return
+        for y in by_order.get(G.element_order(gens[i]), []):
+            ext = _saturate(G, H, {**partial, gens[i]: y})
+            if ext is not None:
+                recurse(i + 1, ext)
+
+    recurse(0, {0: 0})
+    return sorted(found)
+
+
+# -- the lifting audit, one object at a time ----------------------------------
+
+def reference_wells_report(ext: Extension):
+    """The exactness audit of the lifting sequence as per-object loops: the
+    automorphism groups by saturation, the pair conditions, restrictions,
+    lifts and the action on classes entry by entry, one class map and one
+    coboundary solve per pair, and the derivation law pair by pair.
+
+    Returns (records, exactness, witnesses, omega_is_homomorphism); a record
+    is (pair, in_C, omega, inducible, witness) with the pair as its images
+    (psi1, psi2, theta1, theta2) and the witness as (psi, eta) images.
+    Witness messages are compared only when every check passes (empty).
+    """
+    from rrbgroups.wells import WellsContext
+
+    ctx = WellsContext(ext)
+    module, cx, fs = ctx.module, ctx.complex, ctx.fs
+    A, B, K, L = module.A, module.B, module.K, module.L
+    H, G = ext.total.H, ext.total.G
+    iK, iL = ext.incl.psi.image.tolist(), ext.incl.eta.image.tolist()
+    sH, sG = ctx.chart.section.s_H.tolist(), ctx.chart.section.s_G.tolist()
+    # Every total element as s(a) incl(k), found by multiplying out.
+    split_H = {H.mul(sH[a], iK[k]): (a, k) for a in A.elements() for k in K.elements()}
+    split_G = {G.mul(sG[b], iL[l]): (b, l) for b in B.elements() for l in L.elements()}
+    sides = ((H, K, iK, sH, split_H), (G, L, iL, sG, split_G))
+
+    def lift(psi, kappa, theta) -> tuple:
+        out = []
+        for (group, kern, incl, s, split), p, kap, th in zip(sides, psi, kappa, theta):
+            out.append(tuple(group.mul(s[p[split[x][0]]],
+                                       incl[kern.mul(kap[split[x][0]], th[split[x][1]])])
+                             for x in group.elements()))
+        return tuple(out)
+
+    def unlift(gamma) -> tuple:
+        """(psi, kappa, theta) of an automorphism carrying the kernel into itself."""
+        parts = []
+        for (group, kern, incl, s, split), img in zip(sides, gamma):
+            outer = [split[img[x]] for x in s]
+            assert all(split[img[incl[k]]][0] == 0 for k in kern.elements())
+            parts.append((tuple(a for a, _ in outer), tuple(k for _, k in outer),
+                          tuple(split[img[incl[k]]][1] for k in kern.elements())))
+        return tuple(zip(*parts))
+
+    def restrict(gamma) -> tuple:
+        psi, _, theta = unlift(gamma)
+        return psi + theta
+
+    nu, mu, sigma, f = (module.action.nu, module.action.mu,
+                        module.action.sigma, module.action.f)
+
+    def compatible(pair) -> bool:
+        psi1, psi2, th1, th2 = pair
+        return (all(th1[nu[b, k]] == nu[psi2[b], th1[k]] for b in B.elements() for k in K.elements())
+                and all(th2[sigma[b, l]] == sigma[psi2[b], th2[l]]
+                        for b in B.elements() for l in L.elements())
+                and all(th1[mu[a, k]] == mu[psi1[a], th1[k]] for a in A.elements() for k in K.elements())
+                and all(th1[f[l, a]] == f[th2[l], psi1[a]] for l in L.elements() for a in A.elements()))
+
+    def compose(p, q) -> tuple:
+        return tuple(tuple(x[y] for y in z) for x, z in zip(p, q))
+
+    identity = tuple(tuple(range(g.order)) for g in (A, B, K, L))
+    all_pairs = [q + k for q in automorphism_pairs(ext.quotient)
+                 for k in automorphism_pairs(ext.kernel)]
+    C = [pair for pair in all_pairs if compatible(pair)]
+    omega = {c: cx.class_of(act_images(c, fs)) - ctx.base_class for c in C}
+    exactness: Dict[str, bool] = {}
+    witnesses: Dict[str, str] = {}
+
+    K_set, L_set = set(iK), set(iL)
+    autK = [g for g in automorphism_pairs(ext.total)
+            if {g[0][k] for k in K_set} == K_set and {g[1][l] for l in L_set} == L_set]
+    induced = {g: restrict(g) for g in autK}
+    autAK = {g for g in autK if induced[g] == identity}
+    z1 = [(tuple(k.kappa1.tolist()), tuple(k.kappa2.tolist())) for k in exhaustive_z1(module)]
+    ident_psi, ident_theta = identity[:2], identity[2:]
+    eta = {kappa: lift(ident_psi, kappa, ident_theta) for kappa in z1}
+    keys = list(eta.values())
+    additive = all(
+        eta.get((tuple(K.mul(x, y) for x, y in zip(k1[0], k2[0])),
+                 tuple(L.mul(x, y) for x, y in zip(k1[1], k2[1])))) == compose(eta[k1], eta[k2])
+        for k1 in z1 for k2 in z1)
+    exactness["eta_injective"] = len(set(keys)) == len(keys) and set(keys) <= autAK and additive
+    roundtrip = (all(unlift(eta[k]) == (ident_psi, k, ident_theta) for k in z1)
+                 and all(lift(*unlift(g)) == g for g in autAK))
+    exactness["ker_rho_eq_im_eta"] = autAK == set(keys) and roundtrip and len(autAK) == len(z1)
+    exactness["ker_omega_eq_im_rho"] = set(induced.values()) == {c for c in C if omega[c].is_zero()}
+
+    derivation = homomorphism = True
+    for c1 in C:
+        for c2 in C:
+            lhs = omega[compose(c1, c2)]
+            rep = cx.class_representative(omega[c1])
+            if lhs != cx.class_of(act_images(c2, rep)) + omega[c2]:
+                derivation = False
+            if lhs != omega[c1] + omega[c2]:
+                homomorphism = False
+    exactness["omega_derivation"] = derivation
+
+    records = []
+    for pair in all_pairs:
+        witness = None
+        if pair in omega:
+            lam = cx.solve_coboundary(sub_fs(module, act_images(pair, fs), fs))
+            if lam is not None:
+                kappa = (tuple(pair[2][K.inv(int(x))] for x in lam.kappa1),
+                         tuple(pair[3][L.inv(int(x))] for x in lam.kappa2))
+                witness = lift(pair[:2], kappa, pair[2:])
+                assert restrict(witness) == pair
+        records.append((pair, pair in omega, omega[pair].coords if pair in omega else None,
+                        witness is not None, witness))
+    return records, exactness, witnesses, homomorphism
 
 
 # -- operators and equivalences ----------------------------------------------

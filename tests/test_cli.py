@@ -68,6 +68,23 @@ class TestExitCodes:
         proc = run_cli("wells", F / "ext_z9.json", "--max-order", "2")
         assert proc.returncode == 3
 
+    def test_automorphism_search_cap_exceeded(self, tmp_path):
+        # Total Z2^5 x 1 (order 32, inside --max-order 64) with kernel Z2:
+        # the stabilizer search of the total would outgrow its cell cap.
+        from rrbgroups import cyclic_group, direct_product, product_extension, trivial_rrb
+        from rrbgroups.serialize import extension_to_json
+
+        z2, one = cyclic_group(2), cyclic_group(1)
+        v4 = direct_product(z2, z2).group
+        ext = product_extension(trivial_rrb(direct_product(v4, v4).group, one),
+                                trivial_rrb(z2, one))
+        assert ext.total.H.order == 32
+        path = tmp_path / "ext.json"
+        path.write_text(json.dumps(extension_to_json(ext)))
+        proc = run_cli("wells", path)
+        assert proc.returncode == 3
+        assert "bound exceeded" in proc.stderr
+
     def test_budget_env_override(self, tmp_path):
         import os
         phi = tmp_path / "phi.json"

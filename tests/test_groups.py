@@ -21,12 +21,13 @@ from rrbgroups import (
     identity_hom,
     is_homomorphism,
     is_normal,
+    isomorphism_images,
     quotient_group,
     subgroup_closure,
     trivial_group,
 )
 from rrbgroups.groups import group_from_permutations
-from oracles import group_table_violation
+from oracles import group_table_violation, saturation_isomorphisms
 
 OPERATORS_CATALOGUE = Path(__file__).parent.parent / "perfbench" / "catalogue" / "operators.json"
 
@@ -255,6 +256,114 @@ class TestAutomorphisms:
         with pytest.raises(GroupError) as err:
             automorphism_group(groups["z4"], max_order=3)
         assert err.value.code == "OrderTooLarge"
+
+
+def _quaternion() -> FiniteGroup:
+    """Q8 on 4 * sign + unit, the units 1, i, j, k."""
+    # unit u times unit v is (sign, unit); i j = k, j k = i, k i = j.
+    cyc = {(1, 2): 3, (2, 3): 1, (3, 1): 2}
+
+    def unit_mul(u, v):
+        if not u or not v:
+            return 0, u + v
+        if u == v:
+            return 1, 0
+        if (u, v) in cyc:
+            return 0, cyc[u, v]
+        return 1, cyc[v, u]
+
+    table = []
+    for x in range(8):
+        row = []
+        for y in range(8):
+            sign, unit = unit_mul(x % 4, y % 4)
+            row.append(4 * ((x // 4 + y // 4 + sign) % 2) + unit)
+        table.append(row)
+    return FiniteGroup(table, name="Q8")
+
+
+def _small_groups() -> dict:
+    """The 14 groups of order at most 8, one of each isomorphism type."""
+    z2 = cyclic_group(2)
+    v4 = direct_product(z2, z2).group
+    return {
+        **{f"z{n}": cyclic_group(n) for n in range(1, 9)},
+        "v4": v4,
+        "s3": group_from_permutations(3, [[1, 0, 2], [0, 2, 1]]),
+        "z4xz2": direct_product(cyclic_group(4), z2).group,
+        "z2^3": direct_product(v4, z2).group,
+        "d4": group_from_permutations(4, [[1, 2, 3, 0], [0, 3, 2, 1]]),
+        "q8": _quaternion(),
+    }
+
+
+def _order_16_groups() -> dict:
+    """Every group of order 16 the tests build: Z16, Z2^4 (the lifting
+    audit's largest total) and the operators catalogue's."""
+    z2 = cyclic_group(2)
+    v4 = direct_product(z2, z2).group
+    out = {"z16": cyclic_group(16), "z2^4": direct_product(v4, v4).group}
+    with open(OPERATORS_CATALOGUE, encoding="utf-8") as fh:
+        for case in json.load(fh)["enumerate"]:
+            G = FiniteGroup(case["H"]["table"])
+            if G.order == 16 and G not in out.values():
+                out[case["H"]["name"]] = G
+    return out
+
+
+SMALL_GROUPS = _small_groups()
+ORDER_16_GROUPS = _order_16_groups()
+
+
+class TestImageSearch:
+    """The generator-image search against the dict-saturation search."""
+
+    @pytest.mark.parametrize("name", [*SMALL_GROUPS, *ORDER_16_GROUPS])
+    def test_automorphisms_match_saturation_search(self, name):
+        G = {**SMALL_GROUPS, **ORDER_16_GROUPS}[name]
+        got = [tuple(a.image.tolist()) for a in automorphism_group(G)]
+        assert got == saturation_isomorphisms(G, G)
+
+    def test_isomorphisms_match_saturation_search(self):
+        rng = np.random.default_rng(12)
+        for name, G in SMALL_GROUPS.items():
+            perm = [0, *(rng.permutation(G.order - 1) + 1)]
+            H = FiniteGroup(_relabel(G.table.tolist(), perm))
+            expected = saturation_isomorphisms(G, H)
+            assert [tuple(f.image.tolist()) for f in all_isomorphisms(G, H)] == expected, name
+            assert tuple(find_isomorphism(G, H).image.tolist()) == expected[0]
+        for a, b in (("z4", "v4"), ("z6", "s3"), ("z8", "q8"), ("d4", "q8"), ("z2^3", "z4xz2")):
+            G, H = SMALL_GROUPS[a], SMALL_GROUPS[b]
+            assert saturation_isomorphisms(G, H) == []
+            assert all_isomorphisms(G, H) == [] and find_isomorphism(G, H) is None
+
+    @pytest.mark.parametrize("name", ["z8", "z4xz2", "d4", "q8", "z2^3", "z6"])
+    def test_stabilizer_search_is_the_filtered_group(self, name):
+        G = SMALL_GROUPS[name]
+        for g in G.elements():
+            N = subgroup_closure(G, [g])
+            expected = [a for a in saturation_isomorphisms(G, G) if {a[x] for x in N} == set(N)]
+            assert [tuple(r) for r in isomorphism_images(G, G, N).tolist()] == expected
+
+    def test_cap_stops_the_search_before_the_level_is_built(self):
+        # Z2^5 (order 32) is inside the default order bound, but its fourth
+        # level would hold 807,240 maps of 32 cells, some 206 MB of int64.
+        import tracemalloc
+
+        from rrbgroups.groups import CELL_CAP
+
+        z2 = cyclic_group(2)
+        v4 = direct_product(z2, z2).group
+        z2_5 = direct_product(direct_product(v4, v4).group, z2).group
+        tracemalloc.start()
+        try:
+            with pytest.raises(GroupError) as err:
+                automorphism_group(z2_5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert err.value.code == "OrderTooLarge"
+        assert peak < 8 * CELL_CAP * 8
 
 
 class TestSubgroupsAndQuotients:

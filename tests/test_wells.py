@@ -1,5 +1,6 @@
 """Automorphism lifting: compatible pairs, obstruction map, exactness."""
 
+import json
 from pathlib import Path
 
 import numpy as np
@@ -31,11 +32,17 @@ from rrbgroups import (
 )
 from rrbgroups.serialize import load_extension
 from rrbgroups.wells import CompatiblePair, _morphism_key, _pair_key
-from oracles import act_direct, cocycle_violations, fs_from_key, fs_key, fs_positions
+from oracles import (act_direct, cocycle_violations, fs_from_key, fs_key, fs_positions,
+                     reference_wells_report)
 
 TESTS_DIR = Path(__file__).parent
 EXT_FILES = sorted([*(TESTS_DIR.parent / "src" / "rrbgroups" / "fixtures").glob("ext_*.json"),
                     *(TESTS_DIR / "inputs").glob("ext_*.json")])
+
+LIFTING_CATALOGUE = TESTS_DIR.parent / "perfbench" / "catalogue" / "lifting.json"
+with open(LIFTING_CATALOGUE, encoding="utf-8") as _fh:
+    # The benchmark's extensions: their H2 actions are not symmetric matrices.
+    CATALOGUE_EXTS = {case["name"]: case["extension"] for case in json.load(_fh)["extensions"]}
 
 WELLS_EXTS = ("product_z2", "built_z2", "z4_carry", "z9", "s3", "z3_z4_twist",
               "z2_z4_image", "z2_z4_kernel", "z4_z4_diag", "parity_zero",
@@ -385,20 +392,58 @@ class TestExactnessReport:
             for rec in report.pairs:
                 assert rec.inducible == (rec.witness is not None)
 
+    @pytest.mark.parametrize("name", [*WELLS_EXTS, *(p.stem for p in EXT_FILES), *CATALOGUE_EXTS])
+    def test_report_matches_object_loops(self, name, ext_corpus):
+        if name in ext_corpus:
+            ext = ext_corpus[name]
+        elif name in CATALOGUE_EXTS:
+            ext = load_extension(CATALOGUE_EXTS[name])
+        else:
+            ext = load_extension(str(next(p for p in EXT_FILES if p.stem == name)))
+        report = verify_wells_exactness(ext)
+        records, exactness, witnesses, homomorphism = reference_wells_report(ext)
+        got = [((*_morphism_key(rec.pair.psi), *_morphism_key(rec.pair.theta)), rec.in_C,
+                rec.omega, rec.inducible,
+                _morphism_key(rec.witness) if rec.witness is not None else None)
+               for rec in report.pairs]
+        assert got == records
+        assert report.exactness == exactness
+        assert report.witnesses == witnesses
+        assert report.omega_is_homomorphism == homomorphism
+
+    @pytest.mark.parametrize("name", [*WELLS_EXTS, *(p.stem for p in EXT_FILES), "z2^4xz2"])
+    def test_order_identity(self, name, ext_corpus):
+        # ker rho = Z1 and im rho = ker omega, so |Aut_K(E)| = |Z1| |ker omega|.
+        if name == "z2^4xz2":
+            from conftest import _ideal_extension
+            from rrbgroups import cyclic_group, direct_product, trivial_rrb
+
+            z2 = cyclic_group(2)
+            v4 = direct_product(z2, z2).group
+            ext = _ideal_extension(trivial_rrb(direct_product(v4, v4).group, z2),
+                                   [0, 1, 2, 3], [0, 1])
+        elif name in ext_corpus:
+            ext = ext_corpus[name]
+        else:
+            ext = load_extension(str(next(p for p in EXT_FILES if p.stem == name)))
+        ctx = WellsContext(ext)
+        report = verify_wells_exactness(ext)
+        ker_omega = sum(rec.in_C and not any(rec.omega) for rec in report.pairs)
+        assert len(aut_K_H(ctx)) == ctx.complex.z1.order * ker_omega
+
     def test_fault_injection_breaks_kernel_image_check(self, ext_corpus, monkeypatch):
         # Shift the obstruction of every pair by a fixed nonzero class: the
         # identity pair leaves the restriction image but lands outside the
         # reported kernel, so the ker/im comparison must fail.
+        # The audit reads omega of all of C from one stacked map, so the
+        # shift goes in there.
         ext = ext_corpus["z9"]
-        real = wells_map
+        real = wells_mod._omega
 
-        def skewed(ctx, pair):
-            cls = real(ctx, pair)
-            shift = tuple((c + 1) % f for c, f in zip(cls.coords, cls.factors))
-            from rrbgroups.cohomology import CohomologyClass
-            return CohomologyClass(cls.complex, shift)
+        def skewed(ctx, pairs):
+            return (real(ctx, pairs) + 1) % np.array(ctx.complex.h2.factors)
 
-        monkeypatch.setattr(wells_mod, "wells_map", skewed)
+        monkeypatch.setattr(wells_mod, "_omega", skewed)
         report = wells_mod.verify_wells_exactness(ext)
         assert report.exactness["ker_omega_eq_im_rho"] is False
         assert "ker_omega_eq_im_rho" in report.witnesses

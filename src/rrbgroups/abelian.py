@@ -21,7 +21,7 @@ from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tup
 
 import numpy as np
 
-from .groups import FiniteGroup, GroupError
+from .groups import FiniteGroup, GroupError, _levels
 from .intlinalg import (
     as_int_matrix,
     exact_matmul,
@@ -35,13 +35,6 @@ from .intlinalg import (
 
 def reduce_vec(vec: Sequence[int], moduli: Sequence[int]) -> Tuple[int, ...]:
     return tuple(int(v) % int(m) for v, m in zip(vec, moduli))
-
-
-def space_order(moduli: Sequence[int]) -> int:
-    out = 1
-    for m in moduli:
-        out *= int(m)
-    return out
 
 
 def iter_vectors(moduli: Sequence[int]) -> Iterator[Tuple[int, ...]]:
@@ -71,7 +64,7 @@ class QuotientPresentation(NamedTuple):
 
     @property
     def order(self) -> int:
-        return space_order(self.factors)
+        return math.prod(self.factors)
 
 
 def _prime_powers(n: int) -> List[Tuple[int, int]]:
@@ -319,49 +312,34 @@ class AbelianPresentation:
         if not group.is_abelian:
             raise GroupError("NotAbelian", "invariant factors need an abelian group")
         n = group.order
-        # Greedy generating set, with a word vector per element from the
-        # Cayley-graph walk.  Relations: every edge g --gen_i--> g*gen_i gives
-        # word(g) + e_i - word(g*gen_i) = 0, which presents the group.
-        gens: List[int] = []
-        words: dict = {0: ()}
-        while len(words) < n:
-            gens.append(min(x for x in range(n) if x not in words))
-            k = len(gens)
-            words = {0: (0,) * k}
-            frontier = [0]
-            while frontier:
-                fresh = []
-                for g in frontier:
-                    for i, gen in enumerate(gens):
-                        h = group.mul(g, gen)
-                        if h not in words:
-                            w = list(words[g])
-                            w[i] += 1
-                            words[h] = tuple(w)
-                            fresh.append(h)
-                frontier = fresh
+        # The greedy generators of the group's generator walk, and a word
+        # vector per element: e_i for gen_i, and word(parent) + e_j for each
+        # element the walk reaches as parent * gen_j.  Relations: every edge
+        # g --gen_i--> g*gen_i gives word(g) + e_i - word(g*gen_i) = 0, which
+        # presents the group.
+        levels = _levels(group, [np.arange(n)])
+        gens = np.array([level.gen for level in levels], dtype=np.int64)
         k = len(gens)
-        cols: List[List[int]] = []
-        for g in range(n):
-            for i, gen in enumerate(gens):
-                col = [a - b for a, b in zip(words[g], words[group.mul(g, gen)])]
-                col[i] += 1
-                cols.append(col)
-        rel = as_int_matrix(cols, ncols=k).T
-        pres = present_quotient(rel, n)
+        words = np.zeros((n, k), dtype=np.int64)
+        for i, level in enumerate(levels):
+            words[level.gen, i] = 1
+            for elems, parents, via in level.waves:
+                words[elems] = words[parents]
+                words[elems, np.searchsorted(gens, via)] += 1
+        edges = words[:, None, :] + np.eye(k, dtype=np.int64) - words[group.table[:, gens]]
+        pres = present_quotient(edges.reshape(n * k, k).T, n)
         self.group = group
         self.factors = pres.factors
         # coord_table[x] is the coordinate vector of x; elem_index[i] is the
         # element whose coordinates have mixed-radix index i over the factor
         # product (last coordinate fastest).
-        self.coord_table = np.array([pres.coords(words[x]) for x in range(n)],
-                                    dtype=np.int64).reshape(n, len(self.factors))
+        self.coord_table = pres.coords(words).astype(np.int64).reshape(n, len(self.factors))
         self._strides = np.array([math.prod(self.factors[j + 1:])
                                   for j in range(len(self.factors))], dtype=np.int64)
         flat = self.coord_table @ self._strides
         if len(set(flat.tolist())) != n:
             raise AssertionError("coordinate map is not injective")
-        if n != space_order(self.factors):
+        if n != math.prod(self.factors):
             raise AssertionError("coordinate map is not onto the factor product")
         self.elem_index = np.empty(n, dtype=np.int64)
         self.elem_index[flat] = np.arange(n)
@@ -439,15 +417,15 @@ class KernelImageCokernel(NamedTuple):
 
     @property
     def kernel_order(self) -> int:
-        return space_order(self.kernel_factors)
+        return math.prod(self.kernel_factors)
 
     @property
     def image_order(self) -> int:
-        return space_order(self.image_factors)
+        return math.prod(self.image_factors)
 
     @property
     def cokernel_order(self) -> int:
-        return space_order(self.cokernel_factors)
+        return math.prod(self.cokernel_factors)
 
 
 def hom_kernel_image_quotient(h: FinAbHom) -> KernelImageCokernel:

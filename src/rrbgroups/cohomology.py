@@ -52,7 +52,7 @@ from .abelian import (
 from .groups import FiniteGroup, trivial_group
 from .intlinalg import exact_matmul
 from .modules import ActionQuadruple, FactorSystem, OneCochain, RRBModule
-from .rrb import RRBError, trivial_rrb
+from .rrb import RRBError, descended_table, trivial_rrb
 
 
 class CohomologyClass:
@@ -217,12 +217,9 @@ class CochainComplex:
         self.c2_moduli = self._c2.moduli
         self.constraint_moduli = self._con.moduli
 
-        # The twisted product a1 o a2 = a1 beta_{T(a1)}(a2) must descend T to
-        # a homomorphism; the cocycle conditions rely on T(a1 o a2) = T(a1) T(a2).
-        A, B, T = module.A, module.B, module.T
-        self._circ = A.table[np.arange(nA)[:, None], module.quotient.phi[T]]
-        if (T[self._circ] != B.table[T[:, None], T[None, :]]).any():
-            raise RRBError("InternalError", "operator is not a twisted-product hom")
+        # The cocycle conditions rely on T(a1 o a2) = T(a1) T(a2) for the
+        # descended product a1 o a2 = a1 beta_{T(a1)}(a2).
+        self._circ = descended_table(module.quotient)
 
         coboundary, constraints = self._formulas()
         self.coboundary_matrix = _assemble(self._c2, self._c1, coboundary)

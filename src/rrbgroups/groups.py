@@ -253,13 +253,30 @@ def is_homomorphism(image: Sequence[int], G: FiniteGroup, H: FiniteGroup) -> boo
         raise GroupError("LengthMismatch", f"map has length {img.shape}, expected {G.order}")
     if img.min() < 0 or img.max() >= H.order:
         raise GroupError("LengthMismatch", "image entry out of codomain range")
-    return bool(np.array_equal(img[G.table], H.table[img[:, None], img[None, :]]))
+    return bool(homomorphism_rows(img[None], G, H)[0])
 
 
 def homomorphism_rows(images: np.ndarray, G: FiniteGroup, H: FiniteGroup) -> np.ndarray:
     """is_homomorphism for each row of a stack of image arrays."""
     law = images[:, G.table] == H.table[images[:, :, None], images[:, None, :]]
     return law.all(axis=(1, 2))
+
+
+def automorphism_rows(rows: np.ndarray, G: FiniteGroup) -> np.ndarray:
+    """Which rows of a stack of maps on G's elements are automorphisms of G.
+    A row with an entry outside range(|G|) fails before any gather."""
+    ok = ((rows >= 0) & (rows < G.order)).all(axis=1)
+    inside = rows[ok]
+    ok[ok] = injective_rows(inside, G.order) & homomorphism_rows(inside, G, G)
+    return ok
+
+
+def action_law_defects(rows: np.ndarray, G: FiniteGroup, anti: bool = False) -> np.ndarray:
+    """Where a stack of maps indexed by G's elements, entries in range of
+    its own width, breaks the action law: mask[g1, g2] is
+    rows[g1*g2] != rows[g1] o rows[g2], or rows[g2] o rows[g1] if ``anti``."""
+    composed = rows[np.arange(G.order)[:, None, None], rows[None]]
+    return (rows[G.table] != (composed.swapaxes(0, 1) if anti else composed)).any(axis=2)
 
 
 def injective_rows(images: np.ndarray, n: int) -> np.ndarray:
@@ -283,42 +300,58 @@ def row_index(rows: np.ndarray, queries: np.ndarray) -> np.ndarray:
     return np.array(found, dtype=np.int64).reshape(queries.shape[:-1])
 
 
+def first_true(mask: np.ndarray) -> Optional[Tuple[int, ...]]:
+    """The first True index of a mask in row-major order, or None."""
+    if not mask.any():
+        return None
+    return tuple(int(i) for i in np.unravel_index(np.argmax(mask), mask.shape))
+
+
+def subset_mask(G: FiniteGroup, elements: Iterable[int]) -> Optional[np.ndarray]:
+    """The member mask of a set of elements of G, or None if one is not an
+    element of G."""
+    elems = [int(x) for x in elements]
+    if not all(0 <= x < G.order for x in elems):
+        return None
+    mask = np.zeros(G.order, dtype=bool)
+    mask[elems] = True
+    return mask
+
+
+def first_escape(maps: np.ndarray, points: np.ndarray,
+                 into: np.ndarray) -> Optional[Tuple[int, int]]:
+    """The first (row, point), rows outermost and points in their order, at
+    which a stack of maps sends a point outside the member mask ``into``;
+    None when the subset ``points`` is carried into it by every map."""
+    at = first_true(~into[maps[:, points]])
+    return None if at is None else (at[0], int(points[at[1]]))
+
+
 def subgroup_closure(G: FiniteGroup, generators: Iterable[int]) -> List[int]:
     """Smallest subgroup containing the generators, as a sorted element list."""
-    elems = {0}
-    frontier = []
-    for g in generators:
-        g = int(g)
+    gens = [int(g) for g in generators]
+    for g in gens:
         if not 0 <= g < G.order:
             raise GroupError("NotClosed", f"generator {g} out of range")
-        if g not in elems:
-            elems.add(g)
-            frontier.append(g)
-    while frontier:
-        fresh = []
-        for a in frontier:
-            for b in list(elems):
-                for c in (G.mul(a, b), G.mul(b, a), G.inv(a)):
-                    if c not in elems:
-                        elems.add(c)
-                        fresh.append(c)
-        frontier = fresh
-    return sorted(elems)
+    levels = _levels(G, [np.unique(np.array(gens, dtype=np.int64))])
+    return levels[-1].subgroup.tolist() if levels else [0]
 
 
 def is_subgroup(G: FiniteGroup, elements: Sequence[int]) -> bool:
-    elems = set(int(x) for x in elements)
-    if 0 not in elems:
+    members = subset_mask(G, elements)
+    if members is None or not members[0]:
         return False
-    return all(G.mul(a, b) in elems for a in elems for b in elems)
+    S = np.flatnonzero(members)
+    return first_escape(G.table[S], S, members) is None
 
 
 def is_normal(G: FiniteGroup, elements: Sequence[int]) -> bool:
-    """Check g*k*g^-1 stays in the subgroup for all g, k."""
-    elems = set(int(x) for x in elements)
-    if not is_subgroup(G, elems):
+    """Check g^-1*k*g stays in the subgroup for all g, k."""
+    if not is_subgroup(G, elements):
         raise GroupError("NotSubgroup", "element set is not a subgroup")
-    return all(G.conj(k, g) in elems for g in G.elements() for k in elems)
+    members = subset_mask(G, elements)
+    conjugations = G.table[G.table[G.inverses], np.arange(G.order)[:, None]]
+    return first_escape(conjugations, np.flatnonzero(members), members) is None
 
 
 class Quotient(NamedTuple):

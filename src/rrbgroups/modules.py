@@ -18,8 +18,15 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .groups import FiniteGroup, is_homomorphism
-from .rrb import RRBError, RRBGroup, circle_op, is_trivial
+from .groups import (
+    FiniteGroup,
+    GroupError,
+    action_law_defects,
+    automorphism_rows,
+    first_true,
+    homomorphism_rows,
+)
+from .rrb import RRBError, RRBGroup, is_trivial
 
 
 def _inverse_perm(perm: np.ndarray) -> np.ndarray:
@@ -109,10 +116,6 @@ class RRBModule:
     def beta(self, b: int, a: int) -> int:
         return self.quotient.act(b, a)
 
-    def circ(self, a1: int, a2: int) -> int:
-        """a1 o a2 = a1 * beta_{T(a1)}(a2); a group operation on A."""
-        return circle_op(self.quotient, a1, a2)
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, RRBModule)
                 and self.quotient == other.quotient
@@ -138,65 +141,60 @@ def validate_module(quotient: RRBGroup, kernel: RRBGroup,
     if sigma.shape != (B.order, L.order) or f.shape != (L.order, A.order):
         return False, "sigma/f shape mismatch"
 
-    for b in B.elements():
-        row = nu[b]
-        if sorted(row.tolist()) != list(range(K.order)) or not is_homomorphism(row, K, K):
-            return False, f"nu[{b}] is not an automorphism of K"
-    for a in A.elements():
-        row = mu[a]
-        if sorted(row.tolist()) != list(range(K.order)) or not is_homomorphism(row, K, K):
-            return False, f"mu[{a}] is not an automorphism of K"
-    for b in B.elements():
-        row = sigma[b]
-        if sorted(row.tolist()) != list(range(L.order)) or not is_homomorphism(row, L, L):
-            return False, f"sigma[{b}] is not an automorphism of L"
+    for name, rows, group, label in (("nu", nu, K, "K"), ("mu", mu, K, "K"),
+                                     ("sigma", sigma, L, "L")):
+        bad = ~automorphism_rows(rows, group)
+        if bad.any():
+            return False, f"{name}[{int(np.argmax(bad))}] is not an automorphism of {label}"
 
     ident_K = np.arange(K.order)
     ident_L = np.arange(L.order)
     if not (np.array_equal(nu[0], ident_K) and np.array_equal(mu[0], ident_K)
             and np.array_equal(sigma[0], ident_L)):
         return False, "actions at the identity are not the identity map"
-    # nu is a homomorphism, mu and sigma are anti-homomorphisms.
-    for b1 in B.elements():
-        for b2 in B.elements():
-            if not np.array_equal(nu[B.mul(b1, b2)], nu[b1][nu[b2]]):
-                return False, f"nu not a homomorphism at ({b1},{b2})"
-            if not np.array_equal(sigma[B.mul(b1, b2)], sigma[b2][sigma[b1]]):
-                return False, f"sigma not an anti-homomorphism at ({b1},{b2})"
-    for a1 in A.elements():
-        for a2 in A.elements():
-            if not np.array_equal(mu[A.mul(a1, a2)], mu[a2][mu[a1]]):
-                return False, f"mu not an anti-homomorphism at ({a1},{a2})"
+    # nu is a homomorphism, mu and sigma are anti-homomorphisms; nu and sigma
+    # are checked together over (b1, b2).
+    nu_bad, sigma_bad = action_law_defects(nu, B), action_law_defects(sigma, B, anti=True)
+    at = first_true(nu_bad | sigma_bad)
+    if at is not None:
+        b1, b2 = at
+        if nu_bad[at]:
+            return False, f"nu not a homomorphism at ({b1},{b2})"
+        return False, f"sigma not an anti-homomorphism at ({b1},{b2})"
+    at = first_true(action_law_defects(mu, A, anti=True))
+    if at is not None:
+        return False, "mu not an anti-homomorphism at ({},{})".format(*at)
 
-    # f: additive in L, and f(l, a1*a2) = mu_{a2}(f(l,a1)) + f(l,a2).
-    for a in A.elements():
-        col = f[:, a]
-        if not is_homomorphism(col, L, K):
-            return False, f"f(-, {a}) is not a homomorphism L -> K"
-    for l in L.elements():
-        for a1 in A.elements():
-            for a2 in A.elements():
-                lhs = int(f[l, A.mul(a1, a2)])
-                rhs = K.mul(int(mu[a2, f[l, a1]]), int(f[l, a2]))
-                if lhs != rhs:
-                    return False, f"f(l,-) derivation fails at (l,a1,a2)=({l},{a1},{a2})"
+    # f: additive in L, column by column; an entry outside K raises at its
+    # column, as is_homomorphism does.
+    inside = (f >= 0) & (f < K.order)
+    bad_col = ~inside.all(axis=0)
+    at = first_true(bad_col | ~homomorphism_rows(np.where(inside, f, 0).T, L, K))
+    if at is not None:
+        if bad_col[at]:
+            raise GroupError("LengthMismatch", "image entry out of codomain range")
+        return False, f"f(-, {at[0]}) is not a homomorphism L -> K"
+    # f(l, a1*a2) = mu_{a2}(f(l,a1)) + f(l,a2), over (l, a1, a2).
+    a2 = np.arange(A.order)
+    at = first_true(f[:, A.table] != K.table[mu[a2, f[:, :, None]], f[:, None, :]])
+    if at is not None:
+        return False, "f(l,-) derivation fails at (l,a1,a2)=({},{},{})".format(*at)
 
-    # S(nu^-1_{T(a)}(mu_a(k)) + nu^-1_{T(a)}(f(S(k), a))) = sigma_{T(a)}(S(k)).
+    # S(nu^-1_{T(a)}(mu_a(k)) + nu^-1_{T(a)}(f(S(k), a))) = sigma_{T(a)}(S(k)),
+    # over (a, k).
     S, T = kernel.R, quotient.R
-    for a in A.elements():
-        nu_inv = action.nu_inv(int(T[a]))
-        for k in K.elements():
-            arg = K.mul(int(nu_inv[mu[a, k]]), int(nu_inv[f[S[k], a]]))
-            if int(S[arg]) != int(sigma[T[a], S[k]]):
-                return False, f"operator compatibility fails at (a,k)=({a},{k})"
+    a = np.arange(A.order)[:, None]
+    nu_inv = action.nu_inv(T)
+    arg = K.table[nu_inv[a, mu], nu_inv[a, f[S[None, :], a]]]
+    at = first_true(S[arg] != sigma[T[:, None], S[None, :]])
+    if at is not None:
+        return False, "operator compatibility fails at (a,k)=({},{})".format(*at)
 
-    # nu_b(mu_a(k)) = mu_{beta_b(a)}(nu_b(k)).
-    for a in A.elements():
-        for b in B.elements():
-            ba = quotient.act(b, a)
-            for k in K.elements():
-                if int(nu[b, mu[a, k]]) != int(mu[ba, nu[b, k]]):
-                    return False, f"action interchange fails at (a,b,k)=({a},{b},{k})"
+    # nu_b(mu_a(k)) = mu_{beta_b(a)}(nu_b(k)), over (a, b, k).
+    b = np.arange(B.order)[None, :, None]
+    at = first_true(nu[b, mu[:, None, :]] != mu[quotient.phi.T[:, :, None], nu[None, :, :]])
+    if at is not None:
+        return False, "action interchange fails at (a,b,k)=({},{},{})".format(*at)
     return True, None
 
 
@@ -254,17 +252,6 @@ def zero_factor_system(module: RRBModule) -> FactorSystem:
                         np.zeros((nB, nB), dtype=np.int64),
                         np.zeros((nA, nB), dtype=np.int64),
                         np.zeros(nA, dtype=np.int64))
-
-
-def add_factor_systems(module: RRBModule, x: FactorSystem, y: FactorSystem) -> FactorSystem:
-    K, L = module.K, module.L
-    return FactorSystem(K.table[x.tau1, y.tau1], L.table[x.tau2, y.tau2],
-                        K.table[x.rho, y.rho], L.table[x.chi, y.chi])
-
-
-def negate_factor_system(module: RRBModule, x: FactorSystem) -> FactorSystem:
-    kinv, linv = module.K.inverses, module.L.inverses
-    return FactorSystem(kinv[x.tau1], linv[x.tau2], kinv[x.rho], linv[x.chi])
 
 
 class OneCochain:

@@ -18,12 +18,16 @@ from .groups import (
     GroupError,
     GroupHom,
     Quotient,
+    action_law_defects,
+    automorphism_rows,
     direct_product,
-    is_homomorphism,
+    first_escape,
+    first_true,
     is_normal,
     is_subgroup,
     isomorphism_images,
     quotient_group,
+    subset_mask,
 )
 
 
@@ -49,28 +53,21 @@ class RRBGroup:
             raise RRBError("RRBAxiomFails", f"R has length {R_arr.shape}, expected {H.order}")
         if R_arr.min() < 0 or R_arr.max() >= G.order:
             raise RRBError("RRBAxiomFails", "R entry out of range")
-        for g in G.elements():
-            row = phi_arr[g]
-            if sorted(row.tolist()) != list(range(H.order)) or not is_homomorphism(row, H, H):
-                raise RRBError("PhiNotAutomorphism",
-                               f"phi[{g}] is not an automorphism of H", (g,))
+        bad = ~automorphism_rows(phi_arr, H)
+        if bad.any():
+            g = int(np.argmax(bad))
+            raise RRBError("PhiNotAutomorphism", f"phi[{g}] is not an automorphism of H", (g,))
         if not np.array_equal(phi_arr[0], np.arange(H.order)):
             raise RRBError("PhiNotAction", "phi[identity] is not the identity map", (0, 0))
-        # One row of g2 at a time: phi[g1*g2] against phi[g1] o phi[g2].
-        for g1 in G.elements():
-            bad = (phi_arr[G.table[g1]] != phi_arr[g1][phi_arr]).any(axis=1)
-            if bad.any():
-                g2 = int(np.argmax(bad))
-                raise RRBError("PhiNotAction",
-                               f"phi[{g1}*{g2}] != phi[{g1}] o phi[{g2}]", (g1, g2))
-        # R(h1) R(h2) against R(h1 phi_{R(h1)}(h2)) over all (h1, h2) at once.
-        lhs = G.table[R_arr[:, None], R_arr[None, :]]
-        rhs = R_arr[H.table[np.arange(H.order)[:, None], phi_arr[R_arr]]]
-        bad = lhs != rhs
-        if bad.any():
-            h1, h2 = (int(x) for x in np.argwhere(bad)[0])
+        at = first_true(action_law_defects(phi_arr, G))
+        if at is not None:
+            g1, g2 = at
+            raise RRBError("PhiNotAction", f"phi[{g1}*{g2}] != phi[{g1}] o phi[{g2}]", at)
+        at = first_true(_descended(H, G, phi_arr, R_arr)[1])
+        if at is not None:
+            h1, h2 = at
             raise RRBError("RRBAxiomFails",
-                           f"operator axiom fails at (h1,h2)=({h1},{h2})", (h1, h2))
+                           f"operator axiom fails at (h1,h2)=({h1},{h2})", at)
         if R_arr[0] != 0:
             # Forced by the axiom at (0, 0); reaching this means H or G is broken.
             raise RRBError("RRBAxiomFails", "R(identity) != identity", (0, 0))
@@ -119,8 +116,7 @@ def one_point_rrb() -> RRBGroup:
 
 def is_trivial(rrb: RRBGroup) -> bool:
     """True iff the action homomorphism is trivial."""
-    ident = np.arange(rrb.H.order)
-    return all(np.array_equal(rrb.phi[g], ident) for g in rrb.G.elements())
+    return bool((rrb.phi == np.arange(rrb.H.order)).all())
 
 
 def is_bijective(rrb: RRBGroup) -> bool:
@@ -129,23 +125,30 @@ def is_bijective(rrb: RRBGroup) -> bool:
             and len(set(rrb.R.tolist())) == rrb.H.order)
 
 
+def _descended(H: FiniteGroup, G: FiniteGroup, phi: np.ndarray,
+               R: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The table of h1 o h2 = h1 * phi_{R(h1)}(h2), one gather, and the mask
+    of (h1, h2) where R(h1) R(h2) != R(h1 o h2): the operator axiom, which
+    says R is a homomorphism from it."""
+    table = H.table[np.arange(H.order)[:, None], phi[R]]
+    return table, G.table[R[:, None], R[None, :]] != R[table]
+
+
+def descended_table(rrb: RRBGroup) -> np.ndarray:
+    """The table of the descended operation h1 o h2 = h1 * phi_{R(h1)}(h2)."""
+    table, bad = _descended(rrb.H, rrb.G, rrb.phi, rrb.R)
+    if bad.any():  # pragma: no cover - the axiom, checked on construction
+        raise RRBError("InternalError", "R is not a homomorphism from the descended group")
+    return table
+
+
 def descended_operation(rrb: RRBGroup) -> FiniteGroup:
     """The group H with h1 o h2 = h1 * phi_{R(h1)}(h2); R is a hom from it."""
     H = rrb.H
-    table = [[H.mul(h1, rrb.act(int(rrb.R[h1]), h2)) for h2 in H.elements()]
-             for h1 in H.elements()]
     try:
-        desc = FiniteGroup(table, name=f"{H.name}^o" if H.name else None)
+        return FiniteGroup(descended_table(rrb), name=f"{H.name}^o" if H.name else None)
     except GroupError as exc:  # pragma: no cover - indicates an upstream bug
         raise RRBError("InternalError", f"descended operation is not a group: {exc}")
-    if not is_homomorphism(rrb.R, desc, rrb.G):  # pragma: no cover
-        raise RRBError("InternalError", "R is not a homomorphism from the descended group")
-    return desc
-
-
-def circle_op(rrb: RRBGroup, h1: int, h2: int) -> int:
-    """h1 o h2 = h1 * phi_{R(h1)}(h2)."""
-    return rrb.H.mul(h1, rrb.act(int(rrb.R[h1]), h2))
 
 
 class RRBMorphism:
@@ -234,20 +237,20 @@ class RRBIdeal(NamedTuple):
 
 
 def is_subrrb(rrb: RRBGroup, K_set: Sequence[int], L_set: Sequence[int]) -> Tuple[bool, Optional[str]]:
-    """Sub-structure check: phi_l(K) <= K for l in L, and R(K) <= L."""
-    K = set(int(x) for x in K_set)
-    L = set(int(x) for x in L_set)
-    if not is_subgroup(rrb.H, K):
+    """Sub-structure check: phi_l(K) <= K for l in L, and R(K) <= L.  The
+    message names the least failing l, then k."""
+    if not is_subgroup(rrb.H, K_set):
         raise RRBError("NotSubgroup", "K is not a subgroup of H")
-    if not is_subgroup(rrb.G, L):
+    if not is_subgroup(rrb.G, L_set):
         raise RRBError("NotSubgroup", "L is not a subgroup of G")
-    for l in L:
-        for k in K:
-            if rrb.act(l, k) not in K:
-                return False, f"phi_{l}({k}) leaves K"
-    for k in K:
-        if int(rrb.R[k]) not in L:
-            return False, f"R({k}) leaves L"
+    K, L = subset_mask(rrb.H, K_set), subset_mask(rrb.G, L_set)
+    Ks, Ls = np.flatnonzero(K), np.flatnonzero(L)
+    at = first_escape(rrb.phi[Ls], Ks, K)
+    if at is not None:
+        return False, f"phi_{Ls[at[0]]}({at[1]}) leaves K"
+    at = first_escape(rrb.R[None], Ks, L)
+    if at is not None:
+        return False, f"R({at[1]}) leaves L"
     return True, None
 
 
@@ -257,20 +260,18 @@ def is_ideal(rrb: RRBGroup, K_set: Sequence[int], L_set: Sequence[int]) -> Tuple
     ok, why = is_subrrb(rrb, K_set, L_set)
     if not ok:
         return ok, why
-    K = set(int(x) for x in K_set)
-    L = set(int(x) for x in L_set)
-    if not is_normal(rrb.H, sorted(K)):
+    if not is_normal(rrb.H, K_set):
         return False, "K is not normal in H"
-    if not is_normal(rrb.G, sorted(L)):
+    if not is_normal(rrb.G, L_set):
         return False, "L is not normal in G"
-    for g in rrb.G.elements():
-        for k in K:
-            if rrb.act(g, k) not in K:
-                return False, f"phi_{g}({k}) leaves K"
-    for l in L:
-        for h in rrb.H.elements():
-            if rrb.H.mul(rrb.act(l, h), rrb.H.inv(h)) not in K:
-                return False, f"phi_{l}({h}) * {h}^-1 not in K"
+    H, K = rrb.H, subset_mask(rrb.H, K_set)
+    at = first_escape(rrb.phi, np.flatnonzero(K), K)
+    if at is not None:
+        return False, f"phi_{at[0]}({at[1]}) leaves K"
+    Ls = np.flatnonzero(subset_mask(rrb.G, L_set))
+    at = first_escape(H.table[rrb.phi[Ls], H.inverses], np.arange(H.order), K)
+    if at is not None:
+        return False, f"phi_{Ls[at[0]]}({at[1]}) * {at[1]}^-1 not in K"
     return True, None
 
 
@@ -328,43 +329,33 @@ def quotient_rrb(rrb: RRBGroup, ideal: RRBIdeal) -> RRBQuotient:
         raise RRBError("NotIdeal", why or "not an ideal")
     qH = quotient_group(rrb.H, ideal.K_elements)
     qG = quotient_group(rrb.G, ideal.L_elements)
-    projH, projG = qH.projection, qG.projection
-    nH, nG = qH.group.order, qG.group.order
-    phi_bar = [[int(projH(rrb.act(int(qG.section[gq]), int(qH.section[hq]))))
-                for hq in range(nH)] for gq in range(nG)]
-    R_bar = [int(projG(int(rrb.R[int(qH.section[hq])]))) for hq in range(nH)]
-    # Induced maps must not depend on coset representatives.
-    for gq in range(nG):
-        for g in rrb.G.elements():
-            if projG(g) != gq:
-                continue
-            for h in rrb.H.elements():
-                if phi_bar[gq][projH(h)] != projH(rrb.act(g, h)):
-                    raise RRBError("WellDefinednessFailure",
-                                   f"induced action ill-defined at ({g},{h})", (g, h))
-    for h in rrb.H.elements():
-        if R_bar[projH(h)] != projG(int(rrb.R[h])):
-            raise RRBError("WellDefinednessFailure",
-                           f"induced operator ill-defined at {h}", (h,))
+    pH, pG = qH.projection.image, qG.projection.image
+    phi_bar = pH[rrb.phi[np.ix_(qG.section, qH.section)]]
+    R_bar = pG[rrb.R[qH.section]]
+    # Induced maps must not depend on coset representatives.  The action's
+    # witness is the first (g, h) with g taken coset by coset.
+    by_coset = np.argsort(pG, kind="stable")
+    at = first_true((phi_bar[pG[:, None], pH[None, :]] != pH[rrb.phi])[by_coset])
+    if at is not None:
+        g, h = int(by_coset[at[0]]), at[1]
+        raise RRBError("WellDefinednessFailure",
+                       f"induced action ill-defined at ({g},{h})", (g, h))
+    at = first_true(R_bar[pH] != pG[rrb.R])
+    if at is not None:
+        raise RRBError("WellDefinednessFailure", f"induced operator ill-defined at {at[0]}", at)
     quot = RRBGroup(qH.group, qG.group, phi_bar, R_bar)
-    proj = RRBMorphism(rrb, quot, projH, projG)
+    proj = RRBMorphism(rrb, quot, qH.projection, qG.projection)
     return RRBQuotient(quot, proj, qH, qG)
 
 
 def center(rrb: RRBGroup) -> RRBIdeal:
     """Central ideal: commuting, action-fixed elements whose operator value
     acts trivially, paired with the kernel of the action homomorphism."""
-    H, G = rrb.H, rrb.G
-    ident = np.arange(H.order)
-    L = tuple(g for g in G.elements() if np.array_equal(rrb.phi[g], ident))
-    K = []
-    for h in H.elements():
-        central = all(H.mul(h, x) == H.mul(x, h) for x in H.elements())
-        fixed = all(rrb.act(g, h) == h for g in G.elements())
-        acts_trivially = np.array_equal(rrb.phi[int(rrb.R[h])], ident)
-        if central and fixed and acts_trivially:
-            K.append(h)
-    ideal = RRBIdeal(tuple(K), L)
+    moved = rrb.phi != np.arange(rrb.H.order)
+    trivial = ~moved.any(axis=1)
+    central = (rrb.H.table == rrb.H.table.T).all(axis=1)
+    K = np.flatnonzero(central & ~moved.any(axis=0) & trivial[rrb.R])
+    ideal = RRBIdeal(tuple(K.tolist()), tuple(np.flatnonzero(trivial).tolist()))
     ok, why = is_ideal(rrb, ideal.K_elements, ideal.L_elements)
     if not ok:  # pragma: no cover - theorem
         raise RRBError("InternalError", f"center is not an ideal: {why}")

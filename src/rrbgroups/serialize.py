@@ -11,8 +11,8 @@ Factor systems are flat row-major arrays over nondegenerate tuples only,
 together with the shape list [|A|, |B|, |K|, |L|].
 
 Every integer field and array passes through ``strict_ints``: a bool, float
-or string entry, a missing nesting level or a ragged array is a ParseError
-naming its JSON path, never a silent coercion.
+or string entry, an integer outside int64, a missing nesting level or a
+ragged array is a ParseError naming its JSON path, never a silent coercion.
 """
 
 from __future__ import annotations
@@ -61,18 +61,24 @@ def _require(obj: dict, key: str, where: str):
     return obj[key]
 
 
+INT64_MIN, INT64_MAX = -2 ** 63, 2 ** 63 - 1
+
+
 def strict_ints(value, path: str, depth: int):
-    """value checked as an integer (depth 0) or as a rectangular array of
-    integers nested ``depth`` levels deep; raises ParseError at the first
+    """value checked as an int64 integer (depth 0) or as a rectangular array
+    of them nested ``depth`` levels deep; raises ParseError at the first
     entry that is not one, naming it by its JSON path, e.g. ``table[2][2]``."""
 
     def walk(v, where: str, d: int):
         if d == 0:
             if type(v) is not int:  # a bool's type is bool, not int
                 raise ParseError(f"{where}: expected an integer, got {v!r}")
+            if not INT64_MIN <= v <= INT64_MAX:
+                raise ParseError(f"{where}: integer {v} is outside int64")
         elif type(v) is not list:
             raise ParseError(f"{where}: expected an array, got {v!r}")
-        elif d > 1 or not all(type(x) is int for x in v):
+        elif d > 1 or not all(type(x) is int for x in v) or (
+                v and not INT64_MIN <= min(v) <= max(v) <= INT64_MAX):
             # Paths are built only here, off the common all-integer row.
             for i, x in enumerate(v):
                 walk(x, f"{where}[{i}]", d - 1)

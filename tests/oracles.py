@@ -8,7 +8,10 @@ plain numpy gathers so that spaces up to ~2^20 stay cheap.  Two exceptions:
 tuple at a time, as the entry-for-entry reference for their assembly, and
 ``reference_wells_report`` takes single class maps and coboundary solves from
 the library's complex (checked against exhaustive enumeration elsewhere) and
-does everything else one object at a time.
+does everything else one object at a time.  The element loops that the
+library's table predicates replaced (module validation, closures and the
+generator walk, sub-structure checks, quotient maps) are kept here as the
+references those predicates are compared with.
 """
 
 from __future__ import annotations
@@ -18,14 +21,19 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from rrbgroups import (ActionQuadruple, FactorSystem, FiniteGroup, OneCochain, RRBGroup,
-                       RRBModule, subgroup_closure)
-from rrbgroups.abelian import AbelianPresentation
+from rrbgroups import (ActionQuadruple, FactorSystem, FiniteGroup, GroupError, OneCochain,
+                       RRBGroup, RRBModule)
+from rrbgroups.abelian import AbelianPresentation, present_quotient
 from rrbgroups.extensions import Extension
 
 
 def _inv_array(G) -> np.ndarray:
     return np.asarray([G.inv(x) for x in G.elements()], dtype=np.int64)
+
+
+def _circ(module: RRBModule, a1: int, a2: int) -> int:
+    """The descended product a1 o a2 = a1 * beta_{T(a1)}(a2) on A."""
+    return module.A.mul(a1, module.beta(int(module.T[a1]), a2))
 
 
 def cocycle_defects(module: RRBModule, fs: FactorSystem) -> Dict[Tuple[str, tuple], int]:
@@ -67,7 +75,7 @@ def cocycle_defects(module: RRBModule, fs: FactorSystem) -> Dict[Tuple[str, tupl
                 out[("cocycle4", (a1, a2, b))] = K.mul(lhs, K.inv(rhs))
     for a1 in A.elements():
         for a2 in A.elements():
-            circ = module.circ(a1, a2)
+            circ = _circ(module, a1, a2)
             T1, T2 = int(T[a1]), int(T[a2])
             delta = L.mul(L.mul(int(fs.chi[a2]), L.inv(int(fs.chi[circ]))),
                           int(sigma[T2, fs.chi[a1]]))
@@ -252,7 +260,7 @@ def exhaustive_z2_keys(module: RRBModule) -> set:
                 ok &= lhs == rhs
     for a1 in A.elements():
         for a2 in A.elements():
-            circ = module.circ(a1, a2)
+            circ = _circ(module, a1, a2)
             T1, T2 = int(T[a1]), int(T[a2])
             delta = Lt[Lt[get("chi", (a2,)), Linv[get("chi", (circ,))]],
                        sigma[T2][get("chi", (a1,))]]
@@ -319,6 +327,8 @@ def rrb_violation(H, G, phi, R) -> Optional[Tuple[str, str, tuple]]:
     phi = [[int(x) for x in row] for row in phi]
     R = [int(x) for x in R]
     hs, gs = list(H.elements()), list(G.elements())
+    if not all(0 <= r < G.order for r in R):
+        return "RRBAxiomFails", "R entry out of range", ()
     for g in gs:
         row = phi[g]
         if sorted(row) != hs or any(row[H.mul(a, b)] != H.mul(row[a], row[b])
@@ -339,6 +349,242 @@ def rrb_violation(H, G, phi, R) -> Optional[Tuple[str, str, tuple]]:
     if R[0] != 0:
         return "RRBAxiomFails", "R(identity) != identity", (0, 0)
     return None
+
+
+def _is_automorphism(row: Sequence[int], G) -> bool:
+    row = [int(x) for x in row]
+    return sorted(row) == list(G.elements()) and all(
+        row[G.mul(a, b)] == G.mul(row[a], row[b]) for a in G.elements() for b in G.elements())
+
+
+def module_violation(quotient: RRBGroup, kernel: RRBGroup,
+                     action: ActionQuadruple) -> Tuple[bool, Optional[str]]:
+    """validate_module as element loops: the first counterexample as (False,
+    message), or (True, None).  An f entry outside K raises GroupError at
+    its column, as a homomorphism check of that column would."""
+    A, B = quotient.H, quotient.G
+    K, L = kernel.H, kernel.G
+    if not (K.is_abelian and L.is_abelian):
+        return False, "kernel components must be abelian"
+    if any(kernel.act(g, h) != h for g in L.elements() for h in K.elements()):
+        return False, "kernel action must be trivial"
+    nu, mu, sigma, f = (a.tolist() for a in (action.nu, action.mu, action.sigma, action.f))
+    if action.nu.shape != (B.order, K.order) or action.mu.shape != (A.order, K.order):
+        return False, "nu/mu shape mismatch"
+    if action.sigma.shape != (B.order, L.order) or action.f.shape != (L.order, A.order):
+        return False, "sigma/f shape mismatch"
+    for name, rows, group, label in (("nu", nu, K, "K"), ("mu", mu, K, "K"),
+                                     ("sigma", sigma, L, "L")):
+        for x, row in enumerate(rows):
+            if not _is_automorphism(row, group):
+                return False, f"{name}[{x}] is not an automorphism of {label}"
+    ident_K, ident_L = list(K.elements()), list(L.elements())
+    if nu[0] != ident_K or mu[0] != ident_K or sigma[0] != ident_L:
+        return False, "actions at the identity are not the identity map"
+    for b1 in B.elements():
+        for b2 in B.elements():
+            if nu[B.mul(b1, b2)] != [nu[b1][x] for x in nu[b2]]:
+                return False, f"nu not a homomorphism at ({b1},{b2})"
+            if sigma[B.mul(b1, b2)] != [sigma[b2][x] for x in sigma[b1]]:
+                return False, f"sigma not an anti-homomorphism at ({b1},{b2})"
+    for a1 in A.elements():
+        for a2 in A.elements():
+            if mu[A.mul(a1, a2)] != [mu[a2][x] for x in mu[a1]]:
+                return False, f"mu not an anti-homomorphism at ({a1},{a2})"
+    for a in A.elements():
+        col = [f[l][a] for l in L.elements()]
+        if not all(0 <= x < K.order for x in col):
+            raise GroupError("LengthMismatch", "image entry out of codomain range")
+        if any(col[L.mul(x, y)] != K.mul(col[x], col[y])
+               for x in L.elements() for y in L.elements()):
+            return False, f"f(-, {a}) is not a homomorphism L -> K"
+    for l in L.elements():
+        for a1 in A.elements():
+            for a2 in A.elements():
+                if f[l][A.mul(a1, a2)] != K.mul(mu[a2][f[l][a1]], f[l][a2]):
+                    return False, f"f(l,-) derivation fails at (l,a1,a2)=({l},{a1},{a2})"
+    S, T = kernel.R.tolist(), quotient.R.tolist()
+    for a in A.elements():
+        nu_inv = [0] * K.order
+        for k, image in enumerate(nu[T[a]]):
+            nu_inv[image] = k
+        for k in K.elements():
+            arg = K.mul(nu_inv[mu[a][k]], nu_inv[f[S[k]][a]])
+            if S[arg] != sigma[T[a]][S[k]]:
+                return False, f"operator compatibility fails at (a,k)=({a},{k})"
+    for a in A.elements():
+        for b in B.elements():
+            ba = quotient.act(b, a)
+            for k in K.elements():
+                if nu[b][mu[a][k]] != mu[ba][nu[b][k]]:
+                    return False, f"action interchange fails at (a,b,k)=({a},{b},{k})"
+    return True, None
+
+
+# -- closures, sub-structures and quotients -----------------------------------
+
+def closure_loop(G, generators: Sequence[int]) -> List[int]:
+    """The subgroup the generators generate, by saturating products and
+    inverses of an element set; generators are taken as in range."""
+    elems = {0}
+    frontier = []
+    for g in generators:
+        if int(g) not in elems:
+            elems.add(int(g))
+            frontier.append(int(g))
+    while frontier:
+        fresh = []
+        for a in frontier:
+            for b in list(elems):
+                for c in (G.mul(a, b), G.mul(b, a), G.inv(a)):
+                    if c not in elems:
+                        elems.add(c)
+                        fresh.append(c)
+        frontier = fresh
+    return sorted(elems)
+
+
+def walk_presentation(group) -> Tuple[Tuple[int, ...], np.ndarray]:
+    """(factors, coord_table) of an abelian group from greedy generators and
+    words from a breadth-first walk of the Cayley graph, one element at a
+    time, presented by its edge relations."""
+    n = group.order
+    gens: List[int] = []
+    words: dict = {0: ()}
+    while len(words) < n:
+        gens.append(min(x for x in range(n) if x not in words))
+        words = {0: (0,) * len(gens)}
+        frontier = [0]
+        while frontier:
+            fresh = []
+            for g in frontier:
+                for i, gen in enumerate(gens):
+                    h = group.mul(g, gen)
+                    if h not in words:
+                        w = list(words[g])
+                        w[i] += 1
+                        words[h] = tuple(w)
+                        fresh.append(h)
+            frontier = fresh
+    k = len(gens)
+    cols = np.zeros((k, n * k), dtype=object)
+    for g in range(n):
+        for i, gen in enumerate(gens):
+            col = [a - b for a, b in zip(words[g], words[group.mul(g, gen)])]
+            col[i] += 1
+            cols[:, g * k + i] = col
+    pres = present_quotient(cols, n)
+    coords = [pres.coords(words[x]) for x in range(n)]
+    return pres.factors, np.array(coords, dtype=np.int64).reshape(n, len(pres.factors))
+
+
+def subgroup_loop(G, elements: Sequence[int]) -> bool:
+    elems = {int(x) for x in elements}
+    if 0 not in elems or not all(0 <= x < G.order for x in elems):
+        return False
+    return all(G.mul(a, b) in elems for a in elems for b in elems)
+
+
+def normal_loop(G, elements: Sequence[int]) -> bool:
+    """Raises GroupError NotSubgroup as is_normal does."""
+    elems = {int(x) for x in elements}
+    if not subgroup_loop(G, elems):
+        raise GroupError("NotSubgroup", "element set is not a subgroup")
+    return all(G.conj(k, g) in elems for g in G.elements() for k in elems)
+
+
+def subrrb_loop(rrb: RRBGroup, K_set, L_set) -> Tuple[bool, Optional[str]]:
+    """is_subrrb with both subsets scanned in ascending order."""
+    from rrbgroups import RRBError
+
+    K, L = sorted({int(x) for x in K_set}), sorted({int(x) for x in L_set})
+    if not subgroup_loop(rrb.H, K):
+        raise RRBError("NotSubgroup", "K is not a subgroup of H")
+    if not subgroup_loop(rrb.G, L):
+        raise RRBError("NotSubgroup", "L is not a subgroup of G")
+    for l in L:
+        for k in K:
+            if rrb.act(l, k) not in K:
+                return False, f"phi_{l}({k}) leaves K"
+    for k in K:
+        if int(rrb.R[k]) not in L:
+            return False, f"R({k}) leaves L"
+    return True, None
+
+
+def ideal_loop(rrb: RRBGroup, K_set, L_set) -> Tuple[bool, Optional[str]]:
+    """is_ideal with both subsets scanned in ascending order."""
+    ok, why = subrrb_loop(rrb, K_set, L_set)
+    if not ok:
+        return ok, why
+    K, L = sorted({int(x) for x in K_set}), sorted({int(x) for x in L_set})
+    if not normal_loop(rrb.H, K):
+        return False, "K is not normal in H"
+    if not normal_loop(rrb.G, L):
+        return False, "L is not normal in G"
+    for g in rrb.G.elements():
+        for k in K:
+            if rrb.act(g, k) not in K:
+                return False, f"phi_{g}({k}) leaves K"
+    for l in L:
+        for h in rrb.H.elements():
+            if rrb.H.mul(rrb.act(l, h), rrb.H.inv(h)) not in K:
+                return False, f"phi_{l}({h}) * {h}^-1 not in K"
+    return True, None
+
+
+def center_loop(rrb: RRBGroup) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """(K, L) of the center, element by element."""
+    H, G = rrb.H, rrb.G
+    ident = list(H.elements())
+    L = tuple(g for g in G.elements() if rrb.phi[g].tolist() == ident)
+    K = tuple(h for h in H.elements()
+              if all(H.mul(h, x) == H.mul(x, h) for x in H.elements())
+              and all(rrb.act(g, h) == h for g in G.elements())
+              and rrb.phi[int(rrb.R[h])].tolist() == ident)
+    return K, L
+
+
+def quotient_loop(G, normal_elements: Sequence[int]) -> Tuple[List[int], List[int], list]:
+    """(projection, section, table) of G/N, cosets numbered by their least
+    element in ascending order, one coset at a time."""
+    N = sorted({int(x) for x in normal_elements})
+    coset_min = [-1] * G.order
+    for g in G.elements():
+        if coset_min[g] < 0:
+            members = sorted(G.mul(g, x) for x in N)
+            for m in members:
+                coset_min[m] = members[0]
+    reps = sorted(set(coset_min))
+    proj = [reps.index(coset_min[g]) for g in G.elements()]
+    table = [[proj[G.mul(a, b)] for b in reps] for a in reps]
+    return proj, reps, table
+
+
+def quotient_rrb_loop(rrb: RRBGroup, projH: Sequence[int], sectionH: Sequence[int],
+                      projG: Sequence[int], sectionG: Sequence[int]):
+    """(phi_bar, R_bar) of the quotient structure, entry by entry, and the
+    first (g, h) (g coset by coset) or (h,) at which they depend on the
+    representatives, or None."""
+    phi_bar = [[projH[rrb.act(gq, hq)] for hq in sectionH] for gq in sectionG]
+    R_bar = [projG[int(rrb.R[hq])] for hq in sectionH]
+    for gq in range(len(sectionG)):
+        for g in rrb.G.elements():
+            if projG[g] == gq:
+                for h in rrb.H.elements():
+                    if phi_bar[gq][projH[h]] != projH[rrb.act(g, h)]:
+                        return phi_bar, R_bar, (g, h)
+    for h in rrb.H.elements():
+        if R_bar[projH[h]] != projG[int(rrb.R[h])]:
+            return phi_bar, R_bar, (h,)
+    return phi_bar, R_bar, None
+
+
+def descended_loop(rrb: RRBGroup) -> List[List[int]]:
+    """h1 o h2 = h1 * phi_{R(h1)}(h2), entry by entry."""
+    H = rrb.H
+    return [[H.mul(h1, rrb.act(int(rrb.R[h1]), h2)) for h2 in H.elements()]
+            for h1 in H.elements()]
 
 
 # -- morphisms ----------------------------------------------------------------
@@ -414,7 +660,7 @@ def saturation_isomorphisms(G, H) -> List[tuple]:
     gens, have = [], {0}
     while len(have) < G.order:
         gens.append(min(x for x in G.elements() if x not in have))
-        have = set(subgroup_closure(G, gens))
+        have = set(closure_loop(G, gens))
     found = []
 
     def recurse(i: int, partial: dict):
@@ -806,7 +1052,7 @@ class ReferenceAssembly:
                 add(-1, self.IK, "tau1", (m.beta(b, a1), m.beta(b, a2)))
             else:  # cocycle5
                 a1, a2 = idx
-                circ = m.circ(a1, a2)
+                circ = _circ(m, a1, a2)
                 T1, T2 = int(m.T[a1]), int(m.T[a2])
                 lift = self.S @ self.nu_inv[int(m.T[circ])]
                 add(+1, self.IL, "tau2", (T1, T2))

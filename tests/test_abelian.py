@@ -1,7 +1,9 @@
 """Invariant factors, coordinate isomorphisms, and exact linear algebra."""
 
+import json
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +26,12 @@ from rrbgroups.abelian import (
     kernel_mod,
     present_quotient,
 )
+from rrbgroups.groups import FiniteGroup
 from rrbgroups.intlinalg import as_int_matrix, exact_matmul, howell
+from rrbgroups.serialize import load_extension, load_group, load_module
+from oracles import walk_presentation
+
+CATALOGUE = Path(__file__).parent.parent / "perfbench" / "catalogue"
 
 
 def invariant_factors_oracle(orders):
@@ -449,7 +456,52 @@ class TestCanonicalForms:
                 assert first.class_coords(cocycle) == second.class_coords(cocycle), name
 
 
+def _corpus_abelian_groups(ext_corpus, module_corpus) -> dict:
+    """Every abelian group of the extension and module corpora and of the
+    benchmark catalogues, once per table."""
+    found = []
+    for ext in ext_corpus.values():
+        found += [part for rrb in (ext.kernel, ext.total, ext.quotient) for part in (rrb.H, rrb.G)]
+    for m in module_corpus.values():
+        found += [m.A, m.B, m.K, m.L]
+    with open(CATALOGUE / "cohomology.json", encoding="utf-8") as fh:
+        for case in json.load(fh)["cases"]:
+            m = load_module(case["module"])
+            found += [m.A, m.B, m.K, m.L]
+    with open(CATALOGUE / "lifting.json", encoding="utf-8") as fh:
+        for case in json.load(fh)["extensions"]:
+            ext = load_extension(case["extension"])
+            found += [part for rrb in (ext.kernel, ext.total, ext.quotient)
+                      for part in (rrb.H, rrb.G)]
+    with open(CATALOGUE / "operators.json", encoding="utf-8") as fh:
+        operators = json.load(fh)
+    for case in operators["enumerate"]:
+        found += [load_group(case["H"]), load_group(case["G"])]
+    for case in operators["validate"]:
+        if case["kind"] == "group" and case["valid"]:
+            found.append(load_group(case["payload"]))
+    return {G.table.tobytes(): G for G in found if G.is_abelian}
+
+
 class TestAbelianPresentation:
+    def test_walk_matches_reference_on_corpora(self, ext_corpus, module_corpus):
+        # The generator walk and the element-by-element walk take the same
+        # greedy generators, so the presentations agree entry for entry.
+        rng = np.random.default_rng(13)
+        groups = _corpus_abelian_groups(ext_corpus, module_corpus)
+        assert len(groups) >= 15
+        for G in groups.values():
+            for relabel in range(4):
+                if relabel:
+                    perm = np.array([0, *(rng.permutation(G.order - 1) + 1)])
+                    table = np.empty_like(G.table)
+                    table[np.ix_(perm, perm)] = perm[G.table]
+                    G = FiniteGroup(table)
+                P = AbelianPresentation(G)
+                factors, coords = walk_presentation(G)
+                assert P.factors == factors
+                assert np.array_equal(P.coord_table, coords)
+
     def test_z4(self):
         assert AbelianPresentation(cyclic_group(4)).factors == (4,)
 

@@ -3,7 +3,7 @@
 All comparisons are exact: these are finite algebraic identities, so there
 are no tolerances to tune.  Criterion 1 re-derives the cocycle and
 coboundary groups by exhaustive enumeration with direct group arithmetic and
-demands set equality with the Smith-form computation.
+demands set equality with the Howell-form computation.
 """
 
 import json
@@ -80,7 +80,7 @@ def test_criterion_01_cohomology_matches_exhaustive_enumeration(module_corpus):
     eligible = sum(1 for name in ORACLE_MODULES
                    if c2_size(module_corpus[name]) <= 2 ** 20)
     verdict(1, checked == eligible and checked >= 10,
-            f"SNF cocycle/coboundary groups match exhaustive enumeration "
+            f"Howell-form cocycle/coboundary groups match exhaustive enumeration "
             f"on {checked} modules; |Z2|=16, |B2|=1, H2=(Z/2)^4 confirmed")
 
 

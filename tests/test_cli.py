@@ -148,6 +148,55 @@ class TestStrictIntegers:
         assert "phi[1][2]" in proc.stderr
 
 
+    @pytest.mark.parametrize("fixture,path,keys,value", [
+        ("group_z2.json", "table[1][1]", ("table", 1, 1), 2 ** 70),
+        ("rrb_z3_z2_inversion.json", "phi[1][2]", ("phi", 1, 2), 2 ** 63),
+        ("rrb_z3_z2_inversion.json", "R[1]", ("R", 1), -2 ** 63 - 1),
+        ("module_trivial_z2.json", "nu[1][1]", ("nu", 1, 1), 2 ** 64),
+    ])
+    def test_integer_past_int64(self, tmp_path, fixture, path, keys, value):
+        # Python's JSON reader makes any integer; numpy's int64 cannot hold it.
+        obj = json.loads((F / fixture).read_text())
+        inner = obj
+        for key in keys[:-1]:
+            inner = inner[key]
+        inner[keys[-1]] = value
+        bad = tmp_path / fixture
+        bad.write_text(json.dumps(obj))
+        proc = run_cli("validate", bad)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [f"parse error: {path}: integer {value} is outside int64"]
+
+    def test_pair_image_past_int64(self, tmp_path):
+        pair = json.loads((F / "pair_z9_twist.json").read_text())
+        pair["theta"]["psi"][2] = 2 ** 63
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps(pair))
+        proc = run_cli("inducible", F / "ext_z9.json", path)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [
+            f"parse error: theta.psi[2]: integer {2 ** 63} is outside int64"]
+
+    def test_enumerate_phi_past_int64(self, tmp_path):
+        phi = tmp_path / "phi.json"
+        phi.write_text(json.dumps([[0, 1, 2], [0, 2, -2 ** 70]]))
+        proc = run_cli("enumerate", F / "group_z3.json", F / "group_z2.json", phi)
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [
+            f"parse error: phi[1][2]: integer {-2 ** 70} is outside int64"]
+
+    def test_int64_bounds_themselves_are_integers(self, tmp_path):
+        # -2**63 and 2**63 - 1 pass the parser and fail as table entries.
+        for value in (-2 ** 63, 2 ** 63 - 1):
+            group = tmp_path / "group.json"
+            group.write_text(json.dumps({"table": [[0, 1], [1, value]]}))
+            proc = run_cli("validate", group)
+            assert proc.returncode == 2
+            assert "NotClosed: entry at (1, 1) out of range" in proc.stdout
+
+
 class TestGroupPayloadChecks:
     """Permutation degrees are checked before any permutation is built."""
 

@@ -1,16 +1,24 @@
 """Abelian extensions: sections, extraction, construction, equivalence."""
 
+import functools
 import itertools
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rrbgroups import (
     ActionQuadruple,
+    GroupError,
     RRBError,
+    RRBGroup,
     RRBModule,
     Section,
     are_equivalent,
+    automorphism_group,
     build_extension,
     canonical_section,
     chart,
@@ -19,6 +27,7 @@ from rrbgroups import (
     extract_actions,
     extract_factor_system,
     extract_module,
+    is_homomorphism,
     one_point_rrb,
     product_extension,
     trivial_action,
@@ -27,7 +36,13 @@ from rrbgroups import (
     validate_module,
     zero_factor_system,
 )
-from oracles import build_total_direct, cocycle_violations, find_equivalence_morphism
+from rrbgroups.serialize import load_module, load_rrb
+from oracles import (build_total_direct, cocycle_violations, find_equivalence_morphism,
+                     module_violation, rrb_violation)
+
+CATALOGUE = Path(__file__).parent.parent / "perfbench" / "catalogue"
+COHOMOLOGY_CATALOGUE = CATALOGUE / "cohomology.json"
+OPERATORS_CATALOGUE = CATALOGUE / "operators.json"
 
 ABELIAN = ("product_z2", "built_z2", "z4_carry", "z9", "s3", "z3_z4_twist",
            "z2_z4_image", "z2_z4_kernel", "z4_z4_diag", "parity_zero",
@@ -269,6 +284,141 @@ class TestValidateModule:
         kern = trivial_rrb(groups["s3"], groups["z2"])
         ok, why = validate_module(quot, kern, trivial_action(quot, kern))
         assert not ok and "abelian" in why
+
+
+@functools.lru_cache(maxsize=None)
+def _catalogue_modules() -> dict:
+    with open(COHOMOLOGY_CATALOGUE, encoding="utf-8") as fh:
+        return {"catalogue/" + case["name"]: load_module(case["module"])
+                for case in json.load(fh)["cases"]}
+
+
+@functools.lru_cache(maxsize=None)
+def _homs(L, K) -> list:
+    """Every homomorphism L -> K, as image arrays."""
+    return [np.array(img) for img in itertools.product(range(K.order), repeat=L.order)
+            if is_homomorphism(img, L, K)]
+
+
+@functools.lru_cache(maxsize=None)
+def _actions(G, K, anti: bool = False) -> list:
+    """Every (anti-)homomorphism G -> Aut(K), as stacks of rows."""
+    auts = [a.image for a in automorphism_group(K)]
+    out = []
+    for choice in itertools.product(range(len(auts)), repeat=G.order - 1):
+        rows = np.stack([np.arange(K.order)] + [auts[i] for i in choice])
+        law = all(np.array_equal(rows[G.mul(g1, g2)],
+                                 rows[g2][rows[g1]] if anti else rows[g1][rows[g2]])
+                  for g1 in G.elements() for g2 in G.elements())
+        if law:
+            out.append(rows)
+    return out
+
+
+def _outcome(check, *args):
+    """What a check does: its return value, or the error it raises."""
+    try:
+        return "returns", check(*args)
+    except (GroupError, RRBError) as exc:
+        return "raises", type(exc).__name__, str(exc)
+
+
+def _structure_outcome(H, G, phi, R):
+    try:
+        RRBGroup(H, G, phi, R)
+    except RRBError as exc:
+        return exc.code, str(exc), exc.witness
+    return None
+
+
+class TestModuleChecksMatchLoops:
+    """validate_module's gathers and RRBGroup's against the element loops."""
+
+    def test_corpus_and_catalogue_modules(self, module_corpus):
+        modules = {**module_corpus, **_catalogue_modules()}
+        assert len(modules) == len(module_corpus) + 23
+        for name, m in modules.items():
+            args = (m.quotient, m.kernel, m.action)
+            assert validate_module(*args) == module_violation(*args) == (True, None), name
+        with open(OPERATORS_CATALOGUE, encoding="utf-8") as fh:
+            payloads = [case["payload"] for case in json.load(fh)["validate"]
+                        if case["kind"] == "module"]
+        verdicts = []
+        for obj in payloads:
+            args = (load_rrb(obj["quotient"]), load_rrb(obj["kernel"]),
+                    ActionQuadruple(*(obj[key] for key in ("nu", "mu", "sigma", "f"))))
+            verdicts.append(validate_module(*args)[0])
+            assert validate_module(*args) == module_violation(*args)
+        assert verdicts == [True, False]
+
+    def test_whole_map_replacements(self, module_corpus):
+        # Every pair of an action of B and an anti-action of A on K in place
+        # of (nu, mu), every anti-action of B on L in place of sigma, and f
+        # from random homomorphism columns: the maps pass the row
+        # checks, so the laws, the operator compatibility and the
+        # interchange decide.
+        modules = {**module_corpus, **_catalogue_modules()}
+        rng = np.random.default_rng(5)
+        reached = set()
+        for m in modules.values():
+            act = m.action
+            parts = {key: getattr(act, key) for key in ("nu", "mu", "sigma", "f")}
+            candidates = [{"nu": nu, "mu": mu} for nu in _actions(m.B, m.K)
+                          for mu in _actions(m.A, m.K, anti=True)]
+            candidates += [{"sigma": rows} for rows in _actions(m.B, m.L, anti=True)]
+            homs = _homs(m.L, m.K)
+            candidates += [{"f": np.stack([homs[i] for i in rng.integers(len(homs), size=m.A.order)],
+                                          axis=1)} for _ in range(8)]
+            for swap in candidates:
+                args = (m.quotient, m.kernel, ActionQuadruple(**{**parts, **swap}))
+                got = _outcome(validate_module, *args)
+                assert got == _outcome(module_violation, *args)
+                reached.add(str(got[1][1]).split(" at ")[0])
+        assert {"operator compatibility fails", "action interchange fails",
+                "f(l,-) derivation fails"} <= reached
+
+    # Each part with the order of the group its entries lie in.
+    PARTS = {"nu": "K", "mu": "K", "sigma": "L", "f": "K",
+             "quotient.phi": "A", "quotient.R": "B", "kernel.phi": "K", "kernel.R": "L"}
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.data())
+    def test_single_entry_corruptions(self, module_corpus, data):
+        # Entries -1 and |K| would index from the end or past it, so a range
+        # check that comes after a gather shows up here.
+        modules = {**module_corpus, **_catalogue_modules()}
+        m = modules[data.draw(st.sampled_from(sorted(modules)))]
+        part = data.draw(st.sampled_from(sorted(self.PARTS)))
+        n = getattr(m, self.PARTS[part]).order
+        owner, _, attr = part.rpartition(".")
+        source = getattr(m.action if not owner else getattr(m, owner), attr)
+        arr = np.array(source)
+        at = tuple(data.draw(st.integers(0, size - 1)) for size in arr.shape)
+        if owner or data.draw(st.booleans()):
+            arr[at] = data.draw(st.integers(-1, n))
+        elif part == "f":
+            # A column that stays a homomorphism L -> K, so the derivation
+            # law and the operator compatibility are what can fail.
+            arr[:, at[1]] = data.draw(st.sampled_from(_homs(m.L, m.K)))
+        else:
+            # A row that stays an automorphism, so the action laws, the
+            # identity and the interchange are what can fail.
+            group = m.K if part in ("nu", "mu") else m.L
+            arr[at[0]] = data.draw(st.sampled_from(automorphism_group(group))).image
+        if owner:
+            rrb = getattr(m, owner)
+            phi, R = (arr, rrb.R) if attr == "phi" else (rrb.phi, arr)
+            expected = rrb_violation(rrb.H, rrb.G, phi, R)
+            if expected is not None:
+                code, message, witness = expected
+                expected = (code, f"{code}: {message}", witness)
+            assert _structure_outcome(rrb.H, rrb.G, phi, R) == expected
+        else:
+            act = m.action
+            parts = {key: getattr(act, key) for key in ("nu", "mu", "sigma", "f")}
+            action = ActionQuadruple(**{**parts, part: arr})
+            args = (m.quotient, m.kernel, action)
+            assert _outcome(validate_module, *args) == _outcome(module_violation, *args)
 
 
 class TestBuildExtension:

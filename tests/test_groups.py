@@ -21,13 +21,15 @@ from rrbgroups import (
     identity_hom,
     is_homomorphism,
     is_normal,
+    is_subgroup,
     isomorphism_images,
     quotient_group,
     subgroup_closure,
     trivial_group,
 )
 from rrbgroups.groups import group_from_permutations
-from oracles import group_table_violation, saturation_isomorphisms
+from oracles import (closure_loop, group_table_violation, normal_loop, quotient_loop,
+                     saturation_isomorphisms, subgroup_loop)
 
 OPERATORS_CATALOGUE = Path(__file__).parent.parent / "perfbench" / "catalogue" / "operators.json"
 
@@ -420,6 +422,60 @@ class TestSubgroupsAndQuotients:
         for i in q.group.elements():
             assert q.projection(int(q.section[i])) == i
         assert set(q.projection.image.tolist()) == set(q.group.elements())
+
+
+def _relabeled(G: FiniteGroup, rng) -> FiniteGroup:
+    """G with its non-identity elements renamed at random."""
+    perm = np.array([0, *(rng.permutation(G.order - 1) + 1)])
+    table = np.empty_like(G.table)
+    table[np.ix_(perm, perm)] = perm[G.table]
+    return FiniteGroup(table)
+
+
+class TestSubsetPredicatesMatchLoops:
+    """Closures, subgroup and normality checks and quotients against the
+    element loops they replaced, on every small group and a relabeling."""
+
+    CASES = {**SMALL_GROUPS, **ORDER_16_GROUPS,
+             **{name + "'": _relabeled(G, np.random.default_rng(3))
+                for name, G in SMALL_GROUPS.items()}}
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_closures(self, name):
+        G = self.CASES[name]
+        rng = np.random.default_rng(len(name))
+        draws = [[], [0], *([int(g)] for g in G.elements())]
+        draws += [rng.integers(G.order, size=rng.integers(1, 4)).tolist() for _ in range(20)]
+        for gens in draws:
+            assert subgroup_closure(G, gens) == closure_loop(G, gens)
+        for bad in (-1, G.order):
+            with pytest.raises(GroupError) as err:
+                subgroup_closure(G, [0, bad])
+            assert str(err.value) == f"NotClosed: generator {bad} out of range"
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_subgroups_normality_and_quotients(self, name):
+        G = self.CASES[name]
+        rng = np.random.default_rng(len(name))
+        subsets = [closure_loop(G, [int(a), int(b)]) for a in G.elements() for b in (0, G.order - 1)]
+        subsets += [sorted({0, *rng.integers(G.order, size=rng.integers(1, 5)).tolist()})
+                    for _ in range(20)]
+        subsets += [[0, -1], [0, G.order], list(G.elements())[1:]]
+        for S in subsets:
+            sub = subgroup_loop(G, S)
+            assert is_subgroup(G, S) is sub
+            if not sub:
+                with pytest.raises(GroupError, match="NotSubgroup"):
+                    is_normal(G, S)
+                continue
+            normal = normal_loop(G, S)
+            assert is_normal(G, S) is normal
+            if normal:
+                q = quotient_group(G, S)
+                proj, section, table = quotient_loop(G, S)
+                assert q.projection.image.tolist() == proj
+                assert q.section.tolist() == section
+                assert q.group.table.tolist() == table
 
 
 class TestDirectProduct:

@@ -40,9 +40,12 @@ from rrbgroups import (
     validate_morphism,
     validate_rrb,
 )
-from rrbgroups.groups import FiniteGroup, group_from_permutations
+from rrbgroups.groups import FiniteGroup, group_from_permutations, subgroup_closure
+from rrbgroups.rrb import descended_table
 from rrbgroups.serialize import load_extension, load_rrb
-from oracles import automorphism_pairs, morphism_violation, naive_operators, rrb_violation
+from oracles import (automorphism_pairs, center_loop, descended_loop, ideal_loop,
+                     morphism_violation, naive_operators, quotient_loop, quotient_rrb_loop,
+                     rrb_violation, subrrb_loop)
 
 INV3 = [[0, 1, 2], [0, 2, 1]]
 FIXTURE_DIR = Path(__file__).parent.parent / "src" / "rrbgroups" / "fixtures"
@@ -253,6 +256,11 @@ class TestDescendedOperation:
                 desc = descended_operation(rrb)
                 assert is_homomorphism(rrb.R, desc, rrb.G)
 
+    @pytest.mark.parametrize("name", sorted(SEARCH_CASES))
+    def test_table_matches_loops(self, name):
+        rrb = SEARCH_CASES[name]
+        assert descended_table(rrb).tolist() == descended_loop(rrb)
+
 
 class TestMorphisms:
     def test_identity_pair(self, ext_corpus):
@@ -451,6 +459,59 @@ class TestIdealsAndQuotients:
             K_img, L_img = morphism_image(m)
             image_rrb, _ = restrict(m.codomain, K_img, L_img)
             assert rrb_isomorphic(q.rrb, image_rrb)
+
+
+def _outcome(check, *args):
+    try:
+        return "returns", check(*args)
+    except RRBError as exc:
+        return "raises", exc.code, str(exc)
+
+
+def _subgroups(G: FiniteGroup) -> list:
+    """The subgroups generated by one or two elements."""
+    return sorted({tuple(subgroup_closure(G, [a, b]))
+                   for a in G.elements() for b in G.elements() if a <= b})
+
+
+class TestSubStructuresMatchLoops:
+    """Sub-structure, ideal, center and quotient checks against the element
+    loops, subsets scanned in ascending order."""
+
+    @pytest.mark.parametrize("name", sorted(SEARCH_CASES))
+    def test_subrrb_and_ideal(self, name):
+        rrb = SEARCH_CASES[name]
+        rng = np.random.default_rng(len(name))
+        Ks, Ls = _subgroups(rrb.H), _subgroups(rrb.G)
+        pairs = [(K, L) for K in Ks for L in Ls]
+        # Subsets that are not subgroups raise NotSubgroup on either side.
+        pairs += [((0, int(rng.integers(rrb.H.order)), int(rng.integers(rrb.H.order))), Ls[-1]),
+                  (Ks[-1], (0, int(rng.integers(rrb.G.order)), rrb.G.order))]
+        verdicts = set()
+        for K, L in pairs:
+            assert _outcome(is_subrrb, rrb, K, L) == _outcome(subrrb_loop, rrb, K, L)
+            got = _outcome(is_ideal, rrb, K, L)
+            assert got == _outcome(ideal_loop, rrb, K, L)
+            verdicts.add(got[1][0] if got[0] == "returns" else got[1])
+        assert True in verdicts
+
+    @pytest.mark.parametrize("name", sorted(SEARCH_CASES))
+    def test_center_and_quotients(self, name):
+        rrb = SEARCH_CASES[name]
+        assert center(rrb) == RRBIdeal(*center_loop(rrb))
+        ideals = {center(rrb), RRBIdeal((0,), (0,)),
+                  RRBIdeal(tuple(rrb.H.elements()), tuple(rrb.G.elements()))}
+        ideals |= {RRBIdeal(K, L) for K in _subgroups(rrb.H) for L in _subgroups(rrb.G)
+                   if is_ideal(rrb, K, L)[0]}
+        for ideal in ideals:
+            q = quotient_rrb(rrb, ideal)
+            projH, sectionH, tableH = quotient_loop(rrb.H, ideal.K_elements)
+            projG, sectionG, tableG = quotient_loop(rrb.G, ideal.L_elements)
+            assert (q.quotient_H.group.table.tolist(), q.quotient_G.group.table.tolist()) == (
+                tableH, tableG)
+            phi_bar, R_bar, ill_defined = quotient_rrb_loop(rrb, projH, sectionH, projG, sectionG)
+            assert ill_defined is None
+            assert (q.rrb.phi.tolist(), q.rrb.R.tolist()) == (phi_bar, R_bar)
 
 
 class TestProducts:

@@ -1,8 +1,15 @@
 """Command line front end.
 
-Subcommands: validate, enumerate, cohomology, wells, inducible.
+Subcommands: validate, enumerate, cohomology, wells, inducible, all read
+from the one table ``COMMANDS``; ``rrbgroups <command> -h`` lists a
+command's options.  A call that names its command builds only that
+command's parser (see ``parse_args``).
+
 Exit codes: 0 success, 1 parse error, 2 semantic invalidity, 3 budget or
-order bound exceeded.  Output is deterministic for fixed inputs.
+order bound exceeded.  A usage error (a missing or extra argument, an
+unknown option, a bad ``--format`` choice, a non-integer ``--max-order`` or
+``--budget``) also exits 2, with argparse's usage line on stderr.  Output
+is deterministic for fixed inputs.
 """
 
 from __future__ import annotations
@@ -149,52 +156,66 @@ def cmd_inducible(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("text", "json"), default="text")
-    common.add_argument("--max-order", type=int, default=64,
+# name -> (handler, help line, positionals); the one grammar of the CLI.
+COMMANDS = {
+    "validate": (cmd_validate, "validate a group/structure/module/extension file",
+                 ("path",)),
+    "enumerate": (cmd_enumerate, "enumerate operators for (H, G, phi)", ("H", "G", "phi")),
+    "cohomology": (cmd_cohomology, "cochain groups of a module file", ("module",)),
+    "wells": (cmd_wells, "full lifting/exactness report for an extension", ("extension",)),
+    "inducible": (cmd_inducible, "decide liftability of an automorphism pair",
+                  ("extension", "pair")),
+}
+
+
+def _add_command(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """Give ``parser`` the options and positionals of subcommand ``name``."""
+    run, _, positionals = COMMANDS[name]
+    parser.add_argument("--format", choices=("text", "json"), default="text")
+    parser.add_argument("--max-order", type=int, default=64,
                         help="enumeration bound on component group orders")
-    common.add_argument("--budget", type=int, default=None,
+    parser.add_argument("--budget", type=int, default=None,
                         help="closure-product cap for operator enumeration "
                              "(RRB_BUDGET overrides the default)")
+    for positional in positionals:
+        parser.add_argument(positional)
+    if name == "cohomology":
+        parser.add_argument("--reps", action="store_true", help="dump class representatives")
+    parser.set_defaults(run=run, command=name)
+    return parser
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The full tree: the top-level parser with one subparser per command."""
     parser = argparse.ArgumentParser(
         prog="rrbgroups",
         description="Validate, enumerate, and analyze operator-group data.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", parents=[common],
-                       help="validate a group/structure/module/extension file")
-    p.add_argument("path")
-    p.set_defaults(run=cmd_validate)
-
-    p = sub.add_parser("enumerate", parents=[common],
-                       help="enumerate operators for (H, G, phi)")
-    p.add_argument("H")
-    p.add_argument("G")
-    p.add_argument("phi")
-    p.set_defaults(run=cmd_enumerate)
-
-    p = sub.add_parser("cohomology", parents=[common],
-                       help="cochain groups of a module file")
-    p.add_argument("module")
-    p.add_argument("--reps", action="store_true", help="dump class representatives")
-    p.set_defaults(run=cmd_cohomology)
-
-    p = sub.add_parser("wells", parents=[common],
-                       help="full lifting/exactness report for an extension")
-    p.add_argument("extension")
-    p.set_defaults(run=cmd_wells)
-
-    p = sub.add_parser("inducible", parents=[common],
-                       help="decide liftability of an automorphism pair")
-    p.add_argument("extension")
-    p.add_argument("pair")
-    p.set_defaults(run=cmd_inducible)
+    for name, (_, help_line, _) in COMMANDS.items():
+        _add_command(sub.add_parser(name, help=help_line), name)
     return parser
 
 
+def parse_args(argv: Optional[List[str]] = None) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, building only the named command's
+    parser when that parser alone accepts the whole argv.
+
+    The single parser has the subparser's prog and arguments, so its
+    Namespace, help and usage errors are the subparser's.  Any other argv
+    (top-level help, no command or an unknown one, or arguments left over,
+    which the full tree reports as unrecognized) goes to the full tree.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in COMMANDS:
+        parser = _add_command(argparse.ArgumentParser(prog=f"rrbgroups {argv[0]}"), argv[0])
+        args, extras = parser.parse_known_args(argv[1:])
+        if not extras:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(argv)
     if args.budget is None:
         env = os.environ.get("RRB_BUDGET", str(DEFAULT_BUDGET))
         try:

@@ -20,7 +20,6 @@ import numpy as np
 
 from .groups import (
     FiniteGroup,
-    GroupError,
     action_law_defects,
     automorphism_rows,
     first_true,
@@ -81,9 +80,9 @@ class RRBModule:
     """A validated module: quotient datum, kernel datum, action quadruple."""
 
     def __init__(self, quotient: RRBGroup, kernel: RRBGroup, action: ActionQuadruple):
-        ok, why = validate_module(quotient, kernel, action)
-        if not ok:
-            raise RRBError("ModuleInvalid", why or "module conditions fail")
+        defect = module_defect(quotient, kernel, action)
+        if defect is not None:
+            raise RRBError("ModuleInvalid", *defect)
         self.quotient = quotient
         self.kernel = kernel
         self.action = action
@@ -128,57 +127,66 @@ class RRBModule:
 
 def validate_module(quotient: RRBGroup, kernel: RRBGroup,
                     action: ActionQuadruple) -> Tuple[bool, Optional[str]]:
-    """Check the module conditions, returning the first counterexample."""
+    """Check the module conditions: (True, None), or (False, the message of
+    the first counterexample)."""
+    defect = module_defect(quotient, kernel, action)
+    return (True, None) if defect is None else (False, defect[0])
+
+
+def module_defect(quotient: RRBGroup, kernel: RRBGroup,
+                  action: ActionQuadruple) -> Optional[Tuple[str, Tuple[int, ...]]]:
+    """The first failed module condition as (message, witness), or None.
+
+    The witness holds the indices the message names, () when it names none.
+    """
     A, B = quotient.H, quotient.G
     K, L = kernel.H, kernel.G
     if not (K.is_abelian and L.is_abelian):
-        return False, "kernel components must be abelian"
+        return "kernel components must be abelian", ()
     if not is_trivial(kernel):
-        return False, "kernel action must be trivial"
+        return "kernel action must be trivial", ()
     nu, mu, sigma, f = action.nu, action.mu, action.sigma, action.f
     if nu.shape != (B.order, K.order) or mu.shape != (A.order, K.order):
-        return False, "nu/mu shape mismatch"
+        return "nu/mu shape mismatch", ()
     if sigma.shape != (B.order, L.order) or f.shape != (L.order, A.order):
-        return False, "sigma/f shape mismatch"
+        return "sigma/f shape mismatch", ()
 
     for name, rows, group, label in (("nu", nu, K, "K"), ("mu", mu, K, "K"),
                                      ("sigma", sigma, L, "L")):
-        bad = ~automorphism_rows(rows, group)
-        if bad.any():
-            return False, f"{name}[{int(np.argmax(bad))}] is not an automorphism of {label}"
+        at = first_true(~automorphism_rows(rows, group))
+        if at is not None:
+            return f"{name}[{at[0]}] is not an automorphism of {label}", at
 
     ident_K = np.arange(K.order)
     ident_L = np.arange(L.order)
     if not (np.array_equal(nu[0], ident_K) and np.array_equal(mu[0], ident_K)
             and np.array_equal(sigma[0], ident_L)):
-        return False, "actions at the identity are not the identity map"
+        return "actions at the identity are not the identity map", ()
     # nu is a homomorphism, mu and sigma are anti-homomorphisms; nu and sigma
     # are checked together over (b1, b2).
     nu_bad, sigma_bad = action_law_defects(nu, B), action_law_defects(sigma, B, anti=True)
     at = first_true(nu_bad | sigma_bad)
     if at is not None:
-        b1, b2 = at
-        if nu_bad[at]:
-            return False, f"nu not a homomorphism at ({b1},{b2})"
-        return False, f"sigma not an anti-homomorphism at ({b1},{b2})"
+        law = "nu not a homomorphism" if nu_bad[at] else "sigma not an anti-homomorphism"
+        return "{} at ({},{})".format(law, *at), at
     at = first_true(action_law_defects(mu, A, anti=True))
     if at is not None:
-        return False, "mu not an anti-homomorphism at ({},{})".format(*at)
+        return "mu not an anti-homomorphism at ({},{})".format(*at), at
 
-    # f: additive in L, column by column; an entry outside K raises at its
-    # column, as is_homomorphism does.
+    # f: column by column, its entries inside K, then additive in L.
     inside = (f >= 0) & (f < K.order)
     bad_col = ~inside.all(axis=0)
     at = first_true(bad_col | ~homomorphism_rows(np.where(inside, f, 0).T, L, K))
     if at is not None:
         if bad_col[at]:
-            raise GroupError("LengthMismatch", "image entry out of codomain range")
-        return False, f"f(-, {at[0]}) is not a homomorphism L -> K"
+            at = (int(np.argmax(~inside[:, at[0]])), at[0])
+            return f"f({at[0]}, {at[1]}) = {f[at]} is outside K", at
+        return f"f(-, {at[0]}) is not a homomorphism L -> K", at
     # f(l, a1*a2) = mu_{a2}(f(l,a1)) + f(l,a2), over (l, a1, a2).
     a2 = np.arange(A.order)
     at = first_true(f[:, A.table] != K.table[mu[a2, f[:, :, None]], f[:, None, :]])
     if at is not None:
-        return False, "f(l,-) derivation fails at (l,a1,a2)=({},{},{})".format(*at)
+        return "f(l,-) derivation fails at (l,a1,a2)=({},{},{})".format(*at), at
 
     # S(nu^-1_{T(a)}(mu_a(k)) + nu^-1_{T(a)}(f(S(k), a))) = sigma_{T(a)}(S(k)),
     # over (a, k).
@@ -188,14 +196,14 @@ def validate_module(quotient: RRBGroup, kernel: RRBGroup,
     arg = K.table[nu_inv[a, mu], nu_inv[a, f[S[None, :], a]]]
     at = first_true(S[arg] != sigma[T[:, None], S[None, :]])
     if at is not None:
-        return False, "operator compatibility fails at (a,k)=({},{})".format(*at)
+        return "operator compatibility fails at (a,k)=({},{})".format(*at), at
 
     # nu_b(mu_a(k)) = mu_{beta_b(a)}(nu_b(k)), over (a, b, k).
     b = np.arange(B.order)[None, :, None]
     at = first_true(nu[b, mu[:, None, :]] != mu[quotient.phi.T[:, :, None], nu[None, :, :]])
     if at is not None:
-        return False, "action interchange fails at (a,b,k)=({},{},{})".format(*at)
-    return True, None
+        return "action interchange fails at (a,b,k)=({},{},{})".format(*at), at
+    return None
 
 
 class FactorSystem:

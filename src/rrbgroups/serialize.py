@@ -8,7 +8,9 @@ file.  Group objects come in two forms:
     {"name": ..., "degree": d, "generators": [[int]]}
 
 Factor systems are flat row-major arrays over nondegenerate tuples only,
-together with the shape list [|A|, |B|, |K|, |L|].
+together with the shape list [|A|, |B|, |K|, |L|]; each entry must be an
+element index of the group the cochain maps into (K for tau1, rho and
+kappa1, L for tau2, chi and kappa2).
 
 Every integer field and array passes through ``strict_ints``: a bool, float
 or string entry, an integer outside int64, a missing nesting level or a
@@ -187,36 +189,38 @@ def factor_system_to_json(fs: FactorSystem, nK: int, nL: int) -> dict:
     }
 
 
+def _flat_entries(obj: dict, key: str, where: str, length: int, order: int,
+                  label: str) -> list:
+    """obj[key] as a flat list of ``length`` entries of a group of the given
+    order; an entry outside [0, order) is a ParseError naming its index."""
+    values = strict_ints(_require(obj, key, where), key, 1)
+    if len(values) != length:
+        raise ParseError(f"{key}: expected {length} entries")
+    for i, value in enumerate(values):
+        if not 0 <= value < order:
+            raise ParseError(f"{key}[{i}]: entry {value} is outside {label} of order {order}")
+    return values
+
+
 def load_factor_system(value, module: RRBModule, base: Optional[Path] = None) -> FactorSystem:
     obj, base = _resolve(value, base)
-    nA, nB = module.A.order, module.B.order
-
-    def flat(key):
-        return strict_ints(_require(obj, key, "factor system"), key, 1)
-
-    shapes = flat("shapes")
-    if shapes != [nA, nB, module.K.order, module.L.order]:
+    nA, nB, nK, nL = module.A.order, module.B.order, module.K.order, module.L.order
+    shapes = strict_ints(_require(obj, "shapes", "factor system"), "shapes", 1)
+    if shapes != [nA, nB, nK, nL]:
         raise ParseError(f"factor system shapes {shapes} do not match the module")
 
-    def unflatten(key, rows, cols):
-        values = flat(key)
-        if len(values) != (rows - 1) * (cols - 1):
-            raise ParseError(f"{key}: expected {(rows - 1) * (cols - 1)} entries")
+    def unflatten(key, rows, cols, order, label):
+        """The (rows, cols) array with its flat entries off row and column 0."""
+        values = _flat_entries(obj, key, "factor system", (rows - 1) * (cols - 1),
+                               order, label)
         out = np.zeros((rows, cols), dtype=np.int64)
-        it = iter(values)
-        for i in range(1, rows):
-            for j in range(1, cols):
-                out[i, j] = next(it)
+        out[1:, 1:] = np.reshape(np.array(values, dtype=np.int64), (rows - 1, cols - 1))
         return out
 
-    tau1 = unflatten("tau1", nA, nA)
-    tau2 = unflatten("tau2", nB, nB)
-    rho = unflatten("rho", nA, nB)
-    chi_flat = flat("chi")
-    if len(chi_flat) != nA - 1:
-        raise ParseError(f"chi: expected {nA - 1} entries")
-    chi = np.zeros(nA, dtype=np.int64)
-    chi[1:] = chi_flat
+    tau1 = unflatten("tau1", nA, nA, nK, "K")
+    tau2 = unflatten("tau2", nB, nB, nL, "L")
+    rho = unflatten("rho", nA, nB, nK, "K")
+    chi = unflatten("chi", nA, 2, nL, "L")[:, 1]  # the one nondegenerate column
     return FactorSystem(tau1, tau2, rho, chi)
 
 
@@ -234,12 +238,11 @@ def load_one_cochain(value, module: RRBModule, base: Optional[Path] = None):
 
     obj, base = _resolve(value, base)
     nA, nB = module.A.order, module.B.order
-    shapes, k1, k2 = (strict_ints(_require(obj, key, "one-cochain"), key, 1)
-                      for key in ("shapes", "kappa1", "kappa2"))
+    shapes = strict_ints(_require(obj, "shapes", "one-cochain"), "shapes", 1)
     if shapes != [nA, nB]:
         raise ParseError(f"one-cochain shapes {shapes} do not match the module")
-    if len(k1) != nA - 1 or len(k2) != nB - 1:
-        raise ParseError("one-cochain arrays have the wrong length")
+    k1 = _flat_entries(obj, "kappa1", "one-cochain", nA - 1, module.K.order, "K")
+    k2 = _flat_entries(obj, "kappa2", "one-cochain", nB - 1, module.L.order, "L")
     return OneCochain([0] + k1, [0] + k2)
 
 

@@ -360,8 +360,7 @@ def _is_automorphism(row: Sequence[int], G) -> bool:
 def module_violation(quotient: RRBGroup, kernel: RRBGroup,
                      action: ActionQuadruple) -> Tuple[bool, Optional[str]]:
     """validate_module as element loops: the first counterexample as (False,
-    message), or (True, None).  An f entry outside K raises GroupError at
-    its column, as a homomorphism check of that column would."""
+    message), or (True, None)."""
     A, B = quotient.H, quotient.G
     K, L = kernel.H, kernel.G
     if not (K.is_abelian and L.is_abelian):
@@ -393,8 +392,9 @@ def module_violation(quotient: RRBGroup, kernel: RRBGroup,
                 return False, f"mu not an anti-homomorphism at ({a1},{a2})"
     for a in A.elements():
         col = [f[l][a] for l in L.elements()]
-        if not all(0 <= x < K.order for x in col):
-            raise GroupError("LengthMismatch", "image entry out of codomain range")
+        for l, x in enumerate(col):
+            if not 0 <= x < K.order:
+                return False, f"f({l}, {a}) = {x} is outside K"
         if any(col[L.mul(x, y)] != K.mul(col[x], col[y])
                for x in L.elements() for y in L.elements()):
             return False, f"f(-, {a}) is not a homomorphism L -> K"

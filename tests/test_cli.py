@@ -1,5 +1,6 @@
 """Command line behavior: exit codes, schemas, determinism."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -7,6 +8,7 @@ import sys
 import pytest
 
 from conftest import FIXTURE_DIR
+from rrbgroups import cli
 
 F = FIXTURE_DIR
 
@@ -39,6 +41,21 @@ class TestExitCodes:
             assert out["code"] == "NotClosed" and out["witness"] == [1, 1]
         else:
             assert "NotClosed: entry at (1, 1) out of range" in proc.stdout
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_module_f_entry_outside_k_is_a_verdict(self, tmp_path, fmt):
+        module = json.loads((F / "module_trivial_z2.json").read_text())
+        module["f"][1][1] = 5
+        bad = tmp_path / "module.json"
+        bad.write_text(json.dumps(module))
+        proc = run_cli("validate", bad, "--format", fmt)
+        assert proc.returncode == 2
+        assert proc.stderr == ""
+        if fmt == "json":
+            assert json.loads(proc.stdout) == {"kind": "module", "valid": False,
+                                               "code": "ModuleInvalid", "witness": [1, 1]}
+        else:
+            assert proc.stdout == "module: INVALID\n  ModuleInvalid: f(1, 1) = 5 is outside K\n"
 
     def test_invalid_operator(self):
         proc = run_cli("validate", F / "rrb_bad_axiom.json")
@@ -108,6 +125,71 @@ class TestExitCodes:
         assert "RRB_BUDGET" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert len(proc.stderr.splitlines()) == 1
+
+
+def _argv_corpus():
+    """Argument vectors for every command and the usage errors around them."""
+    positionals = {"validate": ["x"], "enumerate": ["h", "g", "p"], "cohomology": ["m"],
+                   "wells": ["e"], "inducible": ["e", "p"]}
+    corpus = [[], ["-h"], ["--help"], ["frobnicate", "x"], ["--format", "json", "validate", "x"],
+              ["validate", "x", "--max-o", "5"], ["enumerate", "h", "g", "p", "--bud", "3"],
+              ["cohomology", "--form", "json", "m", "--re"], ["validate", "--", "x"],
+              ["inducible", "e", "--", "p"], ["validate", "x", "--"], ["validate", "x", "--", "y"],
+              ["cohomology", "m", "--reps", "--reps"], ["wells", "e", "--max-order", "-3"],
+              ["validate", "x", "y"], ["validate", "x", "--bogus"], ["validate", "--bogus"],
+              ["validate", "x", "--format", "xml"], ["wells", "e", "--max-order", "abc"],
+              ["wells", "e", "--max-order=1.5"], ["enumerate", "h", "g", "p", "--budget", "lots"],
+              ["cohomology", "--reps"], ["validate", "-h", "x"],
+              ["wells", "e", "--he"], ["validate", "x", "-h", "--bogus"]]
+    for name, args in positionals.items():
+        corpus += [[name, *args], [name, "-h"], [name, *args[:-1]], [name, *args, "extra"]]
+        options = [("--format", "json"), ("--max-order", "5"), ("--budget", "7")]
+        for opt, value in options:
+            corpus += [[name, *args, opt, value], [name, f"{opt}={value}", *args]]
+        corpus.append([name, *args, *(part for option in options for part in option)])
+        corpus.append([name, *args, "--reps"])
+    return corpus
+
+
+class TestArgumentParsing:
+    """``cli.parse_args`` answers as the full parser tree does, building one
+    parser for a call that names its command."""
+
+    @staticmethod
+    def _outcome(parse, argv, capsys):
+        try:
+            result = ("namespace", parse(argv))
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+        return (result, *capsys.readouterr())
+
+    @pytest.mark.parametrize("argv", _argv_corpus(), ids=" ".join)
+    def test_same_as_full_tree(self, argv, capsys):
+        got = self._outcome(cli.parse_args, argv, capsys)
+        assert got == self._outcome(cli.build_parser().parse_args, argv, capsys)
+
+    @pytest.mark.parametrize("argv", [
+        ["validate", str(F / "group_z2.json"), "--format", "json"],
+        ["enumerate", str(F / "group_z3.json"), str(F / "group_z2.json"), "PHI"],
+        ["cohomology", str(F / "module_trivial_z2.json"), "--reps"],
+        ["wells", str(F / "ext_z9.json"), "--max-order", "16"],
+        ["inducible", str(F / "ext_z9.json"), str(F / "pair_z9_identity.json")],
+    ], ids=lambda argv: argv[0])
+    def test_named_command_builds_one_parser(self, argv, tmp_path, monkeypatch, capsys):
+        phi = tmp_path / "phi.json"
+        phi.write_text(json.dumps([[0, 1, 2], [0, 2, 1]]))
+        argv = [str(phi) if arg == "PHI" else arg for arg in argv]
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(parser, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        assert cli.main(argv) == 0
+        assert built == [f"rrbgroups {argv[0]}"]
+        assert capsys.readouterr().err == ""
 
 
 class TestStrictIntegers:

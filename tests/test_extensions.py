@@ -36,6 +36,7 @@ from rrbgroups import (
     validate_module,
     zero_factor_system,
 )
+from rrbgroups.modules import module_defect
 from rrbgroups.serialize import load_module, load_rrb
 from oracles import (build_total_direct, cocycle_violations, find_equivalence_morphism,
                      module_violation, rrb_violation)
@@ -376,6 +377,22 @@ class TestModuleChecksMatchLoops:
                 reached.add(str(got[1][1]).split(" at ")[0])
         assert {"operator compatibility fails", "action interchange fails",
                 "f(l,-) derivation fails"} <= reached
+
+    def test_f_entry_outside_k_is_named(self, module_corpus):
+        # Columns are checked in order, so column 1's entry comes first; the
+        # module constructor raises the same message with the (l, a) witness.
+        m = module_corpus["trivial_z3"]
+        f = np.array(m.action.f)
+        f[2, 1], f[1, 2] = -1, 3
+        action = ActionQuadruple(m.action.nu, m.action.mu, m.action.sigma, f)
+        args = (m.quotient, m.kernel, action)
+        assert module_defect(*args) == ("f(2, 1) = -1 is outside K", (2, 1))
+        assert validate_module(*args) == module_violation(*args) == (
+            False, "f(2, 1) = -1 is outside K")
+        with pytest.raises(RRBError) as err:
+            RRBModule(*args)
+        assert err.value.code == "ModuleInvalid" and err.value.witness == (2, 1)
+        assert all(type(x) is int for x in err.value.witness)
 
     # Each part with the order of the group its entries lie in.
     PARTS = {"nu": "K", "mu": "K", "sigma": "L", "f": "K",

@@ -144,6 +144,39 @@ class TestExtensionAndModuleSchema:
         obj = one_cochain_to_json(kappa, module.A.order, module.B.order)
         assert load_one_cochain(obj, module) == kappa
 
+    @pytest.fixture
+    def module_k4_l2(self, groups):
+        """A = B = Z3 acting trivially on K = Z4 and L = Z2."""
+        from rrbgroups import RRBModule, trivial_action
+
+        quotient = trivial_rrb(groups["z3"], groups["z3"])
+        kernel = trivial_rrb(groups["z4"], groups["z2"])
+        return RRBModule(quotient, kernel, trivial_action(quotient, kernel))
+
+    @pytest.mark.parametrize("key,index,value,message", [
+        ("tau1", 3, 4, "tau1[3]: entry 4 is outside K of order 4"),
+        ("tau1", 0, -1, "tau1[0]: entry -1 is outside K of order 4"),
+        ("tau2", 1, 2, "tau2[1]: entry 2 is outside L of order 2"),
+        ("rho", 2, -1, "rho[2]: entry -1 is outside K of order 4"),
+        ("chi", 1, 2, "chi[1]: entry 2 is outside L of order 2"),
+        ("kappa1", 1, -1, "kappa1[1]: entry -1 is outside K of order 4"),
+        ("kappa2", 0, 2, "kappa2[0]: entry 2 is outside L of order 2"),
+    ])
+    def test_entry_outside_its_group(self, module_k4_l2, key, index, value, message):
+        # A wrapped entry would read as another element: -1 as |K| - 1.
+        from rrbgroups.serialize import load_one_cochain
+
+        one = key.startswith("kappa")
+        obj = ({"shapes": [3, 3], "kappa1": [3, 3], "kappa2": [1, 1]} if one else
+               {"shapes": [3, 3, 4, 2], "tau1": [3] * 4, "tau2": [1] * 4, "rho": [3] * 4,
+                "chi": [1, 1]})
+        load = load_one_cochain if one else load_factor_system
+        load(obj, module_k4_l2)  # the largest element of each group is inside
+        obj[key][index] = value
+        with pytest.raises(ParseError) as err:
+            load(obj, module_k4_l2)
+        assert str(err.value) == message
+
     def test_pair_roundtrip(self, ext_corpus):
         from rrbgroups.wells import WellsContext, _pair_key
 

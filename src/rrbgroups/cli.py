@@ -5,25 +5,29 @@ from the one table ``COMMANDS``; ``rrbgroups <command> -h`` lists a
 command's options.  A call that names its command builds only that
 command's parser (see ``parse_args``).
 
-Exit codes: 0 success, 1 parse error, 2 semantic invalidity, 3 budget or
-order bound exceeded.  A usage error (a missing or extra argument, an
-unknown option, a bad ``--format`` choice, a non-integer ``--max-order`` or
-``--budget``) also exits 2, with argparse's usage line on stderr.  Output
-is deterministic for fixed inputs.
+Every command takes ``--format``; ``enumerate`` alone takes ``--budget``,
+its cap on closure products, and ``cohomology`` alone ``--reps``.  No other
+bound is set by the caller: every stacked pass is checked against the one
+cell cap of ``groups.check_cells`` before it is built.
+
+Exit codes: 0 success, 1 parse error, 2 semantic invalidity, 3 the budget
+or the cell cap exceeded.  A usage error (a missing or extra argument, an
+unknown option, a bad ``--format`` choice, a ``--budget`` that is not a
+positive integer) also exits 2, with argparse's usage line on stderr.
+Output is deterministic for fixed inputs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import List, Optional
 
 from . import serialize
 from .cohomology import cochain_complex
 from .groups import GroupError
-from .rrb import RRBError, enumerate_rrb_operators
+from .rrb import DEFAULT_BUDGET, RRBError, enumerate_rrb_operators
 from .serialize import ParseError, _load_json
 from .wells import WellsContext, verify_wells_exactness, is_inducible, \
     inducible_by_module_criterion, pair_is_compatible, wells_map
@@ -33,7 +37,8 @@ EXIT_PARSE = 1
 EXIT_INVALID = 2
 EXIT_BUDGET = 3
 
-DEFAULT_BUDGET = 10 ** 6
+# Error codes of a refused bound, which exit EXIT_BUDGET wherever they arise.
+BOUND_CODES = ("OrderTooLarge", "BudgetExceeded")
 
 
 def _emit(args: argparse.Namespace, payload: dict, text_lines: List[str]) -> None:
@@ -52,6 +57,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
     try:
         loader(obj, base)
     except (GroupError, RRBError) as exc:
+        if exc.code in BOUND_CODES:
+            raise
         payload = {"kind": kind, "valid": False, "code": exc.code,
                    "witness": list(getattr(exc, "witness", ()))}
         _emit(args, payload, [f"{kind}: INVALID", f"  {exc}"])
@@ -97,7 +104,7 @@ def cmd_cohomology(args: argparse.Namespace) -> int:
 
 def cmd_wells(args: argparse.Namespace) -> int:
     ext = serialize.load_extension(*_load_json(args.extension))
-    report = verify_wells_exactness(ext, max_order=args.max_order)
+    report = verify_wells_exactness(ext)
     pair_objs = []
     lines = []
     for rec in report.pairs:
@@ -132,7 +139,7 @@ def cmd_inducible(args: argparse.Namespace) -> int:
         _emit(args, {"error": "pair is not a pair of automorphisms"},
               ["pair invalid: components are not bijective"])
         return EXIT_INVALID
-    ctx = WellsContext(ext, max_order=args.max_order)
+    ctx = WellsContext(ext)
     verdict, witness = is_inducible(ctx, pair)
     by_module = inducible_by_module_criterion(ctx, pair)
     in_c = pair_is_compatible(ctx.module, pair)
@@ -168,17 +175,27 @@ COMMANDS = {
 }
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of ``--budget``: anything but a positive integer is a
+    usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _add_command(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
     """Give ``parser`` the options and positionals of subcommand ``name``."""
     run, _, positionals = COMMANDS[name]
     parser.add_argument("--format", choices=("text", "json"), default="text")
-    parser.add_argument("--max-order", type=int, default=64,
-                        help="enumeration bound on component group orders")
-    parser.add_argument("--budget", type=int, default=None,
-                        help="closure-product cap for operator enumeration "
-                             "(RRB_BUDGET overrides the default)")
     for positional in positionals:
         parser.add_argument(positional)
+    if name == "enumerate":
+        parser.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET,
+                            help="closure-product cap for operator enumeration")
     if name == "cohomology":
         parser.add_argument("--reps", action="store_true", help="dump class representatives")
     parser.set_defaults(run=run, command=name)
@@ -216,24 +233,13 @@ def parse_args(argv: Optional[List[str]] = None) -> argparse.Namespace:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = parse_args(argv)
-    if args.budget is None:
-        env = os.environ.get("RRB_BUDGET", str(DEFAULT_BUDGET))
-        try:
-            args.budget = int(env)
-        except ValueError:
-            print(f"RRB_BUDGET must be an integer, got {env!r}", file=sys.stderr)
-            return EXIT_PARSE
-    if args.max_order <= 0 or args.budget <= 0:
-        print("bounds must be positive", file=sys.stderr)
-        return EXIT_PARSE
     try:
         return args.run(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (GroupError, RRBError) as exc:
-        code = getattr(exc, "code", "")
-        if code in ("OrderTooLarge", "BudgetExceeded"):
+        if exc.code in BOUND_CODES:
             print(f"bound exceeded: {exc}", file=sys.stderr)
             return EXIT_BUDGET
         print(f"invalid input: {exc}", file=sys.stderr)

@@ -10,8 +10,6 @@ from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-DEFAULT_MAX_ORDER = 64
-
 
 class GroupError(ValueError):
     """Structured validation failure with a short code and a witness."""
@@ -140,45 +138,49 @@ def direct_product(G: FiniteGroup, H: FiniteGroup) -> ProductGroup:
 
 
 def group_from_permutations(degree: int, generators: Sequence[Sequence[int]],
-                            name: Optional[str] = None,
-                            max_order: int = 10_000) -> FiniteGroup:
+                            name: Optional[str] = None) -> FiniteGroup:
     """Close permutation generators under composition and build the table.
 
     Elements are the closure's permutations sorted lexicographically, which
     puts the identity at index 0.  Product convention: ``(p*q)(x) = p(q(x))``.
+    The closure grows from the identity in waves of products with the
+    generators, ``right[i, j]`` being element i times generator j.  Each
+    element after the identity is parent * gen at its first appearance in
+    ``right``, so its table column is a gather of its parent's.  The table's
+    n^2 cells are checked against the cell cap as the closure grows.
     """
     if degree < 0:
         raise GroupError("NotClosed", f"degree {degree} is negative")
     # A generator of the wrong length fails before anything of size degree is
-    # built, and without generators the group is trivial at any degree.
-    perms = set()
+    # built; without generators, or on no points, the group is trivial.
     for gen in generators:
-        p = tuple(int(x) for x in gen)
-        if len(p) != degree or sorted(p) != list(range(degree)):
+        if len(gen) != degree or sorted(int(x) for x in gen) != list(range(degree)):
             raise GroupError("NotClosed", f"generator {gen} is not a permutation of 0..{degree - 1}")
-        perms.add(p)
-    if not perms:
+    if len(generators) == 0 or degree == 0:
         return FiniteGroup([[0]], name=name)
-    perms.add(tuple(range(degree)))
-    frontier = list(perms)
-    while frontier:
-        fresh = []
-        for p in frontier:
-            for q in list(perms):
-                for r in (tuple(p[q[x]] for x in range(degree)),
-                          tuple(q[p[x]] for x in range(degree))):
-                    if r not in perms:
-                        perms.add(r)
-                        fresh.append(r)
-                        if len(perms) > max_order:
-                            raise GroupError("OrderTooLarge",
-                                             f"closure exceeds {max_order} permutations")
-        frontier = fresh
-    ordered = sorted(perms)
-    index = {p: i for i, p in enumerate(ordered)}
-    n = len(ordered)
-    table = [[index[tuple(ordered[i][ordered[j][x]] for x in range(degree))]
-              for j in range(n)] for i in range(n)]
+    gens = np.array(generators, dtype=np.int64)
+    k = len(gens)
+    perms = np.arange(degree)[None]
+    right = np.zeros((0, k), dtype=np.int64)
+    while len(right) < len(perms):
+        frontier = perms[len(right):]
+        check_cells(len(frontier) * k * degree, f"a wave of {len(frontier) * k} permutations")
+        products = frontier[:, gens].reshape(len(frontier) * k, degree)
+        at = row_index(perms, products)
+        fresh = np.unique(products[at < 0], axis=0)
+        check_cells((len(perms) + len(fresh)) ** 2,
+                    f"the table of a closure of {len(perms) + len(fresh)} permutations")
+        at[at < 0] = len(perms) + row_index(fresh, products[at < 0])
+        perms = np.concatenate([perms, fresh])
+        right = np.concatenate([right, at.reshape(-1, k)])
+    n = len(perms)
+    first = np.unique(right, return_index=True)[1]
+    table = np.zeros((n, n), dtype=np.int64)
+    table[:, 0] = np.arange(n)
+    for x in range(1, n):
+        table[:, x] = right[table[:, first[x] // k], first[x] % k]
+    rank = np.unique(perms, axis=0, return_inverse=True)[1].reshape(n)
+    table[np.ix_(rank, rank)] = rank[table]
     return FiniteGroup(table, name=name)
 
 
@@ -363,27 +365,18 @@ class Quotient(NamedTuple):
 def quotient_group(G: FiniteGroup, normal_elements: Sequence[int]) -> Quotient:
     """Quotient by a normal subgroup.
 
-    Cosets are indexed by their minimum element, sorted ascending, so the
-    identity coset lands at index 0 and the section is normalized.
+    Each coset gN is one row of the gather ``G.table[:, N]``.  Cosets are
+    indexed by their minimum element, sorted ascending, so the identity
+    coset lands at index 0 and the section is normalized.
     """
     N = sorted(set(int(x) for x in normal_elements))
     if not is_normal(G, N):
         raise GroupError("NotNormal", "subgroup is not normal")
-    coset_min = np.full(G.order, -1, dtype=np.int64)
-    for g in G.elements():
-        if coset_min[g] >= 0:
-            continue
-        members = sorted(G.mul(g, x) for x in N)
-        rep = members[0]
-        for m in members:
-            coset_min[m] = rep
-    reps = sorted(set(coset_min.tolist()))
-    rep_index = {r: i for i, r in enumerate(reps)}
-    proj = np.asarray([rep_index[coset_min[g]] for g in G.elements()], dtype=np.int64)
-    q = len(reps)
-    table = [[int(proj[G.mul(reps[i], reps[j])]) for j in range(q)] for i in range(q)]
-    Q = FiniteGroup(table, name=f"{G.name}/N" if G.name else None)
-    return Quotient(Q, GroupHom(G, Q, proj), np.asarray(reps, dtype=np.int64))
+    coset_min = G.table[:, N].min(axis=1)
+    reps = np.unique(coset_min)
+    proj = np.searchsorted(reps, coset_min)
+    Q = FiniteGroup(proj[G.table[np.ix_(reps, reps)]], name=f"{G.name}/N" if G.name else None)
+    return Quotient(Q, GroupHom(G, Q, proj), reps)
 
 
 def _element_orders(G: FiniteGroup) -> np.ndarray:
@@ -503,21 +496,16 @@ def isomorphism_images(G: FiniteGroup, H: FiniteGroup,
     return img[sorted(range(len(img)), key=img.tolist().__getitem__)]
 
 
-def automorphism_group(G: FiniteGroup, max_order: int = DEFAULT_MAX_ORDER) -> List[GroupHom]:
+def automorphism_group(G: FiniteGroup) -> List[GroupHom]:
     """All automorphisms, sorted by image array (see isomorphism_images)."""
-    return all_isomorphisms(G, G, max_order)
+    return all_isomorphisms(G, G)
 
 
-def find_isomorphism(G: FiniteGroup, H: FiniteGroup,
-                     max_order: int = DEFAULT_MAX_ORDER) -> Optional[GroupHom]:
+def find_isomorphism(G: FiniteGroup, H: FiniteGroup) -> Optional[GroupHom]:
     """Some isomorphism G -> H (the least by image array), or None."""
-    found = all_isomorphisms(G, H, max_order)
+    found = all_isomorphisms(G, H)
     return found[0] if found else None
 
 
-def all_isomorphisms(G: FiniteGroup, H: FiniteGroup,
-                     max_order: int = DEFAULT_MAX_ORDER) -> List[GroupHom]:
-    if max(G.order, H.order) > max_order:
-        raise GroupError("OrderTooLarge",
-                         f"order {max(G.order, H.order)} exceeds enumeration bound {max_order}")
+def all_isomorphisms(G: FiniteGroup, H: FiniteGroup) -> List[GroupHom]:
     return [GroupHom(G, H, img, check=False) for img in isomorphism_images(G, H)]

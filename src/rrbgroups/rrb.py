@@ -13,13 +13,13 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .groups import (
-    DEFAULT_MAX_ORDER,
     FiniteGroup,
     GroupError,
     GroupHom,
     Quotient,
     action_law_defects,
     automorphism_rows,
+    check_cells,
     direct_product,
     first_escape,
     first_true,
@@ -29,6 +29,10 @@ from .groups import (
     quotient_group,
     subset_mask,
 )
+
+
+# Closure products an operator search may spend before it is refused.
+DEFAULT_BUDGET = 10 ** 6
 
 
 class RRBError(ValueError):
@@ -380,36 +384,37 @@ def direct_product_rrb(rrb1: RRBGroup, rrb2: RRBGroup,
     return RRBGroup(pH.group, pG.group, phi, R, name=name)
 
 
-def rrb_automorphism_images(rrb: RRBGroup, max_order: int = DEFAULT_MAX_ORDER,
+def rrb_automorphism_images(rrb: RRBGroup,
                             stabilizing: Optional[Tuple[Sequence[int], Sequence[int]]] = None
                             ) -> Tuple[np.ndarray, np.ndarray]:
     """The automorphisms of the structure as two stacks of image rows (psi
     on H, eta on G), sorted by (psi, eta).
 
     Aut(H) x Aut(G) is filtered psi-major with one check of all pairs at
-    once.  With ``stabilizing`` = (K, L) only the automorphisms carrying K
-    and L onto themselves, from stabilizer searches on H and G."""
-    if rrb.H.order > max_order or rrb.G.order > max_order:
-        raise RRBError("OrderTooLarge", "component order exceeds enumeration bound")
+    once, its stack of candidate pairs checked against the cell cap first.
+    With ``stabilizing`` = (K, L) only the automorphisms carrying K and L
+    onto themselves, from stabilizer searches on H and G."""
     K, L = stabilizing if stabilizing is not None else (None, None)
     auts_H = isomorphism_images(rrb.H, rrb.H, K)
     auts_G = isomorphism_images(rrb.G, rrb.G, L)
+    pairs = len(auts_H) * len(auts_G)
+    check_cells(pairs * (rrb.H.order + rrb.G.order),
+                f"a stack of {pairs} candidate automorphism pairs")
     bad_R, bad_eq = morphism_defects(rrb, rrb, auts_H[:, None], auts_G[None])
     i, j = np.nonzero(~(bad_R.any(axis=2) | bad_eq.any(axis=(2, 3))))
     return auts_H[i], auts_G[j]
 
 
-def rrb_automorphism_group(rrb: RRBGroup,
-                           max_order: int = DEFAULT_MAX_ORDER) -> List[RRBMorphism]:
+def rrb_automorphism_group(rrb: RRBGroup) -> List[RRBMorphism]:
     """All pairs in Aut(H) x Aut(G) compatible with phi and R, sorted."""
     return [RRBMorphism(rrb, rrb, GroupHom(rrb.H, rrb.H, psi, check=False),
                         GroupHom(rrb.G, rrb.G, eta, check=False), check=False)
-            for psi, eta in zip(*rrb_automorphism_images(rrb, max_order))]
+            for psi, eta in zip(*rrb_automorphism_images(rrb))]
 
 
 def enumerate_rrb_operators(H: FiniteGroup, G: FiniteGroup,
                             phi: Sequence[Sequence[int]],
-                            budget: int = 10 ** 6) -> List[np.ndarray]:
+                            budget: int = DEFAULT_BUDGET) -> List[np.ndarray]:
     """All operators R for the given action, as closed graphs in H x_phi G.
 
     R is an operator exactly when its graph {(h, R(h))} is closed under

@@ -27,7 +27,6 @@ import numpy as np
 from .cohomology import CohomologyClass, cochain_complex
 from .extensions import Extension, chart, extract_actions, extract_factor_system
 from .groups import (
-    DEFAULT_MAX_ORDER,
     GroupError,
     GroupHom,
     check_cells,
@@ -140,11 +139,13 @@ class _PairGroup:
     identity, the least image array, is row 0 of each.
     """
 
-    def __init__(self, module: RRBModule, max_order: int):
-        self.quotient = rrb_automorphism_images(module.quotient, max_order)
-        self.kernel = rrb_automorphism_images(module.kernel, max_order)
+    def __init__(self, module: RRBModule):
+        self.quotient = rrb_automorphism_images(module.quotient)
+        self.kernel = rrb_automorphism_images(module.kernel)
         nq, nk = len(self.quotient[0]), len(self.kernel[0])
         self.nk = nk
+        width = sum(x.shape[1] for x in (*self.quotient, *self.kernel))
+        check_cells(nq * nk * width, f"a stack of {nq * nk} automorphism pairs")
         self.all = _Pairs(*(np.repeat(x, nk, axis=0) for x in self.quotient),
                           *(np.tile(x, (nq, 1)) for x in self.kernel))
         self.C = np.flatnonzero(_compatible(module, self.all))
@@ -175,10 +176,9 @@ class _PairGroup:
         return [CompatiblePair(psis[i], thetas[j]) for i, j in zip(q.tolist(), k.tolist())]
 
 
-def compatible_pairs(module: RRBModule,
-                     max_order: int = DEFAULT_MAX_ORDER) -> List[CompatiblePair]:
+def compatible_pairs(module: RRBModule) -> List[CompatiblePair]:
     """All compatible pairs, sorted; checked to be closed under the group ops."""
-    pairs = _PairGroup(module, max_order)
+    pairs = _PairGroup(module)
     return pairs.objects(module, pairs.C)
 
 
@@ -224,7 +224,7 @@ def act_on_class(pair: CompatiblePair, cls: CohomologyClass) -> CohomologyClass:
 class WellsContext:
     """Cached per-extension data for the lifting computations."""
 
-    def __init__(self, ext: Extension, max_order: int = DEFAULT_MAX_ORDER):
+    def __init__(self, ext: Extension):
         if not ext.is_abelian:
             raise RRBError("NotAbelianExtension", "lifting theory needs an abelian kernel datum")
         self.ext = ext
@@ -234,11 +234,10 @@ class WellsContext:
         self.complex = cochain_complex(self.module)
         self.fs = extract_factor_system(ext, self.chart.section)
         self.base_class = self.complex.class_of(self.fs)
-        self.max_order = max_order
 
     @functools.cached_property
     def pair_group(self) -> _PairGroup:
-        return _PairGroup(self.module, self.max_order)
+        return _PairGroup(self.module)
 
     @functools.cached_property
     def all_pairs(self) -> List[CompatiblePair]:
@@ -259,7 +258,7 @@ class WellsContext:
         """Automorphisms of the total structure carrying the kernel onto
         itself, as sorted image stacks, from one stabilizer search a side."""
         incl = self.ext.incl
-        return rrb_automorphism_images(self.ext.total, self.max_order,
+        return rrb_automorphism_images(self.ext.total,
                                        stabilizing=(incl.psi.image, incl.eta.image))
 
 
@@ -521,8 +520,7 @@ class WellsReport(NamedTuple):
     omega_is_homomorphism: bool
 
 
-def verify_wells_exactness(ext: Extension,
-                           max_order: int = DEFAULT_MAX_ORDER) -> WellsReport:
+def verify_wells_exactness(ext: Extension) -> WellsReport:
     """Exactness audit of the lifting sequence for one extension.
 
     Checks: the derivation group embeds in the total automorphisms; its image
@@ -532,7 +530,7 @@ def verify_wells_exactness(ext: Extension,
     number of passes over stacks: of derivations, of automorphisms of the
     total, of compatible pairs and of their products.
     """
-    ctx = WellsContext(ext, max_order)
+    ctx = WellsContext(ext)
     cx = ctx.complex
     exactness: Dict[str, bool] = {}
     witnesses: Dict[str, str] = {}

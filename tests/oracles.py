@@ -10,8 +10,8 @@ tuple at a time, as the entry-for-entry reference for their assembly, and
 the library's complex (checked against exhaustive enumeration elsewhere) and
 does everything else one object at a time.  The element loops that the
 library's table predicates replaced (module validation, closures and the
-generator walk, sub-structure checks, quotient maps) are kept here as the
-references those predicates are compared with.
+generator walk, permutation closures, sub-structure checks, quotient maps)
+are kept here as the references those predicates are compared with.
 """
 
 from __future__ import annotations
@@ -442,6 +442,27 @@ def closure_loop(G, generators: Sequence[int]) -> List[int]:
                         fresh.append(c)
         frontier = fresh
     return sorted(elems)
+
+
+def permutation_closure_loop(degree: int, generators: Sequence[Sequence[int]]) -> list:
+    """The table of the group the permutations generate, elements sorted
+    lexicographically and ``(p*q)(x) = p(q(x))``, by saturating products of
+    tuples in both orders; generators are taken as permutations."""
+    perms = {tuple(int(x) for x in gen) for gen in generators} | {tuple(range(degree))}
+    frontier = list(perms)
+    while frontier:
+        fresh = []
+        for p in frontier:
+            for q in list(perms):
+                for r in (tuple(p[q[x]] for x in range(degree)),
+                          tuple(q[p[x]] for x in range(degree))):
+                    if r not in perms:
+                        perms.add(r)
+                        fresh.append(r)
+        frontier = fresh
+    ordered = sorted(perms)
+    index = {p: i for i, p in enumerate(ordered)}
+    return [[index[tuple(p[q[x]] for x in range(degree))] for q in ordered] for p in ordered]
 
 
 def walk_presentation(group) -> Tuple[Tuple[int, ...], np.ndarray]:

@@ -2,8 +2,10 @@
 
 import argparse
 import json
+import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -81,12 +83,8 @@ class TestExitCodes:
         assert proc.returncode == 3
         assert "bound exceeded" in proc.stderr
 
-    def test_order_bound_exceeded(self):
-        proc = run_cli("wells", F / "ext_z9.json", "--max-order", "2")
-        assert proc.returncode == 3
-
     def test_automorphism_search_cap_exceeded(self, tmp_path):
-        # Total Z2^5 x 1 (order 32, inside --max-order 64) with kernel Z2:
+        # Total Z2^5 x 1 (order 32) with kernel Z2:
         # the stabilizer search of the total would outgrow its cell cap.
         from rrbgroups import cyclic_group, direct_product, product_extension, trivial_rrb
         from rrbgroups.serialize import extension_to_json
@@ -102,8 +100,39 @@ class TestExitCodes:
         assert proc.returncode == 3
         assert "bound exceeded" in proc.stderr
 
-    def test_budget_env_override(self, tmp_path):
-        import os
+    @staticmethod
+    def _refused(proc, started):
+        assert time.perf_counter() - started < 2
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("bound exceeded: OrderTooLarge: ")
+
+    def test_kernel_automorphism_pairs_refused(self, tmp_path):
+        # Kernel (Z2^4, Z2^4, trivial, R = 0) over a one-point quotient: Aut(Z2^4)
+        # has 20,160 elements, so the kernel's candidate pairs are 20,160^2.
+        from rrbgroups import cyclic_group, direct_product, product_extension, trivial_rrb
+        from rrbgroups.serialize import extension_to_json
+
+        z2, one = cyclic_group(2), cyclic_group(1)
+        v4 = direct_product(z2, z2).group
+        z2_4 = direct_product(v4, v4).group
+        ext = product_extension(trivial_rrb(one, one), trivial_rrb(z2_4, z2_4))
+        path = tmp_path / "ext.json"
+        path.write_text(json.dumps(extension_to_json(ext)))
+        started = time.perf_counter()
+        self._refused(run_cli("wells", path), started)
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_permutation_closure_refused(self, tmp_path, fmt):
+        # S7, 5,040 elements, is refused while loading, not reported invalid.
+        path = tmp_path / "s7.json"
+        path.write_text(json.dumps({"degree": 7, "generators": [[1, 0, 2, 3, 4, 5, 6],
+                                                                [1, 2, 3, 4, 5, 6, 0]]}))
+        started = time.perf_counter()
+        self._refused(run_cli("validate", path, "--format", fmt), started)
+
+    def test_budget_env_is_not_read(self, tmp_path):
         phi = tmp_path / "phi.json"
         phi.write_text(json.dumps([[0, 1, 2, 3]] * 4))
         env = dict(os.environ, RRB_BUDGET="2")
@@ -111,24 +140,51 @@ class TestExitCodes:
             [sys.executable, "-m", "rrbgroups", "enumerate",
              str(F / "group_z4.json"), str(F / "group_z4.json"), str(phi)],
             capture_output=True, text=True, env=env)
-        assert proc.returncode == 3
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("operators: 4\n")
 
     @pytest.mark.parametrize("value", ["abc", "1.5", ""])
     def test_budget_env_not_an_integer(self, value):
-        import os
         env = dict(os.environ, RRB_BUDGET=value)
         proc = subprocess.run(
             [sys.executable, "-m", "rrbgroups", "validate", str(F / "group_z2.json")],
             capture_output=True, text=True, env=env)
-        assert proc.returncode == 1
+        assert proc.returncode == 0
+        assert proc.stdout == "group: valid\n"
+        assert proc.stderr == ""
+
+    @pytest.mark.parametrize("value", ["0", "-3", "x", "1.5"])
+    def test_budget_must_be_a_positive_integer(self, value):
+        proc = run_cli("enumerate", F / "group_z4.json", F / "group_z4.json", "phi.json",
+                       "--budget", value)
+        assert proc.returncode == 2
         assert proc.stdout == ""
-        assert "RRB_BUDGET" in proc.stderr
-        assert "Traceback" not in proc.stderr
-        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("usage: rrbgroups enumerate ")
+        assert proc.stderr.splitlines()[-1] == (
+            f"rrbgroups enumerate: error: argument --budget: "
+            f"expected a positive integer, got {value!r}")
+
+    @pytest.mark.parametrize("argv", [
+        ["validate", "group_z2.json", "--budget", "3"],
+        ["wells", "ext_z9.json", "--budget=3"],
+        ["enumerate", "group_z3.json", "group_z2.json", "phi.json", "--max-order", "5"],
+        ["wells", "ext_z9.json", "--max-order", "16"],
+        ["inducible", "ext_z9.json", "pair_z9_identity.json", "--max-order=1"],
+    ], ids=" ".join)
+    def test_removed_options_are_usage_errors(self, argv, capsys):
+        # Refused while parsing, before any file is opened.
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(argv)
+        assert exit_.value.code == 2
+        assert "error: unrecognized arguments: --" in capsys.readouterr().err
 
 
 def _argv_corpus():
-    """Argument vectors for every command and the usage errors around them."""
+    """Argument vectors for every command and the usage errors around them.
+
+    Every command is tried with every option any command has: ``--budget``
+    outside ``enumerate``, ``--reps`` outside ``cohomology`` and the removed
+    ``--max-order`` are usage errors."""
     positionals = {"validate": ["x"], "enumerate": ["h", "g", "p"], "cohomology": ["m"],
                    "wells": ["e"], "inducible": ["e", "p"]}
     corpus = [[], ["-h"], ["--help"], ["frobnicate", "x"], ["--format", "json", "validate", "x"],
@@ -140,6 +196,7 @@ def _argv_corpus():
               ["validate", "x", "--format", "xml"], ["wells", "e", "--max-order", "abc"],
               ["wells", "e", "--max-order=1.5"], ["enumerate", "h", "g", "p", "--budget", "lots"],
               ["cohomology", "--reps"], ["validate", "-h", "x"],
+              ["enumerate", "h", "g", "p", "--budget", "0"], ["enumerate", "h", "g", "p", "--budget=-2"],
               ["wells", "e", "--he"], ["validate", "x", "-h", "--bogus"]]
     for name, args in positionals.items():
         corpus += [[name, *args], [name, "-h"], [name, *args[:-1]], [name, *args, "extra"]]
@@ -170,9 +227,9 @@ class TestArgumentParsing:
 
     @pytest.mark.parametrize("argv", [
         ["validate", str(F / "group_z2.json"), "--format", "json"],
-        ["enumerate", str(F / "group_z3.json"), str(F / "group_z2.json"), "PHI"],
+        ["enumerate", str(F / "group_z3.json"), str(F / "group_z2.json"), "PHI", "--budget", "50"],
         ["cohomology", str(F / "module_trivial_z2.json"), "--reps"],
-        ["wells", str(F / "ext_z9.json"), "--max-order", "16"],
+        ["wells", str(F / "ext_z9.json")],
         ["inducible", str(F / "ext_z9.json"), str(F / "pair_z9_identity.json")],
     ], ids=lambda argv: argv[0])
     def test_named_command_builds_one_parser(self, argv, tmp_path, monkeypatch, capsys):

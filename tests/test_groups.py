@@ -28,10 +28,35 @@ from rrbgroups import (
     trivial_group,
 )
 from rrbgroups.groups import group_from_permutations
-from oracles import (closure_loop, group_table_violation, normal_loop, quotient_loop,
-                     saturation_isomorphisms, subgroup_loop)
+from conftest import FIXTURE_DIR
+from oracles import (closure_loop, group_table_violation, normal_loop, permutation_closure_loop,
+                     quotient_loop, saturation_isomorphisms, subgroup_loop)
 
 OPERATORS_CATALOGUE = Path(__file__).parent.parent / "perfbench" / "catalogue" / "operators.json"
+
+
+def _permutation_corpus() -> list:
+    """(degree, generators) of every permutation group the package's
+    fixtures, tests, demos and benchmark catalogues close, then 60 seeded
+    random sets of degree at most 6 (one generator at degree 6, so that the
+    reference loop stays quick)."""
+    corpus = [(3, [[1, 0, 2], [0, 2, 1]]), (3, [[1, 0, 2], [1, 2, 0]]),
+              (4, [[1, 2, 3, 0], [0, 3, 2, 1]]), (4, [[1, 2, 0, 3], [0, 2, 3, 1]]),
+              (4, [[1, 0, 3, 2], [2, 3, 0, 1]]), (4, [[1, 2, 0, 3], [1, 0, 3, 2]]),
+              (4, [[1, 2, 3, 0], [1, 0, 2, 3]]), (6, [[1, 2, 3, 4, 5, 0], [0, 5, 4, 3, 2, 1]]),
+              (8, [[1, 2, 3, 0, 5, 6, 7, 4], [4, 7, 6, 5, 2, 1, 0, 3]]),
+              *((n, [[(i + 1) % n for i in range(n)], [(-i) % n for i in range(n)]])
+                for n in (8, 16, 18, 20, 22)),
+              (5, [[0, 1, 2, 3, 4]]), (0, [[]]), (1, [[0]])]
+    for path in sorted(FIXTURE_DIR.glob("group_*_perm.json")):
+        obj = json.loads(path.read_text())
+        corpus.append((obj["degree"], obj["generators"]))
+    rng = np.random.default_rng(15)
+    for i in range(60):
+        degree = 1 + i % 6
+        count = 1 if degree == 6 else int(rng.integers(1, 4))
+        corpus.append((degree, [rng.permutation(degree).tolist() for _ in range(count)]))
+    return corpus
 
 
 def _table_corpus() -> dict:
@@ -97,6 +122,20 @@ class TestValidateGroup:
         oracle = FiniteGroup(table)
         built = group_from_permutations(3, [[1, 0, 2], [0, 2, 1]], name="S3")
         assert oracle.order == 6 and built == oracle
+
+    @pytest.mark.parametrize("degree,generators", _permutation_corpus(),
+                             ids=lambda x: str(x).replace(" ", ""))
+    def test_permutation_closure_matches_the_loop(self, degree, generators):
+        table = group_from_permutations(degree, generators).table.tolist()
+        assert table == permutation_closure_loop(degree, generators)
+
+    def test_permutation_closure_is_capped_as_it_grows(self):
+        # S7 (5,040 elements) would need 25.4 million table cells; it is
+        # refused once the closure passes 1,024 elements, before any table.
+        with pytest.raises(GroupError) as err:
+            group_from_permutations(7, [[1, 0, 2, 3, 4, 5, 6], [1, 2, 3, 4, 5, 6, 0]])
+        assert err.value.code == "OrderTooLarge"
+        assert "the table of a closure of" in str(err.value)
 
     def test_permutation_degree_checks(self):
         # No generators: the trivial group, whatever the degree.
@@ -254,10 +293,10 @@ class TestAutomorphisms:
         assert d4.order == 8
         assert len(automorphism_group(d4)) == 8
 
-    def test_order_bound(self, groups):
-        with pytest.raises(GroupError) as err:
-            automorphism_group(groups["z4"], max_order=3)
-        assert err.value.code == "OrderTooLarge"
+    def test_group_order_is_not_a_bound(self):
+        # Only the search's cells bound it: Z128 has 64 automorphisms, one
+        # generator and 8,192 cells at its one level.
+        assert len(automorphism_group(cyclic_group(128))) == 64
 
 
 def _quaternion() -> FiniteGroup:

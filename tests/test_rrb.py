@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rrbgroups import (
+    GroupError,
     GroupHom,
     RRBError,
     RRBGroup,
@@ -41,7 +42,7 @@ from rrbgroups import (
     validate_rrb,
 )
 from rrbgroups.groups import FiniteGroup, group_from_permutations, subgroup_closure
-from rrbgroups.rrb import descended_table
+from rrbgroups.rrb import descended_table, rrb_automorphism_images
 from rrbgroups.serialize import load_extension, load_rrb
 from oracles import (automorphism_pairs, center_loop, descended_loop, ideal_loop,
                      morphism_violation, naive_operators, quotient_loop, quotient_rrb_loop,
@@ -564,6 +565,20 @@ class TestAutomorphismGroups:
         got = [(tuple(m.psi.image.tolist()), tuple(m.eta.image.tolist()))
                for m in rrb_automorphism_group(rrb)]
         assert got == automorphism_pairs(rrb)
+
+    def test_candidate_pair_cap(self):
+        # (Z2^3, Z2^3) checks 168^2 candidate pairs, 451,584 cells of rows,
+        # though its (g, h) gather grid has 1,806,336; (Z2^4, Z2^4), with
+        # 20,160^2, is refused before the check of any pair is built.
+        psi, eta = rrb_automorphism_images(SEARCH_CASES["z2_cubed_trivial"])
+        assert len(psi) == len(eta) == 28224
+        z2 = cyclic_group(2)
+        v4 = direct_product(z2, z2).group
+        z2_4 = direct_product(v4, v4).group
+        with pytest.raises(GroupError) as err:
+            rrb_automorphism_images(trivial_rrb(z2_4, z2_4))
+        assert err.value.code == "OrderTooLarge"
+        assert "a stack of 406425600 candidate automorphism pairs" in str(err.value)
 
     def test_closed_under_composition_and_inverse(self, groups):
         inv4 = [0, 3, 2, 1]

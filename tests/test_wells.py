@@ -273,10 +273,21 @@ class TestRestrictionAndDerivations:
                 assert err.value.code == "ImageKernelMismatch"
                 assert "element 2 is not in the kernel image" in str(err.value)
 
-    def test_search_bound_comes_from_the_context(self, ext_corpus):
-        with pytest.raises(RRBError) as err:
-            aut_AK_H(WellsContext(ext_corpus["z9"], max_order=2))
+    def test_pair_stack_is_checked_before_it_is_built(self):
+        # Aut of (Z2^3, Z2^3) and of (Z2^2, Z2^2) each pass the cap, 28,224 and
+        # 36 pairs, but their product is 1,016,064 pairs of 24 cells.
+        from rrbgroups import RRBModule, cyclic_group, direct_product, trivial_action, trivial_rrb
+        from rrbgroups.groups import GroupError
+
+        z2 = cyclic_group(2)
+        v4 = direct_product(z2, z2).group
+        cube = direct_product(v4, z2).group
+        quotient, kernel = trivial_rrb(cube, cube), trivial_rrb(v4, v4)
+        module = RRBModule(quotient, kernel, trivial_action(quotient, kernel))
+        with pytest.raises(GroupError) as err:
+            compatible_pairs(module)
         assert err.value.code == "OrderTooLarge"
+        assert "a stack of 1016064 automorphism pairs needs 24385536 cells" in str(err.value)
 
     def test_zero_derivation_is_identity(self, contexts):
         from rrbgroups import OneCochain

@@ -4,6 +4,7 @@ Run:  python demos/02_operator_structures.py
 """
 
 from rrbgroups import (
+    RRBGroup,
     RRBIdeal,
     center,
     cyclic_group,
@@ -15,7 +16,6 @@ from rrbgroups import (
     quotient_rrb,
     rrb_automorphism_group,
     trivial_rrb,
-    validate_rrb,
 )
 
 Z2, Z3, Z4 = cyclic_group(2), cyclic_group(3), cyclic_group(4)
@@ -36,7 +36,7 @@ print("operators for (Z3, Z2, inversion):", [o.tolist() for o in ops])
 phi = [[0, 1, 2, 3], [0, 3, 2, 1]]
 ops = enumerate_rrb_operators(Z4, Z2, phi)
 print("operators for (Z4, Z2, negation):", [o.tolist() for o in ops])
-parity = validate_rrb(Z4, Z2, phi, [0, 1, 0, 1], name="parity")
+parity = RRBGroup(Z4, Z2, phi, [0, 1, 0, 1], name="parity")
 
 # Every structure descends to a second group on H, with R a homomorphism
 # from it.  Here the descended group is Klein's.

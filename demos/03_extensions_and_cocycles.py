@@ -4,6 +4,7 @@ Run:  python demos/03_extensions_and_cocycles.py
 """
 
 from rrbgroups import (
+    Extension,
     RRBIdeal,
     are_equivalent,
     build_extension,
@@ -17,7 +18,6 @@ from rrbgroups import (
     restrict,
     subgroup_closure,
     trivial_rrb,
-    validate_extension,
     zero_factor_system,
 )
 
@@ -28,7 +28,7 @@ total = trivial_rrb(Z9, cyclic_group(1), name="Z9")
 K = subgroup_closure(Z9, [3])
 kernel, incl = restrict(total, K, [0])
 quot = quotient_rrb(total, RRBIdeal(tuple(K), (0,)))
-ext = validate_extension(kernel, total, quot.rrb, incl, quot.projection)
+ext = Extension(kernel, total, quot.rrb, incl, quot.projection)
 print(ext)
 
 sec = canonical_section(ext)

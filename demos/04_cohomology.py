@@ -5,13 +5,13 @@ Run:  python demos/04_cohomology.py
 
 from rrbgroups import (
     OneCochain,
+    RRBGroup,
     RRBModule,
     classical_h2_check,
     cochain_complex,
     cyclic_group,
     trivial_action,
     trivial_rrb,
-    validate_rrb,
 )
 
 # The smallest interesting module: every ingredient is Z2 and every action
@@ -35,7 +35,7 @@ print("defect of kappa:", trivial_cx.coboundary(kappa))
 # parity, so the circle product on the quotient is non-cyclic and the fifth
 # cocycle condition cuts the candidate space from 2^16 down to 32.
 Z4 = cyclic_group(4)
-parity = validate_rrb(Z4, Z2, [[0, 1, 2, 3], [0, 3, 2, 1]], [0, 1, 0, 1])
+parity = RRBGroup(Z4, Z2, [[0, 1, 2, 3], [0, 3, 2, 1]], [0, 1, 0, 1])
 kern_id = trivial_rrb(Z2, Z2, R=[0, 1])
 twisted = RRBModule(parity, kern_id, trivial_action(parity, kern_id))
 cx = cochain_complex(twisted)

@@ -4,6 +4,7 @@ Run:  python demos/05_lifting_automorphisms.py
 """
 
 from rrbgroups import (
+    Extension,
     RRBIdeal,
     cyclic_group,
     inducible_by_module_criterion,
@@ -12,7 +13,6 @@ from rrbgroups import (
     restrict,
     subgroup_closure,
     trivial_rrb,
-    validate_extension,
     verify_wells_exactness,
     wells_map,
 )
@@ -25,7 +25,7 @@ total = trivial_rrb(Z9, cyclic_group(1), name="Z9")
 K = subgroup_closure(Z9, [3])
 kernel, incl = restrict(total, K, [0])
 quot = quotient_rrb(total, RRBIdeal(tuple(K), (0,)))
-ext = validate_extension(kernel, total, quot.rrb, incl, quot.projection)
+ext = Extension(kernel, total, quot.rrb, incl, quot.projection)
 
 ctx = WellsContext(ext)
 print("compatible pairs:", len(ctx.compatible),
@@ -59,7 +59,7 @@ rot = next(x for x in S3.elements() if S3.element_order(x) == 3)
 A3 = subgroup_closure(S3, [rot])
 k3, i3 = restrict(tot3, A3, [0])
 q3 = quotient_rrb(tot3, RRBIdeal(tuple(A3), (0,)))
-ext3 = validate_extension(k3, tot3, q3.rrb, i3, q3.projection)
+ext3 = Extension(k3, tot3, q3.rrb, i3, q3.projection)
 ctx3 = WellsContext(ext3)
 print("S3 extension: H2 order", ctx3.complex.h2.order)
 for pair in ctx3.compatible:

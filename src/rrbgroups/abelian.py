@@ -9,7 +9,8 @@ powers p^k exactly dividing E; each p-part is put in reduced Howell form
 over Z/p^k (``intlinalg.howell``), and the parts are merged by CRT into one
 chain of invariant factors.  Every basis, coordinate map and representative
 is read off the Howell forms, so it depends on the lattices only, not on
-the generators that span them, and every returned vector is reduced.
+the generators that span them, and every returned array is reduced and
+int64 (see ``intlinalg`` for the one bound that keeps it there).
 """
 
 from __future__ import annotations
@@ -24,11 +25,11 @@ import numpy as np
 from .groups import FiniteGroup, GroupError, _levels
 from .intlinalg import (
     as_int_matrix,
-    exact_matmul,
     howell,
     kernel_mod_prime_power,
     present_mod_prime_power,
     prime_power_scale,
+    prime_powers,
     scale_rows,
 )
 
@@ -57,30 +58,14 @@ class QuotientPresentation(NamedTuple):
 
     def coords(self, vecs: Sequence[int]):
         """Class coordinates of a vector, or of each row of a stack."""
-        stack = np.asarray(vecs, dtype=object)
+        stack = np.asarray(vecs, dtype=np.int64)
         if stack.ndim == 1:
             return reduce_vec(self.to_coords @ stack, self.factors)
-        return stack @ self.to_coords.T % np.array(self.factors, dtype=object)
+        return stack @ self.to_coords.T % np.array(self.factors, dtype=np.int64)
 
     @property
     def order(self) -> int:
         return math.prod(self.factors)
-
-
-def _prime_powers(n: int) -> List[Tuple[int, int]]:
-    """(p, k) for each prime power p**k exactly dividing n."""
-    out, p = [], 2
-    while n > 1:
-        if p * p > n:
-            p = n
-        k = 0
-        while n % p == 0:
-            n //= p
-            k += 1
-        if k:
-            out.append((p, k))
-        p += 1
-    return out
 
 
 def _idempotent(n: int, q: int) -> int:
@@ -97,37 +82,42 @@ def _merge(parts, size: int, E: int) -> QuotientPresentation:
     The i-th largest cyclic factors of all parts make one invariant factor
     d.  Its coordinate is the CRT combination of theirs: each part's row
     times the idempotent of Z/d that is 1 on its p-power and 0 on the rest.
-    A part's lift is taken by the idempotent of Z/E that is 1 modulo p**k
-    and 0 modulo E / p**k, which clears what it holds in the other parts.
+    A part's lift is added as given, so parts that share coordinates must
+    clear what their lifts hold in the other parts.
     """
     count = max((len(part[3]) for part in parts), default=0)
-    factors = np.ones(count, dtype=object)
+    factors = np.ones(count, dtype=np.int64)
     for p, _, _, exps, _, _ in parts:
-        factors[count - len(exps):] *= np.array([p ** int(e) for e in exps], dtype=object)
-    to_coords = np.zeros((count, size), dtype=object)
-    lift = np.zeros((size, count), dtype=object)
+        factors[count - len(exps):] *= np.array([p ** int(e) for e in exps], dtype=np.int64)
+    to_coords = np.zeros((count, size), dtype=np.int64)
+    lift = np.zeros((size, count), dtype=np.int64)
     for p, k, offset, exps, to, lf in parts:
         at = np.arange(count - len(exps), count)
         cols = slice(offset, offset + to.shape[1])
         for row, i, e in zip(to, at, exps):
-            to_coords[i, cols] += _idempotent(int(factors[i]), p ** int(e)) * row.astype(object)
-        lift[cols, at] += _idempotent(E, p ** k) * lf.astype(object)
+            to_coords[i, cols] += _idempotent(int(factors[i]), p ** int(e)) * row
+        lift[cols, at] += lf
     return QuotientPresentation(tuple(int(d) for d in factors),
                                 to_coords % factors[:, None], lift % E)
 
 
 def present_quotient(relation_cols: np.ndarray, E: int) -> QuotientPresentation:
-    """Present ``Z^n / colspan(relation_cols)``, where E Z^n lies in the span."""
+    """Present ``Z^n / colspan(relation_cols)``, where E Z^n lies in the span.
+
+    The parts share the coordinates, so each part's lift is taken by the
+    idempotent of Z/E that is 1 modulo p**k and 0 modulo E / p**k."""
     n = relation_cols.shape[0]
-    parts = [(p, k, 0, *present_mod_prime_power(relation_cols.T, p, k))
-             for p, k in _prime_powers(E)]
+    parts = []
+    for p, k in prime_powers(E, n):
+        exps, to, lift = present_mod_prime_power(relation_cols.T, p, k)
+        parts.append((p, k, 0, exps, to, lift * _idempotent(E, p ** k)))
     return _merge(parts, n, E)
 
 
 def _stack_moduli(cols: np.ndarray, moduli: Sequence[int]) -> np.ndarray:
     """``[cols | diag(moduli)]``: its column span is the lattice of cols plus
     every vector that vanishes modulo the moduli."""
-    return np.concatenate([cols, np.diag(np.array(moduli, dtype=object))], axis=1)
+    return np.concatenate([cols, np.diag(np.array(moduli, dtype=np.int64))], axis=1)
 
 
 def kernel_mod(matrix: np.ndarray, moduli: Sequence[int]) -> np.ndarray:
@@ -141,8 +131,8 @@ def kernel_mod(matrix: np.ndarray, moduli: Sequence[int]) -> np.ndarray:
     m = matrix.shape[1]
     E = math.lcm(*(int(x) for x in moduli))
     parts = [kernel_mod_prime_power(matrix, moduli, p, k) * (E // p ** k)
-             for p, k in _prime_powers(E)]
-    return np.concatenate(parts, axis=1) if parts else np.eye(m, dtype=object)
+             for p, k in prime_powers(E, m)]
+    return np.concatenate(parts, axis=1) if parts else np.eye(m, dtype=np.int64)
 
 
 class SubgroupPresentation:
@@ -168,7 +158,7 @@ class SubgroupPresentation:
         r = generator_cols.shape[1]
         # Per prime power: the scaling into (Z/q)^n, and the Howell form.
         self._forms = []
-        for p, k in _prime_powers(self._E):
+        for p, k in prime_powers(self._E, len(self.ambient_moduli)):
             scale = prime_power_scale(self.ambient_moduli, p ** k)
             form = howell(scale_rows(generator_cols, scale, p ** k).T, p, k,
                           carry=np.eye(r, dtype=np.int64))
@@ -180,10 +170,10 @@ class SubgroupPresentation:
 
     @functools.cached_property
     def generators(self) -> np.ndarray:
-        cols = [(form.rows // scale).T.astype(object) * _idempotent(self._E, form.p ** form.k)
+        cols = [(form.rows // scale).T * _idempotent(self._E, form.p ** form.k)
                 for scale, form in self._forms]
-        moduli = np.array(self.ambient_moduli, dtype=object).reshape(-1, 1)
-        return np.concatenate([np.zeros((len(moduli), 0), dtype=object), *cols], axis=1) % moduli
+        moduli = np.array(self.ambient_moduli, dtype=np.int64).reshape(-1, 1)
+        return np.concatenate([np.zeros((len(moduli), 0), dtype=np.int64), *cols], axis=1) % moduli
 
     def _solve(self, vecs: np.ndarray) -> Tuple[List[np.ndarray], np.ndarray]:
         """Per prime power, the coefficients of each row of vecs over the
@@ -192,7 +182,7 @@ class SubgroupPresentation:
         out, member = [], np.ones(len(vecs), dtype=bool)
         for scale, form in self._forms:
             q = form.p ** form.k
-            y, ok = form.solve((vecs % q * scale % q).astype(form.rows.dtype, copy=False))
+            y, ok = form.solve((vecs % q * scale % q).astype(np.int64, copy=False))
             out.append(y)
             member &= ok
         return out, member
@@ -201,7 +191,7 @@ class SubgroupPresentation:
         """Coefficients of each row of vecs over ``generators``, and the mask
         of members."""
         parts, member = self._solve(vecs)
-        return np.concatenate([np.zeros((len(vecs), 0), dtype=object), *parts], axis=1), member
+        return np.concatenate([np.zeros((len(vecs), 0), dtype=np.int64), *parts], axis=1), member
 
     def _present(self, denominator_cols: Optional[np.ndarray] = None) -> QuotientPresentation:
         """This subgroup, modulo the one ``denominator_cols`` generate, over
@@ -232,11 +222,15 @@ class SubgroupPresentation:
     def order(self) -> int:
         return self._pres.order
 
+    def _images(self, pres: QuotientPresentation) -> np.ndarray:
+        """Ambient images of the unit coordinates of ``pres``, a presentation
+        over the coefficients of ``generators``."""
+        return self.generators @ pres.lift % np.array(self.ambient_moduli, dtype=np.int64)[:, None]
+
     @functools.cached_property
     def embedding(self) -> np.ndarray:
         """Images in ambient coordinates of the presentation's generators."""
-        moduli = np.array(self.ambient_moduli, dtype=object).reshape(-1, 1)
-        return exact_matmul(self.generators, self._pres.lift) % moduli
+        return self._images(self._pres)
 
     def membership_coefficients(self, vecs: Sequence[int]):
         """Coefficients (in [0, E)) over the given generator columns that
@@ -246,10 +240,10 @@ class SubgroupPresentation:
         parts, member = self._solve(np.atleast_2d(stack))
         if stack.ndim == 1 and not member[0]:
             return None
-        out = np.zeros((len(member), self._gens.shape[1]), dtype=object)
+        out = np.zeros((len(member), self._gens.shape[1]), dtype=np.int64)
         for (_, form), y in zip(self._forms, parts):
             q = form.p ** form.k
-            out += _idempotent(self._E, q) * (y @ form.carry % q).astype(object)
+            out += _idempotent(self._E, q) * (y @ form.carry % q)
         out %= self._E
         if stack.ndim == 2:
             return out, member
@@ -259,7 +253,7 @@ class SubgroupPresentation:
         return bool(self._solve(np.asarray(vec)[None])[1][0])
 
     def element_from_coords(self, coords: Sequence[int]) -> Tuple[int, ...]:
-        vec = self.embedding @ np.asarray(coords, dtype=object)
+        vec = self.embedding @ np.array(reduce_vec(coords, self.factors), dtype=np.int64)
         return reduce_vec(vec, self.ambient_moduli)
 
     def elements(self) -> Iterator[Tuple[int, ...]]:
@@ -292,12 +286,16 @@ class SubquotientPresentation:
         stack = np.asarray(vecs)
         c, member = self._numerator._coefficients(np.atleast_2d(stack))
         if stack.ndim == 2:
-            return self._pres.coords(c).astype(np.int64), member
+            return self._pres.coords(c), member
         return self._pres.coords(c[0]) if member[0] else None
 
+    @functools.cached_property
+    def _embedding(self) -> np.ndarray:
+        return self._numerator._images(self._pres)
+
     def representative(self, coords: Sequence[int]) -> Tuple[int, ...]:
-        coeffs = self._pres.lift @ np.asarray(coords, dtype=object)
-        return reduce_vec(self._numerator.generators @ coeffs, self.ambient_moduli)
+        vec = self._embedding @ np.array(reduce_vec(coords, self.factors), dtype=np.int64)
+        return reduce_vec(vec, self.ambient_moduli)
 
 
 class AbelianPresentation:
@@ -333,7 +331,7 @@ class AbelianPresentation:
         # coord_table[x] is the coordinate vector of x; elem_index[i] is the
         # element whose coordinates have mixed-radix index i over the factor
         # product (last coordinate fastest).
-        self.coord_table = pres.coords(words).astype(np.int64).reshape(n, len(self.factors))
+        self.coord_table = pres.coords(words).reshape(n, len(self.factors))
         self._strides = np.array([math.prod(self.factors[j + 1:])
                                   for j in range(len(self.factors))], dtype=np.int64)
         flat = self.coord_table @ self._strides
@@ -388,20 +386,21 @@ class FinAbHom:
         if M.shape != (codomain.rank, domain.rank):
             raise ValueError(f"matrix shape {M.shape} does not match "
                              f"({codomain.rank}, {domain.rank})")
-        # d_i times the i-th column must vanish in the codomain.
-        for j, d in enumerate(domain.factors):
-            col = reduce_vec(M[:, j] * d, codomain.factors)
-            if any(col):
-                raise ValueError(f"column {j} does not respect generator order {d}")
-        for i in range(codomain.rank):
-            for j in range(domain.rank):
-                M[i, j] %= codomain.factors[i]
+        # Row i is reduced modulo codomain factor i first, so that d_j times
+        # column j, which must vanish in the codomain, stays in int64.
+        cod = np.array(codomain.factors, dtype=np.int64).reshape(-1, 1)
+        M %= cod
+        bad = (M * np.array(domain.factors, dtype=np.int64) % cod).any(axis=0)
+        if bad.any():
+            j = int(bad.argmax())
+            raise ValueError(f"column {j} does not respect generator order {domain.factors[j]}")
         self.domain = domain
         self.codomain = codomain
         self.matrix = M
 
     def apply_vec(self, vec: Sequence[int]) -> Tuple[int, ...]:
-        return reduce_vec(self.matrix @ np.asarray(vec, dtype=object), self.codomain.factors)
+        vec = np.array(reduce_vec(vec, self.domain.factors), dtype=np.int64)
+        return reduce_vec(self.matrix @ vec, self.codomain.factors)
 
     def apply_elem(self, x: int) -> int:
         return self.codomain.elem(self.apply_vec(self.domain.vec(x)))

@@ -50,7 +50,6 @@ from .abelian import (
     reduce_vec,
 )
 from .groups import FiniteGroup, trivial_group
-from .intlinalg import exact_matmul
 from .modules import ActionQuadruple, FactorSystem, OneCochain, RRBModule
 from .rrb import RRBError, descended_table, trivial_rrb
 
@@ -158,8 +157,8 @@ class _Layout:
         return out
 
     def reduce(self, coords: Sequence[int]) -> np.ndarray:
-        """coords (Python ints of any size) modulo the moduli, as int64."""
-        return (np.asarray(coords, dtype=object) % self._moduli).astype(np.int64)
+        """coords modulo the moduli."""
+        return np.asarray(coords, dtype=np.int64) % self._moduli
 
     def first_nonzero(self, coords: Sequence[int]) -> Optional[Tuple[str, tuple]]:
         """(block name, tuple) of the first coordinate not zero modulo its
@@ -299,7 +298,7 @@ class CochainComplex:
             raise AssertionError("coboundary column breaks generator order")
         if (C % (con // np.gcd(con, c2.T))).any():
             raise AssertionError("constraint column breaks generator order")
-        if (exact_matmul(C, D) % con).any():
+        if ((C @ D) % con).any():
             raise AssertionError("coboundary image violates a cocycle condition")
 
     # -- coordinate packing ------------------------------------------------
@@ -338,22 +337,22 @@ class CochainComplex:
 
     def z2_contains(self, fs: FactorSystem) -> Tuple[bool, Optional[Tuple[str, tuple]]]:
         """Membership, with the first failing condition (label, tuple) in row order."""
-        bad = self._con.first_nonzero(exact_matmul(self.constraint_matrix, self.fs_to_coords(fs)))
+        bad = self._con.first_nonzero(self.constraint_matrix @ self.fs_to_coords(fs))
         return bad is None, bad
 
     def z1_contains(self, kappa: OneCochain) -> Tuple[bool, Optional[Tuple[str, tuple]]]:
         """Membership, with the first nonzero defect (block, tuple) in row order."""
-        bad = self._c2.first_nonzero(exact_matmul(self.coboundary_matrix, self.kappa_to_coords(kappa)))
+        bad = self._c2.first_nonzero(self.coboundary_matrix @ self.kappa_to_coords(kappa))
         return bad is None, bad
 
     def z1_failures(self, kappa1: np.ndarray, kappa2: np.ndarray) -> np.ndarray:
         """Which 1-cochains of the stacks (kappa1, kappa2) are not derivations."""
-        defects = exact_matmul(self._c1.pack((kappa1, kappa2)), self.coboundary_matrix.T)
+        defects = self._c1.pack((kappa1, kappa2)) @ self.coboundary_matrix.T
         return self._c2.reduce(defects).any(axis=1)
 
     def coboundary(self, kappa: OneCochain) -> FactorSystem:
         """The defect quadruple of a one-cochain; always a cocycle."""
-        vec = exact_matmul(self.coboundary_matrix, self.kappa_to_coords(kappa))
+        vec = self.coboundary_matrix @ self.kappa_to_coords(kappa)
         return self.fs_from_coords(vec)
 
     def solve_coboundary(self, fs: FactorSystem) -> Optional[OneCochain]:
@@ -409,10 +408,9 @@ class CochainComplex:
     def z1_stack(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every derivation: its coordinates over Z1's invariant factors (all
         vectors, last coordinate fastest) and the stacks kappa1, kappa2."""
-        coords = np.array(list(iter_vectors(self.z1.factors)), dtype=object)
+        coords = np.array(list(iter_vectors(self.z1.factors)), dtype=np.int64)
         coords = coords.reshape(len(coords), len(self.z1.factors))
-        return (coords.astype(np.int64),
-                *self._c1.unpack(coords @ self.z1.embedding.T))
+        return coords, *self._c1.unpack(coords @ self.z1.embedding.T)
 
     def z1_elements(self) -> Iterator[OneCochain]:
         _, kappa1, kappa2 = self.z1_stack()

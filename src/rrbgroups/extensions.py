@@ -89,11 +89,6 @@ class Extension:
                 f"|A|={self.quotient.H.order},|B|={self.quotient.G.order})")
 
 
-def validate_extension(kernel: RRBGroup, total: RRBGroup, quotient: RRBGroup,
-                       incl: RRBMorphism, proj: RRBMorphism) -> Extension:
-    return Extension(kernel, total, quotient, incl, proj)
-
-
 def product_extension(quotient: RRBGroup, kernel: RRBGroup) -> Extension:
     """The direct product as an extension, pairs encoded quotient-first."""
     total = direct_product_rrb(quotient, kernel)

@@ -23,9 +23,9 @@ class GroupError(ValueError):
 class FiniteGroup:
     """A finite group given by its multiplication table.
 
-    The constructor validates the table: identity at 0, associativity,
-    two-sided inverses.  Rows and columns being permutations follows, and is
-    checked first because it gives the cheapest failure witnesses.
+    The constructor validates the table in this order: square shape, entries
+    in range, identity at 0, associativity, two-sided inverses.  Rows and
+    columns being permutations follows, so it is not checked on its own.
     """
 
     def __init__(self, table: Sequence[Sequence[int]], name: Optional[str] = None):

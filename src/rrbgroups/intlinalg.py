@@ -13,66 +13,73 @@ coefficients (``Howell.solve``), the relations among its rows
 (``Howell.relations``) and presentations of quotients
 (``present_mod_prime_power``).
 
-Matrices are numpy arrays.  Entries are reduced into [0, q) and held in
-int64 while q*q*width < 2**62, so that no sum of products of entries can
-leave int64; otherwise the same code runs on Python ints (object dtype).
-Results of ``exact_matmul`` and ``kernel_mod_prime_power`` are in Python
-ints.  There is no floating point anywhere.
+Matrices are int64 numpy arrays; there is no other integer type and no
+floating point.  A lattice enters through ``prime_powers(E, width)``, which
+refuses it (ValueError) when E**2 * width >= 2**62, before any elimination.
+Entries are reduced into [0, q) or [0, E) before they are multiplied, with
+q <= E, so that one bound keeps every sum of products below 2**62:
+
+- Howell elimination, solves and kernels multiply two entries below q and
+  sum at most width such products (a form has at most width rows): below
+  width * q**2 <= width * E**2.
+- The CRT merge multiplies an idempotent below E by an entry below q, and
+  sums over the prime powers q of E, whose sum is at most E: below E**2.
+- Class coordinates take coefficients (below q on the at most width
+  generators of each prime power q) against coordinate rows below an
+  invariant factor d <= E: below width * d * E.  Embeddings take generator
+  columns below E against lifts below q, the same sum.
+
+Every modulus a group table gives divides the group's exponent, so E is at
+most the order n and the bound fails only for widths past 2**62 / n**2.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 
+def prime_powers(E: int, width: int) -> List[Tuple[int, int]]:
+    """(p, k) for each prime power p**k exactly dividing E, for a lattice in
+    Z^width containing E Z^width, after the int64 bound is checked."""
+    if E * E * max(width, 1) >= 2 ** 62:
+        raise ValueError(f"lattice modulo {E} in width {width} is past the int64 bound: "
+                         f"E**2 * width must stay below 2**62")
+    out, p = [], 2
+    while E > 1:
+        if p * p > E:
+            p = E
+        k = 0
+        while E % p == 0:
+            E //= p
+            k += 1
+        if k:
+            out.append((p, k))
+        p += 1
+    return out
+
+
 def as_int_matrix(rows: Sequence[Sequence[int]], ncols: Optional[int] = None) -> np.ndarray:
-    """Copy ``rows`` into an exact (object dtype) matrix.
+    """Copy ``rows`` into an int64 matrix; an entry outside int64 is a
+    ValueError.
 
     ``ncols`` is required when ``rows`` is empty, since the column count
     cannot be inferred from data.
     """
-    rows = [list(map(int, r)) for r in rows]
+    rows = [list(r) for r in rows]
     if not rows:
         if ncols is None:
             raise ValueError("ncols is required for a matrix with no rows")
-        return np.zeros((0, ncols), dtype=object)
+        return np.zeros((0, ncols), dtype=np.int64)
     width = len(rows[0])
     if any(len(r) != width for r in rows):
         raise ValueError("ragged rows in integer matrix")
-    out = np.zeros((len(rows), width), dtype=object)
-    for i, r in enumerate(rows):
-        for j, x in enumerate(r):
-            out[i, j] = x
-    return out
-
-
-def exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b in Python ints; computed in int64 when no sum can leave it."""
     try:
-        a64, b64 = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+        return np.array(rows, dtype=np.int64).reshape(len(rows), width)
     except OverflowError:
-        a64 = None
-    if a64 is not None:
-        bound = max(-int(a64.min(initial=0)), int(a64.max(initial=0))) \
-            * max(-int(b64.min(initial=0)), int(b64.max(initial=0))) * a64.shape[-1]
-        if bound < 2 ** 63:
-            return (a64 @ b64).astype(object)
-    return np.asarray(a, dtype=object) @ np.asarray(b, dtype=object)
-
-
-def _dtype(q: int, width: int):
-    return np.int64 if q * q * max(width, 1) < 2 ** 62 else object
-
-
-def _reduce(matrix, q: int, dtype) -> np.ndarray:
-    """matrix with entries reduced into [0, q), as ``dtype``."""
-    A = np.asarray(matrix)
-    if A.dtype == object or dtype is object:
-        return (A.astype(object) % q).astype(dtype)
-    return (A % q).astype(dtype, copy=False)
+        raise ValueError("integer matrix entry outside int64") from None
 
 
 def _valuation(x: np.ndarray, p: int, k: int) -> np.ndarray:
@@ -95,14 +102,13 @@ def _other_columns(n: int, cols: np.ndarray) -> np.ndarray:
 def prime_power_scale(moduli: Sequence[int], q: int) -> np.ndarray:
     """q / gcd(m, q) for each modulus m: multiplying by it embeds the p-part
     Z/gcd(m, q) of Z/m in Z/q, and a congruence holds modulo gcd(m, q)
-    exactly when its multiple by it holds modulo q.  In int64 when q * q
-    fits, so that a scaled entry can be formed there."""
-    return np.array([q // math.gcd(int(m), q) for m in moduli], dtype=_dtype(q, 1))
+    exactly when its multiple by it holds modulo q."""
+    return np.array([q // math.gcd(int(m), q) for m in moduli], dtype=np.int64)
 
 
 def scale_rows(matrix: np.ndarray, scale: np.ndarray, q: int) -> np.ndarray:
     """Row i of matrix, reduced modulo q and multiplied by scale[i] modulo q."""
-    return _reduce(matrix, q, scale.dtype) * scale[:, None] % q
+    return np.asarray(matrix, dtype=np.int64) % q * scale[:, None] % q
 
 
 class Howell(NamedTuple):
@@ -144,7 +150,7 @@ class Howell(NamedTuple):
         coefficients of p**(k - vals[i]) * rows[i] over the later rows."""
         q = self.p ** self.k
         i = np.flatnonzero(self.vals)
-        mult = np.array([self.p ** (self.k - int(v)) for v in self.vals[i]], dtype=self.rows.dtype)
+        mult = np.array([self.p ** (self.k - int(v)) for v in self.vals[i]], dtype=np.int64)
         Y, _ = self.solve(self.rows[i] * mult[:, None] % q)
         Y = -Y % q
         Y[np.arange(len(i)), i] = mult
@@ -165,13 +171,12 @@ def howell(matrix: np.ndarray, p: int, k: int, carry: Optional[np.ndarray] = Non
     q = p ** k
     s, n = matrix.shape
     t = 0 if carry is None else carry.shape[1]
-    dtype = _dtype(q, n + t)
     # W[j] is column j over all rows: one contiguous row per column.  Slots
     # past s hold closure rows, at most one per pivot.
-    W = np.zeros((n + t, s + (n if k > 1 else 0)), dtype=dtype)
-    W[:n, :s] = _reduce(matrix, q, dtype).T
+    W = np.zeros((n + t, s + (n if k > 1 else 0)), dtype=np.int64)
+    W[:n, :s] = matrix.T % q
     if t:
-        W[n:, :s] = _reduce(carry, q, dtype).T
+        W[n:, :s] = carry.T % q
     spare = s
     pivots, cols, vals = [], [], []
     for c in range(n):
@@ -189,7 +194,7 @@ def howell(matrix: np.ndarray, p: int, k: int, carry: Optional[np.ndarray] = Non
             grid = support[:, None], others
             W[grid] = (W[grid] - piv[:, None] * (W[c, others] // pv)) % q
         W[support, row] = 0
-        full = np.zeros(n + t, dtype=dtype)
+        full = np.zeros(n + t, dtype=np.int64)
         full[support] = piv
         pivots.append(full)
         cols.append(c)
@@ -197,7 +202,7 @@ def howell(matrix: np.ndarray, p: int, k: int, carry: Optional[np.ndarray] = Non
         if v:
             W[support, spare] = piv * p ** (k - v) % q
             spare += 1
-    H = np.array(pivots, dtype=dtype).reshape(len(pivots), n + t)
+    H = np.array(pivots, dtype=np.int64).reshape(len(pivots), n + t)
     for i in range(1, len(H)):
         f = H[:i, cols[i]] // p ** vals[i]
         hit = f.nonzero()[0]
@@ -226,7 +231,7 @@ def kernel_mod_prime_power(matrix: np.ndarray, moduli: Sequence[int], p: int, k:
     order = np.concatenate([h.cols, _other_columns(m, h.cols)])
     at = np.empty(m, dtype=np.int64)
     at[order] = np.arange(m)
-    B = np.eye(m, dtype=h.rows.dtype)
+    B = np.eye(m, dtype=np.int64)
     for t in range(len(h.cols) - 1, -1, -1):
         c, pv = h.cols[t], p ** int(h.vals[t])
         beyond = c + 1 + h.rows[t, c + 1:].nonzero()[0]
@@ -234,7 +239,7 @@ def kernel_mod_prime_power(matrix: np.ndarray, moduli: Sequence[int], p: int, k:
         B[t, t] = q // pv
     X = np.empty_like(B)
     X[order] = B
-    return X.astype(object)
+    return X
 
 
 def _local_smith(A: np.ndarray, p: int, k: int):
@@ -294,9 +299,9 @@ def present_mod_prime_power(rows: np.ndarray, p: int, k: int):
     rest = _other_columns(n, h.cols[unit])
     exps, V, Vinv = _local_smith(h.rows[~unit][:, rest], p, k)
     keep = exps > 0
-    to = np.zeros((int(keep.sum()), n), dtype=h.rows.dtype)
+    to = np.zeros((int(keep.sum()), n), dtype=np.int64)
     to[:, rest] = V[:, keep].T
     to[:, h.cols[unit]] = -(V[:, keep].T @ h.rows[unit][:, rest].T) % q
-    lift = np.zeros((n, len(to)), dtype=h.rows.dtype)
+    lift = np.zeros((n, len(to)), dtype=np.int64)
     lift[rest] = Vinv[keep].T
     return exps[keep], to, lift

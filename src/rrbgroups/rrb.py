@@ -100,11 +100,6 @@ class RRBGroup:
         return f"RRBGroup({label})"
 
 
-def validate_rrb(H: FiniteGroup, G: FiniteGroup, phi: Sequence[Sequence[int]],
-                 R: Sequence[int], name: Optional[str] = None) -> RRBGroup:
-    return RRBGroup(H, G, phi, R, name=name)
-
-
 def trivial_rrb(H: FiniteGroup, G: FiniteGroup, R: Optional[Sequence[int]] = None,
                 name: Optional[str] = None) -> RRBGroup:
     """Trivial action; R defaults to the zero map and must be a homomorphism."""

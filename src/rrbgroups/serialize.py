@@ -25,10 +25,10 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .extensions import Extension, validate_extension
+from .extensions import Extension
 from .groups import FiniteGroup, group_from_permutations
 from .modules import ActionQuadruple, FactorSystem, RRBModule
-from .rrb import RRBGroup, RRBMorphism, validate_morphism, validate_rrb
+from .rrb import RRBGroup, RRBMorphism, validate_morphism
 
 
 class ParseError(ValueError):
@@ -123,7 +123,7 @@ def load_rrb(value, base: Optional[Path] = None) -> RRBGroup:
     G = load_group(_require(obj, "G", "structure"), base)
     phi = strict_ints(_require(obj, "phi", "structure"), "phi", 2)
     R = strict_ints(_require(obj, "R", "structure"), "R", 1)
-    return validate_rrb(H, G, phi, R, name=obj.get("name"))
+    return RRBGroup(H, G, phi, R, name=obj.get("name"))
 
 
 def rrb_to_json(rrb: RRBGroup) -> dict:
@@ -154,7 +154,7 @@ def load_extension(value, base: Optional[Path] = None) -> Extension:
     quotient = load_rrb(_require(obj, "quotient", "extension"), base)
     incl = _load_morphism(obj, "incl", "extension", kernel, total)
     proj = _load_morphism(obj, "proj", "extension", total, quotient)
-    return validate_extension(kernel, total, quotient, incl, proj)
+    return Extension(kernel, total, quotient, incl, proj)
 
 
 def extension_to_json(ext: Extension) -> dict:

@@ -10,6 +10,8 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from rrbgroups import (
+    Extension,
+    RRBGroup,
     RRBIdeal,
     direct_product,
     RRBModule,
@@ -22,8 +24,6 @@ from rrbgroups import (
     subgroup_closure,
     trivial_action,
     trivial_rrb,
-    validate_extension,
-    validate_rrb,
 )
 from rrbgroups.groups import group_from_permutations
 
@@ -43,7 +43,7 @@ def groups():
 def _ideal_extension(total, K_elems, L_elems):
     kernel, incl = restrict(total, K_elems, L_elems)
     quot = quotient_rrb(total, RRBIdeal(tuple(K_elems), tuple(L_elems)))
-    return validate_extension(kernel, total, quot.rrb, incl, quot.projection)
+    return Extension(kernel, total, quot.rrb, incl, quot.projection)
 
 
 @pytest.fixture(scope="session")
@@ -76,7 +76,7 @@ def ext_corpus(groups):
                                       cx2.fs_from_coords((1, 1, 1, 1)))
 
     inv4 = [0, 3, 2, 1]
-    tot_c = validate_rrb(z4, z2, [[0, 1, 2, 3], inv4], [0, 0, 0, 0], name="z4-inv")
+    tot_c = RRBGroup(z4, z2, [[0, 1, 2, 3], inv4], [0, 0, 0, 0], name="z4-inv")
     out["z4_carry"] = _ideal_extension(tot_c, [0, 2], [0])
 
     tot9 = trivial_rrb(z9, one, name="z9")
@@ -88,8 +88,8 @@ def ext_corpus(groups):
     out["s3"] = _ideal_extension(tot3, subgroup_closure(s3, [rot]), [0])
 
     inv3 = [0, 2, 1]
-    tot_t = validate_rrb(z3, z4, [[0, 1, 2], inv3, [0, 1, 2], inv3],
-                         [0, 0, 0], name="z3-z4")
+    tot_t = RRBGroup(z3, z4, [[0, 1, 2], inv3, [0, 1, 2], inv3],
+                     [0, 0, 0], name="z3-z4")
     out["z3_z4_twist"] = _ideal_extension(tot_t, [0, 1, 2], [0, 2])
 
     tot_i = trivial_rrb(z2, z4, R=[0, 2], name="z2-z4")
@@ -99,7 +99,7 @@ def ext_corpus(groups):
     tot_d = trivial_rrb(z4, z4, R=[0, 1, 2, 3], name="z4-id")
     out["z4_z4_diag"] = _ideal_extension(tot_d, [0, 2], [0, 2])
 
-    parity = validate_rrb(z4, z2, [[0, 1, 2, 3], inv4], [0, 1, 0, 1], name="parity")
+    parity = RRBGroup(z4, z2, [[0, 1, 2, 3], inv4], [0, 1, 0, 1], name="parity")
     kern_p = trivial_rrb(z2, z2, R=[0, 1], name="kern-id")
     mod_p = RRBModule(parity, kern_p, trivial_action(parity, kern_p))
     cxp = cochain_complex(mod_p)
@@ -121,8 +121,8 @@ def ext_corpus(groups):
     # bridging map f(l, a) = l*a.
     times4 = [(4 * x) % 9 for x in range(9)]
     times7 = [(7 * x) % 9 for x in range(9)]
-    tot_f = validate_rrb(z9, z3, [list(range(9)), times4, times7],
-                         [0] * 9, name="z9-mul4")
+    tot_f = RRBGroup(z9, z3, [list(range(9)), times4, times7],
+                     [0] * 9, name="z9-mul4")
     out["z9_mul4"] = _ideal_extension(tot_f, [0, 3, 6], [0, 1, 2])
 
     # Klein operator side acting on Z4 through its second coordinate: f is
@@ -131,7 +131,7 @@ def ext_corpus(groups):
     v4 = direct_product(z2, z2).group
     inv4 = [0, 3, 2, 1]
     phi_v4 = [[0, 1, 2, 3], inv4, [0, 1, 2, 3], inv4]  # phi_(x,y) = inversion^y
-    tot_k = validate_rrb(z4, v4, phi_v4, [0] * 4, name="z4-klein")
+    tot_k = RRBGroup(z4, v4, phi_v4, [0] * 4, name="z4-klein")
     out["z4_klein_f"] = _ideal_extension(tot_k, [0, 2], [0, 1])
     return out
 

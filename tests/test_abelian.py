@@ -27,7 +27,7 @@ from rrbgroups.abelian import (
     present_quotient,
 )
 from rrbgroups.groups import FiniteGroup
-from rrbgroups.intlinalg import as_int_matrix, exact_matmul, howell
+from rrbgroups.intlinalg import as_int_matrix, howell
 from rrbgroups.serialize import load_extension, load_group, load_module
 from oracles import walk_presentation
 
@@ -64,8 +64,9 @@ def invariant_factors_oracle(orders):
 def smith_by_cell_scans(rows):
     """Reference Smith form U A V = D over the integers: the pivot (first
     entry of least absolute value, row-major) and the divisibility witness
-    (first row holding a non-multiple) are found by cell-by-cell loops."""
-    A = as_int_matrix(rows)
+    (first row holding a non-multiple) are found by cell-by-cell loops, in
+    Python ints."""
+    A = np.array([[int(x) for x in r] for r in rows], dtype=object)
     n, m = A.shape
     U, Uinv, V = np.eye(n, dtype=object), np.eye(n, dtype=object), np.eye(m, dtype=object)
 
@@ -201,9 +202,12 @@ def is_member(gens, moduli, vec):
 
 
 def assert_valid_coefficients(gens, moduli, vec, coeffs):
-    """coeffs is reduced into [0, lcm(moduli)) and gens @ coeffs == vec."""
-    assert all(type(x) is int and 0 <= x < math.lcm(*moduli) for x in coeffs)
-    assert not any((x - v) % m for x, v, m in zip(gens @ coeffs, vec, moduli))
+    """coeffs is int64, reduced into [0, lcm(moduli)), and gens @ coeffs ==
+    vec, checked in Python ints."""
+    assert coeffs.dtype == np.int64
+    assert all(0 <= x < math.lcm(*moduli) for x in coeffs)
+    got = gens.astype(object) @ coeffs.astype(object)
+    assert not any((x - v) % m for x, v, m in zip(got, vec, moduli))
 
 
 MODULI = [1, 2, 3, 4, 6, 8, 9, 12, 36]
@@ -259,7 +263,7 @@ class TestSmithNormalForm:
         k = len(pres.factors)
         assert not ((pres.to_coords @ pres.lift - np.eye(k, dtype=object)) % factors).any()
         assert pres.order == lattice_index(stacked)
-        assert all(type(x) is int for x in [*pres.to_coords.flat, *pres.lift.flat])
+        assert pres.to_coords.dtype == pres.lift.dtype == np.int64
         assert ((0 <= pres.to_coords) & (pres.to_coords < factors)).all()
         assert ((0 <= pres.lift) & (pres.lift < E)).all()
 
@@ -294,16 +298,28 @@ class TestSmithNormalForm:
         assert ker.shape == (3, 3)
         assert lattice_index(ker) == 5
 
-    @pytest.mark.parametrize("rows, moduli, index", [
-        ([[1, 2, 3]], [2 ** 31 - 1], 2 ** 31 - 1),       # q * q * m past int64
-        ([[2 ** 70 + 1, 2], [3, 2 ** 65]], [4, 9], 36),  # entries past int64
-    ])
-    def test_kernel_past_int64(self, rows, moduli, index):
-        A = as_int_matrix(rows)
-        ker = kernel_mod(A, moduli)
-        assert all(type(x) is int for x in ker.flat)
-        assert not any(x % q for row, q in zip(A @ ker, moduli) for x in row)
-        assert lattice_index(ker) == index
+    def test_lattice_past_the_bound_is_refused(self):
+        # Modulo 2**31 - 1 in width 3, E**2 * width passes 2**62: every way
+        # a lattice enters refuses it before any elimination.
+        A, moduli = as_int_matrix([[1, 2, 3]]), [2 ** 31 - 1]
+        for enter in (lambda: kernel_mod(A, moduli),
+                      lambda: SubgroupPresentation(moduli * 3, A.T),
+                      lambda: present_quotient(_stack_moduli(A.T, moduli * 3), moduli[0])):
+            with pytest.raises(ValueError, match=r"E\*\*2 \* width must stay below 2\*\*62"):
+                enter()
+
+    def test_entry_past_int64_is_refused(self):
+        with pytest.raises(ValueError, match="outside int64"):
+            as_int_matrix([[2 ** 70 + 1, 2], [3, 2 ** 65]])
+
+    def test_kernel_just_inside_the_bound(self):
+        # The largest prime below 2**30: E**2 * 3 is just under 2**62.
+        q = 2 ** 30 - 35
+        A = as_int_matrix([[1, 2, 3]])
+        ker = kernel_mod(A, [q])
+        assert ker.dtype == np.int64
+        assert not any(x % q for x in (A.astype(object) @ ker.astype(object)).flat)
+        assert lattice_index(ker) == q
 
     def test_solve(self):
         gens = as_int_matrix([[2, 0], [0, 3]])
@@ -335,7 +351,8 @@ wide_matrices = st.tuples(st.integers(1, 6), st.integers(1, 6),
 
 
 class TestSmithPromotion:
-    """Entries and moduli past int64, where the same code runs on Python ints."""
+    """Wide entries are reduced before any elimination, and a lattice just
+    inside the int64 bound matches the reference."""
 
     @given(wide_matrices, moduli_lists)
     @settings(max_examples=40, deadline=None)
@@ -343,21 +360,37 @@ class TestSmithPromotion:
         A = as_int_matrix(rows)
         assert_subgroup_matches_reference(A, moduli[:A.shape[0]], random.Random(str(rows)))
 
-    def test_exact_matmul_past_int64(self):
-        a = as_int_matrix([[2 ** 40, 1], [3, 2 ** 62]])
-        b = as_int_matrix([[2 ** 40], [5]])
-        got = exact_matmul(a, b)
-        assert got.tolist() == [[2 ** 80 + 5], [3 * 2 ** 40 + 5 * 2 ** 62]]
-        assert all(type(x) is int for x in got.flat)
-
-    def test_entries_crossing_the_int64_bound(self):
-        # Modulo 2**31, q * q reaches 2**62, so the elimination runs on
-        # Python ints; the reference agrees on factors and membership.
-        rows = [[1, 2 ** 30, 3], [2 ** 30, 1, 5], [7, 11, 2 ** 30 - 1]]
-        moduli = [2 ** 31, 2 ** 31, 2 ** 30]
+    def test_entries_just_inside_the_bound(self):
+        # Modulo 2**30 in width 3, E**2 * width is 3 * 2**60; the reference
+        # agrees on factors and membership.
+        rows = [[1, 2 ** 29, 3], [2 ** 29, 1, 5], [7, 11, 2 ** 29 - 1]]
+        moduli = [2 ** 30, 2 ** 30, 2 ** 29]
         A = as_int_matrix(rows)
-        assert max(SubgroupPresentation(moduli, A).factors) == 2 ** 31
+        assert max(SubgroupPresentation(moduli, A).factors) == 2 ** 30
         assert_subgroup_matches_reference(A, moduli, random.Random(0))
+
+
+def test_lattice_arrays_are_int64(ext_corpus, module_corpus):
+    # Every array the lattice layer returns on the corpora is int64.
+    arrays = []
+    for module in module_corpus.values():
+        cx = cochain_complex(module)
+        arrays.append(kernel_mod(cx.constraint_matrix, cx.constraint_moduli))
+        pres = present_quotient(_stack_moduli(cx.coboundary_matrix, cx.c2_moduli),
+                                math.lcm(*cx.c2_moduli))
+        arrays += [pres.to_coords, pres.lift]
+        for sub in (cx.z1, cx.z2, cx.b2):
+            arrays += [sub.generators, sub.relations, sub.embedding]
+        cocycles = cx.z2.generators.T
+        arrays += [cx.b2.membership_coefficients(cocycles)[0], cx.h2.class_coords(cocycles)[0],
+                   cx.h2._embedding]
+    for G in _corpus_abelian_groups(ext_corpus, module_corpus).values():
+        P = AbelianPresentation(G)
+        h = FinAbHom(P, P, 2 * np.eye(P.rank, dtype=np.int64))
+        kic = hom_kernel_image_quotient(h)
+        arrays += [h.matrix, kic.kernel_embedding, kic.image_embedding,
+                   kic.cokernel_class_of(P.coord_table)]
+    assert [a.dtype for a in arrays] == [np.dtype(np.int64)] * len(arrays)
 
 
 class TestSmithReplay:
@@ -603,6 +636,21 @@ class TestFinAbHom:
             for emb, pres in ((kic.kernel_embedding, dom), (kic.image_embedding, cod)):
                 bound = np.array(pres.factors, dtype=object).reshape(-1, 1)
                 assert ((0 <= emb) & (emb < bound)).all()
+
+    def test_entries_reduced_before_the_order_check(self):
+        # 2**62 + 2 is 2 modulo 4; times the generator order 4, unreduced,
+        # it would leave int64.
+        p4 = AbelianPresentation(cyclic_group(4))
+        h, double = FinAbHom(p4, p4, [[2 ** 62 + 2]]), FinAbHom(p4, p4, [[2]])
+        assert h.matrix.tolist() == double.matrix.tolist() == [[2]]
+        assert [h.apply_elem(x) for x in range(4)] == [double.apply_elem(x) for x in range(4)]
+
+    def test_unreduced_vectors_are_reduced_first(self):
+        # (2**62 + 1) * 2 leaves int64; reduced first it is 2 * 2 modulo 3.
+        p3 = AbelianPresentation(cyclic_group(3))
+        assert FinAbHom(p3, p3, [[2]]).apply_vec([2 ** 62 + 1]) == ((2 ** 63 + 2) % 3,)
+        sub = SubgroupPresentation([9], as_int_matrix([[3]]))
+        assert sub.element_from_coords([2 ** 62 + 1]) == ((2 ** 62 + 1) * 3 % 9,)
 
     def test_zero_map_to_trivial_group(self):
         # The kernel of Z4 -> 1 is all of Z4, embedded by the reduced

@@ -17,6 +17,7 @@ from rrbgroups import (
     CochainComplex,
     OneCochain,
     RRBError,
+    RRBGroup,
     RRBModule,
     classical_h2_check,
     cochain_complex,
@@ -26,7 +27,6 @@ from rrbgroups import (
     one_point_rrb,
     trivial_action,
     trivial_rrb,
-    validate_rrb,
     zero_factor_system,
 )
 from rrbgroups.extensions import extract_factor_system, extract_module
@@ -253,7 +253,7 @@ def twisted_mu_module(operator):
     the quotient is Z4 -> Z2 with the given operator and beta_1 the
     inversion, so every term of (c1)-(c5) has a nontrivial map."""
     z4, z3, z2 = cyclic_group(4), cyclic_group(3), cyclic_group(2)
-    quot = validate_rrb(z4, z2, [[0, 1, 2, 3], [0, 3, 2, 1]], operator)
+    quot = RRBGroup(z4, z2, [[0, 1, 2, 3], [0, 3, 2, 1]], operator)
     inversion = [[0, 1, 2], [0, 2, 1]]
     mu = inversion * 2
     f = [[(l - mu[a][l]) % 3 for a in range(4)] for l in range(3)]
@@ -348,11 +348,11 @@ class TestLayout:
             assert cx.fs_from_coords(cx.fs_to_coords(fs)) == fs
             kappa = random_cochain(module, rng)
             assert cx.kappa_from_coords(cx.kappa_to_coords(kappa)) == kappa
-            # Coordinates of any size come back reduced.
-            coords = [rng.randrange(-3 * m, 2 ** 70) for m in cx.c2_moduli]
+            # Coordinates anywhere in int64 come back reduced.
+            coords = [rng.randrange(-2 ** 63, 2 ** 63) for m in cx.c2_moduli]
             reduced = [c % m for c, m in zip(coords, cx.c2_moduli)]
             assert cx.fs_to_coords(cx.fs_from_coords(coords)).tolist() == reduced
-            coords = [rng.randrange(-3 * m, 2 ** 70) for m in cx.c1_moduli]
+            coords = [rng.randrange(-2 ** 63, 2 ** 63) for m in cx.c1_moduli]
             reduced = [c % m for c, m in zip(coords, cx.c1_moduli)]
             assert cx.kappa_to_coords(cx.kappa_from_coords(coords)).tolist() == reduced
 
@@ -467,7 +467,7 @@ class TestLinearityAudit:
     def test_difference_of_cocycles_is_cocycle(self, seed):
         rng = random.Random(seed)
         z2g, z4 = cyclic_group(2), cyclic_group(4)
-        parity = validate_rrb(z4, z2g, [[0, 1, 2, 3], [0, 3, 2, 1]], [0, 1, 0, 1])
+        parity = RRBGroup(z4, z2g, [[0, 1, 2, 3], [0, 3, 2, 1]], [0, 1, 0, 1])
         kern = trivial_rrb(z2g, z2g, R=[0, 1])
         module = RRBModule(parity, kern, trivial_action(parity, kern))
         cx = cochain_complex(module)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from rrbgroups import (
     ActionQuadruple,
+    Extension,
     GroupError,
     RRBError,
     RRBGroup,
@@ -32,7 +33,6 @@ from rrbgroups import (
     product_extension,
     trivial_action,
     trivial_rrb,
-    validate_extension,
     validate_module,
     zero_factor_system,
 )
@@ -96,8 +96,8 @@ class TestValidateExtension:
 
     def test_built_extension_revalidates(self, ext_corpus):
         ext = ext_corpus["built_z2"]
-        again = validate_extension(ext.kernel, ext.total, ext.quotient,
-                                   ext.incl, ext.proj)
+        again = Extension(ext.kernel, ext.total, ext.quotient,
+                          ext.incl, ext.proj)
         assert again.is_abelian
 
     def test_image_kernel_mismatch_detected(self, groups):
@@ -108,7 +108,7 @@ class TestValidateExtension:
         bad_proj = validate_morphism(ext.total, quot,
                                      [0, 0, 0, 0], ext.proj.eta.image)
         with pytest.raises(RRBError) as err:
-            validate_extension(kern, ext.total, quot, ext.incl, bad_proj)
+            Extension(kern, ext.total, quot, ext.incl, bad_proj)
         assert err.value.code in ("NotSurjective", "ImageKernelMismatch")
 
 

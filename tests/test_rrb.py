@@ -39,7 +39,6 @@ from rrbgroups import (
     rrb_automorphism_group,
     trivial_rrb,
     validate_morphism,
-    validate_rrb,
 )
 from rrbgroups.groups import FiniteGroup, group_from_permutations, subgroup_closure
 from rrbgroups.rrb import descended_table, rrb_automorphism_images
@@ -69,7 +68,7 @@ def _d4_conjugation() -> RRBGroup:
     """D4 acting on itself by conjugation, with R(h) = h^-1."""
     d4 = group_from_permutations(4, [[1, 2, 3, 0], [0, 3, 2, 1]], name="D4")
     phi = [[d4.mul(d4.mul(g, h), d4.inv(g)) for h in d4.elements()] for g in d4.elements()]
-    return validate_rrb(d4, d4, phi, [d4.inv(h) for h in d4.elements()])
+    return RRBGroup(d4, d4, phi, [d4.inv(h) for h in d4.elements()])
 
 
 def _z2_cubed_trivial() -> RRBGroup:
@@ -145,12 +144,12 @@ class TestValidate:
 
     def test_zero_operator_always_works(self, groups):
         inv4 = [0, 3, 2, 1]
-        r = validate_rrb(groups["z4"], groups["z2"], [[0, 1, 2, 3], inv4], [0, 0, 0, 0])
+        r = RRBGroup(groups["z4"], groups["z2"], [[0, 1, 2, 3], inv4], [0, 0, 0, 0])
         assert not is_bijective(r)
 
     def test_z3_z2_inversion_candidate_rejected(self, groups):
         with pytest.raises(RRBError) as err:
-            validate_rrb(groups["z3"], groups["z2"], INV3, [0, 1, 1])
+            RRBGroup(groups["z3"], groups["z2"], INV3, [0, 1, 1])
         assert err.value.code == "RRBAxiomFails"
         # The full valid set over all nine maps, by brute force.
         assert naive_operators(groups["z3"], groups["z2"], INV3) == [[0, 0, 0]]
@@ -158,19 +157,19 @@ class TestValidate:
     def test_operator_identity_forced(self, groups):
         for phi, R in [([[0, 1], [0, 1]], [1, 0]), ([[0, 1], [0, 1]], [1, 1])]:
             with pytest.raises(RRBError):
-                validate_rrb(groups["z2"], groups["z2"], phi, R)
+                RRBGroup(groups["z2"], groups["z2"], phi, R)
 
     def test_phi_must_be_action(self, groups):
         inv4 = [0, 3, 2, 1]
         with pytest.raises(RRBError) as err:
             # phi[1] has order 2 but phi[1*1] = phi[0] would need phi[1]^2.
-            validate_rrb(groups["z4"], groups["z4"],
-                         [[0, 1, 2, 3], inv4, inv4, inv4], [0, 0, 0, 0])
+            RRBGroup(groups["z4"], groups["z4"],
+                     [[0, 1, 2, 3], inv4, inv4, inv4], [0, 0, 0, 0])
         assert err.value.code == "PhiNotAction"
 
     def test_phi_rows_must_be_automorphisms(self, groups):
         with pytest.raises(RRBError) as err:
-            validate_rrb(groups["z3"], groups["z2"], [[0, 1, 2], [0, 0, 0]], [0, 0, 0])
+            RRBGroup(groups["z3"], groups["z2"], [[0, 1, 2], [0, 0, 0]], [0, 0, 0])
         assert err.value.code == "PhiNotAutomorphism"
 
     def test_operator_fixes_identity_on_corpus(self, ext_corpus):
@@ -237,14 +236,14 @@ class TestDescendedOperation:
 
     def test_zero_operator_keeps_multiplication(self, groups):
         inv4 = [0, 3, 2, 1]
-        r = validate_rrb(groups["z4"], groups["z2"], [[0, 1, 2, 3], inv4], [0, 0, 0, 0])
+        r = RRBGroup(groups["z4"], groups["z2"], [[0, 1, 2, 3], inv4], [0, 0, 0, 0])
         assert descended_operation(r) == groups["z4"]
 
     def test_parity_operator_by_direct_evaluation(self, groups):
         Z4, Z2 = groups["z4"], groups["z2"]
         inv4 = [0, 3, 2, 1]
         phi = np.asarray([[0, 1, 2, 3], inv4])
-        r = validate_rrb(Z4, Z2, phi, [0, 1, 0, 1])
+        r = RRBGroup(Z4, Z2, phi, [0, 1, 0, 1])
         desc = descended_operation(r)
         for h1 in Z4.elements():
             for h2 in Z4.elements():
@@ -297,7 +296,7 @@ class TestMorphisms:
 
     def test_kernel_of_quotient_projection_is_the_ideal(self, groups):
         inv4 = [0, 3, 2, 1]
-        r = validate_rrb(groups["z4"], groups["z2"], [[0, 1, 2, 3], inv4], [0, 0, 0, 0])
+        r = RRBGroup(groups["z4"], groups["z2"], [[0, 1, 2, 3], inv4], [0, 0, 0, 0])
         ideal = RRBIdeal((0, 2), (0,))
         q = quotient_rrb(r, ideal)
         assert morphism_kernel(q.projection) == ideal
@@ -414,12 +413,12 @@ class TestIdealsAndQuotients:
         S3, Z2 = groups["s3"], groups["z2"]
         t = next(x for x in S3.elements() if S3.element_order(x) == 2)
         conj = [S3.conj(h, t) for h in S3.elements()]
-        r = validate_rrb(S3, Z2, [list(S3.elements()), conj], [0] * 6)
+        r = RRBGroup(S3, Z2, [list(S3.elements()), conj], [0] * 6)
         assert center(r) == RRBIdeal((0,), (0,))
 
     def test_center_membership_elementwise(self, groups):
         inv4 = [0, 3, 2, 1]
-        r = validate_rrb(groups["z4"], groups["z2"], [[0, 1, 2, 3], inv4], [0, 1, 0, 1])
+        r = RRBGroup(groups["z4"], groups["z2"], [[0, 1, 2, 3], inv4], [0, 1, 0, 1])
         c = center(r)
         for h in r.H.elements():
             central = all(r.H.mul(h, x) == r.H.mul(x, h) for x in r.H.elements())
@@ -429,7 +428,7 @@ class TestIdealsAndQuotients:
 
     def test_quotient_by_trivial_ideal_is_isomorphic(self, groups):
         inv4 = [0, 3, 2, 1]
-        r = validate_rrb(groups["z4"], groups["z2"], [[0, 1, 2, 3], inv4], [0, 1, 0, 1])
+        r = RRBGroup(groups["z4"], groups["z2"], [[0, 1, 2, 3], inv4], [0, 1, 0, 1])
         q = quotient_rrb(r, RRBIdeal((0,), (0,)))
         assert rrb_isomorphic(q.rrb, r)
 
@@ -440,7 +439,7 @@ class TestIdealsAndQuotients:
 
     def test_quotient_by_center_revalidates(self, groups):
         inv4 = [0, 3, 2, 1]
-        r = validate_rrb(groups["z4"], groups["z2"], [[0, 1, 2, 3], inv4], [0, 1, 0, 1])
+        r = RRBGroup(groups["z4"], groups["z2"], [[0, 1, 2, 3], inv4], [0, 1, 0, 1])
         q = quotient_rrb(r, center(r))
         assert isinstance(q.rrb, RRBGroup)
 
@@ -523,13 +522,13 @@ class TestProducts:
 
     def test_product_with_one_point(self, groups):
         inv4 = [0, 3, 2, 1]
-        r = validate_rrb(groups["z4"], groups["z2"], [[0, 1, 2, 3], inv4], [0, 1, 0, 1])
+        r = RRBGroup(groups["z4"], groups["z2"], [[0, 1, 2, 3], inv4], [0, 1, 0, 1])
         p = direct_product_rrb(r, one_point_rrb())
         assert rrb_isomorphic(p, r)
 
     def test_product_of_distinct_structures_validates(self, groups):
         inv4 = [0, 3, 2, 1]
-        r1 = validate_rrb(groups["z4"], groups["z2"], [[0, 1, 2, 3], inv4], [0, 1, 0, 1])
+        r1 = RRBGroup(groups["z4"], groups["z2"], [[0, 1, 2, 3], inv4], [0, 1, 0, 1])
         r2 = trivial_rrb(groups["z2"], groups["z2"], R=[0, 1])
         p = direct_product_rrb(r1, r2)
         assert p.H.order == 8 and p.G.order == 4
@@ -548,7 +547,7 @@ class TestAutomorphismGroups:
             assert (tuple(ext.quotient.H.elements()), tuple(ext.quotient.G.elements())) in keys
 
     def test_z3_z2_inversion_filter(self, groups):
-        r = validate_rrb(groups["z3"], groups["z2"], INV3, [0, 0, 0])
+        r = RRBGroup(groups["z3"], groups["z2"], INV3, [0, 0, 0])
         auts = rrb_automorphism_group(r)
         # Oracle: filter the two candidate pairs by equivariance directly.
         expected = []
@@ -582,7 +581,7 @@ class TestAutomorphismGroups:
 
     def test_closed_under_composition_and_inverse(self, groups):
         inv4 = [0, 3, 2, 1]
-        r = validate_rrb(groups["z4"], groups["z2"], [[0, 1, 2, 3], inv4], [0, 1, 0, 1])
+        r = RRBGroup(groups["z4"], groups["z2"], [[0, 1, 2, 3], inv4], [0, 1, 0, 1])
         auts = rrb_automorphism_group(r)
         keys = {(tuple(a.psi.image.tolist()), tuple(a.eta.image.tolist())) for a in auts}
         for a in auts:

@@ -11,7 +11,9 @@ import json
 from pathlib import Path
 
 from rrbgroups import (
+    Extension,
     FactorSystem,
+    RRBGroup,
     RRBIdeal,
     RRBModule,
     build_extension,
@@ -23,8 +25,6 @@ from rrbgroups import (
     subgroup_closure,
     trivial_action,
     trivial_rrb,
-    validate_extension,
-    validate_rrb,
 )
 from rrbgroups.groups import group_from_permutations
 from rrbgroups.serialize import (
@@ -65,13 +65,13 @@ def main() -> None:
 
     inversion3 = [[0, 1, 2], [0, 2, 1]]
     dump("rrb_z3_z2_inversion.json",
-         rrb_to_json(validate_rrb(Z3, Z2, inversion3, [0, 0, 0], name="z3-z2-inv")))
-    bad = rrb_to_json(validate_rrb(Z3, Z2, inversion3, [0, 0, 0]))
+         rrb_to_json(RRBGroup(Z3, Z2, inversion3, [0, 0, 0], name="z3-z2-inv")))
+    bad = rrb_to_json(RRBGroup(Z3, Z2, inversion3, [0, 0, 0]))
     bad["R"] = [0, 1, 1]
     dump("rrb_bad_axiom.json", bad)
 
-    inv_parity = validate_rrb(Z4, Z2, [[0, 1, 2, 3], [0, 3, 2, 1]], [0, 1, 0, 1],
-                              name="z4-z2-parity")
+    inv_parity = RRBGroup(Z4, Z2, [[0, 1, 2, 3], [0, 3, 2, 1]], [0, 1, 0, 1],
+                          name="z4-z2-parity")
     dump("rrb_z4_z2_inv_parity.json", rrb_to_json(inv_parity))
 
     # All-trivial module on four copies of Z2.
@@ -101,11 +101,11 @@ def main() -> None:
          extension_to_json(build_extension(quot2, kern2, mod2.action, fs)))
 
     # Z4 total over Z2, kernel {0, 2}: carries a nonzero tau1 and rho.
-    tot1 = validate_rrb(Z4, Z2, [[0, 1, 2, 3], [0, 3, 2, 1]], [0, 0, 0, 0], name="z4-inv")
+    tot1 = RRBGroup(Z4, Z2, [[0, 1, 2, 3], [0, 3, 2, 1]], [0, 0, 0, 0], name="z4-inv")
     k1, incl1 = restrict(tot1, [0, 2], [0])
     q1 = quotient_rrb(tot1, RRBIdeal((0, 2), (0,)))
     dump("ext_z4_carry.json",
-         extension_to_json(validate_extension(k1, tot1, q1.rrb, incl1, q1.projection)))
+         extension_to_json(Extension(k1, tot1, q1.rrb, incl1, q1.projection)))
 
     # Z9 total over Z3 by Z3: the classical carry cocycle.
     Z9 = cyclic_group(9)
@@ -113,7 +113,7 @@ def main() -> None:
     K5 = subgroup_closure(Z9, [3])
     k5, incl5 = restrict(tot5, K5, [0])
     q5 = quotient_rrb(tot5, RRBIdeal(tuple(K5), (0,)))
-    ext9 = validate_extension(k5, tot5, q5.rrb, incl5, q5.projection)
+    ext9 = Extension(k5, tot5, q5.rrb, incl5, q5.projection)
     dump("ext_z9.json", extension_to_json(ext9))
 
     # S3 over Z2 by Z3: nontrivial conjugation action, trivial cohomology.
@@ -123,24 +123,24 @@ def main() -> None:
     k3, incl3 = restrict(tot3, A3, [0])
     q3 = quotient_rrb(tot3, RRBIdeal(tuple(A3), (0,)))
     dump("ext_s3.json",
-         extension_to_json(validate_extension(k3, tot3, q3.rrb, incl3, q3.projection)))
+         extension_to_json(Extension(k3, tot3, q3.rrb, incl3, q3.projection)))
 
     # Identity operator on Z4 over the diagonal kernel {0,2} x {0,2}.
     tot8 = trivial_rrb(Z4, Z4, R=[0, 1, 2, 3], name="z4-id")
     k8, incl8 = restrict(tot8, [0, 2], [0, 2])
     q8 = quotient_rrb(tot8, RRBIdeal((0, 2), (0, 2)))
     dump("ext_z4_z4.json",
-         extension_to_json(validate_extension(k8, tot8, q8.rrb, incl8, q8.projection)))
+         extension_to_json(Extension(k8, tot8, q8.rrb, incl8, q8.projection)))
 
     # Multiply-by-4 action of Z3 on Z9: nonzero bridging map f(l, a) = l*a.
     times4 = [(4 * x) % 9 for x in range(9)]
     times7 = [(7 * x) % 9 for x in range(9)]
-    tot_f = validate_rrb(Z9, Z3, [list(range(9)), times4, times7], [0] * 9,
-                         name="z9-mul4")
+    tot_f = RRBGroup(Z9, Z3, [list(range(9)), times4, times7], [0] * 9,
+                     name="z9-mul4")
     kf, inclf = restrict(tot_f, [0, 3, 6], [0, 1, 2])
     qf = quotient_rrb(tot_f, RRBIdeal((0, 3, 6), (0, 1, 2)))
     dump("ext_z9_mul4.json",
-         extension_to_json(validate_extension(kf, tot_f, qf.rrb, inclf, qf.projection)))
+         extension_to_json(Extension(kf, tot_f, qf.rrb, inclf, qf.projection)))
 
     # Automorphism pairs for the Z9 extension.
     ctx9 = WellsContext(ext9)

@@ -1,9 +1,11 @@
 """Command line front end.
 
 Subcommands: validate, enumerate, cohomology, wells, inducible, all read
-from the one table ``COMMANDS``; ``rrbgroups <command> -h`` lists a
-command's options.  A call that names its command builds only that
-command's parser (see ``parse_args``).
+from the one table ``COMMANDS``, which declares each command's handler,
+positionals and options; ``rrbgroups <command> -h`` lists a command's
+options.  A plain call (the command, its positionals and its options
+spelled in full) is read straight from that table and builds no argument
+parser; any other call goes to the full argparse tree (see ``parse_args``).
 
 Every command takes ``--format``; ``enumerate`` alone takes ``--budget``,
 its cap on closure products, and ``cohomology`` alone ``--reps``.  No other
@@ -163,18 +165,6 @@ def cmd_inducible(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-# name -> (handler, help line, positionals); the one grammar of the CLI.
-COMMANDS = {
-    "validate": (cmd_validate, "validate a group/structure/module/extension file",
-                 ("path",)),
-    "enumerate": (cmd_enumerate, "enumerate operators for (H, G, phi)", ("H", "G", "phi")),
-    "cohomology": (cmd_cohomology, "cochain groups of a module file", ("module",)),
-    "wells": (cmd_wells, "full lifting/exactness report for an extension", ("extension",)),
-    "inducible": (cmd_inducible, "decide liftability of an automorphism pair",
-                  ("extension", "pair")),
-}
-
-
 def _positive_int(text: str) -> int:
     """argparse type of ``--budget``: anything but a positive integer is a
     usage error."""
@@ -187,19 +177,36 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_command(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+# Each option, declared once as the keyword arguments of ``add_argument``.
+_FORMAT = {"choices": ("text", "json"), "default": "text"}
+_BUDGET = {"type": _positive_int, "default": DEFAULT_BUDGET,
+           "help": "closure-product cap for operator enumeration"}
+_REPS = {"action": "store_true", "default": False, "help": "dump class representatives"}
+
+# name -> (handler, help line, positionals, options); the one grammar of the
+# CLI, read by both ``_add_command`` and ``_match``.
+COMMANDS = {
+    "validate": (cmd_validate, "validate a group/structure/module/extension file",
+                 ("path",), {"--format": _FORMAT}),
+    "enumerate": (cmd_enumerate, "enumerate operators for (H, G, phi)",
+                  ("H", "G", "phi"), {"--format": _FORMAT, "--budget": _BUDGET}),
+    "cohomology": (cmd_cohomology, "cochain groups of a module file",
+                   ("module",), {"--format": _FORMAT, "--reps": _REPS}),
+    "wells": (cmd_wells, "full lifting/exactness report for an extension",
+              ("extension",), {"--format": _FORMAT}),
+    "inducible": (cmd_inducible, "decide liftability of an automorphism pair",
+                  ("extension", "pair"), {"--format": _FORMAT}),
+}
+
+
+def _add_command(parser: argparse.ArgumentParser, name: str) -> None:
     """Give ``parser`` the options and positionals of subcommand ``name``."""
-    run, _, positionals = COMMANDS[name]
-    parser.add_argument("--format", choices=("text", "json"), default="text")
+    run, _, positionals, options = COMMANDS[name]
+    for option, spec in options.items():
+        parser.add_argument(option, **spec)
     for positional in positionals:
         parser.add_argument(positional)
-    if name == "enumerate":
-        parser.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET,
-                            help="closure-product cap for operator enumeration")
-    if name == "cohomology":
-        parser.add_argument("--reps", action="store_true", help="dump class representatives")
     parser.set_defaults(run=run, command=name)
-    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -208,27 +215,65 @@ def build_parser() -> argparse.ArgumentParser:
         prog="rrbgroups",
         description="Validate, enumerate, and analyze operator-group data.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_line, _) in COMMANDS.items():
+    for name, (_, help_line, _, _) in COMMANDS.items():
         _add_command(sub.add_parser(name, help=help_line), name)
     return parser
 
 
-def parse_args(argv: Optional[List[str]] = None) -> argparse.Namespace:
-    """``build_parser().parse_args(argv)``, building only the named command's
-    parser when that parser alone accepts the whole argv.
+def _match(argv: List[str]) -> Optional[argparse.Namespace]:
+    """The Namespace the full tree returns for a plain call, else None.
 
-    The single parser has the subparser's prog and arguments, so its
-    Namespace, help and usage errors are the subparser's.  Any other argv
-    (top-level help, no command or an unknown one, or arguments left over,
-    which the full tree reports as unrecognized) goes to the full tree.
+    A plain call names its command first; every other token is a positional
+    that does not start with ``-`` or one of the command's options spelled
+    in full, as ``--opt value`` or ``--opt=value`` (a flag takes no value),
+    and there are exactly as many positionals as the command has.  A value
+    must pass the option's ``type`` and ``choices``; a repeated option keeps
+    its last value, as argparse does.  Anything else (help, abbreviations,
+    ``--``, a token that starts with ``-`` where a positional or value
+    should be, a bad value, a missing or extra argument) is None.
     """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    run, _, positionals, options = COMMANDS[argv[0]]
+    values = {option[2:]: spec["default"] for option, spec in options.items()}
+    words = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            words.append(token)
+            continue
+        option, joined, value = token.partition("=")
+        spec = options.get(option)
+        if spec is None:
+            return None
+        if spec.get("action") == "store_true":
+            if joined:
+                return None
+            value = True
+        else:
+            if not joined:
+                value = next(tokens, None)
+                if value is None or value.startswith("-"):
+                    return None
+            try:
+                value = spec.get("type", str)(value)
+            except argparse.ArgumentTypeError:
+                return None
+            if "choices" in spec and value not in spec["choices"]:
+                return None
+        values[option[2:]] = value
+    if len(words) != len(positionals):
+        return None
+    return argparse.Namespace(command=argv[0], run=run, **values,
+                              **dict(zip(positionals, words)))
+
+
+def parse_args(argv: Optional[List[str]] = None) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``: a plain call is read by ``_match``
+    from ``COMMANDS`` without building any parser; every other argv goes to
+    the full tree, so help, usage errors and exit codes are argparse's."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    if argv and argv[0] in COMMANDS:
-        parser = _add_command(argparse.ArgumentParser(prog=f"rrbgroups {argv[0]}"), argv[0])
-        args, extras = parser.parse_known_args(argv[1:])
-        if not extras:
-            return args
-    return build_parser().parse_args(argv)
+    return _match(argv) or build_parser().parse_args(argv)
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -253,8 +253,11 @@ def is_homomorphism(image: Sequence[int], G: FiniteGroup, H: FiniteGroup) -> boo
     img = np.asarray(image, dtype=np.int64)
     if img.shape != (G.order,):
         raise GroupError("LengthMismatch", f"map has length {img.shape}, expected {G.order}")
-    if img.min() < 0 or img.max() >= H.order:
-        raise GroupError("LengthMismatch", "image entry out of codomain range")
+    outside = np.flatnonzero((img < 0) | (img >= H.order))
+    if outside.size:
+        i = int(outside[0])
+        raise GroupError("NotClosed", f"image[{i}] = {img[i]} is outside the codomain "
+                         f"of order {H.order}", (i,))
     return bool(homomorphism_rows(img[None], G, H)[0])
 
 

@@ -26,7 +26,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .extensions import Extension
-from .groups import FiniteGroup, group_from_permutations
+from .groups import FiniteGroup, GroupError, group_from_permutations
 from .modules import ActionQuadruple, FactorSystem, RRBModule
 from .rrb import RRBGroup, RRBMorphism, validate_morphism
 
@@ -136,10 +136,20 @@ def rrb_to_json(rrb: RRBGroup) -> dict:
 
 def _load_morphism(obj: dict, key: str, where: str,
                    domain: RRBGroup, codomain: RRBGroup) -> RRBMorphism:
-    """The morphism {"psi": [...], "eta": [...]} stored under obj[key]."""
+    """The morphism {"psi": [...], "eta": [...]} stored under obj[key].
+
+    An entry outside the codomain's H (for psi) or G (for eta) is a
+    NotClosed GroupError naming it, e.g. ``incl.psi[0] = 99 is outside H of
+    order 9``, with its index as the witness."""
     mor = _require(obj, key, where)
     psi, eta = (strict_ints(_require(mor, part, key), f"{key}.{part}", 1)
                 for part in ("psi", "eta"))
+    for part, image, label, group in (("psi", psi, "H", codomain.H),
+                                      ("eta", eta, "G", codomain.G)):
+        for i, x in enumerate(image):
+            if not 0 <= x < group.order:
+                raise GroupError("NotClosed", f"{key}.{part}[{i}] = {x} is outside "
+                                 f"{label} of order {group.order}", (i,))
     return validate_morphism(domain, codomain, psi, eta)
 
 

@@ -1,6 +1,8 @@
 """Command line behavior: exit codes, schemas, determinism."""
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -8,6 +10,8 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import FIXTURE_DIR
 from rrbgroups import cli
@@ -58,6 +62,42 @@ class TestExitCodes:
                                                "code": "ModuleInvalid", "witness": [1, 1]}
         else:
             assert proc.stdout == "module: INVALID\n  ModuleInvalid: f(1, 1) = 5 is outside K\n"
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_extension_map_entry_outside_codomain_is_not_closed(self, tmp_path, fmt):
+        ext = json.loads((F / "ext_z9.json").read_text())
+        ext["incl"]["psi"] = [99, 99, 99]
+        bad = tmp_path / "ext.json"
+        bad.write_text(json.dumps(ext))
+        proc = run_cli("validate", bad, "--format", fmt)
+        assert proc.returncode == 2
+        assert proc.stderr == ""
+        if fmt == "json":
+            assert json.loads(proc.stdout) == {"kind": "extension", "valid": False,
+                                               "code": "NotClosed", "witness": [0]}
+        else:
+            assert proc.stdout == ("extension: INVALID\n"
+                                   "  NotClosed: incl.psi[0] = 99 is outside H of order 9\n")
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("key,image,message", [
+        ("psi", [77, 77, 77], "psi.psi[0] = 77 is outside H of order 3"),
+        ("theta", [0, 1, 77], "theta.psi[2] = 77 is outside H of order 3"),
+    ], ids=["psi", "theta"])
+    def test_pair_map_entry_outside_codomain_is_not_closed(self, tmp_path, key, image,
+                                                           message, fmt):
+        pair = json.loads((F / "pair_z9_identity.json").read_text())
+        pair[key]["psi"] = image
+        bad = tmp_path / "pair.json"
+        bad.write_text(json.dumps(pair))
+        proc = run_cli("inducible", F / "ext_z9.json", bad, "--format", fmt)
+        assert proc.returncode == 2
+        assert proc.stderr == ""
+        message = f"NotClosed: {message}"
+        if fmt == "json":
+            assert json.loads(proc.stdout) == {"error": message}
+        else:
+            assert proc.stdout == f"pair invalid: {message}\n"
 
     def test_invalid_operator(self):
         proc = run_cli("validate", F / "rrb_bad_axiom.json")
@@ -208,31 +248,71 @@ def _argv_corpus():
     return corpus
 
 
+# Tokens of the grammar for drawn argvs: positionals, option values, option
+# spellings (full, abbreviated, removed) and the tokens that mean help or
+# end the options.
+_WORDS = ("x", "y", "-", "", "-1", "a b", "a=b", "validate")
+_VALUES = ("json", "text", "xml", "7", "0", "-3", "1_000", " 7", "+7", "")
+_OPTIONS = ("--format", "--budget", "--reps", "--form", "--bud", "--re", "--max-order")
+_SPECIALS = ("--", "-h", "--help", "--he", "--reps=", "--format=")
+
+
+@st.composite
+def _argvs(draw):
+    """A command (or not) with about its number of positionals, options in
+    every spelling at any place, and now and then a special token; plain
+    tokens are drawn more often, so that many argvs are plain calls."""
+    command = draw(st.sampled_from([*cli.COMMANDS] * 2 + ["frobnicate", "-h"]))
+    count = len(cli.COMMANDS[command][2]) if command in cli.COMMANDS else 1
+    count += draw(st.sampled_from([0] * 6 + [-1, 1]))
+    argv = [draw(st.sampled_from(_WORDS[:2] * 6 + _WORDS)) for _ in range(count)]
+    for _ in range(draw(st.integers(0, 3))):
+        option = draw(st.sampled_from(_OPTIONS[:3] * 4 + _OPTIONS))
+        value = draw(st.sampled_from(_VALUES[:4] * 4 + _VALUES))
+        spelling = draw(st.sampled_from([[option], [option, value], [f"{option}={value}"]]))
+        at = draw(st.integers(0, len(argv)))
+        argv[at:at] = spelling
+    if draw(st.integers(0, 9)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(_SPECIALS)))
+    return [command, *argv]
+
+
 class TestArgumentParsing:
-    """``cli.parse_args`` answers as the full parser tree does, building one
-    parser for a call that names its command."""
+    """``cli.parse_args`` answers as the full parser tree does, building no
+    parser for a plain call."""
 
     @staticmethod
-    def _outcome(parse, argv, capsys):
-        try:
-            result = ("namespace", parse(argv))
-        except SystemExit as exc:
-            result = ("exit", exc.code)
-        return (result, *capsys.readouterr())
+    def _outcome(parse, argv):
+        """(Namespace or exit code, stdout, stderr) of parsing argv."""
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                result = ("namespace", parse(argv))
+            except SystemExit as exc:
+                result = ("exit", exc.code)
+        return result, out.getvalue(), err.getvalue()
+
+    def _assert_same_as_full_tree(self, argv):
+        got = self._outcome(cli.parse_args, argv)
+        assert got == self._outcome(cli.build_parser().parse_args, argv)
 
     @pytest.mark.parametrize("argv", _argv_corpus(), ids=" ".join)
-    def test_same_as_full_tree(self, argv, capsys):
-        got = self._outcome(cli.parse_args, argv, capsys)
-        assert got == self._outcome(cli.build_parser().parse_args, argv, capsys)
+    def test_same_as_full_tree(self, argv):
+        self._assert_same_as_full_tree(argv)
+
+    @given(_argvs())
+    @settings(max_examples=300, deadline=None)
+    def test_drawn_argvs_same_as_full_tree(self, argv):
+        self._assert_same_as_full_tree(argv)
 
     @pytest.mark.parametrize("argv", [
         ["validate", str(F / "group_z2.json"), "--format", "json"],
         ["enumerate", str(F / "group_z3.json"), str(F / "group_z2.json"), "PHI", "--budget", "50"],
-        ["cohomology", str(F / "module_trivial_z2.json"), "--reps"],
+        ["cohomology", "--reps", str(F / "module_trivial_z2.json"), "--format=json"],
         ["wells", str(F / "ext_z9.json")],
         ["inducible", str(F / "ext_z9.json"), str(F / "pair_z9_identity.json")],
     ], ids=lambda argv: argv[0])
-    def test_named_command_builds_one_parser(self, argv, tmp_path, monkeypatch, capsys):
+    def test_well_formed_call_builds_no_parser(self, argv, tmp_path, monkeypatch, capsys):
         phi = tmp_path / "phi.json"
         phi.write_text(json.dumps([[0, 1, 2], [0, 2, 1]]))
         argv = [str(phi) if arg == "PHI" else arg for arg in argv]
@@ -245,7 +325,7 @@ class TestArgumentParsing:
 
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
         assert cli.main(argv) == 0
-        assert built == [f"rrbgroups {argv[0]}"]
+        assert built == []
         assert capsys.readouterr().err == ""
 
 

@@ -232,6 +232,15 @@ class TestHomomorphisms:
             is_homomorphism([0, 1], groups["z4"], groups["z4"])
         assert err.value.code == "LengthMismatch"
 
+    @pytest.mark.parametrize("image,index", [([0, 1, 4, 3], 2), ([0, -1, 9, 1], 1)])
+    def test_out_of_range_entry_is_not_closed(self, groups, image, index):
+        # The code and witness of an out-of-range table entry, not a length error.
+        with pytest.raises(GroupError) as err:
+            is_homomorphism(image, groups["z4"], groups["z4"])
+        assert err.value.code == "NotClosed" and err.value.witness == (index,)
+        assert str(err.value) == (f"NotClosed: image[{index}] = {image[index]} "
+                                  f"is outside the codomain of order 4")
+
     def test_compose_and_inverse(self, groups):
         Z4 = groups["z4"]
         neg = GroupHom(Z4, Z4, [0, 3, 2, 1])

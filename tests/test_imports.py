@@ -1,6 +1,10 @@
-"""Every module-level import in the library is read somewhere in its module."""
+"""Every module-level import in the library is read somewhere in its
+module, and importing the library leaves the command line front end
+unloaded."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -28,3 +32,12 @@ def test_no_unused_imports(module):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = {name: line for name, line in imported_names(tree).items() if name not in used}
     assert not unused, f"{module}: imported but never read: {unused}"
+
+
+def test_library_import_loads_no_cli():
+    # What a CLI call pays for its import; the front end and argparse come
+    # with ``rrbgroups.cli``, not with the library.
+    probe = "import sys, rrbgroups; print(sorted({'rrbgroups.cli', 'argparse'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          cwd=SRC.parent, check=True)
+    assert proc.stdout == "[]\n"

@@ -56,12 +56,9 @@ class QuotientPresentation(NamedTuple):
     to_coords: np.ndarray
     lift: np.ndarray
 
-    def coords(self, vecs: Sequence[int]):
-        """Class coordinates of a vector, or of each row of a stack."""
-        stack = np.asarray(vecs, dtype=np.int64)
-        if stack.ndim == 1:
-            return reduce_vec(self.to_coords @ stack, self.factors)
-        return stack @ self.to_coords.T % np.array(self.factors, dtype=np.int64)
+    def coords(self, vecs: np.ndarray) -> np.ndarray:
+        """Class coordinates of each row of a stack of ambient vectors."""
+        return vecs @ self.to_coords.T % np.array(self.factors, dtype=np.int64)
 
     @property
     def order(self) -> int:
@@ -135,7 +132,21 @@ def kernel_mod(matrix: np.ndarray, moduli: Sequence[int]) -> np.ndarray:
     return np.concatenate(parts, axis=1) if parts else np.eye(m, dtype=np.int64)
 
 
-class SubgroupPresentation:
+class _Presented:
+    """A group presented over invariant ``factors``, embedded in the ambient
+    group ``prod Z/ambient_moduli`` by the columns of ``embedding``."""
+
+    def representative(self, coords: np.ndarray) -> np.ndarray:
+        """The ambient vector of each row of a stack of coordinates: a class
+        representative of a subquotient, a member of a subgroup."""
+        reduced = np.asarray(coords, dtype=np.int64) % np.array(self.factors, dtype=np.int64)
+        return reduced @ self.embedding.T % np.array(self.ambient_moduli, dtype=np.int64)
+
+    # The same map, under the name that reads right for a subgroup.
+    element_from_coords = representative
+
+
+class SubgroupPresentation(_Presented):
     """A subgroup of ``prod Z/moduli`` generated by given coordinate vectors.
 
     For each prime power q = p**k exactly dividing E = lcm(moduli), the
@@ -232,37 +243,27 @@ class SubgroupPresentation:
         """Images in ambient coordinates of the presentation's generators."""
         return self._images(self._pres)
 
-    def membership_coefficients(self, vecs: Sequence[int]):
-        """Coefficients (in [0, E)) over the given generator columns that
-        express a vector, or None if it is not a member.  For a stack of
-        vectors as rows: the coefficient rows and a mask of the members."""
-        stack = np.asarray(vecs)
-        parts, member = self._solve(np.atleast_2d(stack))
-        if stack.ndim == 1 and not member[0]:
-            return None
+    def membership_coefficients(self, vecs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """For a stack of vectors as rows: coefficient rows (in [0, E)) over
+        the given generator columns that express them, and the mask of the
+        members (the other rows' coefficients are meaningless)."""
+        parts, member = self._solve(vecs)
         out = np.zeros((len(member), self._gens.shape[1]), dtype=np.int64)
         for (_, form), y in zip(self._forms, parts):
             q = form.p ** form.k
             out += _idempotent(self._E, q) * (y @ form.carry % q)
-        out %= self._E
-        if stack.ndim == 2:
-            return out, member
-        return out[0] if member[0] else None
+        return out % self._E, member
 
     def contains(self, vec: Sequence[int]) -> bool:
         return bool(self._solve(np.asarray(vec)[None])[1][0])
 
-    def element_from_coords(self, coords: Sequence[int]) -> Tuple[int, ...]:
-        vec = self.embedding @ np.array(reduce_vec(coords, self.factors), dtype=np.int64)
-        return reduce_vec(vec, self.ambient_moduli)
-
     def elements(self) -> Iterator[Tuple[int, ...]]:
         """All members as ambient coordinate vectors (desk scale only)."""
         for c in iter_vectors(self.factors):
-            yield self.element_from_coords(c)
+            yield tuple(self.element_from_coords([c])[0].tolist())
 
 
-class SubquotientPresentation:
+class SubquotientPresentation(_Presented):
     """Quotient of a presented subgroup by a smaller one, with class map.
 
     Presented over the numerator's ``generators``: their coefficients
@@ -279,23 +280,17 @@ class SubquotientPresentation:
         self.factors = self._pres.factors
         self.order = self._pres.order
 
-    def class_coords(self, vecs: Sequence[int]):
-        """Class of an ambient vector, or None if it is not in the numerator.
-        For a stack of vectors as rows: the class rows (int64) and a mask of
-        the rows in the numerator."""
-        stack = np.asarray(vecs)
-        c, member = self._numerator._coefficients(np.atleast_2d(stack))
-        if stack.ndim == 2:
-            return self._pres.coords(c), member
-        return self._pres.coords(c[0]) if member[0] else None
+    def class_coords(self, vecs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """For a stack of ambient vectors as rows: the class rows and the mask
+        of the rows in the numerator (the other rows' classes are
+        meaningless)."""
+        c, member = self._numerator._coefficients(vecs)
+        return self._pres.coords(c), member
 
     @functools.cached_property
-    def _embedding(self) -> np.ndarray:
+    def embedding(self) -> np.ndarray:
+        """Ambient representatives of the classes of the unit coordinates."""
         return self._numerator._images(self._pres)
-
-    def representative(self, coords: Sequence[int]) -> Tuple[int, ...]:
-        vec = self._embedding @ np.array(reduce_vec(coords, self.factors), dtype=np.int64)
-        return reduce_vec(vec, self.ambient_moduli)
 
 
 class AbelianPresentation:
@@ -412,7 +407,7 @@ class KernelImageCokernel(NamedTuple):
     image_factors: Tuple[int, ...]
     image_embedding: np.ndarray
     cokernel_factors: Tuple[int, ...]
-    cokernel_class_of: Callable[[Sequence[int]], Tuple[int, ...]]
+    cokernel_class_of: Callable[[np.ndarray], np.ndarray]
 
     @property
     def kernel_order(self) -> int:
@@ -432,7 +427,7 @@ def hom_kernel_image_quotient(h: FinAbHom) -> KernelImageCokernel:
 
     Kernel and image come as canonical factor lists plus embedding matrices
     (columns are generator images in domain / codomain coordinates); the
-    cokernel comes with a class-of map on codomain coordinate vectors.
+    cokernel comes with a class-of map on stacks of codomain coordinate rows.
     """
     dom, cod = h.domain, h.codomain
     # The relations among the columns of M are the kernel (x with M@x = 0

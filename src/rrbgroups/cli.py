@@ -29,7 +29,7 @@ from typing import List, Optional
 from . import serialize
 from .cohomology import cochain_complex
 from .groups import GroupError
-from .rrb import DEFAULT_BUDGET, RRBError, enumerate_rrb_operators
+from .rrb import DEFAULT_BUDGET, enumerate_rrb_operators
 from .serialize import ParseError, _load_json
 from .wells import WellsContext, verify_wells_exactness, is_inducible, \
     inducible_by_module_criterion, pair_is_compatible, wells_map
@@ -51,6 +51,14 @@ def _emit(args: argparse.Namespace, payload: dict, text_lines: List[str]) -> Non
             print(line)
 
 
+def _verdict(exc: GroupError) -> dict:
+    """The code and witness of a failed check, for JSON output.  A refused
+    bound is no verdict: it is raised on to ``main``, which exits 3."""
+    if exc.code in BOUND_CODES:
+        raise exc
+    return {"code": exc.code, "witness": list(exc.witness)}
+
+
 def cmd_validate(args: argparse.Namespace) -> int:
     obj, base = _load_json(args.path)
     kind = serialize.detect_payload(obj)
@@ -58,11 +66,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
               "module": serialize.load_module, "extension": serialize.load_extension}[kind]
     try:
         loader(obj, base)
-    except (GroupError, RRBError) as exc:
-        if exc.code in BOUND_CODES:
-            raise
-        payload = {"kind": kind, "valid": False, "code": exc.code,
-                   "witness": list(getattr(exc, "witness", ()))}
+    except GroupError as exc:
+        payload = {"kind": kind, "valid": False, **_verdict(exc)}
         _emit(args, payload, [f"{kind}: INVALID", f"  {exc}"])
         return EXIT_INVALID
     _emit(args, {"kind": kind, "valid": True}, [f"{kind}: valid"])
@@ -134,12 +139,8 @@ def cmd_inducible(args: argparse.Namespace) -> int:
     pair_obj, base = _load_json(args.pair)
     try:
         pair = serialize.load_pair(pair_obj, ext.quotient, ext.kernel, base)
-    except (GroupError, RRBError) as exc:
-        _emit(args, {"error": str(exc)}, [f"pair invalid: {exc}"])
-        return EXIT_INVALID
-    if not (pair.psi.is_bijective() and pair.theta.is_bijective()):
-        _emit(args, {"error": "pair is not a pair of automorphisms"},
-              ["pair invalid: components are not bijective"])
+    except GroupError as exc:
+        _emit(args, {"error": str(exc), **_verdict(exc)}, [f"pair invalid: {exc}"])
         return EXIT_INVALID
     ctx = WellsContext(ext)
     verdict, witness = is_inducible(ctx, pair)
@@ -283,7 +284,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (GroupError, RRBError) as exc:
+    except GroupError as exc:
         if exc.code in BOUND_CODES:
             print(f"bound exceeded: {exc}", file=sys.stderr)
             return EXIT_BUDGET

@@ -321,17 +321,14 @@ class CochainComplex:
             raise ValueError("one-cochain shape does not match the module")
         return self._c1.pack((kappa.kappa1, kappa.kappa2))
 
-    def kappa_from_coords(self, coords: Sequence[int]) -> OneCochain:
-        return OneCochain(*self._c1.unpack(coords))
+    def kappa_from_coords(self, coords: np.ndarray) -> List[np.ndarray]:
+        """(kappa1, kappa2) of a coordinate row, or their stacks for a stack of rows."""
+        return self._c1.unpack(coords)
 
     def c2_coords(self, arrays: Sequence[np.ndarray]) -> np.ndarray:
         """Coordinates of 2-cochains given as arrays (tau1, tau2, rho, chi)
         with leading stack axes, one coordinate row per cochain."""
         return self._c2.pack(arrays)
-
-    def kappas_from_coords(self, coords: np.ndarray) -> List[np.ndarray]:
-        """(kappa1, kappa2) stacks of a stack of 1-cochain coordinate rows."""
-        return self._c1.unpack(coords)
 
     # -- membership and evaluation ------------------------------------------
 
@@ -342,13 +339,17 @@ class CochainComplex:
 
     def z1_contains(self, kappa: OneCochain) -> Tuple[bool, Optional[Tuple[str, tuple]]]:
         """Membership, with the first nonzero defect (block, tuple) in row order."""
-        bad = self._c2.first_nonzero(self.coboundary_matrix @ self.kappa_to_coords(kappa))
-        return bad is None, bad
+        bad, witness = self.z1_defects(kappa.kappa1[None], kappa.kappa2[None])
+        return not bad[0], witness
 
-    def z1_failures(self, kappa1: np.ndarray, kappa2: np.ndarray) -> np.ndarray:
-        """Which 1-cochains of the stacks (kappa1, kappa2) are not derivations."""
-        defects = self._c1.pack((kappa1, kappa2)) @ self.coboundary_matrix.T
-        return self._c2.reduce(defects).any(axis=1)
+    def z1_defects(self, kappa1: np.ndarray, kappa2: np.ndarray
+                   ) -> Tuple[np.ndarray, Optional[Tuple[str, tuple]]]:
+        """Which 1-cochains of the stacks (kappa1, kappa2) are not derivations,
+        and the first nonzero defect (block, tuple), in row order, of the
+        first that is not; None when all are."""
+        defects = self._c2.reduce(self._c1.pack((kappa1, kappa2)) @ self.coboundary_matrix.T)
+        bad = defects.any(axis=1)
+        return bad, self._c2.first_nonzero(defects[np.argmax(bad)]) if bad.any() else None
 
     def coboundary(self, kappa: OneCochain) -> FactorSystem:
         """The defect quadruple of a one-cochain; always a cocycle."""
@@ -357,10 +358,8 @@ class CochainComplex:
 
     def solve_coboundary(self, fs: FactorSystem) -> Optional[OneCochain]:
         """A one-cochain whose coboundary is fs, or None."""
-        sol = self.b2.membership_coefficients(self.fs_to_coords(fs))
-        if sol is None:
-            return None
-        return self.kappa_from_coords(sol)
+        sol, member = self.b2.membership_coefficients(self.fs_to_coords(fs)[None])
+        return OneCochain(*self.kappa_from_coords(sol[0])) if member[0] else None
 
     # -- the four groups -----------------------------------------------------
     # Each lattice is factored once.  The relations of b2 among the columns
@@ -385,16 +384,16 @@ class CochainComplex:
         return SubquotientPresentation(self.z2, self.coboundary_matrix)
 
     def class_of(self, fs: FactorSystem) -> CohomologyClass:
-        coords = self.h2.class_coords(self.fs_to_coords(fs))
-        if coords is None:
+        coords, member = self.h2.class_coords(self.fs_to_coords(fs)[None])
+        if not member[0]:
             member, witness = self.z2_contains(fs)
             raise RRBError("NotACocycle",
                            f"not a cocycle: condition {witness[0]} fails at {witness[1]}"
                            if not member else "lattice membership failed")
-        return CohomologyClass(self, coords)
+        return CohomologyClass(self, coords[0])
 
     def class_representative(self, cls: CohomologyClass) -> FactorSystem:
-        return self.fs_from_coords(self.h2.representative(cls.coords))
+        return self.fs_from_coords(self.h2.representative(np.array([cls.coords]))[0])
 
     def h2_classes(self) -> Iterator[CohomologyClass]:
         for v in iter_vectors(self.h2.factors):
@@ -410,7 +409,7 @@ class CochainComplex:
         vectors, last coordinate fastest) and the stacks kappa1, kappa2."""
         coords = np.array(list(iter_vectors(self.z1.factors)), dtype=np.int64)
         coords = coords.reshape(len(coords), len(self.z1.factors))
-        return coords, *self._c1.unpack(coords @ self.z1.embedding.T)
+        return coords, *self._c1.unpack(self.z1.element_from_coords(coords))
 
     def z1_elements(self) -> Iterator[OneCochain]:
         _, kappa1, kappa2 = self.z1_stack()

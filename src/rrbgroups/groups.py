@@ -221,9 +221,7 @@ class GroupHom:
     def inverse(self) -> "GroupHom":
         if not self.is_bijective():
             raise GroupError("NotInjective", "only bijective homs invert")
-        inv = np.zeros(self.domain.order, dtype=np.int64)
-        inv[self.image] = np.arange(self.domain.order)
-        return GroupHom(self.codomain, self.domain, inv, check=False)
+        return GroupHom(self.codomain, self.domain, _inverse_perm(self.image), check=False)
 
     def kernel_elements(self) -> List[int]:
         return [x for x in self.domain.elements() if self.image[x] == 0]
@@ -282,6 +280,13 @@ def action_law_defects(rows: np.ndarray, G: FiniteGroup, anti: bool = False) -> 
     rows[g1*g2] != rows[g1] o rows[g2], or rows[g2] o rows[g1] if ``anti``."""
     composed = rows[np.arange(G.order)[:, None, None], rows[None]]
     return (rows[G.table] != (composed.swapaxes(0, 1) if anti else composed)).any(axis=2)
+
+
+def _inverse_perm(perm: np.ndarray) -> np.ndarray:
+    """Inverse of each permutation along the last axis, as a scatter."""
+    out = np.empty_like(perm)
+    np.put_along_axis(out, perm, np.arange(perm.shape[-1]), axis=-1)
+    return out
 
 
 def injective_rows(images: np.ndarray, n: int) -> np.ndarray:

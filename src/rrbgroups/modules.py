@@ -20,19 +20,13 @@ import numpy as np
 
 from .groups import (
     FiniteGroup,
+    _inverse_perm,
     action_law_defects,
     automorphism_rows,
     first_true,
     homomorphism_rows,
 )
 from .rrb import RRBError, RRBGroup, is_trivial
-
-
-def _inverse_perm(perm: np.ndarray) -> np.ndarray:
-    """Inverse of each permutation along the last axis, as a scatter."""
-    out = np.empty_like(perm)
-    np.put_along_axis(out, perm, np.arange(perm.shape[-1]), axis=-1)
-    return out
 
 
 class ActionQuadruple:

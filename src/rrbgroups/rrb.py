@@ -23,6 +23,8 @@ from .groups import (
     direct_product,
     first_escape,
     first_true,
+    homomorphism_rows,
+    injective_rows,
     is_normal,
     is_subgroup,
     isomorphism_images,
@@ -35,11 +37,8 @@ from .groups import (
 DEFAULT_BUDGET = 10 ** 6
 
 
-class RRBError(ValueError):
-    def __init__(self, code: str, message: str, witness: tuple = ()):
-        super().__init__(f"{code}: {message}")
-        self.code = code
-        self.witness = witness
+class RRBError(GroupError):
+    """A GroupError raised by a structure, module, extension or lifting check."""
 
 
 class RRBGroup:
@@ -226,6 +225,25 @@ def check_morphisms(domain: RRBGroup, codomain: RRBGroup,
                    f"psi(phi_g(h)) != phi'_{{eta(g)}}(psi(h)) at (g,h)=({g},{h})", (g, h))
 
 
+def check_automorphisms(rrb: RRBGroup, psi: np.ndarray, eta: np.ndarray) -> None:
+    """That each row pair of the stacks (psi on H, eta on G) is an automorphism,
+    checked as the constructors check one pair, then bijective."""
+    for img, group in ((psi, rrb.H), (eta, rrb.G)):
+        if not homomorphism_rows(img, group, group).all():
+            raise GroupError("NotHomomorphism", "map does not respect multiplication")
+    check_morphisms(rrb, rrb, psi, eta)
+    if not (injective_rows(psi, rrb.H.order) & injective_rows(eta, rrb.G.order)).all():
+        raise RRBError("InternalError", "a map pair of the stack is not bijective")
+
+
+def automorphism_objects(rrb: RRBGroup, psi: np.ndarray, eta: np.ndarray) -> List[RRBMorphism]:
+    """The automorphisms of the structure with image stacks (psi on H, eta
+    on G), already checked as stacks, as objects."""
+    return [RRBMorphism(rrb, rrb, GroupHom(rrb.H, rrb.H, p, check=False),
+                        GroupHom(rrb.G, rrb.G, e, check=False), check=False)
+            for p, e in zip(psi, eta)]
+
+
 def identity_morphism(rrb: RRBGroup) -> RRBMorphism:
     return validate_morphism(rrb, rrb, list(range(rrb.H.order)), list(range(rrb.G.order)))
 
@@ -402,9 +420,7 @@ def rrb_automorphism_images(rrb: RRBGroup,
 
 def rrb_automorphism_group(rrb: RRBGroup) -> List[RRBMorphism]:
     """All pairs in Aut(H) x Aut(G) compatible with phi and R, sorted."""
-    return [RRBMorphism(rrb, rrb, GroupHom(rrb.H, rrb.H, psi, check=False),
-                        GroupHom(rrb.G, rrb.G, eta, check=False), check=False)
-            for psi, eta in zip(*rrb_automorphism_images(rrb))]
+    return automorphism_objects(rrb, *rrb_automorphism_images(rrb))
 
 
 def enumerate_rrb_operators(H: FiniteGroup, G: FiniteGroup,

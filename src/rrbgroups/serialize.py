@@ -27,7 +27,7 @@ import numpy as np
 
 from .extensions import Extension
 from .groups import FiniteGroup, GroupError, group_from_permutations
-from .modules import ActionQuadruple, FactorSystem, RRBModule
+from .modules import ActionQuadruple, FactorSystem, OneCochain, RRBModule
 from .rrb import RRBGroup, RRBMorphism, validate_morphism
 
 
@@ -138,14 +138,19 @@ def _load_morphism(obj: dict, key: str, where: str,
                    domain: RRBGroup, codomain: RRBGroup) -> RRBMorphism:
     """The morphism {"psi": [...], "eta": [...]} stored under obj[key].
 
-    An entry outside the codomain's H (for psi) or G (for eta) is a
-    NotClosed GroupError naming it, e.g. ``incl.psi[0] = 99 is outside H of
-    order 9``, with its index as the witness."""
+    A map of the wrong length is a LengthMismatch, and an entry outside the
+    codomain's H (for psi) or G (for eta) a NotClosed GroupError, each naming
+    the map, e.g. ``incl.psi[0] = 99 is outside H of order 9``, with the
+    numbers it names as the witness."""
     mor = _require(obj, key, where)
     psi, eta = (strict_ints(_require(mor, part, key), f"{key}.{part}", 1)
                 for part in ("psi", "eta"))
-    for part, image, label, group in (("psi", psi, "H", codomain.H),
-                                      ("eta", eta, "G", codomain.G)):
+    for part, image, label, source, group in (("psi", psi, "H", domain.H, codomain.H),
+                                              ("eta", eta, "G", domain.G, codomain.G)):
+        if len(image) != source.order:
+            raise GroupError("LengthMismatch", f"{key}.{part} has {len(image)} entries, but "
+                             f"the domain's {label} has order {source.order}",
+                             (len(image), source.order))
         for i, x in enumerate(image):
             if not 0 <= x < group.order:
                 raise GroupError("NotClosed", f"{key}.{part}[{i}] = {x} is outside "
@@ -243,9 +248,7 @@ def one_cochain_to_json(kappa, nA: int, nB: int) -> dict:
     }
 
 
-def load_one_cochain(value, module: RRBModule, base: Optional[Path] = None):
-    from .modules import OneCochain
-
+def load_one_cochain(value, module: RRBModule, base: Optional[Path] = None) -> OneCochain:
     obj, base = _resolve(value, base)
     nA, nB = module.A.order, module.B.order
     shapes = strict_ints(_require(obj, "shapes", "one-cochain"), "shapes", 1)
@@ -258,13 +261,23 @@ def load_one_cochain(value, module: RRBModule, base: Optional[Path] = None):
 
 def load_pair(value, quotient: RRBGroup, kernel: RRBGroup,
               base: Optional[Path] = None):
-    """An automorphism pair {"psi": {"psi":[...], "eta":[...]}, "theta": {...}}."""
+    """An automorphism pair {"psi": {"psi":[...], "eta":[...]}, "theta": {...}}.
+
+    A map that is not bijective is a NotInjective GroupError naming its
+    first entry that repeats an earlier one, with that index as witness."""
     from .wells import CompatiblePair
 
     obj, base = _resolve(value, base)
-    psi = _load_morphism(obj, "psi", "pair", quotient, quotient)
-    theta = _load_morphism(obj, "theta", "pair", kernel, kernel)
-    return CompatiblePair(psi, theta)
+    pair = CompatiblePair(_load_morphism(obj, "psi", "pair", quotient, quotient),
+                          _load_morphism(obj, "theta", "pair", kernel, kernel))
+    for key, morphism in zip(("psi", "theta"), pair):
+        for part, hom in (("psi", morphism.psi), ("eta", morphism.eta)):
+            if not hom.is_bijective():
+                image = hom.image.tolist()
+                i = next(i for i, x in enumerate(image) if x in image[:i])
+                raise GroupError("NotInjective", f"{key}.{part}[{i}] = {image[i]} repeats "
+                                 "an earlier entry", (i,))
+    return pair
 
 
 def pair_to_json(pair) -> dict:

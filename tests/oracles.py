@@ -495,8 +495,8 @@ def walk_presentation(group) -> Tuple[Tuple[int, ...], np.ndarray]:
             col[i] += 1
             cols[:, g * k + i] = col
     pres = present_quotient(cols, n)
-    coords = [pres.coords(words[x]) for x in range(n)]
-    return pres.factors, np.array(coords, dtype=np.int64).reshape(n, len(pres.factors))
+    return pres.factors, pres.coords(np.array([words[x] for x in range(n)],
+                                              dtype=np.int64).reshape(n, k))
 
 
 def subgroup_loop(G, elements: Sequence[int]) -> bool:

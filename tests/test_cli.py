@@ -95,9 +95,47 @@ class TestExitCodes:
         assert proc.stderr == ""
         message = f"NotClosed: {message}"
         if fmt == "json":
-            assert json.loads(proc.stdout) == {"error": message}
+            assert json.loads(proc.stdout) == {"error": message, "code": "NotClosed",
+                                               "witness": [image.index(77)]}
         else:
             assert proc.stdout == f"pair invalid: {message}\n"
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_extension_map_of_wrong_length_names_the_map(self, tmp_path, fmt):
+        ext = json.loads((F / "ext_z9.json").read_text())
+        ext["incl"]["psi"] = [0, 3]
+        bad = tmp_path / "ext.json"
+        bad.write_text(json.dumps(ext))
+        proc = run_cli("validate", bad, "--format", fmt)
+        assert proc.returncode == 2
+        assert proc.stderr == ""
+        if fmt == "json":
+            assert json.loads(proc.stdout) == {"kind": "extension", "valid": False,
+                                               "code": "LengthMismatch", "witness": [2, 3]}
+        else:
+            assert proc.stdout == ("extension: INVALID\n  LengthMismatch: incl.psi has 2 "
+                                   "entries, but the domain's H has order 3\n")
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("image,code,witness,message", [
+        ([0, 1], "LengthMismatch", [2, 3], "psi.psi has 2 entries, but the domain's H has order 3"),
+        ([0, 2, 2], "NotHomomorphism", [], "map does not respect multiplication"),
+        ([0, 0, 0], "NotInjective", [1], "psi.psi[1] = 0 repeats an earlier entry"),
+    ], ids=["length", "not_homomorphism", "not_bijective"])
+    def test_pair_that_fails_to_load_has_code_and_witness(self, tmp_path, image, code,
+                                                          witness, message, fmt):
+        pair = json.loads((F / "pair_z9_identity.json").read_text())
+        pair["psi"]["psi"] = image
+        bad = tmp_path / "pair.json"
+        bad.write_text(json.dumps(pair))
+        proc = run_cli("inducible", F / "ext_z9.json", bad, "--format", fmt)
+        assert proc.returncode == 2
+        assert proc.stderr == ""
+        if fmt == "json":
+            assert json.loads(proc.stdout) == {"error": f"{code}: {message}", "code": code,
+                                               "witness": witness}
+        else:
+            assert proc.stdout == f"pair invalid: {code}: {message}\n"
 
     def test_invalid_operator(self):
         proc = run_cli("validate", F / "rrb_bad_axiom.json")

@@ -42,6 +42,13 @@ def iter_vectors(moduli: Sequence[int]) -> Iterator[Tuple[int, ...]]:
     yield from itertools.product(*(range(int(m)) for m in moduli))
 
 
+def vectors(moduli: Sequence[int]) -> np.ndarray:
+    """Every vector of prod Z/moduli as the rows of one int64 array, in the
+    order of ``iter_vectors`` (last coordinate fastest)."""
+    shape = tuple(int(m) for m in moduli)
+    return np.indices(shape, dtype=np.int64).reshape(len(shape), math.prod(shape)).T
+
+
 class QuotientPresentation(NamedTuple):
     """Z^n modulo a lattice containing E Z^n, canonicalized.
 

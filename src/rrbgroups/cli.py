@@ -24,7 +24,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional
+from json.encoder import encode_basestring_ascii
+from typing import Callable, List, Optional
 
 from . import serialize
 from .cohomology import cochain_complex
@@ -43,11 +44,52 @@ EXIT_BUDGET = 3
 BOUND_CODES = ("OrderTooLarge", "BudgetExceeded")
 
 
-def _emit(args: argparse.Namespace, payload: dict, text_lines: List[str]) -> None:
+def _json(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, written directly for
+    a payload of dicts with str keys, lists, str, int, bool and None.
+    ``indent`` is the newline and indentation that precede ``value``; a list
+    of ints is joined in one call."""
+    kind = type(value)
+    if kind is list:
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        for x in value:
+            if type(x) is not int:
+                items = [_json(x, inner) for x in value]
+                break
+        else:
+            items = map(int.__repr__, value)
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        return "{" + inner + ("," + inner).join([
+            encode_basestring_ascii(key) + ": " + _json(value[key], inner)
+            for key in sorted(value)]) + indent + "}"
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    if isinstance(value, (list, tuple)):
+        return _json(list(value), indent)
+    if isinstance(value, dict):
+        return _json(dict(value), indent)
+    return json.dumps(value)  # a float, or a subclass of str or int: as json writes it
+
+
+def _emit(args: argparse.Namespace, payload: dict, text: Callable[[], List[str]]) -> None:
+    """Print the answer in the format asked for: the JSON payload, or the
+    lines of ``text()``, which are formatted only for ``--format text``."""
     if args.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(_json(payload))
     else:
-        for line in text_lines:
+        for line in text():
             print(line)
 
 
@@ -68,9 +110,9 @@ def cmd_validate(args: argparse.Namespace) -> int:
         loader(obj, base)
     except GroupError as exc:
         payload = {"kind": kind, "valid": False, **_verdict(exc)}
-        _emit(args, payload, [f"{kind}: INVALID", f"  {exc}"])
+        _emit(args, payload, lambda: [f"{kind}: INVALID", f"  {exc}"])
         return EXIT_INVALID
-    _emit(args, {"kind": kind, "valid": True}, [f"{kind}: valid"])
+    _emit(args, {"kind": kind, "valid": True}, lambda: [f"{kind}: valid"])
     return EXIT_OK
 
 
@@ -78,11 +120,10 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     H = serialize.load_group(*_load_json(args.H))
     G = serialize.load_group(*_load_json(args.G))
     phi = serialize.strict_ints(_load_json(args.phi)[0], "phi", 2)
-    operators = enumerate_rrb_operators(H, G, phi, budget=args.budget)
-    payload = {"count": len(operators), "operators": [op.tolist() for op in operators]}
-    lines = [f"operators: {len(operators)}"]
-    lines += ["  " + " ".join(str(x) for x in op.tolist()) for op in operators]
-    _emit(args, payload, lines)
+    operators = [op.tolist() for op in enumerate_rrb_operators(H, G, phi, budget=args.budget)]
+    _emit(args, {"count": len(operators), "operators": operators},
+          lambda: [f"operators: {len(operators)}"]
+          + ["  " + " ".join(map(str, op)) for op in operators])
     return EXIT_OK
 
 
@@ -92,20 +133,20 @@ def cmd_cohomology(args: argparse.Namespace) -> int:
     groups = {"z1": cx.z1, "z2": cx.z2, "b2": cx.b2, "h2": cx.h2}
     payload = {name: list(g.factors) for name, g in groups.items()}
     payload["orders"] = {name: g.order for name, g in groups.items()}
-    lines = [f"{name}: factors {list(g.factors)} order {g.order}"
-             for name, g in groups.items()]
+    classes, reps = [], []
     if args.reps:
-        reps = []
-        for cls in cx.h2_classes():
-            fs = cx.class_representative(cls)
-            reps.append({"class": list(cls.coords),
-                         "representative": serialize.factor_system_to_json(
-                             fs, module.K.order, module.L.order)})
-            lines.append(f"class {list(cls.coords)}: "
-                         f"tau1 {fs.tau1.tolist()} tau2 {fs.tau2.tolist()} "
-                         f"rho {fs.rho.tolist()} chi {fs.chi.tolist()}")
-        payload["witnesses"] = reps
-    _emit(args, payload, lines)
+        coords = cx.h2_coords()
+        classes, reps = coords.tolist(), cx.class_representatives(coords)
+        payload["witnesses"] = [
+            {"class": cls, "representative": rep} for cls, rep in zip(
+                classes, serialize.factor_systems_to_json(reps, module.K.order, module.L.order))]
+
+    def text() -> List[str]:
+        lines = [f"{name}: factors {list(g.factors)} order {g.order}"
+                 for name, g in groups.items()]
+        return lines + [f"class {cls}: tau1 {tau1} tau2 {tau2} rho {rho} chi {chi}"
+                        for cls, tau1, tau2, rho, chi in zip(classes, *(x.tolist() for x in reps))]
+    _emit(args, payload, text)
     return EXIT_OK
 
 
@@ -113,24 +154,24 @@ def cmd_wells(args: argparse.Namespace) -> int:
     ext = serialize.load_extension(*_load_json(args.extension))
     report = verify_wells_exactness(ext)
     pair_objs = []
-    lines = []
     for rec in report.pairs:
         obj = serialize.pair_to_json(rec.pair)
         obj["in_C"] = rec.in_C
         obj["omega"] = list(rec.omega) if rec.omega is not None else None
         obj["inducible"] = rec.inducible
         pair_objs.append(obj)
-        lines.append(f"pair psi={rec.pair.psi.psi.image.tolist()}"
-                     f"/{rec.pair.psi.eta.image.tolist()} "
-                     f"theta={rec.pair.theta.psi.image.tolist()}"
-                     f"/{rec.pair.theta.eta.image.tolist()} "
-                     f"in_C={rec.in_C} omega={obj['omega']} inducible={rec.inducible}")
     payload = {"pairs": pair_objs, "exactness": dict(report.exactness),
                "omega_is_homomorphism": report.omega_is_homomorphism}
-    lines.append("exactness: " + " ".join(
-        f"{k}={v}" for k, v in sorted(report.exactness.items())))
-    lines.append(f"omega_is_homomorphism: {report.omega_is_homomorphism}")
-    _emit(args, payload, lines)
+
+    def text() -> List[str]:
+        lines = [f"pair psi={obj['psi']['psi']}/{obj['psi']['eta']} "
+                 f"theta={obj['theta']['psi']}/{obj['theta']['eta']} "
+                 f"in_C={obj['in_C']} omega={obj['omega']} inducible={obj['inducible']}"
+                 for obj in pair_objs]
+        return lines + ["exactness: " + " ".join(
+                            f"{k}={v}" for k, v in sorted(report.exactness.items())),
+                        f"omega_is_homomorphism: {report.omega_is_homomorphism}"]
+    _emit(args, payload, text)
     return EXIT_OK
 
 
@@ -140,7 +181,7 @@ def cmd_inducible(args: argparse.Namespace) -> int:
     try:
         pair = serialize.load_pair(pair_obj, ext.quotient, ext.kernel, base)
     except GroupError as exc:
-        _emit(args, {"error": str(exc), **_verdict(exc)}, [f"pair invalid: {exc}"])
+        _emit(args, {"error": str(exc), **_verdict(exc)}, lambda: [f"pair invalid: {exc}"])
         return EXIT_INVALID
     ctx = WellsContext(ext)
     verdict, witness = is_inducible(ctx, pair)
@@ -154,15 +195,18 @@ def cmd_inducible(args: argparse.Namespace) -> int:
         "deciders_agree": verdict == by_module,
         "witness": serialize.morphism_to_json(witness) if witness else None,
     }
-    lines = [f"in_C: {in_c}",
-             f"omega: {payload['omega']}",
-             f"inducible: {verdict}",
-             f"module criterion: {by_module}",
-             f"deciders agree: {payload['deciders_agree']}"]
-    if witness is not None:
-        lines.append(f"witness psi: {witness.psi.image.tolist()}")
-        lines.append(f"witness eta: {witness.eta.image.tolist()}")
-    _emit(args, payload, lines)
+
+    def text() -> List[str]:
+        lines = [f"in_C: {in_c}",
+                 f"omega: {payload['omega']}",
+                 f"inducible: {verdict}",
+                 f"module criterion: {by_module}",
+                 f"deciders agree: {payload['deciders_agree']}"]
+        if witness is not None:
+            lines.append(f"witness psi: {payload['witness']['psi']}")
+            lines.append(f"witness eta: {payload['witness']['eta']}")
+        return lines
+    _emit(args, payload, text)
     return EXIT_OK
 
 

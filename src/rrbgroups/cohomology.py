@@ -45,12 +45,12 @@ from .abelian import (
     AbelianPresentation,
     SubgroupPresentation,
     SubquotientPresentation,
-    iter_vectors,
     kernel_mod,
     reduce_vec,
+    vectors,
 )
 from .groups import FiniteGroup, trivial_group
-from .modules import ActionQuadruple, FactorSystem, OneCochain, RRBModule
+from .modules import ActionQuadruple, FactorSystem, OneCochain, RRBModule, check_normalized
 from .rrb import RRBError, descended_table, trivial_rrb
 
 
@@ -392,11 +392,24 @@ class CochainComplex:
                            if not member else "lattice membership failed")
         return CohomologyClass(self, coords[0])
 
+    def class_representatives(self, coords: np.ndarray) -> List[np.ndarray]:
+        """The representative cocycles of a stack of class coordinate rows,
+        as the stacks (tau1, tau2, rho, chi), one cocycle per row, each
+        checked to vanish on degenerate tuples as a FactorSystem is."""
+        arrays = self._c2.unpack(self.h2.representative(coords))
+        check_normalized(*arrays)
+        return arrays
+
     def class_representative(self, cls: CohomologyClass) -> FactorSystem:
-        return self.fs_from_coords(self.h2.representative(np.array([cls.coords]))[0])
+        return FactorSystem(*(x[0] for x in self.class_representatives([cls.coords])))
+
+    def h2_coords(self) -> np.ndarray:
+        """The coordinates of every class of H2, one row each, in the order
+        of ``h2_classes``."""
+        return vectors(self.h2.factors)
 
     def h2_classes(self) -> Iterator[CohomologyClass]:
-        for v in iter_vectors(self.h2.factors):
+        for v in self.h2_coords().tolist():
             yield CohomologyClass(self, v)
 
     def z2_elements(self) -> Iterator[FactorSystem]:
@@ -407,8 +420,7 @@ class CochainComplex:
     def z1_stack(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every derivation: its coordinates over Z1's invariant factors (all
         vectors, last coordinate fastest) and the stacks kappa1, kappa2."""
-        coords = np.array(list(iter_vectors(self.z1.factors)), dtype=np.int64)
-        coords = coords.reshape(len(coords), len(self.z1.factors))
+        coords = vectors(self.z1.factors)
         return coords, *self._c1.unpack(self.z1.element_from_coords(coords))
 
     def z1_elements(self) -> Iterator[OneCochain]:

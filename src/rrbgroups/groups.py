@@ -167,7 +167,8 @@ def group_from_permutations(degree: int, generators: Sequence[Sequence[int]],
         check_cells(len(frontier) * k * degree, f"a wave of {len(frontier) * k} permutations")
         products = frontier[:, gens].reshape(len(frontier) * k, degree)
         at = row_index(perms, products)
-        fresh = np.unique(products[at < 0], axis=0)
+        # The return_index form: without a return_* flag, numpy 2 imports numpy.ma.
+        fresh = np.unique(products[at < 0], axis=0, return_index=True)[0]
         check_cells((len(perms) + len(fresh)) ** 2,
                     f"the table of a closure of {len(perms) + len(fresh)} permutations")
         at[at < 0] = len(perms) + row_index(fresh, products[at < 0])
@@ -193,8 +194,9 @@ class GroupHom:
         if img.shape != (domain.order,):
             raise GroupError("LengthMismatch",
                              f"map has length {img.shape}, domain order {domain.order}")
-        if check and not is_homomorphism(img, domain, codomain):
-            raise GroupError("NotHomomorphism", "map does not respect multiplication")
+        if check:
+            _check_range(img, codomain)
+            check_homomorphisms(img[None], domain, codomain)
         self.domain = domain
         self.codomain = codomain
         self.image = img
@@ -246,23 +248,44 @@ def identity_hom(G: FiniteGroup) -> GroupHom:
     return GroupHom(G, G, list(range(G.order)), check=False)
 
 
-def is_homomorphism(image: Sequence[int], G: FiniteGroup, H: FiniteGroup) -> bool:
-    """True iff image[x*y] == image[x]*image[y] for all pairs."""
-    img = np.asarray(image, dtype=np.int64)
-    if img.shape != (G.order,):
-        raise GroupError("LengthMismatch", f"map has length {img.shape}, expected {G.order}")
+def _check_range(img: np.ndarray, H: FiniteGroup) -> None:
+    """That every entry of a map is an element of its codomain H."""
     outside = np.flatnonzero((img < 0) | (img >= H.order))
     if outside.size:
         i = int(outside[0])
         raise GroupError("NotClosed", f"image[{i}] = {img[i]} is outside the codomain "
                          f"of order {H.order}", (i,))
+
+
+def is_homomorphism(image: Sequence[int], G: FiniteGroup, H: FiniteGroup) -> bool:
+    """True iff image[x*y] == image[x]*image[y] for all pairs."""
+    img = np.asarray(image, dtype=np.int64)
+    if img.shape != (G.order,):
+        raise GroupError("LengthMismatch", f"map has length {img.shape}, expected {G.order}")
+    _check_range(img, H)
     return bool(homomorphism_rows(img[None], G, H)[0])
+
+
+def homomorphism_defects(images: np.ndarray, G: FiniteGroup, H: FiniteGroup) -> np.ndarray:
+    """Where each row of a stack of image arrays breaks the law: mask[i, x, y]
+    is images[i, x*y] != images[i, x] * images[i, y]."""
+    return images[:, G.table] != H.table[images[:, :, None], images[:, None, :]]
 
 
 def homomorphism_rows(images: np.ndarray, G: FiniteGroup, H: FiniteGroup) -> np.ndarray:
     """is_homomorphism for each row of a stack of image arrays."""
-    law = images[:, G.table] == H.table[images[:, :, None], images[:, None, :]]
-    return law.all(axis=(1, 2))
+    return ~homomorphism_defects(images, G, H).any(axis=(1, 2))
+
+
+def check_homomorphisms(images: np.ndarray, G: FiniteGroup, H: FiniteGroup) -> None:
+    """That each row of a stack of image arrays is a homomorphism G -> H.  The
+    first row that is not raises NotHomomorphism with its first (x, y), in
+    row-major order, where image[x*y] != image[x]*image[y] as the witness."""
+    at = first_true(homomorphism_defects(images, G, H))
+    if at is not None:
+        x, y = at[1:]
+        raise GroupError("NotHomomorphism",
+                         f"map does not respect multiplication at (x, y) = ({x}, {y})", (x, y))
 
 
 def automorphism_rows(rows: np.ndarray, G: FiniteGroup) -> np.ndarray:
@@ -343,7 +366,7 @@ def subgroup_closure(G: FiniteGroup, generators: Iterable[int]) -> List[int]:
     for g in gens:
         if not 0 <= g < G.order:
             raise GroupError("NotClosed", f"generator {g} out of range")
-    levels = _levels(G, [np.unique(np.array(gens, dtype=np.int64))])
+    levels = _levels(G, [np.array(sorted(set(gens)), dtype=np.int64)])
     return levels[-1].subgroup.tolist() if levels else [0]
 
 
@@ -375,13 +398,14 @@ def quotient_group(G: FiniteGroup, normal_elements: Sequence[int]) -> Quotient:
 
     Each coset gN is one row of the gather ``G.table[:, N]``.  Cosets are
     indexed by their minimum element, sorted ascending, so the identity
-    coset lands at index 0 and the section is normalized.
+    coset lands at index 0 and the section is normalized.  The minima are
+    the elements that are the minimum of their own coset.
     """
     N = sorted(set(int(x) for x in normal_elements))
     if not is_normal(G, N):
         raise GroupError("NotNormal", "subgroup is not normal")
     coset_min = G.table[:, N].min(axis=1)
-    reps = np.unique(coset_min)
+    reps = np.flatnonzero(coset_min == np.arange(G.order))
     proj = np.searchsorted(reps, coset_min)
     Q = FiniteGroup(proj[G.table[np.ix_(reps, reps)]], name=f"{G.name}/N" if G.name else None)
     return Quotient(Q, GroupHom(G, Q, proj), reps)

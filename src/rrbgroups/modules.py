@@ -200,6 +200,16 @@ def module_defect(quotient: RRBGroup, kernel: RRBGroup,
     return None
 
 
+def check_normalized(tau1: np.ndarray, tau2: np.ndarray, rho: np.ndarray,
+                     chi: np.ndarray) -> None:
+    """That every 2-cochain of the stacks (tau1, tau2, rho, chi), one cochain
+    per index of the leading axis, vanishes whenever an argument is the
+    identity; raises ValueError otherwise."""
+    if (tau1[:, 0].any() or tau1[:, :, 0].any() or tau2[:, 0].any() or tau2[:, :, 0].any()
+            or rho[:, 0].any() or rho[:, :, 0].any() or chi[:, 0].any()):
+        raise ValueError("factor system does not vanish on degenerate tuples")
+
+
 class FactorSystem:
     """Candidate 2-cochain (tau1, tau2, rho, chi) over element indices.
 
@@ -220,11 +230,7 @@ class FactorSystem:
         nA, nB = self.tau1.shape[0], self.tau2.shape[0]
         if self.rho.shape != (nA, nB) or self.chi.shape != (nA,):
             raise ValueError("rho/chi shapes inconsistent with tau1/tau2")
-        degenerate = (self.tau1[0].any() or self.tau1[:, 0].any()
-                      or self.tau2[0].any() or self.tau2[:, 0].any()
-                      or self.rho[0].any() or self.rho[:, 0].any() or self.chi[0])
-        if degenerate:
-            raise ValueError("factor system does not vanish on degenerate tuples")
+        check_normalized(self.tau1[None], self.tau2[None], self.rho[None], self.chi[None])
         for arr in (self.tau1, self.tau2, self.rho, self.chi):
             arr.setflags(write=False)
 

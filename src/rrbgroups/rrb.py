@@ -20,10 +20,10 @@ from .groups import (
     action_law_defects,
     automorphism_rows,
     check_cells,
+    check_homomorphisms,
     direct_product,
     first_escape,
     first_true,
-    homomorphism_rows,
     injective_rows,
     is_normal,
     is_subgroup,
@@ -228,9 +228,8 @@ def check_morphisms(domain: RRBGroup, codomain: RRBGroup,
 def check_automorphisms(rrb: RRBGroup, psi: np.ndarray, eta: np.ndarray) -> None:
     """That each row pair of the stacks (psi on H, eta on G) is an automorphism,
     checked as the constructors check one pair, then bijective."""
-    for img, group in ((psi, rrb.H), (eta, rrb.G)):
-        if not homomorphism_rows(img, group, group).all():
-            raise GroupError("NotHomomorphism", "map does not respect multiplication")
+    check_homomorphisms(psi, rrb.H, rrb.H)
+    check_homomorphisms(eta, rrb.G, rrb.G)
     check_morphisms(rrb, rrb, psi, eta)
     if not (injective_rows(psi, rrb.H.order) & injective_rows(eta, rrb.G.order)).all():
         raise RRBError("InternalError", "a map pair of the stack is not bijective")

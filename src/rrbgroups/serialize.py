@@ -20,8 +20,8 @@ ragged array is a ParseError naming its JSON path, never a silent coercion.
 from __future__ import annotations
 
 import json
-from pathlib import Path
-from typing import Optional, Union
+import os
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -35,23 +35,29 @@ class ParseError(ValueError):
     pass
 
 
-def _load_json(path: Union[str, Path]) -> tuple:
-    path = Path(path)
+def _load_json(path: str) -> tuple:
+    """The JSON value of a file and the directory it is read from.  A file
+    that cannot be read (missing, a directory, not permitted, not UTF-8, a
+    NUL in its path) or is not JSON is a ParseError naming it."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh), path.parent
+            return json.load(fh), os.path.dirname(path)
     except FileNotFoundError:
         raise ParseError(f"no such file: {path}")
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc.strerror or exc}")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"cannot read {path}: not UTF-8 text ({exc.reason} at byte {exc.start})")
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON in {path}: {exc}")
+    except ValueError as exc:  # a NUL in the path, or an integer of too many digits
+        raise ParseError(f"cannot read {path!r}: {exc}")
 
 
-def _resolve(value, base: Optional[Path]):
+def _resolve(value, base: Optional[str]):
+    """A payload given inline, or by a path relative to ``base``."""
     if isinstance(value, str):
-        path = Path(value)
-        if not path.is_absolute():
-            path = (base or Path(".")) / path
-        return _load_json(path)
+        return _load_json(os.path.join(base or "", value))
     return value, base
 
 
@@ -91,7 +97,7 @@ def strict_ints(value, path: str, depth: int):
     return value
 
 
-def load_group(value, base: Optional[Path] = None) -> FiniteGroup:
+def load_group(value, base: Optional[str] = None) -> FiniteGroup:
     obj, base = _resolve(value, base)
     if not isinstance(obj, dict):
         raise ParseError("group payload must be an object")
@@ -117,7 +123,7 @@ def group_to_json(G: FiniteGroup) -> dict:
     return out
 
 
-def load_rrb(value, base: Optional[Path] = None) -> RRBGroup:
+def load_rrb(value, base: Optional[str] = None) -> RRBGroup:
     obj, base = _resolve(value, base)
     H = load_group(_require(obj, "H", "structure"), base)
     G = load_group(_require(obj, "G", "structure"), base)
@@ -162,7 +168,7 @@ def morphism_to_json(m: RRBMorphism) -> dict:
     return {"psi": m.psi.image.tolist(), "eta": m.eta.image.tolist()}
 
 
-def load_extension(value, base: Optional[Path] = None) -> Extension:
+def load_extension(value, base: Optional[str] = None) -> Extension:
     obj, base = _resolve(value, base)
     kernel = load_rrb(_require(obj, "kernel", "extension"), base)
     total = load_rrb(_require(obj, "total", "extension"), base)
@@ -178,7 +184,7 @@ def extension_to_json(ext: Extension) -> dict:
             "incl": morphism_to_json(ext.incl), "proj": morphism_to_json(ext.proj)}
 
 
-def load_module(value, base: Optional[Path] = None) -> RRBModule:
+def load_module(value, base: Optional[str] = None) -> RRBModule:
     obj, base = _resolve(value, base)
     quotient = load_rrb(_require(obj, "quotient", "module"), base)
     kernel = load_rrb(_require(obj, "kernel", "module"), base)
@@ -193,15 +199,21 @@ def module_to_json(module: RRBModule) -> dict:
             "sigma": module.action.sigma.tolist(), "f": module.action.f.tolist()}
 
 
+def factor_systems_to_json(arrays: Sequence[np.ndarray], nK: int, nL: int) -> List[dict]:
+    """The flat form of each 2-cochain of the stacks (tau1, tau2, rho, chi),
+    one cochain per index of the leading axis: the entries off row and
+    column 0, row-major."""
+    tau1, tau2, rho, chi = arrays
+    n, nA, nB = rho.shape
+    flat = [x[:, 1:, 1:].reshape(n, (x.shape[1] - 1) * (x.shape[2] - 1)).tolist()
+            for x in (tau1, tau2, rho)]
+    return [{"shapes": [nA, nB, nK, nL], "tau1": t1, "tau2": t2, "rho": r, "chi": c}
+            for t1, t2, r, c in zip(*flat, chi[:, 1:].tolist())]
+
+
 def factor_system_to_json(fs: FactorSystem, nK: int, nL: int) -> dict:
-    nA, nB = fs.shapes
-    return {
-        "shapes": [nA, nB, nK, nL],
-        "tau1": [int(fs.tau1[a1, a2]) for a1 in range(1, nA) for a2 in range(1, nA)],
-        "tau2": [int(fs.tau2[b1, b2]) for b1 in range(1, nB) for b2 in range(1, nB)],
-        "rho": [int(fs.rho[a, b]) for a in range(1, nA) for b in range(1, nB)],
-        "chi": [int(fs.chi[a]) for a in range(1, nA)],
-    }
+    return factor_systems_to_json([x[None] for x in (fs.tau1, fs.tau2, fs.rho, fs.chi)],
+                                  nK, nL)[0]
 
 
 def _flat_entries(obj: dict, key: str, where: str, length: int, order: int,
@@ -217,7 +229,7 @@ def _flat_entries(obj: dict, key: str, where: str, length: int, order: int,
     return values
 
 
-def load_factor_system(value, module: RRBModule, base: Optional[Path] = None) -> FactorSystem:
+def load_factor_system(value, module: RRBModule, base: Optional[str] = None) -> FactorSystem:
     obj, base = _resolve(value, base)
     nA, nB, nK, nL = module.A.order, module.B.order, module.K.order, module.L.order
     shapes = strict_ints(_require(obj, "shapes", "factor system"), "shapes", 1)
@@ -248,7 +260,7 @@ def one_cochain_to_json(kappa, nA: int, nB: int) -> dict:
     }
 
 
-def load_one_cochain(value, module: RRBModule, base: Optional[Path] = None) -> OneCochain:
+def load_one_cochain(value, module: RRBModule, base: Optional[str] = None) -> OneCochain:
     obj, base = _resolve(value, base)
     nA, nB = module.A.order, module.B.order
     shapes = strict_ints(_require(obj, "shapes", "one-cochain"), "shapes", 1)
@@ -260,7 +272,7 @@ def load_one_cochain(value, module: RRBModule, base: Optional[Path] = None) -> O
 
 
 def load_pair(value, quotient: RRBGroup, kernel: RRBGroup,
-              base: Optional[Path] = None):
+              base: Optional[str] = None):
     """An automorphism pair {"psi": {"psi":[...], "eta":[...]}, "theta": {...}}.
 
     A map that is not bijective is a NotInjective GroupError naming its

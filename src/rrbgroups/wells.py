@@ -360,9 +360,7 @@ def _action_matrices(ctx: WellsContext, P: _Pairs) -> np.ndarray:
     r = len(cx.h2.factors)
     if not r:
         return np.zeros((len(P.psi1), 0, 0), dtype=np.int64)
-    reps = [_arrays(cx.class_representative(CohomologyClass(cx, e)))
-            for e in np.eye(r, dtype=np.int64)]
-    moved = _twist(P, [np.stack(x) for x in zip(*reps)])
+    moved = _twist(P, cx.class_representatives(np.eye(r, dtype=np.int64)))
     flat = [x.reshape((-1,) + x.shape[2:]) for x in moved]
     return _classes(ctx, flat).reshape(len(P.psi1), r, r).transpose(0, 2, 1)
 

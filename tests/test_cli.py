@@ -119,7 +119,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("fmt", ["text", "json"])
     @pytest.mark.parametrize("image,code,witness,message", [
         ([0, 1], "LengthMismatch", [2, 3], "psi.psi has 2 entries, but the domain's H has order 3"),
-        ([0, 2, 2], "NotHomomorphism", [], "map does not respect multiplication"),
+        ([0, 2, 2], "NotHomomorphism", [1, 1],
+         "map does not respect multiplication at (x, y) = (1, 1)"),
         ([0, 0, 0], "NotInjective", [1], "psi.psi[1] = 0 repeats an earlier entry"),
     ], ids=["length", "not_homomorphism", "not_bijective"])
     def test_pair_that_fails_to_load_has_code_and_witness(self, tmp_path, image, code,
@@ -152,6 +153,34 @@ class TestExitCodes:
     def test_missing_file_is_parse_error(self):
         proc = run_cli("validate", "/no/such/file.json")
         assert proc.returncode == 1
+        assert proc.stderr == "parse error: no such file: /no/such/file.json\n"
+
+    @pytest.mark.parametrize("kind,reason", [("directory", "Is a directory"),
+                                             ("utf16_bom", "not UTF-8 text")])
+    def test_unreadable_file_is_parse_error(self, tmp_path, kind, reason):
+        # A directory, or a file that starts with the bytes FF FE (a UTF-16
+        # byte order mark), cannot be read as UTF-8 JSON.
+        path = tmp_path
+        if kind == "utf16_bom":
+            path = tmp_path / "group.json"
+            path.write_bytes(b"\xff\xfe" + json.dumps({"order": 1, "table": [[0]]}).encode("utf-16-le"))
+        proc = run_cli("validate", path)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith(f"parse error: cannot read {path}: {reason}")
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("kind", ["nul_in_reference", "integer_of_5000_digits"])
+    def test_value_error_while_reading_is_parse_error(self, tmp_path, kind):
+        path = tmp_path / "input.json"
+        if kind == "nul_in_reference":
+            path.write_text(json.dumps({"H": "a\x00b.json", "G": "g.json", "phi": [[0]], "R": [0]}))
+        else:
+            path.write_text('{"order": 1, "table": [[' + "1" * 5000 + "]]}")
+        proc = run_cli("validate", path)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("parse error: cannot read ")
+        assert "Traceback" not in proc.stderr
 
     def test_budget_exceeded(self, tmp_path):
         phi = tmp_path / "phi.json"

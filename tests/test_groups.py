@@ -241,6 +241,19 @@ class TestHomomorphisms:
         assert str(err.value) == (f"NotClosed: image[{index}] = {image[index]} "
                                   f"is outside the codomain of order 4")
 
+    @pytest.mark.parametrize("image", [[x % 2 for x in range(4)], [0, 2, 2, 0], [0, 3, 3, 1]])
+    def test_not_homomorphism_names_the_first_failing_pair(self, groups, image):
+        # The witness is the first (x, y), in row-major order, where
+        # image[x*y] != image[x]*image[y], as the element loop meets it.
+        Z4 = groups["z4"]
+        first = next((x, y) for x in range(4) for y in range(4)
+                     if image[Z4.mul(x, y)] != Z4.mul(image[x], image[y]))
+        with pytest.raises(GroupError) as err:
+            GroupHom(Z4, Z4, image)
+        assert err.value.witness == first
+        assert str(err.value) == (f"NotHomomorphism: map does not respect multiplication "
+                                  f"at (x, y) = {first}")
+
     def test_compose_and_inverse(self, groups):
         Z4 = groups["z4"]
         neg = GroupHom(Z4, Z4, [0, 3, 2, 1])

@@ -41,3 +41,23 @@ def test_library_import_loads_no_cli():
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           cwd=SRC.parent, check=True)
     assert proc.stdout == "[]\n"
+
+
+def test_permutation_groups_load_without_numpy_ma():
+    # On numpy 2, np.unique without a return_* flag imports numpy.ma (about
+    # 12 ms) the first time it runs; no closure, subgroup or quotient needs it.
+    probe = """
+import sys
+from rrbgroups.groups import quotient_group, subgroup_closure
+from rrbgroups.serialize import _load_json, load_group
+for name in ("group_s3_perm.json", "group_klein_perm.json"):
+    G = load_group(*_load_json("rrbgroups/fixtures/" + name))
+    for gens in ([0], [G.order - 1], range(G.order)):
+        N = subgroup_closure(G, gens)
+        if len(N) in (1, G.order // 2, G.order):  # index at most 2, so normal
+            quotient_group(G, N)
+print("numpy.ma" in sys.modules)
+"""
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          cwd=SRC.parent, check=True)
+    assert proc.stdout == "False\n"

@@ -41,7 +41,7 @@ from rrbgroups import (
     validate_morphism,
 )
 from rrbgroups.groups import FiniteGroup, group_from_permutations, subgroup_closure
-from rrbgroups.rrb import descended_table, rrb_automorphism_images
+from rrbgroups.rrb import check_automorphisms, descended_table, rrb_automorphism_images
 from rrbgroups.serialize import load_extension, load_rrb
 from oracles import (automorphism_pairs, center_loop, descended_loop, ideal_loop,
                      morphism_violation, naive_operators, quotient_loop, quotient_rrb_loop,
@@ -334,6 +334,29 @@ class TestMorphismChecks:
         psi = data.draw(st.sampled_from(_auts(rrb.H)))
         eta = data.draw(st.sampled_from(_auts(rrb.G)))
         _check_against_loops(rrb, rrb, psi, eta)
+
+    def test_stack_names_the_first_pair_that_breaks_multiplication(self):
+        # On H, the identity, squaring and the identity with 1 and 2 swapped;
+        # the identity on G.  The witness is the first (x, y), in row-major
+        # order, of the first row that breaks image[x*y] == image[x]*image[y].
+        raised = 0
+        for rrb in SEARCH_CASES.values():
+            H, n = rrb.H, rrb.H.order
+            swap = list(range(n))
+            if n > 2:
+                swap[1], swap[2] = 2, 1
+            psi = np.array([list(range(n)), [H.mul(x, x) for x in range(n)], swap])
+            eta = np.array([list(range(rrb.G.order))] * 3)
+            failing = [(x, y) for img in psi.tolist() for x in range(n) for y in range(n)
+                       if img[H.mul(x, y)] != H.mul(img[x], img[y])]
+            if not failing:
+                continue
+            raised += 1
+            with pytest.raises(GroupError) as err:
+                check_automorphisms(rrb, psi, eta)
+            assert err.value.code == "NotHomomorphism" and err.value.witness == failing[0]
+            assert str(err.value).endswith(f"at (x, y) = {failing[0]}")
+        assert raised >= 5
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())

@@ -43,7 +43,7 @@ print("twisted module: |C2| = 2^16, cocycles:", cx.z2.order,
       " coboundaries:", cx.b2.order, " H2:", cx.h2.factors)
 
 # Membership tests name the first violated condition with its tuple.
-bad = cx.fs_from_coords([1] + [0] * (cx.c2_dim - 1))
+bad = cx.fs_from_coords([1] + [0] * (len(cx.c2_moduli) - 1))
 ok, witness = cx.z2_contains(bad)
 print("single nonzero tau1 entry a cocycle?", ok, "- first violation:", witness)
 

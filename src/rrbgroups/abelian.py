@@ -16,7 +16,6 @@ int64 (see ``intlinalg`` for the one bound that keeps it there).
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -38,13 +37,9 @@ def reduce_vec(vec: Sequence[int], moduli: Sequence[int]) -> Tuple[int, ...]:
     return tuple(int(v) % int(m) for v, m in zip(vec, moduli))
 
 
-def iter_vectors(moduli: Sequence[int]) -> Iterator[Tuple[int, ...]]:
-    yield from itertools.product(*(range(int(m)) for m in moduli))
-
-
 def vectors(moduli: Sequence[int]) -> np.ndarray:
-    """Every vector of prod Z/moduli as the rows of one int64 array, in the
-    order of ``iter_vectors`` (last coordinate fastest)."""
+    """Every vector of prod Z/moduli as the rows of one int64 array, last
+    coordinate fastest."""
     shape = tuple(int(m) for m in moduli)
     return np.indices(shape, dtype=np.int64).reshape(len(shape), math.prod(shape)).T
 
@@ -148,9 +143,6 @@ class _Presented:
         representative of a subquotient, a member of a subgroup."""
         reduced = np.asarray(coords, dtype=np.int64) % np.array(self.factors, dtype=np.int64)
         return reduced @ self.embedding.T % np.array(self.ambient_moduli, dtype=np.int64)
-
-    # The same map, under the name that reads right for a subgroup.
-    element_from_coords = representative
 
 
 class SubgroupPresentation(_Presented):
@@ -266,8 +258,8 @@ class SubgroupPresentation(_Presented):
 
     def elements(self) -> Iterator[Tuple[int, ...]]:
         """All members as ambient coordinate vectors (desk scale only)."""
-        for c in iter_vectors(self.factors):
-            yield tuple(self.element_from_coords([c])[0].tolist())
+        for v in self.representative(vectors(self.factors)).tolist():
+            yield tuple(v)
 
 
 class SubquotientPresentation(_Presented):
@@ -404,9 +396,6 @@ class FinAbHom:
         vec = np.array(reduce_vec(vec, self.domain.factors), dtype=np.int64)
         return reduce_vec(self.matrix @ vec, self.codomain.factors)
 
-    def apply_elem(self, x: int) -> int:
-        return self.codomain.elem(self.apply_vec(self.domain.vec(x)))
-
 
 class KernelImageCokernel(NamedTuple):
     kernel_factors: Tuple[int, ...]
@@ -415,18 +404,6 @@ class KernelImageCokernel(NamedTuple):
     image_embedding: np.ndarray
     cokernel_factors: Tuple[int, ...]
     cokernel_class_of: Callable[[np.ndarray], np.ndarray]
-
-    @property
-    def kernel_order(self) -> int:
-        return math.prod(self.kernel_factors)
-
-    @property
-    def image_order(self) -> int:
-        return math.prod(self.image_factors)
-
-    @property
-    def cokernel_order(self) -> int:
-        return math.prod(self.cokernel_factors)
 
 
 def hom_kernel_image_quotient(h: FinAbHom) -> KernelImageCokernel:

@@ -303,10 +303,6 @@ class CochainComplex:
 
     # -- coordinate packing ------------------------------------------------
 
-    @property
-    def c2_dim(self) -> int:
-        return len(self.c2_moduli)
-
     def fs_to_coords(self, fs: FactorSystem) -> np.ndarray:
         if fs.shapes != (self.module.A.order, self.module.B.order):
             raise ValueError("factor system shape does not match the module")
@@ -383,14 +379,17 @@ class CochainComplex:
     def h2(self) -> SubquotientPresentation:
         return SubquotientPresentation(self.z2, self.coboundary_matrix)
 
+    def classes(self, vecs: np.ndarray) -> np.ndarray:
+        """The class rows of a stack of 2-cochain coordinate rows; NotACocycle,
+        naming its first failing condition, for the first row outside Z2."""
+        coords, member = self.h2.class_coords(vecs)
+        if not member.all():
+            label, at = self._con.first_nonzero(self.constraint_matrix @ vecs[np.argmin(member)])
+            raise RRBError("NotACocycle", f"not a cocycle: condition {label} fails at {at}")
+        return coords
+
     def class_of(self, fs: FactorSystem) -> CohomologyClass:
-        coords, member = self.h2.class_coords(self.fs_to_coords(fs)[None])
-        if not member[0]:
-            member, witness = self.z2_contains(fs)
-            raise RRBError("NotACocycle",
-                           f"not a cocycle: condition {witness[0]} fails at {witness[1]}"
-                           if not member else "lattice membership failed")
-        return CohomologyClass(self, coords[0])
+        return CohomologyClass(self, self.classes(self.fs_to_coords(fs)[None])[0])
 
     def class_representatives(self, coords: np.ndarray) -> List[np.ndarray]:
         """The representative cocycles of a stack of class coordinate rows,
@@ -421,7 +420,7 @@ class CochainComplex:
         """Every derivation: its coordinates over Z1's invariant factors (all
         vectors, last coordinate fastest) and the stacks kappa1, kappa2."""
         coords = vectors(self.z1.factors)
-        return coords, *self._c1.unpack(self.z1.element_from_coords(coords))
+        return coords, *self._c1.unpack(self.z1.representative(coords))
 
     def z1_elements(self) -> Iterator[OneCochain]:
         _, kappa1, kappa2 = self.z1_stack()

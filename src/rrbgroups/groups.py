@@ -321,6 +321,21 @@ def injective_rows(images: np.ndarray, n: int) -> np.ndarray:
     return seen.sum(axis=1) == images.shape[1]
 
 
+def first_repeat(images: np.ndarray) -> Optional[Tuple[int, int]]:
+    """(row, index) of the first entry, in row-major order, of a stack of
+    arrays that repeats an earlier entry of its row, or None.  A stable sort
+    puts each repeat right after an equal entry of lower index."""
+    rows = np.arange(len(images))[:, None]
+    order = np.argsort(images, axis=1, kind="stable")
+    ranked = images[rows, order]
+    same = ranked[:, 1:] == ranked[:, :-1]
+    if not same.any():
+        return None
+    repeats = np.zeros(images.shape, dtype=bool)
+    repeats[rows, order[:, 1:]] = same
+    return first_true(repeats)
+
+
 def row_index(rows: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """The position of each query (along the last axis) among ``rows``, or
     -1; exact, through one dict over the bytes of the rows."""

@@ -20,11 +20,11 @@ from .groups import (
     action_law_defects,
     automorphism_rows,
     check_cells,
-    check_homomorphisms,
     direct_product,
     first_escape,
+    first_repeat,
     first_true,
-    injective_rows,
+    homomorphism_defects,
     is_normal,
     is_subgroup,
     isomorphism_images,
@@ -227,12 +227,20 @@ def check_morphisms(domain: RRBGroup, codomain: RRBGroup,
 
 def check_automorphisms(rrb: RRBGroup, psi: np.ndarray, eta: np.ndarray) -> None:
     """That each row pair of the stacks (psi on H, eta on G) is an automorphism,
-    checked as the constructors check one pair, then bijective."""
-    check_homomorphisms(psi, rrb.H, rrb.H)
-    check_homomorphisms(eta, rrb.G, rrb.G)
+    checked as the constructors check one pair, then bijective.  A map that
+    is no homomorphism, or repeats an entry, is named with its row."""
+    maps = (("psi on H", psi, rrb.H), ("eta on G", eta, rrb.G))
+    for name, images, group in maps:
+        at = first_true(homomorphism_defects(images, group, group))
+        if at is not None:
+            raise RRBError("NotHomomorphism", f"{name}, row {at[0]}, does not respect "
+                           f"multiplication at (x, y) = {at[1:]}", at[1:])
     check_morphisms(rrb, rrb, psi, eta)
-    if not (injective_rows(psi, rrb.H.order) & injective_rows(eta, rrb.G.order)).all():
-        raise RRBError("InternalError", "a map pair of the stack is not bijective")
+    for name, images, _ in maps:
+        at = first_repeat(images)
+        if at is not None:
+            raise RRBError("NotInjective", f"{name}, row {at[0]}: entry {at[1]} = {images[at]} "
+                           "repeats an earlier entry", at[1:])
 
 
 def automorphism_objects(rrb: RRBGroup, psi: np.ndarray, eta: np.ndarray) -> List[RRBMorphism]:

@@ -26,7 +26,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .extensions import Extension
-from .groups import FiniteGroup, GroupError, group_from_permutations
+from .groups import FiniteGroup, GroupError, first_repeat, group_from_permutations
 from .modules import ActionQuadruple, FactorSystem, OneCochain, RRBModule
 from .rrb import RRBGroup, RRBMorphism, validate_morphism
 
@@ -284,11 +284,10 @@ def load_pair(value, quotient: RRBGroup, kernel: RRBGroup,
                           _load_morphism(obj, "theta", "pair", kernel, kernel))
     for key, morphism in zip(("psi", "theta"), pair):
         for part, hom in (("psi", morphism.psi), ("eta", morphism.eta)):
-            if not hom.is_bijective():
-                image = hom.image.tolist()
-                i = next(i for i, x in enumerate(image) if x in image[:i])
-                raise GroupError("NotInjective", f"{key}.{part}[{i}] = {image[i]} repeats "
-                                 "an earlier entry", (i,))
+            at = first_repeat(hom.image[None])
+            if at is not None:
+                raise GroupError("NotInjective", f"{key}.{part}[{at[1]}] = {hom.image[at[1]]} "
+                                 "repeats an earlier entry", at[1:])
     return pair
 
 

@@ -104,8 +104,10 @@ def _compatible(module: RRBModule, P: _Pairs) -> np.ndarray:
 
 
 def pair_is_compatible(module: RRBModule, pair: CompatiblePair) -> bool:
-    """The four stabilizer conditions tying (psi, theta) to (nu, mu, sigma, f)."""
-    return bool(_compatible(module, _stack_of(pair))[0])
+    """Both maps bijective, and the four stabilizer conditions tying (psi,
+    theta) to (nu, mu, sigma, f)."""
+    return (pair.psi.is_bijective() and pair.theta.is_bijective()
+            and bool(_compatible(module, _stack_of(pair))[0]))
 
 
 def _product_table(psi: np.ndarray, eta: np.ndarray) -> np.ndarray:
@@ -146,9 +148,7 @@ class _PairGroup:
         check_cells(len(self.C) ** 2, "the product table of the compatible pairs")
         q, k = np.divmod(self.C, nk)
         qprod, kprod = _product_table(*self.quotient), _product_table(*self.kernel)
-        inverses = self.position[np.argmin(qprod, axis=1)[q] * nk + np.argmin(kprod, axis=1)[k]]
-        if (inverses < 0).any():  # pragma: no cover - theorem
-            raise RRBError("InternalError", "compatible pairs not closed under inverse")
+        # A finite set closed under products is a subgroup: no inverse check.
         self.products = self.position[qprod[q[:, None], q] * nk + kprod[k[:, None], k]]
         if (self.products < 0).any():  # pragma: no cover - theorem
             raise RRBError("InternalError", "compatible pairs not closed under product")
@@ -168,25 +168,25 @@ class _PairGroup:
 
 
 def compatible_pairs(module: RRBModule) -> List[CompatiblePair]:
-    """All compatible pairs, sorted; checked to be closed under the group ops."""
+    """All compatible pairs, sorted; checked to be closed under products."""
     pairs = _PairGroup(module)
     return pairs.objects(module, pairs.C)
 
 
-def _act(P: _Pairs, th1inv: np.ndarray, th2inv: np.ndarray,
+def _act(psi1: np.ndarray, psi2: np.ndarray, th1inv: np.ndarray, th2inv: np.ndarray,
          fs: Sequence[np.ndarray]) -> List[np.ndarray]:
-    """fs^(psi, theta) for every pair of P and every 2-cochain of a stack
-    fs = (tau1, tau2, rho, chi) with one leading axis, as the four arrays
-    with axes (pair, cochain, ...):
+    """fs^(psi, theta) for every row of the stacks (psi1, psi2, theta1^-1,
+    theta2^-1) and every 2-cochain of a stack fs = (tau1, tau2, rho, chi)
+    with one leading axis, as the four arrays with axes (pair, cochain, ...):
 
         tau1 -> theta1^-1 o tau1 o (psi1 x psi1),  tau2 likewise,
         rho -> theta1^-1 o rho o (psi1 x psi2),    chi -> theta2^-1 o chi o psi1.
     """
     tau1, tau2, rho, chi = fs
-    c = np.arange(len(P.psi1))[:, None, None, None]
+    c = np.arange(len(psi1))[:, None, None, None]
     s = np.arange(len(tau1))[None, :, None, None]
-    a1, a2 = P.psi1[:, None, :, None], P.psi1[:, None, None, :]
-    b1, b2 = P.psi2[:, None, :, None], P.psi2[:, None, None, :]
+    a1, a2 = psi1[:, None, :, None], psi1[:, None, None, :]
+    b1, b2 = psi2[:, None, :, None], psi2[:, None, None, :]
     return [th1inv[c, tau1[s, a1, a2]], th2inv[c, tau2[s, b1, b2]], th1inv[c, rho[s, a1, b2]],
             th2inv[c[..., 0], chi[s[..., 0], a1[..., 0]]]]
 
@@ -195,13 +195,17 @@ def _arrays(fs: FactorSystem) -> List[np.ndarray]:
     return [fs.tau1, fs.tau2, fs.rho, fs.chi]
 
 
+def _twist(P: _Pairs, fs: Sequence[np.ndarray]) -> List[np.ndarray]:
+    """_act for pairs of automorphisms, theta inverted by a scatter."""
+    return _act(P.psi1, P.psi2, _inverse_perm(P.theta1), _inverse_perm(P.theta2), fs)
+
+
 def act_on_factor_system(pair: CompatiblePair, fs: FactorSystem,
-                         module: RRBModule, check: bool = True) -> FactorSystem:
+                         module: RRBModule) -> FactorSystem:
     """Twisted factor system fs^(psi, theta)."""
-    if check and not pair_is_compatible(module, pair):
-        raise RRBError("PairNotCompatible", "pair does not stabilize the action")
-    moved = _act(_stack_of(pair), pair.theta.psi.inverse().image[None],
-                 pair.theta.eta.inverse().image[None], [x[None] for x in _arrays(fs)])
+    if not pair_is_compatible(module, pair):
+        raise RRBError("PairNotCompatible", "pair is no compatible pair of automorphisms")
+    moved = _twist(_stack_of(pair), [x[None] for x in _arrays(fs)])
     return FactorSystem(*(x[0, 0] for x in moved))
 
 
@@ -220,10 +224,9 @@ class WellsContext:
             raise RRBError("NotAbelianExtension", "lifting theory needs an abelian kernel datum")
         self.ext = ext
         self.chart = chart(ext)
-        self.module = RRBModule(ext.quotient, ext.kernel,
-                                extract_actions(ext, self.chart.section))
+        self.module = RRBModule(ext.quotient, ext.kernel, extract_actions(ext))
         self.complex = cochain_complex(self.module)
-        self.fs = extract_factor_system(ext, self.chart.section)
+        self.fs = extract_factor_system(ext)
         self.base_class = self.complex.class_of(self.fs)
 
     @functools.cached_property
@@ -236,13 +239,9 @@ class WellsContext:
         return self.pair_group.objects(self.module, np.arange(len(self.pair_group.position)))
 
     @functools.cached_property
-    def compatible_table(self) -> Tuple[List[CompatiblePair], np.ndarray]:
-        """C, sorted, with products[i, j] the index of C[i] after C[j]."""
-        return [self.all_pairs[p] for p in self.pair_group.C], self.pair_group.products
-
-    @property
     def compatible(self) -> List[CompatiblePair]:
-        return self.compatible_table[0]
+        """C, sorted; ``pair_group.products`` is its product table."""
+        return [self.all_pairs[p] for p in self.pair_group.C]
 
     @functools.cached_property
     def aut_K(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -330,26 +329,16 @@ def _aut_to_z1(ctx: WellsContext, on_H: np.ndarray,
     return kappa
 
 
-def _classes(ctx: WellsContext, cochains: Sequence[np.ndarray]) -> np.ndarray:
-    """Class rows of a stack of cocycles; NotACocycle, as class_of raises
-    it, for the first one that is not."""
-    cx = ctx.complex
-    coords, member = cx.h2.class_coords(cx.c2_coords(cochains))
-    if not member.all():  # pragma: no cover - theorem for twists of cocycles
-        cx.class_of(FactorSystem(*(x[np.argmin(member)] for x in cochains)))
-    return coords
+def _twisted(ctx: WellsContext, P: _Pairs) -> List[np.ndarray]:
+    """fs^c for each pair c of a stack, as the stacks (tau1, tau2, rho, chi)."""
+    return [x[:, 0] for x in _twist(P, [x[None] for x in _arrays(ctx.fs)])]
 
 
-def _twist(P: _Pairs, fs: Sequence[np.ndarray]) -> List[np.ndarray]:
-    """_act for pairs of automorphisms, theta inverted by a scatter."""
-    return _act(P, _inverse_perm(P.theta1), _inverse_perm(P.theta2), fs)
-
-
-def _omega(ctx: WellsContext, P: _Pairs) -> np.ndarray:
-    """Rows of [fs^c] - [fs] for a stack of compatible pairs c."""
-    twisted = [x[:, 0] for x in _twist(P, [x[None] for x in _arrays(ctx.fs)])]
-    base = np.array(ctx.base_class.coords, dtype=np.int64)
-    return (_classes(ctx, twisted) - base) % np.array(ctx.base_class.factors, dtype=np.int64)
+def _omega(ctx: WellsContext, twisted: Sequence[np.ndarray]) -> np.ndarray:
+    """Rows of [fs^c] - [fs] for the twists fs^c of a stack of compatible pairs c."""
+    cx, base = ctx.complex, ctx.base_class
+    moved = cx.classes(cx.c2_coords(twisted)) - np.array(base.coords, dtype=np.int64)
+    return moved % np.array(base.factors, dtype=np.int64)
 
 
 def _action_matrices(ctx: WellsContext, P: _Pairs) -> np.ndarray:
@@ -362,14 +351,14 @@ def _action_matrices(ctx: WellsContext, P: _Pairs) -> np.ndarray:
         return np.zeros((len(P.psi1), 0, 0), dtype=np.int64)
     moved = _twist(P, cx.class_representatives(np.eye(r, dtype=np.int64)))
     flat = [x.reshape((-1,) + x.shape[2:]) for x in moved]
-    return _classes(ctx, flat).reshape(len(P.psi1), r, r).transpose(0, 2, 1)
+    return cx.classes(cx.c2_coords(flat)).reshape(len(P.psi1), r, r).transpose(0, 2, 1)
 
 
 def wells_map(ctx: WellsContext, pair: CompatiblePair) -> CohomologyClass:
     """Obstruction class [fs^pair] - [fs] of a compatible pair."""
     if not pair_is_compatible(ctx.module, pair):
-        raise RRBError("PairNotCompatible", "pair does not stabilize the action")
-    return CohomologyClass(ctx.complex, _omega(ctx, _stack_of(pair))[0])
+        raise RRBError("PairNotCompatible", "pair is no compatible pair of automorphisms")
+    return CohomologyClass(ctx.complex, _omega(ctx, _twisted(ctx, _stack_of(pair)))[0])
 
 
 def aut_K_H(ctx: WellsContext) -> List[RRBMorphism]:
@@ -404,8 +393,10 @@ def aut_to_z1(ctx: WellsContext, gamma: RRBMorphism) -> OneCochain:
     return OneCochain(kappa1[0], kappa2[0])
 
 
-def _inducible(ctx: WellsContext, P: _Pairs) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """For a stack of compatible pairs: which lift, and the lifts of those.
+def _inducible(ctx: WellsContext, P: _Pairs, twisted: Sequence[np.ndarray]
+               ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For a stack of compatible pairs and their twists fs^pair: which lift,
+    and the lifts of those.
 
     One coboundary solve for all the differences fs^pair - fs; a solution
     lambda gives the lift gamma(s(a) k) = s(psi1(a)) kappa1(a) theta1(k)
@@ -413,7 +404,6 @@ def _inducible(ctx: WellsContext, P: _Pairs) -> Tuple[np.ndarray, np.ndarray, np
     its pair back.
     """
     m, cx, fs = ctx.module, ctx.complex, _arrays(ctx.fs)
-    twisted = [x[:, 0] for x in _twist(P, [x[None] for x in fs])]
     diff = [group.table[moved, group.inverses[base]]
             for moved, base, group in zip(twisted, fs, (m.K, m.L, m.K, m.L))]
     solution, member = cx.b2.membership_coefficients(cx.c2_coords(diff))
@@ -439,7 +429,8 @@ def is_inducible(ctx: WellsContext, pair: CompatiblePair
     """
     if not pair_is_compatible(ctx.module, pair):
         return False, None
-    member, on_H, on_G = _inducible(ctx, _stack_of(pair))
+    P = _stack_of(pair)
+    member, on_H, on_G = _inducible(ctx, P, _twisted(ctx, P))
     if not member[0]:
         return False, None
     return True, automorphism_objects(ctx.ext.total, on_H, on_G)[0]
@@ -465,14 +456,14 @@ def inducible_by_module_criterion(ctx: WellsContext, pair: CompatiblePair) -> bo
     # are the stabilizer conditions of the pair.
     if not pair_is_compatible(module, pair):
         return False
-    # (2) psi^*[fs] == theta^*[fs] in the twisted module's cohomology.
+    # (2) psi^*[fs] == theta^*[fs] in the twisted module's cohomology: the
+    # rows fs^(psi, id) and fs^(id, theta^-1), whose inverted theta is theta.
     cx_t = cochain_complex(twisted_module(module, pair.psi))
-    ident = identity_pair(module)
-    psi_star = act_on_factor_system(CompatiblePair(pair.psi, ident.theta),
-                                    ctx.fs, module, check=False)
-    theta_star = act_on_factor_system(CompatiblePair(ident.psi, pair.theta.inverse()),
-                                      ctx.fs, module, check=False)
-    return cx_t.class_of(psi_star) == cx_t.class_of(theta_star)
+    psi1, psi2, th1, th2 = (np.concatenate([x, np.arange(x.shape[1])[None]])
+                            for x in _stack_of(pair))
+    moved = _act(psi1, psi2, th1[::-1], th2[::-1], [x[None] for x in _arrays(ctx.fs)])
+    psi_star, theta_star = cx_t.classes(cx_t.c2_coords([x[:, 0] for x in moved]))
+    return bool((psi_star == theta_star).all())
 
 
 class PairRecord(NamedTuple):
@@ -498,7 +489,8 @@ def verify_wells_exactness(ext: Extension) -> WellsReport:
     quotient; the restriction map hits exactly the obstruction kernel; the
     obstruction map satisfies the derivation law.  Each check is a fixed
     number of passes over stacks: of derivations, of automorphisms of the
-    total, of compatible pairs and of their products.
+    total, of compatible pairs and of their products; the factor system is
+    twisted once by all of C.
     """
     ctx = WellsContext(ext)
     cx = ctx.complex
@@ -516,36 +508,42 @@ def verify_wells_exactness(ext: Extension) -> WellsReport:
     ak_H, ak_G = aut_H[stable], aut_G[stable]
     ak_rows = np.concatenate([ak_H, ak_G], axis=1)
     lands = bool((row_index(ak_rows, eta_rows) >= 0).all())
-    # The stack lists Z1 by its coordinates, last one fastest, so eta(k1 +
-    # k2) is the row at the mixed-radix index of their sum; it is compared
-    # with eta(k1) eta(k2) composed on the image arrays.
-    check_cells(len(z1) ** 2 * eta_rows.shape[1], "the products of the derivation automorphisms")
+    # The stack lists Z1 by its coordinates, last one fastest, so eta(k + g)
+    # is the row at the mixed-radix index of the sum.  The law is checked for
+    # g = 0 and the unit vectors: the g for which it holds against all of Z1
+    # are closed under sums, and g = 0 makes eta(0) the identity.
     factors = cx.z1.factors
     strides = np.array([math.prod(factors[j + 1:]) for j in range(len(factors))], dtype=np.int64)
-    at_sum = (z1[:, None] + z1[None]) % np.array(factors, dtype=np.int64) @ strides
+    gens = np.concatenate([[0], strides])
+    check_cells(len(z1) * len(gens) * eta_rows.shape[1],
+                "the products of the derivation automorphisms")
+    at_sum = (z1[:, None] + z1[gens][None]) % np.array(factors, dtype=np.int64) @ strides
     first = np.arange(len(z1))[:, None, None]
-    multiplicative = ((eta_H[at_sum] == eta_H[first, eta_H[None]]).all(axis=2)
-                      & (eta_G[at_sum] == eta_G[first, eta_G[None]]).all(axis=2))
-    if not multiplicative.all():
-        i, j = np.argwhere(~multiplicative)[-1]
+    defects = ((eta_H[at_sum] != eta_H[first, eta_H[gens][None]]).any(axis=2)
+               | (eta_G[at_sum] != eta_G[first, eta_G[gens][None]]).any(axis=2))
+    if defects.any():
+        i, j = np.argwhere(defects)[-1]
         witnesses["eta_injective"] = (f"eta not multiplicative at {OneCochain(kappa1[i], kappa2[i])}, "
-                                      f"{OneCochain(kappa1[j], kappa2[j])}")
-    exactness["eta_injective"] = injective and lands and bool(multiplicative.all())
+                                      f"{OneCochain(kappa1[gens[j]], kappa2[gens[j]])}")
+    exactness["eta_injective"] = injective and lands and not defects.any()
     if not injective:
         witnesses["eta_injective"] = "distinct derivations with equal automorphisms"
 
     back = _aut_to_z1(ctx, eta_H, eta_G)
-    roundtrip = (np.array_equal(back[0], kappa1) and np.array_equal(back[1], kappa2)
-                 and np.array_equal(np.concatenate(_z1_to_aut(ctx, *_aut_to_z1(ctx, ak_H, ak_G)),
-                                                   axis=1), ak_rows))
+    # aut_to_z1 o eta = id makes eta injective; with eta(Z1) = Aut^{A,K} it
+    # gives eta o aut_to_z1 = id and |Aut^{A,K}| = |Z1|, so neither is checked.
+    roundtrip = np.array_equal(back[0], kappa1) and np.array_equal(back[1], kappa2)
     same = lands and bool((row_index(eta_rows, ak_rows) >= 0).all())
-    exactness["ker_rho_eq_im_eta"] = same and roundtrip and len(ak_rows) == len(z1)
+    exactness["ker_rho_eq_im_eta"] = same and roundtrip
     if not same:
         witnesses["ker_rho_eq_im_eta"] = "kernel of restriction differs from derivation image"
+    elif not roundtrip:
+        witnesses["ker_rho_eq_im_eta"] = "aut_to_z1 does not invert eta"
 
     pg = ctx.pair_group
     C = pg.all.take(pg.C)
-    omega = _omega(ctx, C)
+    twisted = _twisted(ctx, C)
+    omega = _omega(ctx, twisted)
     im_rho = np.zeros(len(pg.position), dtype=bool)
     induced_at = pg.index(induced)
     if (induced_at < 0).any():  # pragma: no cover - theorem
@@ -571,7 +569,7 @@ def verify_wells_exactness(ext: Extension) -> WellsReport:
         witnesses["omega_derivation"] = f"law fails at {_pair_key(C_objs[i])}, {_pair_key(C_objs[j])}"
     homomorphism = bool(((omega[:, None] + omega[None]) % h2 == lhs).all())
 
-    inducible, lift_H, lift_G = _inducible(ctx, C)
+    inducible, lift_H, lift_G = _inducible(ctx, C, twisted)
     lifts = iter(automorphism_objects(ext.total, lift_H, lift_G))
     records = []
     for pair, c in zip(ctx.all_pairs, pg.position.tolist()):

@@ -104,7 +104,7 @@ def ext_corpus(groups):
     mod_p = RRBModule(parity, kern_p, trivial_action(parity, kern_p))
     cxp = cochain_complex(mod_p)
     out["parity_zero"] = build_extension(parity, kern_p, mod_p.action,
-                                         cxp.fs_from_coords((0,) * cxp.c2_dim))
+                                         cxp.fs_from_coords((0,) * len(cxp.c2_moduli)))
     nonzero = next(cls for cls in cxp.h2_classes() if not cls.is_zero())
     out["parity_twisted"] = build_extension(parity, kern_p, mod_p.action,
                                             cxp.class_representative(nonzero))

@@ -368,11 +368,11 @@ class TestLayout:
         nA, nB, kK, kL = module.A.order - 1, module.B.order - 1, cx.Kp.rank, cx.Lp.rank
         assert (kL == 0) if trivial == "L" else (nA == 0)
         assert len(cx.c1_moduli) == kK * nA + kL * nB
-        assert cx.c2_dim == kK * (nA * nA + nA * nB) + kL * (nB * nB + nA)
+        assert len(cx.c2_moduli) == kK * (nA * nA + nA * nB) + kL * (nB * nB + nA)
         assert len(cx.constraint_moduli) == (kK * (nA ** 3 + nA * nB * nB + nA * nA * nB)
                                              + kL * (nB ** 3 + nA * nA))
-        assert cx.coboundary_matrix.shape == (cx.c2_dim, len(cx.c1_moduli))
-        assert cx.constraint_matrix.shape == (len(cx.constraint_moduli), cx.c2_dim)
+        assert cx.coboundary_matrix.shape == (len(cx.c2_moduli), len(cx.c1_moduli))
+        assert cx.constraint_matrix.shape == (len(cx.constraint_moduli), len(cx.c2_moduli))
 
 
 class TestClassicalRegression:

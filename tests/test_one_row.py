@@ -39,6 +39,7 @@ from rrbgroups.wells import (
     _pair_key,
     _restrict,
     _stack_of,
+    _twisted,
     _z1_to_aut,
 )
 from oracles import fs_from_key, fs_positions
@@ -71,7 +72,7 @@ def factor_systems(cx, rng) -> list:
     module = cx.module
     coords = [[rng.randrange(d) for d in cx.z2.factors] for _ in range(4)]
     coords = np.array(coords, dtype=np.int64).reshape(4, len(cx.z2.factors))
-    cocycles = [cx.fs_from_coords(v) for v in cx.z2.element_from_coords(coords)]
+    cocycles = [cx.fs_from_coords(v) for v in cx.z2.representative(coords)]
     kappas = [OneCochain(*cx.kappa_from_coords(np.array(
         [rng.randrange(m) for m in cx.c1_moduli], dtype=np.int64))) for _ in range(3)]
     drawn = [fs_from_key(module, [rng.randrange(size) for *_, size in fs_positions(module)])
@@ -99,6 +100,26 @@ class TestCochainRows:
                     assert got == ("raises", "NotACocycle",
                                    f"NotACocycle: not a cocycle: condition {witness[0]} "
                                    f"fails at {witness[1]}", ()), name
+        assert seen == {"returns", "raises"}
+
+    def test_class_of_is_a_row_of_classes(self, module_corpus):
+        # The stacked class map, with the object first and then last behind
+        # cocycles: the same class row, or the same refusal.
+        rng, seen = random.Random(3), set()
+        for name, module in module_corpus.items():
+            cx = cochain_complex(module)
+            systems = factor_systems(cx, rng)
+            cocycles = [fs for fs in systems if cx.z2_contains(fs)[0]]
+            for fs in systems:
+                single = outcome(cx.class_of, fs)
+                seen.add(single[0])
+                for at, rows in ((0, [fs] + cocycles), (len(cocycles), cocycles + [fs])):
+                    stacked = outcome(cx.classes, cx.c2_coords(stack(map(fs_arrays, rows))))
+                    if single[0] == "returns":
+                        assert stacked[0] == "returns", name
+                        assert tuple(stacked[1][at].tolist()) == single[1].coords, name
+                    else:
+                        assert single[1] == "NotACocycle" and stacked == single, name
         assert seen == {"returns", "raises"}
 
     def test_solve_coboundary_is_a_row_of_membership_coefficients(self, module_corpus):
@@ -205,7 +226,7 @@ class TestLiftingRows:
                         tuple(x[0].tolist()) for x in stacked[1]), name
                 else:
                     assert single == stacked, name
-        assert seen == {"returns", "InternalError"}
+        assert seen == {"returns", "NotInjective"}
 
     def test_kernel_moving_automorphism_raises_alike(self, groups):
         z2 = groups["z2"]
@@ -225,8 +246,9 @@ class TestLiftingRows:
             P = _Pairs(*map(np.concatenate, zip(*(_stack_of(p) for p in ctx.all_pairs))))
             compatible = _compatible(ctx.module, P)
             C = P.take(compatible)
-            omega = _omega(ctx, C)
-            member, on_H, on_G = _inducible(ctx, C)
+            twisted = _twisted(ctx, C)
+            omega = _omega(ctx, twisted)
+            member, on_H, on_G = _inducible(ctx, C, twisted)
             lifts = iter(zip(on_H.tolist(), on_G.tolist()))
             c = 0
             for pair, ok in zip(ctx.all_pairs, compatible):

@@ -4,6 +4,7 @@ per-class output it replaced."""
 
 import contextlib
 import io
+import itertools
 import json
 from pathlib import Path
 
@@ -14,7 +15,6 @@ from hypothesis import strategies as st
 
 from conftest import FIXTURE_DIR
 from rrbgroups import cli, cochain_complex, cohomology, modules
-from rrbgroups.abelian import iter_vectors
 from rrbgroups.cohomology import CohomologyClass
 from rrbgroups.modules import check_normalized
 from rrbgroups.serialize import (_load_json, factor_system_to_json, factor_systems_to_json,
@@ -73,7 +73,7 @@ def old_cohomology_output(path: str, fmt: str) -> str:
     lines = [f"{name}: factors {list(g.factors)} order {g.order}"
              for name, g in groups.items()]
     reps = []
-    for coords in iter_vectors(cx.h2.factors):
+    for coords in itertools.product(*map(range, cx.h2.factors)):
         cls = CohomologyClass(cx, coords)
         fs = cx.class_representative(cls)
         obj = old_representative_json(fs, module.K.order, module.L.order)
@@ -125,7 +125,7 @@ class TestRepresentatives:
         module = load_module(MODULES[name])
         cx = cochain_complex(module)
         coords = cx.h2_coords()
-        assert coords.tolist() == [list(v) for v in iter_vectors(cx.h2.factors)]
+        assert coords.tolist() == [list(v) for v in itertools.product(*map(range, cx.h2.factors))]
         assert [list(c.coords) for c in cx.h2_classes()] == coords.tolist()
         stack = cx.class_representatives(coords)
         rows = factor_systems_to_json(stack, module.K.order, module.L.order)

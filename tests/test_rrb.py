@@ -358,6 +358,27 @@ class TestMorphismChecks:
             assert str(err.value).endswith(f"at (x, y) = {failing[0]}")
         assert raised >= 5
 
+    def test_stack_names_the_failing_map_and_row(self):
+        # Row 0 is the identity pair; row 1 breaks one map of the pair.
+        z3 = cyclic_group(3)
+        rrb = trivial_rrb(z3, z3)
+        ident, inv, bad, zero = [0, 1, 2], [0, 2, 1], [0, 1, 1], [0, 0, 0]
+        cases = [
+            ([ident, bad], [ident, ident], "NotHomomorphism", (1, 1),
+             "psi on H, row 1, does not respect multiplication at (x, y) = (1, 1)"),
+            ([ident, inv], [ident, bad], "NotHomomorphism", (1, 1),
+             "eta on G, row 1, does not respect multiplication at (x, y) = (1, 1)"),
+            ([ident, zero], [ident, inv], "NotInjective", (1,),
+             "psi on H, row 1: entry 1 = 0 repeats an earlier entry"),
+            ([ident, inv], [ident, zero], "NotInjective", (1,),
+             "eta on G, row 1: entry 1 = 0 repeats an earlier entry"),
+        ]
+        for psi, eta, code, witness, message in cases:
+            with pytest.raises(GroupError) as err:
+                check_automorphisms(rrb, np.array(psi), np.array(eta))
+            assert (err.value.code, err.value.witness) == (code, witness)
+            assert str(err.value) == f"{code}: {message}"
+
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_arbitrary_maps_match_element_loops(self, data):

@@ -97,7 +97,7 @@ class TestCompatiblePairs:
     @pytest.mark.parametrize("path", EXT_FILES, ids=lambda p: p.stem)
     def test_pair_table_matches_compose_and_inverse(self, path):
         ctx = WellsContext(load_extension(str(path)))
-        C, products = ctx.compatible_table
+        C, products = ctx.compatible, ctx.pair_group.products
         ident = [_pair_key(c) for c in C].index(_pair_key(identity_pair(ctx.module)))
         for i, p in enumerate(C):
             # The inverse is read off the table as the j with p after q = 1.
@@ -324,6 +324,26 @@ class TestInducibility:
         ok, witness = is_inducible(ctx, bad)
         assert not ok and witness is None
 
+    def test_non_bijective_compatible_pair(self, contexts):
+        # The zero map on the kernel with the identity on the quotient meets
+        # the stabilizer conditions, but it is no automorphism: the pair is
+        # not compatible, acts on nothing and lifts to nothing.
+        from rrbgroups import identity_morphism, validate_morphism
+
+        for name, ctx in contexts.items():
+            kernel = ctx.module.kernel
+            zero = validate_morphism(kernel, kernel, [0] * kernel.H.order, [0] * kernel.G.order)
+            pair = CompatiblePair(identity_morphism(ctx.module.quotient), zero)
+            assert wells_mod._compatible(ctx.module, wells_mod._stack_of(pair))[0], name
+            assert not pair_is_compatible(ctx.module, pair), name
+            assert is_inducible(ctx, pair) == (False, None), name
+            assert inducible_by_module_criterion(ctx, pair) is False, name
+            for act in (lambda: wells_map(ctx, pair),
+                        lambda: act_on_factor_system(pair, ctx.fs, ctx.module)):
+                with pytest.raises(RRBError) as err:
+                    act()
+                assert err.value.code == "PairNotCompatible", name
+
     def test_z9_obstructed_pairs(self, contexts):
         ctx = contexts["z9"]
         verdicts = {}
@@ -442,6 +462,93 @@ class TestExactnessReport:
         ker_omega = sum(rec.in_C and not any(rec.omega) for rec in report.pairs)
         assert len(aut_K_H(ctx)) == ctx.complex.z1.order * ker_omega
 
+    def test_fault_injection_breaks_eta_law(self, ext_corpus, monkeypatch):
+        # Swap the automorphisms of the first two derivations: eta stays
+        # injective with the same image, but eta(0) is no identity, so the
+        # law on generators fails, and aut_to_z1 no longer inverts eta.
+        real = wells_mod._z1_to_aut
+
+        def swapped(ctx, kappa1, kappa2):
+            return tuple(x[[1, 0, *range(2, len(x))]] for x in real(ctx, kappa1, kappa2))
+
+        monkeypatch.setattr(wells_mod, "_z1_to_aut", swapped)
+        for name in WELLS_EXTS:
+            report = wells_mod.verify_wells_exactness(ext_corpus[name])
+            assert report.exactness["eta_injective"] is False, name
+            assert report.witnesses["eta_injective"].startswith("eta not multiplicative at "), name
+            assert report.exactness["ker_rho_eq_im_eta"] is False, name
+
+    def test_fault_injection_breaks_round_trip(self, ext_corpus, monkeypatch):
+        # aut_to_z1 reads each automorphism back as its neighbour's cochain.
+        real = wells_mod._aut_to_z1
+
+        def skewed(ctx, on_H, on_G):
+            return tuple(np.roll(x, 1, axis=0) for x in real(ctx, on_H, on_G))
+
+        monkeypatch.setattr(wells_mod, "_aut_to_z1", skewed)
+        for name in WELLS_EXTS:
+            report = wells_mod.verify_wells_exactness(ext_corpus[name])
+            assert report.exactness["eta_injective"] is True, name
+            assert report.exactness["ker_rho_eq_im_eta"] is False, name
+            assert report.witnesses["ker_rho_eq_im_eta"] == "aut_to_z1 does not invert eta", name
+
+    def test_fault_injection_breaks_kernel_of_restriction(self, ext_corpus, monkeypatch):
+        # The automorphism search loses its last automorphism that induces
+        # the identity (row 0, the identity, stays): eta's image leaves the
+        # kernel of restriction.
+        search = wells_mod.WellsContext.aut_K.func
+
+        def lossy(ctx):
+            on_H, on_G = search(ctx)
+            stable = wells_mod._identity_rows(wells_mod._restrict(ctx, on_H, on_G))
+            keep = np.arange(len(on_H)) != np.flatnonzero(stable)[-1]
+            return on_H[keep], on_G[keep]
+
+        monkeypatch.setattr(wells_mod.WellsContext, "aut_K", property(lossy))
+        for name in WELLS_EXTS:
+            report = wells_mod.verify_wells_exactness(ext_corpus[name])
+            assert report.exactness["ker_rho_eq_im_eta"] is False, name
+            assert report.witnesses["ker_rho_eq_im_eta"] == (
+                "kernel of restriction differs from derivation image"), name
+
+    @pytest.mark.parametrize("name", [*WELLS_EXTS, *(p.stem for p in EXT_FILES), *CATALOGUE_EXTS])
+    def test_eta_law_on_generators_matches_full_law(self, name, ext_corpus, monkeypatch):
+        # The audit checks eta's law against 0 and the unit vectors only.  It
+        # must fail exactly when the law fails somewhere on Z1 x Z1: on eta,
+        # on eta with its first two rows swapped (eta(0) is then no
+        # identity), on eta after a shear of Z1 and with its rows shuffled.
+        # Reordered rows stay injective and keep their image, so the flag
+        # reads the law alone.
+        if name in ext_corpus:
+            ext = ext_corpus[name]
+        elif name in CATALOGUE_EXTS:
+            ext = load_extension(CATALOGUE_EXTS[name])
+        else:
+            ext = load_extension(str(next(p for p in EXT_FILES if p.stem == name)))
+        ctx = WellsContext(ext)
+        factors = ctx.complex.z1.factors
+        z1, kappa1, kappa2 = ctx.complex.z1_stack()
+        eta_H, eta_G = wells_mod._z1_to_aut(ctx, kappa1, kappa2)
+        index = {tuple(v): i for i, v in enumerate(z1.tolist())}
+        at_sum = {(i, j): index[tuple((x + y) % f for x, y, f in zip(u, v, factors))]
+                  for i, u in enumerate(z1.tolist()) for j, v in enumerate(z1.tolist())}
+        rng, n = np.random.default_rng(0), len(z1)
+        cases = [(range(n), True), ([1, 0, *range(2, n)] if n > 1 else [0], n == 1)]
+        if len(factors) > 1 and factors[-1] > 2:
+            # k -> k + [k_last = 1] e_first keeps the law at 0 and at every
+            # unit vector but the last, and breaks it at the last.
+            sheared = z1.copy()
+            sheared[:, 0] = (z1[:, 0] + (z1[:, -1] == 1)) % factors[0]
+            cases.append(([index[tuple(v)] for v in sheared.tolist()], False))
+        for order, expected in cases + [(rng.permutation(n), None) for _ in range(3)]:
+            order = np.array(order)
+            on_H, on_G = eta_H[order], eta_G[order]
+            full = all(np.array_equal(on[s], on[i][on[j]])
+                       for on in (on_H, on_G) for (i, j), s in at_sum.items())
+            monkeypatch.setattr(wells_mod, "_z1_to_aut", lambda *_: (on_H, on_G))
+            assert wells_mod.verify_wells_exactness(ext).exactness["eta_injective"] == full, name
+            assert expected in (None, full), name
+
     def test_fault_injection_breaks_kernel_image_check(self, ext_corpus, monkeypatch):
         # Shift the obstruction of every pair by a fixed nonzero class: the
         # identity pair leaves the restriction image but lands outside the
@@ -451,8 +558,8 @@ class TestExactnessReport:
         ext = ext_corpus["z9"]
         real = wells_mod._omega
 
-        def skewed(ctx, pairs):
-            return (real(ctx, pairs) + 1) % np.array(ctx.complex.h2.factors)
+        def skewed(ctx, twisted):
+            return (real(ctx, twisted) + 1) % np.array(ctx.complex.h2.factors)
 
         monkeypatch.setattr(wells_mod, "_omega", skewed)
         report = wells_mod.verify_wells_exactness(ext)

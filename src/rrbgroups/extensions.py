@@ -163,7 +163,11 @@ def extract_actions(ext: Extension, section: Optional[Section] = None) -> Action
     """
     if not ext.is_abelian:
         raise RRBError("NotAbelianExtension", "action extraction needs an abelian kernel datum")
-    ch = chart(ext, section)
+    return _chart_actions(ext, chart(ext, section))
+
+
+def _chart_actions(ext: Extension, ch: Chart) -> ActionQuadruple:
+    """extract_actions read off a given chart."""
     s_H, s_G = ch.section
     iK, iL = ext.incl.psi.image, ext.incl.eta.image
     phi = ext.total.phi
@@ -181,7 +185,11 @@ def extract_factor_system(ext: Extension, section: Optional[Section] = None) -> 
     """The factor system of a normalized section of an abelian extension."""
     if not ext.is_abelian:
         raise RRBError("NotAbelianExtension", "factor systems need an abelian kernel datum")
-    ch = chart(ext, section)
+    return _chart_factor_system(ext, chart(ext, section))
+
+
+def _chart_factor_system(ext: Extension, ch: Chart) -> FactorSystem:
+    """extract_factor_system read off a given chart."""
     s_H, s_G = ch.section
     # s(a1) s(a2) = s(a1 a2) tau1(a1, a2), and likewise for tau2, rho and chi.
     return FactorSystem(ch.k[ext.total.H.table[s_H][:, s_H]],

@@ -102,8 +102,7 @@ class FiniteGroup:
 
 
 def cyclic_group(n: int) -> FiniteGroup:
-    table = [[(i + j) % n for j in range(n)] for i in range(n)]
-    return FiniteGroup(table, name=f"Z{n}")
+    return FiniteGroup((np.arange(n)[:, None] + np.arange(n)) % n, name=f"Z{n}")
 
 
 def trivial_group() -> FiniteGroup:
@@ -119,21 +118,17 @@ class ProductGroup(NamedTuple):
 
 
 def direct_product(G: FiniteGroup, H: FiniteGroup) -> ProductGroup:
-    """Direct product on pairs encoded as ``g * |H| + h``."""
+    """Direct product on pairs encoded as ``g * |H| + h``, its table one broadcast."""
     n, m = G.order, H.order
-    table = np.zeros((n * m, n * m), dtype=np.int64)
-    for g1 in range(n):
-        for h1 in range(m):
-            row = G.table[g1][:, None] * m + H.table[h1][None, :]
-            table[g1 * m + h1] = row.reshape(-1)
+    table = G.table[:, None, :, None] * m + H.table[None, :, None, :]
     name = None
     if G.name and H.name:
         name = f"{G.name}x{H.name}"
-    P = FiniteGroup(table, name=name)
-    inj1 = GroupHom(G, P, [g * m for g in range(n)])
-    inj2 = GroupHom(H, P, list(range(m)))
-    proj1 = GroupHom(P, G, [x // m for x in range(n * m)])
-    proj2 = GroupHom(P, H, [x % m for x in range(n * m)])
+    P = FiniteGroup(table.reshape(n * m, n * m), name=name)
+    inj1 = GroupHom(G, P, np.arange(n) * m)
+    inj2 = GroupHom(H, P, np.arange(m))
+    proj1 = GroupHom(P, G, np.arange(n * m) // m)
+    proj2 = GroupHom(P, H, np.arange(n * m) % m)
     return ProductGroup(P, inj1, inj2, proj1, proj2)
 
 
@@ -143,43 +138,54 @@ def group_from_permutations(degree: int, generators: Sequence[Sequence[int]],
 
     Elements are the closure's permutations sorted lexicographically, which
     puts the identity at index 0.  Product convention: ``(p*q)(x) = p(q(x))``.
-    The closure grows from the identity in waves of products with the
-    generators, ``right[i, j]`` being element i times generator j.  Each
-    element after the identity is parent * gen at its first appearance in
-    ``right``, so its table column is a gather of its parent's.  The table's
-    n^2 cells are checked against the cell cap as the closure grows.
+    A generator that is not a permutation raises NotClosed at its first bad
+    entry, witness (generator, entry).  Only the points some generator moves
+    are kept: they form an invariant set, and fixed points tie in the order.
+    The closure walks its element list as it grows, ``right[i, j]`` being
+    element i times generator j, and finds each product in one dict from
+    bytes to index.  Each element after the identity is parent * gen at its
+    first appearance in ``right``, so its table column is a gather of its
+    parent's.  Before each new element, the stored permutations and the
+    table are checked against the cell cap.
     """
     if degree < 0:
         raise GroupError("NotClosed", f"degree {degree} is negative")
-    # A generator of the wrong length fails before anything of size degree is
-    # built; without generators, or on no points, the group is trivial.
-    for gen in generators:
-        if len(gen) != degree or sorted(int(x) for x in gen) != list(range(degree)):
-            raise GroupError("NotClosed", f"generator {gen} is not a permutation of 0..{degree - 1}")
-    if len(generators) == 0 or degree == 0:
+    # Lengths first, and nothing of size degree without generators: a huge
+    # degree costs nothing until a generator of that length is given.
+    for i, gen in enumerate(generators):
+        if len(gen) != degree:
+            raise GroupError("NotClosed", f"generator {i} has {len(gen)} entries, not the "
+                             f"degree {degree}", (i, min(len(gen), degree)))
+    gens = np.array(generators, dtype=np.int64).reshape(len(generators), degree)
+    outside = (gens < 0) | (gens >= degree)
+    at = min(filter(None, (first_true(outside), first_repeat(gens))), default=None)
+    if at is not None:
+        what = f"is outside 0..{degree - 1}" if outside[at] else "repeats an earlier entry"
+        raise GroupError("NotClosed", f"generator {at[0]}: entry {at[1]} = {gens[at]} {what}", at)
+    moved = np.flatnonzero((gens != np.arange(degree)).any(axis=0)) if len(gens) else ()
+    if len(moved) == 0:
         return FiniteGroup([[0]], name=name)
-    gens = np.array(generators, dtype=np.int64)
-    k = len(gens)
-    perms = np.arange(degree)[None]
-    right = np.zeros((0, k), dtype=np.int64)
-    while len(right) < len(perms):
-        frontier = perms[len(right):]
-        check_cells(len(frontier) * k * degree, f"a wave of {len(frontier) * k} permutations")
-        products = frontier[:, gens].reshape(len(frontier) * k, degree)
-        at = row_index(perms, products)
-        # The return_index form: without a return_* flag, numpy 2 imports numpy.ma.
-        fresh = np.unique(products[at < 0], axis=0, return_index=True)[0]
-        check_cells((len(perms) + len(fresh)) ** 2,
-                    f"the table of a closure of {len(perms) + len(fresh)} permutations")
-        at[at < 0] = len(perms) + row_index(fresh, products[at < 0])
-        perms = np.concatenate([perms, fresh])
-        right = np.concatenate([right, at.reshape(-1, k)])
-    n = len(perms)
+    gens, width = np.searchsorted(moved, gens[:, moved]), len(moved)
+    keys = [np.arange(width).tobytes()]
+    index, right = {keys[0]: 0}, []
+    for key in keys:  # keys grows as the walk goes
+        for q in np.frombuffer(key, dtype=np.int64)[gens]:
+            product = q.tobytes()
+            at = index.setdefault(product, len(keys))
+            if at == len(keys):
+                check_cells((at + 1) * width,
+                            f"a closure of {at + 1} permutations on {width} moved points")
+                check_cells((at + 1) ** 2, f"the table of a closure of {at + 1} permutations")
+                keys.append(product)
+            right.append(at)
+    n, k = len(keys), len(gens)
+    right = np.array(right, dtype=np.int64).reshape(n, k)
     first = np.unique(right, return_index=True)[1]
     table = np.zeros((n, n), dtype=np.int64)
     table[:, 0] = np.arange(n)
     for x in range(1, n):
         table[:, x] = right[table[:, first[x] // k], first[x] % k]
+    perms = np.frombuffer(b"".join(keys), dtype=np.int64).reshape(n, width)
     rank = np.unique(perms, axis=0, return_inverse=True)[1].reshape(n)
     table[np.ix_(rank, rank)] = rank[table]
     return FiniteGroup(table, name=name)

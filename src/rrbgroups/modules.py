@@ -58,16 +58,9 @@ class ActionQuadruple:
 
 
 def trivial_action(quotient: RRBGroup, kernel: RRBGroup) -> ActionQuadruple:
-    A, B = quotient.H, quotient.G
-    K, L = kernel.H, kernel.G
-    ident_K = list(range(K.order))
-    ident_L = list(range(L.order))
-    return ActionQuadruple(
-        [ident_K for _ in B.elements()],
-        [ident_K for _ in A.elements()],
-        [ident_L for _ in B.elements()],
-        [[0] * A.order for _ in L.elements()],
-    )
+    nA, nB, nK, nL = quotient.H.order, quotient.G.order, kernel.H.order, kernel.G.order
+    return ActionQuadruple(np.tile(np.arange(nK), (nB, 1)), np.tile(np.arange(nK), (nA, 1)),
+                           np.tile(np.arange(nL), (nB, 1)), np.zeros((nL, nA), dtype=np.int64))
 
 
 class RRBModule:

@@ -102,10 +102,8 @@ class RRBGroup:
 def trivial_rrb(H: FiniteGroup, G: FiniteGroup, R: Optional[Sequence[int]] = None,
                 name: Optional[str] = None) -> RRBGroup:
     """Trivial action; R defaults to the zero map and must be a homomorphism."""
-    phi = [list(range(H.order)) for _ in G.elements()]
-    if R is None:
-        R = [0] * H.order
-    return RRBGroup(H, G, phi, R, name=name)
+    R = np.zeros(H.order, dtype=np.int64) if R is None else R
+    return RRBGroup(H, G, np.tile(np.arange(H.order), (G.order, 1)), R, name=name)
 
 
 def one_point_rrb() -> RRBGroup:
@@ -326,15 +324,13 @@ def restrict(rrb: RRBGroup, K_set: Sequence[int], L_set: Sequence[int],
     ok, why = is_subrrb(rrb, K_set, L_set)
     if not ok:
         raise RRBError("NotSubRRB", why or "not a sub-structure")
-    K = sorted(set(int(x) for x in K_set))
-    L = sorted(set(int(x) for x in L_set))
-    k_index = {x: i for i, x in enumerate(K)}
-    l_index = {x: i for i, x in enumerate(L)}
-    KH = FiniteGroup([[k_index[rrb.H.mul(a, b)] for b in K] for a in K])
-    LG = FiniteGroup([[l_index[rrb.G.mul(a, b)] for b in L] for a in L])
-    phi = [[k_index[rrb.act(l, k)] for k in K] for l in L]
-    R = [l_index[int(rrb.R[k])] for k in K]
-    sub = RRBGroup(KH, LG, phi, R, name=name)
+    in_K, in_L = subset_mask(rrb.H, K_set), subset_mask(rrb.G, L_set)
+    K, L = np.flatnonzero(in_K), np.flatnonzero(in_L)
+    # The position of each member of K (of L) in it: every table is one gather.
+    k_index, l_index = np.cumsum(in_K) - 1, np.cumsum(in_L) - 1
+    KH = FiniteGroup(k_index[rrb.H.table[np.ix_(K, K)]])
+    LG = FiniteGroup(l_index[rrb.G.table[np.ix_(L, L)]])
+    sub = RRBGroup(KH, LG, k_index[rrb.phi[np.ix_(L, K)]], l_index[rrb.R[K]], name=name)
     incl = validate_morphism(sub, rrb, K, L)
     return Restriction(sub, incl)
 
@@ -388,20 +384,12 @@ def center(rrb: RRBGroup) -> RRBIdeal:
 
 def direct_product_rrb(rrb1: RRBGroup, rrb2: RRBGroup,
                        name: Optional[str] = None) -> RRBGroup:
-    """Componentwise action and operator on H1 x H2 and G1 x G2."""
-    pH = direct_product(rrb1.H, rrb2.H)
-    pG = direct_product(rrb1.G, rrb2.G)
-    n2, m2 = rrb1.H.order, rrb2.H.order
-    phi = np.zeros((pG.group.order, pH.group.order), dtype=np.int64)
-    for g1 in rrb1.G.elements():
-        for g2 in rrb2.G.elements():
-            row = rrb1.phi[g1][:, None] * m2 + rrb2.phi[g2][None, :]
-            phi[g1 * rrb2.G.order + g2] = row.reshape(-1)
-    R = np.zeros(pH.group.order, dtype=np.int64)
-    for h1 in rrb1.H.elements():
-        for h2 in rrb2.H.elements():
-            R[h1 * m2 + h2] = rrb1.R[h1] * rrb2.G.order + rrb2.R[h2]
-    return RRBGroup(pH.group, pG.group, phi, R, name=name)
+    """Componentwise action and operator on H1 x H2 and G1 x G2, each one
+    broadcast of the two factors'."""
+    P, Q = direct_product(rrb1.H, rrb2.H).group, direct_product(rrb1.G, rrb2.G).group
+    phi = rrb1.phi[:, None, :, None] * rrb2.H.order + rrb2.phi[None, :, None, :]
+    R = rrb1.R[:, None] * rrb2.G.order + rrb2.R[None, :]
+    return RRBGroup(P, Q, phi.reshape(Q.order, P.order), R.reshape(-1), name=name)
 
 
 def rrb_automorphism_images(rrb: RRBGroup,

@@ -25,7 +25,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .cohomology import CohomologyClass, cochain_complex
-from .extensions import Extension, chart, extract_actions, extract_factor_system
+from .extensions import Extension, _chart_actions, _chart_factor_system, chart
 from .groups import _inverse_perm, check_cells, row_index
 from .modules import FactorSystem, OneCochain, RRBModule, twisted_action
 from .rrb import (
@@ -224,9 +224,9 @@ class WellsContext:
             raise RRBError("NotAbelianExtension", "lifting theory needs an abelian kernel datum")
         self.ext = ext
         self.chart = chart(ext)
-        self.module = RRBModule(ext.quotient, ext.kernel, extract_actions(ext))
+        self.module = RRBModule(ext.quotient, ext.kernel, _chart_actions(ext, self.chart))
         self.complex = cochain_complex(self.module)
-        self.fs = extract_factor_system(ext)
+        self.fs = _chart_factor_system(ext, self.chart)
         self.base_class = self.complex.class_of(self.fs)
 
     @functools.cached_property

@@ -10,8 +10,9 @@ tuple at a time, as the entry-for-entry reference for their assembly, and
 the library's complex (checked against exhaustive enumeration elsewhere) and
 does everything else one object at a time.  The element loops that the
 library's table predicates replaced (module validation, closures and the
-generator walk, permutation closures, sub-structure checks, quotient maps)
-are kept here as the references those predicates are compared with.
+generator walk, permutation closures, sub-structure checks, quotient maps,
+direct products and restrictions) are kept here as the references those
+predicates are compared with.
 """
 
 from __future__ import annotations
@@ -463,6 +464,46 @@ def permutation_closure_loop(degree: int, generators: Sequence[Sequence[int]]) -
     ordered = sorted(perms)
     index = {p: i for i, p in enumerate(ordered)}
     return [[index[tuple(p[q[x]] for x in range(degree))] for q in ordered] for p in ordered]
+
+
+def direct_product_loop(G, H) -> list:
+    """The table of G x H on pairs ``g * |H| + h``, one row per (g1, h1)."""
+    n, m = G.order, H.order
+    table = np.zeros((n * m, n * m), dtype=np.int64)
+    for g1 in range(n):
+        for h1 in range(m):
+            row = G.table[g1][:, None] * m + H.table[h1][None, :]
+            table[g1 * m + h1] = row.reshape(-1)
+    return table.tolist()
+
+
+def direct_product_rrb_loop(rrb1: RRBGroup, rrb2: RRBGroup) -> Tuple[list, list]:
+    """(phi, R) of the componentwise product structure, one row of phi per
+    (g1, g2) and one entry of R per (h1, h2)."""
+    m2 = rrb2.H.order
+    phi = np.zeros((rrb1.G.order * rrb2.G.order, rrb1.H.order * m2), dtype=np.int64)
+    for g1 in rrb1.G.elements():
+        for g2 in rrb2.G.elements():
+            row = rrb1.phi[g1][:, None] * m2 + rrb2.phi[g2][None, :]
+            phi[g1 * rrb2.G.order + g2] = row.reshape(-1)
+    R = np.zeros(rrb1.H.order * m2, dtype=np.int64)
+    for h1 in rrb1.H.elements():
+        for h2 in rrb2.H.elements():
+            R[h1 * m2 + h2] = rrb1.R[h1] * rrb2.G.order + rrb2.R[h2]
+    return phi.tolist(), R.tolist()
+
+
+def restrict_loop(rrb: RRBGroup, K_set, L_set) -> Tuple[list, list, list, list]:
+    """(H table, G table, phi, R) of the sub-structure on (K, L), elements
+    renumbered by their position in the sorted sets, one entry at a time."""
+    K = sorted(set(int(x) for x in K_set))
+    L = sorted(set(int(x) for x in L_set))
+    k_index = {x: i for i, x in enumerate(K)}
+    l_index = {x: i for i, x in enumerate(L)}
+    return ([[k_index[rrb.H.mul(a, b)] for b in K] for a in K],
+            [[l_index[rrb.G.mul(a, b)] for b in L] for a in L],
+            [[k_index[rrb.act(l, k)] for k in K] for l in L],
+            [l_index[int(rrb.R[k])] for k in K])
 
 
 def walk_presentation(group) -> Tuple[Tuple[int, ...], np.ndarray]:

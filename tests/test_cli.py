@@ -239,6 +239,17 @@ class TestExitCodes:
         started = time.perf_counter()
         self._refused(run_cli("validate", path, "--format", fmt), started)
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_long_cycle_refused_on_its_stored_permutations(self, tmp_path, fmt):
+        # An 8,192-cycle passes the cap on its 129th stored permutation.
+        path = tmp_path / "cycle.json"
+        path.write_text(json.dumps({"degree": 8192,
+                                    "generators": [[(i + 1) % 8192 for i in range(8192)]]}))
+        started = time.perf_counter()
+        proc = run_cli("validate", path, "--format", fmt)
+        self._refused(proc, started)
+        assert "a closure of 129 permutations on 8192 moved points" in proc.stderr
+
     def test_budget_env_is_not_read(self, tmp_path):
         phi = tmp_path / "phi.json"
         phi.write_text(json.dumps([[0, 1, 2, 3]] * 4))
@@ -514,9 +525,26 @@ class TestGroupPayloadChecks:
         proc = run_cli("validate", group, "--format", fmt)
         assert proc.returncode == 2
         if fmt == "json":
-            assert json.loads(proc.stdout)["code"] == "NotClosed"
+            payload = json.loads(proc.stdout)
+            assert (payload["code"], payload["witness"]) == ("NotClosed", [0, 2])
         else:
-            assert "NotClosed: generator [1, 0]" in proc.stdout
+            assert "NotClosed: generator 0 has 2 entries, not the degree 10000000" in proc.stdout
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_repeated_entry_of_a_long_generator_is_named(self, tmp_path, fmt):
+        # The verdict names the generator and its entry, not the whole generator.
+        gen = list(range(100_000))
+        gen[70_000] = 5
+        group = tmp_path / "group.json"
+        group.write_text(json.dumps({"degree": 100_000, "generators": [gen]}))
+        proc = run_cli("validate", group, "--format", fmt)
+        assert proc.returncode == 2
+        assert len(proc.stdout) < 200
+        if fmt == "json":
+            payload = json.loads(proc.stdout)
+            assert (payload["code"], payload["witness"]) == ("NotClosed", [0, 70_000])
+        else:
+            assert "NotClosed: generator 0: entry 70000 = 5 repeats an earlier entry" in proc.stdout
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_order_mismatch_names_order(self, tmp_path, fmt):

@@ -29,8 +29,9 @@ from rrbgroups import (
 )
 from rrbgroups.groups import group_from_permutations
 from conftest import FIXTURE_DIR
-from oracles import (closure_loop, group_table_violation, normal_loop, permutation_closure_loop,
-                     quotient_loop, saturation_isomorphisms, subgroup_loop)
+from oracles import (closure_loop, direct_product_loop, group_table_violation, normal_loop,
+                     permutation_closure_loop, quotient_loop, saturation_isomorphisms,
+                     subgroup_loop)
 
 OPERATORS_CATALOGUE = Path(__file__).parent.parent / "perfbench" / "catalogue" / "operators.json"
 
@@ -57,6 +58,15 @@ def _permutation_corpus() -> list:
         count = 1 if degree == 6 else int(rng.integers(1, 4))
         corpus.append((degree, [rng.permutation(degree).tolist() for _ in range(count)]))
     return corpus
+
+
+def _cycle(points: list, degree: int) -> list:
+    """The permutation of 0..degree-1 sending each of ``points`` to the next,
+    the last to the first, and fixing every other point."""
+    perm = list(range(degree))
+    for a, b in zip(points, points[1:] + points[:1]):
+        perm[a] = b
+    return perm
 
 
 def _table_corpus() -> dict:
@@ -129,13 +139,67 @@ class TestValidateGroup:
         table = group_from_permutations(degree, generators).table.tolist()
         assert table == permutation_closure_loop(degree, generators)
 
+    @pytest.mark.parametrize("degree,generators", [
+        (64, [_cycle(list(range(64)), 64)]),
+        (200, [_cycle(list(range(200)), 200)]),
+        # Six moved points among 1,000 fixed ones, out of order.
+        (1006, [_cycle([1000, 3, 517, 42, 1005, 250], 1006)]),
+        (100_000, [_cycle([0, 1], 100_000)]),
+    ], ids=["64-cycle", "200-cycle", "padded-6-cycle", "transposition-100000"])
+    def test_long_closures_match_the_loop(self, degree, generators):
+        table = group_from_permutations(degree, generators).table.tolist()
+        assert table == permutation_closure_loop(degree, generators)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_drawn_closures_match_the_loop(self, data):
+        # One generator at degree 6, so that the reference loop stays quick.
+        degree = data.draw(st.integers(1, 6))
+        count = 1 if degree == 6 else data.draw(st.integers(1, 3))
+        generators = [data.draw(st.permutations(range(degree))) for _ in range(count)]
+        table = group_from_permutations(degree, generators).table.tolist()
+        assert table == permutation_closure_loop(degree, generators)
+
     def test_permutation_closure_is_capped_as_it_grows(self):
         # S7 (5,040 elements) would need 25.4 million table cells; it is
         # refused once the closure passes 1,024 elements, before any table.
         with pytest.raises(GroupError) as err:
             group_from_permutations(7, [[1, 0, 2, 3, 4, 5, 6], [1, 2, 3, 4, 5, 6, 0]])
         assert err.value.code == "OrderTooLarge"
-        assert "the table of a closure of" in str(err.value)
+        assert str(err.value).startswith(
+            "OrderTooLarge: the table of a closure of 1025 permutations needs 1050625 cells")
+
+    def test_stored_permutations_are_capped(self):
+        # An 8,192-cycle stores 8,192 cells per element, so the 129th passes
+        # 2^20 cells long before the table (129^2 cells) would.
+        with pytest.raises(GroupError) as err:
+            group_from_permutations(8192, [_cycle(list(range(8192)), 8192)])
+        assert err.value.code == "OrderTooLarge"
+        assert str(err.value).startswith("OrderTooLarge: a closure of 129 permutations "
+                                         "on 8192 moved points needs 1056768 cells")
+
+    @pytest.mark.parametrize("degree,generators,message,witness", [
+        (10 ** 6, [[1, 0]], "generator 0 has 2 entries, not the degree 1000000", (0, 2)),
+        (3, [[1, 0, 2], [0, 1, 2, 0]], "generator 1 has 4 entries, not the degree 3", (1, 3)),
+        (3, [[0, 1, 1]], "generator 0: entry 2 = 1 repeats an earlier entry", (0, 2)),
+        (3, [[1, 0, 2], [0, 3, 1]], "generator 1: entry 1 = 3 is outside 0..2", (1, 1)),
+        (3, [[0, -1, -1]], "generator 0: entry 1 = -1 is outside 0..2", (0, 1)),
+        # Lengths are checked before entries, as a table's shape is.
+        (3, [[2, 2, 0], [0, 1]], "generator 1 has 2 entries, not the degree 3", (1, 2)),
+    ])
+    def test_bad_generator_names_its_first_bad_entry(self, degree, generators, message, witness):
+        with pytest.raises(GroupError) as err:
+            group_from_permutations(degree, generators)
+        assert (str(err.value), err.value.witness) == (f"NotClosed: {message}", witness)
+        assert all(type(x) is int for x in err.value.witness)
+
+    def test_bad_entry_of_a_long_generator_is_named_briefly(self):
+        gen = list(range(100_000))
+        gen[70_000] = 5
+        with pytest.raises(GroupError) as err:
+            group_from_permutations(100_000, [list(range(100_000)), gen])
+        assert str(err.value) == "NotClosed: generator 1: entry 70000 = 5 repeats an earlier entry"
+        assert err.value.witness == (1, 70_000)
 
     def test_permutation_degree_checks(self):
         # No generators: the trivial group, whatever the degree.
@@ -376,6 +440,20 @@ def _order_16_groups() -> dict:
 
 SMALL_GROUPS = _small_groups()
 ORDER_16_GROUPS = _order_16_groups()
+
+
+class TestDirectProduct:
+    @pytest.mark.parametrize("first", sorted(SMALL_GROUPS))
+    def test_product_matches_the_loop(self, first):
+        G = SMALL_GROUPS[first]
+        for H in SMALL_GROUPS.values():
+            P = direct_product(G, H)
+            assert P.group.table.tolist() == direct_product_loop(G, H)
+            m = H.order
+            assert P.inj1.image.tolist() == [g * m for g in range(G.order)]
+            assert P.inj2.image.tolist() == list(range(m))
+            assert P.proj1.image.tolist() == [x // m for x in range(G.order * m)]
+            assert P.proj2.image.tolist() == [x % m for x in range(G.order * m)]
 
 
 class TestImageSearch:

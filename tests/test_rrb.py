@@ -43,9 +43,9 @@ from rrbgroups import (
 from rrbgroups.groups import FiniteGroup, group_from_permutations, subgroup_closure
 from rrbgroups.rrb import check_automorphisms, descended_table, rrb_automorphism_images
 from rrbgroups.serialize import load_extension, load_rrb
-from oracles import (automorphism_pairs, center_loop, descended_loop, ideal_loop,
-                     morphism_violation, naive_operators, quotient_loop, quotient_rrb_loop,
-                     rrb_violation, subrrb_loop)
+from oracles import (automorphism_pairs, center_loop, descended_loop, direct_product_rrb_loop,
+                     ideal_loop, morphism_violation, naive_operators, quotient_loop,
+                     quotient_rrb_loop, restrict_loop, rrb_violation, subrrb_loop)
 
 INV3 = [[0, 1, 2], [0, 2, 1]]
 FIXTURE_DIR = Path(__file__).parent.parent / "src" / "rrbgroups" / "fixtures"
@@ -540,6 +540,18 @@ class TestSubStructuresMatchLoops:
         assert True in verdicts
 
     @pytest.mark.parametrize("name", sorted(SEARCH_CASES))
+    def test_restrictions(self, name):
+        rrb = SEARCH_CASES[name]
+        for K in _subgroups(rrb.H):
+            for L in _subgroups(rrb.G):
+                if not is_subrrb(rrb, K, L)[0]:
+                    continue
+                sub, incl = restrict(rrb, K, L)
+                assert (sub.H.table.tolist(), sub.G.table.tolist(), sub.phi.tolist(),
+                        sub.R.tolist()) == restrict_loop(rrb, K, L)
+                assert (incl.psi.image.tolist(), incl.eta.image.tolist()) == (list(K), list(L))
+
+    @pytest.mark.parametrize("name", sorted(SEARCH_CASES))
     def test_center_and_quotients(self, name):
         rrb = SEARCH_CASES[name]
         assert center(rrb) == RRBIdeal(*center_loop(rrb))
@@ -559,6 +571,15 @@ class TestSubStructuresMatchLoops:
 
 
 class TestProducts:
+    @pytest.mark.parametrize("first", sorted(STRUCTURES))
+    def test_product_matches_the_loop(self, first):
+        rrb1 = STRUCTURES[first]
+        for rrb2 in STRUCTURES.values():
+            p = direct_product_rrb(rrb1, rrb2)
+            assert (p.H, p.G) == (direct_product(rrb1.H, rrb2.H).group,
+                                  direct_product(rrb1.G, rrb2.G).group)
+            assert (p.phi.tolist(), p.R.tolist()) == direct_product_rrb_loop(rrb1, rrb2)
+
     def test_trivial_times_trivial(self, groups):
         p = direct_product_rrb(trivial_rrb(groups["z2"], groups["z2"]),
                                trivial_rrb(groups["z2"], groups["z2"]))

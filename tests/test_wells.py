@@ -54,6 +54,24 @@ def contexts(ext_corpus):
     return {name: WellsContext(ext_corpus[name]) for name in WELLS_EXTS}
 
 
+class TestContext:
+    def test_one_chart_per_context(self, ext_corpus, monkeypatch):
+        # The module's actions and the factor system are read off ctx.chart.
+        import rrbgroups.extensions as extensions_mod
+        real, calls = extensions_mod.chart, []
+
+        def counted(ext, section=None):
+            calls.append(section)
+            return real(ext, section)
+
+        monkeypatch.setattr(extensions_mod, "chart", counted)
+        monkeypatch.setattr(wells_mod, "chart", counted)
+        for name in WELLS_EXTS:
+            calls.clear()
+            WellsContext(ext_corpus[name])
+            assert len(calls) == 1, name
+
+
 class TestCompatiblePairs:
     def test_trivial_module_admits_every_pair(self, contexts):
         ctx = contexts["z3_triv"]

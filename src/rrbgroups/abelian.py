@@ -25,7 +25,6 @@ from .groups import FiniteGroup, GroupError, _levels
 from .intlinalg import (
     as_int_matrix,
     howell,
-    kernel_mod_prime_power,
     present_mod_prime_power,
     prime_power_scale,
     prime_powers,
@@ -33,8 +32,16 @@ from .intlinalg import (
 )
 
 
+def check_width(coords, width: int):
+    """coords, whose rows must have ``width`` entries (ValueError otherwise)."""
+    given = np.shape(coords)[-1:] or ("a scalar",)
+    if given != (width,):
+        raise ValueError(f"coordinate rows need width {width}, not {given[0]}")
+    return coords
+
+
 def reduce_vec(vec: Sequence[int], moduli: Sequence[int]) -> Tuple[int, ...]:
-    return tuple(int(v) % int(m) for v, m in zip(vec, moduli))
+    return tuple(int(v) % int(m) for v, m in zip(check_width(vec, len(moduli)), moduli))
 
 
 def vectors(moduli: Sequence[int]) -> np.ndarray:
@@ -119,19 +126,31 @@ def _stack_moduli(cols: np.ndarray, moduli: Sequence[int]) -> np.ndarray:
     return np.concatenate([cols, np.diag(np.array(moduli, dtype=np.int64))], axis=1)
 
 
-def kernel_mod(matrix: np.ndarray, moduli: Sequence[int]) -> np.ndarray:
-    """Generators (columns) of {x : matrix @ x == 0 modulo moduli}.
+def _crt_kernel(forms, width: int, E: int) -> np.ndarray:
+    """The lattice of x in Z^width lying, modulo each prime power q of E, in
+    the span of the kernel rows of the form for q: as columns, E/q times
+    those rows for each q, then E I."""
+    cols = [form.kernel.T * (E // form.p ** form.k) for form in forms]
+    return np.concatenate([*cols, E * np.eye(width, dtype=np.int64)], axis=1)
 
-    The lattice contains E Z^m for E = lcm(moduli).  It is solved modulo
-    each prime power q = p**k exactly dividing E, and by CRT it is the sum
-    over q of E/q times the m-column basis for q; so a prime-power E gives
-    exactly m columns, and E = 1 the identity.  Entries lie in [0, E).
+
+def kernel_mod(matrix: np.ndarray, moduli: Sequence[int]) -> np.ndarray:
+    """Generators (columns, entries in [0, E]) of {x : matrix @ x == 0
+    modulo moduli}, a lattice containing E Z^m for E = lcm(moduli).
+
+    Modulo each prime power q = p**k exactly dividing E, x solves the rows
+    scaled by ``prime_power_scale``, so it solves their reduced Howell form,
+    at most m rows: it is the left kernel of that form's transpose.  The
+    kernels are merged by CRT.
     """
     m = matrix.shape[1]
     E = math.lcm(*(int(x) for x in moduli))
-    parts = [kernel_mod_prime_power(matrix, moduli, p, k) * (E // p ** k)
-             for p, k in prime_powers(E, m)]
-    return np.concatenate(parts, axis=1) if parts else np.eye(m, dtype=np.int64)
+    forms = []
+    for p, k in prime_powers(E, m):
+        q = p ** k
+        h = howell(scale_rows(matrix, prime_power_scale(moduli, q), q), p, k)
+        forms.append(howell(h.rows.T, p, k, carry=np.eye(m, dtype=np.int64)))
+    return _crt_kernel(forms, m, E)
 
 
 class _Presented:
@@ -141,7 +160,8 @@ class _Presented:
     def representative(self, coords: np.ndarray) -> np.ndarray:
         """The ambient vector of each row of a stack of coordinates: a class
         representative of a subquotient, a member of a subgroup."""
-        reduced = np.asarray(coords, dtype=np.int64) % np.array(self.factors, dtype=np.int64)
+        coords = np.asarray(check_width(coords, len(self.factors)), dtype=np.int64)
+        reduced = coords % np.array(self.factors, dtype=np.int64)
         return reduced @ self.embedding.T % np.array(self.ambient_moduli, dtype=np.int64)
 
 
@@ -157,8 +177,8 @@ class SubgroupPresentation(_Presented):
     ``generators``, a generating set that depends on the subgroup only.
     Elements and subquotients are read over them.
     ``relations`` holds, as columns, generators of the coefficient vectors c
-    with ``generator_cols @ c == 0`` in the ambient group; it is solved only
-    when first read.
+    with ``generator_cols @ c == 0`` in the ambient group, read off the
+    forms: each one's ``kernel``, merged by CRT as in ``kernel_mod``.
     """
 
     def __init__(self, moduli: Sequence[int], generator_cols: np.ndarray):
@@ -176,7 +196,7 @@ class SubgroupPresentation(_Presented):
 
     @functools.cached_property
     def relations(self) -> np.ndarray:
-        return kernel_mod(self._gens, self.ambient_moduli)
+        return _crt_kernel([form for _, form in self._forms], self._gens.shape[1], self._E)
 
     @functools.cached_property
     def generators(self) -> np.ndarray:

@@ -5,10 +5,10 @@ cochains are quadruples (tau1, tau2, rho, chi) as in
 :class:`rrbgroups.modules.FactorSystem`.  Everything vanishing on degenerate
 tuples is encoded in invariant-factor coordinates, one block per
 nondegenerate tuple, and the five cocycle conditions plus the coboundary map
-become integer matrices between those coordinate spaces.  The cocycles are
-solved modulo each prime power of the moduli (``kernel_mod``), and every
-group and quotient is read off the reduced Howell forms of its lattices
-(``abelian``), so the H2 basis depends on Z2 and B2 only.
+become integer matrices between those coordinate spaces.  Z2 is the kernel
+of the conditions (``kernel_mod``), Z1 the relations B2's elimination leaves
+over, and every group and quotient is read off the reduced Howell forms of
+its lattices (``abelian``), so the H2 basis depends on Z2 and B2 only.
 
 Additive transcriptions used throughout (K, L abelian, written additively;
 ``o`` is the twisted product a1 o a2 = a1 * beta_{T(a1)}(a2)):
@@ -45,6 +45,7 @@ from .abelian import (
     AbelianPresentation,
     SubgroupPresentation,
     SubquotientPresentation,
+    check_width,
     kernel_mod,
     reduce_vec,
     vectors,
@@ -55,11 +56,12 @@ from .rrb import RRBError, descended_table, trivial_rrb
 
 
 class CohomologyClass:
-    """A coset of the coboundary group, identified by canonical coordinates."""
+    """A coset of the coboundary group, identified by its coordinates over
+    the factors of H2, kept reduced so that equal classes compare equal."""
 
-    def __init__(self, complex_: "CochainComplex", coords: Tuple[int, ...]):
+    def __init__(self, complex_: "CochainComplex", coords: Sequence[int]):
         self.complex = complex_
-        self.coords = tuple(int(c) for c in coords)
+        self.coords = reduce_vec(coords, self.factors)
 
     @property
     def factors(self) -> Tuple[int, ...]:
@@ -74,13 +76,11 @@ class CohomologyClass:
 
     def __add__(self, other: "CohomologyClass") -> "CohomologyClass":
         self._require_same(other)
-        vec = [x + y for x, y in zip(self.coords, other.coords)]
-        return CohomologyClass(self.complex, reduce_vec(vec, self.factors))
+        return CohomologyClass(self.complex, [x + y for x, y in zip(self.coords, other.coords)])
 
     def __sub__(self, other: "CohomologyClass") -> "CohomologyClass":
         self._require_same(other)
-        vec = [x - y for x, y in zip(self.coords, other.coords)]
-        return CohomologyClass(self.complex, reduce_vec(vec, self.factors))
+        return CohomologyClass(self.complex, [x - y for x, y in zip(self.coords, other.coords)])
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, CohomologyClass)
@@ -157,8 +157,8 @@ class _Layout:
         return out
 
     def reduce(self, coords: Sequence[int]) -> np.ndarray:
-        """coords modulo the moduli."""
-        return np.asarray(coords, dtype=np.int64) % self._moduli
+        """coords, a row or a stack of rows of width ``dim``, modulo the moduli."""
+        return np.asarray(check_width(coords, self.dim), dtype=np.int64) % self._moduli
 
     def first_nonzero(self, coords: Sequence[int]) -> Optional[Tuple[str, tuple]]:
         """(block name, tuple) of the first coordinate not zero modulo its
@@ -359,8 +359,8 @@ class CochainComplex:
 
     # -- the four groups -----------------------------------------------------
     # Each lattice is factored once.  The relations of b2 among the columns
-    # of D are the derivations, so z1 takes them as its generators; h2 reads
-    # the factorization of z2.
+    # of D are the derivations, read off b2's forms, so z1 takes them as its
+    # generators; h2 reads the factorization of z2.
 
     @functools.cached_property
     def z1(self) -> SubgroupPresentation:

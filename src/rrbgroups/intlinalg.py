@@ -8,9 +8,10 @@ submodule into its reduced Howell form (Howell, "Spans in the module
 modulo N", 1998), which depends on the submodule only.  Over Z/p^k a pivot
 is an entry of least valuation in its column, so it divides every entry it
 clears: elimination needs no gcd steps, no remainders and no entry past q.
-The form gives kernels (``kernel_mod_prime_power``), membership with
-coefficients (``Howell.solve``), the relations among its rows
-(``Howell.relations``) and presentations of quotients
+The elimination also gives the left kernel of its input, as the carried
+coefficients of the rows it clears (``Howell.kernel``); the form gives
+membership with coefficients (``Howell.solve``), the relations among its
+rows (``Howell.relations``) and presentations of quotients
 (``present_mod_prime_power``).
 
 Matrices are int64 numpy arrays; there is no other integer type and no
@@ -19,8 +20,8 @@ refuses it (ValueError) when E**2 * width >= 2**62, before any elimination.
 Entries are reduced into [0, q) or [0, E) before they are multiplied, with
 q <= E, so that one bound keeps every sum of products below 2**62:
 
-- Howell elimination, solves and kernels multiply two entries below q and
-  sum at most width such products (a form has at most width rows): below
+- Howell elimination and solves multiply two entries below q and sum at
+  most width such products (a form has at most width rows): below
   width * q**2 <= width * E**2.
 - The CRT merge multiplies an idempotent below E by an entry below q, and
   sums over the prime powers q of E, whose sum is at most E: below E**2.
@@ -91,14 +92,6 @@ def _valuation(x: np.ndarray, p: int, k: int) -> np.ndarray:
     return v
 
 
-def _other_columns(n: int, cols: np.ndarray) -> np.ndarray:
-    """The columns of range(n) outside cols, in order.  (np.setdiff1d
-    imports numpy.ma on its first call, some 15 ms of every fresh job.)"""
-    rest = np.ones(n, dtype=bool)
-    rest[cols] = False
-    return np.flatnonzero(rest)
-
-
 def prime_power_scale(moduli: Sequence[int], q: int) -> np.ndarray:
     """q / gcd(m, q) for each modulus m: multiplying by it embeds the p-part
     Z/gcd(m, q) of Z/m in Z/q, and a congruence holds modulo gcd(m, q)
@@ -120,11 +113,14 @@ class Howell(NamedTuple):
     property holds: p**(k - vals[i]) * rows[i] lies in the span of the later
     rows.  So membership is decided by reducing against the rows in order,
     and ``rows`` depends on the span only.  ``carry`` (r x t) holds extra
-    columns that took every row operation but held no pivot.
+    columns that took every row operation but held no pivot, and ``kernel``
+    holds the nonzero carry parts of the rows the elimination cleared (no
+    rows when t is 0).
     """
 
     rows: np.ndarray
     carry: np.ndarray
+    kernel: np.ndarray
     cols: np.ndarray
     vals: np.ndarray
     p: int
@@ -167,6 +163,12 @@ def howell(matrix: np.ndarray, p: int, k: int, carry: Optional[np.ndarray] = Non
     active set (Howell's closure).  Last, each pivot reduces its column in
     the earlier pivot rows into [0, p**v).  ``carry`` takes the same row
     operations.
+
+    The rows left over are zero in ``matrix``; with ``carry`` the identity,
+    their carry parts span {y : y @ matrix == 0 modulo p**k}.  In a sum of
+    pivot and leftover rows that is zero in ``matrix``, the first pivot used,
+    p**v in its column, has a coefficient divisible by p**(k - v), so that
+    term is a multiple of its closure row: a leftover row plus later pivots.
     """
     q = p ** k
     s, n = matrix.shape
@@ -202,44 +204,15 @@ def howell(matrix: np.ndarray, p: int, k: int, carry: Optional[np.ndarray] = Non
         if v:
             W[support, spare] = piv * p ** (k - v) % q
             spare += 1
+    left = W[n:, :spare].T
     H = np.array(pivots, dtype=np.int64).reshape(len(pivots), n + t)
     for i in range(1, len(H)):
         f = H[:i, cols[i]] // p ** vals[i]
         hit = f.nonzero()[0]
         if hit.size:
             H[hit] = (H[hit] - f[hit, None] * H[i]) % q
-    return Howell(H[:, :n], H[:, n:], np.array(cols, dtype=np.int64),
+    return Howell(H[:, :n], H[:, n:], left[left.any(axis=1)], np.array(cols, dtype=np.int64),
                   np.array(vals, dtype=np.int64), p, k)
-
-
-def kernel_mod_prime_power(matrix: np.ndarray, moduli: Sequence[int], p: int, k: int) -> np.ndarray:
-    """A basis (m columns) of {x in Z^m : matrix @ x == 0 mod p-parts of moduli}.
-
-    Row i holds modulo gcd(moduli[i], q) exactly when row i scaled by
-    q / gcd(moduli[i], q) holds modulo q, so the kernel is that of the
-    Howell form of the scaled rows over Z/q.  With the pivot columns first,
-    pivot t asks that x_t be minus its row beyond the pivot, applied to x,
-    over p**v_t, modulo p**(k - v_t); the Howell property makes the
-    division exact for every x that satisfies the later rows.  The other
-    columns are free.  The basis
-    is upper triangular in that order, with p**(k - v_t) or 1 on the
-    diagonal and every entry below q.
-    """
-    q = p ** k
-    m = matrix.shape[1]
-    h = howell(scale_rows(matrix, prime_power_scale(moduli, q), q), p, k)
-    order = np.concatenate([h.cols, _other_columns(m, h.cols)])
-    at = np.empty(m, dtype=np.int64)
-    at[order] = np.arange(m)
-    B = np.eye(m, dtype=np.int64)
-    for t in range(len(h.cols) - 1, -1, -1):
-        c, pv = h.cols[t], p ** int(h.vals[t])
-        beyond = c + 1 + h.rows[t, c + 1:].nonzero()[0]
-        B[t] = -(h.rows[t, beyond] @ B[at[beyond]] % q // pv) % (q // pv)
-        B[t, t] = q // pv
-    X = np.empty_like(B)
-    X[order] = B
-    return X
 
 
 def _local_smith(A: np.ndarray, p: int, k: int):
@@ -296,7 +269,11 @@ def present_mod_prime_power(rows: np.ndarray, p: int, k: int):
     n = rows.shape[1]
     h = howell(rows, p, k)
     unit = h.vals == 0
-    rest = _other_columns(n, h.cols[unit])
+    # The other columns, by a mask: np.setdiff1d imports numpy.ma on its
+    # first call, some 15 ms of every fresh job.
+    rest = np.ones(n, dtype=bool)
+    rest[h.cols[unit]] = False
+    rest = np.flatnonzero(rest)
     exps, V, Vinv = _local_smith(h.rows[~unit][:, rest], p, k)
     keep = exps > 0
     to = np.zeros((int(keep.sum()), n), dtype=np.int64)

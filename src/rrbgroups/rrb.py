@@ -429,8 +429,10 @@ def enumerate_rrb_operators(H: FiniteGroup, G: FiniteGroup,
     each new point is multiplied with itself and every earlier point, in
     both orders; a product on an unassigned h forces R(h), and one on an
     assigned h with another value prunes.  It branches only on the least
-    unassigned h, so its leaves are exactly the operators.  The budget caps
-    closure products.
+    unassigned h, so its leaves are exactly the operators, and in
+    lexicographic order: two leaves part at a branch on some h, where every
+    h' < h is assigned, and the branch tries g in ascending order.  The
+    budget caps closure products.
     """
     phi_arr = np.asarray(phi, dtype=np.int64)
     probe = RRBGroup(H, G, phi_arr, [0] * H.order)  # validates phi, R=0 always works
@@ -489,5 +491,4 @@ def enumerate_rrb_operators(H: FiniteGroup, G: FiniteGroup,
             del points[mark:]
 
     branch(1)
-    results.sort(key=lambda r: tuple(r.tolist()))
     return results

@@ -1,5 +1,6 @@
 """Invariant factors, coordinate isomorphisms, and exact linear algebra."""
 
+import itertools
 import json
 import math
 import random
@@ -294,8 +295,10 @@ class TestSmithNormalForm:
         assert lattice_index(ker) == len(generated_subgroup(A.T.tolist(), moduli))
 
     def test_kernel_of_row(self):
-        ker = kernel_mod(as_int_matrix([[1, 2, 3]]), [5])
-        assert ker.shape == (3, 3)
+        A = as_int_matrix([[1, 2, 3]])
+        ker = kernel_mod(A, [5])
+        assert ker.shape[0] == 3
+        assert not (A @ ker % 5).any()
         assert lattice_index(ker) == 5
 
     def test_lattice_past_the_bound_is_refused(self):
@@ -440,6 +443,53 @@ class TestSmithReplay:
                     == reference_quotient_factors(stacked)
 
 
+def every_vector(moduli):
+    return np.array(list(itertools.product(*(range(m) for m in moduli))), dtype=np.int64)
+
+
+# Moduli dividing one E of at most 12, so that (Z/E)^4 can be listed.
+small_moduli_lists = st.sampled_from([2, 3, 4, 8, 9, 12]).flatmap(
+    lambda E: st.lists(st.sampled_from([d for d in range(1, E + 1) if E % d == 0]),
+                       min_size=4, max_size=4))
+
+
+class TestKernels:
+    """Kernels are read off the rows an elimination clears; checked against
+    every vector of the space."""
+
+    @given(matrices, st.sampled_from([(2, 1), (3, 1), (2, 2), (2, 3), (3, 2)]), st.booleans())
+    @example([[2, 0], [0, 0]], (2, 2), True)
+    @example([[2, 4], [6, 2], [4, 4]], (2, 3), True)
+    @example([[3, 6], [0, 3]], (3, 2), True)
+    @settings(max_examples=100, deadline=None)
+    def test_howell_kernel_is_the_left_kernel(self, rows, prime_power, carried):
+        p, k = prime_power
+        q, A = p ** k, as_int_matrix(rows)
+        s = A.shape[0]
+        if not carried:
+            assert howell(A, p, k).kernel.shape == (0, 0)
+            return
+        form = howell(A, p, k, carry=np.eye(s, dtype=np.int64))
+        assert np.array_equal(form.rows, howell(A, p, k).rows)
+        every = every_vector([q] * s)
+        want = {tuple(y) for y in every[~(every @ A % q).any(axis=1)].tolist()}
+        assert generated_subgroup(form.kernel.tolist(), [q] * s) == want
+
+    @given(matrices, small_moduli_lists)
+    @example([[2, 1], [1, 1]], [4, 2, 1, 1])
+    @example([[2], [1]], [4, 2, 1, 1])
+    @settings(max_examples=60, deadline=None)
+    def test_relations_are_the_coefficients_of_zero(self, rows, moduli):
+        # Z/2 sits in Z/4 scaled by 2: the relations of (2, 1) in Z4 x Z2 are 2Z.
+        gens = as_int_matrix(rows)
+        moduli = moduli[:gens.shape[0]]
+        E, r = math.lcm(*moduli), gens.shape[1]
+        rel = SubgroupPresentation(moduli, gens).relations
+        every = every_vector([E] * r)
+        want = {tuple(c) for c in every[~(every @ gens.T % moduli).any(axis=1)].tolist()}
+        assert generated_subgroup(rel.T.tolist(), [E] * r) == want
+
+
 def permuted_generators(gens, moduli, rng):
     """The same lattice from other generators: the columns shuffled, some
     repeated, each multiplied by a unit modulo lcm(moduli)."""
@@ -572,6 +622,12 @@ class TestAbelianPresentation:
                     s = tuple((a + b) % f for a, b, f in zip(v, pres.vec(y), pres.factors))
                     assert pres.elem(s) == G.mul(x, y)
             assert len(seen) == G.order
+
+    def test_elem_refuses_rows_of_another_width(self):
+        pres = AbelianPresentation(direct_product(cyclic_group(2), cyclic_group(4)).group)
+        assert pres.factors == (2, 4)
+        with pytest.raises(ValueError, match="need width 2, not 3"):
+            pres.elem((1, 3, 7))
 
     @given(st.lists(st.integers(min_value=1, max_value=9), min_size=1, max_size=3))
     @settings(max_examples=25, deadline=None)

@@ -29,7 +29,9 @@ from rrbgroups import (
     trivial_rrb,
     zero_factor_system,
 )
+from rrbgroups.cohomology import CohomologyClass
 from rrbgroups.extensions import extract_factor_system, extract_module
+from rrbgroups.serialize import _load_json, load_module
 from oracles import (
     ReferenceAssembly,
     c2_size,
@@ -48,6 +50,7 @@ from oracles import (
     sub_fs,
 )
 
+FIXTURES = Path(__file__).resolve().parent.parent / "src" / "rrbgroups" / "fixtures"
 LADDER_ANSWERS = Path(__file__).resolve().parent.parent / "perfbench" / "catalogue" / "ladder.json"
 
 ALL_MODULES = ("trivial_z2", "trivial_z3", "from_z4_carry", "from_z9", "from_s3",
@@ -219,6 +222,33 @@ class TestH2:
         del cx, module
         gc.collect()
         assert ref() is None
+
+
+class TestCoordinateWidth:
+    """Coordinate rows of the wrong width are refused where they enter; on
+    the trivial Z2 module C2 has 4 coordinates, C1 2, and H2 = Z2^4."""
+
+    @pytest.fixture
+    def cx(self):
+        return cochain_complex(load_module(*_load_json(str(FIXTURES / "module_trivial_z2.json"))))
+
+    def test_cochain_rows(self, cx):
+        with pytest.raises(ValueError, match="need width 4, not 1"):
+            cx.fs_from_coords([1])
+        with pytest.raises(ValueError, match="need width 2, not 1"):
+            cx.kappa_from_coords(np.array([1]))
+
+    def test_class_representative_rows(self, cx):
+        with pytest.raises(ValueError, match="need width 4, not 1"):
+            cx.class_representatives(np.array([[1]]))
+
+    def test_classes(self, cx):
+        with pytest.raises(ValueError, match="need width 4, not 1"):
+            CohomologyClass(cx, (1,))
+        same = CohomologyClass(cx, (5, -3, 0, 0)), CohomologyClass(cx, (1, 1, 0, 0))
+        assert same[0] == same[1] and hash(same[0]) == hash(same[1])
+        assert same[0].coords == (1, 1, 0, 0)
+        assert (same[0] + same[1]).is_zero()
 
 
 def ladder_module(n):

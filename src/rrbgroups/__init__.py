@@ -87,7 +87,6 @@ from .wells import (
     aut_AK_H,
     aut_K_H,
     compatible_pairs,
-    identity_pair,
     inducible_by_module_criterion,
     is_inducible,
     pair_is_compatible,

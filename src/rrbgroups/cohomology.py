@@ -369,7 +369,9 @@ class CochainComplex:
     @functools.cached_property
     def z2(self) -> SubgroupPresentation:
         gens = kernel_mod(self.constraint_matrix, self.constraint_moduli)
-        return SubgroupPresentation(self.c2_moduli, gens)
+        # kernel_mod's lattice holds E e_i (E the lcm of the condition moduli),
+        # which vanish modulo the cochain moduli and generate nothing: drop them.
+        return SubgroupPresentation(self.c2_moduli, gens[:, self._c2.reduce(gens.T).any(axis=1)])
 
     @functools.cached_property
     def b2(self) -> SubgroupPresentation:

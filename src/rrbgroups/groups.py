@@ -6,7 +6,7 @@ Element 0 is always the identity.  Tables are numpy int arrays with
 
 from __future__ import annotations
 
-from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -387,7 +387,8 @@ def subgroup_closure(G: FiniteGroup, generators: Iterable[int]) -> List[int]:
     for g in gens:
         if not 0 <= g < G.order:
             raise GroupError("NotClosed", f"generator {g} out of range")
-    levels = _levels(G, [np.array(sorted(set(gens)), dtype=np.int64)])
+    levels = _levels(G.order, lambda x, y: G.table[x, y],
+                     [np.array(sorted(set(gens)), dtype=np.int64)])
     return levels[-1].subgroup.tolist() if levels else [0]
 
 
@@ -466,11 +467,13 @@ class _Level(NamedTuple):
     subgroup: np.ndarray
 
 
-def _levels(G: FiniteGroup, pools: Sequence[np.ndarray]) -> List[_Level]:
+def _levels(order: int, product: Callable[[np.ndarray, np.ndarray], np.ndarray],
+            pools: Sequence[np.ndarray]) -> List[_Level]:
     """Generators taken greedily, for each ascending pool in turn the least
     of its elements outside the subgroup generated so far, until the pool is
-    inside it; each new element is written once as a word, parent * gen_i."""
-    known = np.zeros(G.order, dtype=bool)
+    inside it; each new element is written once as a word, parent * gen_i.
+    ``product(x, y)`` multiplies broadcast index arrays into {0..order-1}."""
+    known = np.zeros(order, dtype=bool)
     known[0] = True
     gens: List[int] = []
     levels = []
@@ -482,7 +485,7 @@ def _levels(G: FiniteGroup, pools: Sequence[np.ndarray]) -> List[_Level]:
             waves = []
             frontier = np.flatnonzero(known)
             while frontier.size:
-                prod = G.table[frontier][:, gens]
+                prod = product(frontier[:, None], np.array(gens)[None])
                 wave: List[Tuple[int, int, int]] = []
                 for f, j in zip(*np.nonzero(~known[prod])):
                     x = int(prod[f, j])
@@ -541,11 +544,11 @@ def isomorphism_images(G: FiniteGroup, H: FiniteGroup,
     """
     if G.order != H.order:
         return np.zeros((0, G.order), dtype=np.int64)
-    everything = np.arange(G.order)
+    everything, product = np.arange(G.order), lambda x, y: G.table[x, y]
     if stabilizing is None:
-        return _image_search(G, H, _levels(G, [everything]), [everything])
+        return _image_search(G, H, _levels(G.order, product, [everything]), [everything])
     sub = np.array(sorted(set(int(x) for x in stabilizing)), dtype=np.int64)
-    img = _image_search(G, H, _levels(G, [sub, everything]), [sub, everything])
+    img = _image_search(G, H, _levels(G.order, product, [sub, everything]), [sub, everything])
     return img[sorted(range(len(img)), key=img.tolist().__getitem__)]
 
 

@@ -26,14 +26,13 @@ import numpy as np
 
 from .cohomology import CohomologyClass, cochain_complex
 from .extensions import Extension, _chart_actions, _chart_factor_system, chart
-from .groups import _inverse_perm, check_cells, row_index
+from .groups import _inverse_perm, _levels, check_cells, row_index
 from .modules import FactorSystem, OneCochain, RRBModule, twisted_action
 from .rrb import (
     RRBError,
     RRBMorphism,
     automorphism_objects,
     check_automorphisms,
-    identity_morphism,
     rrb_automorphism_images,
 )
 
@@ -51,9 +50,6 @@ class CompatiblePair(NamedTuple):
 
     def inverse(self) -> "CompatiblePair":
         return CompatiblePair(self.psi.inverse(), self.theta.inverse())
-
-    def is_identity(self) -> bool:
-        return bool(_identity_rows(_stack_of(self))[0])
 
 
 def _morphism_key(m: RRBMorphism) -> tuple:
@@ -86,11 +82,6 @@ def _identity_rows(P: _Pairs) -> np.ndarray:
     return np.logical_and.reduce([(x == np.arange(x.shape[1])).all(axis=1) for x in P])
 
 
-def identity_pair(module: RRBModule) -> CompatiblePair:
-    return CompatiblePair(identity_morphism(module.quotient),
-                          identity_morphism(module.kernel))
-
-
 def _compatible(module: RRBModule, P: _Pairs) -> np.ndarray:
     """Which pairs satisfy the four stabilizer conditions tying (psi, theta)
     to (nu, mu, sigma, f), each one gather over the stack."""
@@ -110,26 +101,15 @@ def pair_is_compatible(module: RRBModule, pair: CompatiblePair) -> bool:
             and bool(_compatible(module, _stack_of(pair))[0]))
 
 
-def _product_table(psi: np.ndarray, eta: np.ndarray) -> np.ndarray:
-    """products[i, j] is the index of automorphism i after j in the sorted
-    stacks (psi, eta), one composition gather and one row lookup."""
-    check_cells(len(psi) ** 2 * (psi.shape[1] + eta.shape[1]), "an automorphism product table")
-    first = np.arange(len(psi))[:, None, None]
-    composed = np.concatenate([psi[first, psi[None]], eta[first, eta[None]]], axis=2)
-    products = row_index(np.concatenate([psi, eta], axis=1), composed)
-    if (products < 0).any():  # pragma: no cover - theorem
-        raise RRBError("InternalError", "automorphisms not closed under composition")
-    return products
-
-
 class _PairGroup:
     """Aut(quotient) x Aut(kernel) of a module as image stacks, psi-major,
-    the compatible pairs C among them and C's product table.
+    the compatible pairs C among them, the generators S of C's generator
+    walk and the products C * S.
 
     Both automorphism stacks are sorted, so the pairs are sorted by
-    ``_pair_key`` and so is C.  A product of pairs is the product of their
-    components, so C's table is read off the two automorphism tables; the
-    identity, the least image array, is row 0 of each.
+    ``_pair_key`` and so is C; the identity, the least image array, is row 0
+    of each.  Every product the walk and C * S take must lie in C, and the
+    walk reaches all of C through them, so C is a subgroup.
     """
 
     def __init__(self, module: RRBModule):
@@ -145,19 +125,29 @@ class _PairGroup:
         # position[p] is the index in C of pair p, or -1.
         self.position = np.full(nq * nk, -1, dtype=np.int64)
         self.position[self.C] = np.arange(len(self.C))
-        check_cells(len(self.C) ** 2, "the product table of the compatible pairs")
-        q, k = np.divmod(self.C, nk)
-        qprod, kprod = _product_table(*self.quotient), _product_table(*self.kernel)
-        # A finite set closed under products is a subgroup: no inverse check.
-        self.products = self.position[qprod[q[:, None], q] * nk + kprod[k[:, None], k]]
-        if (self.products < 0).any():  # pragma: no cover - theorem
-            raise RRBError("InternalError", "compatible pairs not closed under product")
+        self.pairs = self.all.take(self.C)
+        # C's image rows, each map shifted past those before it: x after y is rows[x, rows[y]].
+        widths = [x.shape[1] for x in self.pairs]
+        self.shift = np.repeat(np.cumsum([0, *widths[:-1]]), widths)
+        self.rows = np.concatenate(self.pairs, axis=1) + self.shift
+        levels = _levels(len(self.C), self.product, [np.arange(len(self.C))])
+        self.generators = np.array([level.gen for level in levels], dtype=np.int64)
+        # by_generators[i, j] is the index in C of pair i after generator j.
+        self.by_generators = self.product(np.arange(len(self.C))[:, None], self.generators[None])
 
-    def index(self, P: _Pairs) -> np.ndarray:
-        """The index among all pairs of each pair of a stack, or -1."""
-        q = row_index(np.concatenate(self.quotient, axis=1), np.concatenate([P.psi1, P.psi2], 1))
-        k = row_index(np.concatenate(self.kernel, axis=1), np.concatenate([P.theta1, P.theta2], 1))
-        return np.where((q >= 0) & (k >= 0), q * self.nk + k, -1)
+    def product(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """The index in C of pair x after pair y, for broadcast index arrays
+        into C: one composition gather of C's image rows and one row lookup."""
+        n = np.broadcast(x, y).size
+        check_cells(n * self.rows.shape[1], f"a gather of {n} products of compatible pairs")
+        found = row_index(self.rows, self.rows[x[..., None], self.rows[y]])
+        if (found < 0).any():  # pragma: no cover - theorem
+            raise RRBError("InternalError", "compatible pairs not closed under product")
+        return found
+
+    def find(self, P: _Pairs) -> np.ndarray:
+        """The index in C of each pair of a stack, or -1."""
+        return row_index(self.rows, np.concatenate(P, axis=1) + self.shift)
 
     def objects(self, module: RRBModule, which: np.ndarray) -> List[CompatiblePair]:
         """The pairs at the given indices, as objects sharing their components."""
@@ -240,7 +230,7 @@ class WellsContext:
 
     @functools.cached_property
     def compatible(self) -> List[CompatiblePair]:
-        """C, sorted; ``pair_group.products`` is its product table."""
+        """C, sorted, in the order of ``pair_group``'s indices into it."""
         return [self.all_pairs[p] for p in self.pair_group.C]
 
     @functools.cached_property
@@ -489,8 +479,16 @@ def verify_wells_exactness(ext: Extension) -> WellsReport:
     quotient; the restriction map hits exactly the obstruction kernel; the
     obstruction map satisfies the derivation law.  Each check is a fixed
     number of passes over stacks: of derivations, of automorphisms of the
-    total, of compatible pairs and of their products; the factor system is
-    twisted once by all of C.
+    total, of compatible pairs and of their products with a generating set
+    S of C; the factor system is twisted once by all of C.
+
+    Both laws of omega, omega(c s) = omega(c)^s + omega(s) (derivation) and
+    omega(c s) = omega(c) + omega(s), are checked on C x S only: the s at
+    which a law holds against every c in C include 1 (omega(1) = 0 and 1
+    acts trivially), include S and are closed under products, by the law at
+    (c s, t), (c, s) and (s, t), so they are all of C.  The derivation law
+    needs the cochain action to be a right action, (fs^c1)^c2 = fs^(c1 c2),
+    which holds by construction: both sides are the same composed gathers.
     """
     ctx = WellsContext(ext)
     cx = ctx.complex
@@ -541,33 +539,31 @@ def verify_wells_exactness(ext: Extension) -> WellsReport:
         witnesses["ker_rho_eq_im_eta"] = "aut_to_z1 does not invert eta"
 
     pg = ctx.pair_group
-    C = pg.all.take(pg.C)
+    C = pg.pairs
     twisted = _twisted(ctx, C)
     omega = _omega(ctx, twisted)
-    im_rho = np.zeros(len(pg.position), dtype=bool)
-    induced_at = pg.index(induced)
+    im_rho, ker_omega = np.zeros(len(pg.C), dtype=bool), ~omega.any(axis=1)
+    induced_at = pg.find(induced)
     if (induced_at < 0).any():  # pragma: no cover - theorem
-        raise RRBError("InternalError", "an induced pair is not a pair of automorphisms")
+        raise RRBError("InternalError", "an induced pair is not a compatible pair")
     im_rho[induced_at] = True
-    ker_omega = np.zeros(len(pg.position), dtype=bool)
-    ker_omega[pg.C[~omega.any(axis=1)]] = True
     exactness["ker_omega_eq_im_rho"] = bool(np.array_equal(im_rho, ker_omega))
     if not exactness["ker_omega_eq_im_rho"]:
         witnesses["ker_omega_eq_im_rho"] = (
             f"im(rho) has {im_rho.sum()} pairs, ker(omega) has {ker_omega.sum()}")
 
-    # omega(c1 c2) against omega(c1)^c2 + omega(c2) and omega(c1) + omega(c2)
-    # over all of C x C, the action through each c2's matrix.
-    h2 = np.array(cx.h2.factors, dtype=np.int64)
-    lhs = omega[pg.products]
-    acted = np.einsum("jab,ib->ija", _action_matrices(ctx, C), omega)
-    derivation = ((acted + omega[None]) % h2 == lhs).all(axis=2)
+    # Both laws of omega on C x S, the action through each generator's matrix.
+    h2, S = np.array(cx.h2.factors, dtype=np.int64), pg.generators
+    check_cells(len(omega) * len(S) * len(h2), "the obstruction laws on the generators")
+    lhs = omega[pg.by_generators]
+    acted = np.einsum("jab,ib->ija", _action_matrices(ctx, C.take(S)), omega)
+    derivation = ((acted + omega[S][None]) % h2 == lhs).all(axis=2)
     exactness["omega_derivation"] = bool(derivation.all())
     if not derivation.all():
         i, j = np.argwhere(~derivation)[-1]
-        C_objs = ctx.compatible
-        witnesses["omega_derivation"] = f"law fails at {_pair_key(C_objs[i])}, {_pair_key(C_objs[j])}"
-    homomorphism = bool(((omega[:, None] + omega[None]) % h2 == lhs).all())
+        c, s = ctx.compatible[i], ctx.compatible[S[j]]
+        witnesses["omega_derivation"] = f"law fails at {_pair_key(c)}, {_pair_key(s)}"
+    homomorphism = bool(((omega[:, None] + omega[S][None]) % h2 == lhs).all())
 
     inducible, lift_H, lift_G = _inducible(ctx, C, twisted)
     lifts = iter(automorphism_objects(ext.total, lift_H, lift_G))

@@ -22,8 +22,8 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from rrbgroups import (ActionQuadruple, FactorSystem, FiniteGroup, GroupError, OneCochain,
-                       RRBGroup, RRBModule)
+from rrbgroups import (ActionQuadruple, CompatiblePair, FactorSystem, FiniteGroup, GroupError,
+                       OneCochain, RRBGroup, RRBModule, identity_morphism)
 from rrbgroups.abelian import AbelianPresentation, present_quotient
 from rrbgroups.extensions import Extension
 
@@ -740,6 +740,11 @@ def saturation_isomorphisms(G, H) -> List[tuple]:
 
 
 # -- the lifting audit, one object at a time ----------------------------------
+
+def identity_pair(module: RRBModule) -> CompatiblePair:
+    """The identities of the module's quotient and kernel data, as a pair."""
+    return CompatiblePair(identity_morphism(module.quotient), identity_morphism(module.kernel))
+
 
 def reference_wells_report(ext: Extension):
     """The exactness audit of the lifting sequence as per-object loops: the

@@ -19,7 +19,6 @@ from rrbgroups import (
     compatible_pairs,
     extract_factor_system,
     extract_module,
-    identity_pair,
     inducible_by_module_criterion,
     is_inducible,
     pair_is_compatible,
@@ -33,7 +32,7 @@ from rrbgroups import (
 from rrbgroups.serialize import load_extension
 from rrbgroups.wells import CompatiblePair, _morphism_key, _pair_key
 from oracles import (act_direct, cocycle_violations, fs_from_key, fs_key, fs_positions,
-                     reference_wells_report)
+                     identity_pair, reference_wells_report)
 
 TESTS_DIR = Path(__file__).parent
 EXT_FILES = sorted([*(TESTS_DIR.parent / "src" / "rrbgroups" / "fixtures").glob("ext_*.json"),
@@ -47,6 +46,15 @@ with open(LIFTING_CATALOGUE, encoding="utf-8") as _fh:
 WELLS_EXTS = ("product_z2", "built_z2", "z4_carry", "z9", "s3", "z3_z4_twist",
               "z2_z4_image", "z2_z4_kernel", "z4_z4_diag", "parity_zero",
               "parity_twisted", "z3_triv", "z9_mul4", "z4_klein_f")
+
+
+def _named_extension(name, ext_corpus):
+    """A corpus, catalogue or file extension by name."""
+    if name in ext_corpus:
+        return ext_corpus[name]
+    if name in CATALOGUE_EXTS:
+        return load_extension(CATALOGUE_EXTS[name])
+    return load_extension(str(next(p for p in EXT_FILES if p.stem == name)))
 
 
 @pytest.fixture(scope="module")
@@ -114,15 +122,38 @@ class TestCompatiblePairs:
 
     @pytest.mark.parametrize("path", EXT_FILES, ids=lambda p: p.stem)
     def test_pair_table_matches_compose_and_inverse(self, path):
+        # C * S against compose; the inverses from a full C x C product,
+        # which the small fixtures afford.
         ctx = WellsContext(load_extension(str(path)))
-        C, products = ctx.compatible, ctx.pair_group.products
-        ident = [_pair_key(c) for c in C].index(_pair_key(identity_pair(ctx.module)))
+        pg, C = ctx.pair_group, ctx.compatible
+        keys = [_pair_key(c) for c in C]
         for i, p in enumerate(C):
-            # The inverse is read off the table as the j with p after q = 1.
+            for j, s in enumerate(pg.generators.tolist()):
+                assert keys[pg.by_generators[i, j]] == _pair_key(p.compose(C[s]))
+        every = np.arange(len(C))
+        products = pg.product(every[:, None], every[None])
+        ident = keys.index(_pair_key(identity_pair(ctx.module)))
+        for i, p in enumerate(C):
+            # The inverse is the j with p after j = 1.
             j = int(np.flatnonzero(products[i] == ident)[0])
-            assert _pair_key(C[j]) == _pair_key(p.inverse())
-            for j, q in enumerate(C):
-                assert _pair_key(C[products[i, j]]) == _pair_key(p.compose(q))
+            assert keys[j] == _pair_key(p.inverse())
+
+    @pytest.mark.parametrize("name", [*WELLS_EXTS, *(p.stem for p in EXT_FILES), *CATALOGUE_EXTS])
+    def test_generators_generate_c_irredundantly(self, name, ext_corpus):
+        # Each generator lies outside the subgroup the earlier ones generate,
+        # and all of them generate C; closures by compose, one pair at a time.
+        ctx = WellsContext(_named_extension(name, ext_corpus))
+        C = ctx.compatible
+        gens = [C[s] for s in ctx.pair_group.generators.tolist()]
+        reached = {_pair_key(identity_pair(ctx.module)): identity_pair(ctx.module)}
+        for k, g in enumerate(gens):
+            assert _pair_key(g) not in reached, (name, k)
+            frontier = list(reached.values())
+            while frontier:
+                new = {_pair_key(p.compose(h)): p.compose(h) for p in frontier for h in gens[:k + 1]}
+                frontier = [p for key, p in new.items() if key not in reached]
+                reached.update(new)
+        assert set(reached) == {_pair_key(c) for c in C}, name
 
     def test_group_structure(self, contexts):
         for name in ("z9", "z3_triv", "parity_zero"):
@@ -230,7 +261,7 @@ class TestRestrictionAndDerivations:
 
         for ctx in contexts.values():
             pair = restrict_and_induce(ctx, identity_morphism(ctx.ext.total))
-            assert pair.is_identity()
+            assert _pair_key(pair) == _pair_key(identity_pair(ctx.module))
 
     def test_induced_pair_independent_of_section(self, ext_corpus):
         from test_extensions import perturbed_section
@@ -268,7 +299,8 @@ class TestRestrictionAndDerivations:
 
     def test_non_stable_automorphism_rejected(self, contexts):
         ctx = contexts["z9"]
-        gamma = next(g for g in aut_K_H(ctx) if not restrict_and_induce(ctx, g).is_identity())
+        ident = _pair_key(identity_pair(ctx.module))
+        gamma = next(g for g in aut_K_H(ctx) if _pair_key(restrict_and_induce(ctx, g)) != ident)
         with pytest.raises(RRBError) as err:
             aut_to_z1(ctx, gamma)
         assert err.value.code == "NotInAutAK"
@@ -443,12 +475,7 @@ class TestExactnessReport:
 
     @pytest.mark.parametrize("name", [*WELLS_EXTS, *(p.stem for p in EXT_FILES), *CATALOGUE_EXTS])
     def test_report_matches_object_loops(self, name, ext_corpus):
-        if name in ext_corpus:
-            ext = ext_corpus[name]
-        elif name in CATALOGUE_EXTS:
-            ext = load_extension(CATALOGUE_EXTS[name])
-        else:
-            ext = load_extension(str(next(p for p in EXT_FILES if p.stem == name)))
+        ext = _named_extension(name, ext_corpus)
         report = verify_wells_exactness(ext)
         records, exactness, witnesses, homomorphism = reference_wells_report(ext)
         got = [((*_morphism_key(rec.pair.psi), *_morphism_key(rec.pair.theta)), rec.in_C,
@@ -471,10 +498,8 @@ class TestExactnessReport:
             v4 = direct_product(z2, z2).group
             ext = _ideal_extension(trivial_rrb(direct_product(v4, v4).group, z2),
                                    [0, 1, 2, 3], [0, 1])
-        elif name in ext_corpus:
-            ext = ext_corpus[name]
         else:
-            ext = load_extension(str(next(p for p in EXT_FILES if p.stem == name)))
+            ext = _named_extension(name, ext_corpus)
         ctx = WellsContext(ext)
         report = verify_wells_exactness(ext)
         ker_omega = sum(rec.in_C and not any(rec.omega) for rec in report.pairs)
@@ -537,12 +562,7 @@ class TestExactnessReport:
         # identity), on eta after a shear of Z1 and with its rows shuffled.
         # Reordered rows stay injective and keep their image, so the flag
         # reads the law alone.
-        if name in ext_corpus:
-            ext = ext_corpus[name]
-        elif name in CATALOGUE_EXTS:
-            ext = load_extension(CATALOGUE_EXTS[name])
-        else:
-            ext = load_extension(str(next(p for p in EXT_FILES if p.stem == name)))
+        ext = _named_extension(name, ext_corpus)
         ctx = WellsContext(ext)
         factors = ctx.complex.z1.factors
         z1, kappa1, kappa2 = ctx.complex.z1_stack()
@@ -566,6 +586,41 @@ class TestExactnessReport:
             monkeypatch.setattr(wells_mod, "_z1_to_aut", lambda *_: (on_H, on_G))
             assert wells_mod.verify_wells_exactness(ext).exactness["eta_injective"] == full, name
             assert expected in (None, full), name
+
+    @pytest.mark.parametrize("name", [*WELLS_EXTS, *(p.stem for p in EXT_FILES), *CATALOGUE_EXTS])
+    def test_omega_laws_on_generators_match_full_scan(self, name, ext_corpus):
+        # Both laws of omega, checked by the audit on C x S, against the
+        # C x C scan they replaced: omega(c1 c2) against omega(c1)^c2 +
+        # omega(c2) and omega(c1) + omega(c2), with C's full product table.
+        ext = _named_extension(name, ext_corpus)
+        ctx = WellsContext(ext)
+        pg, h2 = ctx.pair_group, np.array(ctx.complex.h2.factors, dtype=np.int64)
+        omega = wells_mod._omega(ctx, wells_mod._twisted(ctx, pg.pairs))
+        every = np.arange(len(pg.C))
+        lhs = omega[pg.product(every[:, None], every[None])]
+        acted = np.einsum("jab,ib->ija", wells_mod._action_matrices(ctx, pg.pairs), omega)
+        derivation = bool(((acted + omega[None]) % h2 == lhs).all())
+        homomorphism = bool(((omega[:, None] + omega[None]) % h2 == lhs).all())
+        report = verify_wells_exactness(ext)
+        assert report.exactness["omega_derivation"] == derivation, name
+        assert report.omega_is_homomorphism == homomorphism, name
+        if name in ("ext_z9", "ext_z9_mul4"):
+            assert not homomorphism, name
+
+    def test_fault_injection_breaks_derivation_law(self, ext_corpus, monkeypatch):
+        # Every generator acts on H2 as zero: omega(c s) = omega(s) fails
+        # where omega is not constant, and the witness is a pair (c, s) with
+        # s a generator of C.
+        monkeypatch.setattr(wells_mod, "_action_matrices",
+                            lambda ctx, P: np.zeros((len(P.psi1),) + (len(ctx.complex.h2.factors),) * 2,
+                                                    dtype=np.int64))
+        ext = load_extension(str(next(p for p in EXT_FILES if p.stem == "ext_z9")))
+        report = wells_mod.verify_wells_exactness(ext)
+        assert report.exactness["omega_derivation"] is False
+        ctx = WellsContext(ext)
+        keys = [_pair_key(c) for c in ctx.compatible]
+        named = {f"law fails at {c}, {keys[s]}" for c in keys for s in ctx.pair_group.generators}
+        assert report.witnesses["omega_derivation"] in named
 
     def test_fault_injection_breaks_kernel_image_check(self, ext_corpus, monkeypatch):
         # Shift the obstruction of every pair by a fixed nonzero class: the

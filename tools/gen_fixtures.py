@@ -19,6 +19,7 @@ from rrbgroups import (
     build_extension,
     cochain_complex,
     cyclic_group,
+    identity_morphism,
     product_extension,
     quotient_rrb,
     restrict,
@@ -145,7 +146,8 @@ def main() -> None:
     # Automorphism pairs for the Z9 extension.
     ctx9 = WellsContext(ext9)
     pairs = ctx9.all_pairs
-    ident = next(p for p in pairs if p.is_identity())
+    ident = next(p for p in pairs if (p.psi, p.theta) == (identity_morphism(ctx9.module.quotient),
+                                                           identity_morphism(ctx9.module.kernel)))
     dump("pair_z9_identity.json", pair_to_json(ident))
     twist = next(p for p in pairs
                  if p.psi.psi.image.tolist() == [0, 1, 2]

@@ -329,7 +329,7 @@ class AbelianPresentation:
         # element the walk reaches as parent * gen_j.  Relations: every edge
         # g --gen_i--> g*gen_i gives word(g) + e_i - word(g*gen_i) = 0, which
         # presents the group.
-        levels = _levels(n, lambda x, y: group.table[x, y], [np.arange(n)])
+        levels = _levels(n, lambda g: group.table[:, g], [np.arange(n)])
         gens = np.array([level.gen for level in levels], dtype=np.int64)
         k = len(gens)
         words = np.zeros((n, k), dtype=np.int64)

@@ -342,16 +342,16 @@ def first_repeat(images: np.ndarray) -> Optional[Tuple[int, int]]:
     return first_true(repeats)
 
 
-def row_index(rows: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """The position of each query (along the last axis) among ``rows``, or
-    -1; exact, through one dict over the bytes of the rows."""
+def row_index(rows: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """The lookup of each query (along the last axis) among ``rows``, giving
+    its position or -1; exact, through one dict over the bytes of the rows."""
     def keys(a: np.ndarray) -> list:
         a = np.ascontiguousarray(a, dtype=np.int64).reshape(-1, a.shape[-1])
         return a.view(np.dtype((np.void, 8 * a.shape[1]))).ravel().tolist()
 
     where = dict(zip(keys(rows), range(len(rows))))
-    found = [where.get(key, -1) for key in keys(queries)]
-    return np.array(found, dtype=np.int64).reshape(queries.shape[:-1])
+    return lambda queries: np.array([where.get(key, -1) for key in keys(queries)],
+                                    dtype=np.int64).reshape(queries.shape[:-1])
 
 
 def first_true(mask: np.ndarray) -> Optional[Tuple[int, ...]]:
@@ -387,7 +387,7 @@ def subgroup_closure(G: FiniteGroup, generators: Iterable[int]) -> List[int]:
     for g in gens:
         if not 0 <= g < G.order:
             raise GroupError("NotClosed", f"generator {g} out of range")
-    levels = _levels(G.order, lambda x, y: G.table[x, y],
+    levels = _levels(G.order, lambda g: G.table[:, g],
                      [np.array(sorted(set(gens)), dtype=np.int64)])
     return levels[-1].subgroup.tolist() if levels else [0]
 
@@ -457,35 +457,36 @@ def check_cells(cells: int, what: str) -> None:
 
 
 class _Level(NamedTuple):
-    """One generator of a search and the subgroup it completes: each new
-    element is parent * gen, parents in earlier waves, one (elements,
-    parents, gens) triple per wave."""
+    """One generator of a search and the subgroup it completes: ``column``
+    is x * gen for every x, and each new element is parent * gen_j, parents
+    in earlier waves, one (elements, parents, gens) triple per wave."""
 
     gen: int
     pool: int
+    column: np.ndarray
     waves: List[Tuple[np.ndarray, np.ndarray, np.ndarray]]
     subgroup: np.ndarray
 
 
-def _levels(order: int, product: Callable[[np.ndarray, np.ndarray], np.ndarray],
+def _levels(order: int, column: Callable[[int], np.ndarray],
             pools: Sequence[np.ndarray]) -> List[_Level]:
     """Generators taken greedily, for each ascending pool in turn the least
     of its elements outside the subgroup generated so far, until the pool is
-    inside it; each new element is written once as a word, parent * gen_i.
-    ``product(x, y)`` multiplies broadcast index arrays into {0..order-1}."""
+    inside it; each new element is written once as a word, parent * gen_i,
+    in waves gathered from ``column(gen)``, x * gen for every x, one each."""
     known = np.zeros(order, dtype=bool)
     known[0] = True
-    gens: List[int] = []
-    levels = []
+    levels: List[_Level] = []
     for p, pool in enumerate(pools):
         while not known[pool].all():
             g = int(pool[np.argmin(known[pool])])
-            gens.append(g)
+            gens, by_g = [level.gen for level in levels] + [g], column(g)
+            columns = np.stack([level.column for level in levels] + [by_g], axis=1)
             known[g] = True
             waves = []
             frontier = np.flatnonzero(known)
             while frontier.size:
-                prod = product(frontier[:, None], np.array(gens)[None])
+                prod = columns[frontier]
                 wave: List[Tuple[int, int, int]] = []
                 for f, j in zip(*np.nonzero(~known[prod])):
                     x = int(prod[f, j])
@@ -495,7 +496,7 @@ def _levels(order: int, product: Callable[[np.ndarray, np.ndarray], np.ndarray],
                 if wave:
                     waves.append(tuple(np.array(col, dtype=np.int64) for col in zip(*wave)))
                 frontier = np.array([x for x, _, _ in wave], dtype=np.int64)
-            levels.append(_Level(g, p, waves, np.flatnonzero(known)))
+            levels.append(_Level(g, p, by_g, waves, np.flatnonzero(known)))
     return levels
 
 
@@ -544,11 +545,11 @@ def isomorphism_images(G: FiniteGroup, H: FiniteGroup,
     """
     if G.order != H.order:
         return np.zeros((0, G.order), dtype=np.int64)
-    everything, product = np.arange(G.order), lambda x, y: G.table[x, y]
+    everything, column = np.arange(G.order), lambda g: G.table[:, g]
     if stabilizing is None:
-        return _image_search(G, H, _levels(G.order, product, [everything]), [everything])
+        return _image_search(G, H, _levels(G.order, column, [everything]), [everything])
     sub = np.array(sorted(set(int(x) for x in stabilizing)), dtype=np.int64)
-    img = _image_search(G, H, _levels(G.order, product, [sub, everything]), [sub, everything])
+    img = _image_search(G, H, _levels(G.order, column, [sub, everything]), [sub, everything])
     return img[sorted(range(len(img)), key=img.tolist().__getitem__)]
 
 

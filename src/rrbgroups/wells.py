@@ -104,11 +104,11 @@ def pair_is_compatible(module: RRBModule, pair: CompatiblePair) -> bool:
 class _PairGroup:
     """Aut(quotient) x Aut(kernel) of a module as image stacks, psi-major,
     the compatible pairs C among them, the generators S of C's generator
-    walk and the products C * S.
+    walk and the products C * S, the walk's columns.
 
     Both automorphism stacks are sorted, so the pairs are sorted by
     ``_pair_key`` and so is C; the identity, the least image array, is row 0
-    of each.  Every product the walk and C * S take must lie in C, and the
+    of each.  Every product C * s the walk takes must lie in C, and the
     walk reaches all of C through them, so C is a subgroup.
     """
 
@@ -130,24 +130,27 @@ class _PairGroup:
         widths = [x.shape[1] for x in self.pairs]
         self.shift = np.repeat(np.cumsum([0, *widths[:-1]]), widths)
         self.rows = np.concatenate(self.pairs, axis=1) + self.shift
-        levels = _levels(len(self.C), self.product, [np.arange(len(self.C))])
+        self.index = row_index(self.rows)
+        every = np.arange(len(self.C))
+        levels = _levels(len(self.C), lambda g: self.product(every, g), [every])
         self.generators = np.array([level.gen for level in levels], dtype=np.int64)
         # by_generators[i, j] is the index in C of pair i after generator j.
-        self.by_generators = self.product(np.arange(len(self.C))[:, None], self.generators[None])
+        self.by_generators = np.array([level.column for level in levels],
+                                      dtype=np.int64).reshape(-1, len(self.C)).T
 
     def product(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """The index in C of pair x after pair y, for broadcast index arrays
         into C: one composition gather of C's image rows and one row lookup."""
         n = np.broadcast(x, y).size
         check_cells(n * self.rows.shape[1], f"a gather of {n} products of compatible pairs")
-        found = row_index(self.rows, self.rows[x[..., None], self.rows[y]])
+        found = self.index(self.rows[x[..., None], self.rows[y]])
         if (found < 0).any():  # pragma: no cover - theorem
             raise RRBError("InternalError", "compatible pairs not closed under product")
         return found
 
     def find(self, P: _Pairs) -> np.ndarray:
         """The index in C of each pair of a stack, or -1."""
-        return row_index(self.rows, np.concatenate(P, axis=1) + self.shift)
+        return self.index(np.concatenate(P, axis=1) + self.shift)
 
     def objects(self, module: RRBModule, which: np.ndarray) -> List[CompatiblePair]:
         """The pairs at the given indices, as objects sharing their components."""
@@ -498,14 +501,14 @@ def verify_wells_exactness(ext: Extension) -> WellsReport:
     z1, kappa1, kappa2 = cx.z1_stack()
     eta_H, eta_G = _z1_to_aut(ctx, kappa1, kappa2)
     eta_rows = np.concatenate([eta_H, eta_G], axis=1)
-    injective = bool((row_index(eta_rows, eta_rows) == np.arange(len(eta_rows))).all())
+    injective = bool((row_index(eta_rows)(eta_rows) == np.arange(len(eta_rows))).all())
     # One stabilizer search of Aut(total); each automorphism is restricted once.
     aut_H, aut_G = ctx.aut_K
     induced = _restrict(ctx, aut_H, aut_G)
     stable = _identity_rows(induced)
     ak_H, ak_G = aut_H[stable], aut_G[stable]
     ak_rows = np.concatenate([ak_H, ak_G], axis=1)
-    lands = bool((row_index(ak_rows, eta_rows) >= 0).all())
+    lands = bool((row_index(ak_rows)(eta_rows) >= 0).all())
     # The stack lists Z1 by its coordinates, last one fastest, so eta(k + g)
     # is the row at the mixed-radix index of the sum.  The law is checked for
     # g = 0 and the unit vectors: the g for which it holds against all of Z1
@@ -531,7 +534,7 @@ def verify_wells_exactness(ext: Extension) -> WellsReport:
     # aut_to_z1 o eta = id makes eta injective; with eta(Z1) = Aut^{A,K} it
     # gives eta o aut_to_z1 = id and |Aut^{A,K}| = |Z1|, so neither is checked.
     roundtrip = np.array_equal(back[0], kappa1) and np.array_equal(back[1], kappa2)
-    same = lands and bool((row_index(eta_rows, ak_rows) >= 0).all())
+    same = lands and bool((row_index(eta_rows)(ak_rows) >= 0).all())
     exactness["ker_rho_eq_im_eta"] = same and roundtrip
     if not same:
         witnesses["ker_rho_eq_im_eta"] = "kernel of restriction differs from derivation image"

@@ -18,6 +18,7 @@ predicates are compared with.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -290,6 +291,50 @@ def exhaustive_b2_keys(module: RRBModule) -> set:
 def exhaustive_z1(module: RRBModule) -> List[OneCochain]:
     return [kappa for kappa in iter_one_cochains(module)
             if not any(derivation_defects(module, kappa).values())]
+
+
+# -- closed forms ------------------------------------------------------------
+
+def prime_power_parts(orders: Sequence[int]) -> List[int]:
+    """The prime-power cyclic factors of a direct sum of cyclic groups of
+    the given orders, sorted; a cyclic group is the sum of its Sylow parts."""
+    parts = []
+    for n in orders:
+        p = 2
+        while n > 1:
+            q = 1
+            while n % p == 0:
+                n, q = n // p, q * p
+            if q > 1:
+                parts.append(q)
+            p += 1
+    return sorted(parts)
+
+
+def trivial_module_closed_form(A: Sequence[int], B: Sequence[int], K: Sequence[int],
+                               L: Sequence[int]) -> Tuple[List[int], List[int]]:
+    """(H2, Z1) of the module with every action trivial and T = S = f = 0,
+    for A, B, K, L the direct sums of cyclic groups of the given orders, as
+    lists of cyclic orders (some may be 1).
+
+    The cocycle conditions decouple: tau1 and tau2 are classical 2-cocycles,
+    rho is bilinear and chi a homomorphism, and the coboundaries are B2(A, K)
+    + B2(B, L).  So H2 = H2(A, K) + H2(B, L) + Bil(A x B, K) + Hom(A, L)
+    and Z1 = Hom(A, K) + Hom(B, L), where by universal coefficients
+    H2(A, K) = Ext(A, K) + Hom(Lambda^2 A, K) (Brown, Cohomology of Groups):
+    Hom and Ext of Z_a and Z_k are Z_gcd(a, k), Lambda^2 of A has a
+    Z_gcd(a_i, a_i') for each i < i', and Bil has a Z_gcd(a, b, k) for each
+    triple of factors.
+    """
+    def h2(X, M):
+        return ([math.gcd(x, m) for x in X for m in M]
+                + [math.gcd(X[i], X[j], m) for i in range(len(X))
+                   for j in range(i + 1, len(X)) for m in M])
+
+    bil = [math.gcd(a, b, k) for a in A for b in B for k in K]
+    hom_a_l = [math.gcd(a, m) for a in A for m in L]
+    z1 = [math.gcd(a, k) for a in A for k in K] + [math.gcd(b, m) for b in B for m in L]
+    return h2(A, K) + h2(B, L) + bil + hom_a_l, z1
 
 
 # -- tables and structures ---------------------------------------------------

@@ -3,13 +3,14 @@
 import gc
 import itertools
 import json
+import math
 import random
 import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rrbgroups import (
@@ -46,8 +47,10 @@ from oracles import (
     fs_key,
     fs_positions,
     iter_one_cochains,
+    prime_power_parts,
     relabel_module,
     sub_fs,
+    trivial_module_closed_form,
 )
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "rrbgroups" / "fixtures"
@@ -275,6 +278,45 @@ class TestLadder:
         # The one-cochains form (Z2)^(2(n-1)), and B2 is their image in Z2.
         assert orders["z1"] * orders["b2"] == 4 ** (n - 1)
         assert orders["h2"] * orders["b2"] == orders["z2"]
+
+
+def trivial_module(A, B, K, L):
+    """The all-trivial module over direct sums of cyclic groups of the given orders."""
+    def group(orders):
+        G = cyclic_group(1)
+        for n in orders:
+            G = direct_product(G, cyclic_group(n)).group
+        return G
+
+    quot, kern = trivial_rrb(group(A), group(B)), trivial_rrb(group(K), group(L))
+    return RRBModule(quot, kern, trivial_action(quot, kern))
+
+
+class TestTrivialClosedForm:
+    """H2 and Z1 of all-trivial modules against universal coefficients
+    (``trivial_module_closed_form``), compared as prime-power multisets."""
+
+    orders = st.lists(st.sampled_from([2, 3, 4, 6]), max_size=2)
+
+    @given(orders, orders, orders, orders)
+    @settings(max_examples=40, deadline=None)
+    def test_drawn_modules(self, A, B, K, L):
+        # |A|, |B| <= 12 and |A| |B| <= 48 keep each complex under about
+        # 0.25 s; the condition rows grow as |A|^3 (|A| = 24 takes 6 s).
+        nA, nB = math.prod(A), math.prod(B)
+        assume(nA <= 12 and nB <= 12 and nA * nB <= 48)
+        cx = CochainComplex(trivial_module(A, B, K, L))
+        h2, z1 = trivial_module_closed_form(A, B, K, L)
+        assert prime_power_parts(cx.h2.factors) == prime_power_parts(h2)
+        assert prime_power_parts(cx.z1.factors) == prime_power_parts(z1)
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_ladder_rungs(self, n):
+        h2, z1 = trivial_module_closed_form([n], [n], [2], [2])
+        assert h2 == [math.gcd(n, 2)] * 4 and z1 == [math.gcd(n, 2)] * 2
+        cx = CochainComplex(ladder_module(n))
+        assert prime_power_parts(cx.h2.factors) == prime_power_parts(h2)
+        assert prime_power_parts(cx.z1.factors) == prime_power_parts(z1)
 
 
 def twisted_mu_module(operator):

@@ -27,13 +27,14 @@ from rrbgroups import (
     subgroup_closure,
     trivial_group,
 )
-from rrbgroups.groups import group_from_permutations
+from rrbgroups.groups import _levels, group_from_permutations, row_index
 from conftest import FIXTURE_DIR
 from oracles import (closure_loop, direct_product_loop, group_table_violation, normal_loop,
                      permutation_closure_loop, quotient_loop, saturation_isomorphisms,
                      subgroup_loop)
 
 OPERATORS_CATALOGUE = Path(__file__).parent.parent / "perfbench" / "catalogue" / "operators.json"
+LIFTING_CATALOGUE = OPERATORS_CATALOGUE.with_name("lifting.json")
 
 
 def _permutation_corpus() -> list:
@@ -505,6 +506,75 @@ class TestImageSearch:
             tracemalloc.stop()
         assert err.value.code == "OrderTooLarge"
         assert peak < 8 * CELL_CAP * 8
+
+
+def test_row_index_is_one_lookup_for_any_query_shape():
+    rows = np.array([[0, 1], [1, 0], [2, 2]])
+    find = row_index(rows)
+    assert find(rows).tolist() == [0, 1, 2]
+    assert find(np.array([[[1, 0], [0, 0]], [[2, 2], [0, 1]]])).tolist() == [[1, -1], [2, 0]]
+    assert find(np.zeros((0, 2), dtype=np.int64)).shape == (0,)
+
+
+def _check_walk(G: FiniteGroup, levels) -> None:
+    """The generator walk's levels against G's table: each column is x * gen
+    over all x, each wave element is parent * gen with the parent known
+    before the wave, every element but 0 and the generators is reached in
+    exactly one wave, and each level completes the subgroup its generators
+    so far generate."""
+    gens = [level.gen for level in levels]
+    known = {0}
+    reached = []
+    for i, level in enumerate(levels):
+        assert level.column.tolist() == G.table[:, level.gen].tolist()
+        known.add(level.gen)
+        for elems, parents, via in level.waves:
+            assert set(parents.tolist()) <= known
+            assert set(via.tolist()) <= set(gens[:i + 1])
+            assert elems.tolist() == G.table[parents, via].tolist()
+            known |= set(elems.tolist())
+            reached += elems.tolist()
+        expected = closure_loop(G, gens[:i + 1])
+        assert level.subgroup.tolist() == expected == subgroup_closure(G, gens[:i + 1])
+    assert len(reached) == len(set(reached))
+    assert set(reached) == (set(levels[-1].subgroup.tolist()) if levels else {0}) - {0, *gens}
+
+
+class TestGeneratorWalk:
+    """``_levels`` on the corpus groups, with one pool and with a stabilized
+    subgroup's pool first, and on a lifting-catalogue pair group."""
+
+    @pytest.mark.parametrize("name", [*SMALL_GROUPS, *ORDER_16_GROUPS])
+    def test_walk_on_corpus_groups(self, name):
+        G = {**SMALL_GROUPS, **ORDER_16_GROUPS}[name]
+        everything = np.arange(G.order)
+        levels = _levels(G.order, lambda g: G.table[:, g], [everything])
+        _check_walk(G, levels)
+        assert not levels or levels[-1].subgroup.tolist() == everything.tolist()
+        for g in G.elements():
+            sub = np.array(subgroup_closure(G, [g]), dtype=np.int64)
+            levels = _levels(G.order, lambda g: G.table[:, g], [sub, everything])
+            _check_walk(G, levels)
+            first = [level for level in levels if level.pool == 0]
+            assert [level.pool for level in levels] == sorted(level.pool for level in levels)
+            assert set(sub.tolist()) <= set(first[-1].subgroup.tolist() if first else [0])
+            assert all(level.gen in sub for level in first)
+
+    def test_walk_on_a_catalogue_pair_group(self):
+        from rrbgroups.serialize import load_extension
+        from rrbgroups.wells import WellsContext
+
+        with open(LIFTING_CATALOGUE, encoding="utf-8") as fh:
+            case = json.load(fh)["extensions"][1]
+        pg = WellsContext(load_extension(case["extension"])).pair_group
+        every = np.arange(len(pg.C))
+        C = FiniteGroup(pg.product(every[:, None], every[None]))
+        levels = _levels(len(every), lambda g: pg.product(every, g), [every])
+        _check_walk(C, levels)
+        assert len(every) == 36 and len(levels) == 4
+        assert [level.gen for level in levels] == pg.generators.tolist()
+        assert pg.by_generators.tolist() == C.table[:, pg.generators].tolist()
+        assert pg.find(pg.pairs).tolist() == every.tolist()
 
 
 class TestSubgroupsAndQuotients:

@@ -155,6 +155,30 @@ class TestCompatiblePairs:
                 reached.update(new)
         assert set(reached) == {_pair_key(c) for c in C}, name
 
+    def test_kernel_equal_to_the_total_reaches_every_pair(self):
+        # K = L = G on the trivial Z2^3 x Z2^3 total: C = GL(3, 2)^2.  The
+        # walk takes one column of |C| products per generator, each |C| * 18
+        # cells, and those columns are C * S.
+        from rrbgroups import cyclic_group, direct_product, product_extension, trivial_rrb
+
+        z2 = cyclic_group(2)
+        cube = direct_product(direct_product(z2, z2).group, z2).group
+        one = trivial_rrb(cyclic_group(1), cyclic_group(1))
+        ctx = WellsContext(product_extension(one, trivial_rrb(cube, cube)))
+        pg = ctx.pair_group
+        n, S = len(pg.C), pg.generators
+        assert n == 28224 and pg.by_generators.shape == (n, len(S))
+        for column in pg.by_generators.T:
+            assert np.array_equal(np.sort(column), np.arange(n))
+        rows = np.random.default_rng(25).choice(n, size=40, replace=False)
+        assert np.array_equal(pg.by_generators[rows], pg.product(rows[:, None], S[None]))
+        # Eight of them against compose, with one object stack for all.
+        rows = rows[:8]
+        objs = pg.objects(ctx.module, pg.C[np.concatenate([rows, S, *pg.by_generators[rows]])])
+        pairs, gens, products = objs[:8], objs[8:8 + len(S)], objs[8 + len(S):]
+        assert [_pair_key(q) for q in products] == \
+            [_pair_key(p.compose(s)) for p in pairs for s in gens]
+
     def test_group_structure(self, contexts):
         for name in ("z9", "z3_triv", "parity_zero"):
             C = contexts[name].compatible

@@ -338,7 +338,8 @@ class AbelianPresentation:
             for elems, parents, via in level.waves:
                 words[elems] = words[parents]
                 words[elems, np.searchsorted(gens, via)] += 1
-        edges = words[:, None, :] + np.eye(k, dtype=np.int64) - words[group.table[:, gens]]
+        by_gens = levels[-1].columns if levels else np.zeros((n, 0), dtype=np.int64)
+        edges = words[:, None, :] + np.eye(k, dtype=np.int64) - words[by_gens]
         pres = present_quotient(edges.reshape(n * k, k).T, n)
         self.group = group
         self.factors = pres.factors

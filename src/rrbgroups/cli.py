@@ -153,13 +153,10 @@ def cmd_cohomology(args: argparse.Namespace) -> int:
 def cmd_wells(args: argparse.Namespace) -> int:
     ext = serialize.load_extension(*_load_json(args.extension))
     report = verify_wells_exactness(ext)
-    pair_objs = []
-    for rec in report.pairs:
-        obj = serialize.pair_to_json(rec.pair)
-        obj["in_C"] = rec.in_C
-        obj["omega"] = list(rec.omega) if rec.omega is not None else None
-        obj["inducible"] = rec.inducible
-        pair_objs.append(obj)
+    omega, inducible = report.omega.tolist(), report.inducible.tolist()
+    pair_objs = [{**obj, "in_C": c >= 0, "omega": omega[c] if c >= 0 else None,
+                  "inducible": c >= 0 and inducible[c]}
+                 for obj, c in zip(serialize.pairs_to_json(report.pairs), report.position.tolist())]
     payload = {"pairs": pair_objs, "exactness": dict(report.exactness),
                "omega_is_homomorphism": report.omega_is_homomorphism}
 

@@ -457,13 +457,13 @@ def check_cells(cells: int, what: str) -> None:
 
 
 class _Level(NamedTuple):
-    """One generator of a search and the subgroup it completes: ``column``
-    is x * gen for every x, and each new element is parent * gen_j, parents
-    in earlier waves, one (elements, parents, gens) triple per wave."""
+    """One generator of a search and the subgroup it completes: ``columns``
+    holds x * gen_j for every x and each generator so far, and each new element
+    is parent * gen_j, parents in earlier waves, one (elements, parents, gens) triple per wave."""
 
     gen: int
     pool: int
-    column: np.ndarray
+    columns: np.ndarray
     waves: List[Tuple[np.ndarray, np.ndarray, np.ndarray]]
     subgroup: np.ndarray
 
@@ -477,16 +477,18 @@ def _levels(order: int, column: Callable[[int], np.ndarray],
     known = np.zeros(order, dtype=bool)
     known[0] = True
     levels: List[_Level] = []
+    # Each generator at least doubles the subgroup: at most log2(order) columns.
+    stack = np.zeros((order, max(order.bit_length() - 1, 0)), dtype=np.int64)
     for p, pool in enumerate(pools):
         while not known[pool].all():
             g = int(pool[np.argmin(known[pool])])
-            gens, by_g = [level.gen for level in levels] + [g], column(g)
-            columns = np.stack([level.column for level in levels] + [by_g], axis=1)
+            gens = [level.gen for level in levels] + [g]
+            stack[:, len(levels)] = column(g)
             known[g] = True
             waves = []
             frontier = np.flatnonzero(known)
             while frontier.size:
-                prod = columns[frontier]
+                prod = stack[frontier, :len(gens)]
                 wave: List[Tuple[int, int, int]] = []
                 for f, j in zip(*np.nonzero(~known[prod])):
                     x = int(prod[f, j])
@@ -496,7 +498,7 @@ def _levels(order: int, column: Callable[[int], np.ndarray],
                 if wave:
                     waves.append(tuple(np.array(col, dtype=np.int64) for col in zip(*wave)))
                 frontier = np.array([x for x, _, _ in wave], dtype=np.int64)
-            levels.append(_Level(g, p, by_g, waves, np.flatnonzero(known)))
+            levels.append(_Level(g, p, stack[:, :len(gens)], waves, np.flatnonzero(known)))
     return levels
 
 
@@ -527,7 +529,7 @@ def _image_search(G: FiniteGroup, H: FiniteGroup, levels: List[_Level],
             img[:, elems] = H.table[img[:, parents], img[:, via]]
         S = level.subgroup
         img = img[injective_rows(img[:, S], H.order)]
-        lhs = img[:, G.table[S][:, gens]]
+        lhs = img[:, level.columns[S]]
         rhs = H.table[img[:, S][:, :, None], img[:, gens][:, None, :]]
         img = img[(lhs == rhs).all(axis=(1, 2))]
     return img

@@ -291,8 +291,11 @@ def load_pair(value, quotient: RRBGroup, kernel: RRBGroup,
     return pair
 
 
-def pair_to_json(pair) -> dict:
-    return {"psi": morphism_to_json(pair.psi), "theta": morphism_to_json(pair.theta)}
+def pairs_to_json(stacks: Sequence[np.ndarray]) -> List[dict]:
+    """The form ``load_pair`` reads of each row of the stacks (psi1, psi2, theta1, theta2)."""
+    psi1, psi2, theta1, theta2 = (x.tolist() for x in stacks)
+    return [{"psi": {"psi": a, "eta": b}, "theta": {"psi": k, "eta": l}}
+            for a, b, k, l in zip(psi1, psi2, theta1, theta2)]
 
 
 def detect_payload(obj: dict) -> str:

@@ -52,14 +52,6 @@ class CompatiblePair(NamedTuple):
         return CompatiblePair(self.psi.inverse(), self.theta.inverse())
 
 
-def _morphism_key(m: RRBMorphism) -> tuple:
-    return (tuple(m.psi.image.tolist()), tuple(m.eta.image.tolist()))
-
-
-def _pair_key(pair: CompatiblePair) -> tuple:
-    return _morphism_key(pair.psi) + _morphism_key(pair.theta)
-
-
 class _Pairs(NamedTuple):
     """A stack of pairs as image rows: psi1 on A, psi2 on B, theta1 on K,
     theta2 on L, one row per pair."""
@@ -106,8 +98,8 @@ class _PairGroup:
     the compatible pairs C among them, the generators S of C's generator
     walk and the products C * S, the walk's columns.
 
-    Both automorphism stacks are sorted, so the pairs are sorted by
-    ``_pair_key`` and so is C; the identity, the least image array, is row 0
+    Both automorphism stacks are sorted, so the pairs are sorted by their
+    image rows and so is C; the identity, the least image array, is row 0
     of each.  Every product C * s the walk takes must lie in C, and the
     walk reaches all of C through them, so C is a subgroup.
     """
@@ -135,8 +127,7 @@ class _PairGroup:
         levels = _levels(len(self.C), lambda g: self.product(every, g), [every])
         self.generators = np.array([level.gen for level in levels], dtype=np.int64)
         # by_generators[i, j] is the index in C of pair i after generator j.
-        self.by_generators = np.array([level.column for level in levels],
-                                      dtype=np.int64).reshape(-1, len(self.C)).T
+        self.by_generators = levels[-1].columns if levels else np.zeros((len(every), 0), np.int64)
 
     def product(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """The index in C of pair x after pair y, for broadcast index arrays
@@ -459,16 +450,16 @@ def inducible_by_module_criterion(ctx: WellsContext, pair: CompatiblePair) -> bo
     return bool((psi_star == theta_star).all())
 
 
-class PairRecord(NamedTuple):
-    pair: CompatiblePair
-    in_C: bool
-    omega: Optional[Tuple[int, ...]]
-    inducible: bool
-    witness: Optional[RRBMorphism]
-
-
 class WellsReport(NamedTuple):
-    pairs: List[PairRecord]
+    """The audit's answer as stacks: every automorphism pair, psi-major, the
+    index in C of each (or -1), C's obstruction rows, the mask over C of the
+    pairs that lift and the (on H, on G) image stacks of their lifts, in C order."""
+
+    pairs: _Pairs
+    position: np.ndarray
+    omega: np.ndarray
+    inducible: np.ndarray
+    lifts: Tuple[np.ndarray, np.ndarray]
     exactness: Dict[str, bool]
     witnesses: Dict[str, str]
     omega_is_homomorphism: bool
@@ -564,15 +555,10 @@ def verify_wells_exactness(ext: Extension) -> WellsReport:
     exactness["omega_derivation"] = bool(derivation.all())
     if not derivation.all():
         i, j = np.argwhere(~derivation)[-1]
-        c, s = ctx.compatible[i], ctx.compatible[S[j]]
-        witnesses["omega_derivation"] = f"law fails at {_pair_key(c)}, {_pair_key(s)}"
+        c, s = (tuple(tuple(x[k].tolist()) for x in C) for k in (i, S[j]))
+        witnesses["omega_derivation"] = f"law fails at {c}, {s}"
     homomorphism = bool(((omega[:, None] + omega[S][None]) % h2 == lhs).all())
 
     inducible, lift_H, lift_G = _inducible(ctx, C, twisted)
-    lifts = iter(automorphism_objects(ext.total, lift_H, lift_G))
-    records = []
-    for pair, c in zip(ctx.all_pairs, pg.position.tolist()):
-        ok = c >= 0 and bool(inducible[c])
-        records.append(PairRecord(pair, c >= 0, tuple(omega[c].tolist()) if c >= 0 else None,
-                                  ok, next(lifts) if ok else None))
-    return WellsReport(records, exactness, witnesses, homomorphism)
+    return WellsReport(pg.all, pg.position, omega, inducible, (lift_H, lift_G),
+                       exactness, witnesses, homomorphism)

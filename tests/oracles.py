@@ -24,7 +24,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from rrbgroups import (ActionQuadruple, CompatiblePair, FactorSystem, FiniteGroup, GroupError,
-                       OneCochain, RRBGroup, RRBModule, identity_morphism)
+                       OneCochain, RRBGroup, RRBModule, RRBMorphism, identity_morphism)
 from rrbgroups.abelian import AbelianPresentation, present_quotient
 from rrbgroups.extensions import Extension
 
@@ -335,6 +335,55 @@ def trivial_module_closed_form(A: Sequence[int], B: Sequence[int], K: Sequence[i
     hom_a_l = [math.gcd(a, m) for a in A for m in L]
     z1 = [math.gcd(a, k) for a in A for k in K] + [math.gcd(b, m) for b in B for m in L]
     return h2(A, K) + h2(B, L) + bil + hom_a_l, z1
+
+
+def _norms(n: int, M, sigma: Sequence[int]) -> List[int]:
+    """N(m) = m + sigma(m) + ... + sigma^(n-1)(m) for every element m of M."""
+    out = []
+    for m in M.elements():
+        total, power = 0, m
+        for _ in range(n):
+            total, power = M.mul(total, power), sigma[power]
+        out.append(total)
+    return out
+
+
+def cyclic_h2(n: int, M, sigma: Sequence[int]) -> List[int]:
+    """H2(Z_n, M) = M^sigma / N M for an automorphism sigma of the abelian
+    group M with sigma^n = 1, acting as the generator of Z_n, and N the norm
+    1 + sigma + ... + sigma^(n-1) (the periodic resolution of Z_n; Brown,
+    Cohomology of Groups, III.1).  Returned as the sorted prime-power orders
+    of its cyclic factors, found by listing M: the elements of the quotient
+    killed by p^k number p^(sum of min(e, k)) over its factors Z_(p^e)."""
+    fixed = [m for m in M.elements() if sigma[m] == m]
+    image = set(_norms(n, M, sigma))
+    order = len(fixed) // len(image)
+
+    def killed(x: int, q: int) -> bool:
+        total = 0
+        for _ in range(q):
+            total = M.mul(total, x)
+        return total in image
+
+    parts = []
+    for p in range(2, order + 1):
+        if order % p or not all(p % q for q in range(2, p)):
+            continue
+        counts = [1]  # counts[k]: the elements of the quotient killed by p^k
+        while len(counts) < 2 or counts[-1] != counts[-2]:
+            counts.append(sum(killed(x, p ** len(counts)) for x in fixed) // len(image))
+        # at_least[k - 1]: the factors of order p^k or more, log_p of a ratio.
+        at_least = [next(r for r in range(order) if p ** r == b // a)
+                    for a, b in zip(counts, counts[1:])]
+        for e in range(1, len(at_least)):
+            parts += [p ** e] * (at_least[e - 1] - at_least[e])
+    return sorted(parts)
+
+
+def cyclic_z1_order(n: int, M, sigma: Sequence[int]) -> int:
+    """|Z1(Z_n, M)| = |ker N|: a crossed homomorphism is fixed by its value
+    m at the generator, and it closes up at Z_n's order exactly when N(m) = 0."""
+    return sum(x == 0 for x in _norms(n, M, sigma))
 
 
 # -- tables and structures ---------------------------------------------------
@@ -785,6 +834,16 @@ def saturation_isomorphisms(G, H) -> List[tuple]:
 
 
 # -- the lifting audit, one object at a time ----------------------------------
+
+def _morphism_key(m: RRBMorphism) -> tuple:
+    """A morphism as its (psi, eta) image tuples."""
+    return (tuple(m.psi.image.tolist()), tuple(m.eta.image.tolist()))
+
+
+def _pair_key(pair: CompatiblePair) -> tuple:
+    """A pair as its image tuples (psi1, psi2, theta1, theta2)."""
+    return _morphism_key(pair.psi) + _morphism_key(pair.theta)
+
 
 def identity_pair(module: RRBModule) -> CompatiblePair:
     """The identities of the module's quotient and kernel data, as a pair."""

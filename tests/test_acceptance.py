@@ -27,10 +27,11 @@ from rrbgroups import (
     wells_map,
     zero_factor_system,
 )
-from rrbgroups.wells import WellsContext, aut_AK_H, aut_to_z1, z1_to_aut, \
-    _morphism_key, _pair_key
+from rrbgroups.wells import WellsContext, aut_AK_H, aut_to_z1, z1_to_aut
 from conftest import FIXTURE_DIR
 from oracles import (
+    _morphism_key,
+    _pair_key,
     c2_size,
     cocycle_violations,
     exhaustive_b2_keys,

@@ -20,6 +20,7 @@ from rrbgroups import (
     RRBError,
     RRBGroup,
     RRBModule,
+    automorphism_group,
     classical_h2_check,
     cochain_complex,
     cyclic_group,
@@ -39,6 +40,8 @@ from oracles import (
     coboundary_direct,
     cocycle_defects,
     cocycle_violations,
+    cyclic_h2,
+    cyclic_z1_order,
     derivation_defects,
     exhaustive_b2_keys,
     exhaustive_z1,
@@ -317,6 +320,39 @@ class TestTrivialClosedForm:
         cx = CochainComplex(ladder_module(n))
         assert prime_power_parts(cx.h2.factors) == prime_power_parts(h2)
         assert prime_power_parts(cx.z1.factors) == prime_power_parts(z1)
+
+
+class TestCyclicNontrivialActions:
+    """Z_n acting on M through an automorphism sigma with sigma^n = 1, over
+    one-point (B, L): H2 against M^sigma / N M and |Z1| against |ker N|
+    (``cyclic_h2``, ``cyclic_z1_order``), compared as prime-power multisets."""
+
+    @given(st.lists(st.sampled_from([2, 3, 4, 5, 6, 8, 9]), min_size=1, max_size=2),
+           st.integers(min_value=1, max_value=6), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_drawn_actions(self, orders, n, data):
+        M = cyclic_group(orders[0])
+        if len(orders) == 2:
+            M = direct_product(M, cyclic_group(orders[1])).group
+        periodic = []
+        for hom in automorphism_group(M):
+            power = np.arange(M.order)
+            for _ in range(n):
+                power = hom.image[power]
+            if (power == np.arange(M.order)).all():
+                periodic.append(hom.image)
+        sigma = data.draw(st.sampled_from(periodic))
+        mu = [np.arange(M.order)]
+        for _ in range(n - 1):
+            mu.append(sigma[mu[-1]])
+        mu = [m.tolist() for m in mu]
+        Zn = cyclic_group(n)
+        assert prime_power_parts(classical_h2_check(Zn, M, mu)) == \
+            cyclic_h2(n, M, sigma.tolist())
+        one = cyclic_group(1)
+        action = ActionQuadruple([list(range(M.order))], mu, [[0]], [[0] * n])
+        cx = CochainComplex(RRBModule(trivial_rrb(Zn, one), trivial_rrb(M, one), action))
+        assert cx.z1.order == cyclic_z1_order(n, M, sigma.tolist())
 
 
 def twisted_mu_module(operator):

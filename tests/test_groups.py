@@ -517,8 +517,8 @@ def test_row_index_is_one_lookup_for_any_query_shape():
 
 
 def _check_walk(G: FiniteGroup, levels) -> None:
-    """The generator walk's levels against G's table: each column is x * gen
-    over all x, each wave element is parent * gen with the parent known
+    """The generator walk's levels against G's table: each level's column j
+    is x * gen_j over all x, for its generators so far, each wave element is parent * gen with the parent known
     before the wave, every element but 0 and the generators is reached in
     exactly one wave, and each level completes the subgroup its generators
     so far generate."""
@@ -526,7 +526,7 @@ def _check_walk(G: FiniteGroup, levels) -> None:
     known = {0}
     reached = []
     for i, level in enumerate(levels):
-        assert level.column.tolist() == G.table[:, level.gen].tolist()
+        assert level.columns.tolist() == G.table[:, gens[:i + 1]].tolist()
         known.add(level.gen)
         for elems, parents, via in level.waves:
             assert set(parents.tolist()) <= known

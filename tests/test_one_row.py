@@ -33,16 +33,14 @@ from rrbgroups.wells import (
     _aut_to_z1,
     _compatible,
     _inducible,
-    _morphism_key,
     _omega,
     _Pairs,
-    _pair_key,
     _restrict,
     _stack_of,
     _twisted,
     _z1_to_aut,
 )
-from oracles import fs_from_key, fs_positions
+from oracles import _morphism_key, _pair_key, fs_from_key, fs_positions
 
 WELLS_EXTS = ("product_z2", "built_z2", "z4_carry", "z9", "s3", "z3_z4_twist",
               "z2_z4_image", "z2_z4_kernel", "z4_z4_diag", "parity_zero",

@@ -19,10 +19,11 @@ from rrbgroups.serialize import (
     load_pair,
     load_rrb,
     module_to_json,
-    pair_to_json,
+    pairs_to_json,
     rrb_to_json,
 )
 from conftest import FIXTURE_DIR
+from oracles import _pair_key
 
 
 class TestGroupSchema:
@@ -178,13 +179,16 @@ class TestExtensionAndModuleSchema:
         assert str(err.value) == message
 
     def test_pair_roundtrip(self, ext_corpus):
-        from rrbgroups.wells import WellsContext, _pair_key
+        from rrbgroups.wells import WellsContext
 
         ext = ext_corpus["z9"]
         ctx = WellsContext(ext)
-        for pair in ctx.all_pairs:
-            again = load_pair(pair_to_json(pair), ext.quotient, ext.kernel)
-            assert _pair_key(again) == _pair_key(pair)
+        stacks = ctx.pair_group.all
+        written = pairs_to_json(stacks)
+        assert len(written) == len(ctx.all_pairs) == len(stacks.psi1)
+        for i, (obj, pair) in enumerate(zip(written, ctx.all_pairs)):
+            again = load_pair(obj, ext.quotient, ext.kernel)
+            assert _pair_key(again) == _pair_key(pair) == tuple(tuple(x[i].tolist()) for x in stacks)
 
     def test_bad_json_file(self, tmp_path):
         bad = tmp_path / "bad.json"

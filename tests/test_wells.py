@@ -30,9 +30,9 @@ from rrbgroups import (
     zero_factor_system,
 )
 from rrbgroups.serialize import load_extension
-from rrbgroups.wells import CompatiblePair, _morphism_key, _pair_key
-from oracles import (act_direct, cocycle_violations, fs_from_key, fs_key, fs_positions,
-                     identity_pair, reference_wells_report)
+from rrbgroups.wells import CompatiblePair
+from oracles import (_morphism_key, _pair_key, act_direct, cocycle_violations, fs_from_key,
+                     fs_key, fs_positions, identity_pair, reference_wells_report)
 
 TESTS_DIR = Path(__file__).parent
 EXT_FILES = sorted([*(TESTS_DIR.parent / "src" / "rrbgroups" / "fixtures").glob("ext_*.json"),
@@ -486,30 +486,66 @@ class TestExactnessReport:
     def test_product_extension_all_checks_pass(self, ext_corpus):
         report = verify_wells_exactness(ext_corpus["product_z2"])
         assert all(report.exactness.values())
-        for rec in report.pairs:
-            assert rec.in_C and rec.inducible
+        assert (report.position >= 0).all() and report.inducible.all()
 
     def test_whole_corpus_passes(self, ext_corpus):
         for name in WELLS_EXTS:
             report = verify_wells_exactness(ext_corpus[name])
             assert all(report.exactness.values()), (name, report.exactness,
                                                     report.witnesses)
-            for rec in report.pairs:
-                assert rec.inducible == (rec.witness is not None)
+            n = int((report.position >= 0).sum())
+            assert len(report.omega) == len(report.inducible) == n, name
+            assert all(len(x) == report.inducible.sum() for x in report.lifts), name
 
     @pytest.mark.parametrize("name", [*WELLS_EXTS, *(p.stem for p in EXT_FILES), *CATALOGUE_EXTS])
     def test_report_matches_object_loops(self, name, ext_corpus):
         ext = _named_extension(name, ext_corpus)
         report = verify_wells_exactness(ext)
         records, exactness, witnesses, homomorphism = reference_wells_report(ext)
-        got = [((*_morphism_key(rec.pair.psi), *_morphism_key(rec.pair.theta)), rec.in_C,
-                rec.omega, rec.inducible,
-                _morphism_key(rec.witness) if rec.witness is not None else None)
-               for rec in report.pairs]
+        # Read each pair's record off the stacks: its key, in_C, omega,
+        # verdict and lift, the lifts taken in C order.
+        keys = zip(*(map(tuple, x.tolist()) for x in report.pairs))
+        omega, inducible = report.omega.tolist(), report.inducible.tolist()
+        lifts = zip(*(map(tuple, x.tolist()) for x in report.lifts))
+        got = [(key, c >= 0, tuple(omega[c]) if c >= 0 else None, c >= 0 and inducible[c],
+                next(lifts) if c >= 0 and inducible[c] else None)
+               for key, c in zip(keys, report.position.tolist())]
         assert got == records
+        assert next(lifts, None) is None
         assert report.exactness == exactness
         assert report.witnesses == witnesses
         assert report.omega_is_homomorphism == homomorphism
+
+    @pytest.mark.parametrize("name", [*CATALOGUE_EXTS, "z2^2 kernel"])
+    def test_audit_builds_no_per_pair_objects(self, name, monkeypatch):
+        # The audit answers with stacks: no morphism, homomorphism or pair
+        # object is constructed between the extension and the report.
+        from rrbgroups import cyclic_group, direct_product, product_extension, trivial_rrb
+        from rrbgroups.groups import GroupHom
+        from rrbgroups.rrb import RRBMorphism
+
+        if name == "z2^2 kernel":
+            z2 = cyclic_group(2)
+            v4 = direct_product(z2, z2).group
+            ext = product_extension(trivial_rrb(z2, cyclic_group(1)),
+                                    trivial_rrb(v4, direct_product(v4, z2).group))
+        else:
+            ext = load_extension(CATALOGUE_EXTS[name])
+        built = []
+        for cls in (RRBMorphism, GroupHom, CompatiblePair):
+            def counted(self, *args, _real=cls.__init__, _name=cls.__name__, **kwargs):
+                built.append(_name)
+                if _real is not object.__init__:
+                    _real(self, *args, **kwargs)
+            monkeypatch.setattr(cls, "__init__", counted)
+        report = verify_wells_exactness(ext)
+        assert all(report.exactness.values()), name
+        assert built == [], name
+        if name == "z2^2 kernel":
+            assert len(report.position) == 1008 and (report.position >= 0).all()
+        # The counters see a pair object when one is built.
+        identity_pair(WellsContext(ext).module)
+        assert {"RRBMorphism", "GroupHom", "CompatiblePair"} <= set(built), name
 
     @pytest.mark.parametrize("name", [*WELLS_EXTS, *(p.stem for p in EXT_FILES), "z2^4xz2"])
     def test_order_identity(self, name, ext_corpus):
@@ -526,7 +562,7 @@ class TestExactnessReport:
             ext = _named_extension(name, ext_corpus)
         ctx = WellsContext(ext)
         report = verify_wells_exactness(ext)
-        ker_omega = sum(rec.in_C and not any(rec.omega) for rec in report.pairs)
+        ker_omega = int((~report.omega.any(axis=1)).sum())
         assert len(aut_K_H(ctx)) == ctx.complex.z1.order * ker_omega
 
     def test_fault_injection_breaks_eta_law(self, ext_corpus, monkeypatch):

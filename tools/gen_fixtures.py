@@ -19,7 +19,6 @@ from rrbgroups import (
     build_extension,
     cochain_complex,
     cyclic_group,
-    identity_morphism,
     product_extension,
     quotient_rrb,
     restrict,
@@ -32,7 +31,7 @@ from rrbgroups.serialize import (
     extension_to_json,
     group_to_json,
     module_to_json,
-    pair_to_json,
+    pairs_to_json,
     rrb_to_json,
 )
 from rrbgroups.wells import WellsContext
@@ -143,21 +142,12 @@ def main() -> None:
     dump("ext_z9_mul4.json",
          extension_to_json(Extension(kf, tot_f, qf.rrb, inclf, qf.projection)))
 
-    # Automorphism pairs for the Z9 extension.
-    ctx9 = WellsContext(ext9)
-    pairs = ctx9.all_pairs
-    ident = next(p for p in pairs if (p.psi, p.theta) == (identity_morphism(ctx9.module.quotient),
-                                                           identity_morphism(ctx9.module.kernel)))
-    dump("pair_z9_identity.json", pair_to_json(ident))
-    twist = next(p for p in pairs
-                 if p.psi.psi.image.tolist() == [0, 1, 2]
-                 and p.theta.psi.image.tolist() == [0, 2, 1])
-    dump("pair_z9_twist.json", pair_to_json(twist))
-    both = next(p for p in pairs
-                if p.psi.psi.image.tolist() == [0, 2, 1]
-                and p.theta.psi.image.tolist() == [0, 2, 1])
-    dump("pair_z9_both.json", pair_to_json(both))
-
+    # Automorphism pairs for the Z9 extension, named by their maps on H (G is trivial).
+    pairs = pairs_to_json(WellsContext(ext9).pair_group.all)
+    for name, psi, theta in (("identity", [0, 1, 2], [0, 1, 2]), ("twist", [0, 1, 2], [0, 2, 1]),
+                             ("both", [0, 2, 1], [0, 2, 1])):
+        dump(f"pair_z9_{name}.json",
+             next(p for p in pairs if (p["psi"]["psi"], p["theta"]["psi"]) == (psi, theta)))
 
 if __name__ == "__main__":
     main()

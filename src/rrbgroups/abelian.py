@@ -25,6 +25,7 @@ from .groups import FiniteGroup, GroupError, _levels
 from .intlinalg import (
     as_int_matrix,
     howell,
+    identity,
     present_mod_prime_power,
     prime_power_scale,
     prime_powers,
@@ -34,7 +35,7 @@ from .intlinalg import (
 
 def check_width(coords, width: int):
     """coords, whose rows must have ``width`` entries (ValueError otherwise)."""
-    given = np.shape(coords)[-1:] or ("a scalar",)
+    given = np.asarray(coords).shape[-1:] or ("a scalar",)
     if given != (width,):
         raise ValueError(f"coordinate rows need width {width}, not {given[0]}")
     return coords
@@ -46,9 +47,10 @@ def reduce_vec(vec: Sequence[int], moduli: Sequence[int]) -> Tuple[int, ...]:
 
 def vectors(moduli: Sequence[int]) -> np.ndarray:
     """Every vector of prod Z/moduli as the rows of one int64 array, last
-    coordinate fastest."""
-    shape = tuple(int(m) for m in moduli)
-    return np.indices(shape, dtype=np.int64).reshape(len(shape), math.prod(shape)).T
+    coordinate fastest: the mixed-radix digits of 0, 1, ..., prod - 1."""
+    shape = [int(m) for m in moduli]
+    strides = np.array([math.prod(shape[j + 1:]) for j in range(len(shape))], dtype=np.int64)
+    return np.arange(math.prod(shape))[:, None] // strides % np.array(shape, dtype=np.int64)
 
 
 class QuotientPresentation(NamedTuple):
@@ -92,7 +94,7 @@ def _merge(parts, size: int, E: int) -> QuotientPresentation:
     clear what their lifts hold in the other parts.
     """
     count = max((len(part[3]) for part in parts), default=0)
-    factors = np.ones(count, dtype=np.int64)
+    factors = np.zeros(count, dtype=np.int64) + 1
     for p, _, _, exps, _, _ in parts:
         factors[count - len(exps):] *= np.array([p ** int(e) for e in exps], dtype=np.int64)
     to_coords = np.zeros((count, size), dtype=np.int64)
@@ -123,7 +125,7 @@ def present_quotient(relation_cols: np.ndarray, E: int) -> QuotientPresentation:
 def _stack_moduli(cols: np.ndarray, moduli: Sequence[int]) -> np.ndarray:
     """``[cols | diag(moduli)]``: its column span is the lattice of cols plus
     every vector that vanishes modulo the moduli."""
-    return np.concatenate([cols, np.diag(np.array(moduli, dtype=np.int64))], axis=1)
+    return np.concatenate([cols, identity(len(moduli)) * np.array(moduli, dtype=np.int64)], axis=1)
 
 
 def _crt_kernel(forms, width: int, E: int) -> np.ndarray:
@@ -131,7 +133,7 @@ def _crt_kernel(forms, width: int, E: int) -> np.ndarray:
     the span of the kernel rows of the form for q: as columns, E/q times
     those rows for each q, then E I."""
     cols = [form.kernel.T * (E // form.p ** form.k) for form in forms]
-    return np.concatenate([*cols, E * np.eye(width, dtype=np.int64)], axis=1)
+    return np.concatenate([*cols, E * identity(width)], axis=1)
 
 
 def kernel_mod(matrix: np.ndarray, moduli: Sequence[int]) -> np.ndarray:
@@ -149,7 +151,7 @@ def kernel_mod(matrix: np.ndarray, moduli: Sequence[int]) -> np.ndarray:
     for p, k in prime_powers(E, m):
         q = p ** k
         h = howell(scale_rows(matrix, prime_power_scale(moduli, q), q), p, k)
-        forms.append(howell(h.rows.T, p, k, carry=np.eye(m, dtype=np.int64)))
+        forms.append(howell(h.rows.T, p, k, carry=identity(m)))
     return _crt_kernel(forms, m, E)
 
 
@@ -191,7 +193,7 @@ class SubgroupPresentation(_Presented):
         for p, k in prime_powers(self._E, len(self.ambient_moduli)):
             scale = prime_power_scale(self.ambient_moduli, p ** k)
             form = howell(scale_rows(generator_cols, scale, p ** k).T, p, k,
-                          carry=np.eye(r, dtype=np.int64))
+                          carry=identity(r))
             self._forms.append((scale, form))
 
     @functools.cached_property
@@ -209,7 +211,7 @@ class SubgroupPresentation(_Presented):
         """Per prime power, the coefficients of each row of vecs over the
         form's rows, and a mask of the rows in the subgroup (the others'
         coefficients are meaningless)."""
-        out, member = [], np.ones(len(vecs), dtype=bool)
+        out, member = [], ~np.zeros(len(vecs), dtype=bool)
         for scale, form in self._forms:
             q = form.p ** form.k
             y, ok = form.solve((vecs % q * scale % q).astype(np.int64, copy=False))
@@ -337,9 +339,9 @@ class AbelianPresentation:
             words[level.gen, i] = 1
             for elems, parents, via in level.waves:
                 words[elems] = words[parents]
-                words[elems, np.searchsorted(gens, via)] += 1
+                words[elems, gens.searchsorted(via)] += 1
         by_gens = levels[-1].columns if levels else np.zeros((n, 0), dtype=np.int64)
-        edges = words[:, None, :] + np.eye(k, dtype=np.int64) - words[by_gens]
+        edges = words[:, None, :] + identity(k) - words[by_gens]
         pres = present_quotient(edges.reshape(n * k, k).T, n)
         self.group = group
         self.factors = pres.factors
@@ -386,7 +388,7 @@ class AbelianPresentation:
         Its entries are coordinates below the codomain's factors, so it is
         int64."""
         images = np.asarray(mapping, dtype=np.int64)[..., self.generators]
-        return np.swapaxes(codomain.coord_table[images], -1, -2)
+        return codomain.coord_table[images].swapaxes(-1, -2)
 
     def __repr__(self):
         return f"AbelianPresentation(factors={list(self.factors)})"

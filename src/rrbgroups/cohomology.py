@@ -51,6 +51,7 @@ from .abelian import (
     vectors,
 )
 from .groups import FiniteGroup, trivial_group
+from .intlinalg import identity
 from .modules import ActionQuadruple, FactorSystem, OneCochain, RRBModule, check_normalized
 from .rrb import RRBError, descended_table, trivial_rrb
 
@@ -107,7 +108,8 @@ class _Block(NamedTuple):
 
     def axes(self) -> Tuple[np.ndarray, ...]:
         """The nondegenerate element indices along each axis, as an open grid."""
-        return np.ix_(*(np.arange(1, n) for n in self.orders))
+        return tuple(np.arange(1, n).reshape((n - 1,) + (1,) * (len(self.orders) - 1 - i))
+                     for i, n in enumerate(self.orders))
 
 
 class _Layout:
@@ -129,7 +131,7 @@ class _Layout:
         # past the end, at spare columns that _assemble cuts off.
         self.start = {}
         for b in self.block.values():
-            start = self.start[b.name] = np.full(b.orders, self.dim, dtype=np.int64)
+            start = self.start[b.name] = np.zeros(b.orders, dtype=np.int64) + self.dim
             start[(slice(1, None),) * len(b.orders)] = \
                 b.offset + b.pres.rank * np.arange(math.prod(b.grid)).reshape(b.grid)
 
@@ -163,7 +165,7 @@ class _Layout:
     def first_nonzero(self, coords: Sequence[int]) -> Optional[Tuple[str, tuple]]:
         """(block name, tuple) of the first coordinate not zero modulo its
         modulus, or None."""
-        bad = np.flatnonzero(self.reduce(coords))
+        bad = self.reduce(coords).nonzero()[0]
         if not bad.size:
             return None
         pos = int(bad[0])
@@ -239,7 +241,7 @@ class CochainComplex:
         NU, MU = Kp.perm_matrix(act.nu), Kp.perm_matrix(act.mu)
         NU_INV = Kp.perm_matrix(act.nu_inv(np.arange(m.B.order)))
         SIGMA, F, S = Lp.perm_matrix(act.sigma), Lp.hom_matrix(Kp, act.f.T), Kp.hom_matrix(Lp, m.S)
-        IK, IL = np.eye(Kp.rank, dtype=np.int64), np.eye(Lp.rank, dtype=np.int64)
+        IK, IL = identity(Kp.rank), identity(Lp.rank)
         At, Bt, beta, T = m.A.table, m.B.table, m.quotient.phi, m.T
 
         # Each block's terms are a function of its instance grid, built
@@ -345,7 +347,7 @@ class CochainComplex:
         first that is not; None when all are."""
         defects = self._c2.reduce(self._c1.pack((kappa1, kappa2)) @ self.coboundary_matrix.T)
         bad = defects.any(axis=1)
-        return bad, self._c2.first_nonzero(defects[np.argmax(bad)]) if bad.any() else None
+        return bad, self._c2.first_nonzero(defects[bad.argmax()]) if bad.any() else None
 
     def coboundary(self, kappa: OneCochain) -> FactorSystem:
         """The defect quadruple of a one-cochain; always a cocycle."""
@@ -386,7 +388,7 @@ class CochainComplex:
         naming its first failing condition, for the first row outside Z2."""
         coords, member = self.h2.class_coords(vecs)
         if not member.all():
-            label, at = self._con.first_nonzero(self.constraint_matrix @ vecs[np.argmin(member)])
+            label, at = self._con.first_nonzero(self.constraint_matrix @ vecs[member.argmin()])
             raise RRBError("NotACocycle", f"not a cocycle: condition {label} fails at {at}")
         return coords
 

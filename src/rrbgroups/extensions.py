@@ -102,8 +102,8 @@ def product_extension(quotient: RRBGroup, kernel: RRBGroup) -> Extension:
 def canonical_section(ext: Extension) -> Section:
     """Minimum-index coset representatives; normalized by construction."""
     nA, nB = ext.quotient.H.order, ext.quotient.G.order
-    return Section(np.argmax(ext.proj.psi.image == np.arange(nA)[:, None], axis=1),
-                   np.argmax(ext.proj.eta.image == np.arange(nB)[:, None], axis=1))
+    return Section((ext.proj.psi.image == np.arange(nA)[:, None]).argmax(axis=1),
+                   (ext.proj.eta.image == np.arange(nB)[:, None]).argmax(axis=1))
 
 
 class Chart(NamedTuple):
@@ -147,7 +147,7 @@ def chart(ext: Extension, section: Optional[Section] = None) -> Chart:
             wrong = proj.image[s] != np.arange(len(s))
             if wrong.any():
                 raise RRBError("SectionNotNormalized",
-                               f"s_{side}({int(np.argmax(wrong))}) is in the wrong coset")
+                               f"s_{side}({int(wrong.argmax())}) is in the wrong coset")
         section = Section(s_H, s_G)
     a, k = _split(ext.total.H.table, section.s_H, ext.incl.psi.image)
     b, l = _split(ext.total.G.table, section.s_G, ext.incl.eta.image)
@@ -220,9 +220,12 @@ def build_extension(quotient: RRBGroup, kernel: RRBGroup,
     nu, mu, sigma, f = action.nu, action.mu, action.sigma, action.f
     nA, nB, nK, nL = module.A.order, module.B.order, module.K.order, module.L.order
     # Index grids over the encodings a * nK + k and b * nL + l: [a1, k1, a2, k2].
-    a1, k1, a2, k2 = np.ix_(*map(np.arange, (nA, nK, nA, nK)))
-    b1, l1, b2, l2 = np.ix_(*map(np.arange, (nB, nL, nB, nL)))
-    b, l, a, k = np.ix_(*map(np.arange, (nB, nL, nA, nK)))
+    a1, k1, a2, k2 = (np.arange(nA)[:, None, None, None], np.arange(nK)[:, None, None],
+                      np.arange(nA)[:, None], np.arange(nK))
+    b1, l1, b2, l2 = (np.arange(nB)[:, None, None, None], np.arange(nL)[:, None, None],
+                      np.arange(nB)[:, None], np.arange(nL))
+    b, l, a, k = (np.arange(nB)[:, None, None, None], np.arange(nL)[:, None, None],
+                  np.arange(nA)[:, None], np.arange(nK))
     tableH = module.A.table[a1, a2] * nK + K[K[fs.tau1[a1, a2], mu[a2, k1]], k2]
     tableG = module.B.table[b1, b2] * nL + L[L[fs.tau2[b1, b2], sigma[b2, l1]], l2]
     phi = quotient.phi[b, a] * nK + K[fs.rho[a, b], nu[b, K[f[l, a], k]]]

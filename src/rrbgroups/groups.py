@@ -36,15 +36,15 @@ class FiniteGroup:
         if n == 0:
             raise GroupError("NotClosed", "empty table")
         if tab.min() < 0 or tab.max() >= n:
-            bad = tuple(int(x) for x in np.argwhere((tab < 0) | (tab >= n))[0])
+            bad = first_true((tab < 0) | (tab >= n))
             raise GroupError("NotClosed", f"entry at {bad} out of range", bad)
-        if not (np.array_equal(tab[0], np.arange(n)) and np.array_equal(tab[:, 0], np.arange(n))):
+        if not (arrays_equal(tab[0], np.arange(n)) and arrays_equal(tab[:, 0], np.arange(n))):
             raise GroupError("NoIdentityAtZero", "element 0 is not a two-sided identity")
         # table[table[i, j], k] == table[i, table[j, k]], one (j, k) plane per i.
         for i in range(n):
             bad = tab[tab[i]] != tab[i][tab]
             if bad.any():
-                j, k = (int(x) for x in np.argwhere(bad)[0])
+                j, k = first_true(bad)
                 raise GroupError(
                     "NotAssociative", f"(a*b)*c != a*(b*c) at (a,b,c)=({i},{j},{k})", (i, j, k)
                 )
@@ -52,9 +52,9 @@ class FiniteGroup:
         two_sided = (tab == 0) & (tab.T == 0)
         missing = ~two_sided.any(axis=1)
         if missing.any():
-            i = int(np.argmax(missing))
+            i = int(missing.argmax())
             raise GroupError("NoInverse", f"element {i} has no two-sided inverse", (i,))
-        inv = np.argmax(two_sided, axis=1).astype(np.int64)
+        inv = two_sided.argmax(axis=1).astype(np.int64)
         self.table = tab
         self.table.setflags(write=False)
         self.order = n
@@ -86,12 +86,12 @@ class FiniteGroup:
     @property
     def is_abelian(self) -> bool:
         if self._abelian is None:
-            self._abelian = bool(np.array_equal(self.table, self.table.T))
+            self._abelian = arrays_equal(self.table, self.table.T)
         return self._abelian
 
     def __eq__(self, other) -> bool:
         return other is self or (isinstance(other, FiniteGroup)
-                                 and np.array_equal(self.table, other.table))
+                                 and arrays_equal(self.table, other.table))
 
     def __hash__(self):
         return hash(self.table.tobytes())
@@ -162,12 +162,12 @@ def group_from_permutations(degree: int, generators: Sequence[Sequence[int]],
     if at is not None:
         what = f"is outside 0..{degree - 1}" if outside[at] else "repeats an earlier entry"
         raise GroupError("NotClosed", f"generator {at[0]}: entry {at[1]} = {gens[at]} {what}", at)
-    moved = np.flatnonzero((gens != np.arange(degree)).any(axis=0)) if len(gens) else ()
+    moved = (gens != np.arange(degree)).any(axis=0).nonzero()[0] if len(gens) else ()
     if len(moved) == 0:
         return FiniteGroup([[0]], name=name)
-    gens, width = np.searchsorted(moved, gens[:, moved]), len(moved)
+    gens, width = moved.searchsorted(gens[:, moved]), len(moved)
     keys = [np.arange(width).tobytes()]
-    index, right = {keys[0]: 0}, []
+    index, right, first = {keys[0]: 0}, [], [0]
     for key in keys:  # keys grows as the walk goes
         for q in np.frombuffer(key, dtype=np.int64)[gens]:
             product = q.tobytes()
@@ -177,17 +177,18 @@ def group_from_permutations(degree: int, generators: Sequence[Sequence[int]],
                             f"a closure of {at + 1} permutations on {width} moved points")
                 check_cells((at + 1) ** 2, f"the table of a closure of {at + 1} permutations")
                 keys.append(product)
+                first.append(len(right))
             right.append(at)
     n, k = len(keys), len(gens)
     right = np.array(right, dtype=np.int64).reshape(n, k)
-    first = np.unique(right, return_index=True)[1]
     table = np.zeros((n, n), dtype=np.int64)
     table[:, 0] = np.arange(n)
     for x in range(1, n):
         table[:, x] = right[table[:, first[x] // k], first[x] % k]
-    perms = np.frombuffer(b"".join(keys), dtype=np.int64).reshape(n, width)
-    rank = np.unique(perms, axis=0, return_inverse=True)[1].reshape(n)
-    table[np.ix_(rank, rank)] = rank[table]
+    perms = np.frombuffer(b"".join(keys), dtype=np.int64).reshape(n, width).tolist()
+    rank = np.empty(n, dtype=np.int64)
+    rank[sorted(range(n), key=perms.__getitem__)] = np.arange(n)
+    table[rank[:, None], rank] = rank[table]
     return FiniteGroup(table, name=name)
 
 
@@ -239,7 +240,7 @@ class GroupHom:
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, GroupHom)
-                and np.array_equal(self.image, other.image)
+                and arrays_equal(self.image, other.image)
                 and self.domain == other.domain
                 and self.codomain == other.codomain)
 
@@ -256,7 +257,7 @@ def identity_hom(G: FiniteGroup) -> GroupHom:
 
 def _check_range(img: np.ndarray, H: FiniteGroup) -> None:
     """That every entry of a map is an element of its codomain H."""
-    outside = np.flatnonzero((img < 0) | (img >= H.order))
+    outside = ((img < 0) | (img >= H.order)).nonzero()[0]
     if outside.size:
         i = int(outside[0])
         raise GroupError("NotClosed", f"image[{i}] = {img[i]} is outside the codomain "
@@ -313,9 +314,10 @@ def action_law_defects(rows: np.ndarray, G: FiniteGroup, anti: bool = False) -> 
 
 def _inverse_perm(perm: np.ndarray) -> np.ndarray:
     """Inverse of each permutation along the last axis, as a scatter."""
-    out = np.empty_like(perm)
-    np.put_along_axis(out, perm, np.arange(perm.shape[-1]), axis=-1)
-    return out
+    rows = perm.reshape(-1, perm.shape[-1])
+    out = np.empty(rows.shape, dtype=np.int64)
+    out[np.arange(len(rows))[:, None], rows] = np.arange(rows.shape[1])
+    return out.reshape(perm.shape)
 
 
 def injective_rows(images: np.ndarray, n: int) -> np.ndarray:
@@ -332,7 +334,7 @@ def first_repeat(images: np.ndarray) -> Optional[Tuple[int, int]]:
     arrays that repeats an earlier entry of its row, or None.  A stable sort
     puts each repeat right after an equal entry of lower index."""
     rows = np.arange(len(images))[:, None]
-    order = np.argsort(images, axis=1, kind="stable")
+    order = images.argsort(axis=1, kind="stable")
     ranked = images[rows, order]
     same = ranked[:, 1:] == ranked[:, :-1]
     if not same.any():
@@ -347,7 +349,7 @@ def row_index(rows: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     its position or -1; exact, through one dict over the bytes of the rows."""
     def keys(a: np.ndarray) -> list:
         a = np.ascontiguousarray(a, dtype=np.int64).reshape(-1, a.shape[-1])
-        return a.view(np.dtype((np.void, 8 * a.shape[1]))).ravel().tolist()
+        return a.view(f"V{8 * a.shape[1]}").ravel().tolist()
 
     where = dict(zip(keys(rows), range(len(rows))))
     return lambda queries: np.array([where.get(key, -1) for key in keys(queries)],
@@ -358,7 +360,12 @@ def first_true(mask: np.ndarray) -> Optional[Tuple[int, ...]]:
     """The first True index of a mask in row-major order, or None."""
     if not mask.any():
         return None
-    return tuple(int(i) for i in np.unravel_index(np.argmax(mask), mask.shape))
+    return tuple(int(i) for i in np.unravel_index(int(mask.argmax()), mask.shape))
+
+
+def arrays_equal(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two arrays have the same shape and entries."""
+    return a.shape == b.shape and bool((a == b).all())
 
 
 def subset_mask(G: FiniteGroup, elements: Iterable[int]) -> Optional[np.ndarray]:
@@ -396,7 +403,7 @@ def is_subgroup(G: FiniteGroup, elements: Sequence[int]) -> bool:
     members = subset_mask(G, elements)
     if members is None or not members[0]:
         return False
-    S = np.flatnonzero(members)
+    S = members.nonzero()[0]
     return first_escape(G.table[S], S, members) is None
 
 
@@ -406,7 +413,7 @@ def is_normal(G: FiniteGroup, elements: Sequence[int]) -> bool:
         raise GroupError("NotSubgroup", "element set is not a subgroup")
     members = subset_mask(G, elements)
     conjugations = G.table[G.table[G.inverses], np.arange(G.order)[:, None]]
-    return first_escape(conjugations, np.flatnonzero(members), members) is None
+    return first_escape(conjugations, members.nonzero()[0], members) is None
 
 
 class Quotient(NamedTuple):
@@ -427,9 +434,9 @@ def quotient_group(G: FiniteGroup, normal_elements: Sequence[int]) -> Quotient:
     if not is_normal(G, N):
         raise GroupError("NotNormal", "subgroup is not normal")
     coset_min = G.table[:, N].min(axis=1)
-    reps = np.flatnonzero(coset_min == np.arange(G.order))
-    proj = np.searchsorted(reps, coset_min)
-    Q = FiniteGroup(proj[G.table[np.ix_(reps, reps)]], name=f"{G.name}/N" if G.name else None)
+    reps = (coset_min == np.arange(G.order)).nonzero()[0]
+    proj = reps.searchsorted(coset_min)
+    Q = FiniteGroup(proj[G.table[reps[:, None], reps]], name=f"{G.name}/N" if G.name else None)
     return Quotient(Q, GroupHom(G, Q, proj), reps)
 
 
@@ -481,16 +488,16 @@ def _levels(order: int, column: Callable[[int], np.ndarray],
     stack = np.zeros((order, max(order.bit_length() - 1, 0)), dtype=np.int64)
     for p, pool in enumerate(pools):
         while not known[pool].all():
-            g = int(pool[np.argmin(known[pool])])
+            g = int(pool[known[pool].argmin()])
             gens = [level.gen for level in levels] + [g]
             stack[:, len(levels)] = column(g)
             known[g] = True
             waves = []
-            frontier = np.flatnonzero(known)
+            frontier = known.nonzero()[0]
             while frontier.size:
                 prod = stack[frontier, :len(gens)]
                 wave: List[Tuple[int, int, int]] = []
-                for f, j in zip(*np.nonzero(~known[prod])):
+                for f, j in zip(*(~known[prod]).nonzero()):
                     x = int(prod[f, j])
                     if not known[x]:
                         known[x] = True
@@ -498,7 +505,7 @@ def _levels(order: int, column: Callable[[int], np.ndarray],
                 if wave:
                     waves.append(tuple(np.array(col, dtype=np.int64) for col in zip(*wave)))
                 frontier = np.array([x for x, _, _ in wave], dtype=np.int64)
-            levels.append(_Level(g, p, stack[:, :len(gens)], waves, np.flatnonzero(known)))
+            levels.append(_Level(g, p, stack[:, :len(gens)], waves, known.nonzero()[0]))
     return levels
 
 
@@ -522,8 +529,9 @@ def _image_search(G: FiniteGroup, H: FiniteGroup, levels: List[_Level],
         cands = target[orders_H[target] == orders_G[level.gen]]
         check_cells(len(img) * len(cands) * G.order,
                     f"a level of {len(img) * len(cands)} maps on order {G.order}")
-        img = np.repeat(img, len(cands), axis=0)
-        img[:, level.gen] = np.tile(cands, len(img) // max(len(cands), 1))
+        rows = len(img)
+        img = img.repeat(len(cands), axis=0)
+        img[:, level.gen] = cands[None].repeat(rows, axis=0).ravel()
         gens.append(level.gen)
         for elems, parents, via in level.waves:
             img[:, elems] = H.table[img[:, parents], img[:, via]]

@@ -83,6 +83,13 @@ def as_int_matrix(rows: Sequence[Sequence[int]], ncols: Optional[int] = None) ->
         raise ValueError("integer matrix entry outside int64") from None
 
 
+def identity(n: int) -> np.ndarray:
+    """The n x n int64 identity matrix."""
+    out = np.zeros((n, n), dtype=np.int64)
+    out[range(n), range(n)] = 1
+    return out
+
+
 def _valuation(x: np.ndarray, p: int, k: int) -> np.ndarray:
     """The p-adic valuation of each entry of x, capped at k - 1 (k for 0 is
     left to the caller)."""
@@ -135,7 +142,7 @@ class Howell(NamedTuple):
         # coefficient is the vector's entry there.
         Y = vecs[:, self.cols] * (self.vals == 0)
         R = (vecs - Y @ self.rows) % q
-        for i in np.flatnonzero(self.vals):
+        for i in self.vals.nonzero()[0]:
             Y[:, i] = R[:, self.cols[i]] // self.p ** int(self.vals[i])
             R = (R - Y[:, i:i + 1] * self.rows[i]) % q
         return Y, ~R.any(axis=1)
@@ -145,7 +152,7 @@ class Howell(NamedTuple):
         each row whose pivot is not a unit, p**(k - vals[i]) e_i minus the
         coefficients of p**(k - vals[i]) * rows[i] over the later rows."""
         q = self.p ** self.k
-        i = np.flatnonzero(self.vals)
+        i = self.vals.nonzero()[0]
         mult = np.array([self.p ** (self.k - int(v)) for v in self.vals[i]], dtype=np.int64)
         Y, _ = self.solve(self.rows[i] * mult[:, None] % q)
         Y = -Y % q
@@ -226,8 +233,8 @@ def _local_smith(A: np.ndarray, p: int, k: int):
     q = p ** k
     A = A.copy()
     r, n = A.shape
-    V, Vinv = np.eye(n, dtype=A.dtype), np.eye(n, dtype=A.dtype)
-    exps = np.full(n, k, dtype=np.int64)
+    V, Vinv = identity(n), identity(n)
+    exps = np.zeros(n, dtype=np.int64) + k
     for t in range(min(r, n)):
         block = A[t:, t:]
         val = np.where(block != 0, _valuation(block, p, k), k)
@@ -271,9 +278,9 @@ def present_mod_prime_power(rows: np.ndarray, p: int, k: int):
     unit = h.vals == 0
     # The other columns, by a mask: np.setdiff1d imports numpy.ma on its
     # first call, some 15 ms of every fresh job.
-    rest = np.ones(n, dtype=bool)
-    rest[h.cols[unit]] = False
-    rest = np.flatnonzero(rest)
+    solved = np.zeros(n, dtype=bool)
+    solved[h.cols[unit]] = True
+    rest = (~solved).nonzero()[0]
     exps, V, Vinv = _local_smith(h.rows[~unit][:, rest], p, k)
     keep = exps > 0
     to = np.zeros((int(keep.sum()), n), dtype=np.int64)

@@ -22,6 +22,7 @@ from .groups import (
     FiniteGroup,
     _inverse_perm,
     action_law_defects,
+    arrays_equal,
     automorphism_rows,
     first_true,
     homomorphism_rows,
@@ -47,10 +48,10 @@ class ActionQuadruple:
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, ActionQuadruple)
-                and np.array_equal(self.nu, other.nu)
-                and np.array_equal(self.mu, other.mu)
-                and np.array_equal(self.sigma, other.sigma)
-                and np.array_equal(self.f, other.f))
+                and arrays_equal(self.nu, other.nu)
+                and arrays_equal(self.mu, other.mu)
+                and arrays_equal(self.sigma, other.sigma)
+                and arrays_equal(self.f, other.f))
 
     def __hash__(self):
         return hash((self.nu.tobytes(), self.mu.tobytes(),
@@ -59,8 +60,9 @@ class ActionQuadruple:
 
 def trivial_action(quotient: RRBGroup, kernel: RRBGroup) -> ActionQuadruple:
     nA, nB, nK, nL = quotient.H.order, quotient.G.order, kernel.H.order, kernel.G.order
-    return ActionQuadruple(np.tile(np.arange(nK), (nB, 1)), np.tile(np.arange(nK), (nA, 1)),
-                           np.tile(np.arange(nL), (nB, 1)), np.zeros((nL, nA), dtype=np.int64))
+    return ActionQuadruple(np.arange(nK)[None].repeat(nB, axis=0),
+                           np.arange(nK)[None].repeat(nA, axis=0),
+                           np.arange(nL)[None].repeat(nB, axis=0), np.zeros((nL, nA), dtype=np.int64))
 
 
 class RRBModule:
@@ -146,8 +148,8 @@ def module_defect(quotient: RRBGroup, kernel: RRBGroup,
 
     ident_K = np.arange(K.order)
     ident_L = np.arange(L.order)
-    if not (np.array_equal(nu[0], ident_K) and np.array_equal(mu[0], ident_K)
-            and np.array_equal(sigma[0], ident_L)):
+    if not (arrays_equal(nu[0], ident_K) and arrays_equal(mu[0], ident_K)
+            and arrays_equal(sigma[0], ident_L)):
         return "actions at the identity are not the identity map", ()
     # nu is a homomorphism, mu and sigma are anti-homomorphisms; nu and sigma
     # are checked together over (b1, b2).
@@ -166,7 +168,7 @@ def module_defect(quotient: RRBGroup, kernel: RRBGroup,
     at = first_true(bad_col | ~homomorphism_rows(np.where(inside, f, 0).T, L, K))
     if at is not None:
         if bad_col[at]:
-            at = (int(np.argmax(~inside[:, at[0]])), at[0])
+            at = (int((~inside[:, at[0]]).argmax()), at[0])
             return f"f({at[0]}, {at[1]}) = {f[at]} is outside K", at
         return f"f(-, {at[0]}) is not a homomorphism L -> K", at
     # f(l, a1*a2) = mu_{a2}(f(l,a1)) + f(l,a2), over (l, a1, a2).
@@ -233,10 +235,10 @@ class FactorSystem:
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, FactorSystem)
-                and np.array_equal(self.tau1, other.tau1)
-                and np.array_equal(self.tau2, other.tau2)
-                and np.array_equal(self.rho, other.rho)
-                and np.array_equal(self.chi, other.chi))
+                and arrays_equal(self.tau1, other.tau1)
+                and arrays_equal(self.tau2, other.tau2)
+                and arrays_equal(self.rho, other.rho)
+                and arrays_equal(self.chi, other.chi))
 
     def __hash__(self):
         return hash((self.tau1.tobytes(), self.tau2.tobytes(),
@@ -268,8 +270,8 @@ class OneCochain:
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, OneCochain)
-                and np.array_equal(self.kappa1, other.kappa1)
-                and np.array_equal(self.kappa2, other.kappa2))
+                and arrays_equal(self.kappa1, other.kappa1)
+                and arrays_equal(self.kappa2, other.kappa2))
 
     def __hash__(self):
         return hash((self.kappa1.tobytes(), self.kappa2.tobytes()))

@@ -18,6 +18,7 @@ from .groups import (
     GroupHom,
     Quotient,
     action_law_defects,
+    arrays_equal,
     automorphism_rows,
     check_cells,
     direct_product,
@@ -58,9 +59,9 @@ class RRBGroup:
             raise RRBError("RRBAxiomFails", "R entry out of range")
         bad = ~automorphism_rows(phi_arr, H)
         if bad.any():
-            g = int(np.argmax(bad))
+            g = int(bad.argmax())
             raise RRBError("PhiNotAutomorphism", f"phi[{g}] is not an automorphism of H", (g,))
-        if not np.array_equal(phi_arr[0], np.arange(H.order)):
+        if not arrays_equal(phi_arr[0], np.arange(H.order)):
             raise RRBError("PhiNotAction", "phi[identity] is not the identity map", (0, 0))
         at = first_true(action_law_defects(phi_arr, G))
         if at is not None:
@@ -88,8 +89,8 @@ class RRBGroup:
     def __eq__(self, other) -> bool:
         return (isinstance(other, RRBGroup)
                 and self.H == other.H and self.G == other.G
-                and np.array_equal(self.phi, other.phi)
-                and np.array_equal(self.R, other.R))
+                and arrays_equal(self.phi, other.phi)
+                and arrays_equal(self.R, other.R))
 
     def __hash__(self):
         return hash((self.H, self.G, self.phi.tobytes(), self.R.tobytes()))
@@ -103,7 +104,7 @@ def trivial_rrb(H: FiniteGroup, G: FiniteGroup, R: Optional[Sequence[int]] = Non
                 name: Optional[str] = None) -> RRBGroup:
     """Trivial action; R defaults to the zero map and must be a homomorphism."""
     R = np.zeros(H.order, dtype=np.int64) if R is None else R
-    return RRBGroup(H, G, np.tile(np.arange(H.order), (G.order, 1)), R, name=name)
+    return RRBGroup(H, G, np.arange(H.order)[None].repeat(G.order, axis=0), R, name=name)
 
 
 def one_point_rrb() -> RRBGroup:
@@ -214,11 +215,11 @@ def check_morphisms(domain: RRBGroup, codomain: RRBGroup,
     failing = bad_R.any(axis=1) | bad_eq.any(axis=(1, 2))
     if not failing.any():
         return
-    row = int(np.argmax(failing))
+    row = int(failing.argmax())
     if bad_R[row].any():
-        h = int(np.argmax(bad_R[row]))
+        h = int(bad_R[row].argmax())
         raise RRBError("EtaRNeqSPsi", f"eta(R(h)) != R'(psi(h)) at h={h}", (h,))
-    g, h = (int(x) for x in np.argwhere(bad_eq[row])[0])
+    g, h = first_true(bad_eq[row])
     raise RRBError("EquivarianceFails",
                    f"psi(phi_g(h)) != phi'_{{eta(g)}}(psi(h)) at (g,h)=({g},{h})", (g, h))
 
@@ -266,7 +267,7 @@ def is_subrrb(rrb: RRBGroup, K_set: Sequence[int], L_set: Sequence[int]) -> Tupl
     if not is_subgroup(rrb.G, L_set):
         raise RRBError("NotSubgroup", "L is not a subgroup of G")
     K, L = subset_mask(rrb.H, K_set), subset_mask(rrb.G, L_set)
-    Ks, Ls = np.flatnonzero(K), np.flatnonzero(L)
+    Ks, Ls = K.nonzero()[0], L.nonzero()[0]
     at = first_escape(rrb.phi[Ls], Ks, K)
     if at is not None:
         return False, f"phi_{Ls[at[0]]}({at[1]}) leaves K"
@@ -287,10 +288,10 @@ def is_ideal(rrb: RRBGroup, K_set: Sequence[int], L_set: Sequence[int]) -> Tuple
     if not is_normal(rrb.G, L_set):
         return False, "L is not normal in G"
     H, K = rrb.H, subset_mask(rrb.H, K_set)
-    at = first_escape(rrb.phi, np.flatnonzero(K), K)
+    at = first_escape(rrb.phi, K.nonzero()[0], K)
     if at is not None:
         return False, f"phi_{at[0]}({at[1]}) leaves K"
-    Ls = np.flatnonzero(subset_mask(rrb.G, L_set))
+    Ls = subset_mask(rrb.G, L_set).nonzero()[0]
     at = first_escape(H.table[rrb.phi[Ls], H.inverses], np.arange(H.order), K)
     if at is not None:
         return False, f"phi_{Ls[at[0]]}({at[1]}) * {at[1]}^-1 not in K"
@@ -325,12 +326,12 @@ def restrict(rrb: RRBGroup, K_set: Sequence[int], L_set: Sequence[int],
     if not ok:
         raise RRBError("NotSubRRB", why or "not a sub-structure")
     in_K, in_L = subset_mask(rrb.H, K_set), subset_mask(rrb.G, L_set)
-    K, L = np.flatnonzero(in_K), np.flatnonzero(in_L)
+    K, L = in_K.nonzero()[0], in_L.nonzero()[0]
     # The position of each member of K (of L) in it: every table is one gather.
-    k_index, l_index = np.cumsum(in_K) - 1, np.cumsum(in_L) - 1
-    KH = FiniteGroup(k_index[rrb.H.table[np.ix_(K, K)]])
-    LG = FiniteGroup(l_index[rrb.G.table[np.ix_(L, L)]])
-    sub = RRBGroup(KH, LG, k_index[rrb.phi[np.ix_(L, K)]], l_index[rrb.R[K]], name=name)
+    k_index, l_index = in_K.cumsum() - 1, in_L.cumsum() - 1
+    KH = FiniteGroup(k_index[rrb.H.table[K[:, None], K]])
+    LG = FiniteGroup(l_index[rrb.G.table[L[:, None], L]])
+    sub = RRBGroup(KH, LG, k_index[rrb.phi[L[:, None], K]], l_index[rrb.R[K]], name=name)
     incl = validate_morphism(sub, rrb, K, L)
     return Restriction(sub, incl)
 
@@ -350,11 +351,11 @@ def quotient_rrb(rrb: RRBGroup, ideal: RRBIdeal) -> RRBQuotient:
     qH = quotient_group(rrb.H, ideal.K_elements)
     qG = quotient_group(rrb.G, ideal.L_elements)
     pH, pG = qH.projection.image, qG.projection.image
-    phi_bar = pH[rrb.phi[np.ix_(qG.section, qH.section)]]
+    phi_bar = pH[rrb.phi[qG.section[:, None], qH.section]]
     R_bar = pG[rrb.R[qH.section]]
     # Induced maps must not depend on coset representatives.  The action's
     # witness is the first (g, h) with g taken coset by coset.
-    by_coset = np.argsort(pG, kind="stable")
+    by_coset = pG.argsort(kind="stable")
     at = first_true((phi_bar[pG[:, None], pH[None, :]] != pH[rrb.phi])[by_coset])
     if at is not None:
         g, h = int(by_coset[at[0]]), at[1]
@@ -374,8 +375,8 @@ def center(rrb: RRBGroup) -> RRBIdeal:
     moved = rrb.phi != np.arange(rrb.H.order)
     trivial = ~moved.any(axis=1)
     central = (rrb.H.table == rrb.H.table.T).all(axis=1)
-    K = np.flatnonzero(central & ~moved.any(axis=0) & trivial[rrb.R])
-    ideal = RRBIdeal(tuple(K.tolist()), tuple(np.flatnonzero(trivial).tolist()))
+    K = (central & ~moved.any(axis=0) & trivial[rrb.R]).nonzero()[0]
+    ideal = RRBIdeal(tuple(K.tolist()), tuple(trivial.nonzero()[0].tolist()))
     ok, why = is_ideal(rrb, ideal.K_elements, ideal.L_elements)
     if not ok:  # pragma: no cover - theorem
         raise RRBError("InternalError", f"center is not an ideal: {why}")
@@ -409,7 +410,7 @@ def rrb_automorphism_images(rrb: RRBGroup,
     check_cells(pairs * (rrb.H.order + rrb.G.order),
                 f"a stack of {pairs} candidate automorphism pairs")
     bad_R, bad_eq = morphism_defects(rrb, rrb, auts_H[:, None], auts_G[None])
-    i, j = np.nonzero(~(bad_R.any(axis=2) | bad_eq.any(axis=(2, 3))))
+    i, j = (~(bad_R.any(axis=2) | bad_eq.any(axis=(2, 3)))).nonzero()
     return auts_H[i], auts_G[j]
 
 

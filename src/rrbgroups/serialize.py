@@ -85,9 +85,10 @@ def strict_ints(value, path: str, depth: int):
                 raise ParseError(f"{where}: integer {v} is outside int64")
         elif type(v) is not list:
             raise ParseError(f"{where}: expected an array, got {v!r}")
-        elif d > 1 or not all(type(x) is int for x in v) or (
+        elif d > 1 or not set(map(type, v)) <= {int} or (
                 v and not INT64_MIN <= min(v) <= max(v) <= INT64_MAX):
-            # Paths are built only here, off the common all-integer row.
+            # Paths are built only here, off the common all-integer row,
+            # whose types are read at C speed.
             for i, x in enumerate(v):
                 walk(x, f"{where}[{i}]", d - 1)
             if d > 1 and len({len(row) for row in v}) > 1:
@@ -241,7 +242,7 @@ def load_factor_system(value, module: RRBModule, base: Optional[str] = None) -> 
         values = _flat_entries(obj, key, "factor system", (rows - 1) * (cols - 1),
                                order, label)
         out = np.zeros((rows, cols), dtype=np.int64)
-        out[1:, 1:] = np.reshape(np.array(values, dtype=np.int64), (rows - 1, cols - 1))
+        out[1:, 1:] = np.array(values, dtype=np.int64).reshape(rows - 1, cols - 1)
         return out
 
     tau1 = unflatten("tau1", nA, nA, nK, "K")

@@ -26,7 +26,8 @@ import numpy as np
 
 from .cohomology import CohomologyClass, cochain_complex
 from .extensions import Extension, _chart_actions, _chart_factor_system, chart
-from .groups import _inverse_perm, _levels, check_cells, row_index
+from .groups import _inverse_perm, _levels, arrays_equal, check_cells, row_index
+from .intlinalg import identity
 from .modules import FactorSystem, OneCochain, RRBModule, twisted_action
 from .rrb import (
     RRBError,
@@ -111,16 +112,16 @@ class _PairGroup:
         self.nk = nk
         width = sum(x.shape[1] for x in (*self.quotient, *self.kernel))
         check_cells(nq * nk * width, f"a stack of {nq * nk} automorphism pairs")
-        self.all = _Pairs(*(np.repeat(x, nk, axis=0) for x in self.quotient),
-                          *(np.tile(x, (nq, 1)) for x in self.kernel))
-        self.C = np.flatnonzero(_compatible(module, self.all))
+        q, k = np.divmod(np.arange(nq * nk), nk)
+        self.all = _Pairs(*(x[q] for x in self.quotient), *(x[k] for x in self.kernel))
+        self.C = _compatible(module, self.all).nonzero()[0]
         # position[p] is the index in C of pair p, or -1.
-        self.position = np.full(nq * nk, -1, dtype=np.int64)
+        self.position = np.zeros(nq * nk, dtype=np.int64) - 1
         self.position[self.C] = np.arange(len(self.C))
         self.pairs = self.all.take(self.C)
         # C's image rows, each map shifted past those before it: x after y is rows[x, rows[y]].
         widths = [x.shape[1] for x in self.pairs]
-        self.shift = np.repeat(np.cumsum([0, *widths[:-1]]), widths)
+        self.shift = np.array([0, *widths[:-1]]).cumsum().repeat(widths)
         self.rows = np.concatenate(self.pairs, axis=1) + self.shift
         self.index = row_index(self.rows)
         every = np.arange(len(self.C))
@@ -268,8 +269,8 @@ def _unlift(ctx: WellsContext, on_H: np.ndarray, on_G: np.ndarray) -> tuple:
         moved = img[:, incl]
         off = outer[moved] != 0
         if off.any():
-            row = int(np.argmax(off.any(axis=1)))
-            raise RRBError("ImageKernelMismatch", f"element {int(moved[row, np.argmax(off[row])])} "
+            row = int(off.any(axis=1).argmax())
+            raise RRBError("ImageKernelMismatch", f"element {int(moved[row, off[row].argmax()])} "
                                                   "is not in the kernel image")
         parts.append((outer[img[:, s]], inner[img[:, s]], inner[moved]))
     return tuple(zip(*parts))
@@ -296,7 +297,7 @@ def _z1_to_aut(ctx: WellsContext, kappa1: np.ndarray,
     if witness is not None:
         raise RRBError("NotInZ1", f"defect {witness[0]} at {witness[1]} is nonzero")
     m, n = ctx.module, len(kappa1)
-    ident = [np.broadcast_to(np.arange(g.order), (n, g.order)) for g in (m.A, m.B, m.K, m.L)]
+    ident = [np.arange(g.order)[None].repeat(n, axis=0) for g in (m.A, m.B, m.K, m.L)]
     return _lift(ctx, ident[:2], (kappa1, kappa2), ident[2:])
 
 
@@ -333,7 +334,7 @@ def _action_matrices(ctx: WellsContext, P: _Pairs) -> np.ndarray:
     r = len(cx.h2.factors)
     if not r:
         return np.zeros((len(P.psi1), 0, 0), dtype=np.int64)
-    moved = _twist(P, cx.class_representatives(np.eye(r, dtype=np.int64)))
+    moved = _twist(P, cx.class_representatives(identity(r)))
     flat = [x.reshape((-1,) + x.shape[2:]) for x in moved]
     return cx.classes(cx.c2_coords(flat)).reshape(len(P.psi1), r, r).transpose(0, 2, 1)
 
@@ -399,7 +400,7 @@ def _inducible(ctx: WellsContext, P: _Pairs, twisted: Sequence[np.ndarray]
     # Each lift must induce its own pair; that pair is already checked, so
     # the induced one needs no checks of its own.
     psi, _, theta = _unlift(ctx, on_H, on_G)
-    if not all(np.array_equal(x, y) for x, y in zip((*psi, *theta), Q)):  # pragma: no cover
+    if not all(arrays_equal(x, y) for x, y in zip((*psi, *theta), Q)):  # pragma: no cover
         raise RRBError("InternalError", "witness does not induce the requested pair")
     return member, on_H, on_G
 
@@ -514,7 +515,7 @@ def verify_wells_exactness(ext: Extension) -> WellsReport:
     defects = ((eta_H[at_sum] != eta_H[first, eta_H[gens][None]]).any(axis=2)
                | (eta_G[at_sum] != eta_G[first, eta_G[gens][None]]).any(axis=2))
     if defects.any():
-        i, j = np.argwhere(defects)[-1]
+        i, j = (x[-1] for x in defects.nonzero())
         witnesses["eta_injective"] = (f"eta not multiplicative at {OneCochain(kappa1[i], kappa2[i])}, "
                                       f"{OneCochain(kappa1[gens[j]], kappa2[gens[j]])}")
     exactness["eta_injective"] = injective and lands and not defects.any()
@@ -524,7 +525,7 @@ def verify_wells_exactness(ext: Extension) -> WellsReport:
     back = _aut_to_z1(ctx, eta_H, eta_G)
     # aut_to_z1 o eta = id makes eta injective; with eta(Z1) = Aut^{A,K} it
     # gives eta o aut_to_z1 = id and |Aut^{A,K}| = |Z1|, so neither is checked.
-    roundtrip = np.array_equal(back[0], kappa1) and np.array_equal(back[1], kappa2)
+    roundtrip = arrays_equal(back[0], kappa1) and arrays_equal(back[1], kappa2)
     same = lands and bool((row_index(eta_rows)(ak_rows) >= 0).all())
     exactness["ker_rho_eq_im_eta"] = same and roundtrip
     if not same:
@@ -541,7 +542,7 @@ def verify_wells_exactness(ext: Extension) -> WellsReport:
     if (induced_at < 0).any():  # pragma: no cover - theorem
         raise RRBError("InternalError", "an induced pair is not a compatible pair")
     im_rho[induced_at] = True
-    exactness["ker_omega_eq_im_rho"] = bool(np.array_equal(im_rho, ker_omega))
+    exactness["ker_omega_eq_im_rho"] = arrays_equal(im_rho, ker_omega)
     if not exactness["ker_omega_eq_im_rho"]:
         witnesses["ker_omega_eq_im_rho"] = (
             f"im(rho) has {im_rho.sum()} pairs, ker(omega) has {ker_omega.sum()}")
@@ -550,11 +551,11 @@ def verify_wells_exactness(ext: Extension) -> WellsReport:
     h2, S = np.array(cx.h2.factors, dtype=np.int64), pg.generators
     check_cells(len(omega) * len(S) * len(h2), "the obstruction laws on the generators")
     lhs = omega[pg.by_generators]
-    acted = np.einsum("jab,ib->ija", _action_matrices(ctx, C.take(S)), omega)
+    acted = (_action_matrices(ctx, C.take(S)) @ omega.T).transpose(2, 0, 1)
     derivation = ((acted + omega[S][None]) % h2 == lhs).all(axis=2)
     exactness["omega_derivation"] = bool(derivation.all())
     if not derivation.all():
-        i, j = np.argwhere(~derivation)[-1]
+        i, j = (x[-1] for x in (~derivation).nonzero())
         c, s = (tuple(tuple(x[k].tolist()) for x in C) for k in (i, S[j]))
         witnesses["omega_derivation"] = f"law fails at {c}, {s}"
     homomorphism = bool(((omega[:, None] + omega[S][None]) % h2 == lhs).all())
